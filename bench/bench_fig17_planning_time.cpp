@@ -23,7 +23,6 @@
 // planning time, is the paper's Fig. 17 claim ("planning hides behind GPU
 // execution"); see bench/README.md "Plan-ahead methodology".
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -31,9 +30,6 @@
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
 #include "src/cost/pipeline_cost_model.h"
-#include "src/data/minibatch_sampler.h"
-#include "src/service/plan_cache.h"
-#include "src/service/plan_serde.h"
 
 namespace {
 
@@ -51,14 +47,6 @@ struct EpochPlanTimes {
   double hit_rate = 0.0;
   double plan_cache_hit_rate = 0.0;
   int64_t serialized_kb = 0;
-  // Incremental planning (RunIncremental): partition-phase time, prefix-cache
-  // hit rate, warm-start candidates pruned per iteration, and the predicted
-  // iteration times in iteration order (compared bitwise across variants as
-  // the bench's bit-identity guard).
-  RunningStats partition_stats;
-  double prefix_hit_rate = 0.0;
-  double pruned_per_iter = 0.0;
-  std::vector<double> predicted_ms;
   bool ok = false;
 };
 
@@ -76,9 +64,6 @@ EpochPlanTimes MeasureEpoch(runtime::Trainer& trainer, const data::Dataset& data
   }
   int64_t hits = 0;
   int64_t misses = 0;
-  int64_t prefix_hits = 0;
-  int64_t prefix_misses = 0;
-  int64_t pruned = 0;
   for (size_t i = kWarmupIters; i < r.records.size(); ++i) {
     const auto& rec = r.records[i];
     out.plan_ms.push_back(rec.planning_ms);
@@ -86,26 +71,12 @@ EpochPlanTimes MeasureEpoch(runtime::Trainer& trainer, const data::Dataset& data
     out.iter_stats.Add(rec.measured_ms);
     out.stall_ms.push_back(rec.plan_stall_ms);
     out.stall_stats.Add(rec.plan_stall_ms);
-    out.partition_stats.Add(rec.partition_ms);
-    out.predicted_ms.push_back(rec.predicted_ms);
     hits += rec.cost_cache_hits;
     misses += rec.cost_cache_misses;
-    prefix_hits += rec.prefix_cache_hits;
-    prefix_misses += rec.prefix_cache_misses;
-    pruned += rec.warmstart_pruned;
   }
   out.hit_rate = hits + misses == 0
                      ? 0.0
                      : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  out.prefix_hit_rate =
-      prefix_hits + prefix_misses == 0
-          ? 0.0
-          : static_cast<double>(prefix_hits) /
-                static_cast<double>(prefix_hits + prefix_misses);
-  out.pruned_per_iter =
-      out.plan_ms.empty() ? 0.0
-                          : static_cast<double>(pruned) /
-                                static_cast<double>(out.plan_ms.size());
   const int64_t plan_lookups = r.plan_cache_hits + r.plan_cache_misses;
   out.plan_cache_hit_rate =
       plan_lookups == 0 ? 0.0
@@ -224,320 +195,15 @@ void RunPlanAhead(model::ModelArch arch, int32_t pool_threads, int64_t batch) {
               table.ToString().c_str());
 }
 
-// Plan-cache quantization trade-off (ROADMAP PR 2): rounding sequence
-// lengths up to a multiple q before keying *and* planning trades padding for
-// cache hits. T5 is the interesting arch — its two-dimensional
-// (input, target) shape space rarely repeats exactly, so the exact cache
-// (q=1) starves on anything but a literal replay. Each row runs three
-// epochs: epoch 1 warms the cache (seed A), "replay" re-runs seed A (exact-
-// match territory — 100% at any q), and "x-shuf" runs a *different* shuffle
-// (seed B) — the regime the knob exists for, where only quantized signatures
-// can collapse nearly-identical batches onto a cached plan. Padding and
-// throughput columns come from the cross-shuffle epoch: what the rounding
-// costs in padded tokens and what that nets out to end to end.
-void RunQuantization(model::ModelArch arch, int32_t pool_threads,
-                     int64_t batch) {
-  const model::ModelConfig config = model::ModelConfig::ForCluster(arch, 4);
-  const model::HardwareSpec hw;
-  const model::ParallelConfig parallel =
-      arch == model::ModelArch::kGpt ? model::ParallelConfig{1, 1, 4}
-                                     : model::ParallelConfig{1, 2, 2};
-  const data::Dataset dataset = bench::BenchDataset(16'000);
-
-  ThreadPool pool(pool_threads);
-  runtime::PlannerOptions planner = bench::BenchPlanner();
-  planner.cost_cache = true;
-  planner.pool = &pool;
-
-  TextTable table({"quantization", "replay plan$ hit%", "x-shuf plan$ hit%",
-                   "padding eff%", "tokens/s", "stall_ms(mean)"});
-  for (const int32_t q : {1, 16, 32, 64}) {
-    // Fresh trainer per row: the plan cache lives on the trainer and its
-    // signatures embed q, so rows must not share state.
-    runtime::Trainer trainer(config, hw, parallel, bench::BenchProfile());
-    runtime::TrainerOptions topts;
-    topts.global_batch_tokens = batch;
-    topts.max_input_len = 2048;
-    topts.max_iterations = kMeasuredIters;
-    topts.plan_lookahead = 2;
-    topts.plan_cache = true;
-    topts.plan_cache_quantization = q;
-    topts.serialize_plans = true;
-    const runtime::EpochResult warm = trainer.RunEpoch(dataset, planner, topts);
-    const runtime::EpochResult replay =
-        trainer.RunEpoch(dataset, planner, topts);
-    runtime::TrainerOptions shuffled = topts;
-    shuffled.sampler_seed = topts.sampler_seed + 1;
-    const runtime::EpochResult xshuf =
-        trainer.RunEpoch(dataset, planner, shuffled);
-    if (!warm.feasible || !replay.feasible || !xshuf.feasible) {
-      table.AddRow({std::to_string(q), "OOM", "-", "-", "-", "-"});
-      continue;
-    }
-    const auto hit_rate = [](const runtime::EpochResult& r) {
-      const int64_t lookups = r.plan_cache_hits + r.plan_cache_misses;
-      return lookups == 0 ? 0.0
-                          : 100.0 * static_cast<double>(r.plan_cache_hits) /
-                                static_cast<double>(lookups);
-    };
-    RunningStats stall;
-    for (const auto& rec : xshuf.records) {
-      stall.Add(rec.plan_stall_ms);
-    }
-    table.AddRow({std::to_string(q), TextTable::Fmt(hit_rate(replay), 1),
-                  TextTable::Fmt(hit_rate(xshuf), 1),
-                  TextTable::Fmt(100.0 * xshuf.padding.overall_efficiency(), 1),
-                  TextTable::Fmt(xshuf.tokens_per_second(), 0),
-                  TextTable::Fmt(stall.mean(), 2)});
-  }
-  std::printf("-- %s plan-cache quantization (batch=%lld tokens, pool=%d; "
-              "replay = same shuffle, x-shuf = fresh shuffle) --\n%s\n",
-              config.name.c_str(), static_cast<long long>(batch), pool_threads,
-              table.ToString().c_str());
-}
-
-// Incremental planning (sub-plan memoization): cross-shuffle planning time.
-// The regime the incremental layer exists for is the one the exact plan cache
-// starves in (see RunQuantization): a *fresh shuffle* of the same dataset,
-// where batch signatures never repeat verbatim but the sorted length-run
-// prefixes the DP actually consumes mostly do. Each variant warms a fresh
-// trainer with one epoch on shuffle seed A, then measures an epoch on shuffle
-// seed B. "off" disables incremental planning; "on" carries the trainer's
-// epoch-spanning PrefixWindowCache / StageCostCache / warm-start seeds into
-// the cross-shuffle epoch. Plans are bit-identical by construction — the
-// table's final row asserts it by comparing every measured iteration's
-// predicted time bits and micro-batch count across the two variants (same
-// sampler seeds, so the same batches in the same order).
-void RunIncremental(model::ModelArch arch, int32_t pool_threads,
-                    int64_t batch) {
-  const model::ModelConfig config = model::ModelConfig::ForCluster(arch, 4);
-  const model::HardwareSpec hw;
-  const model::ParallelConfig parallel =
-      arch == model::ModelArch::kGpt ? model::ParallelConfig{1, 1, 4}
-                                     : model::ParallelConfig{1, 2, 2};
-  const data::Dataset dataset = bench::BenchDataset(16'000);
-
-  ThreadPool pool(pool_threads);
-  struct Variant {
-    const char* label;
-    bool incremental;
-    int32_t quantization;
-    EpochPlanTimes times;
-  };
-  // Raw rows are the honest baseline: T5's two-dimensional (input, target)
-  // lengths rarely repeat at the sorted batch front, so the prefix cache
-  // stays cold and "on" must merely not regress. The quantized rows are the
-  // near-match regime the layer exists for: canonicalized lengths collapse
-  // the dense short-sample front into long runs that recur across shuffles.
-  Variant variants[] = {{"raw, incremental off", false, 1, {}},
-                        {"raw, incremental on", true, 1, {}},
-                        {"q=64, incremental off", false, 64, {}},
-                        {"q=64, incremental on", true, 64, {}}};
-  for (Variant& v : variants) {
-    runtime::PlannerOptions planner = bench::BenchPlanner();
-    planner.cost_cache = true;
-    planner.pool = &pool;
-    planner.incremental_planning = v.incremental;
-    // Paper-typical micro-batch cap (the grid sweeps 1..16). Also the prefix
-    // cache's usefulness threshold: a shared prefix shorter than the cap
-    // reuses nothing (window row i reads samples [i, i + cap)), and measured
-    // cross-shuffle shared prefixes at q=64 run ~50 samples — far below
-    // BenchPlanner's 128 cap, comfortably above 16.
-    planner.max_microbatch_size = 16;
-    // Fresh trainer per variant: the incremental caches live on the trainer,
-    // so "off" must not inherit "on"'s state (or vice versa).
-    runtime::Trainer trainer(config, hw, parallel, bench::BenchProfile());
-    runtime::TrainerOptions topts;
-    if (v.quantization > 1) {
-      // Quantized canonicalization rides the plan-ahead cache path. The exact
-      // cache itself stays cold in the measured epoch (cross-shuffle
-      // signatures never repeat verbatim — RunQuantization's x-shuf column),
-      // so every measured iteration still plans and the timing deltas below
-      // are the planner's own.
-      topts.plan_cache = true;
-      topts.plan_cache_quantization = v.quantization;
-    }
-    MeasureEpoch(trainer, dataset, planner, batch, topts);  // warm: shuffle A
-    runtime::TrainerOptions cross = topts;
-    cross.sampler_seed = topts.sampler_seed + 1;  // measured: shuffle B
-    v.times = MeasureEpoch(trainer, dataset, planner, batch, cross);
-  }
-
-  TextTable table({"variant", "plan_ms(mean)", "plan_ms(p95)",
-                   "partition_ms(mean)", "prefix hit%", "pruned/iter",
-                   "speedup", "bit-identical"});
-  for (size_t i = 0; i < 4; ++i) {
-    Variant& v = variants[i];
-    if (!v.times.ok) {
-      table.AddRow({v.label, "OOM", "-", "-", "-", "-", "-", "-"});
-      continue;
-    }
-    const EpochPlanTimes& off = variants[i & ~size_t{1}].times;  // same-q off
-    // Same dataset, same sampler seeds, same quantization → the same batches
-    // in the same order, so predicted iteration times must match bit for bit
-    // between the off/on pair.
-    std::string identical = "-";
-    if (v.incremental && off.ok) {
-      identical = v.times.predicted_ms.size() == off.predicted_ms.size() &&
-                          std::memcmp(v.times.predicted_ms.data(),
-                                      off.predicted_ms.data(),
-                                      off.predicted_ms.size() *
-                                          sizeof(double)) == 0
-                      ? "yes"
-                      : "NO — BUG";
-    }
-    table.AddRow(
-        {v.label, TextTable::Fmt(v.times.plan_stats.mean(), 1),
-         TextTable::Fmt(Percentile(v.times.plan_ms, 95.0), 1),
-         TextTable::Fmt(v.times.partition_stats.mean(), 1),
-         TextTable::Fmt(100.0 * v.times.prefix_hit_rate, 1),
-         TextTable::Fmt(v.times.pruned_per_iter, 1),
-         v.incremental && off.ok && off.plan_stats.mean() > 0.0
-             ? TextTable::Fmt(off.plan_stats.mean() / v.times.plan_stats.mean(),
-                              2)
-             : std::string("1.00"),
-         identical});
-  }
-  std::printf("-- %s incremental planning, cross-shuffle (batch=%lld tokens, "
-              "pool=%d; warm epoch on shuffle A, measured on shuffle B) "
-              "--\n%s\n",
-              config.name.c_str(), static_cast<long long>(batch), pool_threads,
-              table.ToString().c_str());
-}
-
-// --incremental-smoke: fast bit-identity gate for check.sh. Plans the same
-// mini-batch stream (two different shuffles of a small FLAN-like dataset)
-// twice — a planner with incremental planning off vs a persistent planner
-// carrying the prefix/stage caches and its own warm seeds across batches —
-// and fails (exit 1) if any iteration's encoded execution plan bytes or
-// predicted-time bits differ. Two passes: raw lengths (prefix cache mostly
-// cold — the no-regression leg) and q=32 canonicalized lengths (the
-// near-match regime, where the gate also demands the prefix cache actually
-// hit — a hit-path that never fires would make the bit-identity check
-// vacuous). This is the end-to-end "incremental planning is invisible in the
-// plans" contract, enforced on every CI run.
-int RunIncrementalSmoke() {
-  const model::ModelConfig config =
-      model::ModelConfig::ForCluster(model::ModelArch::kT5, 4);
-  const model::HardwareSpec hw;
-  const model::ParallelConfig parallel{1, 2, 2};
-  cost::ProfileOptions popts;
-  popts.max_microbatch_size = 32;
-  popts.max_seq_len = 4096;
-  const cost::PipelineCostModel cm =
-      cost::PipelineCostModel::Profile(config, hw, parallel, popts);
-
-  runtime::PlannerOptions base;
-  base.max_tmax_candidates = 48;
-  base.tmax_interval_ms = 0.5;
-  // Shared prefixes must exceed the micro-batch cap to be reusable, so keep
-  // the cap small relative to the batch size below (n ~ 100 samples).
-  base.max_microbatch_size = 16;
-  base.dynamic_recompute = true;
-  base.cost_cache = true;
-  runtime::PlannerOptions off = base;
-  off.incremental_planning = false;
-  runtime::PlannerOptions on = base;
-  on.incremental_planning = true;
-
-  data::FlanGeneratorOptions gen;
-  gen.num_samples = 2000;
-  gen.length_cap = 512;
-  const data::Dataset dataset = data::GenerateFlanLikeDataset(gen);
-
-  for (const int32_t quantization : {1, 64}) {
-    // Fresh planners per pass: the incremental caches live on the planner,
-    // and the raw pass must not warm the quantized one (or vice versa).
-    const runtime::IterationPlanner cold(cm, off);
-    const runtime::IterationPlanner incremental(cm, on);
-    int64_t iterations = 0;
-    int64_t prefix_hits = 0;
-    for (const uint64_t shuffle : {7ull, 8ull}) {
-      data::MiniBatchSamplerOptions sopts;
-      sopts.global_batch_tokens = 16'384;
-      sopts.max_input_len = 512;
-      sopts.seed = shuffle;
-      data::MiniBatchSampler sampler(dataset, sopts);
-      for (int b = 0; b < 6 && sampler.HasNext(); ++b, ++iterations) {
-        const std::vector<data::Sample> minibatch =
-            service::PlanCache::CanonicalizeForPlanning(
-                sampler.Next(), /*fold_target_lengths=*/false, quantization);
-        const runtime::IterationPlan want = cold.PlanIteration(minibatch);
-        const runtime::IterationPlan got = incremental.PlanIteration(minibatch);
-        prefix_hits += got.stats.prefix_cache_hits;
-        if (got.feasible != want.feasible) {
-          std::fprintf(stderr,
-                       "incremental-smoke FAILED: feasibility diverged at "
-                       "q=%d shuffle %llu batch %d\n",
-                       quantization, static_cast<unsigned long long>(shuffle),
-                       b);
-          return 1;
-        }
-        if (!want.feasible) {
-          continue;
-        }
-        if (std::memcmp(&got.predicted_iteration_ms,
-                        &want.predicted_iteration_ms, sizeof(double)) != 0) {
-          std::fprintf(stderr,
-                       "incremental-smoke FAILED: predicted time bits diverged "
-                       "at q=%d shuffle %llu batch %d (%.17g vs %.17g)\n",
-                       quantization, static_cast<unsigned long long>(shuffle),
-                       b, got.predicted_iteration_ms,
-                       want.predicted_iteration_ms);
-          return 1;
-        }
-        if (got.replicas.size() != want.replicas.size()) {
-          std::fprintf(stderr, "incremental-smoke FAILED: replica count\n");
-          return 1;
-        }
-        for (size_t d = 0; d < want.replicas.size(); ++d) {
-          const std::string got_bytes =
-              service::EncodeExecutionPlan(got.replicas[d].exec_plan);
-          const std::string want_bytes =
-              service::EncodeExecutionPlan(want.replicas[d].exec_plan);
-          if (got_bytes != want_bytes) {
-            std::fprintf(stderr,
-                         "incremental-smoke FAILED: plan bytes diverged at "
-                         "q=%d shuffle %llu batch %d replica %zu "
-                         "(%zu vs %zu bytes)\n",
-                         quantization,
-                         static_cast<unsigned long long>(shuffle), b, d,
-                         got_bytes.size(), want_bytes.size());
-            return 1;
-          }
-        }
-      }
-    }
-    if (quantization > 1 && prefix_hits == 0) {
-      std::fprintf(stderr,
-                   "incremental-smoke FAILED: prefix cache never hit on "
-                   "q=%d canonicalized batches — reuse path untested\n",
-                   quantization);
-      return 1;
-    }
-    std::printf("incremental-smoke q=%d: %lld iterations bit-identical across "
-                "two shuffles (%lld prefix-cache hits)\n",
-                quantization, static_cast<long long>(iterations),
-                static_cast<long long>(prefix_hits));
-  }
-  std::printf("incremental-smoke OK\n");
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--incremental-smoke") == 0) {
-    return RunIncrementalSmoke();
-  }
+int main() {
   bench::PrintHeader("Fig. 17", "execution planning time");
   constexpr int32_t kPoolThreads = 4;
   RunModel(model::ModelArch::kGpt, kPoolThreads);
   RunModel(model::ModelArch::kT5, kPoolThreads);
   RunPlanAhead(model::ModelArch::kGpt, kPoolThreads, 65'536);
   RunPlanAhead(model::ModelArch::kT5, kPoolThreads, 65'536);
-  RunQuantization(model::ModelArch::kT5, kPoolThreads, 65'536);
-  RunIncremental(model::ModelArch::kT5, kPoolThreads, 131'072);
   std::printf("paper reference: planning time grows with global batch size; "
               "plan/iteration ratio stays small enough to overlap with training "
               "(peaks at 12.9x single-thread in the paper) (Fig. 17). Here the "
@@ -546,8 +212,6 @@ int main(int argc, char** argv) {
               "plan-ahead tables report the *stall* executors see through the "
               "PlanAheadService: lookahead >= 2 overlaps planning with "
               "execution (needs spare cores), and a replayed epoch's plan-cache "
-              "hits drive stall to ~0 on any machine. The quantization table "
-              "trades padding for fresh-epoch hit rate on T5's diverse shape "
-              "space (bench/README.md \"Quantization trade-off\").\n");
+              "hits drive stall to ~0 on any machine.\n");
   return 0;
 }

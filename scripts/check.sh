@@ -87,9 +87,8 @@ if [ "$pids" -lt 2 ]; then
 fi
 rm -f "$TRACE_OUT"
 
-# Smoke incremental planning on a cross-shuffle T5 epoch pair: plans from a
-# cold planner and an incremental planner (prefix cache + stage memo + warm
-# seeds) must encode byte-identically, and the quantized pass must actually
-# exercise the reuse path (zero prefix hits fails — a vacuous comparison
-# proves nothing). Exits nonzero on any plan-byte mismatch.
-"$BUILD_DIR"/bench_fig17_planning_time --incremental-smoke
+# Smoke the end-to-end benchmark (bench/e2e/README.md): one short run of every
+# workload through the real sample -> plan -> publish -> fetch -> execute ->
+# heartbeat path. Exits nonzero unless every workload is correct with no
+# failed plans; no figures are compared here.
+python3 bench/e2e/bench_e2e.py --repeat 1 --seconds 2

@@ -208,134 +208,4 @@ CostCacheCounters CachedCostOracle::counters() const {
   return c;
 }
 
-// --- StageCostCache -------------------------------------------------------
-
-namespace {
-// Approximate per-entry footprint: key + value + list node + index slot.
-constexpr size_t kStageEntryBytes =
-    sizeof(std::pair<const uint64_t, uint64_t>) + 3 * sizeof(double) + 96;
-}  // namespace
-
-StageCostCache::StageCostCache() : StageCostCache(size_t{8} << 20) {}
-
-StageCostCache::StageCostCache(size_t max_bytes) : max_bytes_(max_bytes) {}
-
-size_t StageCostCache::KeyHash::operator()(const Key& k) const {
-  uint64_t h = k.context ^ 1469598103934665603ull;
-  h ^= k.packed;
-  h *= 1099511628211ull;
-  h ^= h >> 29;
-  return static_cast<size_t>(h);
-}
-
-bool StageCostCache::PackKey(uint64_t context, int32_t stage,
-                             const model::MicroBatchShape& shape,
-                             model::RecomputeMode mode, Key* key) {
-  // stage(8) | mode(2) | num_samples(14) | input(20) | target(20) = 64 bits,
-  // collision-free within the ranges any profile supports.
-  if (stage < 0 || stage >= 256 || shape.num_samples < 0 ||
-      shape.num_samples >= (1 << 14) || shape.input_len < 0 ||
-      shape.input_len >= (1 << 20) || shape.target_len < 0 ||
-      shape.target_len >= (1 << 20)) {
-    return false;
-  }
-  key->context = context;
-  key->packed = (static_cast<uint64_t>(stage) << 56) |
-                (static_cast<uint64_t>(mode) << 54) |
-                (static_cast<uint64_t>(shape.num_samples) << 40) |
-                (static_cast<uint64_t>(shape.input_len) << 20) |
-                static_cast<uint64_t>(shape.target_len);
-  return true;
-}
-
-bool StageCostCache::Lookup(uint64_t context, int32_t stage,
-                            const model::MicroBatchShape& shape,
-                            model::RecomputeMode mode, Entry* out) {
-  Key key;
-  if (!PackKey(context, stage, shape, mode, &key)) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  it->second->hot = true;
-  *out = it->second->entry;
-  return true;
-}
-
-void StageCostCache::Insert(uint64_t context, int32_t stage,
-                            const model::MicroBatchShape& shape,
-                            model::RecomputeMode mode, const Entry& entry) {
-  Key key;
-  if (!PackKey(context, stage, shape, mode, &key)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Racing misses derive the same deterministic value; keep the first.
-    it->second->hot = true;
-    return;
-  }
-  // Churn guard: a regime whose shapes rarely recur (unquantized batches)
-  // pays map-insert plus eviction on every priced shape for a cache whose
-  // hits save only a cheap grid interpolation — below roughly break-even
-  // (50% lifetime hit rate) the cache is a net loss. Once enough traffic has
-  // passed to judge, inserts pause under that rate — except for a periodic
-  // refresh window so a regime change (say, quantization switched on) can
-  // re-seed the cache and lift the rate back up. Skipping an insert never
-  // changes plan bytes; the values are recomputed deterministically on the
-  // next miss.
-  const int64_t lookups = stats_.hits + stats_.misses;
-  if (lookups > 10'000 && stats_.hits * 2 < lookups &&
-      stats_.misses % 4096 >= 256) {
-    return;
-  }
-  items_.emplace_front(Item{key, entry, false});
-  index_.emplace(key, items_.begin());
-  stats_.bytes += static_cast<int64_t>(kStageEntryBytes);
-  ++stats_.insertions;
-  EvictIfNeededLocked();
-}
-
-void StageCostCache::EvictIfNeededLocked() {
-  while (items_.size() > 1 &&
-         stats_.bytes > static_cast<int64_t>(max_bytes_)) {
-    Item& victim = items_.back();
-    if (victim.hot) {
-      // Second chance: recently-hit entries rotate to the front unmarked, so
-      // a full sweep always reaches a cold entry and the loop terminates.
-      victim.hot = false;
-      items_.splice(items_.begin(), items_, std::prev(items_.end()));
-      continue;
-    }
-    index_.erase(victim.key);
-    items_.pop_back();
-    stats_.bytes -= static_cast<int64_t>(kStageEntryBytes);
-    ++stats_.evictions;
-  }
-}
-
-void StageCostCache::Invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.evictions += static_cast<int64_t>(items_.size());
-  stats_.bytes = 0;
-  items_.clear();
-  index_.clear();
-}
-
-StageCostCache::Stats StageCostCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t StageCostCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_.size();
-}
-
 }  // namespace dynapipe::cost

@@ -25,11 +25,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 
 #include "src/cost/pipeline_cost_model.h"
 #include "src/model/shapes.h"
@@ -124,90 +120,6 @@ class CachedCostOracle {
   mutable std::atomic<int32_t> bypassed_{0};
   mutable std::atomic<int64_t> window_start_total_{0};
   mutable std::atomic<int64_t> window_start_hits_{0};
-};
-
-// Cross-iteration per-stage sub-plan memo (ISSUE 9 level 2). The schedule
-// phase prices every distinct micro-batch shape per stage
-// (StageFwdMs/StageBwdMs/StageActivationMb — three profile-interpolation
-// walks each); CachedCostOracle only covers the *bottleneck-stage aggregate*
-// the DP asks for, so these per-stage sub-results were rebuilt for every
-// plan. Shapes recur heavily across iterations (sorted near-identical
-// batches cut into similar runs), so a small LRU keyed by (context, stage,
-// shape, mode) absorbs them. Values are deterministic per key — the profile
-// tables are immutable after load — so cached reads are bit-identical to
-// uncached ones; `context` must fingerprint the cost model (the planner
-// folds config + parallelism + a probe query) so distinct models never
-// share entries.
-//
-// Unlike CachedCostOracle's lock-free table this sits on the schedule phase
-// (O(stages x distinct shapes) queries per plan, not the DP's O(n * W)), so
-// a plain mutex + LRU list is cheap, byte-bounded, and TSan-clean.
-class StageCostCache {
- public:
-  struct Entry {
-    double fwd_ms = 0.0;
-    double bwd_ms = 0.0;
-    double act_mb = 0.0;
-  };
-
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t insertions = 0;
-    int64_t evictions = 0;
-    int64_t bytes = 0;
-  };
-
-  StageCostCache();
-  explicit StageCostCache(size_t max_bytes);
-
-  // Hits mark the entry recently-used without touching the LRU list: the
-  // lookup sits on the planner's schedule hot path, and a per-hit list
-  // splice costs more than the grid interpolation the cache saves. Eviction
-  // runs CLOCK-style second chance over the list instead (marked entries
-  // rotate to the front and survive one sweep). Shapes too large for the
-  // packed key (lengths >= 2^20) are never cached; Lookup just misses.
-  bool Lookup(uint64_t context, int32_t stage,
-              const model::MicroBatchShape& shape, model::RecomputeMode mode,
-              Entry* out);
-  void Insert(uint64_t context, int32_t stage,
-              const model::MicroBatchShape& shape, model::RecomputeMode mode,
-              const Entry& entry);
-  // Drops everything (explicit cost-model reset).
-  void Invalidate();
-
-  Stats stats() const;
-  size_t size() const;
-
- private:
-  struct Key {
-    uint64_t context = 0;
-    uint64_t packed = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-  struct Item {
-    Key key;
-    Entry entry;
-    // Recently-hit marker for second-chance eviction; cleared when the
-    // evictor rescues the entry.
-    bool hot = false;
-  };
-  using ItemList = std::list<Item>;
-
-  // false when the shape cannot be packed collision-free.
-  static bool PackKey(uint64_t context, int32_t stage,
-                      const model::MicroBatchShape& shape,
-                      model::RecomputeMode mode, Key* key);
-  void EvictIfNeededLocked();
-
-  size_t max_bytes_;
-  mutable std::mutex mu_;
-  ItemList items_;  // front = most recently used
-  std::unordered_map<Key, ItemList::iterator, KeyHash> index_;
-  Stats stats_;
 };
 
 }  // namespace dynapipe::cost

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "src/common/check.h"
@@ -16,21 +15,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// FNV-1a-style fold, local so mb/ stays dependency-free.
-constexpr uint64_t kHashBasis = 1469598103934665603ull;
-inline uint64_t HashMix(uint64_t h, uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-
-// Exact bit pattern of a double: cached DP rows are matched on the candidate
-// value's bits, not an epsilon compare — reuse must mean "the same DP".
-inline uint64_t BitPattern(double v) {
-  uint64_t u = 0;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
+struct Window {
+  double time_ms = 0.0;
+  double act_mb = 0.0;
+};
 
 model::MicroBatchShape WindowShape(const std::vector<data::Sample>& s, size_t start,
                                    size_t width) {
@@ -44,173 +32,6 @@ model::MicroBatchShape WindowShape(const std::vector<data::Sample>& s, size_t st
 }
 
 }  // namespace
-
-PrefixWindowCache::PrefixWindowCache() : PrefixWindowCache(Options{}) {}
-
-PrefixWindowCache::PrefixWindowCache(Options options) : options_(options) {}
-
-std::vector<PrefixWindowCache::Run> PrefixWindowCache::DecomposeRuns(
-    const std::vector<uint64_t>& lengths) {
-  std::vector<Run> runs;
-  for (const uint64_t v : lengths) {
-    if (!runs.empty() && runs.back().value == v) {
-      ++runs.back().count;
-    } else {
-      runs.push_back(Run{v, 1});
-    }
-  }
-  return runs;
-}
-
-std::shared_ptr<const PrefixWindowCache::Entry> PrefixWindowCache::Lookup(
-    uint64_t context, const std::vector<uint64_t>& lengths, size_t min_prefix,
-    size_t* prefix_len) {
-  *prefix_len = 0;
-  if (lengths.empty()) {
-    return nullptr;
-  }
-  const std::vector<Run> runs = DecomposeRuns(lengths);
-  // Rolling probe keys: keys[j] folds the context, runs[0..j-1] with counts,
-  // and run j's value (count-free, so partial last-run overlaps still match).
-  std::vector<uint64_t> keys(runs.size());
-  std::vector<size_t> before(runs.size());  // samples preceding run j
-  uint64_t h = HashMix(kHashBasis, context);
-  size_t acc = 0;
-  for (size_t j = 0; j < runs.size(); ++j) {
-    keys[j] = HashMix(h, runs[j].value);
-    h = HashMix(keys[j], runs[j].count);
-    before[j] = acc;
-    acc += runs[j].count;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t j = runs.size(); j > 0;) {
-    --j;
-    const auto it = index_.find(keys[j]);
-    if (it == index_.end()) {
-      continue;
-    }
-    SlotList::iterator best = slots_.end();
-    size_t best_p = 0;
-    for (const SlotList::iterator sit : it->second) {
-      const Slot& slot = *sit;
-      // The probe key already encodes the whole preceding run sequence, but
-      // hashes collide; verify directly before trusting the match.
-      bool match = slot.runs.size() > j && slot.entry->context == context &&
-                   slot.runs[j].value == runs[j].value;
-      for (size_t q = 0; match && q < j; ++q) {
-        match = slot.runs[q].value == runs[q].value &&
-                slot.runs[q].count == runs[q].count;
-      }
-      if (!match) {
-        continue;
-      }
-      const size_t p = before[j] + std::min(runs[j].count, slot.runs[j].count);
-      if (p > best_p) {
-        best_p = p;
-        best = sit;
-      }
-    }
-    if (best != slots_.end()) {
-      // Any match at a smaller run index shares strictly fewer samples, so
-      // this is the longest prefix on offer — usable or a miss.
-      if (best_p < min_prefix) {
-        break;
-      }
-      ++stats_.hits;
-      miss_streak_[context] = 0;
-      *prefix_len = best_p;
-      slots_.splice(slots_.begin(), slots_, best);
-      return best->entry;
-    }
-  }
-  ++stats_.misses;
-  ++miss_streak_[context];
-  return nullptr;
-}
-
-bool PrefixWindowCache::ShouldRecord(uint64_t context) const {
-  // Always record through the cold burst (a fresh cache needs entries before
-  // any lookup can hit), then once per refresh period so a regime that
-  // drifted away and back can re-seed without paying the full per-miss tax.
-  constexpr int64_t kColdBurst = 8;
-  constexpr int64_t kRefreshPeriod = 16;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = miss_streak_.find(context);
-  const int64_t streak = it == miss_streak_.end() ? 0 : it->second;
-  return streak <= kColdBurst || streak % kRefreshPeriod == 0;
-}
-
-void PrefixWindowCache::Insert(std::shared_ptr<Entry> entry) {
-  if (entry == nullptr || entry->lengths.empty()) {
-    return;
-  }
-  Slot slot;
-  slot.runs = DecomposeRuns(entry->lengths);
-  slot.run_keys.resize(slot.runs.size());
-  uint64_t h = HashMix(kHashBasis, entry->context);
-  for (size_t j = 0; j < slot.runs.size(); ++j) {
-    slot.run_keys[j] = HashMix(h, slot.runs[j].value);
-    h = HashMix(slot.run_keys[j], slot.runs[j].count);
-  }
-  size_t bytes = sizeof(Entry) + 64 + entry->lengths.size() * sizeof(uint64_t) +
-                 slot.runs.size() * (sizeof(Run) + sizeof(uint64_t) + 32);
-  for (const auto& row : entry->windows) {
-    bytes += sizeof(row) + row.size() * sizeof(WindowCost);
-  }
-  for (const auto& row : entry->rows) {
-    bytes += sizeof(row) + row.f.size() * sizeof(double);
-  }
-  entry->bytes = bytes;
-  slot.entry = std::move(entry);
-  std::lock_guard<std::mutex> lock(mu_);
-  slots_.push_front(std::move(slot));
-  for (const uint64_t k : slots_.front().run_keys) {
-    index_[k].push_back(slots_.begin());
-  }
-  stats_.bytes += static_cast<int64_t>(slots_.front().entry->bytes);
-  ++stats_.insertions;
-  EvictIfNeededLocked();
-}
-
-void PrefixWindowCache::EvictIfNeededLocked() {
-  while (slots_.size() > 1 &&
-         stats_.bytes > static_cast<int64_t>(options_.max_bytes)) {
-    const SlotList::iterator victim = std::prev(slots_.end());
-    for (const uint64_t k : victim->run_keys) {
-      const auto it = index_.find(k);
-      if (it == index_.end()) {
-        continue;
-      }
-      auto& vec = it->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), victim), vec.end());
-      if (vec.empty()) {
-        index_.erase(it);
-      }
-    }
-    stats_.bytes -= static_cast<int64_t>(victim->entry->bytes);
-    slots_.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
-void PrefixWindowCache::Invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.evictions += static_cast<int64_t>(slots_.size());
-  stats_.bytes = 0;
-  slots_.clear();
-  index_.clear();
-  miss_streak_.clear();
-}
-
-PrefixWindowCache::Stats PrefixWindowCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t PrefixWindowCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slots_.size();
-}
 
 DpPartitioner::DpPartitioner(const MicroBatchCostFn& cost, DpPartitionerOptions options)
     : cost_(cost), options_(std::move(options)) {
@@ -232,89 +53,12 @@ PartitionResult DpPartitioner::Partition(
   const auto counters_before = cost_.CacheCounters();
   const auto precompute_start = SteadyClock::now();
 
-  // --- Incremental planning: probe the prefix cache for the most recent batch
-  // sharing the longest sorted-length prefix with this one. Reuse below only
-  // ever copies values that are bitwise what the cold computation would
-  // produce (see PrefixWindowCache's header for the argument), so every path
-  // out of this function is bit-identical with the cache on or off.
-  PrefixWindowCache* const pcache = options_.prefix_cache;
-  const size_t max_mb = static_cast<size_t>(options_.max_microbatch_size);
-  std::vector<uint64_t> lengths;
-  std::shared_ptr<const PrefixWindowCache::Entry> cached;
-  size_t prefix = 0;
-  if (pcache != nullptr || options_.dedup_window_rows) {
-    lengths.reserve(n);
-    for (const data::Sample& s : ordered) {
-      lengths.push_back(PackedSampleLength(s));
-    }
-  }
-  if (pcache != nullptr) {
-    cached = pcache->Lookup(options_.prefix_cache_context, lengths,
-                            std::min(max_mb, n), &prefix);
-  }
-  result.stats.prefix_cache_hit = cached != nullptr;
-  // Window row i reads samples [i, i + max_mb) only, so rows entirely inside
-  // the shared prefix copy over bitwise. When the batches are identical the
-  // end-of-batch truncation matches too, and every row is reusable.
-  const bool identical =
-      cached != nullptr && prefix == n && cached->lengths.size() == n;
-  const size_t reusable_rows = cached == nullptr ? 0
-                               : identical       ? n
-                               : (prefix >= max_mb ? prefix - max_mb + 1 : 0);
-  result.stats.prefix_window_rows_reused = static_cast<int64_t>(reusable_rows);
-
-  // --- Content-addressed row dedup: window row i is a pure function of the
-  // packed lengths of samples [i, i + max_mb) (truncated at the batch end) and
-  // the deterministic cost oracle, so two rows with identical content are
-  // bitwise equal. Only the first occurrence (the representative) is computed;
-  // duplicates copy it after the parallel pass. Hash collisions are guarded by
-  // a full content compare — a colliding-but-different row simply becomes its
-  // own representative, so correctness never rests on the hash.
-  std::vector<size_t> row_rep;
-  size_t dedup_rows = 0;
-  // Cheap precheck: duplicate rows need repeated lengths. When most lengths
-  // are distinct (unquantized batches), the O(n * W) key-hashing pass cannot
-  // pay for itself, so skip it outright.
-  bool worth_dedup = options_.dedup_window_rows && n > 1;
-  if (worth_dedup) {
-    size_t distinct = 1;
-    for (size_t i = 1; i < n; ++i) {
-      distinct += lengths[i] != lengths[i - 1] ? 1 : 0;
-    }
-    worth_dedup = distinct * 2 <= n;
-  }
-  if (worth_dedup) {
-    row_rep.resize(n);
-    std::unordered_map<uint64_t, size_t> first_with_key;
-    first_with_key.reserve(n * 2);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t cnt = std::min(max_mb, n - i);
-      uint64_t h = HashMix(kHashBasis, cnt);
-      for (size_t k = 0; k < cnt; ++k) {
-        h = HashMix(h, lengths[i + k]);
-      }
-      const auto [it, inserted] = first_with_key.emplace(h, i);
-      if (inserted) {
-        row_rep[i] = i;
-        continue;
-      }
-      const size_t j = it->second;
-      bool same = std::min(max_mb, n - j) == cnt;
-      for (size_t k = 0; same && k < cnt; ++k) {
-        same = lengths[j + k] == lengths[i + k];
-      }
-      row_rep[i] = same ? j : i;
-      dedup_rows += same ? 1 : 0;
-    }
-  }
-  result.stats.window_rows_deduped = static_cast<int64_t>(dedup_rows);
-
   // --- Precompute feasible windows, shared by every t_max candidate below.
   // windows[i][w-1] covers ordered[i .. i+w-1]. Window time and activation are
   // monotone non-decreasing in w (the count grows and padded lengths never
   // shrink), so each start index has a contiguous feasible range and we can
   // stop extending at the first violation.
-  std::vector<std::vector<WindowCost>> windows(n);
+  std::vector<std::vector<Window>> windows(n);
   // Times-only mirror of `windows` for the DP sweep: per start the array is
   // contiguous and monotone in w, so the inner relax loop scans sequentially
   // and stops at the first time over t_max.
@@ -334,31 +78,13 @@ PartitionResult DpPartitioner::Partition(
     if (infeasible.load(std::memory_order_relaxed)) {
       return;
     }
-    // Duplicate-content rows copy their representative after this pass.
-    if (!row_rep.empty() && row_rep[i] != i) {
-      return;
-    }
-    if (i < reusable_rows) {
-      const std::vector<WindowCost>& src = cached->windows[i];
-      windows[i] = src;
-      win_times[i].reserve(src.size());
-      for (const WindowCost& win : src) {
-        win_times[i].push_back(win.time_ms);
-      }
-      // Cached rows are never empty (infeasible precompute is not inserted),
-      // but keep the serial loop's invariant anyway.
-      if (windows[i].empty()) {
-        infeasible.store(true, std::memory_order_relaxed);
-      }
-      return;
-    }
     model::MicroBatchShape shape;
     for (size_t w = 1; i + w <= n && w <= static_cast<size_t>(options_.max_microbatch_size);
          ++w) {
       shape.num_samples = static_cast<int32_t>(w);
       shape.input_len = std::max(shape.input_len, ordered[i + w - 1].input_len);
       shape.target_len = std::max(shape.target_len, ordered[i + w - 1].target_len);
-      WindowCost win;
+      Window win;
       if (!cost_.WindowCosts(shape, options_.activation_limit_mb, &win.time_ms,
                              &win.act_mb)) {
         break;
@@ -377,14 +103,6 @@ PartitionResult DpPartitioner::Partition(
     result.feasible = false;
     return result;
   }
-  if (!row_rep.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (row_rep[i] != i) {
-        windows[i] = windows[row_rep[i]];
-        win_times[i] = win_times[row_rep[i]];
-      }
-    }
-  }
   double min_single_time = kInf;
   double max_single_time = 0.0;
   double max_window_time = 0.0;
@@ -392,7 +110,7 @@ PartitionResult DpPartitioner::Partition(
     DYNAPIPE_CHECK(!windows[i].empty());
     min_single_time = std::min(min_single_time, windows[i].front().time_ms);
     max_single_time = std::max(max_single_time, windows[i].front().time_ms);
-    for (const WindowCost& win : windows[i]) {
+    for (const Window& win : windows[i]) {
       max_window_time = std::max(max_window_time, win.time_ms);
     }
   }
@@ -469,103 +187,6 @@ PartitionResult DpPartitioner::Partition(
     }
   }
 
-  // --- Warm-start pruning. Each seed partition is re-costed under *this*
-  // batch's window table, front to back — the same order the DP sums a path,
-  // so the total is bitwise the f-value the DP would assign it. A valid seed
-  // is a feasible partition, so with t_seed the smallest candidate admitting
-  // its widest window (evaluated with the DP's own `candidate + 1e-12`
-  // arithmetic),
-  //
-  //     U = (c - 1) * (t_seed + 1e-12) + seed_total / D
-  //
-  // bounds the winning objective from above: the DP at t_seed finds a
-  // partition at least as good as the seed, and the merge only improves on
-  // it. A candidate t is skipped when a lower bound on every feasible
-  // partition under t clears U by a relative margin that dwarfs FP rounding —
-  // the skipped candidate could never win the strict-improvement merge, so
-  // pruning is bit-identical to the full sweep (pinned by
-  // tests/planning_incremental_test.cpp).
-  double warm_bound = kInf;
-  for (const std::vector<int32_t>& seed : options_.warm_start_seeds) {
-    if (seed.empty()) {
-      continue;
-    }
-    double seed_max = 0.0;
-    double seed_total = 0.0;
-    size_t pos = 0;
-    bool valid = true;
-    for (const int32_t w : seed) {
-      if (w < 1 || pos >= n || static_cast<size_t>(w) > win_times[pos].size()) {
-        valid = false;
-        break;
-      }
-      const double t = win_times[pos][static_cast<size_t>(w) - 1];
-      seed_max = std::max(seed_max, t);
-      seed_total += t;
-      pos += static_cast<size_t>(w);
-    }
-    if (!valid || pos != n) {
-      continue;
-    }
-    size_t lo = 0;
-    size_t hi = candidates.size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (candidates[mid] + 1e-12 >= seed_max) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    if (lo == candidates.size()) {
-      continue;
-    }
-    const double bound = (options_.num_stages - 1) * (candidates[lo] + 1e-12) +
-                         seed_total / options_.num_replicas;
-    warm_bound = std::min(warm_bound, bound);
-  }
-  std::vector<uint8_t> pruned;
-  if (warm_bound < kInf) {
-    // min_time_per_width[w-1]: the cheapest width-w window anywhere. Monotone
-    // in w (each per-start row is monotone and every start offering width w+1
-    // also offers w), so the widest window any start fits under a candidate
-    // is one binary search. Lower bound for candidate t: a partition under t
-    // has at least ceil(n / widest) parts, its first part starts at 0 (time
-    // >= win_times[0][0] by same-start width monotonicity), and every part
-    // costs at least min_single_time.
-    size_t max_width = 0;
-    for (size_t i = 0; i < n; ++i) {
-      max_width = std::max(max_width, win_times[i].size());
-    }
-    std::vector<double> min_time_per_width(max_width, kInf);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t w = 0; w < win_times[i].size(); ++w) {
-        min_time_per_width[w] = std::min(min_time_per_width[w], win_times[i][w]);
-      }
-    }
-    pruned.assign(candidates.size(), 0);
-    const double first_single = win_times[0][0];
-    for (size_t c_idx = 0; c_idx < candidates.size(); ++c_idx) {
-      const double tmax = candidates[c_idx] + 1e-12;
-      const size_t widest = static_cast<size_t>(
-          std::upper_bound(min_time_per_width.begin(), min_time_per_width.end(),
-                           tmax) -
-          min_time_per_width.begin());
-      double lower = kInf;  // widest == 0: no window fits, DP infeasible
-      if (widest > 0) {
-        const size_t parts = (n + widest - 1) / widest;
-        lower = (options_.num_stages - 1) * first_single +
-                (first_single +
-                 static_cast<double>(parts - 1) * min_single_time) /
-                    options_.num_replicas;
-      }
-      if (lower > warm_bound * (1.0 + 1e-9) + 1e-12) {
-        pruned[c_idx] = 1;
-        ++result.stats.warmstart_pruned;
-      }
-    }
-  }
-
   // --- DP per candidate. f[k] = min total time over partitions of the first k
   // samples with every micro-batch time <= tmax; parent[k] = width of the last
   // micro-batch in an optimal partition of the first k. Candidates are
@@ -575,42 +196,8 @@ PartitionResult DpPartitioner::Partition(
     bool feasible = false;
     double objective = kInf;
     std::vector<int32_t> widths;  // back-to-front, as reconstructed
-    // Forward-DP row handed to the prefix cache (only when recording).
-    std::vector<double> f;
-    bool f_valid = false;
-    bool f_aborted = false;
-    size_t f_abort_pos = 0;
   };
   std::vector<CandidateOutcome> outcomes(candidates.size());
-
-  // Cached forward-DP rows, matched by the candidate value's exact bits:
-  // quantized candidates are q * interval, so the shared prefix reproduces
-  // identical doubles across batches.
-  std::unordered_map<uint64_t, const PrefixWindowCache::CandidateRow*>
-      cached_rows;
-  if (cached != nullptr) {
-    cached_rows.reserve(cached->rows.size());
-    for (const PrefixWindowCache::CandidateRow& row : cached->rows) {
-      cached_rows.emplace(BitPattern(row.tmax), &row);
-    }
-  }
-  // Record rows for insertion only on a miss. Recording is the one part of
-  // the incremental layer that costs real time (the f rows are an O(n) copy
-  // per candidate, ~100 KB/mode on paper-scale batches), and on a hit it buys
-  // nothing: cross-shuffle prefixes come from the dataset's sorted length
-  // head, so future batches keep matching the cold entry about as well as
-  // they would match this one. Miss-only recording also keeps the cache at
-  // one entry per distinct regime instead of churning an insert+eviction per
-  // iteration. If the batch distribution drifts far enough that the shared
-  // prefix drops below the lookup threshold, the lookup misses and the next
-  // call re-records — the cache refreshes itself exactly when hits stop.
-  // ShouldRecord additionally backs recording off when misses streak
-  // (unquantized regimes whose prefixes never recur would otherwise pay the
-  // entry-build tax every iteration for nothing).
-  const bool record_rows =
-      pcache != nullptr && cached == nullptr &&
-      pcache->ShouldRecord(options_.prefix_cache_context);
-  std::atomic<int64_t> f_rows_reused{0};
 
   // Each start's usable-window cutoff under a candidate (times <= candidate +
   // eps) is derived *inside* the per-candidate lambda: per-start times are
@@ -623,11 +210,7 @@ PartitionResult DpPartitioner::Partition(
   // merge-walk's count, so plans are bit-identical (pinned by
   // tests/planning_parallel_test.cpp).
   ParallelFor(options_.pool, candidates.size(), [&](size_t c_idx) {
-    if (!pruned.empty() && pruned[c_idx] != 0) {
-      return;  // warm-start bound proved this candidate cannot win
-    }
     const double tmax = candidates[c_idx] + 1e-12;
-    CandidateOutcome& out = outcomes[c_idx];
     // Forward DP, start-major: windows starting at i extend f[i] to f[i+w].
     // No parent array — the relax loop is then a pure contiguous min that the
     // compiler vectorizes, and widths are reconstructed below by exact float
@@ -637,52 +220,10 @@ PartitionResult DpPartitioner::Partition(
     // (ParallelFor only steals other work between candidates, never inside
     // one), so reuse is safe.
     thread_local std::vector<double> f;
-    // Prefix reuse: f[k] is determined by samples [0, k) alone, so a cached
-    // row for the *same candidate bits* copies over through the shared
-    // prefix; only starts reaching past it replay (relaxing a copied region
-    // again is a bitwise no-op — the cached values are already minimal).
-    size_t first_start = 0;
-    const PrefixWindowCache::CandidateRow* reuse_row = nullptr;
-    if (!cached_rows.empty()) {
-      const auto rit = cached_rows.find(BitPattern(candidates[c_idx]));
-      if (rit != cached_rows.end()) {
-        reuse_row = rit->second;
-      }
-    }
-    if (reuse_row != nullptr && reuse_row->aborted &&
-        reuse_row->abort_pos <= prefix) {
-      // The cached DP went unreachable *inside* the shared prefix; those f
-      // values depend on prefix samples alone, so this batch's DP aborts at
-      // the same start. Infeasible candidate, zero work.
-      if (record_rows) {
-        out.f.assign(reuse_row->f.begin(),
-                     reuse_row->f.begin() +
-                         static_cast<ptrdiff_t>(reuse_row->abort_pos) + 1);
-        out.f_valid = true;
-        out.f_aborted = true;
-        out.f_abort_pos = reuse_row->abort_pos;
-      }
-      f_rows_reused.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (reuse_row != nullptr) {
-      const size_t valid_len =
-          reuse_row->aborted ? reuse_row->abort_pos : reuse_row->f.size() - 1;
-      const size_t copy_len = std::min(prefix, valid_len);
-      f.assign(n + 1, kInf);
-      std::copy_n(reuse_row->f.begin(), copy_len + 1, f.begin());
-      // f[k <= copy_len] already carries every contribution from starts
-      // below copy_len + 1; only starts whose windows reach past copy_len
-      // must replay.
-      first_start = copy_len + 1 > max_mb ? copy_len + 1 - max_mb : 0;
-      f_rows_reused.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      f.assign(n + 1, kInf);
-      f[0] = 0.0;
-    }
+    f.assign(n + 1, kInf);
+    f[0] = 0.0;
     bool reachable = true;
-    size_t abort_pos = 0;
-    for (size_t i = first_start; i < n; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (f[i] == kInf) {
         // An unreachable prefix dooms the whole candidate: any window crossing
         // sample i-1 contains the sub-window with the same start ending at i,
@@ -690,7 +231,6 @@ PartitionResult DpPartitioner::Partition(
         // partition covered sample i-1, f[i] would be finite. (The seed had
         // this guard with `&& k == n` attached, making it dead.)
         reachable = false;
-        abort_pos = i;
         break;
       }
       const double fi = f[i];
@@ -705,18 +245,13 @@ PartitionResult DpPartitioner::Partition(
         fk[w] = std::min(fk[w], fi + tp[w]);
       }
     }
-    if (record_rows) {
-      out.f = f;
-      out.f_valid = true;
-      out.f_aborted = !reachable;
-      out.f_abort_pos = abort_pos;
-    }
     if (!reachable || f[n] == kInf) {
       return;
     }
     // Reconstruct and score with the *realized* max (<= tmax), which is the exact
     // Eq. 1 objective rather than the candidate upper bound. The smallest width
     // whose add reproduces f[k] bitwise is a deterministic optimal choice.
+    CandidateOutcome& out = outcomes[c_idx];
     double realized_max = 0.0;
     for (size_t k = n; k > 0;) {
       const size_t wmax =
@@ -760,42 +295,11 @@ PartitionResult DpPartitioner::Partition(
   result.stats.candidate_search_ms = ElapsedMs(search_start);
   result.stats.parallel_workers =
       options_.pool != nullptr ? std::max(1, options_.pool->num_threads()) : 1;
-  result.stats.prefix_f_rows_reused =
-      f_rows_reused.load(std::memory_order_relaxed);
   const auto counters_after = cost_.CacheCounters();
   result.stats.cost_cache_hits = counters_after.first - counters_before.first;
   result.stats.cost_cache_misses = counters_after.second - counters_before.second;
 
-  // Hand the finished table to the prefix cache. The window table is complete
-  // and valid even when every candidate came up infeasible, so both exits
-  // record; `windows` is moved, so this must run after micro-batch
-  // construction on the feasible path.
-  const auto record_entry = [&]() {
-    if (!record_rows) {
-      return;
-    }
-    auto entry = std::make_shared<PrefixWindowCache::Entry>();
-    entry->context = options_.prefix_cache_context;
-    entry->lengths = std::move(lengths);
-    entry->windows = std::move(windows);
-    entry->rows.reserve(outcomes.size());
-    for (size_t c_idx = 0; c_idx < outcomes.size(); ++c_idx) {
-      CandidateOutcome& out = outcomes[c_idx];
-      if (!out.f_valid) {
-        continue;
-      }
-      PrefixWindowCache::CandidateRow row;
-      row.tmax = candidates[c_idx];
-      row.f = std::move(out.f);
-      row.aborted = out.f_aborted;
-      row.abort_pos = out.f_abort_pos;
-      entry->rows.push_back(std::move(row));
-    }
-    pcache->Insert(std::move(entry));
-  };
-
   if (best_widths.empty()) {
-    record_entry();
     result.feasible = false;
     return result;
   }
@@ -807,7 +311,7 @@ PartitionResult DpPartitioner::Partition(
     std::vector<data::Sample> group(ordered.begin() + static_cast<ptrdiff_t>(pos),
                                     ordered.begin() + static_cast<ptrdiff_t>(pos + w));
     MicroBatch m = MakeMicroBatch(std::move(group));
-    const WindowCost& win = windows[pos][static_cast<size_t>(w) - 1];
+    const Window& win = windows[pos][static_cast<size_t>(w) - 1];
     m.predicted_time_ms = win.time_ms;
     m.predicted_activation_mb = win.act_mb;
     result.micro_batches.push_back(std::move(m));
@@ -816,7 +320,6 @@ PartitionResult DpPartitioner::Partition(
     pos += static_cast<size_t>(w);
   }
   DYNAPIPE_CHECK(pos == n);
-  record_entry();
   result.objective_ms = (options_.num_stages - 1) * result.max_time_ms +
                         result.total_time_ms / options_.num_replicas;
   result.feasible = true;

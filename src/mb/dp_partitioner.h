@@ -21,12 +21,7 @@
 #ifndef DYNAPIPE_SRC_MB_DP_PARTITIONER_H_
 #define DYNAPIPE_SRC_MB_DP_PARTITIONER_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,156 +65,6 @@ class MicroBatchCostFn {
   virtual std::pair<int64_t, int64_t> CacheCounters() const { return {0, 0}; }
 };
 
-// One feasible window's cost, as the precompute stores it: windows[i][w-1]
-// covers ordered[i .. i+w-1].
-struct WindowCost {
-  double time_ms = 0.0;
-  double act_mb = 0.0;
-};
-
-// Canonical packed (input_len, target_len) pair — the DP only ever reads
-// lengths, so two samples with equal packed lengths are interchangeable for
-// every value the partitioner computes.
-inline uint64_t PackedSampleLength(const data::Sample& s) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(s.input_len)) << 32) |
-         static_cast<uint64_t>(static_cast<uint32_t>(s.target_len));
-}
-
-// Cross-iteration cache of DP window tables and forward-DP rows, keyed by
-// canonical length-run *prefixes* (ISSUE 9 / ROADMAP "incremental planning").
-//
-// Why prefixes: planning orders samples deterministically (sort-by-length),
-// so a near-miss batch — one task swapped, a sample added or dropped — shares
-// a long sorted prefix with a recently planned batch. Everything the DP
-// computes from only that prefix is bitwise reusable:
-//
-//   - window row i (all widths from start i) reads samples [i, i + max_mb),
-//     so it is reusable when i + max_microbatch_size <= P, where P is the
-//     length of the longest common prefix of the two batches' packed lengths
-//     — or unconditionally when the batches are identical (P == both sizes);
-//   - a forward-DP row f for candidate value t has f[k] determined by samples
-//     [0, k) alone, so f[0..P] copies over bitwise and only starts
-//     i >= P + 1 - max_mb need replaying. Candidate rows match by the *exact
-//     bit pattern* of the candidate value (quantized candidates are
-//     q * interval, so shared window times reproduce identical doubles). A
-//     cached row that aborted (unreachable prefix) at position <= P proves
-//     the new DP aborts identically — the candidate is skipped outright.
-//
-// Entries are found by a sorted-run rolling hash: an entry's packed lengths
-// decompose into runs (value, count); for each run index j the entry is
-// indexed under hash(context, runs[0..j-1] with counts, run j's value
-// count-free). A lookup walks its own runs from the longest down, probing
-// that hash, and verifies candidates by direct prefix comparison (collisions
-// are harmless), so the longest shared run-prefix is found without comparing
-// against every entry.
-//
-// Invalidation: entries are keyed by a caller-supplied `context` hash that
-// must fold in everything the window table depends on — the cost oracle
-// identity, recompute mode, activation limit, and the DP knobs (see
-// IterationPlanner, which fingerprints its cost model into the context).
-// Changing any of those changes the context, so stale entries can never be
-// returned; `Invalidate()` additionally drops everything for explicit resets
-// (tested by planning_incremental_test).
-//
-// Thread-safety: a mutex guards the index and LRU list; entries themselves
-// are immutable once inserted and handed out as shared_ptr<const Entry>, so
-// concurrent Partition calls (and pool workers reading a looked-up entry)
-// race on nothing. Reuse only ever *copies* bitwise-identical values, so
-// plans stay bit-identical with the cache on, off, shared, or evicted.
-class PrefixWindowCache {
- public:
-  struct Options {
-    // Byte bound on cached tables (window rows + DP rows), evict-by-LRU.
-    size_t max_bytes = size_t{32} << 20;
-  };
-
-  // One candidate's forward-DP row. f[k] = min total time over partitions of
-  // the first k samples with every micro-batch time <= tmax + 1e-12. When
-  // `aborted`, the DP stopped at start `abort_pos` (unreachable prefix):
-  // f[0..abort_pos] are final, later entries are not.
-  struct CandidateRow {
-    double tmax = 0.0;  // exact candidate value; rows match on its bit pattern
-    std::vector<double> f;
-    bool aborted = false;
-    size_t abort_pos = 0;
-  };
-
-  struct Entry {
-    uint64_t context = 0;
-    std::vector<uint64_t> lengths;  // packed pairs, DP order
-    std::vector<std::vector<WindowCost>> windows;
-    std::vector<CandidateRow> rows;
-    size_t bytes = 0;  // filled by Insert
-  };
-
-  struct Stats {
-    int64_t hits = 0;  // lookups that returned a usable entry
-    int64_t misses = 0;
-    int64_t insertions = 0;
-    int64_t evictions = 0;
-    int64_t bytes = 0;  // current footprint
-  };
-
-  PrefixWindowCache();
-  explicit PrefixWindowCache(Options options);
-
-  // Longest-shared-prefix lookup. Returns the entry sharing the longest
-  // common packed-length prefix with `lengths` (ties: the longer run
-  // extension, then the most recently used), its prefix length in
-  // *prefix_len, and refreshes the entry's LRU position. Matches whose
-  // common prefix is shorter than `min_prefix` count as misses.
-  std::shared_ptr<const Entry> Lookup(uint64_t context,
-                                      const std::vector<uint64_t>& lengths,
-                                      size_t min_prefix, size_t* prefix_len);
-
-  // Inserts a finished table (entry->bytes is computed here). The oldest
-  // entries are evicted until the byte bound holds again; the newest entry
-  // always stays.
-  void Insert(std::shared_ptr<Entry> entry);
-
-  // Recording-backoff advice for the miss path. Building an entry costs real
-  // time (an O(n) DP-row copy per candidate), which is pure waste in regimes
-  // where lookups never hit (unquantized batches whose sorted prefixes never
-  // recur). The first few misses per context always record — a cold cache
-  // must seed entries before it can ever hit — but once a context's miss
-  // streak outgrows that burst, recording drops to a periodic refresh so a
-  // hostile regime pays almost nothing while a drifted-but-cacheable one
-  // still re-seeds. Hits reset the streak. Purely a perf policy: what is or
-  // is not recorded can never change plan bytes.
-  bool ShouldRecord(uint64_t context) const;
-
-  // Drops every entry (explicit cost-oracle / config reset).
-  void Invalidate();
-
-  Stats stats() const;
-  size_t size() const;
-
- private:
-  struct Run {
-    uint64_t value = 0;
-    size_t count = 0;
-  };
-  struct Slot;
-  using SlotList = std::list<Slot>;
-  struct Slot {
-    std::shared_ptr<const Entry> entry;
-    std::vector<Run> runs;
-    std::vector<uint64_t> run_keys;  // probe hash per run index
-  };
-
-  static std::vector<Run> DecomposeRuns(const std::vector<uint64_t>& lengths);
-  void EvictIfNeededLocked();
-
-  Options options_;
-  mutable std::mutex mu_;
-  SlotList slots_;  // front = most recently used
-  // Probe hash -> slots indexed under it. A slot appears once per run.
-  std::unordered_map<uint64_t, std::vector<SlotList::iterator>> index_;
-  Stats stats_;
-  // Consecutive lookup misses per context, for ShouldRecord's backoff.
-  mutable std::unordered_map<uint64_t, int64_t> miss_streak_;
-};
-
 struct DpPartitionerOptions {
   // Pipeline stages c in Eq. 1.
   int32_t num_stages = 1;
@@ -242,28 +87,6 @@ struct DpPartitionerOptions {
   // the same strict-improvement rule the serial loop applies, so ties go to
   // the lowest t_max regardless of which worker finished first.
   ThreadPool* pool = nullptr;
-  // Cross-iteration window/DP-row reuse (see PrefixWindowCache). Null keeps
-  // every call cold. The context must change whenever the cost oracle or any
-  // knob above that shapes the window table changes — the cache trusts it.
-  PrefixWindowCache* prefix_cache = nullptr;
-  uint64_t prefix_cache_context = 0;
-  // Content-addressed window-row memoization within a call. Row i depends only
-  // on the packed lengths of samples [i, i + max_microbatch_size), so rows
-  // with identical content are bitwise equal and only the first is computed;
-  // the rest copy it. Quantized batches collapse into long equal-length runs
-  // where most rows repeat, which is where the precompute — the dominant
-  // planning phase — actually goes. Off by default so the cold path stays the
-  // byte-for-byte baseline; the planner turns it on with incremental planning.
-  bool dedup_window_rows = false;
-  // Warm-start seeds: DP-order micro-batch widths of previous solutions for
-  // similar batches (this planner's last iteration, a near-miss PlanCache
-  // entry, a neighboring grid-search config). Each seed is revalidated
-  // against *this* batch's window table; valid seeds yield an upper bound on
-  // the optimal Eq. 1 objective that prunes t_max candidates whose lower
-  // bound strictly exceeds it. Pruning never changes the winner (the bound
-  // is conservative and the merge is strict-improvement), so plans stay
-  // bit-identical with seeds present or absent.
-  std::vector<std::vector<int32_t>> warm_start_seeds;
 };
 
 // Per-call instrumentation: where planning time went and how well the cost
@@ -279,18 +102,6 @@ struct PartitionStats {
   int64_t cost_cache_misses = 0;
   // Worker threads the candidate sweep could draw on (1 = serial).
   int32_t parallel_workers = 1;
-  // Incremental planning (zeros when DpPartitionerOptions::prefix_cache is
-  // null): whether the prefix cache supplied a shared-prefix entry, and how
-  // much of the precompute/DP work it absorbed.
-  bool prefix_cache_hit = false;
-  int64_t prefix_window_rows_reused = 0;
-  int64_t prefix_f_rows_reused = 0;
-  // Window rows whose content matched an earlier row in the same batch and
-  // were copied instead of recomputed (dedup_window_rows).
-  int64_t window_rows_deduped = 0;
-  // t_max candidates skipped because a warm-start seed's upper bound proved
-  // they cannot beat the winner.
-  int64_t warmstart_pruned = 0;
 };
 
 struct PartitionResult {

@@ -1,7 +1,6 @@
 #include "src/runtime/grid_search.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -28,14 +27,6 @@ DynaPipeSearchResult GridSearchDynaPipe(const model::ModelConfig& config,
   TrainerOptions trainer_opts = options.trainer;
   trainer_opts.max_iterations = options.eval_iterations;
 
-  // One shared warm-start book: configs cross-seed each other's DP sweeps.
-  // Prefix/stage caches are NOT shared — they are context-keyed per cost
-  // model, so sharing would only add lock traffic for guaranteed misses.
-  PlannerOptions planner_opts = planner;
-  if (options.warm_start && planner_opts.warm_book == nullptr) {
-    planner_opts.warm_book = std::make_shared<WarmStartBook>();
-  }
-
   // Each configuration profiles its own cost model and runs its own sampled
   // epoch — fully independent, so they fan out over the pool into per-config
   // slots; the merge below is serial and order-deterministic.
@@ -44,7 +35,7 @@ DynaPipeSearchResult GridSearchDynaPipe(const model::ModelConfig& config,
   std::vector<ConfigScore> scores(candidates.size());
   ParallelFor(options.pool, candidates.size(), [&](size_t i) {
     Trainer trainer(config, hw, candidates[i], options.profile);
-    const EpochResult epoch = trainer.RunEpoch(dataset, planner_opts, trainer_opts);
+    const EpochResult epoch = trainer.RunEpoch(dataset, planner, trainer_opts);
     ConfigScore& score = scores[i];
     score.parallel = candidates[i];
     score.feasible = epoch.feasible;

@@ -26,12 +26,6 @@ struct GridSearchOptions {
   int32_t eval_iterations = 4;
   TrainerOptions trainer;
   cost::ProfileOptions profile;
-  // Share a WarmStartBook across the DynaPipe configurations (ISSUE 9 level
-  // 3): every config plans the same sampled mini-batches, so the widths the
-  // first-finishing config found become candidate-pruning upper bounds for
-  // its neighbors. Scores and the winner are unchanged — seeds are
-  // revalidated bounds (see WarmStartBook) — only planning time drops.
-  bool warm_start = true;
   // Baseline-only sweeps.
   std::vector<int32_t> microbatch_sizes = {1, 2, 4, 8, 16, 32};
   std::vector<int64_t> token_counts = {1024, 2048, 4096, 8192, 16'384};

@@ -1,16 +1,11 @@
 #include "src/runtime/planner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <limits>
-#include <numeric>
 #include <optional>
-#include <unordered_map>
 
 #include "src/comm/comm_planner.h"
 #include "src/common/check.h"
-#include "src/common/metrics.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timing.h"
 #include "src/mb/karmarkar_karp.h"
@@ -20,46 +15,6 @@
 
 namespace dynapipe::runtime {
 namespace {
-
-// FNV-1a-style fold for cache-context fingerprints (local: runtime/ must not
-// reach into service/'s hash helpers).
-constexpr uint64_t kCtxBasis = 1469598103934665603ull;
-uint64_t CtxMix(uint64_t h, uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-  return h;
-}
-uint64_t CtxMixDouble(uint64_t h, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return CtxMix(h, bits);
-}
-uint64_t CtxMixString(uint64_t h, const std::string& s) {
-  h = CtxMix(h, s.size());
-  for (const char ch : s) {
-    h = CtxMix(h, static_cast<uint64_t>(static_cast<unsigned char>(ch)));
-  }
-  return h;
-}
-
-// Process-wide incremental-planning instruments, resolved once (see
-// OBSERVABILITY.md's cached-reference discipline).
-struct PlannerMetrics {
-  common::Counter& prefix_hits;
-  common::Counter& prefix_misses;
-  common::Counter& warmstart_pruned;
-
-  static PlannerMetrics& Get() {
-    static PlannerMetrics m = [] {
-      common::MetricsRegistry& r = common::MetricsRegistry::Instance();
-      return PlannerMetrics{r.GetCounter("planner_prefix_cache_hits_total"),
-                            r.GetCounter("planner_prefix_cache_misses_total"),
-                            r.GetCounter("planner_warmstart_pruned_total")};
-    }();
-    return m;
-  }
-};
 
 // Uncached cost-oracle adapter for the DP partitioner: bottleneck-stage time and
 // the worst per-stage activation footprint. The seed path; kept for
@@ -92,17 +47,10 @@ struct ReplicaBuild {
 // Assembles schedule + timeline + communication plan for one replica's
 // micro-batches. `adaptive` false gives uniform 1F1B; `naive_comm` true gives the
 // baseline send-at-production/recv-at-use plan with fused crossing pairs.
-// `stage_cache` (optional) memoizes the per-(stage, shape) profile walks
-// across iterations under `stage_context`; hit/miss deltas are accumulated
-// into the counters when given.
 ReplicaBuild BuildReplica(const cost::PipelineCostModel& cm,
                           std::vector<mb::MicroBatch> mbs,
                           model::RecomputeMode mode, bool adaptive, bool reorder,
-                          int32_t reorder_clusters, bool naive_comm,
-                          cost::StageCostCache* stage_cache = nullptr,
-                          uint64_t stage_context = 0,
-                          std::atomic<int64_t>* stage_hits = nullptr,
-                          std::atomic<int64_t>* stage_misses = nullptr) {
+                          int32_t reorder_clusters, bool naive_comm) {
   ReplicaBuild out;
   const int32_t c = cm.num_stages();
   const int32_t m = static_cast<int32_t>(mbs.size());
@@ -137,33 +85,14 @@ ReplicaBuild BuildReplica(const cost::PipelineCostModel& cm,
   }
   // The per-stage profile walks (StageFwdMs/StageBwdMs/StageActivationMb) are
   // the schedule phase's dominant cost. BuildOpCosts dedups shapes so each
-  // distinct one is priced once per stage; the stage cache additionally
-  // carries those sub-results across iterations (values are deterministic
-  // per key, so cached plans stay bit-identical).
+  // distinct one is priced once per stage.
   schedule::OpCostsBuild built = schedule::BuildOpCosts(
       c, shapes,
       [&](int32_t s, const model::MicroBatchShape& shape, double* fwd,
           double* bwd, double* act) {
-        cost::StageCostCache::Entry e;
-        if (stage_cache != nullptr &&
-            stage_cache->Lookup(stage_context, s, shape, mode, &e)) {
-          if (stage_hits != nullptr) {
-            stage_hits->fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          e.fwd_ms = cm.StageFwdMs(s, shape);
-          e.bwd_ms = cm.StageBwdMs(s, shape, mode);
-          e.act_mb = cm.StageActivationMb(s, shape, mode);
-          if (stage_cache != nullptr) {
-            stage_cache->Insert(stage_context, s, shape, mode, e);
-            if (stage_misses != nullptr) {
-              stage_misses->fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
-        *fwd = e.fwd_ms;
-        *bwd = e.bwd_ms;
-        *act = e.act_mb;
+        *fwd = cm.StageFwdMs(s, shape);
+        *bwd = cm.StageBwdMs(s, shape, mode);
+        *act = cm.StageActivationMb(s, shape, mode);
       });
   schedule::OpCosts& costs = built.costs;
   std::vector<double>& mb_time = built.mb_time;
@@ -281,28 +210,6 @@ int32_t IterationPlan::total_microbatches() const {
   return total;
 }
 
-std::optional<std::vector<int32_t>> WarmStartBook::Lookup(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = book_.find(key);
-  if (it == book_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-void WarmStartBook::Update(uint64_t key, std::vector<int32_t> widths) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = book_.find(key);
-  if (it != book_.end()) {
-    it->second = std::move(widths);
-    return;
-  }
-  if (book_.size() >= kMaxEntries) {
-    return;  // bounded hint store: dropping a seed only costs pruning power
-  }
-  book_.emplace(key, std::move(widths));
-}
-
 IterationPlanner::IterationPlanner(const cost::PipelineCostModel& cost_model,
                                    PlannerOptions options)
     : cm_(cost_model), options_(std::move(options)) {
@@ -311,68 +218,10 @@ IterationPlanner::IterationPlanner(const cost::PipelineCostModel& cost_model,
   } else if (options_.cost_cache) {
     oracle_ = std::make_shared<cost::CachedCostOracle>(cost_model);
   }
-  if (options_.incremental_planning) {
-    prefix_cache_ = options_.prefix_cache != nullptr
-                        ? options_.prefix_cache
-                        : std::make_shared<mb::PrefixWindowCache>();
-    stage_cache_ = options_.stage_cost_cache != nullptr
-                       ? options_.stage_cost_cache
-                       : std::make_shared<cost::StageCostCache>();
-    // Cache-context fingerprint: everything a window table or stage cost
-    // depends on. Config + parallelism pin the architecture; the probe
-    // queries pin the *profile tables* (two models with the same config but
-    // different measured costs produce different probe values), so shared
-    // caches can never leak entries across cost models.
-    uint64_t h = kCtxBasis;
-    const model::ModelConfig& config = cm_.config();
-    h = CtxMix(h, static_cast<uint64_t>(config.arch));
-    h = CtxMixString(h, config.name);
-    h = CtxMix(h, static_cast<uint64_t>(config.num_layers));
-    h = CtxMix(h, static_cast<uint64_t>(config.hidden_dim));
-    h = CtxMix(h, static_cast<uint64_t>(cm_.parallel().dp));
-    h = CtxMix(h, static_cast<uint64_t>(cm_.parallel().tp));
-    h = CtxMix(h, static_cast<uint64_t>(cm_.parallel().pp));
-    h = CtxMix(h, static_cast<uint64_t>(cm_.num_stages()));
-    h = CtxMixDouble(h, cm_.ActivationBudgetMb());
-    model::MicroBatchShape probe;
-    probe.num_samples = 1;
-    probe.input_len = 64;
-    probe.target_len = config.arch == model::ModelArch::kT5 ? 16 : 0;
-    h = CtxMixDouble(h, cm_.MicroBatchTimeMs(probe, model::RecomputeMode::kNone));
-    h = CtxMixDouble(h, cm_.MaxActivationMb(probe, model::RecomputeMode::kFull));
-    h = CtxMix(h, static_cast<uint64_t>(options_.max_microbatch_size));
-    h = CtxMixDouble(h, options_.tmax_interval_ms);
-    h = CtxMix(h, static_cast<uint64_t>(options_.max_tmax_candidates));
-    h = CtxMix(h, static_cast<uint64_t>(options_.ordering));
-    incremental_context_ = h;
-  }
-}
-
-uint64_t IterationPlanner::ModeContext(model::RecomputeMode mode,
-                                       double per_mb_limit) const {
-  // The window table additionally depends on the recompute mode and the
-  // per-micro-batch activation cap (which folds adaptive_schedule and the
-  // stage count); everything else is in incremental_context_.
-  uint64_t h = CtxMix(incremental_context_, static_cast<uint64_t>(mode));
-  return CtxMixDouble(h, per_mb_limit);
-}
-
-void IterationPlanner::InvalidateIncrementalCaches() const {
-  if (prefix_cache_ != nullptr) {
-    prefix_cache_->Invalidate();
-  }
-  if (stage_cache_ != nullptr) {
-    stage_cache_->Invalidate();
-  }
-  std::lock_guard<std::mutex> lock(warm_mu_);
-  for (auto& w : warm_widths_) {
-    w.clear();
-  }
 }
 
 IterationPlan IterationPlanner::PlanWithRecompute(
-    const std::vector<data::Sample>& ordered, model::RecomputeMode mode,
-    const PlanSeed* seed) const {
+    const std::vector<data::Sample>& ordered, model::RecomputeMode mode) const {
   IterationPlan plan;
   plan.recompute = mode;
   plan.stats.recompute_modes_tried = 1;
@@ -408,92 +257,31 @@ IterationPlan IterationPlanner::PlanWithRecompute(
   dp_opts.tmax_interval_ms = options_.tmax_interval_ms;
   dp_opts.max_tmax_candidates = options_.max_tmax_candidates;
   dp_opts.pool = options_.pool;
-  // Incremental planning: reuse window-table prefixes across iterations and
-  // warm-start the t_max sweep from (a) this planner's previous solution for
-  // the same recompute mode, (b) the caller's near-miss seed, (c) the grid
-  // search's cross-config book. Seeds are pruning bounds only, so order does
-  // not matter for the result — the partitioner takes the min over all.
-  if (prefix_cache_ != nullptr) {
-    dp_opts.prefix_cache = prefix_cache_.get();
-    dp_opts.prefix_cache_context = ModeContext(mode, per_mb_limit);
-    dp_opts.dedup_window_rows = true;
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    const std::vector<int32_t>& prev = warm_widths_[static_cast<size_t>(mode)];
-    if (!prev.empty()) {
-      dp_opts.warm_start_seeds.push_back(prev);
-    }
-  }
-  if (seed != nullptr && !seed->partition_widths.empty()) {
-    dp_opts.warm_start_seeds.push_back(seed->partition_widths);
-  }
-  uint64_t warm_key = 0;
-  if (options_.warm_book != nullptr) {
-    // Keyed by (mode, exact ordered lengths) only — deliberately *not* by the
-    // model/parallel fingerprint, so neighboring grid-search configs planning
-    // the same mini-batch share seeds. Safe: seeds are revalidated bounds.
-    uint64_t h = CtxMix(kCtxBasis, static_cast<uint64_t>(mode));
-    h = CtxMix(h, static_cast<uint64_t>(ordered.size()));
-    for (const data::Sample& s : ordered) {
-      h = CtxMix(h, mb::PackedSampleLength(s));
-    }
-    warm_key = h;
-    std::optional<std::vector<int32_t>> hint = options_.warm_book->Lookup(warm_key);
-    if (hint.has_value() && !hint->empty()) {
-      dp_opts.warm_start_seeds.push_back(std::move(*hint));
-    }
-  }
   mb::DpPartitioner partitioner(adapter, dp_opts);
   const auto partition_start = SteadyClock::now();
   mb::PartitionResult part = partitioner.Partition(ordered);
   plan.stats.partition_ms = ElapsedMs(partition_start);
   plan.stats.cost_cache_hits = part.stats.cost_cache_hits;
   plan.stats.cost_cache_misses = part.stats.cost_cache_misses;
-  if (dp_opts.prefix_cache != nullptr) {
-    plan.stats.prefix_cache_hits = part.stats.prefix_cache_hit ? 1 : 0;
-    plan.stats.prefix_cache_misses = part.stats.prefix_cache_hit ? 0 : 1;
-    plan.stats.prefix_window_rows_reused = part.stats.prefix_window_rows_reused;
-    plan.stats.prefix_f_rows_reused = part.stats.prefix_f_rows_reused;
-    plan.stats.window_rows_deduped = part.stats.window_rows_deduped;
-  }
-  plan.stats.warmstart_pruned = part.stats.warmstart_pruned;
   if (!part.feasible) {
     plan.infeasible_reason = "no micro-batch partition fits the memory limit";
     return plan;
   }
   plan.padding = mb::ComputePaddingStats(part.micro_batches);
-  // Record the DP-order widths before replica balancing scatters the
-  // micro-batches; they seed future near-miss plans and the warm book.
-  plan.partition_widths.reserve(part.micro_batches.size());
-  for (const mb::MicroBatch& m : part.micro_batches) {
-    plan.partition_widths.push_back(m.shape.num_samples);
-  }
-  if (prefix_cache_ != nullptr) {
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    warm_widths_[static_cast<size_t>(mode)] = plan.partition_widths;
-  }
-  if (options_.warm_book != nullptr) {
-    options_.warm_book->Update(warm_key, plan.partition_widths);
-  }
   const auto schedule_start = SteadyClock::now();
 
   std::vector<std::vector<mb::MicroBatch>> replica_mbs =
       BalanceReplicas(std::move(part.micro_batches), dp);
 
-  std::atomic<int64_t> stage_hits{0};
-  std::atomic<int64_t> stage_misses{0};
   plan.predicted_peak_mb.assign(static_cast<size_t>(c), 0.0);
   for (auto& mbs : replica_mbs) {
     ReplicaBuild rb = BuildReplica(cm_, std::move(mbs), mode,
                                    options_.adaptive_schedule,
                                    options_.reorder_microbatches,
-                                   options_.reorder_clusters, /*naive_comm=*/false,
-                                   stage_cache_.get(), incremental_context_,
-                                   &stage_hits, &stage_misses);
+                                   options_.reorder_clusters, /*naive_comm=*/false);
     if (!rb.feasible) {
       plan.infeasible_reason = rb.reason;
       plan.replicas.clear();
-      plan.stats.stage_cache_hits = stage_hits.load(std::memory_order_relaxed);
-      plan.stats.stage_cache_misses = stage_misses.load(std::memory_order_relaxed);
       return plan;
     }
     plan.predicted_iteration_ms = std::max(plan.predicted_iteration_ms, rb.makespan_ms);
@@ -504,15 +292,13 @@ IterationPlan IterationPlanner::PlanWithRecompute(
     }
     plan.replicas.push_back(std::move(rb.plan));
   }
-  plan.stats.stage_cache_hits = stage_hits.load(std::memory_order_relaxed);
-  plan.stats.stage_cache_misses = stage_misses.load(std::memory_order_relaxed);
   plan.stats.schedule_ms = ElapsedMs(schedule_start);
   plan.feasible = true;
   return plan;
 }
 
 IterationPlan IterationPlanner::PlanIteration(
-    const std::vector<data::Sample>& minibatch, const PlanSeed* seed) const {
+    const std::vector<data::Sample>& minibatch) const {
   const auto start = SteadyClock::now();
   const std::vector<data::Sample> ordered = mb::OrderSamples(
       CanonicalizeForArch(cm_.config(), minibatch), options_.ordering);
@@ -534,7 +320,7 @@ IterationPlan IterationPlanner::PlanIteration(
   // equally fast kSelective beats an equally fast kFull.
   std::vector<IterationPlan> outcomes(modes.size());
   ParallelFor(options_.pool, modes.size(), [&](size_t i) {
-    outcomes[i] = PlanWithRecompute(ordered, modes[i], seed);
+    outcomes[i] = PlanWithRecompute(ordered, modes[i]);
   });
 
   IterationPlan best;
@@ -547,14 +333,6 @@ IterationPlan IterationPlanner::PlanIteration(
     stats.cost_cache_hits += candidate.stats.cost_cache_hits;
     stats.cost_cache_misses += candidate.stats.cost_cache_misses;
     stats.recompute_modes_tried += candidate.stats.recompute_modes_tried;
-    stats.prefix_cache_hits += candidate.stats.prefix_cache_hits;
-    stats.prefix_cache_misses += candidate.stats.prefix_cache_misses;
-    stats.prefix_window_rows_reused += candidate.stats.prefix_window_rows_reused;
-    stats.prefix_f_rows_reused += candidate.stats.prefix_f_rows_reused;
-    stats.window_rows_deduped += candidate.stats.window_rows_deduped;
-    stats.warmstart_pruned += candidate.stats.warmstart_pruned;
-    stats.stage_cache_hits += candidate.stats.stage_cache_hits;
-    stats.stage_cache_misses += candidate.stats.stage_cache_misses;
     if (candidate.feasible &&
         candidate.predicted_iteration_ms < best.predicted_iteration_ms) {
       best = std::move(candidate);
@@ -568,12 +346,6 @@ IterationPlan IterationPlanner::PlanIteration(
   }
   best.stats = stats;
   best.planning_time_ms = ElapsedMs(start);
-  if (prefix_cache_ != nullptr) {
-    PlannerMetrics& m = PlannerMetrics::Get();
-    m.prefix_hits.Add(stats.prefix_cache_hits);
-    m.prefix_misses.Add(stats.prefix_cache_misses);
-    m.warmstart_pruned.Add(stats.warmstart_pruned);
-  }
   return best;
 }
 

@@ -13,14 +13,10 @@
 #ifndef DYNAPIPE_SRC_RUNTIME_PLANNER_H_
 #define DYNAPIPE_SRC_RUNTIME_PLANNER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,35 +37,6 @@ class ThreadPool;
 }  // namespace dynapipe
 
 namespace dynapipe::runtime {
-
-// A warm-start hint for planning: the DP-order micro-batch widths of a
-// previous solution for a *similar* batch (a near-miss PlanCache entry, a
-// neighboring grid-search config). The partitioner revalidates the widths
-// against its own window table and uses them only as a pruning upper bound,
-// so seeds never change the plan — only how fast it is found.
-struct PlanSeed {
-  std::vector<int32_t> partition_widths;
-};
-
-// Cross-planner warm-start seeds for grid search (ISSUE 9 level 3): the DP
-// widths of the best partition each (recompute mode, ordered batch) pair
-// produced under *some* parallel config. Neighboring configs planning the
-// same mini-batch sequence look the seed up and hand it to the partitioner
-// as a candidate-pruning bound. Seeds are hints — always revalidated, never
-// copied into a plan — so sharing across configs with different stage
-// counts, budgets, or replica counts is bit-identity-safe by construction.
-// Thread-safe; bounded (grid searches plan a handful of iterations per
-// config, so the book stays tiny).
-class WarmStartBook {
- public:
-  std::optional<std::vector<int32_t>> Lookup(uint64_t key) const;
-  void Update(uint64_t key, std::vector<int32_t> widths);
-
- private:
-  static constexpr size_t kMaxEntries = 4096;
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::vector<int32_t>> book_;
-};
 
 struct PlannerOptions {
   mb::OrderingMethod ordering = mb::OrderingMethod::kSortByLength;
@@ -95,23 +62,6 @@ struct PlannerOptions {
   // trainer passes its epoch-spanning oracle here so epoch 2 starts with
   // epoch 1's shapes priced. Must be built over the same cost model.
   std::shared_ptr<cost::CachedCostOracle> cost_oracle;
-  // --- Incremental planning (see PrefixWindowCache / StageCostCache) ---
-  // Reuse window tables, forward-DP rows, and per-stage schedule costs across
-  // iterations, and warm-start each partition from previous solutions. On by
-  // default: plans are bit-identical with it on or off (every reuse copies
-  // values bitwise or prunes provably losing candidates — pinned by
-  // tests/planning_incremental_test.cpp), so like cost_cache and pool the
-  // knob is excluded from the plan-cache config hash.
-  bool incremental_planning = true;
-  // Shared caches. Null + incremental_planning creates planner-private ones;
-  // the trainer passes its epoch-spanning caches here. Sharing is only valid
-  // across planners over the same cost model — entries are context-keyed by
-  // a model fingerprint, so a mismatched share degrades to misses, never to
-  // wrong plans.
-  std::shared_ptr<mb::PrefixWindowCache> prefix_cache;
-  std::shared_ptr<cost::StageCostCache> stage_cost_cache;
-  // Cross-config warm-start seeds (grid search); null disables.
-  std::shared_ptr<WarmStartBook> warm_book;
   // Fan independent planning work (recompute modes, per-t_max DPs) over this
   // pool; null plans serially. Plans are bit-identical either way — parallel
   // slots are merged deterministically (see DpPartitionerOptions::pool). The
@@ -138,20 +88,10 @@ struct PlanningStats {
   int64_t cost_cache_hits = 0;
   int64_t cost_cache_misses = 0;
   int32_t recompute_modes_tried = 0;
-  // Incremental planning, summed over recompute modes: per-mode partitions
-  // that found a shared-prefix entry, window/DP rows they copied instead of
-  // recomputing, t_max candidates the warm-start bound pruned, and per-stage
-  // schedule-cost memo activity.
+  // Always zero: the planner keeps no cross-iteration prefix cache. Kept
+  // because bench/e2e reads them for its mb.prefix_hit_rate column.
   int64_t prefix_cache_hits = 0;
   int64_t prefix_cache_misses = 0;
-  int64_t prefix_window_rows_reused = 0;
-  int64_t prefix_f_rows_reused = 0;
-  // Window rows served by the within-batch content dedup (quantized batches
-  // are mostly equal-length runs, so most rows repeat).
-  int64_t window_rows_deduped = 0;
-  int64_t warmstart_pruned = 0;
-  int64_t stage_cache_hits = 0;
-  int64_t stage_cache_misses = 0;
 
   double cache_hit_rate() const {
     const int64_t total = cost_cache_hits + cost_cache_misses;
@@ -175,10 +115,6 @@ struct IterationPlan {
   double planning_time_ms = 0.0;
   mb::PaddingStats padding;
   PlanningStats stats;
-  // DP-order micro-batch widths of the winning partition (recorded before
-  // replica balancing scatters the micro-batches). Not serialized — they
-  // exist so a cached plan can seed the partitioner for a near-miss batch.
-  std::vector<int32_t> partition_widths;
 
   int32_t total_microbatches() const;
 };
@@ -242,33 +178,16 @@ class IterationPlanner {
   IterationPlanner(const cost::PipelineCostModel& cost_model, PlannerOptions options);
 
   // Thread-safe: the trainer's plan-ahead workers call this concurrently on one
-  // planner instance; the cost cache is shared and sharded. `seed` optionally
-  // warm-starts the partitioner (see PlanSeed); plans are bit-identical with
-  // or without it.
-  IterationPlan PlanIteration(const std::vector<data::Sample>& minibatch,
-                              const PlanSeed* seed = nullptr) const;
+  // planner instance; the cost cache is shared and sharded.
+  IterationPlan PlanIteration(const std::vector<data::Sample>& minibatch) const;
 
   const PlannerOptions& options() const { return options_; }
   // Null when options().cost_cache is false.
   const cost::CachedCostOracle* cost_cache() const { return oracle_.get(); }
-  // Null when options().incremental_planning is false.
-  const mb::PrefixWindowCache* prefix_cache() const {
-    return prefix_cache_.get();
-  }
-  const cost::StageCostCache* stage_cost_cache() const {
-    return stage_cache_.get();
-  }
-  // Drops every incremental cache (prefix entries, stage costs, warm seeds) —
-  // the explicit invalidation hook for cost-oracle swaps mid-run. Context
-  // keying already prevents cross-model reuse; this is for callers that
-  // mutate a model in place.
-  void InvalidateIncrementalCaches() const;
 
  private:
   IterationPlan PlanWithRecompute(const std::vector<data::Sample>& ordered,
-                                  model::RecomputeMode mode,
-                                  const PlanSeed* seed) const;
-  uint64_t ModeContext(model::RecomputeMode mode, double per_mb_limit) const;
+                                  model::RecomputeMode mode) const;
 
   const cost::PipelineCostModel& cm_;
   PlannerOptions options_;
@@ -277,17 +196,6 @@ class IterationPlanner {
   // mixes from the same dataset). Only allocated when the cache is enabled —
   // the table is several MB and uncached planners must not pay for it.
   std::shared_ptr<cost::CachedCostOracle> oracle_;
-  // Incremental-planning state (null when disabled). The context fingerprint
-  // folds the model config, parallelism, budget, DP knobs, and a probe cost
-  // query, so entries from a different cost model can never be returned.
-  std::shared_ptr<mb::PrefixWindowCache> prefix_cache_;
-  std::shared_ptr<cost::StageCostCache> stage_cache_;
-  uint64_t incremental_context_ = 0;
-  // Last feasible partition widths per recompute mode: next iteration's
-  // warm-start seed. Last-writer-wins under concurrency — any seed is only a
-  // pruning bound, so the plan is invariant to which writer won.
-  mutable std::mutex warm_mu_;
-  mutable std::array<std::vector<int32_t>, 3> warm_widths_;
 };
 
 // --- Baseline (MLM+DS-style) planning ---

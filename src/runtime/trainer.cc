@@ -128,29 +128,14 @@ EpochResult Trainer::RunEpoch(const data::Dataset& dataset,
     owned_pool.emplace(options.planning_threads);
     popts.pool = &*owned_pool;
   }
-  // Persist the planner's memo state on the Trainer so epoch N+1 starts warm:
-  // the cost oracle, window-prefix cache, and stage-cost cache all hold
-  // values that depend only on the (fixed) cost model. Caller-provided caches
-  // win — grid search shares nothing here, its planners span cost models.
+  // Persist the cost oracle on the Trainer so epoch N+1 starts warm: its
+  // values depend only on the (fixed) cost model. A caller-provided oracle
+  // wins.
   if (popts.cost_cache && popts.cost_oracle == nullptr) {
     if (cost_oracle_ == nullptr) {
       cost_oracle_ = std::make_shared<cost::CachedCostOracle>(cost_model_);
     }
     popts.cost_oracle = cost_oracle_;
-  }
-  if (popts.incremental_planning) {
-    if (popts.prefix_cache == nullptr) {
-      if (prefix_cache_ == nullptr) {
-        prefix_cache_ = std::make_shared<mb::PrefixWindowCache>();
-      }
-      popts.prefix_cache = prefix_cache_;
-    }
-    if (popts.stage_cost_cache == nullptr) {
-      if (stage_cost_cache_ == nullptr) {
-        stage_cost_cache_ = std::make_shared<cost::StageCostCache>();
-      }
-      popts.stage_cost_cache = stage_cost_cache_;
-    }
   }
   IterationPlanner iteration_planner(cost_model_, popts);
   return RunEpochImpl(
@@ -159,10 +144,7 @@ EpochResult Trainer::RunEpoch(const data::Dataset& dataset,
         return iteration_planner.PlanIteration(minibatch);
       },
       popts.pool, PlannerConfigHash(config_, hw_, parallel_, planner),
-      /*allow_plan_cache=*/true,
-      [&](const std::vector<data::Sample>& minibatch, const PlanSeed* seed) {
-        return iteration_planner.PlanIteration(minibatch, seed);
-      });
+      /*allow_plan_cache=*/true);
 }
 
 EpochResult Trainer::RunEpochBaseline(const data::Dataset& dataset,
@@ -191,8 +173,7 @@ EpochResult Trainer::RunEpochBaseline(const data::Dataset& dataset,
 EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
                                   const TrainerOptions& options,
                                   const PlanFn& plan_fn, ThreadPool* pool,
-                                  uint64_t config_hash, bool allow_plan_cache,
-                                  const SeededPlanFn& seeded_plan_fn) {
+                                  uint64_t config_hash, bool allow_plan_cache) {
   EpochResult result;
   if (!options.trace_path.empty()) {
     common::Tracer::Instance().EnableToPath(options.trace_path);
@@ -445,8 +426,6 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     }
     sopts.plan_cache = plan_cache_;
     sopts.config_hash = config_hash;
-    sopts.quantization = std::max(1, options.plan_cache_quantization);
-    sopts.seeded_plan_fn = seeded_plan_fn;
   }
 
   int64_t submitted = 0;
@@ -547,7 +526,6 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     record.schedule_ms = plan.stats.schedule_ms;
     record.prefix_cache_hits = plan.stats.prefix_cache_hits;
     record.prefix_cache_misses = plan.stats.prefix_cache_misses;
-    record.warmstart_pruned = plan.stats.warmstart_pruned;
     record.plan_cache_hit = serviced->plan_cache_hit;
     record.plan_stall_ms = serviced->stall_ms;
     for (const double peak : plan.predicted_peak_mb) {

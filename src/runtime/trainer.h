@@ -45,7 +45,7 @@ struct TrainerOptions {
   // --- Plan-ahead service (src/service/plan_ahead_service.h) ---
   // Every epoch obtains plans through the PlanAheadService; the fields below
   // configure it. Results are identical to inline serial planning — only
-  // wall-clock planning latency (and, with quantization > 1, padding) changes.
+  // wall-clock planning latency changes.
   //
   // Worker threads for planning future iterations (<= 1 plans inline unless
   // plan_lookahead says otherwise). Mirrors the paper's overlap of CPU-side
@@ -69,10 +69,6 @@ struct TrainerOptions {
   // Plans scale with batch size x replicas, so large-batch runs cap by bytes
   // rather than trusting the count alone (see PlanCacheOptions::max_bytes).
   size_t plan_cache_max_bytes = 0;
-  // Round sequence lengths up to this multiple before keying *and* planning
-  // (1 = exact). > 1 trades padding for cache hits across nearly-identical
-  // batches; plans are then no longer bit-identical to exact planning.
-  int32_t plan_cache_quantization = 1;
   // Distribute plans through the instruction store as serialized bytes
   // (service/plan_serde.h), and bound the store's resident plans (Push
   // backpressure; 0 = unbounded, must be >= dp replicas otherwise).
@@ -209,11 +205,10 @@ struct IterationRecord {
   int64_t cost_cache_misses = 0;
   double partition_ms = 0.0;
   double schedule_ms = 0.0;
-  // Incremental planning (prefix window cache + warm-started candidate
-  // sweep); zero when incremental_planning is off.
+  // Always zero (copied from PlanningStats, whose planner keeps no prefix
+  // cache). Kept because bench/e2e reads them for mb.prefix_hit_rate.
   int64_t prefix_cache_hits = 0;
   int64_t prefix_cache_misses = 0;
-  int64_t warmstart_pruned = 0;
   // Plan-ahead service: whether this iteration's plan came from the
   // cross-iteration plan cache (its phase counters above are then 0), and how
   // long the trainer stalled waiting for the plan (planning latency the
@@ -310,18 +305,13 @@ class Trainer {
 
  private:
   using PlanFn = std::function<IterationPlan(const std::vector<data::Sample>&)>;
-  using SeededPlanFn = std::function<IterationPlan(const std::vector<data::Sample>&,
-                                                   const PlanSeed*)>;
 
   // `pool` (nullable) is shared with the plan-ahead service; `config_hash`
   // pins the planning configuration for plan-cache signatures;
-  // `allow_plan_cache` gates the cache to rebindable (DynaPipe) plans;
-  // `seeded_plan_fn` (nullable) lets plan-cache near-misses warm-start the
-  // planner (DynaPipe path only — baselines have no DP sweep to seed).
+  // `allow_plan_cache` gates the cache to rebindable (DynaPipe) plans.
   EpochResult RunEpochImpl(const data::Dataset& dataset, const TrainerOptions& options,
                            const PlanFn& plan_fn, ThreadPool* pool,
-                           uint64_t config_hash, bool allow_plan_cache,
-                           const SeededPlanFn& seeded_plan_fn = nullptr);
+                           uint64_t config_hash, bool allow_plan_cache);
 
   model::ModelConfig config_;
   model::HardwareSpec hw_;
@@ -330,14 +320,11 @@ class Trainer {
   // Lazily created when TrainerOptions::plan_cache is set; persists across
   // RunEpoch calls so replayed epochs hit.
   std::shared_ptr<service::PlanCache> plan_cache_;
-  // Epoch-spanning planner caches, lazily created on the first RunEpoch and
-  // injected into each epoch's planner (unless the caller provided its own):
-  // the memoized cost oracle plus the incremental-planning prefix/stage
-  // caches, so epoch N+1 plans warm. All three are keyed/validated against
-  // the cost model, which is fixed for the Trainer's lifetime.
+  // Epoch-spanning memoized cost oracle, lazily created on the first RunEpoch
+  // and injected into each epoch's planner (unless the caller provided its
+  // own), so epoch N+1 plans warm. Valid for the Trainer's lifetime because
+  // the cost model is fixed.
   std::shared_ptr<cost::CachedCostOracle> cost_oracle_;
-  std::shared_ptr<mb::PrefixWindowCache> prefix_cache_;
-  std::shared_ptr<cost::StageCostCache> stage_cost_cache_;
 };
 
 }  // namespace dynapipe::runtime

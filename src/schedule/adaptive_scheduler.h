@@ -27,8 +27,7 @@ namespace dynapipe::schedule {
 
 // Prices one (stage, shape) pair: forward time, backward time (recompute
 // folded in by the caller), and held activation memory. The hook through
-// which the planner plugs its profile walks — and, for incremental planning,
-// its cross-iteration StageCostCache — while the scheduler stays
+// which the planner plugs its profile walks while the scheduler stays
 // cost-model-agnostic.
 using StageShapePricer = std::function<void(
     int32_t stage, const model::MicroBatchShape& shape, double* fwd_ms,
@@ -42,9 +41,7 @@ struct OpCostsBuild {
 
 // Assembles per-op planning inputs from per-(stage, shape) prices. Micro-
 // batches cut from runs of equal-length samples share padded shapes, so each
-// distinct shape is priced exactly once per stage and fanned out — the
-// shape-dedup that used to live in the planner's replica build, hoisted here
-// so every schedule consumer (and the stage-cost memo) shares it.
+// distinct shape is priced exactly once per stage and fanned out.
 OpCostsBuild BuildOpCosts(int32_t num_stages,
                           const std::vector<model::MicroBatchShape>& shapes,
                           const StageShapePricer& price);

@@ -57,7 +57,6 @@ PlanAheadService::PlanAheadService(PlanFn plan_fn, MiniBatchSource source,
   DYNAPIPE_CHECK(plan_fn_ != nullptr);
   DYNAPIPE_CHECK(source_ != nullptr);
   DYNAPIPE_CHECK(options_.lookahead >= 0);
-  DYNAPIPE_CHECK(options_.quantization >= 1);
   DYNAPIPE_CHECK_MSG(options_.lookahead == 0 || options_.pool != nullptr,
                      "plan-ahead lookahead > 0 needs a ThreadPool");
 }
@@ -161,28 +160,12 @@ void PlanAheadService::RunIteration(int64_t iteration,
   // planned and the consumer (and Shutdown) would wait forever. Convert it to
   // an infeasible plan so the trainer surfaces it as a failed epoch — the
   // same observable outcome the old inline path's rethrow produced.
-  // Planner entry point, optionally warm-started. A near-miss seed routes
-  // through seeded_plan_fn under its own "plan_incremental" span so traces
-  // show which plans were computed with a donor bound (the span nests inside
-  // "planned", like the store's "published" spans nest publishing).
-  const auto plan_batch = [&](const std::vector<data::Sample>& batch,
-                              const runtime::PlanSeed* seed) {
-    if (options_.seeded_plan_fn != nullptr) {
-      if (seed != nullptr) {
-        common::TraceSpan span("plan_incremental", "plan", iteration, -1);
-        return options_.seeded_plan_fn(batch, seed);
-      }
-      return options_.seeded_plan_fn(batch, nullptr);
-    }
-    return plan_fn_(batch);
-  };
   try {
     if (cache != nullptr) {
-      const PlanSignature sig =
-          PlanCache::Signature(minibatch, options_.fold_target_lengths,
-                               options_.quantization, options_.config_hash);
-      std::optional<runtime::IterationPlan> cached = cache->Lookup(
-          sig, minibatch, options_.fold_target_lengths, options_.quantization);
+      const PlanSignature sig = PlanCache::Signature(
+          minibatch, options_.fold_target_lengths, options_.config_hash);
+      std::optional<runtime::IterationPlan> cached =
+          cache->Lookup(sig, minibatch, options_.fold_target_lengths);
       if (cached.has_value()) {
         plan = std::move(*cached);
         // The hit skipped partitioning/scheduling entirely; report the lookup
@@ -191,43 +174,11 @@ void PlanAheadService::RunIteration(int64_t iteration,
         plan.planning_time_ms = ElapsedMs(start);
         cache_hit = true;
       } else {
-        // Exact miss: an almost-matching previous batch can still pay — its
-        // partition widths bound the new DP sweep from above.
-        std::optional<runtime::PlanSeed> seed;
-        if (options_.seeded_plan_fn != nullptr) {
-          seed = cache->LookupNearMiss(sig);
-        }
-        const runtime::PlanSeed* seed_ptr =
-            seed.has_value() ? &*seed : nullptr;
-        if (options_.quantization > 1) {
-          plan = plan_batch(
-              PlanCache::CanonicalizeForPlanning(
-                  minibatch, options_.fold_target_lengths,
-                  options_.quantization),
-              seed_ptr);
-          cache->Insert(sig, plan);
-          if (plan.feasible) {
-            plan = PlanCache::Rebind(std::move(plan), minibatch,
-                                     options_.fold_target_lengths,
-                                     options_.quantization);
-          }
-        } else {
-          plan = plan_batch(minibatch, seed_ptr);
-          cache->Insert(sig, plan);
-        }
-      }
-    } else if (options_.quantization > 1) {
-      plan = plan_batch(PlanCache::CanonicalizeForPlanning(
-                            minibatch, options_.fold_target_lengths,
-                            options_.quantization),
-                        nullptr);
-      if (plan.feasible) {
-        plan = PlanCache::Rebind(std::move(plan), minibatch,
-                                 options_.fold_target_lengths,
-                                 options_.quantization);
+        plan = plan_fn_(minibatch);
+        cache->Insert(sig, plan);
       }
     } else {
-      plan = plan_batch(minibatch, nullptr);
+      plan = plan_fn_(minibatch);
     }
   } catch (const std::exception& e) {
     plan = runtime::IterationPlan{};

@@ -61,26 +61,14 @@ struct PlanAheadOptions {
   // Folded into every cache signature; must pin everything the plan depends
   // on besides the batch itself (model, hardware, parallelism, planner knobs).
   uint64_t config_hash = 0;
-  // Canonicalization applied to signatures and (when quantization > 1) to the
-  // samples handed to the planner. fold_target_lengths mirrors the planner's
-  // decoder-only folding; quantization > 1 rounds lengths up to multiples
-  // (changes plan values — a padding-for-hit-rate trade, off by default).
+  // Canonicalization applied to signatures and rebound samples; mirrors the
+  // planner's decoder-only folding.
   bool fold_target_lengths = false;
-  int32_t quantization = 1;
   // Instruction store mode: serialize plans through the binary plan_serde
   // format, and bound resident plans (Push backpressure). capacity must be at
   // least the number of replicas of one iteration.
   bool serialize_plans = false;
   size_t store_capacity = 0;
-  // Incremental planning: on an exact-signature miss, probe the cache for a
-  // near-miss donor (longest shared sorted-length prefix, see
-  // PlanCache::LookupNearMiss) and hand its partition widths to this planner
-  // entry point as a warm-start seed. Null falls back to the unseeded PlanFn;
-  // with no plan_cache the knob is inert. Seeds are revalidated pruning
-  // bounds, so the planned result is bit-identical either way.
-  std::function<runtime::IterationPlan(const std::vector<data::Sample>&,
-                                       const runtime::PlanSeed*)>
-      seeded_plan_fn;
   // Store backend override. Null (default): the service owns an in-process
   // InstructionStore built from the two knobs above. Non-null: plans publish
   // to this store instead — e.g. a transport::RemoteInstructionStore fronting

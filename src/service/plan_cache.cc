@@ -17,19 +17,22 @@ common::Gauge& PlanCacheBytesGauge() {
   return g;
 }
 
-// Packed canonical length pair of one sample: fold (GPT) then quantize, to
-// match what the planner actually plans on.
-uint64_t PackedPair(const data::Sample& s, bool fold, int32_t q) {
-  int32_t input = s.input_len;
-  int32_t target = s.target_len;
+// The sample as the planner stores it: decoder-only models fold the target
+// into the input (see CanonicalizeForArch in runtime/planner.cc).
+data::Sample Canonical(data::Sample s, bool fold) {
   if (fold) {
-    input += target;
-    target = 0;
+    s.input_len += s.target_len;
+    s.target_len = 0;
   }
-  input = PlanCache::Quantize(input, q);
-  target = PlanCache::Quantize(target, q);
-  return (static_cast<uint64_t>(static_cast<uint32_t>(input)) << 32) |
-         static_cast<uint64_t>(static_cast<uint32_t>(target));
+  return s;
+}
+
+// Packed canonical length pair of one sample, to match what the planner
+// actually plans on.
+uint64_t PackedPair(const data::Sample& s, bool fold) {
+  const data::Sample c = Canonical(s, fold);
+  return (static_cast<uint64_t>(static_cast<uint32_t>(c.input_len)) << 32) |
+         static_cast<uint64_t>(static_cast<uint32_t>(c.target_len));
 }
 
 }  // namespace
@@ -38,24 +41,15 @@ PlanCache::PlanCache(PlanCacheOptions options) : options_(options) {
   DYNAPIPE_CHECK(options_.capacity >= 1);
 }
 
-int32_t PlanCache::Quantize(int32_t len, int32_t q) {
-  if (q <= 1 || len <= 0) {
-    return len;
-  }
-  return (len + q - 1) / q * q;
-}
-
 PlanSignature PlanCache::Signature(const std::vector<data::Sample>& minibatch,
-                                   bool fold_target_lengths,
-                                   int32_t quantization, uint64_t config_hash) {
+                                   bool fold_target_lengths, uint64_t config_hash) {
   PlanSignature sig;
   sig.key.reserve(minibatch.size());
   for (const auto& s : minibatch) {
-    sig.key.push_back(PackedPair(s, fold_target_lengths, quantization));
+    sig.key.push_back(PackedPair(s, fold_target_lengths));
   }
   std::sort(sig.key.begin(), sig.key.end());
   uint64_t h = HashCombine(kHashBasis, config_hash);
-  h = HashCombine(h, static_cast<uint64_t>(quantization));
   h = HashCombine(h, fold_target_lengths ? 1u : 0u);
   h = HashCombine(h, sig.key.size());
   for (const uint64_t k : sig.key) {
@@ -65,51 +59,29 @@ PlanSignature PlanCache::Signature(const std::vector<data::Sample>& minibatch,
   return sig;
 }
 
-std::vector<data::Sample> PlanCache::CanonicalizeForPlanning(
-    const std::vector<data::Sample>& minibatch, bool fold_target_lengths,
-    int32_t quantization) {
-  std::vector<data::Sample> out = minibatch;
-  if (quantization <= 1) {
-    // Exact mode plans the raw samples (the planner folds decoder-only
-    // lengths itself); returning them untouched keeps the miss path
-    // bit-identical to inline planning with no rebind step.
-    return out;
-  }
-  for (auto& s : out) {
-    if (fold_target_lengths) {
-      s.input_len = Quantize(s.input_len + s.target_len, quantization);
-      s.target_len = 0;
-    } else {
-      s.input_len = Quantize(s.input_len, quantization);
-      s.target_len = Quantize(s.target_len, quantization);
-    }
-  }
-  return out;
-}
-
 runtime::IterationPlan PlanCache::Rebind(
     runtime::IterationPlan plan, const std::vector<data::Sample>& minibatch,
-    bool fold_target_lengths, int32_t quantization) {
+    bool fold_target_lengths) {
   // Bucket the new samples by canonical pair; every cached slot then pops a
   // matching sample. Signature equality guarantees the multisets line up.
   std::unordered_map<uint64_t, std::vector<const data::Sample*>> buckets;
   buckets.reserve(minibatch.size());
   for (const auto& s : minibatch) {
-    buckets[PackedPair(s, fold_target_lengths, quantization)].push_back(&s);
+    buckets[PackedPair(s, fold_target_lengths)].push_back(&s);
   }
   size_t bound = 0;
   for (auto& replica : plan.replicas) {
     for (auto& micro_batch : replica.micro_batches) {
       for (auto& slot : micro_batch.samples) {
         // The cached plan's samples already carry canonical lengths (the
-        // planner folded them, and quantized planning rounded them), so their
-        // pair is the bucket key directly; quantizing again is the identity.
-        const uint64_t key =
-            PackedPair(slot, /*fold=*/fold_target_lengths, quantization);
-        auto it = buckets.find(key);
+        // planner folded them), so their pair is the bucket key directly, and
+        // the new sample goes in folded the same way: the rebound slot then
+        // holds exactly the lengths the cached one did, and the cached
+        // padding stats stay correct.
+        auto it = buckets.find(PackedPair(slot, fold_target_lengths));
         DYNAPIPE_CHECK_MSG(it != buckets.end() && !it->second.empty(),
                            "plan cache rebind: length multiset mismatch");
-        slot = *it->second.back();
+        slot = Canonical(*it->second.back(), fold_target_lengths);
         it->second.pop_back();
         ++bound;
       }
@@ -117,20 +89,6 @@ runtime::IterationPlan PlanCache::Rebind(
   }
   DYNAPIPE_CHECK_MSG(bound == minibatch.size(),
                      "plan cache rebind: sample count mismatch");
-  // Recompute padding against the rebound samples: with quantization > 1 the
-  // cached plan's stats were computed from rounded-up lengths as if they were
-  // real, overstating efficiency. Real tokens are the new samples', padded
-  // tokens the (still canonical) executed shapes'. At quantization == 1 the
-  // rebound lengths equal the cached ones, so this is the identity and plans
-  // stay bit-identical.
-  plan.padding = mb::PaddingStats{};
-  for (const auto& replica : plan.replicas) {
-    const mb::PaddingStats stats = mb::ComputePaddingStats(replica.micro_batches);
-    plan.padding.real_input_tokens += stats.real_input_tokens;
-    plan.padding.padded_input_tokens += stats.padded_input_tokens;
-    plan.padding.real_target_tokens += stats.real_target_tokens;
-    plan.padding.padded_target_tokens += stats.padded_target_tokens;
-  }
   return plan;
 }
 
@@ -149,7 +107,7 @@ PlanCache::EntryList::iterator PlanCache::FindLocked(const PlanSignature& sig) {
 
 std::optional<runtime::IterationPlan> PlanCache::Lookup(
     const PlanSignature& sig, const std::vector<data::Sample>& minibatch,
-    bool fold_target_lengths, int32_t quantization) {
+    bool fold_target_lengths) {
   std::shared_ptr<const runtime::IterationPlan> cached;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -164,49 +122,13 @@ std::optional<runtime::IterationPlan> PlanCache::Lookup(
   }
   // The shared_ptr keeps the plan alive even if the entry is evicted while we
   // copy; Rebind's by-value parameter is that copy.
-  return Rebind(*cached, minibatch, fold_target_lengths, quantization);
-}
-
-std::optional<runtime::PlanSeed> PlanCache::LookupNearMiss(
-    const PlanSignature& sig) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EntryList::iterator best = entries_.end();
-  size_t best_lcp = 0;
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->plan->partition_widths.empty()) {
-      continue;  // e.g. a baseline plan — nothing to seed with
-    }
-    // Longest common prefix of the sorted length multisets. Prefix (not
-    // intersection) mirrors what the planner can actually exploit: its DP
-    // reuses work across batches exactly where the sorted orders agree.
-    const auto [a, b] = std::mismatch(sig.key.begin(), sig.key.end(),
-                                      it->sig.key.begin(), it->sig.key.end());
-    const size_t lcp = static_cast<size_t>(a - sig.key.begin());
-    if (lcp > best_lcp) {
-      best_lcp = lcp;
-      best = it;
-    }
-  }
-  const size_t shorter =
-      best == entries_.end()
-          ? sig.key.size()
-          : std::min(sig.key.size(), best->sig.key.size());
-  if (best == entries_.end() || best_lcp * 2 < shorter) {
-    ++stats_.near_miss_misses;
-    return std::nullopt;
-  }
-  ++stats_.near_miss_hits;
-  entries_.splice(entries_.begin(), entries_, best);  // refresh donor's LRU
-  runtime::PlanSeed seed;
-  seed.partition_widths = best->plan->partition_widths;
-  return seed;
+  return Rebind(*cached, minibatch, fold_target_lengths);
 }
 
 size_t PlanCache::EstimatePlanBytes(const runtime::IterationPlan& plan) {
   size_t bytes = sizeof(runtime::IterationPlan);
   bytes += plan.infeasible_reason.capacity();
   bytes += plan.predicted_peak_mb.capacity() * sizeof(double);
-  bytes += plan.partition_widths.capacity() * sizeof(int32_t);
   for (const auto& replica : plan.replicas) {
     bytes += sizeof(runtime::ReplicaPlan);
     for (const auto& m : replica.micro_batches) {

@@ -4,21 +4,17 @@
 // (input_len, target_len) sequence lengths plus the model/cluster/planner
 // configuration — sample identities never influence a planning decision, only
 // their lengths do. PlanCache exploits that: whole IterationPlans are memoized
-// under a canonical *mini-batch signature* (the sorted, optionally quantized
-// length multiset hashed together with a configuration hash), so epochs that
-// revisit batch shapes — epoch-based training replaying the same shuffled
-// batches, recurring task mixes — skip partitioning, scheduling, and
-// communication planning entirely and pay only a lookup plus a sample rebind.
+// under a canonical *mini-batch signature* (the sorted length multiset hashed
+// together with a configuration hash), so epochs that revisit batch shapes —
+// epoch-based training replaying the same shuffled batches, recurring task
+// mixes — skip partitioning, scheduling, and communication planning entirely
+// and pay only a lookup plus a sample rebind.
 //
 // A cache hit "rebinds" the cached plan to the new mini-batch: every cached
-// sample slot is matched to a new sample with the same (quantized) length
-// pair, which the signature guarantees exists. Padded shapes, predicted
-// times, schedules, and execution plans depend only on lengths, so a rebound
-// plan is bit-identical to replanning (quantization 1). With quantization q >
-// 1, lengths are rounded up to multiples of q before keying *and* planning,
-// trading a little extra padding for hits across nearly-identical batches —
-// the padded-length quantization the ROADMAP earmarks for T5's diverse shape
-// space.
+// sample slot is matched to a new sample with the same canonical length pair,
+// which the signature guarantees exists. Padded shapes, predicted times,
+// schedules, and execution plans depend only on lengths, so a rebound plan is
+// bit-identical to replanning.
 //
 // Thread-safe (one mutex around the LRU structures); concurrent plan-ahead
 // workers share one cache. Racing misses on the same signature plan the same
@@ -49,8 +45,8 @@ inline uint64_t HashCombine(uint64_t h, uint64_t v) {
 
 // Canonical identity of a mini-batch for planning purposes. `key` is the
 // sorted multiset of packed (input_len << 32 | target_len) pairs after
-// canonicalization/quantization; `hash` additionally folds in the
-// configuration hash and quantization so distinct setups never alias.
+// canonicalization; `hash` additionally folds in the configuration hash so
+// distinct setups never alias.
 struct PlanSignature {
   uint64_t hash = 0;
   std::vector<uint64_t> key;
@@ -78,9 +74,6 @@ struct PlanCacheStats {
   int64_t evictions = 0;
   // Estimated bytes currently held (sum of EstimatePlanBytes over entries).
   int64_t bytes = 0;
-  // Near-miss seeding (see LookupNearMiss).
-  int64_t near_miss_hits = 0;
-  int64_t near_miss_misses = 0;
 
   double hit_rate() const {
     const int64_t total = hits + misses;
@@ -96,51 +89,30 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // Rounds len up to a multiple of q (q <= 1: identity; 0 stays 0 — absent
-  // decoder sides must not grow one).
-  static int32_t Quantize(int32_t len, int32_t q);
-
   // Builds the signature of `minibatch`. `fold_target_lengths` mirrors the
   // planner's decoder-only canonicalization (GPT folds target into input);
-  // `quantization` rounds lengths up; `config_hash` pins the model, cluster,
-  // and planner configuration the plan depends on.
+  // `config_hash` pins the model, cluster, and planner configuration the plan
+  // depends on.
   static PlanSignature Signature(const std::vector<data::Sample>& minibatch,
-                                 bool fold_target_lengths, int32_t quantization,
-                                 uint64_t config_hash);
-
-  // Returns a copy of the planned samples with lengths canonicalized the same
-  // way the signature is (fold + quantize). Identity when quantization <= 1:
-  // the planner folds on its own, so exact-mode planning sees raw samples.
-  static std::vector<data::Sample> CanonicalizeForPlanning(
-      const std::vector<data::Sample>& minibatch, bool fold_target_lengths,
-      int32_t quantization);
+                                 bool fold_target_lengths, uint64_t config_hash);
 
   // Rebinds `plan` (computed for a batch with the same signature) to
   // `minibatch`: each cached sample slot is replaced by a new sample whose
-  // canonicalized length pair matches; shapes, schedules, predictions, and
-  // exec plans are untouched. Aborts if the multisets do not match — callers
-  // must only rebind within one signature.
+  // canonical length pair matches, canonicalized the way the planner stores
+  // it (folded when `fold_target_lengths`), so the rebound plan — samples and
+  // padding stats included — equals a fresh plan of `minibatch`. Shapes,
+  // schedules, predictions, and exec plans are untouched. Aborts if the
+  // multisets do not match — callers must only rebind within one signature.
   static runtime::IterationPlan Rebind(runtime::IterationPlan plan,
                                        const std::vector<data::Sample>& minibatch,
-                                       bool fold_target_lengths,
-                                       int32_t quantization);
+                                       bool fold_target_lengths);
 
   // On hit, returns the cached plan rebound to `minibatch` and refreshes its
   // LRU position. The returned plan carries the cached planning stats; the
   // caller decides what to surface for a hit.
   std::optional<runtime::IterationPlan> Lookup(
       const PlanSignature& sig, const std::vector<data::Sample>& minibatch,
-      bool fold_target_lengths, int32_t quantization);
-
-  // Second-level lookup after an exact miss: the cached entry whose sorted
-  // length-multiset key shares the longest common prefix with `sig.key`,
-  // provided the overlap covers at least half of the shorter key and the
-  // entry recorded partition widths. Returns those widths as a warm-start
-  // seed for planning the new batch — the planner revalidates them, so a
-  // stale or cross-configuration seed degrades to slower planning, never to
-  // a different plan. Refreshes the donor's LRU position (an entry useful as
-  // a seed is an entry worth keeping).
-  std::optional<runtime::PlanSeed> LookupNearMiss(const PlanSignature& sig);
+      bool fold_target_lengths);
 
   // Inserts a copy of `plan` under `sig` (first insert wins; re-inserting an
   // existing signature refreshes LRU only). Evicts least-recently-used

@@ -2,7 +2,7 @@
 // serde (round-trip on every instruction kind), the serialized /
 // capacity-bounded instruction store (publish-before-fetch contract,
 // double-publish death, backpressure), the cross-iteration plan cache
-// (signatures, LRU, quantization, rebinding), and PlanAheadService — whose
+// (signatures, LRU, byte cap, rebinding), and PlanAheadService — whose
 // plans must be bit-identical to inline serial planning at any lookahead,
 // cache on/off, serde on/off, and whose cache hits must skip partition and
 // schedule work entirely.
@@ -238,36 +238,24 @@ std::vector<data::Sample> MakeBatch(std::vector<std::pair<int32_t, int32_t>> len
 TEST(PlanCacheTest, SignatureIgnoresSampleOrderAndIds) {
   const auto a = MakeBatch({{100, 20}, {50, 10}, {100, 20}}, 0);
   const auto b = MakeBatch({{50, 10}, {100, 20}, {100, 20}}, 1000);
-  const auto sig_a = service::PlanCache::Signature(a, false, 1, 42);
-  const auto sig_b = service::PlanCache::Signature(b, false, 1, 42);
+  const auto sig_a = service::PlanCache::Signature(a, false, 42);
+  const auto sig_b = service::PlanCache::Signature(b, false, 42);
   EXPECT_EQ(sig_a, sig_b);
-  // Different lengths, config hash, fold, or quantization all split the key.
+  // Different lengths, config hash, or fold all split the key.
   EXPECT_NE(sig_a, service::PlanCache::Signature(
-                       MakeBatch({{100, 20}, {50, 10}, {100, 21}}, 0), false, 1, 42));
-  EXPECT_NE(sig_a.hash, service::PlanCache::Signature(a, false, 1, 43).hash);
-  EXPECT_NE(sig_a.hash, service::PlanCache::Signature(a, true, 1, 42).hash);
-  EXPECT_NE(sig_a.hash, service::PlanCache::Signature(a, false, 16, 42).hash);
+                       MakeBatch({{100, 20}, {50, 10}, {100, 21}}, 0), false, 42));
+  EXPECT_NE(sig_a.hash, service::PlanCache::Signature(a, false, 43).hash);
+  EXPECT_NE(sig_a.hash, service::PlanCache::Signature(a, true, 42).hash);
 }
 
 TEST(PlanCacheTest, FoldedSignatureMatchesDecoderOnlyCanonicalization) {
   // For GPT, (90, 10) and (100, 0) are the same planned sample.
   const auto a = MakeBatch({{90, 10}}, 0);
   const auto b = MakeBatch({{100, 0}}, 50);
-  EXPECT_EQ(service::PlanCache::Signature(a, true, 1, 7),
-            service::PlanCache::Signature(b, true, 1, 7));
-  EXPECT_NE(service::PlanCache::Signature(a, false, 1, 7),
-            service::PlanCache::Signature(b, false, 1, 7));
-}
-
-TEST(PlanCacheTest, QuantizationCollapsesNearbyLengths) {
-  const auto a = MakeBatch({{97, 13}, {250, 60}}, 0);
-  const auto b = MakeBatch({{128, 16}, {230, 52}}, 10);  // same multiples of 32/64
-  EXPECT_EQ(service::PlanCache::Signature(a, false, 32, 1).key,
-            service::PlanCache::Signature(b, false, 32, 1).key);
-  EXPECT_EQ(service::PlanCache::Quantize(97, 32), 128);
-  EXPECT_EQ(service::PlanCache::Quantize(128, 32), 128);
-  EXPECT_EQ(service::PlanCache::Quantize(0, 32), 0);  // absent decoder side
-  EXPECT_EQ(service::PlanCache::Quantize(5, 1), 5);
+  EXPECT_EQ(service::PlanCache::Signature(a, true, 7),
+            service::PlanCache::Signature(b, true, 7));
+  EXPECT_NE(service::PlanCache::Signature(a, false, 7),
+            service::PlanCache::Signature(b, false, 7));
 }
 
 runtime::IterationPlan TinyFeasiblePlan(const std::vector<data::Sample>& mb) {
@@ -285,18 +273,18 @@ TEST(PlanCacheTest, LruEvictionAtCapacity) {
   const auto b0 = MakeBatch({{10, 0}}, 0);
   const auto b1 = MakeBatch({{20, 0}}, 0);
   const auto b2 = MakeBatch({{30, 0}}, 0);
-  const auto s0 = service::PlanCache::Signature(b0, true, 1, 1);
-  const auto s1 = service::PlanCache::Signature(b1, true, 1, 1);
-  const auto s2 = service::PlanCache::Signature(b2, true, 1, 1);
+  const auto s0 = service::PlanCache::Signature(b0, true, 1);
+  const auto s1 = service::PlanCache::Signature(b1, true, 1);
+  const auto s2 = service::PlanCache::Signature(b2, true, 1);
   cache.Insert(s0, TinyFeasiblePlan(b0));
   cache.Insert(s1, TinyFeasiblePlan(b1));
   // Touch s0 so s1 is least recently used, then insert s2.
-  EXPECT_TRUE(cache.Lookup(s0, b0, true, 1).has_value());
+  EXPECT_TRUE(cache.Lookup(s0, b0, true).has_value());
   cache.Insert(s2, TinyFeasiblePlan(b2));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Lookup(s0, b0, true, 1).has_value());
-  EXPECT_TRUE(cache.Lookup(s2, b2, true, 1).has_value());
-  EXPECT_FALSE(cache.Lookup(s1, b1, true, 1).has_value());
+  EXPECT_TRUE(cache.Lookup(s0, b0, true).has_value());
+  EXPECT_TRUE(cache.Lookup(s2, b2, true).has_value());
+  EXPECT_FALSE(cache.Lookup(s1, b1, true).has_value());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.insertions, 3);
   EXPECT_EQ(stats.evictions, 1);
@@ -307,17 +295,52 @@ TEST(PlanCacheTest, LruEvictionAtCapacity) {
 TEST(PlanCacheTest, InfeasiblePlansAreNotCached) {
   service::PlanCache cache;
   const auto b = MakeBatch({{10, 0}}, 0);
-  const auto sig = service::PlanCache::Signature(b, true, 1, 1);
+  const auto sig = service::PlanCache::Signature(b, true, 1);
   cache.Insert(sig, runtime::IterationPlan{});  // infeasible default
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(sig, b, true, 1).has_value());
+  EXPECT_FALSE(cache.Lookup(sig, b, true).has_value());
+}
+
+std::vector<data::Sample> LengthRun(int n, int32_t input, int32_t target) {
+  return MakeBatch(std::vector<std::pair<int32_t, int32_t>>(
+                       static_cast<size_t>(n), {input, target}),
+                   0);
+}
+
+TEST(PlanCacheBytesTest, ByteCapEvictsButKeepsMostRecent) {
+  service::PlanCacheOptions opts;
+  opts.capacity = 100;
+  opts.max_bytes = 1;  // every entry exceeds it
+  service::PlanCache cache(opts);
+  for (int i = 0; i < 4; ++i) {
+    const auto batch = LengthRun(8, 100 + i, 10);
+    cache.Insert(service::PlanCache::Signature(batch, false, 0),
+                 TinyFeasiblePlan(batch));
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_GT(cache.stats().evictions, 0);
+  EXPECT_GT(cache.bytes(), 0u);
+  // The survivor is the most recent signature.
+  const auto last = LengthRun(8, 103, 10);
+  EXPECT_TRUE(cache.Lookup(service::PlanCache::Signature(last, false, 0), last, false)
+                  .has_value());
+}
+
+TEST(PlanCacheBytesTest, EstimateTracksInsertAndEvict) {
+  service::PlanCache cache(service::PlanCacheOptions{});
+  const auto batch = LengthRun(16, 200, 20);
+  const runtime::IterationPlan plan = TinyFeasiblePlan(batch);
+  const size_t estimate = service::PlanCache::EstimatePlanBytes(plan);
+  EXPECT_GT(estimate, sizeof(runtime::IterationPlan));
+  cache.Insert(service::PlanCache::Signature(batch, false, 0), plan);
+  EXPECT_GE(cache.bytes(), estimate);
 }
 
 TEST(PlanCacheTest, RebindSwapsSamplesByLength) {
   const auto original = MakeBatch({{100, 0}, {100, 0}, {40, 0}}, 0);
   const auto replay = MakeBatch({{40, 0}, {100, 0}, {100, 0}}, 500);
   runtime::IterationPlan rebound = service::PlanCache::Rebind(
-      TinyFeasiblePlan(original), replay, true, 1);
+      TinyFeasiblePlan(original), replay, true);
   int64_t seen = 0;
   for (const auto& s : rebound.replicas[0].micro_batches[0].samples) {
     EXPECT_GE(s.id, 500u);  // every slot now holds a replay sample
@@ -421,17 +444,24 @@ class PlanAheadServiceTest : public ::testing::Test {
       const auto& pb = b.plans[i];
       EXPECT_EQ(pa.recompute, pb.recompute);
       EXPECT_EQ(pa.predicted_iteration_ms, pb.predicted_iteration_ms);
+      EXPECT_EQ(pa.padding.real_input_tokens, pb.padding.real_input_tokens);
+      EXPECT_EQ(pa.padding.padded_input_tokens, pb.padding.padded_input_tokens);
+      EXPECT_EQ(pa.padding.real_target_tokens, pb.padding.real_target_tokens);
+      EXPECT_EQ(pa.padding.padded_target_tokens, pb.padding.padded_target_tokens);
       ASSERT_EQ(pa.replicas.size(), pb.replicas.size());
       for (size_t d = 0; d < pa.replicas.size(); ++d) {
         ASSERT_EQ(pa.replicas[d].micro_batches.size(),
                   pb.replicas[d].micro_batches.size());
         for (size_t k = 0; k < pa.replicas[d].micro_batches.size(); ++k) {
-          EXPECT_EQ(pa.replicas[d].micro_batches[k].samples.size(),
-                    pb.replicas[d].micro_batches[k].samples.size());
-          EXPECT_EQ(pa.replicas[d].micro_batches[k].shape,
-                    pb.replicas[d].micro_batches[k].shape);
-          EXPECT_EQ(pa.replicas[d].micro_batches[k].predicted_time_ms,
-                    pb.replicas[d].micro_batches[k].predicted_time_ms);
+          const mb::MicroBatch& lhs = pa.replicas[d].micro_batches[k];
+          const mb::MicroBatch& rhs = pb.replicas[d].micro_batches[k];
+          ASSERT_EQ(lhs.samples.size(), rhs.samples.size());
+          for (size_t j = 0; j < lhs.samples.size(); ++j) {
+            EXPECT_EQ(lhs.samples[j].input_len, rhs.samples[j].input_len);
+            EXPECT_EQ(lhs.samples[j].target_len, rhs.samples[j].target_len);
+          }
+          EXPECT_EQ(lhs.shape, rhs.shape);
+          EXPECT_EQ(lhs.predicted_time_ms, rhs.predicted_time_ms);
         }
         // The serialized instruction stream is shape-only, so it must be
         // byte-for-byte identical across lookahead/cache/serde modes.
@@ -636,13 +666,13 @@ TEST_F(PlanAheadServiceTest, CacheHitSkipsPartitionAndScheduleWork) {
   EXPECT_EQ(stats.plans_delivered, 2);
 }
 
-TEST_F(PlanAheadServiceTest, QuantizedPlanningHitsAcrossNearbyBatches) {
-  // Lengths differ between the two batches but round up to the same multiples
-  // of 64, so with quantization the second batch is a plan-cache hit and both
-  // plans use the rounded shapes.
+TEST_F(PlanAheadServiceTest, DecoderOnlyCacheHitEqualsFreshPlan) {
+  // GPT samples with response tokens, replayed under fresh ids: the hit must
+  // carry the folded samples and padding stats a fresh plan of the replayed
+  // batch has, not the raw (input, target) pairs.
   std::vector<std::vector<data::Sample>> batches = {
-      MakeBatch({{190, 0}, {150, 0}, {60, 0}, {60, 0}}, 0),
-      MakeBatch({{180, 0}, {130, 0}, {64, 0}, {33, 0}}, 100),
+      MakeBatch({{180, 20}, {120, 30}, {60, 4}, {50, 14}, {40, 0}}, 0),
+      MakeBatch({{50, 14}, {40, 0}, {180, 20}, {60, 4}, {120, 30}}, 100),
   };
   size_t next = 0;
   auto source = [&]() -> std::vector<data::Sample> {
@@ -652,33 +682,30 @@ TEST_F(PlanAheadServiceTest, QuantizedPlanningHitsAcrossNearbyBatches) {
   service::PlanAheadOptions sopts;
   sopts.plan_cache = std::make_shared<service::PlanCache>();
   sopts.fold_target_lengths = true;
-  sopts.quantization = 64;
   service::PlanAheadService svc(
       [&](const std::vector<data::Sample>& mb) {
         return planner.PlanIteration(mb);
       },
       source, sopts);
 
-  std::optional<service::ServicedPlan> first = svc.NextPlan();
-  std::optional<service::ServicedPlan> second = svc.NextPlan();
-  ASSERT_TRUE(first.has_value() && second.has_value());
-  EXPECT_FALSE(first->plan_cache_hit);
-  EXPECT_TRUE(second->plan_cache_hit);
-  int64_t tokens = 0;
-  for (const auto* sp : {&*first, &*second}) {
-    ASSERT_TRUE(sp->plan.feasible);
-    for (const auto& m : sp->plan.replicas[0].micro_batches) {
-      // Planned shapes are quantized; the samples inside are the raw ones.
-      EXPECT_EQ(m.shape.input_len % 64, 0);
-      for (const auto& s : m.samples) {
-        EXPECT_LE(s.input_len, m.shape.input_len);
-        tokens += s.total_tokens();
-      }
+  EpochPlans served;
+  EpochPlans fresh;
+  while (std::optional<service::ServicedPlan> sp = svc.NextPlan()) {
+    for (size_t d = 0; d < sp->plan.replicas.size(); ++d) {
+      sp->plan.replicas[d].exec_plan =
+          svc.FetchExecPlan(sp->iteration, static_cast<int32_t>(d));
     }
+    served.cache_hits.push_back(sp->plan_cache_hit);
+    served.plans.push_back(std::move(sp->plan));
   }
-  EXPECT_EQ(tokens, 460 + 407);
-  EXPECT_EQ(first->plan.predicted_iteration_ms,
-            second->plan.predicted_iteration_ms);
+  for (const auto& batch : batches) {
+    fresh.plans.push_back(planner.PlanIteration(batch));
+  }
+  ASSERT_EQ(served.cache_hits, (std::vector<bool>{false, true}));
+  ExpectPlansBitIdentical(fresh, served);
+  const mb::PaddingStats& hit = served.plans[1].padding;
+  EXPECT_EQ(hit.real_target_tokens, 0);
+  EXPECT_EQ(hit.real_input_tokens, 518);
 }
 
 TEST_F(PlanAheadServiceTest, TeardownWithUnfetchedPlansDoesNotHang) {
