@@ -7,13 +7,11 @@
 //
 //   in-process         move the plan object (no encode)
 //   in-process serde   encode on Push, decode on Fetch (plan_serde)
-//   loopback wire      full frame protocol over in-memory streams
-//   unix socket wire   full frame protocol over AF_UNIX, one connection per
-//                      request (connect cost included — that is the wire
-//                      path's real per-request price)
-//   unix socket mux    same AF_UNIX server through ONE persistent
-//                      multiplexed connection (request-id frames, deferred
-//                      kPush replies) — no connect per request
+//   loopback mux       full frame protocol over in-memory streams, through
+//                      one multiplexed connection (request-id frames,
+//                      deferred kPush replies)
+//   unix socket mux    same client and server over AF_UNIX — the wire path
+//                      a separate executor process pays
 //   shm store          shared-memory segment: encode-into-arena on Push,
 //                      zero-copy view + decode-in-place on Fetch
 //   shm view           same segment, but the fetch column is the raw
@@ -53,7 +51,6 @@
 #include "src/service/plan_serde.h"
 #include "src/service/recovery.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -162,8 +159,8 @@ Row MeasureShmView(transport::ShmInstructionStore& store,
 
 // Heartbeat overhead: what an executor pays per iteration to report
 // completion back to the trainer (bench/README.md "Executor deployment").
-// Only the wire backends have the channel; the row measures the full
-// request/reply exchange landing in a real HeartbeatMonitor.
+// The row measures the full request/reply exchange over the socket mux,
+// landing in a real HeartbeatMonitor.
 struct HeartbeatRow {
   const char* name;
   double heartbeat_ms = 0.0;
@@ -380,18 +377,10 @@ int main(int argc, char** argv) {
         runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
     transport::LoopbackTransport transport;
     transport::InstructionStoreServer server(&transport, &store);
-    auto client = transport::RemoteInstructionStore::OverTransport(&transport);
-    rows.push_back(Measure("loopback wire", *client, exec, rounds));
-    server.Stop();
-  }
-  {
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    transport::UnixSocketTransport transport(
-        "/tmp/dynapipe-bench-" + std::to_string(::getpid()) + ".sock");
-    transport::InstructionStoreServer server(&transport, &store);
-    auto client = transport::RemoteInstructionStore::OverTransport(&transport);
-    rows.push_back(Measure("unix socket wire", *client, exec, rounds));
+    {
+      auto client = transport::MuxInstructionStore::OverTransport(&transport);
+      rows.push_back(Measure("loopback mux", *client, exec, rounds));
+    }
     server.Stop();
   }
   {
@@ -429,26 +418,14 @@ int main(int argc, char** argv) {
                 row.push_allocs, row.fetch_allocs);
   }
   std::printf(
-      "\n(%d rounds per backend; socket wire includes one connect per "
-      "request, mux reuses one connection, shm rows never touch a wire; "
+      "\n(%d rounds per backend; mux rows reuse one connection, shm rows "
+      "never touch a wire; "
       "alloc columns are heap allocations per operation in this process)\n",
       rounds);
 
-  // Heartbeat overhead per iteration (wire backends only — shm has no
-  // channel; the conformance suite pins that as a clean capability flag).
+  // Heartbeat overhead per iteration over the socket. (Shm heartbeats are
+  // slot stamps replayed by a poller — no request/reply to time here.)
   std::vector<HeartbeatRow> hb_rows;
-  {
-    service::HeartbeatMonitor monitor;
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    store.set_heartbeat_sink(&monitor);
-    transport::UnixSocketTransport transport(
-        "/tmp/dynapipe-bench-hb-" + std::to_string(::getpid()) + ".sock");
-    transport::InstructionStoreServer server(&transport, &store);
-    auto client = transport::RemoteInstructionStore::OverTransport(&transport);
-    hb_rows.push_back(MeasureHeartbeat("unix socket wire", *client, rounds));
-    server.Stop();
-  }
   {
     service::HeartbeatMonitor monitor;
     runtime::InstructionStore store(

@@ -3,7 +3,8 @@
 // instruction streams — twice, over the two distribution paths:
 //
 //   1. the wire: InstructionStoreServer over a Unix domain socket, fetched
-//      with RemoteInstructionStore (serialized plan bytes cross the socket);
+//      with MuxInstructionStore (serialized plan bytes cross one persistent
+//      connection);
 //   2. shared memory: the planner creates a named ShmInstructionStore
 //      segment, the executor *attaches by name* (shm_open + mmap) and pulls
 //      zero-copy views of the very bytes the planner wrote — no wire, no
@@ -46,7 +47,7 @@
 #include "src/runtime/planner.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
-#include "src/transport/remote_store.h"
+#include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -233,10 +234,10 @@ int main() {
       "unix socket", plans,
       /*fetch=*/
       [&socket_path,
-       client = std::shared_ptr<transport::RemoteInstructionStore>()](
+       client = std::shared_ptr<transport::MuxInstructionStore>()](
           int64_t iteration) mutable {
         if (client == nullptr) {
-          client = transport::RemoteInstructionStore::OverUnixSocket(
+          client = transport::MuxInstructionStore::OverUnixSocket(
               socket_path, /*connect_timeout_ms=*/10'000);
         }
         return client->Fetch(iteration, /*replica=*/0);

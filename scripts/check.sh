@@ -35,25 +35,25 @@ fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Smoke the plan-distribution bench end to end (3 rounds): it drives every
-# store backend — in-process, serde, loopback/socket wire, mux, shm — through
+# store backend — in-process, serde, mux over loopback and socket, shm — through
 # real pushes and fetches, so a backend that builds but cannot move a plan
 # fails CI here rather than in a user's hands.
 "$BUILD_DIR"/bench_plan_distribution 3
 
-# Smoke the standalone executor daemon against both attachment families:
-# each --demo plans a tiny epoch, forks three real executor processes (one
-# deliberately slowed), and exits nonzero on any byte mismatch, undrained
-# plan, or — on the wire — missed straggler attribution / heartbeat count.
-"$BUILD_DIR"/dynapipe_executor --demo socket
+# Smoke the standalone executor daemon against shm attachment: the --demo
+# plans a tiny epoch, forks three real executor processes (one deliberately
+# slowed), and exits nonzero on any byte mismatch, undrained plan, or missed
+# straggler attribution / heartbeat count. The socket attachment gets the
+# same smoke from the traced --demo mux run at the end.
 "$BUILD_DIR"/dynapipe_executor --demo shm
 
 # Smoke the failure control loop end to end: --fault arms a one-shot fault in
 # one forked executor, and the demo exits nonzero unless the death is
 # declared, the victim's backlog is re-published, and survivors drain every
-# plan byte-identically. crash = SIGKILL mid-epoch (connection-drop path);
-# stall = wedged past the heartbeat deadline (liveness-deadline + eviction
-# fencing path, over the mux transport).
-"$BUILD_DIR"/dynapipe_executor --demo socket --fault crash@1
+# plan byte-identically. Both run over the mux transport. crash = SIGKILL
+# mid-epoch (connection-drop path); stall = wedged past the heartbeat
+# deadline (liveness-deadline + eviction fencing path).
+"$BUILD_DIR"/dynapipe_executor --demo mux --fault crash@1
 "$BUILD_DIR"/dynapipe_executor --demo mux --fault stall:1200@1
 
 # Smoke the shm-native straggler reaction: a stall over the shared-memory
@@ -72,9 +72,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # exactly-once execution.
 "$BUILD_DIR"/dynapipe_executor --demo shm --churn
 
-# Smoke the observability stack end to end: the traced mux demo must write
-# one merged Chrome-trace JSON covering the parent (planner/publisher) and
-# all three forked executors. python3 -m json.tool is the structural check;
+# Smoke the socket attachment and the observability stack end to end: the
+# traced mux demo exits nonzero on the same checks as the shm demo above, or
+# when no executor answers the mid-epoch stats pull, and must write one
+# merged Chrome-trace JSON covering the parent (planner/publisher) and all
+# three forked executors. python3 -m json.tool is the structural check;
 # the pid count proves cross-process merge actually happened (parent + at
 # least one part file — the full 4 is asserted by observability_test).
 TRACE_OUT="$(mktemp -t dynapipe-trace-XXXXXX.json)"

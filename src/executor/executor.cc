@@ -18,10 +18,7 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/runtime/instruction_store.h"
-#include "src/service/plan_serde.h"
-#include "src/transport/frame.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/transport.h"
 
@@ -102,19 +99,6 @@ class Backoff {
   std::minstd_rand rng_;
 };
 
-// Waits for the endpoint to exist so the store clients' fatal
-// connect/attach contracts never fire on a merely slow trainer: a missing
-// endpoint after the timeout is a clean error report, not an abort.
-bool WaitForSocket(const std::string& path, int timeout_ms) {
-  std::unique_ptr<transport::Stream> probe =
-      transport::ConnectUnixSocket(path, timeout_ms);
-  if (probe == nullptr) {
-    return false;
-  }
-  probe->Close();
-  return true;
-}
-
 bool WaitForShmSegment(const std::string& name, int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
@@ -131,82 +115,10 @@ bool WaitForShmSegment(const std::string& name, int timeout_ms) {
   }
 }
 
-// Non-fatal publish-poll probe for the one-shot socket endpoint, speaking
-// the frame protocol directly over its own throwaway connection: the store
-// client's Contains treats a dead publisher as a fatal contract violation
-// (correct for a mid-epoch fetch, wrong for a daemon waiting on the *next*
-// plan), so the poll loop uses this instead. nullopt = the publisher is
-// gone — an open-ended run reads that as end-of-epoch. A single failure is
-// NOT gone: one connect can bounce off a momentarily full listen backlog
-// (EAGAIN under many polling executors) or a teardown race, so the verdict
-// takes `attempts` consecutive failures with jittered backoff between. The
-// per-connect timeout derives from attach_timeout_ms at the caller.
-std::optional<bool> ProbeContainsOverSocket(const std::string& path,
-                                            int64_t iteration,
-                                            int32_t replica,
-                                            int connect_timeout_ms,
-                                            int attempts, int backoff_ms) {
-  Backoff backoff(backoff_ms, /*cap_ms=*/500);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      backoff.Sleep();
-    }
-    std::unique_ptr<transport::Stream> conn =
-        transport::ConnectUnixSocket(path, connect_timeout_ms);
-    if (conn == nullptr) {
-      continue;
-    }
-    transport::Frame request;
-    request.type = transport::FrameType::kContains;
-    request.iteration = iteration;
-    request.replica = replica;
-    if (!WriteFrame(*conn, request)) {
-      continue;
-    }
-    std::optional<transport::Frame> reply = ReadFrame(*conn);
-    if (!reply.has_value() || reply->type != transport::FrameType::kBool ||
-        reply->payload.size() != 1) {
-      continue;
-    }
-    return reply->payload[0] != '\0';
-  }
-  return std::nullopt;
-}
-
-// One strict request/response exchange on a dedicated stream (the one-shot
-// endpoint's persistent liveness connection). nullopt on any failure.
-std::optional<transport::Frame> ExchangeOnStream(transport::Stream& stream,
-                                                 const transport::Frame& req) {
-  if (!WriteFrame(stream, req)) {
-    return std::nullopt;
-  }
-  return ReadFrame(stream);
-}
-
 common::Counter& ReconnectCounter() {
   static common::Counter& c = common::MetricsRegistry::Instance().GetCounter(
       "executor_reconnects_total");
   return c;
-}
-
-// One kStatsRequest round trip on a dedicated stream, folded into the
-// tracer's clock offset — the one-shot endpoint's version of
-// MuxInstructionStore::TrySyncClock. Best effort: alignment failure just
-// leaves the wall-clock anchor in place.
-void SyncClockOnStream(transport::Stream& stream) {
-  transport::Frame request;
-  request.type = transport::FrameType::kStatsRequest;
-  common::Tracer& tracer = common::Tracer::Instance();
-  const int64_t send_us = tracer.NowUs();
-  std::optional<transport::Frame> reply = ExchangeOnStream(stream, request);
-  const int64_t recv_us = tracer.NowUs();
-  int64_t server_now_us = 0;
-  common::MetricsSnapshot snapshot;
-  if (reply.has_value() && reply->type == transport::FrameType::kStatsReply &&
-      transport::TryParseStatsPayload(reply->payload, &server_now_us,
-                                      &snapshot)) {
-    tracer.AlignToPeer(server_now_us, send_us, recv_us);
-  }
 }
 
 }  // namespace
@@ -218,13 +130,12 @@ AttachEndpoint DetectEndpoint(const std::string& attach) {
       attach.find('/', 1) == std::string::npos) {
     return AttachEndpoint::kSharedMemory;
   }
-  return AttachEndpoint::kUnixSocket;
+  return AttachEndpoint::kUnixSocketMux;
 }
 
 const char* EndpointName(AttachEndpoint endpoint) {
   switch (endpoint) {
     case AttachEndpoint::kAuto: return "auto";
-    case AttachEndpoint::kUnixSocket: return "unix-socket";
     case AttachEndpoint::kUnixSocketMux: return "unix-socket-mux";
     case AttachEndpoint::kSharedMemory: return "shared-memory";
   }
@@ -247,10 +158,9 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
     endpoint = DetectEndpoint(options.attach);
   }
 
-  // Every mid-run connect (poll probes, one-shot requests, reconnects)
-  // derives its patience from the attach budget: 1% of it with a 10 ms
-  // floor, so one knob scales the executor's whole tolerance for a slow
-  // publisher.
+  // Every mid-run reconnect derives its patience from the attach budget: 1%
+  // of it with a 10 ms floor, so one knob scales the executor's whole
+  // tolerance for a slow publisher.
   const int connect_timeout_ms = std::max(10, options.attach_timeout_ms / 100);
   const int reconnect_attempts = std::max(1, options.reconnect_attempts);
 
@@ -259,52 +169,12 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   // interface does not carry (announce / touch / detach).
   std::shared_ptr<transport::ShmInstructionStore> shm_store;
   std::shared_ptr<transport::MuxInstructionStore> mux_client;
-  std::shared_ptr<transport::RemoteInstructionStore> remote_client;
-  std::unique_ptr<transport::Stream> liveness;  // one-shot endpoint only
   // Sticky once the server answers kEvicted anywhere: this replica was
   // declared dead and its plans re-published — the only correct move is to
   // stop, and for an open-ended run that is a *clean* stop.
   bool evicted = false;
 
   switch (endpoint) {
-    case AttachEndpoint::kUnixSocket: {
-      if (!WaitForSocket(options.attach, options.attach_timeout_ms)) {
-        return fail("no server listening on socket " + options.attach);
-      }
-      remote_client = transport::RemoteInstructionStore::OverUnixSocket(
-          options.attach, connect_timeout_ms);
-      store = remote_client;
-      if (options.announce_liveness) {
-        // A dedicated idle connection announcing this replica: its only job
-        // is to die with the process, turning a SIGKILL into an immediate
-        // unclean-disconnect event on the server instead of a heartbeat
-        // deadline later. Failure to establish it degrades (no
-        // announcement), never aborts.
-        liveness = transport::ConnectUnixSocket(options.attach,
-                                                options.attach_timeout_ms);
-        if (liveness != nullptr) {
-          transport::Frame attach_req;
-          attach_req.type = transport::FrameType::kAttach;
-          attach_req.replica = options.replica;
-          if (options.join) {
-            // Declarative join intent (frame v4); admission itself rides the
-            // liveness event this attach fires on the publisher.
-            attach_req.payload.push_back(
-                static_cast<char>(transport::kAttachCapJoin));
-          }
-          std::optional<transport::Frame> reply =
-              ExchangeOnStream(*liveness, attach_req);
-          if (reply.has_value() &&
-              reply->type == transport::FrameType::kEvicted) {
-            evicted = true;
-          }
-          if (!evicted) {
-            SyncClockOnStream(*liveness);
-          }
-        }
-      }
-      break;
-    }
     case AttachEndpoint::kUnixSocketMux: {
       std::unique_ptr<transport::Stream> stream =
           transport::ConnectUnixSocket(options.attach,
@@ -405,103 +275,10 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   std::function<bool()> request_drain;
 
   switch (endpoint) {
-    case AttachEndpoint::kUnixSocket: {
-      probe = [&](int64_t iteration) {
-        return ProbeContainsOverSocket(options.attach, iteration,
-                                       options.replica, connect_timeout_ms,
-                                       std::max(3, reconnect_attempts),
-                                       /*backoff_ms=*/20);
-      };
-      fetch = [&](int64_t iteration,
-                  bool* gone) -> std::optional<sim::ExecutionPlan> {
-        *gone = false;
-        Backoff backoff(options.reconnect_backoff_ms, /*cap_ms=*/500);
-        for (int attempt = 0; attempt < reconnect_attempts; ++attempt) {
-          if (attempt > 0) {
-            backoff.Sleep();
-          }
-          bool lost = false;
-          std::optional<sim::ExecutionPlan> plan =
-              remote_client->TryFetch(iteration, options.replica, &lost);
-          if (plan.has_value()) {
-            if (attempt > 0) {
-              ++report.reconnects;
-              ReconnectCounter().Add();
-            }
-            return plan;
-          }
-          if (!lost) {
-            return std::nullopt;  // kMissing: reclaimed, not a wire problem
-          }
-        }
-        *gone = true;
-        return std::nullopt;
-      };
-      send_heartbeat = [&](int64_t iteration, double wall_ms) {
-        Backoff backoff(options.reconnect_backoff_ms, /*cap_ms=*/500);
-        for (int attempt = 0; attempt < reconnect_attempts; ++attempt) {
-          if (attempt > 0) {
-            backoff.Sleep();
-          }
-          bool hb_evicted = false;
-          if (remote_client->TryHeartbeat(options.replica, iteration, wall_ms,
-                                          &hb_evicted)) {
-            if (attempt > 0) {
-              ++report.reconnects;
-              ReconnectCounter().Add();
-            }
-            if (hb_evicted) {
-              evicted = true;
-            }
-            return true;
-          }
-        }
-        return false;
-      };
-      goodbye = [&] {
-        if (liveness != nullptr && !evicted) {
-          transport::Frame detach_req;
-          detach_req.type = transport::FrameType::kDetach;
-          detach_req.replica = options.replica;
-          ExchangeOnStream(*liveness, detach_req);  // best effort
-        }
-        if (liveness != nullptr) {
-          liveness->Close();
-        }
-      };
-      request_drain = [&]() -> bool {
-        transport::Frame drain_req;
-        drain_req.type = transport::FrameType::kDrainRequest;
-        drain_req.replica = options.replica;
-        // Prefer the persistent liveness stream (the server already tracks
-        // this replica on it); fall back to a throwaway connection when
-        // liveness announcement was disabled or failed.
-        std::optional<transport::Frame> reply;
-        if (liveness != nullptr) {
-          reply = ExchangeOnStream(*liveness, drain_req);
-        } else {
-          std::unique_ptr<transport::Stream> conn =
-              transport::ConnectUnixSocket(options.attach, connect_timeout_ms);
-          if (conn != nullptr) {
-            reply = ExchangeOnStream(*conn, drain_req);
-          }
-        }
-        if (!reply.has_value()) {
-          return false;
-        }
-        if (reply->type == transport::FrameType::kEvicted) {
-          evicted = true;
-          return false;
-        }
-        return reply->type == transport::FrameType::kDrainAck;
-      };
-      break;
-    }
     case AttachEndpoint::kUnixSocketMux: {
-      // The satellite fix this PR ships: polls ride the persistent mux
-      // stream (TryContains) instead of opening a throwaway probe
-      // connection per poll. The reply timeout doubles as the wedged-server
-      // detector; a lost stream goes through the bounded reconnect.
+      // Polls ride the persistent mux stream (TryContains). The reply
+      // timeout doubles as the wedged-server detector; a lost stream goes
+      // through the bounded reconnect.
       probe = [&](int64_t iteration) -> std::optional<bool> {
         for (;;) {
           bool present = false;
@@ -634,12 +411,9 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       break;
     }
     // Publish-before-fetch: poll until the publisher's push lands. Fetching
-    // early would trip the store's intentional fatal contract (one-shot
-    // path) or burn kMissing round trips (liveness-aware paths). Backoff is
-    // exponential with a cap and jitter: over the one-shot socket every
-    // probe is a fresh connection plus a server handler thread, so an
-    // executor parked behind a slow planner must not hammer the publisher —
-    // and a fleet of them must not do so in phase.
+    // early would burn kMissing round trips. Backoff is exponential with a
+    // cap and jitter: an executor parked behind a slow planner must not
+    // hammer the publisher — and a fleet of them must not do so in phase.
     const auto poll_deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(options.idle_timeout_ms);

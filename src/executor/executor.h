@@ -5,8 +5,8 @@
 // below the trainer already speaks that shape — serialized plans, store
 // backends, a wire protocol — but until now the trainer hosted both ends in
 // one process. RunExecutor is the other end for real: it attaches to a
-// publisher's store by Unix-socket path (one-shot or multiplexed connection)
-// or shared-memory segment name, fetches the plans published for its replica
+// publisher's store by Unix-socket path (one persistent multiplexed
+// connection) or shared-memory segment name, fetches the plans published for its replica
 // (fetch consumes — the publisher side of a multi-process run does not
 // execute in-process), executes each on its own ClusterSim, and heartbeats
 // iteration completion (replica / iteration / wall-ms) back over the
@@ -32,11 +32,11 @@
 namespace dynapipe::executor {
 
 // How to reach the trainer's store. kAuto infers from the attach string: a
-// POSIX shm name is "/name" with no further slash, anything else is a socket
-// path (which, being a filesystem path, virtually always has one).
+// POSIX shm name is "/name" with no further slash (kSharedMemory), anything
+// else is a socket path (kUnixSocketMux; being a filesystem path, it virtually
+// always has one).
 enum class AttachEndpoint {
   kAuto,
-  kUnixSocket,     // RemoteInstructionStore, one connection per request
   kUnixSocketMux,  // MuxInstructionStore, one persistent connection
   kSharedMemory,   // ShmInstructionStore::Attach, no wire at all
 };
@@ -73,8 +73,7 @@ struct ExecutorOptions {
   // Publish-before-fetch is the store contract, so the executor polls for
   // its plan rather than risking the fatal fetch-before-publish abort. This
   // is the initial poll interval; waits back off exponentially to a capped,
-  // jittered sleep (the one-shot socket pays a connection + a server thread
-  // per probe, so a daemon parked behind a slow planner must not hammer the
+  // jittered sleep (a daemon parked behind a slow planner must not hammer the
   // publisher — and a fleet of daemons must not hammer it in lockstep).
   // The poll probe is non-fatal: a vanished publisher reads as end-of-epoch
   // (open-ended runs) or an error report (counted runs), never an abort.
@@ -84,23 +83,23 @@ struct ExecutorOptions {
   // running open-ended).
   int idle_timeout_ms = 10'000;
   // Connect/attach retry budget while the trainer process is still starting.
-  // The poll probes' per-connect timeout derives from this (1% with a 10 ms
-  // floor), so one knob scales the whole attach/poll patience.
+  // Mid-run reconnects' per-connect timeout derives from this (1% with a
+  // 10 ms floor), so one knob scales the whole attach/reconnect patience.
   int attach_timeout_ms = 10'000;
-  // Announce this replica's presence with kAttach/kDetach on the wire
-  // endpoints, so the publisher's liveness machinery can tell a vanished
+  // Announce this replica's presence with kAttach/kDetach on the socket
+  // endpoint, so the publisher's liveness machinery can tell a vanished
   // executor (unclean connection drop -> kDead) from a finished one (clean
-  // detach). On by default; no-op for the shm endpoint (no server).
+  // detach). On the shm endpoint the announcement claims the replica's
+  // heartbeat slot instead (no server). On by default.
   bool announce_liveness = true;
-  // Transport errors mid-run (a dropped mux stream, a failed one-shot
-  // exchange) are retried with capped, jittered exponential backoff for this
-  // many attempts before the publisher is declared gone. This is what makes
-  // an injected connection drop or frame corruption a hiccup instead of an
-  // end-of-epoch.
+  // Transport errors mid-run (a dropped or corrupted mux stream) are retried
+  // with capped, jittered exponential backoff for this many attempts before
+  // the publisher is declared gone. This is what makes an injected
+  // connection drop or frame corruption a hiccup instead of an end-of-epoch.
   int reconnect_attempts = 3;
   int reconnect_backoff_ms = 10;  // initial; doubles, capped at 500 ms
   // --- Elastic membership ---
-  // Declare join intent on attach (kAttachCapJoin on the wire endpoints; a
+  // Declare join intent on attach (kAttachCapJoin on the socket endpoint; a
   // plain announce on shm, where joining is intrinsic). The publisher's
   // MembershipCoordinator admits the replica and seeds it with stolen
   // backlog at spare iteration keys — a joiner therefore normally runs with

@@ -6,16 +6,19 @@
 // future iterations overlaps GPU execution (§3). InstructionStoreInterface is
 // that contract as an abstract API — fetching a missing plan is a fatal
 // error, as is double-publishing, and capacity backpressure surfaces as a
-// blocking Push — with two implementations today:
+// blocking Push — with three implementations today:
 //   - InstructionStore (below): the in-process store, optionally holding
 //     plans in the compact plan_serde byte format (serialized mode) and
 //     optionally capacity-bounded (Push blocks while `capacity` plans are
 //     resident, backpressuring planners that run ahead of the executors — the
 //     paper's bounded Redis working set);
-//   - transport::RemoteInstructionStore: a client that speaks the same API
-//     across a process boundary to an InstructionStoreServer wrapping the
-//     store above (src/transport/), which is how executor processes fetch
-//     plans for real.
+//   - transport::MuxInstructionStore: a client that speaks the same API
+//     across a process boundary, over one persistent connection, to an
+//     InstructionStoreServer wrapping the store above (src/transport/), which
+//     is how executor processes fetch plans over a socket;
+//   - transport::ShmInstructionStore: a shared-memory segment that
+//     same-host executor processes attach to by name and fetch from with no
+//     wire at all.
 // Everything above the interface (PlanAheadService, Trainer) is agnostic to
 // which one it is talking to.
 #ifndef DYNAPIPE_SRC_RUNTIME_INSTRUCTION_STORE_H_

@@ -23,7 +23,6 @@
 #include "src/service/recovery.h"
 #include "src/sim/cluster_sim.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -196,7 +195,7 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sim_opts.memory_limit_mb = hw_.usable_memory_mb();
 
   // Replica completion tracking: the trainer reports each in-process
-  // replica's simulated makespan, and — on the socket backends — attached
+  // replica's simulated makespan, and — on the socket backend — attached
   // executor processes heartbeat their wall clock through the store server
   // into the same monitor. Declared before the server below so heartbeats
   // arriving during teardown still have a live sink.
@@ -232,9 +231,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sopts.fold_target_lengths = config_.arch == model::ModelArch::kGpt;
   sopts.serialize_plans = options.serialize_plans;
   sopts.store_capacity = options.instruction_store_capacity;
-  // Socket backends: host the server side of the wire (store + listener) and
-  // hand the service a remote client — one-shot connections (kUnixSocket) or
-  // one persistent multiplexed connection (kUnixSocketMux). Declared before
+  // Socket backend: host the server side of the wire (store + listener) and
+  // hand the service a mux client on one persistent connection. Declared before
   // `service` below so the server outlives it — the service's shutdown still
   // round-trips through the socket. The publisher's deferral logic needs
   // store_capacity to mirror the server store's bound, which it does by
@@ -308,9 +306,7 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     membership.emplace(store, &heartbeat_monitor, &*recovery, mopts);
   };
   if (options.plan_store_backend ==
-          TrainerOptions::PlanStoreBackend::kUnixSocket ||
-      options.plan_store_backend ==
-          TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
+      TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
     server_store.emplace(InstructionStoreOptions{
         /*serialized=*/true, options.instruction_store_capacity});
     socket_transport.emplace(options.plan_store_socket_path.empty()
@@ -366,14 +362,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
-    if (options.plan_store_backend ==
-        TrainerOptions::PlanStoreBackend::kUnixSocket) {
-      sopts.store = transport::RemoteInstructionStore::OverUnixSocket(
-          socket_transport->path());
-    } else {
-      sopts.store = transport::MuxInstructionStore::OverUnixSocket(
-          socket_transport->path());
-    }
+    sopts.store =
+        transport::MuxInstructionStore::OverUnixSocket(socket_transport->path());
   } else if (options.plan_store_backend ==
              TrainerOptions::PlanStoreBackend::kSharedMemory) {
     transport::ShmStoreOptions shm_opts;

@@ -78,29 +78,25 @@ struct TrainerOptions {
   // pipeline to the executors (src/transport/):
   //   - kInProcess: the store lives in this process (serialize_plans decides
   //     whether plans cross an encode/decode boundary);
-  //   - kUnixSocket: plans publish through a RemoteInstructionStore client to
-  //     an InstructionStoreServer over a Unix domain socket — the full
+  //   - kUnixSocketMux: plans publish through a MuxInstructionStore client
+  //     to an InstructionStoreServer over a Unix domain socket — the full
   //     cross-process wire path (frames, plan_serde bytes, server-side
-  //     capacity backpressure), one connection per request, hosted in-process
-  //     by the trainer so results stay bit-identical while exercising the
-  //     real transport;
-  //   - kUnixSocketMux: same server, but through a MuxInstructionStore — one
-  //     persistent connection carrying request-id-tagged frames, deferred
-  //     kPush replies for backpressure (src/transport/mux.h); amortizes the
-  //     connect-per-request cost away;
+  //     capacity backpressure) on one persistent connection carrying
+  //     request-id-tagged frames (src/transport/mux.h), hosted in-process by
+  //     the trainer so results stay bit-identical while exercising the real
+  //     transport;
   //   - kSharedMemory: a ShmInstructionStore segment (src/transport/
   //     shm_store.h) — zero-copy same-host distribution; executors could
   //     attach by name from another process, the trainer uses the same
   //     mapping.
   enum class PlanStoreBackend {
     kInProcess,
-    kUnixSocket,
     kUnixSocketMux,
     kSharedMemory,
   };
   PlanStoreBackend plan_store_backend = PlanStoreBackend::kInProcess;
-  // Socket path for kUnixSocket/kUnixSocketMux; empty derives a unique /tmp
-  // path per epoch.
+  // Socket path for kUnixSocketMux; empty derives a unique /tmp path per
+  // epoch.
   std::string plan_store_socket_path;
   // Segment name for kSharedMemory ("/dynapipe-..."); empty derives a unique
   // name per epoch.
@@ -108,7 +104,7 @@ struct TrainerOptions {
   // --- Straggler detection (service/heartbeat_monitor.h) ---
   // Replica completion times feed a HeartbeatMonitor: the trainer reports
   // its in-process replicas' simulated makespans, and on the socket
-  // backends the server also routes kHeartbeat frames from any attached
+  // backend the server also routes kHeartbeat frames from any attached
   // reporter into the same monitor (heartbeats are non-destructive, unlike
   // fetch — a plan is consumed exactly once, and this trainer consumes its
   // own plans, so standalone dynapipe_executor processes run against a
@@ -183,8 +179,8 @@ struct TrainerOptions {
 };
 
 // One attached executor connection's process-wide metrics, pulled over the
-// wire (a server-initiated kStatsRequest) at epoch end. Socket backends with
-// stats-capable (mux) executors only.
+// wire (a server-initiated kStatsRequest) at epoch end. Socket backend
+// only.
 struct ExecutorMetrics {
   // Replicas attached on that connection (usually one).
   std::vector<int32_t> replicas;

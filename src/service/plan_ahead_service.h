@@ -71,7 +71,7 @@ struct PlanAheadOptions {
   size_t store_capacity = 0;
   // Store backend override. Null (default): the service owns an in-process
   // InstructionStore built from the two knobs above. Non-null: plans publish
-  // to this store instead — e.g. a transport::RemoteInstructionStore fronting
+  // to this store instead — e.g. a transport::MuxInstructionStore fronting
   // another process — and serialize_plans is ignored (a remote backend always
   // serializes). store_capacity must still mirror the backend's actual
   // capacity: the publisher uses it to defer (rather than block in) pushes

@@ -14,13 +14,12 @@
 // request_id correlates replies with requests on a multiplexed connection
 // (mux.h): the client tags every request with a fresh id and the server
 // echoes it on the reply, so many requests can be in flight on one long-lived
-// stream and the demux loop matches each reply to its waiter. The
-// one-connection-per-request path sends id 0 (one varint byte) and ignores it
-// on replies — on a strict request/response stream there is nothing to
-// correlate. Either way, the server replying to kPush only after the store
-// accepted the plan is exactly how capacity backpressure crosses the process
-// boundary: the client's Push blocks waiting for that kOk until a Fetch frees
-// a slot.
+// stream and the demux loop matches each reply to its waiter. A client that
+// omits correlation sends id 0 (one varint byte) and ignores it on replies —
+// on a strict request/response stream there is nothing to correlate. Either
+// way, the server replying to kPush only after the store accepted the plan is
+// exactly how capacity backpressure crosses the process boundary: the
+// client's Push blocks waiting for that kOk until a Fetch frees a slot.
 //
 // ReadFrame never trusts the peer: a corrupt length (over kMaxFrameBytes),
 // truncated body, or unparsable header field is a clean nullopt, not a crash
@@ -105,8 +104,8 @@ inline constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 30;
 
 struct Frame {
   FrameType type = FrameType::kOk;
-  // Reply-correlation id on multiplexed connections; 0 on the
-  // one-connection-per-request path.
+  // Reply-correlation id on multiplexed connections; 0 from a client that
+  // omits it.
   uint64_t request_id = 0;
   int64_t iteration = 0;
   int32_t replica = 0;
@@ -115,8 +114,8 @@ struct Frame {
 
 // Writes one frame; false when the peer is gone. The overload taking
 // `scratch` assembles the wire bytes in the caller's buffer instead of a
-// fresh allocation — steady-state publishers (remote store, mux client) reuse
-// one buffer per thread so pushing a plan does no per-plan heap allocation
+// fresh allocation — a steady-state publisher (the mux client) reuses one
+// buffer per thread so pushing a plan does no per-plan heap allocation
 // once the buffer has grown to plan size.
 bool WriteFrame(Stream& stream, const Frame& frame);
 bool WriteFrame(Stream& stream, const Frame& frame, std::string* scratch);
@@ -159,8 +158,8 @@ bool TryParseStatsPayload(std::string_view payload, int64_t* trace_now_us,
 // kAttach capability payload (frame v3/v4). v2 attach payloads were empty and
 // remain valid (no capabilities). Byte 0 is a capability bitmask today;
 // kAttachCapStats marks a connection whose client demux answers
-// server-initiated kStatsRequest frames (the mux client); one-shot liveness
-// attaches must NOT set it — nothing reads their stream between requests.
+// server-initiated kStatsRequest frames (the mux client); a client that does
+// not read its stream between requests must NOT set it.
 inline constexpr uint8_t kAttachCapStats = 0x01;
 // frame v4: the attaching replica declares it may be *outside* the fleet the
 // publisher configured — a mid-epoch joiner. The server's handling is

@@ -125,8 +125,9 @@ bool MuxInstructionStore::TryCall(Frame& request, Frame* reply,
     }
     slot_scan_hint_ = (slot + 1) % kMuxWaiterSlots;
     // Mint the slot's next id: congruent to the slot index mod the slab size,
-    // strictly increasing per slot, and never 0 (the one-shot path's id), so
-    // no two in-flight requests ever share a slot.
+    // strictly increasing per slot, and never 0 (the id a client that does
+    // not correlate replies sends), so no two in-flight requests ever share a
+    // slot.
     request.request_id =
         static_cast<uint64_t>(slot) +
         static_cast<uint64_t>(kMuxWaiterSlots) * (++slot_generation_[slot]);
@@ -397,9 +398,8 @@ bool MuxInstructionStore::Attach(int32_t replica, bool* evicted,
   request.replica = replica;
   // Declare the stats capability: this client's demux loop answers
   // server-initiated kStatsRequest frames, so the server may pull snapshots
-  // over this connection mid-epoch. One-shot liveness attaches (remote_store)
-  // keep the empty v2 payload — nothing reads their stream between requests.
-  // A joiner additionally declares kAttachCapJoin (frame v4).
+  // over this connection mid-epoch. A joiner additionally declares
+  // kAttachCapJoin (frame v4).
   uint8_t caps = kAttachCapStats;
   if (join) {
     caps |= kAttachCapJoin;

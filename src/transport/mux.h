@@ -1,10 +1,15 @@
-// Persistent multiplexed connection to an InstructionStoreServer.
+// Persistent multiplexed connection to an InstructionStoreServer — the
+// socket client of cross-process plan distribution.
 //
-// The one-connection-per-request client (remote_store.h) pays a connect() /
-// accept() round trip and a server-side thread spawn for every operation —
-// fine for a handful of plans, dominant once plans ship every few
-// milliseconds (grid search at scale). MuxInstructionStore keeps ONE
-// long-lived stream per executor and multiplexes every request over it:
+// MuxInstructionStore implements InstructionStoreInterface by speaking the
+// frame protocol (frame.h) to the server, so PlanAheadService (and anything
+// else written against the interface) works across a process boundary
+// without code changes. Semantics match the in-process store: Push blocks
+// while the server's store is at capacity, a fetched plan that fails to
+// decode is fatal (a corrupted plan must never reach an executor), and
+// publish-before-fetch violations are fatal. It keeps ONE long-lived stream
+// per executor — no connect() or server-side thread per operation — and
+// multiplexes every request over it:
 //
 //   - each request carries a fresh request_id (frame.h); a writer mutex
 //     serializes frame writes, so requests from any number of threads
@@ -25,7 +30,7 @@
 // A torn or malformed reply stream is a connection error, not a crash: the
 // demux loop closes the stream, fails every outstanding waiter, and marks
 // the client dead (connection_ok()); subsequent calls are fatal at the call
-// site, same as the one-shot client's contract.
+// site (the store is gone).
 #ifndef DYNAPIPE_SRC_TRANSPORT_MUX_H_
 #define DYNAPIPE_SRC_TRANSPORT_MUX_H_
 
@@ -66,9 +71,10 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   MuxInstructionStore(const MuxInstructionStore&) = delete;
   MuxInstructionStore& operator=(const MuxInstructionStore&) = delete;
 
-  // Endpoint conveniences, mirroring RemoteInstructionStore's. Both open the
-  // one persistent connection eagerly; the socket overload retries while the
-  // server process is still binding.
+  // Endpoint conveniences. The transport overload serves in-process tests
+  // (loopback or a socket transport object); the path overload is what an
+  // executor process uses. Both open the one persistent connection eagerly;
+  // the socket overload retries while the server process is still binding.
   static std::shared_ptr<MuxInstructionStore> OverTransport(
       Transport* transport);
   static std::shared_ptr<MuxInstructionStore> OverUnixSocket(

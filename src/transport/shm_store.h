@@ -1,16 +1,15 @@
 // Shared-memory instruction store: zero-copy same-host plan distribution.
 //
-// The socket path (remote_store.h) pays an encode, two copies, and a wire
-// round trip per hop. Plans are immutable once published, so same-host
-// executors can instead map the store's memory directly: a POSIX shared
-// memory segment (shm_open + mmap) holding an append-only arena of serialized
-// plans plus a fixed-slot index keyed by (iteration, replica). The publisher
-// encodes each plan straight into the arena (one write, no intermediate
-// copy beyond its reusable scratch buffer) and flips the slot's seqlock to
-// publish; executors in any process attach by name and fetch a zero-copy view
-// of the bytes — a std::string_view into the mapping — which Fetch decodes in
-// place with TryDecodeExecutionPlan. Nothing crosses a wire and nothing is
-// copied on the fetch side.
+// The socket path (mux.h) pays an encode, two copies, and a wire round trip per
+// hop. Plans are immutable once published, so same-host executors can instead
+// map the store's memory directly: a POSIX shared memory segment (shm_open +
+// mmap) holding an append-only arena of serialized plans plus a fixed-slot
+// index keyed by (iteration, replica). The publisher encodes each plan straight
+// into the arena (one write, no intermediate copy beyond its reusable scratch
+// buffer) and flips the slot's seqlock to publish; executors in any process
+// attach by name and fetch a zero-copy view of the bytes — a std::string_view
+// into the mapping — which Fetch decodes in place with TryDecodeExecutionPlan.
+// Nothing crosses a wire and nothing is copied on the fetch side.
 //
 // Layout (one segment, version 2):
 //

@@ -75,9 +75,9 @@ void InstructionStoreServer::AcceptLoop() {
     if (stopped_) {
       break;  // raced with Stop; drop the connection
     }
-    // One-shot clients open a connection per request, so finished handlers
-    // accumulate at request rate; reap them here to keep the list bounded by
-    // concurrently-live connections.
+    // Short-lived connections (reconnects, probes, dropped hostile peers)
+    // leave finished handlers behind; reap them here to keep the list
+    // bounded by concurrently-live connections.
     ReapFinishedLocked();
     auto handler = std::make_shared<Handler>();
     handler->conn = std::move(conn);
@@ -188,8 +188,7 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
   // never stalls the demux loop, so the fetch that frees the slot can arrive
   // on this very connection — that is what preserves blocking-Push semantics
   // over a multiplexed stream. Spawned lazily on the first kPush: fetch-only
-  // connections (and every one-shot non-push request) never pay the second
-  // thread.
+  // connections never pay the second thread.
   std::mutex push_mu;
   std::condition_variable push_cv;
   std::deque<Frame> push_queue;

@@ -2,23 +2,22 @@
 //
 // InstructionStoreServer exposes an in-process InstructionStore over a
 // Transport: the planner process owns the store and the server; executor
-// processes reach it through RemoteInstructionStore (one connection per
-// request) or MuxInstructionStore (one persistent multiplexed connection).
+// processes reach it through MuxInstructionStore (one persistent multiplexed
+// connection).
 // This is the paper's Redis role (§3) — a host-memory store of serialized
 // instruction streams between the dataloader-side planners and the executors.
 //
 // Concurrency model: the accept loop hands each connection to its own demux
-// thread, which serves request frames in a loop until the peer closes (a
-// one-shot client closes after its single exchange, a mux client keeps the
-// stream for its lifetime). Non-blocking requests (fetch/contains/size/
-// shutdown) are answered inline; kPush is handed to the connection's push
-// worker thread, which may park in the store's capacity wait — the kOk reply
-// is *deferred* until the store accepted the plan, which is how blocking-Push
-// backpressure crosses the process boundary without ever stalling the demux
-// loop: fetches on the same (or any other) connection keep draining the
-// store and eventually free the parked push. Deferred pushes per connection
-// are bounded by kMuxPushCredits (mux.h); a peer that exceeds it is
-// misbehaving and gets dropped.
+// thread, which serves request frames in a loop until the peer closes (a mux
+// client keeps the stream for its lifetime). Non-blocking requests
+// (fetch/contains/size/shutdown) are answered inline; kPush is handed to the
+// connection's push worker thread, which may park in the store's capacity wait
+// — the kOk reply is *deferred* until the store accepted the plan, which is how
+// blocking-Push backpressure crosses the process boundary without ever stalling
+// the demux loop: fetches on the same (or any other) connection keep draining
+// the store and eventually free the parked push. Deferred pushes per connection
+// are bounded by kMuxPushCredits (mux.h); a peer that exceeds it is misbehaving
+// and gets dropped.
 //
 // Plan bytes pass through verbatim (InstructionStore::PushBytes/FetchBytes):
 // the server never decodes a plan, so what the executor fetches is
@@ -79,8 +78,8 @@ class InstructionStoreServer {
 
   // Mid-epoch executor observability: sends kStatsRequest to every live
   // connection that attached a replica AND declared the stats capability in
-  // its kAttach payload (the mux client does; one-shot liveness connections
-  // do not — nothing reads their stream between requests), then waits up to
+  // its kAttach payload (the mux client does; a client that omits it may not
+  // read its stream between requests), then waits up to
   // `timeout_ms` for the kStatsReply round trips. Returns whatever arrived in
   // time; a silent or vanished peer just drops out of the result. Safe to
   // call at any time, including concurrently with traffic on the polled

@@ -2,7 +2,7 @@
 //
 // The paper moves serialized instruction streams between processes through a
 // Redis store (§3); our stand-in is a client/server pair (store_server.h,
-// remote_store.h) speaking a length-prefixed frame protocol (frame.h) over
+// mux.h) speaking a length-prefixed frame protocol (frame.h) over
 // the duplex byte streams defined here. Two implementations:
 //   - UnixSocketTransport: a real process boundary — SOCK_STREAM Unix domain
 //     sockets, which is what the fork-based planner/executor example and the

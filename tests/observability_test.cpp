@@ -377,6 +377,53 @@ TEST(StatsChannelTest, CollectRemoteStatsPullsForkedExecutorSnapshot) {
   server.Stop();
 }
 
+// The server must only pull stats from connections that declared
+// kAttachCapStats. No client in this repo attaches without it, but the wire
+// allows it (request id 0, an empty kAttach payload), so a raw stream speaks
+// that shape here: it is attached and tracked, yet CollectRemoteStats returns
+// only the mux replica and never writes a kStatsRequest to the raw stream.
+TEST(StatsChannelTest, AttachWithoutStatsCapabilityIsNeverPolled) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  transport::LoopbackTransport transport;
+  transport::InstructionStoreServer server(&transport, &store);
+
+  std::unique_ptr<transport::Stream> raw = transport.Connect();
+  ASSERT_NE(raw, nullptr);
+  transport::Frame attach;
+  attach.type = transport::FrameType::kAttach;
+  attach.replica = 1;  // no capability byte at all
+  ASSERT_TRUE(WriteFrame(*raw, attach));
+  std::optional<transport::Frame> reply = ReadFrame(*raw);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, transport::FrameType::kOk);
+
+  std::shared_ptr<transport::MuxInstructionStore> client =
+      transport::MuxInstructionStore::OverTransport(&transport);
+  bool evicted = true;
+  ASSERT_TRUE(client->Attach(0, &evicted, /*timeout_ms=*/2000));
+  EXPECT_FALSE(evicted);
+
+  const std::vector<transport::RemoteReplicaStats> remote =
+      server.CollectRemoteStats(/*timeout_ms=*/1000);
+  ASSERT_EQ(remote.size(), 1u);
+  EXPECT_EQ(remote[0].replicas, std::vector<int32_t>{0});
+
+  // Replies on one connection are written in order, so a kStatsRequest sent
+  // to the raw stream during the pull would arrive ahead of this kCount.
+  transport::Frame size_req;
+  size_req.type = transport::FrameType::kSize;
+  ASSERT_TRUE(WriteFrame(*raw, size_req));
+  reply = ReadFrame(*raw);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, transport::FrameType::kCount);
+
+  client->Detach(0);
+  client.reset();
+  raw->Close();
+  server.Stop();
+}
+
 // ---------- trace JSON helpers (shared by the tracing tests below) ----------
 
 // Minimal well-formedness scan for the JSON this tracer emits: every quote

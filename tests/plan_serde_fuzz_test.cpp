@@ -32,7 +32,6 @@
 #include "src/sim/instruction.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
 
@@ -228,7 +227,7 @@ TEST(FrameLayerFuzzTest, MalformedFramesDropConnectionNeverCrashServer) {
   transport::InstructionStoreServer server(&transport, &store);
 
   const auto expect_server_alive = [&] {
-    auto client = transport::RemoteInstructionStore::OverTransport(&transport);
+    auto client = transport::MuxInstructionStore::OverTransport(&transport);
     EXPECT_FALSE(client->Contains(1, 1));
     EXPECT_EQ(client->size(), 0u);
   };
@@ -435,7 +434,7 @@ TEST(HeartbeatFramingTest, TruncationsAndBitFlipsNeverCrashServerOrMonitor) {
   }
 
   // The server survived all of it: a valid heartbeat still lands.
-  auto client = transport::RemoteInstructionStore::OverTransport(&transport);
+  auto client = transport::MuxInstructionStore::OverTransport(&transport);
   EXPECT_TRUE(client->Heartbeat(/*replica=*/5, /*iteration=*/33,
                                 /*wall_ms=*/7.5));
   EXPECT_EQ(monitor.LastIteration(5), 33);

@@ -33,7 +33,6 @@
 #include "src/service/recovery.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -506,24 +505,24 @@ TEST_F(PlanAheadServiceTest, AnyLookaheadCacheSerdeBitIdenticalToInline) {
 }
 
 // The server half of a wire-backed store: storage, transport, server, and the
-// remote client the service publishes through. Declaration order is teardown
-// order in reverse — the client-holding service must die before the server.
+// mux client the service publishes through. Declaration order is teardown
+// order in reverse — the client must close before the server tears down.
 struct WireBackend {
   WireBackend(std::unique_ptr<transport::Transport> t, size_t capacity)
       : store(runtime::InstructionStoreOptions{/*serialized=*/true, capacity}),
         transport(std::move(t)), server(transport.get(), &store),
-        client(transport::RemoteInstructionStore::OverTransport(transport.get())) {}
+        client(transport::MuxInstructionStore::OverTransport(transport.get())) {}
 
   runtime::InstructionStore store;
   std::unique_ptr<transport::Transport> transport;
   transport::InstructionStoreServer server;
-  std::shared_ptr<transport::RemoteInstructionStore> client;
+  std::shared_ptr<transport::MuxInstructionStore> client;
 };
 
 TEST_F(PlanAheadServiceTest, TransportBackendsBitIdenticalToInline) {
-  // The transport axis of the bit-identity matrix: publishing through a
-  // remote store over the loopback or Unix-socket wire (one-shot or
-  // multiplexed connections) or through the shared-memory segment must
+  // The transport axis of the bit-identity matrix: publishing through the
+  // mux client over the loopback or Unix-socket wire or through the
+  // shared-memory segment must
   // deliver exactly the plans the in-process inline path does, at any
   // lookahead, cache on or off.
   const data::Dataset dataset = SmallDataset();
@@ -532,9 +531,8 @@ TEST_F(PlanAheadServiceTest, TransportBackendsBitIdenticalToInline) {
 
   ThreadPool pool(2);
   int backend_id = 0;
-  enum class Kind { kLoopback, kSocket, kSocketMux, kShm };
-  for (const Kind kind :
-       {Kind::kLoopback, Kind::kSocket, Kind::kSocketMux, Kind::kShm}) {
+  enum class Kind { kLoopback, kSocket, kShm };
+  for (const Kind kind : {Kind::kLoopback, Kind::kSocket, Kind::kShm}) {
     for (const int32_t lookahead : {0, 2}) {
       for (const bool cache : {false, true}) {
         const std::string id = std::to_string(::getpid()) + "-" +
@@ -557,18 +555,6 @@ TEST_F(PlanAheadServiceTest, TransportBackendsBitIdenticalToInline) {
             }
             wire = std::make_unique<WireBackend>(std::move(t), /*capacity=*/3);
             client = wire->client;
-            server_bytes = [&w = wire->store] {
-              return w.serialized_bytes_total();
-            };
-            break;
-          }
-          case Kind::kSocketMux: {
-            wire = std::make_unique<WireBackend>(
-                std::make_unique<transport::UnixSocketTransport>(
-                    "/tmp/dynapipe-svc-" + id + ".sock"),
-                /*capacity=*/3);
-            client = transport::MuxInstructionStore::OverTransport(
-                wire->transport.get());
             server_bytes = [&w = wire->store] {
               return w.serialized_bytes_total();
             };
@@ -602,7 +588,6 @@ TEST_F(PlanAheadServiceTest, TransportBackendsBitIdenticalToInline) {
         // accounted (every plan crossed an encode boundary).
         EXPECT_GT(got.stats.published_bytes, 0);
         EXPECT_EQ(got.stats.published_bytes, server_bytes());
-        client.reset();  // mux client must close before the server tears down
       }
     }
   }
@@ -851,9 +836,9 @@ TEST(TrainerServiceTest, ReplayedEpochHitsPlanCache) {
 }
 
 TEST(TrainerServiceTest, WireBackendsEpochIdenticalAndReplayHitsPlanCache) {
-  // Every non-in-process TrainerOptions::plan_store_backend — the one-shot
-  // socket client, the multiplexed persistent connection, and the
-  // shared-memory segment — routes every plan through its real distribution
+  // Every non-in-process TrainerOptions::plan_store_backend — the
+  // multiplexed persistent socket connection and the shared-memory
+  // segment — routes every plan through its real distribution
   // path and must change nothing about the results: the epoch is
   // bit-identical to the in-process backend, and a replayed epoch still hits
   // the plan cache on every iteration — cached plans republish through the
@@ -877,8 +862,7 @@ TEST(TrainerServiceTest, WireBackendsEpochIdenticalAndReplayHitsPlanCache) {
   ASSERT_TRUE(base.feasible) << base.failure;
 
   for (const auto backend :
-       {runtime::TrainerOptions::PlanStoreBackend::kUnixSocket,
-        runtime::TrainerOptions::PlanStoreBackend::kUnixSocketMux,
+       {runtime::TrainerOptions::PlanStoreBackend::kUnixSocketMux,
         runtime::TrainerOptions::PlanStoreBackend::kSharedMemory}) {
     SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)));
     runtime::TrainerOptions wire = opts;
@@ -1841,7 +1825,7 @@ TEST(TrainerServiceTest, FailFastPolicyAbortsTheEpochOnReplicaDeath) {
   opts.max_iterations = 8;
   opts.serialize_plans = true;
   opts.plan_store_backend =
-      runtime::TrainerOptions::PlanStoreBackend::kUnixSocket;
+      runtime::TrainerOptions::PlanStoreBackend::kUnixSocketMux;
   opts.plan_store_socket_path = "/tmp/dynapipe-st-failfast-" +
                                 std::to_string(::getpid()) + ".sock";
   opts.liveness_await_replicas = 1;  // barrier: death lands inside the epoch

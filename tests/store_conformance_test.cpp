@@ -1,8 +1,8 @@
 // Backend-conformance suite for the InstructionStoreInterface contract.
 //
-// Every store backend — in-process plain, in-process serialized, the remote
-// client over the loopback and Unix-socket transports, the multiplexed
-// persistent-connection client, and the shared-memory store — must honor the
+// Every store backend — in-process plain, in-process serialized, the
+// multiplexed persistent-connection client over the loopback and Unix-socket
+// transports, and the shared-memory store — must honor the
 // same publish-before-fetch contract: push/fetch round-trips plans losslessly
 // under independent keys, double-publish and fetch-before-publish abort,
 // capacity backpressures Push (blocking until a Fetch frees a slot), and
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -29,9 +28,7 @@
 #include "src/runtime/instruction_store.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/sim/instruction.h"
-#include "src/transport/frame.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -105,55 +102,11 @@ struct InProcessBackend : Backend {
   runtime::InstructionStore store_;
 };
 
-// Remote client + in-process server over a transport. Member order is the
-// teardown order in reverse: client dies first, then the server (which joins
-// its handlers), then the transport, then the storage.
-template <typename TransportT>
-struct RemoteBackend : Backend {
-  template <typename... TransportArgs>
-  explicit RemoteBackend(size_t capacity, TransportArgs&&... args)
-      : store_(runtime::InstructionStoreOptions{/*serialized=*/true, capacity}),
-        transport_(std::forward<TransportArgs>(args)...),
-        server_(&transport_, &store_),
-        client_(transport::RemoteInstructionStore::OverTransport(&transport_)) {
-    store_.set_heartbeat_sink(&monitor_);
-  }
-  runtime::InstructionStoreInterface& store() override { return *client_; }
-  const service::HeartbeatMonitor* heartbeats() const override {
-    return &monitor_;
-  }
-  bool supports_join() const override { return true; }
-  bool Join(int32_t replica) override {
-    // The raw v4 exchange a wire joiner performs: kAttach whose one-byte
-    // capability payload carries kAttachCapJoin. The stream stays open on
-    // the backend (join_conn_) — closing it here would read as the joiner
-    // vanishing right after it arrived.
-    join_conn_ = transport_.Connect();
-    if (join_conn_ == nullptr) {
-      return false;
-    }
-    transport::Frame attach;
-    attach.type = transport::FrameType::kAttach;
-    attach.replica = replica;
-    attach.payload.push_back(static_cast<char>(transport::kAttachCapJoin));
-    if (!WriteFrame(*join_conn_, attach)) {
-      return false;
-    }
-    const std::optional<transport::Frame> reply = ReadFrame(*join_conn_);
-    return reply.has_value() && reply->type == transport::FrameType::kOk;
-  }
-
-  service::HeartbeatMonitor monitor_;
-  runtime::InstructionStore store_;
-  TransportT transport_;
-  transport::InstructionStoreServer server_;
-  std::shared_ptr<transport::RemoteInstructionStore> client_;
-  std::unique_ptr<transport::Stream> join_conn_;  // dies before the server
-};
-
-// Same server, but reached through one persistent multiplexed connection
-// (request-id-tagged frames, credit-based deferred kPush replies) instead of
-// a connection per request.
+// Mux client + in-process server over a transport: one persistent
+// multiplexed connection (request-id-tagged frames, credit-based deferred
+// kPush replies). Member order is the teardown order in reverse: client dies
+// first, then the server (which joins its handlers), then the transport, then
+// the storage.
 template <typename TransportT>
 struct MuxBackend : Backend {
   template <typename... TransportArgs>
@@ -253,14 +206,9 @@ const BackendParam kBackends[] = {
      [](size_t cap) { return std::make_unique<InProcessBackend>(false, cap); }},
     {"InProcessSerialized",
      [](size_t cap) { return std::make_unique<InProcessBackend>(true, cap); }},
-    {"Loopback",
+    {"LoopbackMux",
      [](size_t cap) {
-       return std::make_unique<RemoteBackend<transport::LoopbackTransport>>(cap);
-     }},
-    {"UnixSocket",
-     [](size_t cap) {
-       return std::make_unique<RemoteBackend<transport::UnixSocketTransport>>(
-           cap, UniqueSocketPath());
+       return std::make_unique<MuxBackend<transport::LoopbackTransport>>(cap);
      }},
     {"UnixSocketMux",
      [](size_t cap) {

@@ -1,6 +1,6 @@
 // Tests for the cross-process plan distribution wire (src/transport): the
 // length-prefixed frame protocol (round-trip, malformed-input rejection), the
-// loopback and Unix-socket byte streams, the store server / remote client
+// loopback and Unix-socket byte streams, the store server / mux client
 // pair, and — the point of the subsystem — a fork()ed two-process run where a
 // planner process publishes an epoch of plans over a Unix domain socket and
 // an executor process fetches byte-identical copies of what the in-process
@@ -37,7 +37,6 @@
 #include "src/service/recovery.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
-#include "src/transport/remote_store.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -182,7 +181,7 @@ TEST(UnixSocketTransportTest, ConnectToAbsentServerTimesOut) {
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
-// ---------- remote store over both transports ----------
+// ---------- mux client over both transports ----------
 
 sim::ExecutionPlan MarkerPlan(int32_t marker) {
   sim::ExecutionPlan plan;
@@ -197,12 +196,12 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
 }
 
 template <typename MakeTransport>
-void RemoteStoreRoundTrip(MakeTransport make_transport) {
+void MuxStoreRoundTrip(MakeTransport make_transport) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   auto transport = make_transport();
   transport::InstructionStoreServer server(transport.get(), &store);
-  auto client = transport::RemoteInstructionStore::OverTransport(transport.get());
+  auto client = transport::MuxInstructionStore::OverTransport(transport.get());
 
   const sim::ExecutionPlan p0 = MarkerPlan(1);
   const sim::ExecutionPlan p1 = MarkerPlan(2);
@@ -219,16 +218,17 @@ void RemoteStoreRoundTrip(MakeTransport make_transport) {
   EXPECT_EQ(client->Fetch(0, 0), p0);
   EXPECT_EQ(client->size(), 0u);
   EXPECT_GE(server.requests_served(), 8);
+  client.reset();
   server.Stop();
 }
 
-TEST(RemoteStoreTest, RoundTripOverLoopback) {
-  RemoteStoreRoundTrip(
+TEST(MuxStoreTest, RoundTripOverLoopback) {
+  MuxStoreRoundTrip(
       [] { return std::make_unique<transport::LoopbackTransport>(); });
 }
 
-TEST(RemoteStoreTest, RoundTripOverUnixSocket) {
-  RemoteStoreRoundTrip([] {
+TEST(MuxStoreTest, RoundTripOverUnixSocket) {
+  MuxStoreRoundTrip([] {
     return std::make_unique<transport::UnixSocketTransport>(
         UniqueSocketPath("rt"));
   });
@@ -270,7 +270,7 @@ bool ReadFull(int fd, void* data, size_t n) {
 
 // The planner process plans a short epoch and publishes every plan to its
 // store, served over a Unix domain socket; a fork()ed executor process
-// fetches each plan with RemoteInstructionStore, decodes it, and streams the
+// fetches each plan with MuxInstructionStore, decodes it, and streams the
 // re-encoded bytes back over a pipe. Those bytes must equal — byte for byte —
 // what the in-process serialized store holds for the same epoch.
 TEST(TwoProcessPlanDistributionTest, SocketFetchesAreByteIdenticalToInProcess) {
@@ -340,7 +340,7 @@ TEST(TwoProcessPlanDistributionTest, SocketFetchesAreByteIdenticalToInProcess) {
     if (!ReadFull(ready_pipe[0], &go, 1)) {
       ::_exit(2);  // planner died before publishing
     }
-    auto remote = transport::RemoteInstructionStore::OverUnixSocket(
+    auto remote = transport::MuxInstructionStore::OverUnixSocket(
         socket_path, /*connect_timeout_ms=*/10'000);
     for (int i = 0; i < kIterations; ++i) {
       const sim::ExecutionPlan plan = remote->Fetch(i, 0);
@@ -506,8 +506,8 @@ TEST(TwoProcessShmPlanDistributionTest, AttachedFetchesAreByteIdentical) {
 // slowed; the trainer's HeartbeatMonitor must attribute the straggle to it
 // (and only it) on every iteration, and every plan each executor fetched
 // must re-encode to exactly the bytes the trainer published. Replica 1
-// attaches through the multiplexed client so heartbeats from both wire
-// client types are exercised.
+// leaves the endpoint on kAuto, so the socket path's detection as the mux
+// endpoint is exercised end to end.
 TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
   // Plan the epoch inline and threadless so the forks below inherit nothing.
   cost::ProfileOptions profile;
@@ -557,8 +557,8 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
       // signal is needed. Exit codes become parent-side failures.
       executor::ExecutorOptions opts;
       opts.attach = socket_path;
-      opts.endpoint = replica == 1 ? executor::AttachEndpoint::kUnixSocketMux
-                                   : executor::AttachEndpoint::kUnixSocket;
+      opts.endpoint = replica == 1 ? executor::AttachEndpoint::kAuto
+                                   : executor::AttachEndpoint::kUnixSocketMux;
       opts.replica = replica;
       opts.iterations = kIterations;
       opts.slow_ms = replica == kSlowReplica ? kSlowMs : 0.0;
@@ -626,53 +626,59 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
 
 // The daemon shape: an open-ended executor (iterations < 0) drains plans as
 // they appear and exits *cleanly* — ok report, no abort — when the
-// publisher tears its server down, because the publish poll probes the
-// socket non-fatally over throwaway connections instead of going through a
-// store client's fatal Contains. Both wire attachments are covered: the mux
-// endpoint polls the same way precisely so server teardown cannot race a
-// Contains on its persistent stream into the fatal no-reply contract.
+// publisher tears its server down, because the publish poll rides the mux
+// stream's non-fatal TryContains instead of a store client's fatal
+// Contains: teardown reads as a lost connection, the bounded reconnect
+// finds no listener, and the epoch is over.
 TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
-  for (const auto endpoint : {executor::AttachEndpoint::kUnixSocket,
-                              executor::AttachEndpoint::kUnixSocketMux}) {
-    SCOPED_TRACE(executor::EndpointName(endpoint));
-    const std::string socket_path = UniqueSocketPath("drain");
-    service::HeartbeatMonitor monitor;
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    auto transport =
-        std::make_unique<transport::UnixSocketTransport>(socket_path);
-    store.set_heartbeat_sink(&monitor);
-    auto server = std::make_unique<transport::InstructionStoreServer>(
-        transport.get(), &store);
-    store.Push(0, 0, MarkerPlan(1));
-    store.Push(1, 0, MarkerPlan(2));
+  const std::string socket_path = UniqueSocketPath("drain");
+  service::HeartbeatMonitor monitor;
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
+  store.set_heartbeat_sink(&monitor);
+  auto server = std::make_unique<transport::InstructionStoreServer>(
+      transport.get(), &store);
+  store.Push(0, 0, MarkerPlan(1));
+  store.Push(1, 0, MarkerPlan(2));
 
-    executor::ExecutorReport report;
-    std::thread daemon([&] {
-      executor::ExecutorOptions opts;
-      opts.attach = socket_path;
-      opts.endpoint = endpoint;
-      opts.replica = 0;
-      opts.iterations = -1;           // open-ended: run until the epoch ends
-      opts.idle_timeout_ms = 30'000;  // exit must come from teardown
-      report = executor::RunExecutor(opts);
-    });
-    // Both published plans executed and heartbeat; the daemon is now parked
-    // polling for iteration 2.
-    while (monitor.total_heartbeats() < 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // Publisher teardown: destroying the transport closes the listener and
-    // unlinks the path, so the daemon's probes read "publisher gone".
-    server->Stop();
-    server.reset();
-    transport.reset();
-    daemon.join();
-    EXPECT_TRUE(report.ok) << report.error;
-    EXPECT_EQ(report.iterations_run, 2);
-    EXPECT_EQ(report.heartbeats_sent, 2);
-    EXPECT_EQ(store.size(), 0u);
+  executor::ExecutorReport report;
+  std::thread daemon([&] {
+    executor::ExecutorOptions opts;
+    opts.attach = socket_path;
+    opts.endpoint = executor::AttachEndpoint::kUnixSocketMux;
+    opts.replica = 0;
+    opts.iterations = -1;           // open-ended: run until the epoch ends
+    opts.idle_timeout_ms = 30'000;  // exit must come from teardown
+    report = executor::RunExecutor(opts);
+  });
+  // Both published plans executed and heartbeat; the daemon is now parked
+  // polling for iteration 2.
+  while (monitor.total_heartbeats() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // Publisher teardown: destroying the transport closes the listener and
+  // unlinks the path, so the daemon's reconnects read "publisher gone".
+  server->Stop();
+  server.reset();
+  transport.reset();
+  daemon.join();
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.iterations_run, 2);
+  EXPECT_EQ(report.heartbeats_sent, 2);
+  EXPECT_EQ(store.size(), 0u);
+}
+
+// Auto-detection: a POSIX shm name ("/name", no further slash) attaches the
+// shared-memory store; anything else is a socket path and gets the mux
+// client.
+TEST(ExecutorDaemonTest, DetectEndpointMapsSocketPathsToMuxAndShmNamesToShm) {
+  EXPECT_EQ(executor::DetectEndpoint("/tmp/trainer.sock"),
+            executor::AttachEndpoint::kUnixSocketMux);
+  EXPECT_EQ(executor::DetectEndpoint("trainer.sock"),
+            executor::AttachEndpoint::kUnixSocketMux);
+  EXPECT_EQ(executor::DetectEndpoint("/dynapipe-store-1234-0"),
+            executor::AttachEndpoint::kSharedMemory);
 }
 
 // ---------- the failure control loop (acceptance criterion) ----------
@@ -736,8 +742,8 @@ bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
 }
 
 // Three executors; replica 1 SIGKILLs itself at iteration 1's heartbeat
-// fault point — a real crash, no unwind, no goodbye. The dedicated liveness
-// stream it held drops uncleanly, so with connection grace 0 the monitor
+// fault point — a real crash, no unwind, no goodbye. Its mux stream, which
+// carried its kAttach, drops uncleanly, so with connection grace 0 the monitor
 // declares it dead immediately; the recovery coordinator moves its one
 // unfetched plan (iteration 2) to a survivor at a spare iteration number,
 // and the open-ended survivors — parked polling past their own epoch —
@@ -763,7 +769,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocket, r,
+      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
                     expected, r == kVictim ? "crash@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false);
     }
@@ -1005,7 +1011,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
       // The second victim is paced so the first death's recovery publishes
       // the inherited spare well before this replica reaches its own crash
       // point — the spare must demonstrably be resident when it dies.
-      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocket, r,
+      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
                     expected, fault, /*iterations=*/-1,
                     /*require_reconnect=*/false,
                     /*slow_ms=*/r == kSecondVictim ? 150.0 : 0.0);

@@ -1,7 +1,7 @@
 // dynapipe_executor: standalone executor daemon.
 //
 // Attaches to a plan publisher's instruction store — by Unix-socket path
-// (one-shot or multiplexed connection) or POSIX shm segment name — fetches
+// (one persistent multiplexed connection) or POSIX shm segment name — fetches
 // the execution plans published for its replica, runs each on its own
 // ClusterSim, and heartbeats iteration completion back over the transport so
 // the publisher's HeartbeatMonitor can flag stragglers. This is the paper's
@@ -12,17 +12,17 @@
 // in-process; a live Trainer epoch consumes its own plans.)
 //
 //   dynapipe_executor --attach /tmp/trainer.sock --replica 0
-//   dynapipe_executor --attach /tmp/trainer.sock --mux --replica 1 --iterations 50
+//   dynapipe_executor --attach /tmp/trainer.sock --replica 1 --iterations 50
 //   dynapipe_executor --attach /dynapipe-store-1234-0 --replica 0   (shm)
 //
 // Open-ended runs (no --iterations) drain plans as they appear and exit
 // cleanly once none arrives for --idle-timeout-ms.
 //
-// --demo <socket|mux|shm> is a self-contained two-process smoke (used by
+// --demo <mux|shm> is a self-contained two-process smoke (used by
 // scripts/check.sh): the parent plans a tiny epoch and publishes it through
 // the chosen backend while fork()ed children run the exact --attach path
 // above — one deliberately slowed — and the parent verifies byte-identical
-// delivery, full drain, and (on the wire backends) straggler attribution.
+// delivery, full drain, and (on the socket backend) straggler attribution.
 //
 // --fault <spec> (or DYNAPIPE_FAULT in the environment) arms the fault
 // injector (src/common/fault_injection.h): in --attach mode the fault fires
@@ -30,7 +30,7 @@
 // parent verifies the full control loop — death declared, pending plans
 // re-published to the survivors, store drained:
 //
-//   dynapipe_executor --demo socket --fault crash@1      (SIGKILL mid-epoch)
+//   dynapipe_executor --demo mux --fault crash@1         (SIGKILL mid-epoch)
 //   dynapipe_executor --demo mux --fault stall:1200@1    (wedge past deadline)
 //
 // On the shm backend liveness is shm-native (heartbeat slots in the segment
@@ -109,12 +109,11 @@ double ParseDoubleFlag(const char* flag, const char* value) {
 void PrintUsage(const char* argv0) {
   std::printf(
       "usage: %s --attach <socket-path|shm-name> [options]\n"
-      "       %s --demo <socket|mux|shm>\n"
+      "       %s --demo <mux|shm>\n"
       "\n"
       "  --attach <addr>       socket path (contains an interior '/') or shm\n"
       "                        segment name ('/name'); autodetected, see --endpoint\n"
-      "  --endpoint <kind>     auto|socket|mux|shm (default auto)\n"
-      "  --mux                 shorthand for --endpoint mux\n"
+      "  --endpoint <kind>     auto|mux|shm (default auto)\n"
       "  --replica <n>         replica whose plans to fetch (default 0)\n"
       "  --start-iteration <n> first iteration to fetch (default 0)\n"
       "  --iterations <n>      iterations to run; omit to drain until idle\n"
@@ -313,14 +312,12 @@ constexpr int kDemoFaultReplica = 1;
 
 int RunDemo(const std::string& kind, const std::string& fault_text) {
   executor::AttachEndpoint endpoint;
-  if (kind == "socket") {
-    endpoint = executor::AttachEndpoint::kUnixSocket;
-  } else if (kind == "mux") {
+  if (kind == "mux") {
     endpoint = executor::AttachEndpoint::kUnixSocketMux;
   } else if (kind == "shm") {
     endpoint = executor::AttachEndpoint::kSharedMemory;
   } else {
-    std::fprintf(stderr, "--demo wants socket|mux|shm, got '%s'\n",
+    std::fprintf(stderr, "--demo wants mux|shm, got '%s'\n",
                  kind.c_str());
     return 1;
   }
@@ -469,13 +466,10 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     }
   };
 
-  const bool expect_stats =
-      endpoint == executor::AttachEndpoint::kUnixSocketMux && !fault_mode;
   if (over_wire && !fault_mode) {
-    // Mid-epoch stats pull: every stats-capable attached connection (the mux
-    // children; one-shot socket children attach without the capability bit)
-    // answers a server-initiated kStatsRequest with its process-wide
-    // snapshot while still executing. The children are racing us to attach,
+    // Mid-epoch stats pull: every attached mux child answers a
+    // server-initiated kStatsRequest with its process-wide snapshot while
+    // still executing. The children are racing us to attach,
     // so retry briefly: the slowed replica stays attached for
     // kDemoIterations * kDemoSlowMs, which bounds how long a hit takes.
     std::vector<transport::RemoteReplicaStats> remote;
@@ -507,7 +501,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     }
     std::printf("[demo] stats channel: %zu executor connection(s) reported\n",
                 remote.size());
-    if (expect_stats && remote.empty()) {
+    if (remote.empty()) {
       std::fprintf(stderr, "[demo] no mux executor answered the stats pull\n");
       return 1;
     }
@@ -646,8 +640,8 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     return ok ? 0 : 1;
   }
 
-  // Straggler attribution works on every backend now: the wire backends
-  // heartbeat through the server's sink, shm through the segment's heartbeat
+  // Straggler attribution works on both backends: the socket backend
+  // heartbeats through the server's sink, shm through the segment's heartbeat
   // slots and the poller.
   std::printf("  iter | replicas | median ms | max ms | stragglers\n");
   for (int i = 0; i < kDemoIterations; ++i) {
@@ -931,8 +925,6 @@ int main(int argc, char** argv) {
       const std::string kind = next();
       if (kind == "auto") {
         options.endpoint = executor::AttachEndpoint::kAuto;
-      } else if (kind == "socket") {
-        options.endpoint = executor::AttachEndpoint::kUnixSocket;
       } else if (kind == "mux") {
         options.endpoint = executor::AttachEndpoint::kUnixSocketMux;
       } else if (kind == "shm") {
@@ -941,8 +933,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown endpoint '%s'\n", kind.c_str());
         return 1;
       }
-    } else if (arg == "--mux") {
-      options.endpoint = executor::AttachEndpoint::kUnixSocketMux;
     } else if (arg == "--replica") {
       options.replica = static_cast<int32_t>(ParseIntFlag("--replica", next()));
     } else if (arg == "--start-iteration") {
