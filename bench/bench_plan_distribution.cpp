@@ -46,10 +46,9 @@
 #include "src/cost/pipeline_cost_model.h"
 #include "src/data/minibatch_sampler.h"
 #include "src/runtime/instruction_store.h"
+#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_serde.h"
-#include "src/service/recovery.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
@@ -188,7 +187,7 @@ HeartbeatRow MeasureHeartbeat(const char* name,
 // Recovery latency: the detect -> re-publish hop of the failure control loop
 // (bench/README.md "Failure recovery"). An executor vanishes with `backlog`
 // plans still unfetched; the monitor declares it dead (grace 0: an unclean
-// connection drop is death) and the RecoveryCoordinator moves the backlog to
+// connection drop is death) and the FleetCoordinator moves the backlog to
 // survivors. The coordinator reposts synchronously inside the event
 // delivery, so the OnReplicaDisconnected call spans the whole hop — what a
 // trainer stalls for before degraded-mode execution can resume. Reposting is
@@ -210,10 +209,10 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
     runtime::InstructionStore store(
         runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
     service::HeartbeatMonitor monitor;
-    service::RecoveryOptions ropts;
-    ropts.replicas = {0, 1, 2};
-    ropts.spare_iteration_base = backlog;
-    service::RecoveryCoordinator recovery(&store, &monitor, ropts);
+    service::FleetOptions fleet_opts;
+    fleet_opts.replicas = {0, 1, 2};
+    fleet_opts.spare_iteration_base = backlog;
+    service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);
     }
@@ -221,7 +220,7 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
     const auto t0 = std::chrono::steady_clock::now();
     monitor.OnReplicaDisconnected(/*replica=*/1, /*clean=*/false);
     row.recovery_ms += MsSince(t0);
-    const service::RecoveryReport report = recovery.report();
+    const service::FleetReport report = fleet.report();
     if (report.replanned_iterations != backlog) {
       std::printf("!! recovery moved %lld of %d plans\n",
                   static_cast<long long>(report.replanned_iterations),
@@ -235,7 +234,7 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
 
 // Elastic membership latency: the two mid-epoch fleet-change hops
 // (bench/README.md "Elastic membership"). Join: an unknown replica turns
-// alive and the MembershipCoordinator admits it, grows the expected fleet,
+// alive and the FleetCoordinator admits it, grows the expected fleet,
 // and steals the joiner's fair share of the deepest backlog to its spare
 // keys — the OnReplicaAttached call spans the whole admission, i.e. the
 // delay before the joiner has work to find. Drain: a member asks to leave
@@ -263,16 +262,11 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     runtime::InstructionStore store(
         runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
     service::HeartbeatMonitor monitor;
-    auto spare_keys = std::make_shared<service::SpareKeyAllocator>(backlog);
-    service::RecoveryOptions ropts;
-    ropts.replicas = {0, 1, 2};
-    ropts.spare_keys = spare_keys;
-    service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-    service::MembershipOptions mopts;
-    mopts.initial_replicas = {0, 1, 2};
-    mopts.spare_keys = spare_keys;
-    service::MembershipCoordinator membership(&store, &monitor, &recovery,
-                                              mopts);
+    service::FleetOptions fleet_opts;
+    fleet_opts.replicas = {0, 1, 2};
+    fleet_opts.spare_iteration_base = backlog;
+    fleet_opts.membership = true;
+    service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);
     }
@@ -284,17 +278,17 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     t0 = std::chrono::steady_clock::now();
     monitor.OnReplicaDrainRequested(1);
     row.drain_ms += MsSince(t0);
-    const service::MembershipReport report = membership.report();
+    const service::FleetReport report = fleet.report();
     const int64_t stolen = backlog / 4;  // fair share of the 4-strong fleet
-    if (report.join_stolen_iterations != stolen ||
-        report.drain_reposted_iterations != backlog - stolen) {
+    if (report.join_stolen != stolen ||
+        report.drain_reposted != backlog - stolen) {
       std::printf("!! membership moved %lld + %lld of %d plans\n",
-                  static_cast<long long>(report.join_stolen_iterations),
-                  static_cast<long long>(report.drain_reposted_iterations),
+                  static_cast<long long>(report.join_stolen),
+                  static_cast<long long>(report.drain_reposted),
                   backlog);
     }
-    row.join_stolen = report.join_stolen_iterations;
-    row.drain_reposted = report.drain_reposted_iterations;
+    row.join_stolen = report.join_stolen;
+    row.drain_reposted = report.drain_reposted;
   }
   row.join_ms /= rounds;
   row.drain_ms /= rounds;

@@ -268,7 +268,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   std::function<bool(int64_t, double)> send_heartbeat;
   std::function<void()> goodbye;
   // request_drain: the graceful-leave handshake. True once the publisher
-  // acknowledged (its MembershipCoordinator has fenced this replica and
+  // acknowledged (its FleetCoordinator has fenced this replica and
   // reposted the unfetched backlog); false on a vanished publisher or
   // eviction (check the flag). Called between iterations, so "finish
   // in-flight work" is already satisfied when the ack lands.

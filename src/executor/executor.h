@@ -101,7 +101,7 @@ struct ExecutorOptions {
   // --- Elastic membership ---
   // Declare join intent on attach (kAttachCapJoin on the socket endpoint; a
   // plain announce on shm, where joining is intrinsic). The publisher's
-  // MembershipCoordinator admits the replica and seeds it with stolen
+  // FleetCoordinator admits the replica and seeds it with stolen
   // backlog at spare iteration keys — a joiner therefore normally runs with
   // start_iteration at the publisher's spare base.
   bool join = false;

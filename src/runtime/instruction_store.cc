@@ -283,7 +283,7 @@ void InstructionStore::NotifyReplicaDrainRequested(int32_t replica) {
   }
   if (sink != nullptr) {
     // Outside mu_: the sink fires the liveness event chain synchronously, and
-    // the MembershipCoordinator at its end calls straight back into this
+    // the FleetCoordinator at its end calls straight back into this
     // store (FenceReplica, PendingIterations, Repost).
     sink->OnReplicaDrainRequested(replica);
   }

@@ -72,12 +72,12 @@ class HeartbeatSink {
   // frame v4: the replica asked to leave gracefully (kDrainRequest on the
   // wire, a drain-state heartbeat slot on shm). Default no-op so lag-only
   // sinks keep working; the HeartbeatMonitor turns it into a kDraining
-  // liveness event, which is what the MembershipCoordinator acts on.
+  // liveness event, which is what the FleetCoordinator acts on.
   virtual void OnReplicaDrainRequested(int32_t replica) { (void)replica; }
 };
 
-// Why a plan move failed (or didn't). Recovery and rebalance coordinators
-// branch on this: a vanished source means the work already happened (skip),
+// Why a plan move failed (or didn't). The FleetCoordinator's mover branches
+// on this: a vanished source means the work already happened (skip),
 // a taken destination means the spare key is burned (advance and retry) —
 // collapsing both into `false` is exactly the bug that silently lost reposts
 // when a survivor died twice.
@@ -136,8 +136,8 @@ class InstructionStoreInterface {
 
   // --- Recovery surface (optional capability) ---
   // Whether this backend can enumerate and move resident plans — the
-  // planner-side machinery RecoveryCoordinator and RebalanceCoordinator sit
-  // on. Backends the coordinators run next to (the in-process store, the shm
+  // planner-side machinery the FleetCoordinator sits on. Backends the
+  // coordinator runs next to (the in-process store, the shm
   // segment) say yes; remote *clients* say no — recovery always runs where
   // the plans actually live.
   virtual bool supports_recovery() const { return false; }

@@ -15,12 +15,10 @@
 #include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 #include "src/runtime/ground_truth.h"
+#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_ahead_service.h"
 #include "src/service/plan_cache.h"
-#include "src/service/rebalance.h"
-#include "src/service/recovery.h"
 #include "src/sim/cluster_sim.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
@@ -241,69 +239,53 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   std::optional<InstructionStore> server_store;
   std::optional<transport::UnixSocketTransport> socket_transport;
   std::optional<transport::InstructionStoreServer> store_server;
-  // Kept alongside sopts.store on the shm path: the coordinators and the
+  // Kept alongside sopts.store on the shm path: the coordinator and the
   // heartbeat poller need the concrete segment handle, not the interface.
   std::shared_ptr<transport::ShmInstructionStore> shm_store;
   // Declared after the monitor and store it points at, so it unregisters
   // from the monitor (dtor) before either dies.
-  std::optional<service::RecoveryCoordinator> recovery;
-  // Declared after recovery: both move plans at spare keys from one shared
-  // allocator, and teardown must unhook the straggler callback while the
-  // monitor is still alive.
-  std::optional<service::RebalanceCoordinator> rebalance;
-  // Declared after recovery (it registers as recovery's downstream event tap
-  // and must unregister while recovery is alive); shares the spare-key
-  // allocator with both coordinators above.
-  std::optional<service::MembershipCoordinator> membership;
+  std::optional<service::FleetCoordinator> fleet;
   // Last, so it stops feeding the monitor before any of the above dies.
   std::optional<transport::ShmHeartbeatPoller> shm_poller;
-  // One spare-key space shared by recovery and rebalance — two coordinators
-  // moving plans into the same store must never pick colliding destinations.
-  const int64_t spare_base = options.max_iterations > 0
-                                 ? options.max_iterations
-                                 : (int64_t{1} << 32);
-  auto spare_keys = std::make_shared<service::SpareKeyAllocator>(spare_base);
-  auto all_replicas = [&] {
-    std::vector<int32_t> replicas;
+  // React to declared deaths: move the dead replica's unfetched plans to
+  // survivors and record the recovery. The coordinator itself always
+  // degrades — fail-fast's store shutdown is for a publisher parked in Push
+  // backpressure, and would race this trainer's own fetches (it consumes its
+  // replicas' plans in-process). options.failure_policy is applied by the
+  // epoch loop below instead. In-process replicas cannot die (no wire), so
+  // reposts are expected only from attached external replicas — which
+  // publish nothing here; the spare base still clears every iteration this
+  // epoch could publish.
+  auto wire_fleet = [&](runtime::InstructionStoreInterface* store) {
+    service::FleetOptions fleet_opts;
     for (int32_t d = 0; d < parallel_.dp; ++d) {
-      replicas.push_back(d);
+      fleet_opts.replicas.push_back(d);
     }
-    return replicas;
+    fleet_opts.spare_iteration_base = options.max_iterations > 0
+                                          ? options.max_iterations
+                                          : (int64_t{1} << 32);
+    fleet.emplace(store, &heartbeat_monitor, std::move(fleet_opts));
   };
-  // Rebalancing moves *unfetched* plans between replicas, but this trainer
-  // fetches every in-process replica's plan by exact (iteration, replica)
-  // key — so all of them are immovable and nothing migrates during its own
-  // epochs. The wiring still runs the policy (streaks, hysteresis, report)
-  // so the knobs and EpochResult fields are live; the full migration path is
-  // the cross-process store (standalone publisher + attached executors).
-  auto wire_rebalance = [&](runtime::InstructionStoreInterface* store) {
-    if (!options.rebalance_stragglers) {
-      return;
+  // Fleet barrier: hold the epoch (nothing published yet) until enough
+  // executors have attached. In-process replicas report nothing before
+  // iteration 0, so every replica the monitor knows at this point came over
+  // the wire or through the segment.
+  auto await_fleet = [&] {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double, std::milli>(
+                              options.liveness_await_timeout_ms);
+    while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
+           options.liveness_await_replicas) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        result.feasible = false;
+        result.failure = "timed out waiting for " +
+                         std::to_string(options.liveness_await_replicas) +
+                         " replicas to attach";
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    service::RebalanceOptions bopts;
-    bopts.consecutive_flags = options.rebalance_consecutive_flags;
-    bopts.max_moves_per_event = options.rebalance_max_moves;
-    bopts.hysteresis_iterations = options.rebalance_hysteresis_iterations;
-    bopts.replicas = all_replicas();
-    bopts.immovable_replicas = all_replicas();
-    bopts.spare_keys = spare_keys;
-    rebalance.emplace(store, &heartbeat_monitor, bopts);
-  };
-  // Elastic membership rides downstream of recovery; the in-process replicas
-  // are immovable for the same reason they are for rebalance (this trainer
-  // fetches its own plans by exact key, so a joiner must not steal them).
-  auto wire_membership = [&](runtime::InstructionStoreInterface* store,
-                             std::function<void(int32_t)> drain_ack) {
-    if (!options.elastic_membership) {
-      return;
-    }
-    service::MembershipOptions mopts;
-    mopts.initial_replicas = all_replicas();
-    mopts.immovable_replicas = all_replicas();
-    mopts.spare_keys = spare_keys;
-    mopts.join_steal_max = options.membership_join_steal_max;
-    mopts.drain_ack = std::move(drain_ack);
-    membership.emplace(store, &heartbeat_monitor, &*recovery, mopts);
+    return true;
   };
   if (options.plan_store_backend ==
       TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
@@ -315,52 +297,15 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     // kHeartbeat frames from any attached reporter route through the server
     // store's sink into the same monitor the in-process replicas feed.
     server_store->set_heartbeat_sink(&heartbeat_monitor);
-    // React to declared deaths: move the dead replica's unfetched plans to
-    // survivors and record the recovery. The coordinator itself always
-    // degrades — fail-fast's store shutdown is for a publisher parked in
-    // Push backpressure, and would race this trainer's own fetches (it
-    // consumes its replicas' plans in-process). options.failure_policy is
-    // applied by the epoch loop below instead.
-    service::RecoveryOptions ropts;
-    ropts.policy = service::FailurePolicy::kDegradeAndContinue;
-    ropts.replicas = all_replicas();
-    // In-process replicas cannot die (no wire), so reposts are expected only
-    // from attached external replicas — which publish nothing here. The
-    // shared base still clears every iteration this epoch could publish.
-    ropts.spare_keys = spare_keys;
     // Subscribe the coordinator BEFORE the server starts serving: the socket
     // is already bound (transport ctor), so an executor can attach and die in
     // the window between the first served frame and a later subscription —
     // that death event would fire into a null callback and be lost.
-    recovery.emplace(&*server_store, &heartbeat_monitor, ropts);
-    wire_rebalance(&*server_store);
-    // Before the server serves: a joiner attaching in the startup window
-    // must land on a live membership subscription. Over the wire the
-    // server's kDrainAck reply is the drain acknowledgement (the event chain
-    // runs synchronously inside the drain-request handler), so no ack hook.
-    wire_membership(&*server_store, nullptr);
+    wire_fleet(&*server_store);
     store_server.emplace(&*socket_transport, &*server_store);
-    // Fleet barrier: the server is accepting, so executors can attach now;
-    // hold the epoch (nothing published yet) until enough have. In-process
-    // replicas report nothing before iteration 0, so every replica the
-    // monitor knows at this point came over the wire.
-    if (options.liveness_await_replicas > 0) {
-      const auto barrier_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration<double, std::milli>(
-              options.liveness_await_timeout_ms);
-      while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
-             options.liveness_await_replicas) {
-        if (std::chrono::steady_clock::now() >= barrier_deadline) {
-          result.feasible = false;
-          result.failure =
-              "timed out waiting for " +
-              std::to_string(options.liveness_await_replicas) +
-              " replicas to attach";
-          return result;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+    // The server is accepting, so executors can attach now.
+    if (!await_fleet()) {
+      return result;
     }
     sopts.store =
         transport::MuxInstructionStore::OverUnixSocket(socket_transport->path());
@@ -377,36 +322,10 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     // in between. Liveness arrives through the segment too: attached
     // executors stamp their heartbeat slot in shared memory, and the poller
     // replays those beats into this monitor as if they came over a wire.
-    service::RecoveryOptions ropts;
-    ropts.policy = service::FailurePolicy::kDegradeAndContinue;
-    ropts.replicas = all_replicas();
-    ropts.spare_keys = spare_keys;
-    recovery.emplace(shm_store.get(), &heartbeat_monitor, ropts);
-    wire_rebalance(shm_store.get());
-    // Shm drains acknowledge through the segment: the coordinator flips the
-    // leaver's slot drain word once the handoff is done.
-    wire_membership(shm_store.get(),
-                    [raw = shm_store.get()](int32_t replica) {
-                      raw->AcknowledgeDrain(replica);
-                    });
+    wire_fleet(shm_store.get());
     shm_poller.emplace(shm_store, &heartbeat_monitor);
-    if (options.liveness_await_replicas > 0) {
-      const auto barrier_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration<double, std::milli>(
-              options.liveness_await_timeout_ms);
-      while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
-             options.liveness_await_replicas) {
-        if (std::chrono::steady_clock::now() >= barrier_deadline) {
-          result.feasible = false;
-          result.failure =
-              "timed out waiting for " +
-              std::to_string(options.liveness_await_replicas) +
-              " replicas to attach";
-          return result;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+    if (!await_fleet()) {
+      return result;
     }
   }
   if (allow_plan_cache && options.plan_cache) {
@@ -438,23 +357,11 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     result.plan_cache_hits = sstats.plan_cache_hits;
     result.plan_cache_misses = sstats.plan_cache_misses;
     result.serialized_plan_bytes = sstats.published_bytes;
-    if (recovery.has_value()) {
-      const service::RecoveryReport rreport = recovery->report();
-      result.dead_replicas = rreport.dead_replicas;
-      result.replanned_iterations = rreport.replanned_iterations;
-      result.recovery_ms = rreport.recovery_ms;
-    }
-    if (rebalance.has_value()) {
-      const service::RebalanceReport breport = rebalance->report();
-      result.rebalance_events = breport.events;
-      result.rebalanced_iterations = breport.moved_iterations;
-    }
-    if (membership.has_value()) {
-      const service::MembershipReport mreport = membership->report();
-      result.joined_replicas = mreport.joined;
-      result.drained_replicas = mreport.drained;
-      result.join_stolen_iterations = mreport.join_stolen_iterations;
-      result.drain_reposted_iterations = mreport.drain_reposted_iterations;
+    if (fleet.has_value()) {
+      const service::FleetReport report = fleet->report();
+      result.dead_replicas = report.dead_replicas;
+      result.replanned_iterations = report.replanned_iterations;
+      result.recovery_ms = report.recovery_ms;
     }
     if (store_server.has_value()) {
       // Pull each stats-capable attached executor's process-wide snapshot
@@ -482,9 +389,9 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     // coordinator's report, not the monitor: the monitor's state flips
     // before the event callback lands, and the report only shows a death
     // once the coordinator has fully processed it.
-    if (recovery.has_value() &&
+    if (fleet.has_value() &&
         options.failure_policy == service::FailurePolicy::kFailFast) {
-      const std::vector<int32_t> dead = recovery->report().dead_replicas;
+      const std::vector<int32_t> dead = fleet->report().dead_replicas;
       if (!dead.empty()) {
         result.feasible = false;
         result.failure = "replica " + std::to_string(dead.front()) +
@@ -571,11 +478,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     record.replica_median_ms = hb_stats.median_wall_ms;
     record.replica_max_ms = hb_stats.max_wall_ms;
     record.straggler_replicas = hb_stats.stragglers;
-    if (recovery.has_value()) {
+    if (fleet.has_value()) {
       record.dead_replicas = heartbeat_monitor.DeadReplicas();
-    }
-    if (rebalance.has_value()) {
-      record.rebalanced_replicas = rebalance->report().rebalanced_replicas;
     }
     result.straggler_flags +=
         static_cast<int64_t>(record.straggler_replicas.size());

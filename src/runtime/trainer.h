@@ -19,7 +19,7 @@
 #include "src/data/dataset.h"
 #include "src/data/minibatch_sampler.h"
 #include "src/runtime/planner.h"
-#include "src/service/recovery.h"
+#include "src/service/fleet.h"
 
 namespace dynapipe {
 class ThreadPool;
@@ -118,10 +118,15 @@ struct TrainerOptions {
   double straggler_multiple = 2.0;
   double straggler_min_gap_ms = 0.0;
   // --- Failure detection & recovery (service/heartbeat_monitor.h,
-  // service/recovery.h), cross-process backends only (sockets and shm —
+  // service/fleet.h), cross-process backends only (sockets and shm —
   // anywhere an executor process can die out from under the trainer; the
   // shm segment's liveness source is its header heartbeat slots, polled by
-  // a ShmHeartbeatPoller). ---
+  // a ShmHeartbeatPoller). The trainer's FleetCoordinator runs recovery
+  // only: this trainer fetches each in-process replica's plan by exact
+  // (iteration, replica) key, so a straggler rebalance or a joiner's steal
+  // would move plans out from under it. Rebalance and elastic membership
+  // belong to a standalone publisher with attached executors
+  // (dynapipe_executor --demo shm --fault stall / --churn). ---
   // Liveness deadlines for attached executors; 0 disables the transition. A
   // replica silent past dead_after_ms, or whose connection drops uncleanly
   // and stays gone past connection_grace_ms (grace 0 = a drop is death), is
@@ -141,34 +146,6 @@ struct TrainerOptions {
   // death; kDegradeAndContinue (default) finishes on the survivors.
   service::FailurePolicy failure_policy =
       service::FailurePolicy::kDegradeAndContinue;
-  // --- Straggler reaction (service/rebalance.h) ---
-  // When enabled, a RebalanceCoordinator subscribes to the monitor's
-  // straggler signal and moves part of a persistently slow replica's
-  // *unfetched* backlog onto fast replicas mid-epoch. Note the trainer's own
-  // in-process replicas are immovable (the trainer fetches its plans by
-  // exact key), so in-trainer rebalancing acts only on work published for
-  // externally attached executors; the full migration path is exercised by
-  // the standalone publisher (dynapipe_executor --demo shm --fault stall).
-  bool rebalance_stragglers = false;
-  // A replica must straggle this many consecutive iterations to shed work...
-  int32_t rebalance_consecutive_flags = 3;
-  // ...at most this many plans migrate per trigger...
-  int32_t rebalance_max_moves = 2;
-  // ...and it is immune for this many iterations after shedding (hysteresis
-  // so one noisy iteration doesn't thrash plans back and forth).
-  int64_t rebalance_hysteresis_iterations = 4;
-  // --- Elastic membership (service/membership.h) ---
-  // When enabled, a MembershipCoordinator subscribes downstream of recovery
-  // and makes the fleet dynamic: an unknown replica that attaches (wire
-  // kAttachCapJoin, or a bare shm announce) is admitted and seeded with a
-  // fair share of the most-loaded replica's tail backlog; a replica that
-  // requests a drain (wire kDrainRequest, or the shm slot's drain word) is
-  // fenced, its unfetched backlog is reposted to the survivors, and the
-  // expected fleet size re-gates straggler detection. Cross-process backends
-  // only (sockets and shm), like recovery.
-  bool elastic_membership = false;
-  // Cap on backlog stolen for one joiner; 0 = fair share, uncapped.
-  int32_t membership_join_steal_max = 0;
   // --- Observability (src/common/trace.h, src/common/metrics.h) ---
   // Non-empty enables plan-lifecycle tracing and names the merged
   // Chrome/Perfetto trace JSON written at epoch end (executor processes
@@ -222,10 +199,6 @@ struct IterationRecord {
   // Replicas declared dead by the time this iteration completed (cumulative
   // snapshot, ascending) — which iterations of the epoch ran degraded.
   std::vector<int32_t> dead_replicas;
-  // Replicas that had shed work to faster ones by the time this iteration
-  // completed (cumulative, first-trigger order) — the rebalance analogue of
-  // dead_replicas.
-  std::vector<int32_t> rebalanced_replicas;
 };
 
 struct EpochResult {
@@ -254,23 +227,12 @@ struct EpochResult {
   // Total straggler flags raised across the epoch (per-iteration detail in
   // records[*].straggler_replicas).
   int64_t straggler_flags = 0;
-  // Recovery (service/recovery.h): replicas declared dead during the epoch
+  // Recovery (service/fleet.h): replicas declared dead during the epoch
   // (declaration order), how many of their pending plans were re-published
   // to survivors, and the total detect -> re-publish wall time.
   std::vector<int32_t> dead_replicas;
   int64_t replanned_iterations = 0;
   double recovery_ms = 0.0;
-  // Rebalancing (service/rebalance.h): triggers that moved work off a
-  // persistently slow replica, and how many plans migrated in total.
-  int64_t rebalance_events = 0;
-  int64_t rebalanced_iterations = 0;
-  // Elastic membership (service/membership.h): replicas admitted mid-epoch
-  // (admission order) and drained gracefully (acknowledgement order), plus
-  // how much backlog moved each way.
-  std::vector<int32_t> joined_replicas;
-  std::vector<int32_t> drained_replicas;
-  int64_t join_stolen_iterations = 0;
-  int64_t drain_reposted_iterations = 0;
   // Per-connection executor metric snapshots pulled over the stats channel
   // at epoch end (empty on non-socket backends or when nothing attached).
   std::vector<ExecutorMetrics> executor_metrics;

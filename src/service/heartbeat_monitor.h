@@ -32,7 +32,7 @@
 // revives it — its plans may already be re-published, so the only safe
 // answer to a zombie is eviction (the server's kEvicted reply, driven by
 // IsReplicaDead). Every transition is surfaced through the ReplicaEvent
-// callback, which is what RecoveryCoordinator subscribes to.
+// callback, which is what FleetCoordinator subscribes to.
 //
 // Deadlines are enforced by an internal watchdog thread (started only when a
 // deadline is configured) and by PollLiveness(), which tests call directly
@@ -67,7 +67,7 @@ enum class ReplicaLiveness : uint8_t {
   kDead,      // declared dead; sticky (recovery may have moved its plans)
   kDetached,  // clean goodbye; absence is expected, deadlines off
   kDraining,  // asked to leave gracefully; finishing in-flight work, must not
-              // be handed anything new (the MembershipCoordinator's cue)
+              // be handed anything new (the FleetCoordinator's cue)
 };
 
 const char* ReplicaLivenessName(ReplicaLiveness state);
@@ -165,7 +165,7 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   void OnReplicaAttached(int32_t replica) override;
   void OnReplicaDisconnected(int32_t replica, bool clean) override;
   // The replica asked to leave the fleet gracefully: transitions it to
-  // kDraining and fires the event — the MembershipCoordinator's cue to fence
+  // kDraining and fires the event — the FleetCoordinator's cue to fence
   // it, repost its backlog, and shrink the expected fleet. Ignored for dead
   // replicas (their plans already moved; the server evicts them instead).
   void OnReplicaDrainRequested(int32_t replica) override;

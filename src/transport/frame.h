@@ -166,7 +166,7 @@ inline constexpr uint8_t kAttachCapStats = 0x01;
 // identical either way (attach + liveness touch); the bit exists so the
 // intent is explicit on the wire and a future server may refuse unknown
 // replicas that do not declare it. Admission itself rides the liveness event
-// stream: the MembershipCoordinator admits any unknown replica that goes
+// stream: the FleetCoordinator admits any unknown replica that goes
 // alive, which is also how shm joiners (who have no attach frame at all —
 // AnnounceReplica claims a heartbeat slot) are admitted.
 inline constexpr uint8_t kAttachCapJoin = 0x02;

@@ -175,7 +175,7 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   //   3 = drain acknowledged (publisher wrote). Same layout, same version.
   // Executor side: asks to leave — the shm equivalent of the wire
   // kDrainRequest. The poller forwards it to the HeartbeatSink and the
-  // MembershipCoordinator fences + reposts before acknowledging.
+  // FleetCoordinator fences + reposts before acknowledging.
   void RequestDrain(int32_t replica);
   // Executor side: true once the publisher acknowledged the drain — the
   // green light to finish in-flight work and DetachReplica.

@@ -359,9 +359,10 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
         }
         // kAttachCapJoin needs no handler state: join admission rides the
         // liveness event the NotifyReplicaAttached below fires — the
-        // MembershipCoordinator admits any unknown replica that turns
-        // alive. The bit is declarative intent (and keeps the executor's
-        // command line honest); an old server ignores it harmlessly.
+        // FleetCoordinator admits any unknown replica that turns alive
+        // (membership on). The bit is declarative intent (and keeps the
+        // executor's command line honest); an old server ignores it
+        // harmlessly.
         if (store_->ReplicaConsideredDead(request->replica)) {
           reply.type = FrameType::kEvicted;  // zombie reconnect: refuse
           break;

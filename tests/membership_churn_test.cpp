@@ -17,9 +17,9 @@
 //      death loses the executed-but-unreported plan's beat, nothing else),
 //      nobody innocent is declared dead, and the drain and join are
 //      recorded. The exact heartbeat count is also the spare-key-collision
-//      probe: recovery, rebalance, and membership share one allocator, and a
-//      collision would either lose a plan (count short) or double-run one
-//      (count over).
+//      probe: recovery, rebalance, and membership all move plans through
+//      one FleetCoordinator's mover and spare keys, and a collision would
+//      either lose a plan (count short) or double-run one (count over).
 //
 // Everything is shm-native: liveness, the drain word, and the handoffs all
 // live in the segment; no socket exists anywhere in this file. fork()
@@ -46,10 +46,9 @@
 
 #include "src/common/fault_injection.h"
 #include "src/executor/executor.h"
+#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_serde.h"
-#include "src/service/recovery.h"
 #include "src/transport/shm_store.h"
 
 namespace dynapipe {
@@ -151,11 +150,11 @@ struct ChurnChildSpec {
   ::_exit(0);
 }
 
-// The trainer-side control plane for one churn epoch, wired exactly like the
-// Trainer does it: monitor -> recovery -> membership on one shared spare-key
-// allocator, fed by the segment poller. Declaration order is teardown order
-// in reverse: the poller stops feeding the monitor before membership and
-// recovery unhook.
+// The publisher-side control plane for one churn epoch: monitor -> one
+// FleetCoordinator with all three policies on (recovery, straggler rebalance
+// at a one-flag streak, membership), fed by the segment poller. Declaration
+// order is teardown order in reverse: the poller stops feeding the monitor
+// before the coordinator unhooks.
 struct ChurnControlPlane {
   ChurnControlPlane(const std::string& shm_name,
                     const std::vector<std::vector<sim::ExecutionPlan>>& plans,
@@ -171,21 +170,19 @@ struct ChurnControlPlane {
         store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
       }
     }
-    auto spare_keys =
-        std::make_shared<service::SpareKeyAllocator>(kIterations);
-    service::RecoveryOptions ropts;
+    service::FleetOptions fleet_opts;
     for (int32_t r = 0; r < kBaseReplicas; ++r) {
-      ropts.replicas.push_back(r);
+      fleet_opts.replicas.push_back(r);
     }
-    ropts.spare_iteration_base = kIterations;
-    ropts.spare_keys = spare_keys;
-    recovery.emplace(store.get(), &monitor, ropts);
-    service::MembershipOptions mopts;
-    mopts.initial_replicas = ropts.replicas;
-    mopts.spare_keys = spare_keys;
+    fleet_opts.spare_iteration_base = kIterations;
+    fleet_opts.rebalance = true;
+    fleet_opts.rebalance_consecutive_flags = 1;
+    fleet_opts.membership = true;
     transport::ShmInstructionStore* raw = store.get();
-    mopts.drain_ack = [raw](int32_t replica) { raw->AcknowledgeDrain(replica); };
-    membership.emplace(store.get(), &monitor, &*recovery, mopts);
+    fleet_opts.drain_ack = [raw](int32_t replica) {
+      raw->AcknowledgeDrain(replica);
+    };
+    fleet.emplace(store.get(), &monitor, std::move(fleet_opts));
     poller.emplace(store, &monitor);
   }
 
@@ -203,8 +200,7 @@ struct ChurnControlPlane {
 
   service::HeartbeatMonitor monitor;
   std::shared_ptr<transport::ShmInstructionStore> store;
-  std::optional<service::RecoveryCoordinator> recovery;
-  std::optional<service::MembershipCoordinator> membership;
+  std::optional<service::FleetCoordinator> fleet;
   std::optional<transport::ShmHeartbeatPoller> poller;
 };
 
@@ -272,13 +268,13 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   EXPECT_EQ(plane.monitor.total_heartbeats(), expected_beats);
 
   // The join: admitted, seeded with stolen tail backlog.
-  const service::MembershipReport mreport = plane.membership->report();
-  EXPECT_EQ(mreport.joined, std::vector<int32_t>{kJoiner});
-  EXPECT_GE(mreport.join_stolen_iterations, 1);
+  const service::FleetReport report = plane.fleet->report();
+  EXPECT_EQ(report.joined, std::vector<int32_t>{kJoiner});
+  EXPECT_GE(report.join_stolen, 1);
   // The drain: fenced and handed off (the drainer left 4 unfetched), then
   // acknowledged — the child's exit code already proved the clean handshake.
-  EXPECT_EQ(mreport.drained, std::vector<int32_t>{kDrainer});
-  EXPECT_GE(mreport.drain_reposted_iterations, 1);
+  EXPECT_EQ(report.drained, std::vector<int32_t>{kDrainer});
+  EXPECT_GE(report.drain_reposted, 1);
 
   // The drainer ended detached — not dead, not evicted, and retired from
   // the active fleet while the joiner stays a member.
@@ -289,13 +285,12 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
       },
       5'000));
   EXPECT_TRUE(plane.monitor.DeadReplicas().empty());
-  EXPECT_EQ(plane.membership->ActiveMembers(),
+  EXPECT_EQ(plane.fleet->ActiveMembers(),
             (std::vector<int32_t>{0, 1, kJoiner}));
 
   // Recovery never ran: a drain is not a death.
-  const service::RecoveryReport rreport = plane.recovery->report();
-  EXPECT_TRUE(rreport.dead_replicas.empty());
-  EXPECT_EQ(rreport.replanned_iterations, 0);
+  EXPECT_TRUE(plane.fleet->report().dead_replicas.empty());
+  EXPECT_EQ(plane.fleet->report().replanned_iterations, 0);
 }
 
 // ---------- the seeded chaos harness ----------
@@ -426,11 +421,10 @@ void RunSeededChurnEpoch(uint32_t seed) {
 
   // The schedule's churn was recorded: exactly this joiner, exactly this
   // drainer, and no survivor left to drop a plan on.
-  const service::MembershipReport mreport = plane.membership->report();
-  EXPECT_EQ(mreport.joined, std::vector<int32_t>{kJoiner});
-  EXPECT_EQ(mreport.drained, std::vector<int32_t>{schedule.drainer});
-  const service::RecoveryReport rreport = plane.recovery->report();
-  EXPECT_EQ(rreport.dropped_iterations, 0);
+  const service::FleetReport report = plane.fleet->report();
+  EXPECT_EQ(report.joined, std::vector<int32_t>{kJoiner});
+  EXPECT_EQ(report.drained, std::vector<int32_t>{schedule.drainer});
+  EXPECT_EQ(report.dropped_iterations, 0);
 }
 
 TEST(MembershipChurnChaosTest, SeededSchedulesRunExactlyOnce) {

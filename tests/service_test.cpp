@@ -24,13 +24,11 @@
 #include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
 #include "src/runtime/trainer.h"
+#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_ahead_service.h"
 #include "src/service/plan_cache.h"
 #include "src/service/plan_serde.h"
-#include "src/service/rebalance.h"
-#include "src/service/recovery.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
@@ -1155,150 +1153,6 @@ TEST(HeartbeatMonitorTest, EventCallbackStreamsEveryTransition) {
   monitor.set_event_callback(nullptr);
 }
 
-// ---------- recovery coordinator ----------
-
-TEST(RecoveryCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = 10;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-
-  // Replica 1 dies with three unfetched plans; 0 and 2 are survivors.
-  store.PushBytes(0, 1, "plan-a");
-  store.PushBytes(1, 1, "plan-b");
-  store.PushBytes(2, 1, "plan-c");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);  // grace 0 -> kDead
-
-  EXPECT_TRUE(store.PendingIterations(1).empty());
-  // Round-robin over the survivors, spare numbers per survivor from the
-  // base — and the bytes are exactly what the dead replica would have run.
-  EXPECT_EQ(store.FetchBytes(10, 0), "plan-a");
-  EXPECT_EQ(store.FetchBytes(10, 2), "plan-b");
-  EXPECT_EQ(store.FetchBytes(11, 0), "plan-c");
-
-  const service::RecoveryReport report = recovery.report();
-  EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{1});
-  EXPECT_EQ(report.replanned_iterations, 3);
-  EXPECT_EQ(report.dropped_iterations, 0);
-  EXPECT_FALSE(report.fail_fast_triggered);
-  EXPECT_GE(report.recovery_ms, 0.0);
-}
-
-TEST(RecoveryCoordinatorTest, FailFastShutsTheStoreAndMovesNothing) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
-  service::RecoveryOptions ropts;
-  ropts.policy = service::FailurePolicy::kFailFast;
-  ropts.replicas = {0, 1};
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-
-  store.PushBytes(0, 1, "plan-a");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
-
-  const service::RecoveryReport report = recovery.report();
-  EXPECT_TRUE(report.fail_fast_triggered);
-  EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{1});
-  EXPECT_EQ(report.replanned_iterations, 0);
-  // Nothing moved, and the store is shut down: the parked publisher's next
-  // Push is dropped instead of blocking forever.
-  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
-  EXPECT_FALSE(store.PushBytes(5, 0, "plan-b"));
-}
-
-TEST(RecoveryCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {1};
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-
-  store.PushBytes(0, 1, "plan-a");
-  store.PushBytes(1, 1, "plan-b");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
-
-  EXPECT_TRUE(store.PendingIterations(1).empty());
-  const service::RecoveryReport report = recovery.report();
-  EXPECT_EQ(report.replanned_iterations, 0);
-  EXPECT_EQ(report.dropped_iterations, 2);
-}
-
-// A spare destination key that turns out taken is burned and skipped, not
-// retried: before the SpareKeyAllocator, a collision wedged the survivor's
-// counter on the taken key and every later repost to it was silently lost.
-TEST(RecoveryCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1};
-  ropts.spare_iteration_base = 10;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-
-  // Someone already published at the survivor's first spare key.
-  store.PushBytes(10, 0, "squatter");
-  store.PushBytes(0, 1, "plan-a");
-  store.PushBytes(1, 1, "plan-b");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
-
-  // Key 10 was tried, found taken, burned; both plans landed on later keys.
-  EXPECT_EQ(recovery.report().replanned_iterations, 2);
-  EXPECT_EQ(store.FetchBytes(10, 0), "squatter");
-  EXPECT_EQ(store.FetchBytes(11, 0), "plan-a");
-  EXPECT_EQ(store.FetchBytes(12, 0), "plan-b");
-}
-
-// The double-death case: replica 2 inherits part of replica 1's backlog,
-// then dies itself before fetching it. The shared per-survivor counters must
-// keep advancing across deaths — reissuing an already-used spare key would
-// collide with the first recovery's repost and drop the plan.
-TEST(RecoveryCoordinatorTest, SpareKeysSurviveASecondDeath) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = 10;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-
-  store.PushBytes(0, 1, "plan-a");
-  store.PushBytes(1, 1, "plan-b");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
-  // First death: round-robin lands plan-a at (10, 0) and plan-b at (10, 2).
-  // Neither survivor fetches anything before the second death.
-  monitor.OnReplicaDisconnected(2, /*clean=*/false);
-
-  const service::RecoveryReport report = recovery.report();
-  EXPECT_EQ(report.dead_replicas, (std::vector<int32_t>{1, 2}));
-  EXPECT_EQ(report.replanned_iterations, 3);  // 2 from death one, 1 moved on
-  EXPECT_EQ(report.dropped_iterations, 0);
-  EXPECT_TRUE(store.PendingIterations(2).empty());
-  // (10, 0) still holds the first repost; the inherited plan-b moved to the
-  // last survivor's *next* spare key, not back onto a used one.
-  EXPECT_EQ(store.FetchBytes(10, 0), "plan-a");
-  EXPECT_EQ(store.FetchBytes(11, 0), "plan-b");
-}
-
 // ---------- heartbeat monitor: expected-replica gating ----------
 
 // Straggler math over a partial report set is meaningless: with one replica
@@ -1423,20 +1277,20 @@ TEST(HeartbeatMonitorTest, GrowingExpectedNeverDoubleFiresACompletedIteration) {
   EXPECT_EQ(fired[1].replicas_expected, 3);
 }
 
-// ---------- rebalance coordinator ----------
+// ---------- fleet coordinator ----------
 
 namespace {
-// Feeds one complete iteration's heartbeats: `slow` reports 40 ms, everyone
-// else 10 ms — over the 2*median+1 bar, so `slow` is flagged (or nobody,
-// with slow < 0).
+// Feeds one complete iteration's heartbeats from replicas 0..replicas-1:
+// `slow` reports 40 ms, everyone else 10 ms — over the 2*median+1 bar, so
+// `slow` is flagged (or nobody, with slow < 0).
 void FeedIteration(service::HeartbeatMonitor& monitor, int64_t iteration,
-                   int32_t slow) {
-  for (int32_t replica = 0; replica < 3; ++replica) {
+                   int32_t slow, int32_t replicas = 3) {
+  for (int32_t replica = 0; replica < replicas; ++replica) {
     monitor.OnHeartbeat(replica, iteration, replica == slow ? 40.0 : 10.0);
   }
 }
 
-service::HeartbeatMonitorOptions RebalanceMonitorOptions() {
+service::HeartbeatMonitorOptions FleetMonitorOptions() {
   service::HeartbeatMonitorOptions opts;
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
@@ -1444,31 +1298,179 @@ service::HeartbeatMonitorOptions RebalanceMonitorOptions() {
   opts.watchdog = false;
   return opts;
 }
+
+service::FleetOptions Fleet(std::vector<int32_t> replicas) {
+  service::FleetOptions opts;
+  opts.replicas = std::move(replicas);
+  opts.spare_iteration_base = 10;
+  return opts;
+}
+
+// Straggler rebalance on, with the thresholds the tests below exercise.
+service::FleetOptions RebalancingFleet(std::vector<int32_t> replicas,
+                                       int32_t consecutive_flags) {
+  service::FleetOptions opts = Fleet(std::move(replicas));
+  opts.rebalance = true;
+  opts.rebalance_consecutive_flags = consecutive_flags;
+  opts.rebalance_max_moves = 2;
+  opts.rebalance_hysteresis_iterations = 4;
+  return opts;
+}
 }  // namespace
 
-TEST(RebalanceCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
+// --- deaths ---
+
+TEST(FleetCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 2;
-  bopts.max_moves_per_event = 2;
-  bopts.hysteresis_iterations = 4;
-  bopts.replicas = {0, 1, 2};
-  bopts.spare_iteration_base = 10;
-  service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
+  service::HeartbeatMonitorOptions mopts;
+  mopts.watchdog = false;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1, 2}));
+
+  // Replica 1 dies with three unfetched plans; 0 and 2 are survivors.
+  store.PushBytes(0, 1, "plan-a");
+  store.PushBytes(1, 1, "plan-b");
+  store.PushBytes(2, 1, "plan-c");
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);  // grace 0 -> kDead
+
+  EXPECT_TRUE(store.PendingIterations(1).empty());
+  // Round-robin over the survivors, spare numbers per survivor from the
+  // base — and the bytes are exactly what the dead replica would have run.
+  EXPECT_EQ(store.FetchBytes(10, 0), "plan-a");
+  EXPECT_EQ(store.FetchBytes(10, 2), "plan-b");
+  EXPECT_EQ(store.FetchBytes(11, 0), "plan-c");
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{1});
+  EXPECT_EQ(report.replanned_iterations, 3);
+  EXPECT_EQ(report.dropped_iterations, 0);
+  EXPECT_FALSE(report.fail_fast_triggered);
+  EXPECT_GE(report.recovery_ms, 0.0);
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 2}));
+}
+
+TEST(FleetCoordinatorTest, FailFastShutsTheStoreAndMovesNothing) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.watchdog = false;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetOptions opts = Fleet({0, 1});
+  opts.policy = service::FailurePolicy::kFailFast;
+  service::FleetCoordinator fleet(&store, &monitor, opts);
+
+  store.PushBytes(0, 1, "plan-a");
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_TRUE(report.fail_fast_triggered);
+  EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{1});
+  EXPECT_EQ(report.replanned_iterations, 0);
+  // Nothing moved, and the store is shut down: the parked publisher's next
+  // Push is dropped instead of blocking forever.
+  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
+  EXPECT_FALSE(store.PushBytes(5, 0, "plan-b"));
+}
+
+TEST(FleetCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.watchdog = false;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetCoordinator fleet(&store, &monitor, Fleet({1}));
+
+  store.PushBytes(0, 1, "plan-a");
+  store.PushBytes(1, 1, "plan-b");
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+
+  EXPECT_TRUE(store.PendingIterations(1).empty());
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.replanned_iterations, 0);
+  EXPECT_EQ(report.dropped_iterations, 2);
+}
+
+// A spare destination key that turns out taken is burned and skipped, not
+// retried: a collision used to wedge the survivor's counter on the taken key
+// and silently lose every later repost to it.
+TEST(FleetCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.watchdog = false;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1}));
+
+  // Someone already published at the survivor's first spare key.
+  store.PushBytes(10, 0, "squatter");
+  store.PushBytes(0, 1, "plan-a");
+  store.PushBytes(1, 1, "plan-b");
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+
+  // Key 10 was tried, found taken, burned; both plans landed on later keys.
+  EXPECT_EQ(fleet.report().replanned_iterations, 2);
+  EXPECT_EQ(store.FetchBytes(10, 0), "squatter");
+  EXPECT_EQ(store.FetchBytes(11, 0), "plan-a");
+  EXPECT_EQ(store.FetchBytes(12, 0), "plan-b");
+}
+
+// The double-death case: replica 2 inherits part of replica 1's backlog,
+// then dies itself before fetching it. The per-survivor key counters must
+// keep advancing across deaths — reissuing an already-used spare key would
+// collide with the first recovery's repost and drop the plan.
+TEST(FleetCoordinatorTest, SpareKeysSurviveASecondDeath) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.watchdog = false;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1, 2}));
+
+  store.PushBytes(0, 1, "plan-a");
+  store.PushBytes(1, 1, "plan-b");
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaAttached(2);
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+  // First death: round-robin lands plan-a at (10, 0) and plan-b at (10, 2).
+  // Neither survivor fetches anything before the second death.
+  monitor.OnReplicaDisconnected(2, /*clean=*/false);
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.dead_replicas, (std::vector<int32_t>{1, 2}));
+  EXPECT_EQ(report.replanned_iterations, 3);  // 2 from death one, 1 moved on
+  EXPECT_EQ(report.dropped_iterations, 0);
+  EXPECT_TRUE(store.PendingIterations(2).empty());
+  // (10, 0) still holds the first repost; the inherited plan-b moved to the
+  // last survivor's *next* spare key, not back onto a used one.
+  EXPECT_EQ(store.FetchBytes(10, 0), "plan-a");
+  EXPECT_EQ(store.FetchBytes(11, 0), "plan-b");
+}
+
+// --- stragglers ---
+
+TEST(FleetCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetCoordinator fleet(&store, &monitor,
+                                  RebalancingFleet({0, 1, 2}, 2));
 
   for (int64_t i = 0; i < 6; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
   FeedIteration(monitor, 0, /*slow=*/1);  // streak 1: under threshold
-  EXPECT_EQ(rebalance.report().events, 0);
+  EXPECT_EQ(fleet.report().shed_events, 0);
   EXPECT_EQ(store.PendingIterations(1).size(), 6u);
   FeedIteration(monitor, 1, /*slow=*/1);  // streak 2: trigger
-  const service::RebalanceReport report = rebalance.report();
-  EXPECT_EQ(report.events, 1);
-  EXPECT_EQ(report.moved_iterations, 2);
-  EXPECT_EQ(report.rebalanced_replicas, std::vector<int32_t>{1});
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.shed_events, 1);
+  EXPECT_EQ(report.shed_iterations, 2);
+  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{1});
   // The *tail* moved (the slow replica keeps the work it reaches next),
   // round-robin over the fast replicas at their spare keys.
   EXPECT_EQ(store.PendingIterations(1),
@@ -1477,156 +1479,122 @@ TEST(RebalanceCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
   EXPECT_EQ(store.FetchBytes(10, 2), "p4");
 }
 
-TEST(RebalanceCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
+TEST(FleetCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 2;
-  bopts.max_moves_per_event = 2;
-  bopts.hysteresis_iterations = 4;
-  bopts.replicas = {0, 1, 2};
-  bopts.spare_iteration_base = 10;
-  service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetCoordinator fleet(&store, &monitor,
+                                  RebalancingFleet({0, 1, 2}, 2));
 
   for (int64_t i = 0; i < 8; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
   FeedIteration(monitor, 0, 1);
   FeedIteration(monitor, 1, 1);  // event at iteration 1; cooldown until 5
-  ASSERT_EQ(rebalance.report().events, 1);
+  ASSERT_EQ(fleet.report().shed_events, 1);
   // Still slow every iteration — but a fresh streak has to build AND the
   // cooldown has to pass before anything moves again.
   FeedIteration(monitor, 2, 1);
   FeedIteration(monitor, 3, 1);
   FeedIteration(monitor, 4, 1);
-  EXPECT_EQ(rebalance.report().events, 1);  // iterations < 5: immune
+  EXPECT_EQ(fleet.report().shed_events, 1);  // iterations < 5: immune
   FeedIteration(monitor, 5, 1);  // past cooldown, streak long since rebuilt
-  EXPECT_EQ(rebalance.report().events, 2);
-  EXPECT_EQ(rebalance.report().moved_iterations, 4);
+  EXPECT_EQ(fleet.report().shed_events, 2);
+  EXPECT_EQ(fleet.report().shed_iterations, 4);
   // An intervening fast iteration resets the streak: no third event until
   // two more consecutive flags accumulate.
   FeedIteration(monitor, 9, /*slow=*/-1);  // everyone keeps pace
   FeedIteration(monitor, 10, 1);
-  EXPECT_EQ(rebalance.report().events, 2);  // streak 1 of 2
+  EXPECT_EQ(fleet.report().shed_events, 2);  // streak 1 of 2
 }
 
-TEST(RebalanceCoordinatorTest, ImmovableAndDeadReplicasPinTheirBacklog) {
+// A replica the monitor has declared dead belongs to the death handler: the
+// rebalance must not race it for the backlog, even on late beats.
+TEST(FleetCoordinatorTest, DeadReplicaPinsItsBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 1;
-  bopts.replicas = {0, 1, 2};
-  bopts.immovable_replicas = {1};  // the trainer's own replica, say
-  bopts.spare_iteration_base = 10;
-  service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetCoordinator fleet(&store, &monitor,
+                                  RebalancingFleet({0, 1, 2}, 1));
 
-  store.PushBytes(0, 1, "pinned");
-  FeedIteration(monitor, 0, /*slow=*/1);
-  // Flagged, streak met — but immovable means its backlog stays put.
-  EXPECT_EQ(rebalance.report().events, 0);
-  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
-
-  // A replica the monitor has declared dead is recovery's problem: the
-  // rebalancer must not race it for the backlog.
   monitor.OnReplicaAttached(2);
   monitor.OnReplicaDisconnected(2, /*clean=*/false);  // grace 0 -> kDead
   store.PushBytes(0, 2, "dead-backlog");
   FeedIteration(monitor, 1, /*slow=*/2);  // late beats from the dead replica
-  EXPECT_EQ(rebalance.report().events, 0);
+  EXPECT_EQ(fleet.report().shed_events, 0);
   EXPECT_EQ(store.PendingIterations(2), std::vector<int64_t>{0});
 }
 
-TEST(RebalanceCoordinatorTest, NoFastDestinationMeansNoMove) {
+TEST(FleetCoordinatorTest, NoFastDestinationMeansNoMove) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 1;
-  bopts.replicas = {1};  // nobody else configured to take work
-  bopts.spare_iteration_base = 10;
-  service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  // Nobody else is a member to take work.
+  service::FleetCoordinator fleet(&store, &monitor, RebalancingFleet({1}, 1));
 
   store.PushBytes(0, 1, "stuck");
   FeedIteration(monitor, 0, /*slow=*/1);
-  EXPECT_EQ(rebalance.report().events, 0);
+  EXPECT_EQ(fleet.report().shed_events, 0);
   EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
 }
 
-// Recovery and rebalance sharing one SpareKeyAllocator can never hand the
-// same destination key to both — the collision that would otherwise silently
-// drop whichever plan lost the race.
-TEST(RebalanceCoordinatorTest, SharedAllocatorKeepsRecoveryAndRebalanceApart) {
+// A rebalance and a later death repost share one set of spare keys, so they
+// can never hand out the same destination key — and the still-polling
+// straggler gets the key its tail steal vacated back first, keeping its key
+// sequence gap-free.
+TEST(FleetCoordinatorTest, DeathRepostFillsTheGapARebalanceVacated) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  auto spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_keys = spare_keys;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 1;
-  bopts.max_moves_per_event = 1;
-  bopts.replicas = {0, 1, 2};
-  bopts.spare_keys = spare_keys;
-  service::RebalanceCoordinator rebalance(&store, &monitor, bopts);
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 1);
+  opts.rebalance_max_moves = 1;
+  service::FleetCoordinator fleet(&store, &monitor, opts);
 
   // Rebalance moves one plan to a fast replica's first spare key...
   store.PushBytes(0, 1, "slow-tail");
   FeedIteration(monitor, 0, /*slow=*/1);
-  ASSERT_EQ(rebalance.report().moved_iterations, 1);
-  // ...then that fast replica's peer dies and recovery round-robins the
-  // backlog over the survivors: its keys continue after rebalance's on the
-  // fast replica, but the straggler's repost reuses the key the steal
-  // vacated — the shared allocator reissues released keys first, keeping
-  // the still-polling straggler's key sequence gap-free.
+  ASSERT_EQ(fleet.report().shed_iterations, 1);
+  // ...then that fast replica's peer dies and the backlog round-robins over
+  // the survivors: keys continue after the rebalance's on the fast replica,
+  // and the straggler's repost reuses the key the steal vacated.
   store.PushBytes(1, 2, "dead-a");
   store.PushBytes(2, 2, "dead-b");
   monitor.OnReplicaAttached(2);
   monitor.OnReplicaDisconnected(2, /*clean=*/false);
-  EXPECT_EQ(recovery.report().replanned_iterations, 2);
+  EXPECT_EQ(fleet.report().replanned_iterations, 2);
   EXPECT_EQ(store.FetchBytes(10, 0), "slow-tail");
   EXPECT_EQ(store.FetchBytes(11, 0), "dead-a");
   EXPECT_EQ(store.FetchBytes(0, 1), "dead-b");
 }
 
-// ---------- membership coordinator ----------
+// --- membership ---
 
 // A replica outside the configured fleet turning alive is a joiner: the
 // coordinator admits it, grows the expected fleet, and steals a fair share
 // of the deepest member's *tail* backlog to the joiner's spare keys — where
 // an open-ended executor polls first.
-TEST(MembershipCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
+TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  auto spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_keys = spare_keys;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  service::MembershipOptions mopts;
-  mopts.initial_replicas = {0, 1, 2};
-  mopts.spare_keys = spare_keys;
-  service::MembershipCoordinator membership(&store, &monitor, &recovery,
-                                            mopts);
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetOptions opts = Fleet({0, 1, 2});
+  opts.membership = true;
+  service::FleetCoordinator fleet(&store, &monitor, opts);
 
   for (int64_t i = 0; i < 8; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
   store.PushBytes(0, 0, "shallow");
-  EXPECT_EQ(membership.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
 
   // A bare shm announce or a kAttach carrying kAttachCapJoin both surface
   // here: an unknown replica turning alive.
   monitor.OnReplicaAttached(3);
-  const service::MembershipReport report = membership.report();
+  const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{3});
-  EXPECT_EQ(report.join_stolen_iterations, 2);  // floor(8 / new fleet of 4)
+  EXPECT_EQ(report.join_stolen, 2);  // floor(8 / new fleet of 4)
   EXPECT_EQ(monitor.expected_replicas(), 4);
-  EXPECT_EQ(membership.ActiveMembers(), (std::vector<int32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2, 3}));
   // Tail first, at the joiner's spare keys; the donor keeps its head and
   // replica 0's shallow backlog was never the donor.
   EXPECT_EQ(store.FetchBytes(10, 3), "p7");
@@ -1640,22 +1608,15 @@ TEST(MembershipCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
 // to the surviving members at spare keys, shrinks the expected fleet *after*
 // the handoff, and acknowledges through the backend hook. A duplicate
 // request must not repost or ack twice.
-TEST(MembershipCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
+TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  auto spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_keys = spare_keys;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  service::MembershipOptions mopts;
-  mopts.initial_replicas = {0, 1, 2};
-  mopts.spare_keys = spare_keys;
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetOptions opts = Fleet({0, 1, 2});
+  opts.membership = true;
   std::vector<int32_t> acked;  // event chain is synchronous here
-  mopts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
-  service::MembershipCoordinator membership(&store, &monitor, &recovery,
-                                            mopts);
+  opts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
+  service::FleetCoordinator fleet(&store, &monitor, opts);
 
   monitor.OnReplicaAttached(0);
   monitor.OnReplicaAttached(1);
@@ -1665,22 +1626,22 @@ TEST(MembershipCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   store.PushBytes(2, 2, "d2");
 
   monitor.OnReplicaDrainRequested(2);
-  const service::MembershipReport report = membership.report();
+  const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.drained, std::vector<int32_t>{2});
-  EXPECT_EQ(report.drain_reposted_iterations, 3);
+  EXPECT_EQ(report.drain_reposted, 3);
   EXPECT_EQ(acked, std::vector<int32_t>{2});
   EXPECT_EQ(monitor.expected_replicas(), 2);
   EXPECT_TRUE(store.IsReplicaFenced(2));
   EXPECT_TRUE(store.PendingIterations(2).empty());
-  EXPECT_EQ(membership.ActiveMembers(), (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
   // Round-robin over the survivors at their spare keys.
   EXPECT_EQ(store.FetchBytes(10, 0), "d0");
   EXPECT_EQ(store.FetchBytes(10, 1), "d1");
   EXPECT_EQ(store.FetchBytes(11, 0), "d2");
 
   monitor.OnReplicaDrainRequested(2);  // duplicate
-  EXPECT_EQ(membership.report().drained, std::vector<int32_t>{2});
-  EXPECT_EQ(membership.report().drain_reposted_iterations, 3);
+  EXPECT_EQ(fleet.report().drained, std::vector<int32_t>{2});
+  EXPECT_EQ(fleet.report().drain_reposted, 3);
   EXPECT_EQ(acked.size(), 1u);
 }
 
@@ -1710,20 +1671,13 @@ TEST(InstructionStoreTest, FencedReplicaRefusesIncomingReposts) {
 // retires the drainer without shrinking the expectation a second time, the
 // fence persists while it is gone, and a re-join of the same id lifts the
 // fence and re-admits it like any other joiner.
-TEST(MembershipCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
+TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(RebalanceMonitorOptions());
-  auto spare_keys = std::make_shared<service::SpareKeyAllocator>(10);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_keys = spare_keys;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
-  service::MembershipOptions mopts;
-  mopts.initial_replicas = {0, 1, 2};
-  mopts.spare_keys = spare_keys;
-  service::MembershipCoordinator membership(&store, &monitor, &recovery,
-                                            mopts);
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetOptions opts = Fleet({0, 1, 2});
+  opts.membership = true;
+  service::FleetCoordinator fleet(&store, &monitor, opts);
 
   monitor.OnReplicaAttached(0);
   monitor.OnReplicaAttached(1);
@@ -1734,15 +1688,118 @@ TEST(MembershipCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
 
   monitor.OnReplicaDisconnected(2, /*clean=*/true);
   EXPECT_EQ(monitor.expected_replicas(), 2);  // shrank at the drain, not here
-  EXPECT_EQ(membership.ActiveMembers(), (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
   EXPECT_TRUE(store.IsReplicaFenced(2));  // no destination while gone
   EXPECT_TRUE(monitor.DeadReplicas().empty());  // a goodbye, not a death
 
   monitor.OnReplicaAttached(2);  // comes back: a joiner like any other
   EXPECT_FALSE(store.IsReplicaFenced(2));
   EXPECT_EQ(monitor.expected_replicas(), 3);
-  EXPECT_EQ(membership.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
-  EXPECT_EQ(membership.report().joined, std::vector<int32_t>{2});
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
+  EXPECT_EQ(fleet.report().joined, std::vector<int32_t>{2});
+}
+
+// --- one member set for every policy ---
+
+// A joiner is a survivor like any original member. With the only other
+// original member draining, a death's backlog has exactly one home: the
+// joiner's spare keys — not the drop path.
+TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.watchdog = false;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetOptions opts = Fleet({0, 1});
+  opts.membership = true;
+  service::FleetCoordinator fleet(&store, &monitor, opts);
+
+  store.PushBytes(0, 0, "plan-a");
+  store.PushBytes(1, 0, "plan-b");
+  monitor.OnReplicaAttached(0);
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaAttached(2);  // joins; fair share floor(2 / 3) = 0
+  monitor.OnReplicaDrainRequested(1);
+  monitor.OnReplicaDisconnected(0, /*clean=*/false);  // dies holding both
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.joined, std::vector<int32_t>{2});
+  EXPECT_EQ(report.dropped_iterations, 0);
+  EXPECT_EQ(report.replanned_iterations, 2);
+  EXPECT_EQ(store.FetchBytes(10, 2), "plan-a");
+  EXPECT_EQ(store.FetchBytes(11, 2), "plan-b");
+  EXPECT_EQ(fleet.ActiveMembers(), std::vector<int32_t>{2});
+}
+
+// A joiner is a rebalance member like any original one: when it straggles
+// persistently, the tail of its backlog moves to a fast member. The steal
+// that seeded it vacated the donor's keys 7 and 6, so the plan routed back
+// to the donor fills key 6 instead of landing beyond the gap.
+TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitor monitor(FleetMonitorOptions());
+  service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 2);
+  opts.membership = true;
+  service::FleetCoordinator fleet(&store, &monitor, opts);
+
+  for (int64_t i = 0; i < 8; ++i) {
+    store.PushBytes(i, 1, "p" + std::to_string(i));
+  }
+  monitor.OnReplicaAttached(3);  // steals p7, p6 to (10, 3), (11, 3)
+  ASSERT_EQ(fleet.report().join_stolen, 2);
+  ASSERT_EQ(monitor.expected_replicas(), 4);
+  FeedIteration(monitor, 0, /*slow=*/3, /*replicas=*/4);
+  EXPECT_EQ(fleet.report().shed_events, 0);  // streak 1 of 2
+  FeedIteration(monitor, 1, /*slow=*/3, /*replicas=*/4);
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.shed_events, 1);
+  EXPECT_EQ(report.shed_iterations, 2);
+  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{3});
+  EXPECT_TRUE(store.PendingIterations(3).empty());
+  EXPECT_EQ(store.FetchBytes(10, 0), "p6");
+  EXPECT_EQ(store.FetchBytes(6, 1), "p7");
+}
+
+// A drain that shrinks the expected fleet completes a report set parked at
+// N-1 of N, and the monitor fires the straggler callback for it from inside
+// the drain's own event chain. That fire re-enters the same coordinator; it
+// must reach the rebalance handler (the coordinator's mutex is not held
+// across set_expected_replicas) and act on a member set without the leaver.
+TEST(FleetCoordinatorTest, DrainCompletingAParkedIterationRebalances) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
+  mopts.expected_replicas = 4;
+  service::HeartbeatMonitor monitor(mopts);
+  service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
+  opts.membership = true;
+  std::vector<int32_t> acked;
+  opts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
+  service::FleetCoordinator fleet(&store, &monitor, opts);
+
+  for (int64_t i = 0; i < 4; ++i) {
+    store.PushBytes(i, 2, "p" + std::to_string(i));
+  }
+  monitor.OnReplicaAttached(3);
+  FeedIteration(monitor, 0, /*slow=*/2);  // 3 of 4 reported: parked
+  EXPECT_EQ(monitor.ForIteration(0).stragglers, std::vector<int32_t>{});
+  EXPECT_EQ(fleet.report().shed_events, 0);
+
+  monitor.OnReplicaDrainRequested(3);  // 3 of 3: complete, 2 flagged
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.drained, std::vector<int32_t>{3});
+  EXPECT_EQ(acked, std::vector<int32_t>{3});
+  EXPECT_EQ(monitor.expected_replicas(), 3);
+  EXPECT_EQ(report.shed_events, 1);
+  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{2});
+  // The tail went to the fast members that stay, never to the leaver.
+  EXPECT_EQ(store.PendingIterations(2), (std::vector<int64_t>{0, 1}));
+  EXPECT_TRUE(store.PendingIterations(3).empty());
+  EXPECT_EQ(store.FetchBytes(10, 0), "p3");
+  EXPECT_EQ(store.FetchBytes(10, 1), "p2");
 }
 
 // ---------- trainer: degraded epochs ----------

@@ -363,7 +363,7 @@ TEST_P(StoreConformanceTest, RecoverySurfaceIsACapabilityNotACrash) {
 // Joining a running fleet is a capability on the same footing as
 // heartbeats: where the backend has an announcement path, delivering it
 // must surface as the replica turning alive in the monitor — the liveness
-// event the MembershipCoordinator keys admission off — and where it has
+// event the FleetCoordinator keys admission off — and where it has
 // none, asking must refuse cleanly, never crash. Shm announcement rides the
 // poller thread, so the assertion waits for it there.
 TEST_P(StoreConformanceTest, JoinIsACapabilityNotACrash) {

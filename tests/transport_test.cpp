@@ -31,10 +31,9 @@
 #include "src/executor/executor.h"
 #include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
+#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
-#include "src/service/rebalance.h"
-#include "src/service/recovery.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
@@ -783,10 +782,10 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
+  service::FleetOptions fleet_opts;
+  fleet_opts.replicas = {0, 1, 2};
+  fleet_opts.spare_iteration_base = kIterations;
+  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -807,7 +806,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
   EXPECT_EQ(monitor.Liveness(kVictim), service::ReplicaLiveness::kDead);
   EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::RecoveryReport report = recovery.report();
+  const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);  // iteration 2's plan moved
   EXPECT_EQ(report.dropped_iterations, 0);
@@ -870,10 +869,10 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
+  service::FleetOptions fleet_opts;
+  fleet_opts.replicas = {0, 1, 2};
+  fleet_opts.spare_iteration_base = kIterations;
+  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -892,7 +891,7 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
       << "victim status " << status;
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
   EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::RecoveryReport report = recovery.report();
+  const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);
   EXPECT_EQ(report.dropped_iterations, 0);
@@ -948,10 +947,10 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
+  service::FleetOptions fleet_opts;
+  fleet_opts.replicas = {0, 1, 2};
+  fleet_opts.spare_iteration_base = kIterations;
+  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -969,7 +968,7 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
   }
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(monitor.DeadReplicas().empty());
-  const service::RecoveryReport report = recovery.report();
+  const service::FleetReport report = fleet.report();
   EXPECT_TRUE(report.dead_replicas.empty());
   EXPECT_EQ(report.replanned_iterations, 0);
   server->Stop();
@@ -1023,10 +1022,10 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   store.set_heartbeat_sink(&monitor);
-  service::RecoveryOptions ropts;
-  ropts.replicas = {0, 1, 2};
-  ropts.spare_iteration_base = kIterations;
-  service::RecoveryCoordinator recovery(&store, &monitor, ropts);
+  service::FleetOptions fleet_opts;
+  fleet_opts.replicas = {0, 1, 2};
+  fleet_opts.spare_iteration_base = kIterations;
+  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -1050,7 +1049,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
   EXPECT_EQ(monitor.DeadReplicas(),
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
-  const service::RecoveryReport report = recovery.report();
+  const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas,
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
   // First death: iterations 1 and 2 of replica 1 move. Second death: the
@@ -1217,13 +1216,14 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   service::HeartbeatMonitor monitor(mopts);
   auto store = transport::ShmInstructionStore::Create(
       shm_name, transport::ShmStoreOptions{});
-  service::RebalanceOptions bopts;
-  bopts.consecutive_flags = 1;
-  bopts.max_moves_per_event = 2;
-  bopts.hysteresis_iterations = kIterations;  // one event per epoch, max
-  bopts.replicas = {0, 1, 2};
-  bopts.spare_iteration_base = kIterations;
-  service::RebalanceCoordinator rebalance(store.get(), &monitor, bopts);
+  service::FleetOptions fleet_opts;
+  fleet_opts.replicas = {0, 1, 2};
+  fleet_opts.spare_iteration_base = kIterations;
+  fleet_opts.rebalance = true;
+  fleet_opts.rebalance_consecutive_flags = 1;
+  fleet_opts.rebalance_max_moves = 2;
+  fleet_opts.rebalance_hysteresis_iterations = kIterations;  // one event, max
+  service::FleetCoordinator fleet(store.get(), &monitor, fleet_opts);
   transport::ShmHeartbeatPoller poller(store, &monitor);
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1256,10 +1256,10 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   EXPECT_EQ(stalled.stragglers, std::vector<int32_t>{kVictim});
   EXPECT_GE(stalled.max_wall_ms, 1200.0);
   // And reacted to: unfetched backlog moved off the straggler mid-epoch.
-  const service::RebalanceReport report = rebalance.report();
-  EXPECT_GE(report.events, 1);
-  EXPECT_GE(report.moved_iterations, 1);
-  EXPECT_EQ(report.rebalanced_replicas, std::vector<int32_t>{kVictim});
+  const service::FleetReport report = fleet.report();
+  EXPECT_GE(report.shed_events, 1);
+  EXPECT_GE(report.shed_iterations, 1);
+  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{kVictim});
   // Nobody was declared dead: a stall is a straggle, not a failure.
   EXPECT_TRUE(monitor.DeadReplicas().empty());
 }

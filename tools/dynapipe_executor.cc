@@ -37,15 +37,15 @@
 // header, replayed by a ShmHeartbeatPoller — no socket side-channel), and
 // --demo shm --fault stall:1200@1 exercises the straggler *reaction* path: a
 // longer epoch is published, one executor wedges mid-epoch, the publisher's
-// monitor flags it from the shm beats, and a RebalanceCoordinator migrates
-// part of its unfetched backlog to the fast executors, which drain it at
-// spare iteration numbers.
+// monitor flags it from the shm beats, and the FleetCoordinator's rebalance
+// migrates part of its unfetched backlog to the fast executors, which drain
+// it at spare iteration numbers.
 //
 // --demo shm --churn is the elastic-membership smoke: three executors start
 // the epoch, one drains out mid-epoch through the slot's drain word while a
-// fourth joins by bare announce, and the parent's MembershipCoordinator
-// verifies both handoffs — backlog stolen for the joiner, backlog reposted
-// off the drainer, every published plan executed exactly once.
+// fourth joins by bare announce, and the parent's FleetCoordinator verifies
+// both handoffs — backlog stolen for the joiner, backlog reposted off the
+// drainer, every published plan executed exactly once.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -68,11 +68,9 @@
 #include "src/executor/executor.h"
 #include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
+#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
-#include "src/service/membership.h"
 #include "src/service/plan_serde.h"
-#include "src/service/rebalance.h"
-#include "src/service/recovery.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/store_server.h"
 #include "src/transport/transport.h"
@@ -119,7 +117,7 @@ void PrintUsage(const char* argv0) {
       "  --iterations <n>      iterations to run; omit to drain until idle\n"
       "  --slow-ms <ms>        artificial per-iteration delay (straggler demo)\n"
       "  --join                attach as a mid-epoch joiner: declare the join\n"
-      "                        capability so the trainer's membership layer\n"
+      "                        capability so the publisher's fleet coordinator\n"
       "                        admits this replica and seeds it with stolen\n"
       "                        backlog (poll at the epoch's spare base)\n"
       "  --drain-after <n>     after n executed iterations, request a drain:\n"
@@ -373,8 +371,8 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
 
   // Trainer side: bring the store up, publish, watch heartbeats. In fault
   // mode the monitor gets liveness deadlines (well under the demo stall and
-  // idle budgets) and a RecoveryCoordinator closes the loop: death declared
-  // -> pending plans re-published to the survivors at spare iterations.
+  // idle budgets) and a FleetCoordinator closes the loop: death declared ->
+  // pending plans re-published to the survivors at spare iterations.
   service::HeartbeatMonitorOptions monitor_opts;
   monitor_opts.straggler_multiple = 2.0;
   monitor_opts.min_straggler_gap_ms = 25.0;
@@ -392,11 +390,10 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
   std::optional<runtime::InstructionStore> store;
   std::optional<transport::UnixSocketTransport> transport_ep;
   std::optional<transport::InstructionStoreServer> server;
-  std::optional<service::RecoveryCoordinator> recovery;
   std::shared_ptr<transport::ShmInstructionStore> shm;
-  std::optional<service::RebalanceCoordinator> rebalance;
-  // Declared after the coordinators: the poller stops feeding the monitor
-  // before either of them unhooks.
+  std::optional<service::FleetCoordinator> fleet;
+  // Declared after the coordinator: the poller stops feeding the monitor
+  // before it unhooks.
   std::optional<transport::ShmHeartbeatPoller> poller;
   runtime::InstructionStoreInterface* publish_to = nullptr;
   if (over_wire) {
@@ -405,33 +402,29 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
     store->set_heartbeat_sink(&monitor);
     transport_ep.emplace(attach);
     server.emplace(&*transport_ep, &*store);
-    if (fault_mode) {
-      service::RecoveryOptions ropts;
-      for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-        ropts.replicas.push_back(replica);
-      }
-      ropts.spare_iteration_base = kDemoIterations;
-      recovery.emplace(&*store, &monitor, ropts);
-    }
     publish_to = &*store;
   } else {
     shm = transport::ShmInstructionStore::Create(attach,
                                                  transport::ShmStoreOptions{});
     publish_to = shm.get();
+  }
+  if (fault_mode) {
+    service::FleetOptions fleet_opts;
+    for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
+      fleet_opts.replicas.push_back(replica);
+    }
+    fleet_opts.spare_iteration_base = demo_iterations;
     if (shm_rebalance) {
       // One persistent flag moves work: the demo stall is a single long
-      // wedge, so the streak threshold is 1; two plans migrate, split over
-      // the two fast replicas.
-      service::RebalanceOptions bopts;
-      bopts.consecutive_flags = 1;
-      bopts.max_moves_per_event = 2;
-      bopts.hysteresis_iterations = kDemoStallIterations;
-      for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-        bopts.replicas.push_back(replica);
-      }
-      bopts.spare_iteration_base = kDemoStallIterations;
-      rebalance.emplace(shm.get(), &monitor, bopts);
+      // wedge, so the streak threshold is 1; two plans (the default) migrate,
+      // split over the two fast replicas.
+      fleet_opts.rebalance = true;
+      fleet_opts.rebalance_consecutive_flags = 1;
+      fleet_opts.rebalance_hysteresis_iterations = kDemoStallIterations;
     }
+    fleet.emplace(publish_to, &monitor, std::move(fleet_opts));
+  }
+  if (shm != nullptr) {
     // The shm liveness channel: executors stamp heartbeat slots inside the
     // segment; this poller replays them into the monitor. No socket exists
     // anywhere in this demo.
@@ -556,7 +549,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
   }
 
   if (shm_rebalance) {
-    const service::RebalanceReport breport = rebalance->report();
+    const service::FleetReport breport = fleet->report();
     const service::IterationHeartbeatStats stalled =
         monitor.ForIteration(fault.at);
     std::string stragglers;
@@ -570,8 +563,8 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
                 "(%d/%d reported), rebalance events=%lld moved=%lld\n",
                 static_cast<long long>(fault.at), stragglers.c_str(),
                 stalled.replicas_reported, stalled.replicas_expected,
-                static_cast<long long>(breport.events),
-                static_cast<long long>(breport.moved_iterations));
+                static_cast<long long>(breport.shed_events),
+                static_cast<long long>(breport.shed_iterations));
     if (stalled.stragglers != std::vector<int32_t>{kDemoFaultReplica}) {
       std::fprintf(stderr,
                    "[demo] expected exactly replica %d flagged via the shm "
@@ -579,11 +572,11 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
                    kDemoFaultReplica);
       ok = false;
     }
-    if (breport.events < 1 || breport.moved_iterations < 1) {
+    if (breport.shed_events < 1 || breport.shed_iterations < 1) {
       std::fprintf(stderr, "[demo] no rebalance happened\n");
       ok = false;
     }
-    if (breport.rebalanced_replicas !=
+    if (breport.shed_replicas !=
         std::vector<int32_t>{kDemoFaultReplica}) {
       std::fprintf(stderr, "[demo] only replica %d should have shed work\n",
                    kDemoFaultReplica);
@@ -608,7 +601,7 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
   }
 
   if (fault_mode) {
-    const service::RecoveryReport rreport = recovery->report();
+    const service::FleetReport rreport = fleet->report();
     std::printf("[demo] recovery: dead=[");
     for (size_t i = 0; i < rreport.dead_replicas.size(); ++i) {
       std::printf("%s%d", i == 0 ? "" : ",", rreport.dead_replicas[i]);
@@ -676,8 +669,8 @@ int RunDemo(const std::string& kind, const std::string& fault_text) {
 // Three executors (0..2) start a paced shm epoch. Mid-epoch, replica 2
 // requests a drain through its heartbeat slot's drain word after two
 // iterations, and replica 3 joins by bare AnnounceReplica, polling at the
-// spare base. The parent runs the elastic control plane (monitor ->
-// recovery -> membership, one shared spare-key allocator) and verifies:
+// spare base. The parent runs the elastic control plane (monitor -> one
+// FleetCoordinator with membership on) and verifies:
 // the joiner was admitted and seeded with stolen backlog, the drainer's
 // backlog was reposted to the survivors and its drain acknowledged, the
 // store fully drained, and every published plan executed exactly once
@@ -782,30 +775,19 @@ int RunChurnDemo() {
       shm->Push(i, replica, plans[static_cast<size_t>(i) % plans.size()]);
     }
   }
-  // One spare-key allocator across recovery and membership, so a crash
-  // repost and a churn handoff can never pick colliding destination keys.
-  auto spare_keys =
-      std::make_shared<service::SpareKeyAllocator>(kDemoStallIterations);
-  service::RecoveryOptions ropts;
+  service::FleetOptions fleet_opts;
   for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-    ropts.replicas.push_back(replica);
+    fleet_opts.replicas.push_back(replica);
   }
-  ropts.spare_iteration_base = kDemoStallIterations;
-  ropts.spare_keys = spare_keys;
-  service::RecoveryCoordinator recovery(shm.get(), &monitor, ropts);
-  service::MembershipOptions mopts;
-  for (int32_t replica = 0; replica < kDemoReplicas; ++replica) {
-    mopts.initial_replicas.push_back(replica);
-  }
-  mopts.spare_keys = spare_keys;
+  fleet_opts.spare_iteration_base = kDemoStallIterations;
+  fleet_opts.membership = true;
   transport::ShmInstructionStore* raw_shm = shm.get();
-  mopts.drain_ack = [raw_shm](int32_t replica) {
+  fleet_opts.drain_ack = [raw_shm](int32_t replica) {
     raw_shm->AcknowledgeDrain(replica);
   };
-  service::MembershipCoordinator membership(shm.get(), &monitor, &recovery,
-                                            mopts);
-  // Declared last: the poller stops feeding the monitor before membership
-  // and recovery unhook.
+  service::FleetCoordinator fleet(shm.get(), &monitor, std::move(fleet_opts));
+  // Declared last: the poller stops feeding the monitor before the
+  // coordinator unhooks.
   transport::ShmHeartbeatPoller poller(shm, &monitor);
 
   std::printf("[demo] published %dx%d plans on %s (shm): replica %d drains "
@@ -845,7 +827,7 @@ int RunChurnDemo() {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  const service::MembershipReport mreport = membership.report();
+  const service::FleetReport mreport = fleet.report();
   std::string joined, drained;
   for (const int32_t replica : mreport.joined) {
     joined += (joined.empty() ? "" : ",") + std::to_string(replica);
@@ -856,8 +838,8 @@ int RunChurnDemo() {
   std::printf("[demo] membership: joined=[%s] drained=[%s] stolen=%lld "
               "reposted=%lld, %lld/%lld heartbeats\n",
               joined.c_str(), drained.c_str(),
-              static_cast<long long>(mreport.join_stolen_iterations),
-              static_cast<long long>(mreport.drain_reposted_iterations),
+              static_cast<long long>(mreport.join_stolen),
+              static_cast<long long>(mreport.drain_reposted),
               static_cast<long long>(monitor.total_heartbeats()),
               static_cast<long long>(expected_beats));
   if (mreport.joined != std::vector<int32_t>{kDemoChurnJoinReplica}) {
@@ -870,11 +852,11 @@ int RunChurnDemo() {
                  kDemoChurnDrainReplica);
     ok = false;
   }
-  if (mreport.join_stolen_iterations < 1) {
+  if (mreport.join_stolen < 1) {
     std::fprintf(stderr, "[demo] the joiner was seeded no backlog\n");
     ok = false;
   }
-  if (mreport.drain_reposted_iterations < 1) {
+  if (mreport.drain_reposted < 1) {
     std::fprintf(stderr, "[demo] the drainer handed off no backlog\n");
     ok = false;
   }
