@@ -7,15 +7,15 @@
 //
 // Two planner variants run per batch size (bench/README.md "Planning-time
 // methodology"):
-//   seed     — uncached cost oracle, fully serial planning (the seed code path)
-//   par+cache — memoized cost oracle + 4-thread pool for recompute modes and
-//               per-t_max DPs
+//   seed   — fully serial planning
+//   pooled — a 4-thread pool for recompute modes, the window precompute and
+//            per-t_max DPs
 // Plans are bit-identical between the two; only planning latency changes, so
-// "speedup" is their plan-time ratio and "hit%" is the cost-cache hit rate.
-// The first kWarmupIters iterations are excluded from both variants' stats:
-// the cost cache lives for the planner's lifetime, so a training run's steady
-// state — the regime Fig. 17 is about, where planning must keep up with the
-// GPU for thousands of iterations — is the warm cache, not the first batch.
+// "speedup" is their plan-time ratio. The first kWarmupIters iterations are
+// excluded from both variants' stats, so first-touch effects (page faults on
+// fresh planning buffers, cold caches) do not colour the steady state Fig. 17
+// is about, where planning must keep up with the GPU for thousands of
+// iterations.
 //
 // A second table measures the plan-ahead service (src/service): per-iteration
 // planning *stall* — the time the executors actually waited for a plan — as a
@@ -44,7 +44,6 @@ struct EpochPlanTimes {
   RunningStats iter_stats;
   RunningStats stall_stats;
   std::vector<double> stall_ms;
-  double hit_rate = 0.0;
   double plan_cache_hit_rate = 0.0;
   int64_t serialized_kb = 0;
   bool ok = false;
@@ -62,8 +61,6 @@ EpochPlanTimes MeasureEpoch(runtime::Trainer& trainer, const data::Dataset& data
   if (!r.feasible) {
     return out;
   }
-  int64_t hits = 0;
-  int64_t misses = 0;
   for (size_t i = kWarmupIters; i < r.records.size(); ++i) {
     const auto& rec = r.records[i];
     out.plan_ms.push_back(rec.planning_ms);
@@ -71,12 +68,7 @@ EpochPlanTimes MeasureEpoch(runtime::Trainer& trainer, const data::Dataset& data
     out.iter_stats.Add(rec.measured_ms);
     out.stall_ms.push_back(rec.plan_stall_ms);
     out.stall_stats.Add(rec.plan_stall_ms);
-    hits += rec.cost_cache_hits;
-    misses += rec.cost_cache_misses;
   }
-  out.hit_rate = hits + misses == 0
-                     ? 0.0
-                     : static_cast<double>(hits) / static_cast<double>(hits + misses);
   const int64_t plan_lookups = r.plan_cache_hits + r.plan_cache_misses;
   out.plan_cache_hit_rate =
       plan_lookups == 0 ? 0.0
@@ -101,28 +93,24 @@ void RunModel(model::ModelArch arch, int32_t pool_threads) {
   const data::Dataset dataset = bench::BenchDataset(16'000);
 
   runtime::PlannerOptions seed_planner = bench::BenchPlanner();
-  seed_planner.cost_cache = false;
   seed_planner.pool = nullptr;
 
   ThreadPool pool(pool_threads);
   runtime::PlannerOptions par_planner = bench::BenchPlanner();
-  par_planner.cost_cache = true;
   par_planner.pool = &pool;
 
   TextTable table({"global_batch", "seed_plan_ms", "par_plan_ms", "speedup",
-                   "cache_hit%", "plan_ms(p95)", "iter_ms(mean)",
-                   "plan/iter ratio"});
+                   "plan_ms(p95)", "iter_ms(mean)", "plan/iter ratio"});
   for (const int64_t batch : {16'384ll, 32'768ll, 65'536ll, 131'072ll}) {
     const EpochPlanTimes seed = MeasureEpoch(trainer, dataset, seed_planner, batch);
     const EpochPlanTimes par = MeasureEpoch(trainer, dataset, par_planner, batch);
     if (!seed.ok || !par.ok) {
-      table.AddRow({std::to_string(batch), "OOM", "-", "-", "-", "-", "-", "-"});
+      table.AddRow({std::to_string(batch), "OOM", "-", "-", "-", "-", "-"});
       continue;
     }
     table.AddRow({std::to_string(batch), TextTable::Fmt(seed.plan_stats.mean(), 1),
                   TextTable::Fmt(par.plan_stats.mean(), 1),
                   TextTable::Fmt(seed.plan_stats.mean() / par.plan_stats.mean(), 2),
-                  TextTable::Fmt(100.0 * par.hit_rate, 1),
                   TextTable::Fmt(Percentile(par.plan_ms, 95.0), 1),
                   TextTable::Fmt(par.iter_stats.mean(), 1),
                   TextTable::Fmt(par.plan_stats.mean() / par.iter_stats.mean(), 2)});
@@ -147,7 +135,6 @@ void RunPlanAhead(model::ModelArch arch, int32_t pool_threads, int64_t batch) {
 
   ThreadPool pool(pool_threads);
   runtime::PlannerOptions planner = bench::BenchPlanner();
-  planner.cost_cache = true;
   planner.pool = &pool;
 
   struct Row {
@@ -206,9 +193,9 @@ int main() {
   RunPlanAhead(model::ModelArch::kT5, kPoolThreads, 65'536);
   std::printf("paper reference: planning time grows with global batch size; "
               "plan/iteration ratio stays small enough to overlap with training "
-              "(peaks at 12.9x single-thread in the paper) (Fig. 17). Here the "
-              "memoized cost oracle + 4-thread pool give the `speedup` column "
-              "over the serial seed planner, with identical plans. The "
+              "(peaks at 12.9x single-thread in the paper) (Fig. 17). Here a "
+              "4-thread pool gives the `speedup` column over the serial "
+              "planner, with identical plans. The "
               "plan-ahead tables report the *stall* executors see through the "
               "PlanAheadService: lookahead >= 2 overlaps planning with "
               "execution (needs spare cores), and a replayed epoch's plan-cache "

@@ -4,16 +4,16 @@
 // aggregates; keeping them fast is what lets planning overlap training.
 //
 // The headline pair (bench/README.md "Planning-time methodology"):
-//   BM_DpPartition               — the seed path: uncached oracle, serial sweep
-//   BM_DpPartitionCachedPool/T   — memoized oracle + T-thread t_max fan-out
-// Their ratio at the same token count is the planning-time speedup; outputs
-// are bit-identical (tests/planning_parallel_test.cpp holds that line).
+//   BM_DpPartition         — serial sweep
+//   BM_DpPartitionPool/T   — the same partition with a T-thread window
+//                            precompute and t_max fan-out
+// Their ratio at the same token count is the pool's planning-time speedup;
+// outputs are bit-identical (tests/planning_parallel_test.cpp holds that line).
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "src/comm/comm_planner.h"
 #include "src/common/thread_pool.h"
-#include "src/cost/cost_cache.h"
 #include "src/mb/dp_partitioner.h"
 #include "src/mb/karmarkar_karp.h"
 #include "src/mb/ordering.h"
@@ -30,16 +30,6 @@ const cost::PipelineCostModel& SharedCostModel() {
       bench::BenchProfile());
   return cm;
 }
-
-class CostAdapter : public mb::MicroBatchCostFn {
- public:
-  double TimeMs(const model::MicroBatchShape& shape) const override {
-    return SharedCostModel().MicroBatchTimeMs(shape, model::RecomputeMode::kNone);
-  }
-  double ActivationMb(const model::MicroBatchShape& shape) const override {
-    return SharedCostModel().MaxActivationMb(shape, model::RecomputeMode::kNone);
-  }
-};
 
 std::vector<data::Sample> OrderedMiniBatch(int64_t tokens) {
   const data::Dataset dataset = bench::BenchDataset(4000, 3);
@@ -66,19 +56,23 @@ void BM_CostModelQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelQuery);
 
-// Same query mix as BM_CostModelQuery through the memoizing oracle; the shape
-// sequence cycles, so this measures the steady-state (warm) hit path.
-void BM_CachedCostQuery(benchmark::State& state) {
-  const cost::CachedCostOracle oracle(SharedCostModel());
+// The DP's feasible-window probe: activation and time of one shape over all
+// stages from a single grid lookup, on the same query mix as
+// BM_CostModelQuery.
+void BM_WindowCosts(benchmark::State& state) {
+  const auto& cm = SharedCostModel();
+  const double limit = cm.ActivationBudgetMb();
   model::MicroBatchShape shape{4, 777, 0};
+  double time_ms = 0.0;
+  double act_mb = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.TimeMs(shape, model::RecomputeMode::kNone));
+    benchmark::DoNotOptimize(cm.WindowCosts(shape, model::RecomputeMode::kNone,
+                                            limit, &time_ms, &act_mb));
+    benchmark::DoNotOptimize(time_ms);
     shape.input_len = shape.input_len % 4000 + 13;
   }
-  state.SetLabel("hit rate " +
-                 std::to_string(oracle.counters().hit_rate()).substr(0, 4));
 }
-BENCHMARK(BM_CachedCostQuery);
+BENCHMARK(BM_WindowCosts);
 
 mb::DpPartitionerOptions PartitionBenchOptions() {
   mb::DpPartitionerOptions opts;
@@ -90,10 +84,11 @@ mb::DpPartitionerOptions PartitionBenchOptions() {
   return opts;
 }
 
-// Seed path: uncached cost oracle, serial t_max sweep.
+// Serial path: no pool.
 void BM_DpPartition(benchmark::State& state) {
   const auto ordered = OrderedMiniBatch(state.range(0));
-  CostAdapter cost_fn;
+  const runtime::CostModelAdapter cost_fn(SharedCostModel(),
+                                          model::RecomputeMode::kNone);
   mb::DpPartitioner partitioner(cost_fn, PartitionBenchOptions());
   for (auto _ : state) {
     benchmark::DoNotOptimize(partitioner.Partition(ordered));
@@ -102,15 +97,14 @@ void BM_DpPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_DpPartition)->Arg(16'384)->Arg(65'536);
 
-// Parallel, cache-aware path: memoized oracle shared across iterations (the
-// planner keeps its oracle for the epoch, so warm-cache steady state is the
-// representative regime) + per-t_max DPs fanned over a pool. Second arg is the
-// pool size; compare against BM_DpPartition at the same token count.
-void BM_DpPartitionCachedPool(benchmark::State& state) {
+// Pooled path: window precompute and per-t_max DPs fanned over a pool. Second
+// arg is the pool size; compare against BM_DpPartition at the same token
+// count.
+void BM_DpPartitionPool(benchmark::State& state) {
   const auto ordered = OrderedMiniBatch(state.range(0));
   const int32_t threads = static_cast<int32_t>(state.range(1));
-  const cost::CachedCostOracle oracle(SharedCostModel());
-  const runtime::CachedCostAdapter cost_fn(oracle, model::RecomputeMode::kNone);
+  const runtime::CostModelAdapter cost_fn(SharedCostModel(),
+                                          model::RecomputeMode::kNone);
   ThreadPool pool(threads);
   mb::DpPartitionerOptions opts = PartitionBenchOptions();
   opts.pool = &pool;
@@ -119,10 +113,9 @@ void BM_DpPartitionCachedPool(benchmark::State& state) {
     benchmark::DoNotOptimize(partitioner.Partition(ordered));
   }
   state.SetLabel(std::to_string(ordered.size()) + " samples, " +
-                 std::to_string(threads) + " threads, hit rate " +
-                 std::to_string(oracle.counters().hit_rate()).substr(0, 4));
+                 std::to_string(threads) + " threads");
 }
-BENCHMARK(BM_DpPartitionCachedPool)
+BENCHMARK(BM_DpPartitionPool)
     ->Args({16'384, 1})
     ->Args({16'384, 2})
     ->Args({16'384, 4})

@@ -12,7 +12,7 @@ namespace {
 
 // Segment index (clamped) and interpolation fraction for v on the grid; fraction may
 // fall outside [0, 1] for extrapolating queries. Degenerate axes pin to (0, 0).
-void Locate(const std::vector<double>& grid, double v, size_t& k, double& frac) {
+void LocateAxis(const std::vector<double>& grid, double v, size_t& k, double& frac) {
   if (grid.size() == 1) {
     k = 0;
     frac = 0.0;
@@ -35,20 +35,13 @@ void CheckAxis(const std::vector<double>& axis) {
 }  // namespace
 
 GridInterp3D::GridInterp3D(std::vector<double> xs, std::vector<double> ys,
-                           std::vector<double> zs,
-                           std::vector<std::vector<std::vector<double>>> values)
+                           std::vector<double> zs, std::vector<double> values)
     : xs_(std::move(xs)), ys_(std::move(ys)), zs_(std::move(zs)),
       values_(std::move(values)) {
   CheckAxis(xs_);
   CheckAxis(ys_);
   CheckAxis(zs_);
-  DYNAPIPE_CHECK(values_.size() == xs_.size());
-  for (const auto& plane : values_) {
-    DYNAPIPE_CHECK(plane.size() == ys_.size());
-    for (const auto& row : plane) {
-      DYNAPIPE_CHECK(row.size() == zs_.size());
-    }
-  }
+  DYNAPIPE_CHECK(values_.size() == xs_.size() * ys_.size() * zs_.size());
 }
 
 void GridInterp3D::Save(std::ostream& os) const {
@@ -63,12 +56,8 @@ void GridInterp3D::Save(std::ostream& os) const {
   save_axis(xs_);
   save_axis(ys_);
   save_axis(zs_);
-  for (const auto& plane : values_) {
-    for (const auto& row : plane) {
-      for (const double v : row) {
-        os << v << " ";
-      }
-    }
+  for (const double v : values_) {
+    os << v << " ";
   }
   os << "\n";
 }
@@ -87,41 +76,43 @@ GridInterp3D GridInterp3D::Load(std::istream& is) {
   std::vector<double> xs = load_axis();
   std::vector<double> ys = load_axis();
   std::vector<double> zs = load_axis();
-  std::vector<std::vector<std::vector<double>>> values(
-      xs.size(), std::vector<std::vector<double>>(ys.size(),
-                                                  std::vector<double>(zs.size())));
-  for (auto& plane : values) {
-    for (auto& row : plane) {
-      for (auto& v : row) {
-        DYNAPIPE_CHECK_MSG(static_cast<bool>(is >> v), "malformed profile: value");
-      }
-    }
+  std::vector<double> values(xs.size() * ys.size() * zs.size());
+  for (auto& v : values) {
+    DYNAPIPE_CHECK_MSG(static_cast<bool>(is >> v), "malformed profile: value");
   }
   return GridInterp3D(std::move(xs), std::move(ys), std::move(zs), std::move(values));
 }
 
-double GridInterp3D::operator()(double x, double y, double z) const {
+bool GridInterp3D::SameAxes(const GridInterp3D& other) const {
+  return xs_ == other.xs_ && ys_ == other.ys_ && zs_ == other.zs_;
+}
+
+GridInterp3D::Cell GridInterp3D::Locate(double x, double y, double z) const {
   DYNAPIPE_CHECK_MSG(!empty(), "querying an empty grid");
   size_t i;
   size_t j;
   size_t k;
-  double tx;
-  double ty;
-  double tz;
-  Locate(xs_, x, i, tx);
-  Locate(ys_, y, j, ty);
-  Locate(zs_, z, k, tz);
-  const size_t i1 = xs_.size() == 1 ? i : i + 1;
-  const size_t j1 = ys_.size() == 1 ? j : j + 1;
-  const size_t k1 = zs_.size() == 1 ? k : k + 1;
+  Cell cell;
+  LocateAxis(xs_, x, i, cell.tx);
+  LocateAxis(ys_, y, j, cell.ty);
+  LocateAxis(zs_, z, k, cell.tz);
+  cell.base = (i * ys_.size() + j) * zs_.size() + k;
+  cell.di = xs_.size() == 1 ? 0 : ys_.size() * zs_.size();
+  cell.dj = ys_.size() == 1 ? 0 : zs_.size();
+  cell.dk = zs_.size() == 1 ? 0 : 1;
+  return cell;
+}
+
+double GridInterp3D::At(const Cell& c) const {
+  const double* v = values_.data() + c.base;
   auto lerp = [](double a, double b, double t) { return a + t * (b - a); };
-  const double c00 = lerp(values_[i][j][k], values_[i1][j][k], tx);
-  const double c01 = lerp(values_[i][j][k1], values_[i1][j][k1], tx);
-  const double c10 = lerp(values_[i][j1][k], values_[i1][j1][k], tx);
-  const double c11 = lerp(values_[i][j1][k1], values_[i1][j1][k1], tx);
-  const double c0 = lerp(c00, c10, ty);
-  const double c1 = lerp(c01, c11, ty);
-  return lerp(c0, c1, tz);
+  const double c00 = lerp(v[0], v[c.di], c.tx);
+  const double c01 = lerp(v[c.dk], v[c.di + c.dk], c.tx);
+  const double c10 = lerp(v[c.dj], v[c.di + c.dj], c.tx);
+  const double c11 = lerp(v[c.dj + c.dk], v[c.di + c.dj + c.dk], c.tx);
+  const double c0 = lerp(c00, c10, c.ty);
+  const double c1 = lerp(c01, c11, c.ty);
+  return lerp(c0, c1, c.tz);
 }
 
 }  // namespace dynapipe::cost

@@ -53,6 +53,8 @@ PipelineCostModel PipelineCostModel::LoadProfile(const model::ModelConfig& confi
   pcm.stages_.reserve(num_stages);
   for (size_t s = 0; s < num_stages; ++s) {
     pcm.stages_.push_back(StageCostModel::Load(is));
+    DYNAPIPE_CHECK_MSG(pcm.stages_[s].SameGrid(pcm.stages_.front()),
+                       "profile stages disagree on grid axes");
   }
   return pcm;
 }
@@ -80,20 +82,41 @@ double PipelineCostModel::StageActivationMb(int32_t s,
 
 double PipelineCostModel::MicroBatchTimeMs(const model::MicroBatchShape& shape,
                                            model::RecomputeMode mode) const {
-  double worst = 0.0;
-  for (const auto& s : stages_) {
-    worst = std::max(worst, s.FwdBwdMs(shape, mode));
-  }
-  return worst;
+  double time_ms = 0.0;
+  double act_mb = 0.0;
+  WindowCosts(shape, mode, /*limit=*/0.0, &time_ms, &act_mb);
+  return time_ms;
 }
 
 double PipelineCostModel::MaxActivationMb(const model::MicroBatchShape& shape,
                                           model::RecomputeMode mode) const {
-  double worst = 0.0;
+  double act_mb = 0.0;
+  WindowCosts(shape, mode, /*limit=*/0.0, /*time_ms=*/nullptr, &act_mb);
+  return act_mb;
+}
+
+bool PipelineCostModel::WindowCosts(const model::MicroBatchShape& shape,
+                                    model::RecomputeMode mode, double limit,
+                                    double* time_ms, double* act_mb) const {
+  // Every stage shares stage 0's grid (Profile builds it so; LoadProfile
+  // checks), so one Locate serves all 7 tables of all stages.
+  const GridInterp3D::Cell cell = stages_.front().Locate(shape);
+  double act = 0.0;
   for (const auto& s : stages_) {
-    worst = std::max(worst, s.ActivationMb(shape, mode));
+    act = std::max(act, s.ActivationMbAt(cell, mode));
   }
-  return worst;
+  *act_mb = act;
+  if (limit > 0.0 && act > limit) {
+    return false;
+  }
+  if (time_ms != nullptr) {
+    double worst = 0.0;
+    for (const auto& s : stages_) {
+      worst = std::max(worst, s.FwdMsAt(cell) + s.BwdMsAt(cell, mode));
+    }
+    *time_ms = worst;
+  }
+  return true;
 }
 
 double PipelineCostModel::StaticMemoryMb(int32_t s) const {

@@ -55,6 +55,13 @@ class PipelineCostModel {
   // Max over stages of activation memory (the constraint the DP enforces).
   double MaxActivationMb(const model::MicroBatchShape& shape,
                          model::RecomputeMode mode) const;
+  // Both of the above from one grid lookup shared by every stage and table —
+  // the DP's feasible-window probe. Fills *act_mb; returns false, leaving
+  // *time_ms untouched, when limit > 0 and the activation exceeds it.
+  // Otherwise fills *time_ms (unless it is null) and returns true. Values are
+  // bit-identical to the per-stage StageFwdMs/StageBwdMs/StageActivationMb.
+  bool WindowCosts(const model::MicroBatchShape& shape, model::RecomputeMode mode,
+                   double limit, double* time_ms, double* act_mb) const;
 
   // --- Exact quantities ---
   // Static memory (weights + grads + ZeRO-1 optimizer shard) on stage s.

@@ -42,17 +42,16 @@ StageCostModel StageCostModel::Profile(const model::StagePerfModel& truth,
           : std::vector<double>{0.0};
 
   auto make_table = [&](auto&& sample) {
-    std::vector<std::vector<std::vector<double>>> values(mbs_grid.size());
-    for (size_t i = 0; i < mbs_grid.size(); ++i) {
-      values[i].resize(input_grid.size());
-      for (size_t j = 0; j < input_grid.size(); ++j) {
-        values[i][j].resize(target_grid.size());
-        for (size_t k = 0; k < target_grid.size(); ++k) {
+    std::vector<double> values;
+    values.reserve(mbs_grid.size() * input_grid.size() * target_grid.size());
+    for (const double b : mbs_grid) {
+      for (const double s : input_grid) {
+        for (const double t : target_grid) {
           model::MicroBatchShape shape;
-          shape.num_samples = static_cast<int32_t>(mbs_grid[i]);
-          shape.input_len = static_cast<int32_t>(input_grid[j]);
-          shape.target_len = static_cast<int32_t>(target_grid[k]);
-          values[i][j][k] = sample(shape);
+          shape.num_samples = static_cast<int32_t>(b);
+          shape.input_len = static_cast<int32_t>(s);
+          shape.target_len = static_cast<int32_t>(t);
+          values.push_back(sample(shape));
         }
       }
     }
@@ -89,30 +88,50 @@ StageCostModel StageCostModel::Load(std::istream& is) {
   for (auto& table : cm.activation_mb_) {
     table = GridInterp3D::Load(is);
   }
+  for (size_t m = 0; m < kNumModes; ++m) {
+    DYNAPIPE_CHECK_MSG(cm.bwd_ms_[m].SameAxes(cm.fwd_ms_) &&
+                           cm.activation_mb_[m].SameAxes(cm.fwd_ms_),
+                       "profile tables disagree on grid axes");
+  }
   return cm;
 }
 
 double StageCostModel::FwdMs(const model::MicroBatchShape& shape) const {
-  // Clamp at a microsecond: edge extrapolation on the profiled grid can undershoot
-  // for tiny shapes, and the planner must never see a non-positive duration.
-  return std::max(0.001, fwd_ms_(shape.num_samples, shape.input_len, shape.target_len));
+  return FwdMsAt(Locate(shape));
 }
 
 double StageCostModel::BwdMs(const model::MicroBatchShape& shape,
                              model::RecomputeMode mode) const {
-  return std::max(0.001, bwd_ms_[ModeIndex(mode)](shape.num_samples, shape.input_len,
-                                                  shape.target_len));
-}
-
-double StageCostModel::FwdBwdMs(const model::MicroBatchShape& shape,
-                                model::RecomputeMode mode) const {
-  return FwdMs(shape) + BwdMs(shape, mode);
+  return BwdMsAt(Locate(shape), mode);
 }
 
 double StageCostModel::ActivationMb(const model::MicroBatchShape& shape,
                                     model::RecomputeMode mode) const {
-  return std::max(0.0, activation_mb_[ModeIndex(mode)](
-                           shape.num_samples, shape.input_len, shape.target_len));
+  return ActivationMbAt(Locate(shape), mode);
+}
+
+GridInterp3D::Cell StageCostModel::Locate(const model::MicroBatchShape& shape) const {
+  return fwd_ms_.Locate(shape.num_samples, shape.input_len, shape.target_len);
+}
+
+double StageCostModel::FwdMsAt(const GridInterp3D::Cell& cell) const {
+  // Clamp at a microsecond: edge extrapolation on the profiled grid can undershoot
+  // for tiny shapes, and the planner must never see a non-positive duration.
+  return std::max(0.001, fwd_ms_.At(cell));
+}
+
+double StageCostModel::BwdMsAt(const GridInterp3D::Cell& cell,
+                               model::RecomputeMode mode) const {
+  return std::max(0.001, bwd_ms_[ModeIndex(mode)].At(cell));
+}
+
+double StageCostModel::ActivationMbAt(const GridInterp3D::Cell& cell,
+                                      model::RecomputeMode mode) const {
+  return std::max(0.0, activation_mb_[ModeIndex(mode)].At(cell));
+}
+
+bool StageCostModel::SameGrid(const StageCostModel& other) const {
+  return fwd_ms_.SameAxes(other.fwd_ms_);
 }
 
 }  // namespace dynapipe::cost

@@ -39,10 +39,17 @@ class StageCostModel {
 
   double FwdMs(const model::MicroBatchShape& shape) const;
   double BwdMs(const model::MicroBatchShape& shape, model::RecomputeMode mode) const;
-  double FwdBwdMs(const model::MicroBatchShape& shape,
-                  model::RecomputeMode mode) const;
   double ActivationMb(const model::MicroBatchShape& shape,
                       model::RecomputeMode mode) const;
+
+  // All seven tables share one grid (checked on Profile and Load), so a shape
+  // located once can be read from every table — and from every stage whose
+  // grid matches (SameGrid).
+  GridInterp3D::Cell Locate(const model::MicroBatchShape& shape) const;
+  double FwdMsAt(const GridInterp3D::Cell& cell) const;
+  double BwdMsAt(const GridInterp3D::Cell& cell, model::RecomputeMode mode) const;
+  double ActivationMbAt(const GridInterp3D::Cell& cell, model::RecomputeMode mode) const;
+  bool SameGrid(const StageCostModel& other) const;
 
   // Profiles are expensive to gather on real hardware, so the artifact caches
   // them across runs; Save/Load round-trips all tables in plain text.

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -14,11 +15,6 @@ namespace dynapipe::mb {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct Window {
-  double time_ms = 0.0;
-  double act_mb = 0.0;
-};
 
 model::MicroBatchShape WindowShape(const std::vector<data::Sample>& s, size_t start,
                                    size_t width) {
@@ -30,6 +26,59 @@ model::MicroBatchShape WindowShape(const std::vector<data::Sample>& s, size_t st
   }
   return shape;
 }
+
+// Feasible windows of one Partition call, as one n x `width` table: the
+// window covering ordered[i .. i+w-1] sits at row i, column w-1, for w in
+// [1, len[i]]. Times and activations are separate arrays so the DP's relax
+// loop scans one contiguous row of times.
+struct WindowTable {
+  size_t width = 0;
+  std::vector<double> times;
+  std::vector<double> acts;
+  std::vector<size_t> len;
+
+  // Grows the buffers to n x w; cells past len[i] keep stale values and are
+  // never read.
+  void Reset(size_t n, size_t w) {
+    width = w;
+    times.resize(n * w);
+    acts.resize(n * w);
+    len.assign(n, 0);
+  }
+  const double* row_times(size_t i) const { return times.data() + i * width; }
+  size_t cell(size_t i, size_t w) const { return i * width + w - 1; }
+};
+
+// Lends a WindowTable from a per-thread free list for one Partition call, so
+// repeat calls on a thread reuse its buffers instead of allocating the table
+// row by row. A call nested on the same thread — a ParallelFor waiter running
+// another queued planning task — borrows a different table, never the one its
+// caller is still using.
+class WindowTableLease {
+ public:
+  WindowTableLease() {
+    auto& free = FreeList();
+    if (free.empty()) {
+      table_ = std::make_unique<WindowTable>();
+    } else {
+      table_ = std::move(free.back());
+      free.pop_back();
+    }
+  }
+  ~WindowTableLease() { FreeList().push_back(std::move(table_)); }
+  WindowTableLease(const WindowTableLease&) = delete;
+  WindowTableLease& operator=(const WindowTableLease&) = delete;
+
+  WindowTable& operator*() const { return *table_; }
+
+ private:
+  static std::vector<std::unique_ptr<WindowTable>>& FreeList() {
+    thread_local std::vector<std::unique_ptr<WindowTable>> free;
+    return free;
+  }
+
+  std::unique_ptr<WindowTable> table_;
+};
 
 }  // namespace
 
@@ -50,49 +99,44 @@ PartitionResult DpPartitioner::Partition(
     result.feasible = true;
     return result;
   }
-  const auto counters_before = cost_.CacheCounters();
   const auto precompute_start = SteadyClock::now();
 
   // --- Precompute feasible windows, shared by every t_max candidate below.
-  // windows[i][w-1] covers ordered[i .. i+w-1]. Window time and activation are
-  // monotone non-decreasing in w (the count grows and padded lengths never
-  // shrink), so each start index has a contiguous feasible range and we can
-  // stop extending at the first violation.
-  std::vector<std::vector<Window>> windows(n);
-  // Times-only mirror of `windows` for the DP sweep: per start the array is
-  // contiguous and monotone in w, so the inner relax loop scans sequentially
-  // and stops at the first time over t_max.
-  std::vector<std::vector<double>> win_times(n);
-  // Start indices are independent, so the precompute — the dominant planning
-  // phase once the DPs are vectorized — fans out over the pool. Each index
-  // writes only its own slots; the min/max reductions below run serially over
-  // the finished table, so the result is bit-identical to the serial loop
-  // (min/max need no FP associativity). Racing cost-cache misses on shared
-  // shapes derive identical values (see CachedCostOracle). An empty window
-  // row means even a single sample breaks the memory limit and the whole
-  // partition is infeasible; the flag lets remaining indices bail instead of
-  // finishing the O(n*W) table as wasted work (the serial loop's early
-  // return).
+  // Window time and activation are monotone non-decreasing in w (the count
+  // grows and padded lengths never shrink), so each start index has a
+  // contiguous feasible range and we can stop extending at the first
+  // violation.
+  const WindowTableLease lease;
+  WindowTable& windows = *lease;
+  const size_t max_width =
+      std::min(n, static_cast<size_t>(options_.max_microbatch_size));
+  windows.Reset(n, max_width);
+  // Start indices are independent, so the precompute fans out over the pool.
+  // Each index writes only its own row; the min/max reductions below run
+  // serially over the finished table, so the result is bit-identical to the
+  // serial loop (min/max need no FP associativity). An empty row means even a
+  // single sample breaks the memory limit and the whole partition is
+  // infeasible; the flag lets remaining indices bail instead of finishing
+  // the O(n*W) table as wasted work (the serial loop's early return).
   std::atomic<bool> infeasible{false};
   ParallelFor(options_.pool, n, [&](size_t i) {
     if (infeasible.load(std::memory_order_relaxed)) {
       return;
     }
     model::MicroBatchShape shape;
-    for (size_t w = 1; i + w <= n && w <= static_cast<size_t>(options_.max_microbatch_size);
-         ++w) {
+    size_t w = 1;
+    for (; i + w <= n && w <= max_width; ++w) {
       shape.num_samples = static_cast<int32_t>(w);
       shape.input_len = std::max(shape.input_len, ordered[i + w - 1].input_len);
       shape.target_len = std::max(shape.target_len, ordered[i + w - 1].target_len);
-      Window win;
-      if (!cost_.WindowCosts(shape, options_.activation_limit_mb, &win.time_ms,
-                             &win.act_mb)) {
+      const size_t cell = windows.cell(i, w);
+      if (!cost_.WindowCosts(shape, options_.activation_limit_mb,
+                             &windows.times[cell], &windows.acts[cell])) {
         break;
       }
-      windows[i].push_back(win);
-      win_times[i].push_back(win.time_ms);
     }
-    if (windows[i].empty()) {
+    windows.len[i] = w - 1;
+    if (w == 1) {
       infeasible.store(true, std::memory_order_relaxed);
     }
   });
@@ -103,15 +147,14 @@ PartitionResult DpPartitioner::Partition(
     result.feasible = false;
     return result;
   }
-  double min_single_time = kInf;
   double max_single_time = 0.0;
   double max_window_time = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    DYNAPIPE_CHECK(!windows[i].empty());
-    min_single_time = std::min(min_single_time, windows[i].front().time_ms);
-    max_single_time = std::max(max_single_time, windows[i].front().time_ms);
-    for (const Window& win : windows[i]) {
-      max_window_time = std::max(max_window_time, win.time_ms);
+    DYNAPIPE_CHECK(windows.len[i] >= 1);
+    const double* times = windows.row_times(i);
+    max_single_time = std::max(max_single_time, times[0]);
+    for (size_t w = 0; w < windows.len[i]; ++w) {
+      max_window_time = std::max(max_window_time, times[w]);
     }
   }
 
@@ -123,6 +166,17 @@ PartitionResult DpPartitioner::Partition(
   std::vector<double> candidates;
   {
     const double interval = options_.tmax_interval_ms;
+    // Calls fn(t) on every window time that can bound a partition.
+    auto for_each_candidate_time = [&](auto&& fn) {
+      for (size_t i = 0; i < n; ++i) {
+        const double* times = windows.row_times(i);
+        for (size_t w = 0; w < windows.len[i]; ++w) {
+          if (times[w] + 1e-12 >= max_single_time) {
+            fn(times[w]);
+          }
+        }
+      }
+    };
     // Quantized times are multiples of `interval`, so distinct sorted values
     // come from bucket presence-marking in O(windows + buckets) instead of an
     // O(W log W) sort of every window time — the sort dominated the whole
@@ -136,30 +190,20 @@ PartitionResult DpPartitioner::Partition(
     if (bucket_span > 0.0 && bucket_span < static_cast<double>(max_buckets)) {
       const size_t num_buckets = static_cast<size_t>(bucket_span) + 2;
       std::vector<uint8_t> present(num_buckets, 0);
-      for (const auto& per_start : windows) {
-        for (const auto& win : per_start) {
-          if (win.time_ms + 1e-12 < max_single_time) {
-            continue;
-          }
-          const size_t q = static_cast<size_t>(std::ceil(win.time_ms / interval));
-          DYNAPIPE_CHECK(q < num_buckets);
-          present[q] = 1;
-        }
-      }
+      for_each_candidate_time([&](double t) {
+        const size_t q = static_cast<size_t>(std::ceil(t / interval));
+        DYNAPIPE_CHECK(q < num_buckets);
+        present[q] = 1;
+      });
       for (size_t q = 0; q < num_buckets; ++q) {
         if (present[q] != 0) {
           quantized.push_back(static_cast<double>(q) * interval);
         }
       }
     } else {
-      for (const auto& per_start : windows) {
-        for (const auto& win : per_start) {
-          if (win.time_ms + 1e-12 < max_single_time) {
-            continue;
-          }
-          quantized.push_back(std::ceil(win.time_ms / interval) * interval);
-        }
-      }
+      for_each_candidate_time([&](double t) {
+        quantized.push_back(std::ceil(t / interval) * interval);
+      });
       std::sort(quantized.begin(), quantized.end());
       quantized.erase(std::unique(quantized.begin(), quantized.end()),
                       quantized.end());
@@ -188,28 +232,18 @@ PartitionResult DpPartitioner::Partition(
   }
 
   // --- DP per candidate. f[k] = min total time over partitions of the first k
-  // samples with every micro-batch time <= tmax; parent[k] = width of the last
-  // micro-batch in an optimal partition of the first k. Candidates are
-  // independent given the shared window table, so they fan out over the pool;
-  // each writes its outcome into its own slot and the merge below is serial.
-  struct CandidateOutcome {
-    bool feasible = false;
-    double objective = kInf;
-    std::vector<int32_t> widths;  // back-to-front, as reconstructed
-  };
-  std::vector<CandidateOutcome> outcomes(candidates.size());
-
+  // samples with every micro-batch time <= tmax. Returns the candidate's Eq. 1
+  // objective (kInf if infeasible) and, when `widths` is non-null, the widths
+  // of its micro-batches back-to-front. Deterministic, so the sweep scores
+  // every candidate without keeping widths and the winner is re-solved once
+  // for them.
+  //
   // Each start's usable-window cutoff under a candidate (times <= candidate +
-  // eps) is derived *inside* the per-candidate lambda: per-start times are
-  // sorted (monotone in w), so one binary search per (start, candidate) — an
-  // O(n log W) sliver next to the O(n*W) DP — replaces what used to be a
-  // serial O(n x candidates) merge-walk plus a 4B/cell cutoff table ahead of
-  // the fan-out. That walk was the sweep's Amdahl limit at 16k-sample
-  // batches; now the only serial work between the precompute and the merge is
-  // candidate selection. upper_bound on a sorted array returns exactly the
-  // merge-walk's count, so plans are bit-identical (pinned by
-  // tests/planning_parallel_test.cpp).
-  ParallelFor(options_.pool, candidates.size(), [&](size_t c_idx) {
+  // eps) is one binary search per (start, candidate) — an O(n log W) sliver
+  // next to the O(n*W) DP — on the start's row, which is sorted (monotone in
+  // w). That keeps all per-candidate work inside the fan-out (pinned
+  // bit-identical to serial by tests/planning_parallel_test.cpp).
+  auto solve = [&](size_t c_idx, std::vector<int32_t>* widths) {
     const double tmax = candidates[c_idx] + 1e-12;
     // Forward DP, start-major: windows starting at i extend f[i] to f[i+w].
     // No parent array — the relax loop is then a pure contiguous min that the
@@ -222,47 +256,42 @@ PartitionResult DpPartitioner::Partition(
     thread_local std::vector<double> f;
     f.assign(n + 1, kInf);
     f[0] = 0.0;
-    bool reachable = true;
     for (size_t i = 0; i < n; ++i) {
       if (f[i] == kInf) {
         // An unreachable prefix dooms the whole candidate: any window crossing
         // sample i-1 contains the sub-window with the same start ending at i,
         // which by cost monotonicity is no more expensive — so if some
-        // partition covered sample i-1, f[i] would be finite. (The seed had
-        // this guard with `&& k == n` attached, making it dead.)
-        reachable = false;
-        break;
+        // partition covered sample i-1, f[i] would be finite.
+        return kInf;
       }
       const double fi = f[i];
-      const std::vector<double>& times = win_times[i];
+      const double* times = windows.row_times(i);
       const size_t cut = static_cast<size_t>(
-          std::upper_bound(times.begin(), times.end(), tmax) - times.begin());
+          std::upper_bound(times, times + windows.len[i], tmax) - times);
       // restrict lets the compiler vectorize the min: f's tail and this start's
-      // time array never alias.
-      const double* __restrict tp = times.data();
+      // time row never alias.
+      const double* __restrict tp = times;
       double* __restrict fk = f.data() + i + 1;
       for (size_t w = 0; w < cut; ++w) {
         fk[w] = std::min(fk[w], fi + tp[w]);
       }
     }
-    if (!reachable || f[n] == kInf) {
-      return;
+    if (f[n] == kInf) {
+      return kInf;
     }
     // Reconstruct and score with the *realized* max (<= tmax), which is the exact
     // Eq. 1 objective rather than the candidate upper bound. The smallest width
     // whose add reproduces f[k] bitwise is a deterministic optimal choice.
-    CandidateOutcome& out = outcomes[c_idx];
     double realized_max = 0.0;
     for (size_t k = n; k > 0;) {
-      const size_t wmax =
-          std::min(k, static_cast<size_t>(options_.max_microbatch_size));
+      const size_t wmax = std::min(k, max_width);
       size_t found = 0;
       for (size_t w = 1; w <= wmax; ++w) {
         const size_t start = k - w;
-        if (w > win_times[start].size()) {
+        if (w > windows.len[start]) {
           continue;
         }
-        const double t = win_times[start][w - 1];
+        const double t = windows.times[windows.cell(start, w)];
         if (t > tmax) {
           continue;
         }
@@ -273,31 +302,37 @@ PartitionResult DpPartitioner::Partition(
         }
       }
       DYNAPIPE_CHECK(found >= 1);
-      out.widths.push_back(static_cast<int32_t>(found));
+      if (widths != nullptr) {
+        widths->push_back(static_cast<int32_t>(found));
+      }
       k -= found;
     }
-    out.objective =
-        (options_.num_stages - 1) * realized_max + f[n] / options_.num_replicas;
-    out.feasible = true;
-  });
+    return (options_.num_stages - 1) * realized_max + f[n] / options_.num_replicas;
+  };
+  // Candidates are independent given the shared window table, so they fan
+  // out over the pool, each scoring into its own slot.
+  std::vector<double> objectives(candidates.size());
+  ParallelFor(options_.pool, candidates.size(),
+              [&](size_t c_idx) { objectives[c_idx] = solve(c_idx, nullptr); });
 
   // Deterministic merge in ascending-t_max order: strict improvement only, so
   // ties keep the earliest (lowest) candidate — exactly the serial loop's pick.
   double best_objective = kInf;
-  std::vector<int32_t> best_widths;
-  for (auto& out : outcomes) {
-    if (out.feasible && out.objective < best_objective) {
-      best_objective = out.objective;
-      best_widths = std::move(out.widths);
+  size_t best = candidates.size();
+  for (size_t c_idx = 0; c_idx < candidates.size(); ++c_idx) {
+    if (objectives[c_idx] < best_objective) {
+      best_objective = objectives[c_idx];
+      best = c_idx;
     }
+  }
+  std::vector<int32_t> best_widths;
+  if (best < candidates.size()) {
+    solve(best, &best_widths);
   }
   result.candidates_tried = static_cast<int32_t>(candidates.size());
   result.stats.candidate_search_ms = ElapsedMs(search_start);
   result.stats.parallel_workers =
       options_.pool != nullptr ? std::max(1, options_.pool->num_threads()) : 1;
-  const auto counters_after = cost_.CacheCounters();
-  result.stats.cost_cache_hits = counters_after.first - counters_before.first;
-  result.stats.cost_cache_misses = counters_after.second - counters_before.second;
 
   if (best_widths.empty()) {
     result.feasible = false;
@@ -311,12 +346,12 @@ PartitionResult DpPartitioner::Partition(
     std::vector<data::Sample> group(ordered.begin() + static_cast<ptrdiff_t>(pos),
                                     ordered.begin() + static_cast<ptrdiff_t>(pos + w));
     MicroBatch m = MakeMicroBatch(std::move(group));
-    const Window& win = windows[pos][static_cast<size_t>(w) - 1];
-    m.predicted_time_ms = win.time_ms;
-    m.predicted_activation_mb = win.act_mb;
+    const size_t cell = windows.cell(pos, static_cast<size_t>(w));
+    m.predicted_time_ms = windows.times[cell];
+    m.predicted_activation_mb = windows.acts[cell];
     result.micro_batches.push_back(std::move(m));
-    result.max_time_ms = std::max(result.max_time_ms, win.time_ms);
-    result.total_time_ms += win.time_ms;
+    result.max_time_ms = std::max(result.max_time_ms, windows.times[cell]);
+    result.total_time_ms += windows.times[cell];
     pos += static_cast<size_t>(w);
   }
   DYNAPIPE_CHECK(pos == n);

@@ -22,7 +22,6 @@
 #define DYNAPIPE_SRC_MB_DP_PARTITIONER_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/data/dataset.h"
@@ -48,7 +47,8 @@ class MicroBatchCostFn {
   // the activation footprint exceeds `limit` (if limit > 0; *time_ms is then
   // untouched), otherwise fills both values. The default preserves the
   // laziness of the split calls — time is never computed for over-limit
-  // windows; memoizing oracles override it to serve both from a single lookup.
+  // windows; the profiled cost model overrides it to serve both from a single
+  // grid lookup.
   virtual bool WindowCosts(const model::MicroBatchShape& shape, double limit,
                            double* time_ms, double* act_mb) const {
     *act_mb = ActivationMb(shape);
@@ -58,11 +58,6 @@ class MicroBatchCostFn {
     *time_ms = TimeMs(shape);
     return true;
   }
-  // Instrumentation hook: oracles backed by a memoizing cache report cumulative
-  // (hits, misses) so PartitionResult can carry per-call deltas; oracles
-  // without a cache keep the default zeros. A "query" is one TimeMs,
-  // ActivationMb, or WindowCosts call.
-  virtual std::pair<int64_t, int64_t> CacheCounters() const { return {0, 0}; }
 };
 
 struct DpPartitionerOptions {
@@ -89,17 +84,14 @@ struct DpPartitionerOptions {
   ThreadPool* pool = nullptr;
 };
 
-// Per-call instrumentation: where planning time went and how well the cost
-// cache absorbed queries (what bench_fig17_planning_time / bench_micro_planner
-// report without re-instrumenting the planner).
+// Per-call instrumentation: where planning time went (what
+// bench_fig17_planning_time / bench_micro_planner report without
+// re-instrumenting the planner).
 struct PartitionStats {
-  // Phase 1: feasible-window precompute (the cost-oracle-bound part).
+  // Phase 1: feasible-window precompute (the cost-model-bound part).
   double window_precompute_ms = 0.0;
   // Phase 2: per-t_max DPs + reconstruction + merge.
   double candidate_search_ms = 0.0;
-  // Cost-oracle cache activity during this call (zeros for uncached oracles).
-  int64_t cost_cache_hits = 0;
-  int64_t cost_cache_misses = 0;
   // Worker threads the candidate sweep could draw on (1 = serial).
   int32_t parallel_workers = 1;
 };

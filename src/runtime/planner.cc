@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "src/comm/comm_planner.h"
 #include "src/common/check.h"
@@ -15,26 +14,6 @@
 
 namespace dynapipe::runtime {
 namespace {
-
-// Uncached cost-oracle adapter for the DP partitioner: bottleneck-stage time and
-// the worst per-stage activation footprint. The seed path; kept for
-// PlannerOptions::cost_cache = false (benchmark baselines, equivalence tests).
-class PipelineCostAdapter : public mb::MicroBatchCostFn {
- public:
-  PipelineCostAdapter(const cost::PipelineCostModel& cm, model::RecomputeMode mode)
-      : cm_(cm), mode_(mode) {}
-
-  double TimeMs(const model::MicroBatchShape& shape) const override {
-    return cm_.MicroBatchTimeMs(shape, mode_);
-  }
-  double ActivationMb(const model::MicroBatchShape& shape) const override {
-    return cm_.MaxActivationMb(shape, mode_);
-  }
-
- private:
-  const cost::PipelineCostModel& cm_;
-  model::RecomputeMode mode_;
-};
 
 struct ReplicaBuild {
   bool feasible = false;
@@ -212,13 +191,7 @@ int32_t IterationPlan::total_microbatches() const {
 
 IterationPlanner::IterationPlanner(const cost::PipelineCostModel& cost_model,
                                    PlannerOptions options)
-    : cm_(cost_model), options_(std::move(options)) {
-  if (options_.cost_oracle != nullptr) {
-    oracle_ = options_.cost_oracle;
-  } else if (options_.cost_cache) {
-    oracle_ = std::make_shared<cost::CachedCostOracle>(cost_model);
-  }
-}
+    : cm_(cost_model), options_(std::move(options)) {}
 
 IterationPlan IterationPlanner::PlanWithRecompute(
     const std::vector<data::Sample>& ordered, model::RecomputeMode mode) const {
@@ -240,15 +213,7 @@ IterationPlan IterationPlanner::PlanWithRecompute(
   const double per_mb_limit =
       options_.adaptive_schedule ? budget : budget / static_cast<double>(c);
 
-  const PipelineCostAdapter plain_adapter(cm_, mode);
-  std::optional<CachedCostAdapter> cached_adapter;
-  if (oracle_ != nullptr) {
-    cached_adapter.emplace(*oracle_, mode);
-  }
-  const mb::MicroBatchCostFn& adapter =
-      cached_adapter.has_value()
-          ? static_cast<const mb::MicroBatchCostFn&>(*cached_adapter)
-          : plain_adapter;
+  const CostModelAdapter adapter(cm_, mode);
   mb::DpPartitionerOptions dp_opts;
   dp_opts.num_stages = c;
   dp_opts.num_replicas = dp;
@@ -261,8 +226,6 @@ IterationPlan IterationPlanner::PlanWithRecompute(
   const auto partition_start = SteadyClock::now();
   mb::PartitionResult part = partitioner.Partition(ordered);
   plan.stats.partition_ms = ElapsedMs(partition_start);
-  plan.stats.cost_cache_hits = part.stats.cost_cache_hits;
-  plan.stats.cost_cache_misses = part.stats.cost_cache_misses;
   if (!part.feasible) {
     plan.infeasible_reason = "no micro-batch partition fits the memory limit";
     return plan;
@@ -330,8 +293,6 @@ IterationPlan IterationPlanner::PlanIteration(
   for (auto& candidate : outcomes) {
     stats.partition_ms += candidate.stats.partition_ms;
     stats.schedule_ms += candidate.stats.schedule_ms;
-    stats.cost_cache_hits += candidate.stats.cost_cache_hits;
-    stats.cost_cache_misses += candidate.stats.cost_cache_misses;
     stats.recompute_modes_tried += candidate.stats.recompute_modes_tried;
     if (candidate.feasible &&
         candidate.predicted_iteration_ms < best.predicted_iteration_ms) {

@@ -13,16 +13,12 @@
 #ifndef DYNAPIPE_SRC_RUNTIME_PLANNER_H_
 #define DYNAPIPE_SRC_RUNTIME_PLANNER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/baselines/batchers.h"
 #include "src/baselines/packing.h"
-#include "src/cost/cost_cache.h"
 #include "src/cost/pipeline_cost_model.h"
 #include "src/data/dataset.h"
 #include "src/mb/dp_partitioner.h"
@@ -53,15 +49,6 @@ struct PlannerOptions {
   double tmax_interval_ms = 0.05;
   int32_t max_tmax_candidates = 256;
   int32_t max_microbatch_size = 128;
-  // Memoize DP cost queries in a planner-lifetime CachedCostOracle. On by
-  // default; off recovers the seed's uncached oracle (benches use it as the
-  // speedup baseline, tests to check bit-equality of cached planning).
-  bool cost_cache = true;
-  // Share a memoized oracle across planners / epochs instead of building a
-  // planner-private one. Null + cost_cache creates a private oracle; the
-  // trainer passes its epoch-spanning oracle here so epoch 2 starts with
-  // epoch 1's shapes priced. Must be built over the same cost model.
-  std::shared_ptr<cost::CachedCostOracle> cost_oracle;
   // Fan independent planning work (recompute modes, per-t_max DPs) over this
   // pool; null plans serially. Plans are bit-identical either way — parallel
   // slots are merged deterministically (see DpPartitionerOptions::pool). The
@@ -77,28 +64,21 @@ struct ReplicaPlan {
   sim::ExecutionPlan exec_plan;
 };
 
-// Where one PlanIteration call spent its time and how the cost cache behaved,
-// summed over every recompute mode tried (losing modes still cost planning
-// time). Phase times are CPU work, so with a pool they can exceed the
-// wall-clock planning_time_ms.
+// Where one PlanIteration call spent its time, summed over every recompute
+// mode tried (losing modes still cost planning time). Phase times are CPU
+// work, so with a pool they can exceed the wall-clock planning_time_ms.
 struct PlanningStats {
   double order_ms = 0.0;      // sample ordering
   double partition_ms = 0.0;  // DP partitioning (windows + t_max sweep)
   double schedule_ms = 0.0;   // replica balance + schedule + comm construction
+  int32_t recompute_modes_tried = 0;
+  // Always zero: the planner keeps no cost cache and no cross-iteration
+  // prefix cache. Kept because bench/e2e reads them for its
+  // cost.cache_hit_rate and mb.prefix_hit_rate columns.
   int64_t cost_cache_hits = 0;
   int64_t cost_cache_misses = 0;
-  int32_t recompute_modes_tried = 0;
-  // Always zero: the planner keeps no cross-iteration prefix cache. Kept
-  // because bench/e2e reads them for its mb.prefix_hit_rate column.
   int64_t prefix_cache_hits = 0;
   int64_t prefix_cache_misses = 0;
-
-  double cache_hit_rate() const {
-    const int64_t total = cost_cache_hits + cost_cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cost_cache_hits) /
-                            static_cast<double>(total);
-  }
 };
 
 struct IterationPlan {
@@ -119,58 +99,29 @@ struct IterationPlan {
   int32_t total_microbatches() const;
 };
 
-// Memoized MicroBatchCostFn: binds a CachedCostOracle to one recompute mode.
-// Shared by the planner, benches, and tests; thread-safe (the oracle is).
-// Tallies hits/misses per adapter, so counters stay exact even when several
-// adapters over one oracle run concurrently (the oracle's global counters
-// would cross-attribute under concurrency).
-class CachedCostAdapter : public mb::MicroBatchCostFn {
+// The DP partitioner's cost oracle over the profiled cost model for one
+// recompute mode: bottleneck-stage time and the worst per-stage activation
+// footprint, each window priced from one shared grid lookup. Thread-safe (the
+// cost model is immutable).
+class CostModelAdapter : public mb::MicroBatchCostFn {
  public:
-  CachedCostAdapter(const cost::CachedCostOracle& oracle, model::RecomputeMode mode)
-      : oracle_(oracle), mode_(mode) {}
+  CostModelAdapter(const cost::PipelineCostModel& cm, model::RecomputeMode mode)
+      : cm_(cm), mode_(mode) {}
 
   double TimeMs(const model::MicroBatchShape& shape) const override {
-    bool hit = false;
-    const double v = oracle_.Query(shape, mode_, &hit).time_ms;
-    Count(hit);
-    return v;
+    return cm_.MicroBatchTimeMs(shape, mode_);
   }
   double ActivationMb(const model::MicroBatchShape& shape) const override {
-    bool hit = false;
-    const double v =
-        oracle_.Query(shape, mode_, &hit, /*act_limit=*/-1.0).act_mb;
-    Count(hit);
-    return v;
+    return cm_.MaxActivationMb(shape, mode_);
   }
   bool WindowCosts(const model::MicroBatchShape& shape, double limit,
                    double* time_ms, double* act_mb) const override {
-    bool hit = false;
-    // Forwarding the limit keeps the oracle as lazy as the uncached path:
-    // windows that break the memory cap are never priced.
-    const cost::CachedCostOracle::Entry e =
-        oracle_.Query(shape, mode_, &hit, limit);
-    Count(hit);
-    *act_mb = e.act_mb;
-    if (limit > 0.0 && e.act_mb > limit) {
-      return false;
-    }
-    *time_ms = e.time_ms;
-    return true;
-  }
-  std::pair<int64_t, int64_t> CacheCounters() const override {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed)};
+    return cm_.WindowCosts(shape, mode_, limit, time_ms, act_mb);
   }
 
  private:
-  void Count(bool hit) const {
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const cost::CachedCostOracle& oracle_;
+  const cost::PipelineCostModel& cm_;
   model::RecomputeMode mode_;
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
 };
 
 class IterationPlanner {
@@ -178,12 +129,10 @@ class IterationPlanner {
   IterationPlanner(const cost::PipelineCostModel& cost_model, PlannerOptions options);
 
   // Thread-safe: the trainer's plan-ahead workers call this concurrently on one
-  // planner instance; the cost cache is shared and sharded.
+  // planner instance.
   IterationPlan PlanIteration(const std::vector<data::Sample>& minibatch) const;
 
   const PlannerOptions& options() const { return options_; }
-  // Null when options().cost_cache is false.
-  const cost::CachedCostOracle* cost_cache() const { return oracle_.get(); }
 
  private:
   IterationPlan PlanWithRecompute(const std::vector<data::Sample>& ordered,
@@ -191,11 +140,6 @@ class IterationPlanner {
 
   const cost::PipelineCostModel& cm_;
   PlannerOptions options_;
-  // Lives as long as the planner, so shapes memoized in one iteration keep
-  // paying off across the epoch (consecutive mini-batches draw similar length
-  // mixes from the same dataset). Only allocated when the cache is enabled —
-  // the table is several MB and uncached planners must not pay for it.
-  std::shared_ptr<cost::CachedCostOracle> oracle_;
 };
 
 // --- Baseline (MLM+DS-style) planning ---

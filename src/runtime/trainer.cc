@@ -45,9 +45,9 @@ uint64_t HashString(uint64_t h, const std::string& s) {
 
 // Everything a DynaPipe plan depends on besides the mini-batch: model shape,
 // hardware, parallelism, and the planner knobs that change plan values. The
-// cost cache and pool are deliberately excluded — they are proven
-// bit-identical (tests/planning_parallel_test.cpp), so including them would
-// only split cache populations.
+// pool is deliberately excluded — pooled plans are proven bit-identical to
+// serial ones (tests/planning_parallel_test.cpp), so including it would only
+// split cache populations.
 uint64_t PlannerConfigHash(const model::ModelConfig& config,
                            const model::HardwareSpec& hw,
                            const model::ParallelConfig& parallel,
@@ -124,15 +124,6 @@ EpochResult Trainer::RunEpoch(const data::Dataset& dataset,
   if (popts.pool == nullptr && options.planning_threads > 1) {
     owned_pool.emplace(options.planning_threads);
     popts.pool = &*owned_pool;
-  }
-  // Persist the cost oracle on the Trainer so epoch N+1 starts warm: its
-  // values depend only on the (fixed) cost model. A caller-provided oracle
-  // wins.
-  if (popts.cost_cache && popts.cost_oracle == nullptr) {
-    if (cost_oracle_ == nullptr) {
-      cost_oracle_ = std::make_shared<cost::CachedCostOracle>(cost_model_);
-    }
-    popts.cost_oracle = cost_oracle_;
   }
   IterationPlanner iteration_planner(cost_model_, popts);
   return RunEpochImpl(
@@ -417,8 +408,6 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     record.predicted_ms = plan.predicted_iteration_ms;
     record.num_microbatches = plan.total_microbatches();
     record.recompute = plan.recompute;
-    record.cost_cache_hits = plan.stats.cost_cache_hits;
-    record.cost_cache_misses = plan.stats.cost_cache_misses;
     record.partition_ms = plan.stats.partition_ms;
     record.schedule_ms = plan.stats.schedule_ms;
     record.prefix_cache_hits = plan.stats.prefix_cache_hits;

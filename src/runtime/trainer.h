@@ -172,14 +172,15 @@ struct IterationRecord {
   double measured_peak_mb = 0.0;
   int32_t num_microbatches = 0;
   model::RecomputeMode recompute = model::RecomputeMode::kNone;
-  // Copied from IterationPlan::stats so benches (Fig. 17) report cost-cache hit
-  // rates and phase splits without re-instrumenting the planner.
-  int64_t cost_cache_hits = 0;
-  int64_t cost_cache_misses = 0;
+  // Copied from IterationPlan::stats so benches (Fig. 17) report phase splits
+  // without re-instrumenting the planner.
   double partition_ms = 0.0;
   double schedule_ms = 0.0;
-  // Always zero (copied from PlanningStats, whose planner keeps no prefix
-  // cache). Kept because bench/e2e reads them for mb.prefix_hit_rate.
+  // Always zero (copied from PlanningStats, whose planner keeps no cost cache
+  // and no prefix cache). Kept because bench/e2e reads them for
+  // cost.cache_hit_rate and mb.prefix_hit_rate.
+  int64_t cost_cache_hits = 0;
+  int64_t cost_cache_misses = 0;
   int64_t prefix_cache_hits = 0;
   int64_t prefix_cache_misses = 0;
   // Plan-ahead service: whether this iteration's plan came from the
@@ -278,11 +279,6 @@ class Trainer {
   // Lazily created when TrainerOptions::plan_cache is set; persists across
   // RunEpoch calls so replayed epochs hit.
   std::shared_ptr<service::PlanCache> plan_cache_;
-  // Epoch-spanning memoized cost oracle, lazily created on the first RunEpoch
-  // and injected into each epoch's planner (unless the caller provided its
-  // own), so epoch N+1 plans warm. Valid for the Trainer's lifetime because
-  // the cost model is fixed.
-  std::shared_ptr<cost::CachedCostOracle> cost_oracle_;
 };
 
 }  // namespace dynapipe::runtime

@@ -1,7 +1,11 @@
 // Unit tests for src/cost: grid interpolation and the profiled cost models,
-// including the honesty property (exact at grid points, bounded error between).
+// including the honesty property (exact at grid points, bounded error between),
+// the one-lookup WindowCosts probe, and profile (de)serialization.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,7 +26,7 @@ using model::RecomputeMode;
 
 TEST(GridInterp3DTest, ExactAtGridPoints) {
   GridInterp3D g({1.0, 2.0}, {10.0, 20.0}, {0.0, 5.0},
-                 {{{1.0, 2.0}, {3.0, 4.0}}, {{5.0, 6.0}, {7.0, 8.0}}});
+                 {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
   EXPECT_DOUBLE_EQ(g(1, 10, 0), 1.0);
   EXPECT_DOUBLE_EQ(g(2, 20, 5), 8.0);
   EXPECT_DOUBLE_EQ(g(1, 20, 0), 3.0);
@@ -36,13 +40,11 @@ TEST(GridInterp3DTest, TrilinearFunctionReproducedExactly) {
   std::vector<double> xs{0.0, 1.0, 2.0};
   std::vector<double> ys{0.0, 3.0};
   std::vector<double> zs{1.0, 4.0, 9.0};
-  std::vector<std::vector<std::vector<double>>> v(
-      xs.size(), std::vector<std::vector<double>>(ys.size(),
-                                                  std::vector<double>(zs.size())));
-  for (size_t i = 0; i < xs.size(); ++i) {
-    for (size_t j = 0; j < ys.size(); ++j) {
-      for (size_t k = 0; k < zs.size(); ++k) {
-        v[i][j][k] = f(xs[i], ys[j], zs[k]);
+  std::vector<double> v;
+  for (const double x : xs) {
+    for (const double y : ys) {
+      for (const double z : zs) {
+        v.push_back(f(x, y, z));
       }
     }
   }
@@ -52,13 +54,60 @@ TEST(GridInterp3DTest, TrilinearFunctionReproducedExactly) {
 }
 
 TEST(GridInterp3DTest, DegenerateAxesBehaveAsConstant) {
-  GridInterp3D g({1.0, 2.0}, {5.0}, {0.0}, {{{10.0}}, {{20.0}}});
+  GridInterp3D g({1.0, 2.0}, {5.0}, {0.0}, {10.0, 20.0});
   EXPECT_DOUBLE_EQ(g(1.5, 999.0, -5.0), 15.0);
 }
 
 TEST(GridInterp3DTest, ExtrapolatesBeyondEdges) {
-  GridInterp3D g({0.0, 1.0}, {0.0}, {0.0}, {{{0.0}}, {{10.0}}});
+  GridInterp3D g({0.0, 1.0}, {0.0}, {0.0}, {0.0, 10.0});
   EXPECT_DOUBLE_EQ(g(2.0, 0.0, 0.0), 20.0);
+}
+
+TEST(GridInterp3DTest, FlatLookupBitEqualsNestedReference) {
+  // The flat table must reproduce the nested [i][j][k] trilinear formula bit
+  // for bit, including the clamped edge cells that extrapolation reads.
+  const std::vector<double> xs{1.0, 2.0, 4.0, 8.0};
+  const std::vector<double> ys{32.0, 64.0, 128.0};
+  const std::vector<double> zs{32.0, 64.0};
+  auto value = [&](size_t i, size_t j, size_t k) {
+    return 0.37 * static_cast<double>(i * i + 1) + 1.1 * static_cast<double>(j) +
+           0.013 * static_cast<double>((k + 1) * (i + j + 3));
+  };
+  std::vector<double> flat;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    for (size_t j = 0; j < ys.size(); ++j) {
+      for (size_t k = 0; k < zs.size(); ++k) {
+        flat.push_back(value(i, j, k));
+      }
+    }
+  }
+  const GridInterp3D g(xs, ys, zs, flat);
+  auto locate = [](const std::vector<double>& axis, double v, size_t& k, double& t) {
+    k = 0;
+    while (k + 2 < axis.size() && v >= axis[k + 1]) {
+      ++k;
+    }
+    t = (v - axis[k]) / (axis[k + 1] - axis[k]);
+  };
+  auto lerp = [](double a, double b, double t) { return a + t * (b - a); };
+  for (const double x : {0.5, 1.0, 3.0, 8.0, 11.0}) {
+    for (const double y : {1.0, 32.0, 100.0, 128.0, 300.0}) {
+      for (const double z : {0.0, 40.0, 64.0, 99.0}) {
+        size_t i, j, k;
+        double tx, ty, tz;
+        locate(xs, x, i, tx);
+        locate(ys, y, j, ty);
+        locate(zs, z, k, tz);
+        const double c00 = lerp(value(i, j, k), value(i + 1, j, k), tx);
+        const double c01 = lerp(value(i, j, k + 1), value(i + 1, j, k + 1), tx);
+        const double c10 = lerp(value(i, j + 1, k), value(i + 1, j + 1, k), tx);
+        const double c11 =
+            lerp(value(i, j + 1, k + 1), value(i + 1, j + 1, k + 1), tx);
+        const double want = lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
+        EXPECT_EQ(g(x, y, z), want) << x << " " << y << " " << z;
+      }
+    }
+  }
 }
 
 // ---------- StageCostModel ----------
@@ -231,6 +280,77 @@ TEST_F(PipelineCostModelTest, GptProfileSkipsTargetAxis) {
   EXPECT_GT(pcm.MicroBatchTimeMs({4, 512, 0}, RecomputeMode::kNone), 0.0);
 }
 
+// ---------- WindowCosts: the DP's one-lookup probe ----------
+
+ProfileOptions FullProfile() {
+  ProfileOptions opts;
+  opts.max_microbatch_size = 128;
+  opts.min_seq_len = 32;
+  opts.max_seq_len = 16'384;
+  return opts;
+}
+
+// WindowCosts must equal the per-stage accessors bit for bit on every shape
+// the DP can ask about: on the grid, between grid points, and beyond both
+// ends of every axis (edge extrapolation reads the clamped edge cells).
+void ExpectWindowCostsMatchStages(const PipelineCostModel& pcm,
+                                  const std::vector<int32_t>& targets) {
+  for (const auto mode :
+       {RecomputeMode::kNone, RecomputeMode::kSelective, RecomputeMode::kFull}) {
+    for (const int32_t b : {1, 3, 64, 100, 128, 129, 1000}) {
+      for (const int32_t s : {1, 16, 31, 32, 100, 1024, 5000, 16'384, 16'385, 40'000}) {
+        for (const int32_t t : targets) {
+          const MicroBatchShape shape{b, s, t};
+          double want_time = 0.0;
+          double want_act = 0.0;
+          for (int32_t st = 0; st < pcm.num_stages(); ++st) {
+            want_time = std::max(want_time, pcm.StageFwdMs(st, shape) +
+                                                pcm.StageBwdMs(st, shape, mode));
+            want_act = std::max(want_act, pcm.StageActivationMb(st, shape, mode));
+          }
+          double time_ms = -1.0;
+          double act_mb = -1.0;
+          ASSERT_TRUE(pcm.WindowCosts(shape, mode, 0.0, &time_ms, &act_mb));
+          EXPECT_EQ(time_ms, want_time) << shape.ToString();
+          EXPECT_EQ(act_mb, want_act) << shape.ToString();
+          EXPECT_EQ(pcm.MicroBatchTimeMs(shape, mode), want_time);
+          EXPECT_EQ(pcm.MaxActivationMb(shape, mode), want_act);
+        }
+      }
+    }
+  }
+}
+
+TEST(WindowCostsTest, T5BitEqualsPerStageMaxOnAndOffGrid) {
+  const PipelineCostModel pcm = PipelineCostModel::Profile(
+      model::ModelConfig::T5_5_5B(), model::HardwareSpec{}, {1, 2, 2}, FullProfile());
+  ExpectWindowCostsMatchStages(pcm, {0, 1, 31, 32, 77, 512, 16'384, 30'000});
+}
+
+TEST(WindowCostsTest, GptSinglePointTargetAxisBitEqualsPerStageMax) {
+  const PipelineCostModel pcm = PipelineCostModel::Profile(
+      model::ModelConfig::Gpt3_35B(), model::HardwareSpec{}, {3, 1, 4}, FullProfile());
+  // The target axis has one point, so any target length reads the same plane.
+  ExpectWindowCostsMatchStages(pcm, {0, 5});
+}
+
+TEST(WindowCostsTest, OverLimitReturnsFalseAndLeavesTimeUntouched) {
+  const PipelineCostModel pcm = PipelineCostModel::Profile(
+      model::ModelConfig::T5_5_5B(), model::HardwareSpec{}, {1, 2, 2}, FullProfile());
+  const MicroBatchShape shape{8, 2048, 512};
+  const auto mode = RecomputeMode::kNone;
+  const double act = pcm.MaxActivationMb(shape, mode);
+  ASSERT_GT(act, 0.0);
+  double time_ms = 12345.0;
+  double act_mb = -1.0;
+  EXPECT_FALSE(pcm.WindowCosts(shape, mode, act / 2.0, &time_ms, &act_mb));
+  EXPECT_EQ(time_ms, 12345.0);
+  EXPECT_EQ(act_mb, act);
+  // At the limit exactly the window still fits.
+  EXPECT_TRUE(pcm.WindowCosts(shape, mode, act, &time_ms, &act_mb));
+  EXPECT_EQ(time_ms, pcm.MicroBatchTimeMs(shape, mode));
+}
+
 }  // namespace
 }  // namespace dynapipe::cost
 
@@ -240,10 +360,11 @@ namespace dynapipe::cost {
 namespace {
 
 TEST(SerializationTest, GridRoundTripsExactly) {
-  GridInterp3D g({1.0, 2.0, 4.0}, {10.0, 20.0}, {0.0, 5.0, 9.0},
-                 std::vector<std::vector<std::vector<double>>>(
-                     3, std::vector<std::vector<double>>(
-                            2, std::vector<double>{1.5, 2.25, 3.125})));
+  std::vector<double> values;
+  for (int ij = 0; ij < 3 * 2; ++ij) {
+    values.insert(values.end(), {1.5, 2.25, 3.125});
+  }
+  GridInterp3D g({1.0, 2.0, 4.0}, {10.0, 20.0}, {0.0, 5.0, 9.0}, values);
   std::stringstream ss;
   g.Save(ss);
   const GridInterp3D loaded = GridInterp3D::Load(ss);
@@ -283,6 +404,65 @@ TEST(SerializationTest, PipelineProfileRoundTrips) {
   EXPECT_DOUBLE_EQ(loaded.StaticMemoryMb(0), original.StaticMemoryMb(0));
   EXPECT_EQ(loaded.BoundaryBytes(0, {2, 512, 0}),
             original.BoundaryBytes(0, {2, 512, 0}));
+}
+
+// Profiles are outside input, and WindowCosts reads every table of every
+// stage through one cell located on stage 0's first table: a file whose
+// tables or stages disagree on the grid axes must be rejected on load.
+std::vector<std::string> ProfileLines(int32_t max_microbatch_size) {
+  ProfileOptions opts;
+  opts.max_microbatch_size = max_microbatch_size;
+  opts.max_seq_len = 1024;
+  const PipelineCostModel pcm = PipelineCostModel::Profile(
+      model::ModelConfig::Gpt3_35B(), model::HardwareSpec{}, {1, 1, 2}, opts);
+  std::stringstream ss;
+  pcm.SaveProfile(ss);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(ss, line);) {
+    lines.push_back(line);
+  }
+  // Header, then 2 stages x 7 tables x (3 axis lines + 1 value line).
+  EXPECT_EQ(lines.size(), 1u + 2 * 7 * 4);
+  return lines;
+}
+
+void ExpectLoadRejects(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) {
+    text += line + "\n";
+  }
+  EXPECT_DEATH(
+      {
+        std::stringstream ss(text);
+        PipelineCostModel::LoadProfile(model::ModelConfig::Gpt3_35B(),
+                                       model::HardwareSpec{}, {1, 1, 2}, ss);
+      },
+      "disagree on grid axes");
+}
+
+TEST(SerializationDeathTest, LoadRejectsTablesWithDifferentAxes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<std::string> a = ProfileLines(8);
+  const std::vector<std::string> b = ProfileLines(4);
+  // Stage 1's third table (a backward table) comes from a coarser profile.
+  std::vector<std::string> spliced = a;
+  const size_t table = 1 + 7 * 4 + 2 * 4;
+  for (size_t l = table; l < table + 4; ++l) {
+    spliced[l] = b[l];
+  }
+  ExpectLoadRejects(spliced);
+}
+
+TEST(SerializationDeathTest, LoadRejectsStagesWithDifferentAxes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<std::string> a = ProfileLines(8);
+  const std::vector<std::string> b = ProfileLines(4);
+  // Stage 1 is internally consistent but profiled on a coarser grid.
+  std::vector<std::string> spliced = a;
+  for (size_t l = 1 + 7 * 4; l < spliced.size(); ++l) {
+    spliced[l] = b[l];
+  }
+  ExpectLoadRejects(spliced);
 }
 
 }  // namespace

@@ -1,18 +1,18 @@
-// Tests for the parallel, cache-aware planning subsystem: ParallelFor
-// (including nested fan-outs), the memoized cost oracle (bit-equality with the
-// uncached cost model, counters), parallel-vs-serial determinism of the DP
-// partitioner and the full planner, and ThreadPool-backed grid search
-// equivalence.
+// Tests for the parallel planning subsystem: ParallelFor (including nested
+// fan-outs), parallel-vs-serial determinism of the DP partitioner and the full
+// planner, golden plan digests that pin planner output bit for bit, and
+// ThreadPool-backed grid search equivalence.
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
-#include "src/cost/cost_cache.h"
 #include "src/data/flan_generator.h"
+#include "src/data/minibatch_sampler.h"
 #include "src/mb/dp_partitioner.h"
 #include "src/runtime/grid_search.h"
 #include "src/runtime/planner.h"
@@ -57,7 +57,7 @@ TEST(ParallelForTest, NestedFanOutsComplete) {
   EXPECT_EQ(total.load(), 16);
 }
 
-// ---------- Cost cache ----------
+// ---------- Shared fixtures ----------
 
 cost::ProfileOptions SmallProfile() {
   cost::ProfileOptions opts;
@@ -74,92 +74,6 @@ runtime::PlannerOptions FastPlanner() {
   opts.reorder_clusters = 2;
   opts.dynamic_recompute = true;
   return opts;
-}
-
-class CostCacheTest : public ::testing::Test {
- protected:
-  CostCacheTest()
-      : cm_(cost::PipelineCostModel::Profile(model::ModelConfig::Gpt3_35B(),
-                                             model::HardwareSpec{}, {1, 1, 4},
-                                             SmallProfile())) {}
-
-  cost::PipelineCostModel cm_;
-};
-
-TEST_F(CostCacheTest, CachedValuesBitEqualUncached) {
-  const cost::CachedCostOracle oracle(cm_);
-  for (const auto mode :
-       {model::RecomputeMode::kNone, model::RecomputeMode::kSelective,
-        model::RecomputeMode::kFull}) {
-    for (int32_t b : {1, 3, 8, 17}) {
-      for (int32_t s : {33, 64, 301, 1024, 2999}) {
-        const model::MicroBatchShape shape{b, s, 0};
-        // Twice each: the second query must be a hit and still bit-equal.
-        for (int rep = 0; rep < 2; ++rep) {
-          EXPECT_EQ(oracle.TimeMs(shape, mode), cm_.MicroBatchTimeMs(shape, mode));
-          EXPECT_EQ(oracle.ActivationMb(shape, mode),
-                    cm_.MaxActivationMb(shape, mode));
-        }
-      }
-    }
-  }
-  const cost::CostCacheCounters c = oracle.counters();
-  EXPECT_GT(c.hits, 0);
-  EXPECT_GT(c.misses, 0);
-  EXPECT_GT(oracle.size(), 0u);
-  EXPECT_LE(oracle.size(), oracle.capacity());
-}
-
-TEST_F(CostCacheTest, LazyTimeUpgradeAfterActOnlyQuery) {
-  const cost::CachedCostOracle oracle(cm_);
-  const model::MicroBatchShape shape{4, 777, 0};
-  const auto mode = model::RecomputeMode::kSelective;
-  // Act-only query caches the entry without pricing it...
-  EXPECT_EQ(oracle.ActivationMb(shape, mode), cm_.MaxActivationMb(shape, mode));
-  // ...and a later time query on the same key upgrades it, bit-equal.
-  EXPECT_EQ(oracle.TimeMs(shape, mode), cm_.MicroBatchTimeMs(shape, mode));
-  EXPECT_EQ(oracle.TimeMs(shape, mode), cm_.MicroBatchTimeMs(shape, mode));
-}
-
-TEST_F(CostCacheTest, WindowQueryRespectsLimit) {
-  const cost::CachedCostOracle oracle(cm_);
-  const model::MicroBatchShape shape{8, 2048, 0};
-  const auto mode = model::RecomputeMode::kNone;
-  const double act = cm_.MaxActivationMb(shape, mode);
-  // Over-limit window probe: act returned, time not required to be computed.
-  bool hit = true;
-  const auto over = oracle.Query(shape, mode, &hit, act / 2.0);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(over.act_mb, act);
-  // Within-limit probe of the same key must now produce the real time.
-  const auto within = oracle.Query(shape, mode, &hit, act * 2.0);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(within.time_ms, cm_.MicroBatchTimeMs(shape, mode));
-}
-
-TEST_F(CostCacheTest, HitRateCountsOnOrderedBatch) {
-  // Length-ordered batches with duplicate lengths produce repeated padded
-  // window shapes — the cache's bread and butter.
-  const cost::CachedCostOracle oracle(cm_);
-  runtime::CachedCostAdapter adapter(oracle, model::RecomputeMode::kNone);
-  mb::DpPartitionerOptions opts;
-  opts.num_stages = 4;
-  opts.max_microbatch_size = 8;
-  mb::DpPartitioner partitioner(adapter, opts);
-  std::vector<data::Sample> ordered;
-  for (int i = 0; i < 60; ++i) {
-    data::Sample s;
-    s.id = static_cast<uint64_t>(i);
-    s.input_len = 64 + 32 * (i / 20);  // runs of identical lengths
-    ordered.push_back(s);
-  }
-  const mb::PartitionResult result = partitioner.Partition(ordered);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_GT(result.stats.cost_cache_hits, 0);
-  EXPECT_GT(result.stats.cost_cache_misses, 0);
-  const auto [hits, misses] = adapter.CacheCounters();
-  EXPECT_EQ(hits, result.stats.cost_cache_hits);
-  EXPECT_EQ(misses, result.stats.cost_cache_misses);
 }
 
 // ---------- DpPartitioner parallel determinism ----------
@@ -317,23 +231,6 @@ class PlannerParallelTest : public ::testing::Test {
   cost::PipelineCostModel cm_;
 };
 
-TEST_F(PlannerParallelTest, CachedPlanningBitIdenticalToUncached) {
-  const auto minibatch = MiniBatch(60, 21);
-  runtime::PlannerOptions uncached = FastPlanner();
-  uncached.cost_cache = false;
-  runtime::PlannerOptions cached = FastPlanner();
-  cached.cost_cache = true;
-  const runtime::IterationPlanner p1(cm_, uncached);
-  const runtime::IterationPlanner p2(cm_, cached);
-  const runtime::IterationPlan a = p1.PlanIteration(minibatch);
-  const runtime::IterationPlan b = p2.PlanIteration(minibatch);
-  ASSERT_TRUE(a.feasible);
-  ExpectPlansBitIdentical(a, b);
-  EXPECT_EQ(a.stats.cost_cache_hits + a.stats.cost_cache_misses, 0);
-  EXPECT_GT(b.stats.cost_cache_hits + b.stats.cost_cache_misses, 0);
-  EXPECT_EQ(b.stats.recompute_modes_tried, 3);
-}
-
 TEST_F(PlannerParallelTest, PooledPlanningBitIdenticalToSerial) {
   const auto minibatch = MiniBatch(60, 22);
   const runtime::IterationPlanner serial(cm_, FastPlanner());
@@ -347,6 +244,90 @@ TEST_F(PlannerParallelTest, PooledPlanningBitIdenticalToSerial) {
     const runtime::IterationPlan got = parallel.PlanIteration(minibatch);
     ExpectPlansBitIdentical(base, got);
   }
+}
+
+// ---------- Golden plan digest ----------
+
+// Pins the planner's output for bench-shaped mini-batches to constants: a
+// change that moves a micro-batch boundary or a predicted value by one bit
+// fails here, serially and on a pool alike. Update the constants only for a
+// change that is meant to alter plans. They hold for x86-64 builds, where the
+// default flags emit no fused multiply-add; a target that contracts a + t*b
+// into one FMA rounds differently and needs its own constants.
+uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ p[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t HashDouble(double v, uint64_t h) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return Fnv1a(&bits, sizeof(bits), h);
+}
+
+// Digest of eight seeded 64k-token mini-batches planned with the knobs the
+// benches use (bench::BenchPlanner, bench::BenchProfile).
+uint64_t PlanDigest(const model::ModelConfig& config,
+                    const model::ParallelConfig& parallel, ThreadPool* pool) {
+  cost::ProfileOptions profile;
+  profile.max_microbatch_size = 128;
+  profile.max_seq_len = 16'384;
+  const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+      config, model::HardwareSpec{}, parallel, profile);
+  runtime::PlannerOptions popts;
+  popts.max_tmax_candidates = 96;
+  popts.tmax_interval_ms = 0.2;
+  popts.max_microbatch_size = 128;
+  popts.dynamic_recompute = true;
+  popts.pool = pool;
+  const runtime::IterationPlanner planner(cm, popts);
+
+  data::FlanGeneratorOptions gen;
+  gen.num_samples = 4000;
+  gen.seed = 42;
+  const data::Dataset dataset = data::GenerateFlanLikeDataset(gen);
+  data::MiniBatchSamplerOptions sopts;
+  sopts.global_batch_tokens = 65'536;
+  sopts.max_input_len = 2048;
+  sopts.seed = 5;
+  data::MiniBatchSampler sampler(dataset, sopts);
+
+  uint64_t h = 1469598103934665603ull;
+  for (int it = 0; it < 8; ++it) {
+    const runtime::IterationPlan plan = planner.PlanIteration(sampler.Next());
+    EXPECT_TRUE(plan.feasible) << "iteration " << it;
+    h = HashDouble(plan.predicted_iteration_ms, h);
+    for (const auto& replica : plan.replicas) {
+      for (const auto& m : replica.micro_batches) {
+        const uint64_t width = m.samples.size();
+        h = Fnv1a(&width, sizeof(width), h);
+        h = HashDouble(m.predicted_time_ms, h);
+        h = HashDouble(m.predicted_activation_mb, h);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(GoldenPlanDigestTest, T5SerialAndPooledMatchGolden) {
+  const model::ParallelConfig parallel{1, 2, 2};
+  const uint64_t serial = PlanDigest(model::ModelConfig::T5_5_5B(), parallel, nullptr);
+  ThreadPool pool(3);
+  const uint64_t pooled = PlanDigest(model::ModelConfig::T5_5_5B(), parallel, &pool);
+  EXPECT_EQ(serial, 0x6cc2b28389c42761ull) << std::hex << serial;
+  EXPECT_EQ(pooled, 0x6cc2b28389c42761ull) << std::hex << pooled;
+}
+
+TEST(GoldenPlanDigestTest, GptSerialAndPooledMatchGolden) {
+  const model::ParallelConfig parallel{3, 1, 4};
+  const uint64_t serial = PlanDigest(model::ModelConfig::Gpt3_35B(), parallel, nullptr);
+  ThreadPool pool(3);
+  const uint64_t pooled = PlanDigest(model::ModelConfig::Gpt3_35B(), parallel, &pool);
+  EXPECT_EQ(serial, 0xed5b13ed4c1a06f6ull) << std::hex << serial;
+  EXPECT_EQ(pooled, 0xed5b13ed4c1a06f6ull) << std::hex << pooled;
 }
 
 // ---------- Grid search equivalence ----------
