@@ -31,6 +31,24 @@ namespace {
 // executor hang.
 constexpr int kAttachReplyTimeoutMs = 1000;
 
+// Publish-before-fetch is the store contract, so the executor polls for its
+// plan rather than risking the fatal fetch-before-publish abort. This is the
+// initial poll interval; waits back off exponentially to a capped, jittered
+// sleep (a daemon parked behind a slow planner must not hammer the publisher
+// — and a fleet of daemons must not hammer it in lockstep). The poll probe
+// is non-fatal: a vanished publisher reads as end-of-epoch (open-ended runs)
+// or an error report (counted runs), never an abort.
+constexpr int kPollIntervalMs = 1;
+constexpr int kPollCapMs = 64;
+
+// Transport errors mid-run (a dropped or corrupted mux stream) are retried
+// with capped, jittered exponential backoff for this many attempts before
+// the publisher is declared gone. This is what makes an injected connection
+// drop or frame corruption a hiccup instead of an end-of-epoch.
+constexpr int kReconnectAttempts = 3;
+constexpr int kReconnectBackoffMs = 10;  // initial; doubles, capped
+constexpr int kReconnectBackoffCapMs = 500;
+
 // Deterministic synthetic hardware for the standalone simulator: durations
 // derived only from what the plan itself carries (shapes and transfer
 // sizes), so any well-formed plan executes without profiles or model
@@ -133,15 +151,6 @@ AttachEndpoint DetectEndpoint(const std::string& attach) {
   return AttachEndpoint::kUnixSocketMux;
 }
 
-const char* EndpointName(AttachEndpoint endpoint) {
-  switch (endpoint) {
-    case AttachEndpoint::kAuto: return "auto";
-    case AttachEndpoint::kUnixSocketMux: return "unix-socket-mux";
-    case AttachEndpoint::kSharedMemory: return "shared-memory";
-  }
-  return "?";
-}
-
 ExecutorReport RunExecutor(const ExecutorOptions& options) {
   ExecutorReport report;
   const auto fail = [&report](std::string error) {
@@ -162,7 +171,6 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   // of it with a 10 ms floor, so one knob scales the executor's whole
   // tolerance for a slow publisher.
   const int connect_timeout_ms = std::max(10, options.attach_timeout_ms / 100);
-  const int reconnect_attempts = std::max(1, options.reconnect_attempts);
 
   std::shared_ptr<runtime::InstructionStoreInterface> store;
   // Shm only: the concrete handle, for the liveness slot calls the
@@ -185,13 +193,13 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       mux_client = std::make_shared<transport::MuxInstructionStore>(
           std::move(stream));
       store = mux_client;
-      if (options.announce_liveness) {
-        bool attach_evicted = false;
-        if (!mux_client->Attach(options.replica, &attach_evicted,
-                                kAttachReplyTimeoutMs, options.join)) {
-          return fail("liveness attach on " + options.attach + " failed");
-        }
-        evicted = attach_evicted;
+      // Announce this replica's presence (kAttach/kDetach), so the
+      // publisher's liveness machinery can tell a vanished executor
+      // (unclean connection drop -> kDead) from a finished one (clean
+      // detach).
+      if (!mux_client->Attach(options.replica, &evicted,
+                              kAttachReplyTimeoutMs, options.join)) {
+        return fail("liveness attach on " + options.attach + " failed");
       }
       if (!evicted) {
         // Fold the publisher's trace clock into ours so this executor's
@@ -207,12 +215,10 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       shm_store = transport::ShmInstructionStore::Attach(
           options.attach, options.attach_timeout_ms);
       store = shm_store;
-      if (options.announce_liveness) {
-        // Claims this replica's heartbeat slot in the segment header: the
-        // shm-native analogue of the socket kAttach frame. The publisher's
-        // poller sees the claim and starts tracking liveness from it.
-        shm_store->AnnounceReplica(options.replica);
-      }
+      // Claims this replica's heartbeat slot in the segment header: the
+      // shm-native analogue of the socket kAttach frame. The publisher's
+      // poller sees the claim and starts tracking liveness from it.
+      shm_store->AnnounceReplica(options.replica);
       break;
     case AttachEndpoint::kAuto:
       return fail("unreachable endpoint kind");
@@ -223,8 +229,8 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   // True restores a working (re-attached) client; false means the publisher
   // is gone or this replica was evicted (check `evicted`).
   const auto reconnect_mux = [&]() -> bool {
-    Backoff backoff(options.reconnect_backoff_ms, /*cap_ms=*/500);
-    for (int attempt = 0; attempt < reconnect_attempts; ++attempt) {
+    Backoff backoff(kReconnectBackoffMs, kReconnectBackoffCapMs);
+    for (int attempt = 0; attempt < kReconnectAttempts; ++attempt) {
       if (attempt > 0) {
         backoff.Sleep();
       }
@@ -235,18 +241,16 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       }
       auto fresh = std::make_shared<transport::MuxInstructionStore>(
           std::move(stream));
-      if (options.announce_liveness) {
-        bool attach_evicted = false;
-        // Bounded: the reconnect window overlaps server teardown, where a
-        // connection is accepted by the OS but never served.
-        if (!fresh->Attach(options.replica, &attach_evicted,
-                           kAttachReplyTimeoutMs, options.join)) {
-          continue;
-        }
-        if (attach_evicted) {
-          evicted = true;
-          return false;
-        }
+      bool attach_evicted = false;
+      // Bounded: the reconnect window overlaps server teardown, where a
+      // connection is accepted by the OS but never served.
+      if (!fresh->Attach(options.replica, &attach_evicted,
+                         kAttachReplyTimeoutMs, options.join)) {
+        continue;
+      }
+      if (attach_evicted) {
+        evicted = true;
+        return false;
       }
       fresh->TrySyncClock(kAttachReplyTimeoutMs);
       mux_client = fresh;
@@ -326,8 +330,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
         }
       };
       goodbye = [&] {
-        if (options.announce_liveness && !evicted &&
-            mux_client->connection_ok()) {
+        if (!evicted && mux_client->connection_ok()) {
           mux_client->Detach(options.replica);  // best effort
         }
       };
@@ -352,9 +355,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       // replica's heartbeat-slot alive marker, so a replica parked waiting
       // for a slow planner still reads as alive to the publisher's poller.
       probe = [&](int64_t iteration) -> std::optional<bool> {
-        if (options.announce_liveness) {
-          shm_store->TouchReplica(options.replica);
-        }
+        shm_store->TouchReplica(options.replica);
         return store->Contains(iteration, options.replica);
       };
       fetch = [&](int64_t iteration,
@@ -366,11 +367,9 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
         return store->Heartbeat(options.replica, iteration, wall_ms);
       };
       goodbye = [&] {
-        if (options.announce_liveness) {
-          // Clean detach: flips the slot's detached flag so the poller
-          // reports a deliberate exit instead of ageing into a false death.
-          shm_store->DetachReplica(options.replica);
-        }
+        // Clean detach: flips the slot's detached flag so the poller reports
+        // a deliberate exit instead of ageing into a false death.
+        shm_store->DetachReplica(options.replica);
       };
       request_drain = [&]() -> bool {
         // The shm drain word: request (2), then poll for the publisher's
@@ -417,8 +416,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
     const auto poll_deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(options.idle_timeout_ms);
-    Backoff poll_backoff(std::max(1, options.poll_interval_ms),
-                         std::max(64, options.poll_interval_ms));
+    Backoff poll_backoff(kPollIntervalMs, kPollCapMs);
     bool available = false;
     bool publisher_gone = false;
     for (;;) {
@@ -495,7 +493,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
     exec_span.reset();
     const double exec_wall_ms = MsSince(t0);
 
-    if (options.heartbeat && report.heartbeat_supported) {
+    if (report.heartbeat_supported) {
       // Crash site: SIGKILL after executing but before reporting — the
       // worst-timed death, leaving the publisher to infer it from the
       // dropped connection or the missed deadline.

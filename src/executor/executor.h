@@ -42,7 +42,6 @@ enum class AttachEndpoint {
 };
 
 AttachEndpoint DetectEndpoint(const std::string& attach);
-const char* EndpointName(AttachEndpoint endpoint);
 
 // What one executed iteration looked like; streamed to the observer so tools
 // can print progress and tests can verify plan bytes without re-fetching.
@@ -65,19 +64,8 @@ struct ExecutorOptions {
   // idle_timeout_ms (the daemon shape: drain the epoch, then exit).
   int64_t iterations = -1;
   // Artificial per-iteration delay, applied before the heartbeat — a
-  // deliberately slowed replica for straggler-detection tests and demos.
+  // deliberately slowed replica for straggler-detection tests.
   double slow_ms = 0.0;
-  // Report iteration completion through the store's heartbeat channel when
-  // the backend has one (supports_heartbeat); silently skipped otherwise.
-  bool heartbeat = true;
-  // Publish-before-fetch is the store contract, so the executor polls for
-  // its plan rather than risking the fatal fetch-before-publish abort. This
-  // is the initial poll interval; waits back off exponentially to a capped,
-  // jittered sleep (a daemon parked behind a slow planner must not hammer the
-  // publisher — and a fleet of daemons must not hammer it in lockstep).
-  // The poll probe is non-fatal: a vanished publisher reads as end-of-epoch
-  // (open-ended runs) or an error report (counted runs), never an abort.
-  int poll_interval_ms = 1;
   // How long to keep polling before concluding the trainer is gone (fatal
   // when `iterations` was explicit) or the epoch is over (clean exit when
   // running open-ended).
@@ -86,18 +74,6 @@ struct ExecutorOptions {
   // Mid-run reconnects' per-connect timeout derives from this (1% with a
   // 10 ms floor), so one knob scales the whole attach/reconnect patience.
   int attach_timeout_ms = 10'000;
-  // Announce this replica's presence with kAttach/kDetach on the socket
-  // endpoint, so the publisher's liveness machinery can tell a vanished
-  // executor (unclean connection drop -> kDead) from a finished one (clean
-  // detach). On the shm endpoint the announcement claims the replica's
-  // heartbeat slot instead (no server). On by default.
-  bool announce_liveness = true;
-  // Transport errors mid-run (a dropped or corrupted mux stream) are retried
-  // with capped, jittered exponential backoff for this many attempts before
-  // the publisher is declared gone. This is what makes an injected
-  // connection drop or frame corruption a hiccup instead of an end-of-epoch.
-  int reconnect_attempts = 3;
-  int reconnect_backoff_ms = 10;  // initial; doubles, capped at 500 ms
   // --- Elastic membership ---
   // Declare join intent on attach (kAttachCapJoin on the socket endpoint; a
   // plain announce on shm, where joining is intrinsic). The publisher's

@@ -125,8 +125,8 @@ struct TrainerOptions {
   // only: this trainer fetches each in-process replica's plan by exact
   // (iteration, replica) key, so a straggler rebalance or a joiner's steal
   // would move plans out from under it. Rebalance and elastic membership
-  // belong to a standalone publisher with attached executors
-  // (dynapipe_executor --demo shm --fault stall / --churn). ---
+  // belong to a standalone publisher with attached executors (see
+  // ShmFaultControlLoopTest and MembershipChurnTest). ---
   // Liveness deadlines for attached executors; 0 disables the transition. A
   // replica silent past dead_after_ms, or whose connection drops uncleanly
   // and stays gone past connection_grace_ms (grace 0 = a drop is death), is

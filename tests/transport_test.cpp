@@ -5,6 +5,9 @@
 // planner process publishes an epoch of plans over a Unix domain socket and
 // an executor process fetches byte-identical copies of what the in-process
 // store would have delivered.
+#include <fcntl.h>
+#include <poll.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -48,6 +51,24 @@ std::string UniqueSocketPath(const char* tag) {
   return std::string("/tmp/dynapipe-tt-") + tag + "-" +
          std::to_string(::getpid()) + "-" +
          std::to_string(counter.fetch_add(1)) + ".sock";
+}
+
+std::string UniqueShmName(const char* tag) {
+  static std::atomic<uint64_t> counter{0};
+  return std::string("/dynapipe-tt-") + tag + "-" + std::to_string(::getpid()) +
+         "-" + std::to_string(counter.fetch_add(1));
+}
+
+bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
 }
 
 // ---------- frame protocol ----------
@@ -499,14 +520,17 @@ TEST(TwoProcessShmPlanDistributionTest, AttachedFetchesAreByteIdentical) {
 // ---------- the executor daemon (acceptance criterion) ----------
 
 // Three fork()ed executor processes — src/executor/RunExecutor, the library
-// behind tools/dynapipe_executor — attach to the trainer-side store server,
-// fetch their replica's plans, execute them on their own ClusterSims, and
-// heartbeat completion back over the transport. Replica 2 is deliberately
+// behind tools/dynapipe_executor — attach to the trainer-side store, fetch
+// their replica's plans, execute them on their own ClusterSims, and
+// heartbeat completion back, once over each endpoint: the mux store server
+// (heartbeats routed through the server's sink) and the shm segment
+// (heartbeats stamped into the segment's slots and replayed by a
+// ShmHeartbeatPoller — no socket anywhere). Replica 2 is deliberately
 // slowed; the trainer's HeartbeatMonitor must attribute the straggle to it
 // (and only it) on every iteration, and every plan each executor fetched
 // must re-encode to exactly the bytes the trainer published. Replica 1
-// leaves the endpoint on kAuto, so the socket path's detection as the mux
-// endpoint is exercised end to end.
+// leaves the endpoint on kAuto, so attach-string detection is exercised end
+// to end on both.
 TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
   // Plan the epoch inline and threadless so the forks below inherit nothing.
   cost::ProfileOptions profile;
@@ -545,82 +569,115 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
   }
   ASSERT_EQ(exec_plans.size(), static_cast<size_t>(kIterations));
 
-  const std::string socket_path = UniqueSocketPath("daemon");
-  std::vector<pid_t> children;
-  for (int32_t replica = 0; replica < kReplicas; ++replica) {
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-      // Executor process: the real daemon flow. RunExecutor retries the
-      // connect while the parent is still binding the socket, so no ready
-      // signal is needed. Exit codes become parent-side failures.
-      executor::ExecutorOptions opts;
-      opts.attach = socket_path;
-      opts.endpoint = replica == 1 ? executor::AttachEndpoint::kAuto
-                                   : executor::AttachEndpoint::kUnixSocketMux;
-      opts.replica = replica;
-      opts.iterations = kIterations;
-      opts.slow_ms = replica == kSlowReplica ? kSlowMs : 0.0;
-      bool bytes_ok = true;
-      opts.observer = [&](const executor::IterationOutcome& outcome) {
-        bytes_ok = bytes_ok &&
-                   service::EncodeExecutionPlan(*outcome.plan) ==
-                       expected_bytes[static_cast<size_t>(outcome.iteration)];
-      };
-      const executor::ExecutorReport report = executor::RunExecutor(opts);
-      if (!report.ok) ::_exit(2);
-      if (!bytes_ok) ::_exit(3);
-      if (!report.heartbeat_supported ||
-          report.heartbeats_sent != kIterations) {
-        ::_exit(4);
-      }
-      ::_exit(0);
-    }
-    children.push_back(child);
-  }
-
-  // Trainer process: serve the store with a heartbeat monitor and publish
-  // every replica's plans.
-  // Margins sized for TSan (5-20x slowdown inflates fast replicas'
-  // walls but not the sleep): a false flag needs a fast replica over
-  // 2*median + 50 ms, a miss needs the fast median over ~200 ms.
-  service::HeartbeatMonitor monitor(service::HeartbeatMonitorOptions{
-      /*straggler_multiple=*/2.0, /*min_straggler_gap_ms=*/50.0});
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(socket_path);
-  transport::InstructionStoreServer server(&transport, &store);
-  for (int i = 0; i < kIterations; ++i) {
+  for (const executor::AttachEndpoint endpoint :
+       {executor::AttachEndpoint::kUnixSocketMux,
+        executor::AttachEndpoint::kSharedMemory}) {
+    const bool over_shm = endpoint == executor::AttachEndpoint::kSharedMemory;
+    SCOPED_TRACE(over_shm ? "shm endpoint" : "mux endpoint");
+    const std::string attach =
+        over_shm ? UniqueShmName("daemon") : UniqueSocketPath("daemon");
+    std::vector<pid_t> children;
     for (int32_t replica = 0; replica < kReplicas; ++replica) {
-      store.Push(i, replica, exec_plans[static_cast<size_t>(i)]);
+      const pid_t child = ::fork();
+      ASSERT_GE(child, 0);
+      if (child == 0) {
+        // Executor process: the real daemon flow. RunExecutor retries the
+        // attach while the parent is still bringing the store up, so no
+        // ready signal is needed. Exit codes become parent-side failures.
+        executor::ExecutorOptions opts;
+        opts.attach = attach;
+        opts.endpoint =
+            replica == 1 ? executor::AttachEndpoint::kAuto : endpoint;
+        opts.replica = replica;
+        opts.iterations = kIterations;
+        opts.slow_ms = replica == kSlowReplica ? kSlowMs : 0.0;
+        bool bytes_ok = true;
+        opts.observer = [&](const executor::IterationOutcome& outcome) {
+          bytes_ok = bytes_ok &&
+                     service::EncodeExecutionPlan(*outcome.plan) ==
+                         expected_bytes[static_cast<size_t>(outcome.iteration)];
+        };
+        const executor::ExecutorReport report = executor::RunExecutor(opts);
+        if (!report.ok) ::_exit(2);
+        if (!bytes_ok) ::_exit(3);
+        if (!report.heartbeat_supported ||
+            report.heartbeats_sent != kIterations) {
+          ::_exit(4);
+        }
+        ::_exit(0);
+      }
+      children.push_back(child);
+    }
+
+    // Trainer process: bring the store up with a heartbeat monitor and
+    // publish every replica's plans. Margins sized for TSan (5-20x slowdown
+    // inflates fast replicas' walls but not the sleep): a false flag needs a
+    // fast replica over 2*median + 50 ms, a miss needs the fast median over
+    // ~200 ms. The straggler math waits for the full report set.
+    service::HeartbeatMonitorOptions mopts;
+    mopts.straggler_multiple = 2.0;
+    mopts.min_straggler_gap_ms = 50.0;
+    mopts.expected_replicas = kReplicas;
+    service::HeartbeatMonitor monitor(mopts);
+    std::optional<runtime::InstructionStore> store;
+    std::optional<transport::UnixSocketTransport> transport;
+    std::optional<transport::InstructionStoreServer> server;
+    std::shared_ptr<transport::ShmInstructionStore> shm;
+    // Declared after the store it polls, so it stops feeding the monitor
+    // before the segment goes away.
+    std::optional<transport::ShmHeartbeatPoller> poller;
+    runtime::InstructionStoreInterface* publish_to = nullptr;
+    if (over_shm) {
+      shm = transport::ShmInstructionStore::Create(
+          attach, transport::ShmStoreOptions{});
+      poller.emplace(shm, &monitor);
+      publish_to = shm.get();
+    } else {
+      store.emplace(runtime::InstructionStoreOptions{/*serialized=*/true,
+                                                     /*capacity=*/0});
+      store->set_heartbeat_sink(&monitor);
+      transport.emplace(attach);
+      server.emplace(&*transport, &*store);
+      publish_to = &*store;
+    }
+    for (int i = 0; i < kIterations; ++i) {
+      for (int32_t replica = 0; replica < kReplicas; ++replica) {
+        publish_to->Push(i, replica, exec_plans[static_cast<size_t>(i)]);
+      }
+    }
+
+    for (const pid_t child : children) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(child, &status, 0), child);
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+          << "executor exited with status " << status;
+    }
+    EXPECT_EQ(publish_to->size(), 0u);  // every plan fetched exactly once
+
+    // Shm beats reach the monitor through the poller thread, after the
+    // executors have exited; the mux beats were delivered synchronously.
+    EXPECT_TRUE(WaitUntil(
+        [&] { return monitor.total_heartbeats() >= kIterations * kReplicas; },
+        5'000));
+    // Straggler attribution: every iteration saw all replicas, and the
+    // slowed one — only the slowed one — is over 2x median + 50 ms.
+    EXPECT_EQ(monitor.total_heartbeats(), kIterations * kReplicas);
+    for (int i = 0; i < kIterations; ++i) {
+      const service::IterationHeartbeatStats stats = monitor.ForIteration(i);
+      EXPECT_EQ(stats.replicas_reported, kReplicas) << "iteration " << i;
+      EXPECT_EQ(stats.stragglers, std::vector<int32_t>{kSlowReplica})
+          << "iteration " << i;
+      EXPECT_GE(stats.max_wall_ms, kSlowMs) << "iteration " << i;
+    }
+    // Progress frontiers: every replica finished the epoch, nobody lags.
+    for (int32_t replica = 0; replica < kReplicas; ++replica) {
+      EXPECT_EQ(monitor.LastIteration(replica), kIterations - 1);
+    }
+    EXPECT_TRUE(monitor.LaggingReplicas(0).empty());
+    if (server.has_value()) {
+      server->Stop();
     }
   }
-
-  for (const pid_t child : children) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "executor exited with status " << status;
-  }
-  EXPECT_EQ(store.size(), 0u);  // every plan fetched exactly once
-
-  // Straggler attribution: every iteration saw all replicas, and the slowed
-  // one — only the slowed one — is over 2x median + 50 ms.
-  EXPECT_EQ(monitor.total_heartbeats(), kIterations * kReplicas);
-  for (int i = 0; i < kIterations; ++i) {
-    const service::IterationHeartbeatStats stats = monitor.ForIteration(i);
-    EXPECT_EQ(stats.replicas_reported, kReplicas) << "iteration " << i;
-    EXPECT_EQ(stats.stragglers, std::vector<int32_t>{kSlowReplica})
-        << "iteration " << i;
-    EXPECT_GE(stats.max_wall_ms, kSlowMs) << "iteration " << i;
-  }
-  // Progress frontiers: every replica finished the epoch, nobody lags.
-  for (int32_t replica = 0; replica < kReplicas; ++replica) {
-    EXPECT_EQ(monitor.LastIteration(replica), kIterations - 1);
-  }
-  EXPECT_TRUE(monitor.LaggingReplicas(0).empty());
-  server.Stop();
 }
 
 // The daemon shape: an open-ended executor (iterations < 0) drains plans as
@@ -680,6 +737,157 @@ TEST(ExecutorDaemonTest, DetectEndpointMapsSocketPathsToMuxAndShmNamesToShm) {
             executor::AttachEndpoint::kSharedMemory);
 }
 
+// ---------- the daemon binary ----------
+
+// What one spawned tools/dynapipe_executor process did.
+struct DaemonRun {
+  int status = 0;  // as reported by waitpid
+  std::string out;
+  std::string err;
+};
+
+// posix_spawns the built daemon with `args`, this process's environment plus
+// `extra_env`, collects its stdout and stderr, and reaps it.
+DaemonRun SpawnDaemon(const std::vector<std::string>& args,
+                      const std::vector<std::string>& extra_env = {}) {
+  std::vector<std::string> argv_storage = {DYNAPIPE_EXECUTOR_BIN};
+  argv_storage.insert(argv_storage.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& arg : argv_storage) {
+    argv.push_back(arg.data());
+  }
+  argv.push_back(nullptr);
+  std::vector<std::string> env_storage = extra_env;
+  std::vector<char*> envp;
+  for (char** e = environ; *e != nullptr; ++e) {
+    envp.push_back(*e);
+  }
+  for (std::string& entry : env_storage) {
+    envp.push_back(entry.data());
+  }
+  envp.push_back(nullptr);
+
+  int out_pipe[2];
+  int err_pipe[2];
+  DaemonRun run;
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0 || ::pipe2(err_pipe, O_CLOEXEC) != 0) {
+    ADD_FAILURE() << "pipe2: " << std::strerror(errno);
+    return run;
+  }
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
+  posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
+  pid_t pid = -1;
+  const int spawned = ::posix_spawn(&pid, argv[0], &actions, nullptr,
+                                    argv.data(), envp.data());
+  posix_spawn_file_actions_destroy(&actions);
+  ::close(out_pipe[1]);
+  ::close(err_pipe[1]);
+  if (spawned != 0) {
+    ADD_FAILURE() << "posix_spawn " << argv[0] << ": " << std::strerror(spawned);
+    ::close(out_pipe[0]);
+    ::close(err_pipe[0]);
+    return run;
+  }
+  // Drain both streams together so neither pipe can fill and wedge the
+  // daemon while we block on the other.
+  pollfd fds[2] = {{out_pipe[0], POLLIN, 0}, {err_pipe[0], POLLIN, 0}};
+  std::string* sinks[2] = {&run.out, &run.err};
+  for (int open_fds = 2; open_fds > 0;) {
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      break;
+    }
+    for (int k = 0; k < 2; ++k) {
+      if (fds[k].fd < 0 || fds[k].revents == 0) {
+        continue;
+      }
+      char buf[4096];
+      const ssize_t n = ::read(fds[k].fd, buf, sizeof(buf));
+      if (n > 0) {
+        sinks[k]->append(buf, static_cast<size_t>(n));
+      } else if (n == 0 || errno != EINTR) {
+        ::close(fds[k].fd);
+        fds[k].fd = -1;
+        --open_fds;
+      }
+    }
+  }
+  EXPECT_EQ(::waitpid(pid, &run.status, 0), pid);
+  return run;
+}
+
+bool ExitedWith(int status, int code) {
+  return WIFEXITED(status) && WEXITSTATUS(status) == code;
+}
+
+// The daemon binary end to end — nothing else runs its main(). Against a
+// parent-side shm segment (watched through a ShmHeartbeatPoller): malformed
+// invocations are refused before any attach, leaving every published plan
+// resident — a replica that wraps or goes negative (2^32 would narrow to
+// replica 0 and consume its plans) and the removed demo flags; a good one
+// drains its replica's plans, heartbeats each through the segment's slots
+// and dumps Prometheus text on exit; DYNAPIPE_FAULT in its environment arms
+// the fault injector (SIGKILL at iteration 1's heartbeat).
+TEST(ExecutorDaemonTest, BinaryAttachesOverShmAndDrains) {
+  constexpr int kIterations = 3;
+  const std::string shm_name = UniqueShmName("bin");
+  service::HeartbeatMonitor monitor;
+  auto store = transport::ShmInstructionStore::Create(
+      shm_name, transport::ShmStoreOptions{});
+  transport::ShmHeartbeatPoller poller(store, &monitor);
+  const auto publish_epoch = [&] {
+    for (int i = 0; i < kIterations; ++i) {
+      store->Push(i, 0, MarkerPlan(600 + i));
+    }
+  };
+  const std::vector<std::string> attach_args = {
+      "--attach", shm_name, "--iterations", std::to_string(kIterations),
+      "--idle-timeout-ms", "2000"};
+  publish_epoch();
+
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--replica", "4294967296"},
+                                             {"--replica", "-1"},
+                                             {"--demo", "shm"},
+                                             {"--fault", "crash@1"}}) {
+    std::vector<std::string> args = bad;
+    args.insert(args.end(), attach_args.begin(), attach_args.end());
+    const DaemonRun run = SpawnDaemon(args);
+    EXPECT_TRUE(ExitedWith(run.status, 1))
+        << bad[0] << " " << bad[1] << ": status " << run.status;
+    EXPECT_NE(run.err.find("usage:"), std::string::npos)
+        << bad[0] << " " << bad[1] << ": " << run.err;
+    EXPECT_EQ(store->size(), static_cast<size_t>(kIterations))
+        << bad[0] << " " << bad[1] << " consumed plans";
+  }
+
+  std::vector<std::string> args = attach_args;
+  args.insert(args.end(), {"--replica", "0", "--metrics-dump"});
+  const DaemonRun drained = SpawnDaemon(args);
+  EXPECT_TRUE(ExitedWith(drained.status, 0))
+      << "status " << drained.status << ": " << drained.err;
+  EXPECT_EQ(store->size(), 0u);
+  EXPECT_TRUE(WaitUntil(
+      [&] { return monitor.total_heartbeats() >= kIterations; }, 5'000));
+  EXPECT_EQ(monitor.total_heartbeats(), kIterations);
+  EXPECT_NE(drained.out.find("[executor] done: 3 iterations"),
+            std::string::npos)
+      << drained.out;
+  EXPECT_NE(drained.out.find("# TYPE "), std::string::npos) << drained.out;
+
+  publish_epoch();
+  const DaemonRun crashed = SpawnDaemon(args, {"DYNAPIPE_FAULT=crash@1"});
+  EXPECT_TRUE(WIFSIGNALED(crashed.status) &&
+              WTERMSIG(crashed.status) == SIGKILL)
+      << "status " << crashed.status << ": " << crashed.err;
+  // Iterations 0 and 1 were fetched; the SIGKILL came before 2's fetch.
+  EXPECT_EQ(store->size(), 1u);
+}
+
 // ---------- the failure control loop (acceptance criterion) ----------
 
 // Child-process body shared by the fault control-loop tests: optionally arm
@@ -726,18 +934,6 @@ TEST(ExecutorDaemonTest, DetectEndpointMapsSocketPathsToMuxAndShmNamesToShm) {
   if (!report.ok) ::_exit(2);
   if (require_reconnect && report.reconnects == 0) ::_exit(5);
   ::_exit(0);
-}
-
-bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!condition()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
 }
 
 // Three executors; replica 1 SIGKILLs itself at iteration 1's heartbeat
@@ -1067,12 +1263,6 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
 }
 
 // ---------- the shm failure control loop (acceptance criterion) ----------
-
-std::string UniqueShmName(const char* tag) {
-  static std::atomic<uint64_t> counter{0};
-  return std::string("/dynapipe-tt-") + tag + "-" + std::to_string(::getpid()) +
-         "-" + std::to_string(counter.fetch_add(1));
-}
 
 // The crash-pinned arena. A reader process acquires a zero-copy view — which
 // pins the arena against rewinds — and is SIGKILLed before releasing it.
