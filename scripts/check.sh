@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify for CI: configure and build with -Wall -Wextra promoted to
+# Tier-1 verify for CI: check that src/runtime/ stays free of the
+# multi-process wire path, configure and build with -Wall -Wextra promoted to
 # errors for src/ (the library), check that every tests/*.cpp is a
 # registered ctest suite, run ctest (the forked-executor, fault, churn and
 # trace suites, and the spawned dynapipe_executor daemon, all run there),
@@ -10,6 +11,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-${BUILD_DIR:-build-check}}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# Layering guard: src/runtime/ is the single-process training loop. The
+# multi-process publisher (socket and shm stores, the fleet coordinator) is
+# wired by its callers (examples/plan_distribution, bench/e2e), so no runtime
+# file may include a transport header or src/service/fleet.h.
+if grep -rnE '#include "src/(transport/|service/fleet\.h)' src/runtime/; then
+  echo "ERROR: src/runtime/ includes src/transport/ or src/service/fleet.h" >&2
+  exit 1
+fi
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-Release}" \

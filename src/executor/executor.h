@@ -1,14 +1,14 @@
 // Standalone executor: the consumer half of a real multi-process deployment.
 //
 // DynaPipe's premise (§3) is a centralized, dataloader-side planner producing
-// per-iteration execution plans that worker processes consume. Everything
-// below the trainer already speaks that shape — serialized plans, store
-// backends, a wire protocol — but until now the trainer hosted both ends in
-// one process. RunExecutor is the other end for real: it attaches to a
-// publisher's store by Unix-socket path (one persistent multiplexed
-// connection) or shared-memory segment name, fetches the plans published for its replica
-// (fetch consumes — the publisher side of a multi-process run does not
-// execute in-process), executes each on its own ClusterSim, and heartbeats
+// per-iteration execution plans that worker processes consume. The
+// PlanAheadService publishes that shape — serialized plans into a store
+// backend, over a wire protocol or a shared segment. RunExecutor is the
+// consumer end: it attaches to a publisher's store by Unix-socket path (one
+// persistent multiplexed connection) or shared-memory segment name, fetches
+// the plans published for its replica (fetch consumes — the publisher side
+// of a multi-process run does not execute in-process), executes each on its
+// own ClusterSim, and heartbeats
 // iteration completion (replica / iteration / wall-ms) back over the
 // transport so the publisher's HeartbeatMonitor can attribute stragglers.
 // tools/dynapipe_executor.cc wraps this in a daemon binary; tests fork it
@@ -31,7 +31,7 @@
 
 namespace dynapipe::executor {
 
-// How to reach the trainer's store. kAuto infers from the attach string: a
+// How to reach the publisher's store. kAuto infers from the attach string: a
 // POSIX shm name is "/name" with no further slash (kSharedMemory), anything
 // else is a socket path (kUnixSocketMux; being a filesystem path, it virtually
 // always has one).
@@ -66,11 +66,11 @@ struct ExecutorOptions {
   // Artificial per-iteration delay, applied before the heartbeat — a
   // deliberately slowed replica for straggler-detection tests.
   double slow_ms = 0.0;
-  // How long to keep polling before concluding the trainer is gone (fatal
+  // How long to keep polling before concluding the publisher is gone (fatal
   // when `iterations` was explicit) or the epoch is over (clean exit when
   // running open-ended).
   int idle_timeout_ms = 10'000;
-  // Connect/attach retry budget while the trainer process is still starting.
+  // Connect/attach retry budget while the publisher process is still starting.
   // Mid-run reconnects' per-connect timeout derives from this (1% with a
   // 10 ms floor), so one knob scales the whole attach/reconnect patience.
   int attach_timeout_ms = 10'000;

@@ -1,32 +1,23 @@
 #include "src/runtime/trainer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 
-#include <unistd.h>
-
-#include <atomic>
-
-#include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 #include "src/runtime/ground_truth.h"
-#include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_ahead_service.h"
 #include "src/service/plan_cache.h"
 #include "src/sim/cluster_sim.h"
-#include "src/transport/mux.h"
-#include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
 
 namespace dynapipe::runtime {
 namespace {
+
+// Plans the Trainer's cross-iteration cache keeps (no byte cap).
+constexpr size_t kPlanCacheCapacity = 256;
 
 uint64_t HashDouble(uint64_t h, double v) {
   uint64_t bits = 0;
@@ -85,23 +76,6 @@ uint64_t PlannerConfigHash(const model::ModelConfig& config,
   h = service::HashCombine(h, static_cast<uint64_t>(planner.max_tmax_candidates));
   h = service::HashCombine(h, static_cast<uint64_t>(planner.max_microbatch_size));
   return h;
-}
-
-// Unique per epoch so concurrent trainers (grid search) never collide on a
-// socket path or shm segment name.
-uint64_t NextStoreId() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1);
-}
-
-std::string DeriveSocketPath() {
-  return "/tmp/dynapipe-store-" + std::to_string(::getpid()) + "-" +
-         std::to_string(NextStoreId()) + ".sock";
-}
-
-std::string DeriveShmName() {
-  return "/dynapipe-store-" + std::to_string(::getpid()) + "-" +
-         std::to_string(NextStoreId());
 }
 
 }  // namespace
@@ -183,28 +157,20 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sim_opts.static_memory_mb = ground_truth.StaticMemoryMb();
   sim_opts.memory_limit_mb = hw_.usable_memory_mb();
 
-  // Replica completion tracking: the trainer reports each in-process
-  // replica's simulated makespan, and — on the socket backend — attached
-  // executor processes heartbeat their wall clock through the store server
-  // into the same monitor. Declared before the server below so heartbeats
-  // arriving during teardown still have a live sink.
+  // Replica completion tracking: each replica reports its simulated
+  // makespan. Every iteration has exactly dp replicas reporting; straggler
+  // flagging waits for all of them so a fast replica is never compared
+  // against a partial report set.
   service::HeartbeatMonitorOptions monitor_opts;
   monitor_opts.straggler_multiple = options.straggler_multiple;
   monitor_opts.min_straggler_gap_ms = options.straggler_min_gap_ms;
-  monitor_opts.suspect_after_ms = options.liveness_suspect_after_ms;
-  monitor_opts.dead_after_ms = options.liveness_dead_after_ms;
-  monitor_opts.connection_grace_ms = options.liveness_connection_grace_ms;
-  // Every iteration has exactly dp in-process replicas reporting; straggler
-  // flagging waits for all of them so a fast replica is never compared
-  // against a partial report set (an absent replica used to make the rest
-  // look fast — or slow — depending on who was missing).
   monitor_opts.expected_replicas = parallel_.dp;
   service::HeartbeatMonitor heartbeat_monitor(monitor_opts);
 
   // Everything between the sampler and the executors is the plan-ahead
   // service's pipeline: lookahead planning on the shared pool, the
   // cross-iteration plan cache, and (serialized) publication into the
-  // instruction store. lookahead == 0 is the inline path.
+  // in-process instruction store. lookahead == 0 is the inline path.
   const int32_t lookahead =
       options.plan_lookahead >= 0
           ? options.plan_lookahead
@@ -220,109 +186,10 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   sopts.fold_target_lengths = config_.arch == model::ModelArch::kGpt;
   sopts.serialize_plans = options.serialize_plans;
   sopts.store_capacity = options.instruction_store_capacity;
-  // Socket backend: host the server side of the wire (store + listener) and
-  // hand the service a mux client on one persistent connection. Declared before
-  // `service` below so the server outlives it — the service's shutdown still
-  // round-trips through the socket. The publisher's deferral logic needs
-  // store_capacity to mirror the server store's bound, which it does by
-  // construction here. The shared-memory backend needs no server at all: the
-  // segment is the store, and an executor process could attach to it by name.
-  std::optional<InstructionStore> server_store;
-  std::optional<transport::UnixSocketTransport> socket_transport;
-  std::optional<transport::InstructionStoreServer> store_server;
-  // Kept alongside sopts.store on the shm path: the coordinator and the
-  // heartbeat poller need the concrete segment handle, not the interface.
-  std::shared_ptr<transport::ShmInstructionStore> shm_store;
-  // Declared after the monitor and store it points at, so it unregisters
-  // from the monitor (dtor) before either dies.
-  std::optional<service::FleetCoordinator> fleet;
-  // Last, so it stops feeding the monitor before any of the above dies.
-  std::optional<transport::ShmHeartbeatPoller> shm_poller;
-  // React to declared deaths: move the dead replica's unfetched plans to
-  // survivors and record the recovery. The coordinator itself always
-  // degrades — fail-fast's store shutdown is for a publisher parked in Push
-  // backpressure, and would race this trainer's own fetches (it consumes its
-  // replicas' plans in-process). options.failure_policy is applied by the
-  // epoch loop below instead. In-process replicas cannot die (no wire), so
-  // reposts are expected only from attached external replicas — which
-  // publish nothing here; the spare base still clears every iteration this
-  // epoch could publish.
-  auto wire_fleet = [&](runtime::InstructionStoreInterface* store) {
-    service::FleetOptions fleet_opts;
-    for (int32_t d = 0; d < parallel_.dp; ++d) {
-      fleet_opts.replicas.push_back(d);
-    }
-    fleet_opts.spare_iteration_base = options.max_iterations > 0
-                                          ? options.max_iterations
-                                          : (int64_t{1} << 32);
-    fleet.emplace(store, &heartbeat_monitor, std::move(fleet_opts));
-  };
-  // Fleet barrier: hold the epoch (nothing published yet) until enough
-  // executors have attached. In-process replicas report nothing before
-  // iteration 0, so every replica the monitor knows at this point came over
-  // the wire or through the segment.
-  auto await_fleet = [&] {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double, std::milli>(
-                              options.liveness_await_timeout_ms);
-    while (static_cast<int32_t>(heartbeat_monitor.KnownReplicas().size()) <
-           options.liveness_await_replicas) {
-      if (std::chrono::steady_clock::now() >= deadline) {
-        result.feasible = false;
-        result.failure = "timed out waiting for " +
-                         std::to_string(options.liveness_await_replicas) +
-                         " replicas to attach";
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return true;
-  };
-  if (options.plan_store_backend ==
-      TrainerOptions::PlanStoreBackend::kUnixSocketMux) {
-    server_store.emplace(InstructionStoreOptions{
-        /*serialized=*/true, options.instruction_store_capacity});
-    socket_transport.emplace(options.plan_store_socket_path.empty()
-                                 ? DeriveSocketPath()
-                                 : options.plan_store_socket_path);
-    // kHeartbeat frames from any attached reporter route through the server
-    // store's sink into the same monitor the in-process replicas feed.
-    server_store->set_heartbeat_sink(&heartbeat_monitor);
-    // Subscribe the coordinator BEFORE the server starts serving: the socket
-    // is already bound (transport ctor), so an executor can attach and die in
-    // the window between the first served frame and a later subscription —
-    // that death event would fire into a null callback and be lost.
-    wire_fleet(&*server_store);
-    store_server.emplace(&*socket_transport, &*server_store);
-    // The server is accepting, so executors can attach now.
-    if (!await_fleet()) {
-      return result;
-    }
-    sopts.store =
-        transport::MuxInstructionStore::OverUnixSocket(socket_transport->path());
-  } else if (options.plan_store_backend ==
-             TrainerOptions::PlanStoreBackend::kSharedMemory) {
-    transport::ShmStoreOptions shm_opts;
-    shm_opts.capacity = options.instruction_store_capacity;
-    shm_store = transport::ShmInstructionStore::Create(
-        options.plan_store_shm_name.empty() ? DeriveShmName()
-                                            : options.plan_store_shm_name,
-        shm_opts);
-    sopts.store = shm_store;
-    // The segment is the store, so recovery acts on it directly — no server
-    // in between. Liveness arrives through the segment too: attached
-    // executors stamp their heartbeat slot in shared memory, and the poller
-    // replays those beats into this monitor as if they came over a wire.
-    wire_fleet(shm_store.get());
-    shm_poller.emplace(shm_store, &heartbeat_monitor);
-    if (!await_fleet()) {
-      return result;
-    }
-  }
   if (allow_plan_cache && options.plan_cache) {
     if (plan_cache_ == nullptr) {
-      plan_cache_ = std::make_shared<service::PlanCache>(service::PlanCacheOptions{
-          options.plan_cache_capacity, options.plan_cache_max_bytes});
+      plan_cache_ = std::make_shared<service::PlanCache>(
+          service::PlanCacheOptions{kPlanCacheCapacity, /*max_bytes=*/0});
     }
     sopts.plan_cache = plan_cache_;
     sopts.config_hash = config_hash;
@@ -342,55 +209,20 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   };
   service::PlanAheadService service(plan_fn, source, sopts);
   // Runs on every exit path (failed epochs included) so diagnostics keep the
-  // cache and wire counters of the iterations that did happen.
+  // cache and store counters of the iterations that did happen.
   auto capture_service_stats = [&] {
     const service::PlanAheadServiceStats sstats = service.stats();
     result.plan_cache_hits = sstats.plan_cache_hits;
     result.plan_cache_misses = sstats.plan_cache_misses;
     result.serialized_plan_bytes = sstats.published_bytes;
-    if (fleet.has_value()) {
-      const service::FleetReport report = fleet->report();
-      result.dead_replicas = report.dead_replicas;
-      result.replanned_iterations = report.replanned_iterations;
-      result.recovery_ms = report.recovery_ms;
-    }
-    if (store_server.has_value()) {
-      // Pull each stats-capable attached executor's process-wide snapshot
-      // over its own connection. Bounded: an executor that died mid-epoch
-      // just contributes nothing.
-      for (transport::RemoteReplicaStats& stats :
-           store_server->CollectRemoteStats(/*timeout_ms=*/200)) {
-        ExecutorMetrics metrics;
-        metrics.replicas = std::move(stats.replicas);
-        metrics.snapshot = std::move(stats.snapshot);
-        result.executor_metrics.push_back(std::move(metrics));
-      }
-    }
     // Epoch end is the merge point: fold this process's spans plus any
-    // executor .part files into the one trace JSON this trainer owns.
+    // .part files into the one trace JSON this trainer owns.
     if (!options.trace_path.empty()) {
       common::Tracer::Instance().WriteMergedTrace();
     }
   };
 
   while (std::optional<service::ServicedPlan> serviced = service.NextPlan()) {
-    // Fail-fast: the first declared death aborts the epoch. Checked at the
-    // loop top (not inside the recovery callback) so the abort is a clean
-    // infeasible result, never a torn iteration. Read through the
-    // coordinator's report, not the monitor: the monitor's state flips
-    // before the event callback lands, and the report only shows a death
-    // once the coordinator has fully processed it.
-    if (fleet.has_value() &&
-        options.failure_policy == service::FailurePolicy::kFailFast) {
-      const std::vector<int32_t> dead = fleet->report().dead_replicas;
-      if (!dead.empty()) {
-        result.feasible = false;
-        result.failure = "replica " + std::to_string(dead.front()) +
-                         " declared dead (fail-fast policy)";
-        capture_service_stats();
-        return result;
-      }
-    }
     const int64_t iteration = serviced->iteration;
     IterationPlan& plan = serviced->plan;
     result.planning_time_ms += plan.planning_time_ms;
@@ -426,10 +258,11 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
       const sim::ExecutionPlan exec =
           service.FetchExecPlan(iteration, static_cast<int32_t>(d));
       sim::ClusterSim cluster(parallel_.pp, &ground_truth, sim_opts);
-      std::optional<common::TraceSpan> exec_span;
-      exec_span.emplace("executed", "plan", iteration, static_cast<int32_t>(d));
-      const sim::SimResult res = cluster.Run(exec);
-      exec_span.reset();
+      const sim::SimResult res = [&] {
+        const common::TraceSpan exec_span("executed", "plan", iteration,
+                                          static_cast<int32_t>(d));
+        return cluster.Run(exec);
+      }();
       if (res.deadlocked) {
         ++result.deadlocks;
         result.feasible = false;
@@ -450,8 +283,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
       for (const auto& dev : res.devices) {
         record.measured_peak_mb = std::max(record.measured_peak_mb, dev.peak_memory_mb);
       }
-      // In-process replicas complete "now" in wall clock; their simulated
-      // makespan is the completion time straggler detection should compare.
+      // Replicas complete "now" in wall clock; their simulated makespan is
+      // the completion time straggler detection should compare.
       {
         common::TraceSpan hb_span("heartbeat", "plan", iteration,
                                   static_cast<int32_t>(d));
@@ -467,9 +300,6 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     record.replica_median_ms = hb_stats.median_wall_ms;
     record.replica_max_ms = hb_stats.max_wall_ms;
     record.straggler_replicas = hb_stats.stragglers;
-    if (fleet.has_value()) {
-      record.dead_replicas = heartbeat_monitor.DeadReplicas();
-    }
     result.straggler_flags +=
         static_cast<int64_t>(record.straggler_replicas.size());
 

@@ -14,12 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "src/common/metrics.h"
 #include "src/cost/pipeline_cost_model.h"
 #include "src/data/dataset.h"
 #include "src/data/minibatch_sampler.h"
 #include "src/runtime/planner.h"
-#include "src/service/fleet.h"
 
 namespace dynapipe {
 class ThreadPool;
@@ -61,55 +59,21 @@ struct TrainerOptions {
   // Cross-iteration plan cache (service/plan_cache.h): mini-batches whose
   // sequence-length multiset recurs skip planning entirely. The cache lives on
   // the Trainer, so consecutive epochs share it (epoch 2 of a replayed
-  // shuffle hits epoch 1's plans). DynaPipe planning only — the baseline path
-  // repacks samples and cannot be rebound.
+  // shuffle hits epoch 1's plans) and holds up to 256 plans. DynaPipe
+  // planning only — the baseline path repacks samples and cannot be rebound.
   bool plan_cache = false;
-  size_t plan_cache_capacity = 256;
-  // Byte budget for the plan cache (estimated deep size; 0 = unbounded).
-  // Plans scale with batch size x replicas, so large-batch runs cap by bytes
-  // rather than trusting the count alone (see PlanCacheOptions::max_bytes).
-  size_t plan_cache_max_bytes = 0;
-  // Distribute plans through the instruction store as serialized bytes
-  // (service/plan_serde.h), and bound the store's resident plans (Push
-  // backpressure; 0 = unbounded, must be >= dp replicas otherwise).
+  // Distribute plans through the in-process instruction store as serialized
+  // bytes (service/plan_serde.h), and bound the store's resident plans (Push
+  // backpressure; 0 = unbounded, must be >= dp replicas otherwise). The
+  // multi-process publisher — a PlanAheadService over a socket or shm store,
+  // with executors attached — is wired by its caller (examples/
+  // plan_distribution, bench/e2e/fleet_workload.cc), not by the Trainer,
+  // which consumes its own plans.
   bool serialize_plans = false;
   size_t instruction_store_capacity = 0;
-  // Which instruction-store backend carries plans from the plan-ahead
-  // pipeline to the executors (src/transport/):
-  //   - kInProcess: the store lives in this process (serialize_plans decides
-  //     whether plans cross an encode/decode boundary);
-  //   - kUnixSocketMux: plans publish through a MuxInstructionStore client
-  //     to an InstructionStoreServer over a Unix domain socket — the full
-  //     cross-process wire path (frames, plan_serde bytes, server-side
-  //     capacity backpressure) on one persistent connection carrying
-  //     request-id-tagged frames (src/transport/mux.h), hosted in-process by
-  //     the trainer so results stay bit-identical while exercising the real
-  //     transport;
-  //   - kSharedMemory: a ShmInstructionStore segment (src/transport/
-  //     shm_store.h) — zero-copy same-host distribution; executors could
-  //     attach by name from another process, the trainer uses the same
-  //     mapping.
-  enum class PlanStoreBackend {
-    kInProcess,
-    kUnixSocketMux,
-    kSharedMemory,
-  };
-  PlanStoreBackend plan_store_backend = PlanStoreBackend::kInProcess;
-  // Socket path for kUnixSocketMux; empty derives a unique /tmp path per
-  // epoch.
-  std::string plan_store_socket_path;
-  // Segment name for kSharedMemory ("/dynapipe-..."); empty derives a unique
-  // name per epoch.
-  std::string plan_store_shm_name;
   // --- Straggler detection (service/heartbeat_monitor.h) ---
-  // Replica completion times feed a HeartbeatMonitor: the trainer reports
-  // its in-process replicas' simulated makespans, and on the socket
-  // backend the server also routes kHeartbeat frames from any attached
-  // reporter into the same monitor (heartbeats are non-destructive, unlike
-  // fetch — a plan is consumed exactly once, and this trainer consumes its
-  // own plans, so standalone dynapipe_executor processes run against a
-  // dedicated publisher as in examples/plan_distribution, not against a
-  // live trainer's store). A replica is flagged on iteration i when its
+  // Each in-process replica reports its simulated makespan to a
+  // HeartbeatMonitor. A replica is flagged on iteration i when its
   // completion exceeds
   //   straggler_multiple * median + straggler_min_gap_ms;
   // per-iteration stats land in IterationRecord. The relative criterion
@@ -117,51 +81,12 @@ struct TrainerOptions {
   // twice the pair's mean).
   double straggler_multiple = 2.0;
   double straggler_min_gap_ms = 0.0;
-  // --- Failure detection & recovery (service/heartbeat_monitor.h,
-  // service/fleet.h), cross-process backends only (sockets and shm —
-  // anywhere an executor process can die out from under the trainer; the
-  // shm segment's liveness source is its header heartbeat slots, polled by
-  // a ShmHeartbeatPoller). The trainer's FleetCoordinator runs recovery
-  // only: this trainer fetches each in-process replica's plan by exact
-  // (iteration, replica) key, so a straggler rebalance or a joiner's steal
-  // would move plans out from under it. Rebalance and elastic membership
-  // belong to a standalone publisher with attached executors (see
-  // ShmFaultControlLoopTest and MembershipChurnTest). ---
-  // Liveness deadlines for attached executors; 0 disables the transition. A
-  // replica silent past dead_after_ms, or whose connection drops uncleanly
-  // and stays gone past connection_grace_ms (grace 0 = a drop is death), is
-  // declared kDead: its unfetched plans are re-published to survivors and
-  // the death lands in EpochResult::dead_replicas.
-  double liveness_suspect_after_ms = 0.0;
-  double liveness_dead_after_ms = 0.0;
-  double liveness_connection_grace_ms = 0.0;
-  // Fleet barrier: hold the epoch (no plan published, no iteration run)
-  // until this many replicas have been seen by the liveness monitor —
-  // attached executors, counted before the in-process replicas report
-  // anything. 0 starts immediately; a barrier that is not met within the
-  // timeout fails the epoch rather than training into an absent fleet.
-  int32_t liveness_await_replicas = 0;
-  double liveness_await_timeout_ms = 30'000.0;
-  // kFailFast aborts the epoch (feasible = false) at the first declared
-  // death; kDegradeAndContinue (default) finishes on the survivors.
-  service::FailurePolicy failure_policy =
-      service::FailurePolicy::kDegradeAndContinue;
   // --- Observability (src/common/trace.h, src/common/metrics.h) ---
   // Non-empty enables plan-lifecycle tracing and names the merged
-  // Chrome/Perfetto trace JSON written at epoch end (executor processes
-  // started with DYNAPIPE_TRACE pointing at the same path contribute
-  // `<path>.<pid>.part` files, folded into the merge). Equivalent to setting
-  // DYNAPIPE_TRACE in the environment.
+  // Chrome/Perfetto trace JSON written at epoch end (any `<path>.<pid>.part`
+  // files other processes wrote there are folded into the merge). Equivalent
+  // to setting DYNAPIPE_TRACE in the environment.
   std::string trace_path;
-};
-
-// One attached executor connection's process-wide metrics, pulled over the
-// wire (a server-initiated kStatsRequest) at epoch end. Socket backend
-// only.
-struct ExecutorMetrics {
-  // Replicas attached on that connection (usually one).
-  std::vector<int32_t> replicas;
-  common::MetricsSnapshot snapshot;
 };
 
 struct IterationRecord {
@@ -189,17 +114,13 @@ struct IterationRecord {
   // look-ahead pipeline failed to hide; the paper's Fig. 17 overlap target).
   bool plan_cache_hit = false;
   double plan_stall_ms = 0.0;
-  // Straggler stats from the HeartbeatMonitor: completion times of every
-  // replica that reported this iteration (in-process replicas report their
-  // simulated makespan; attached executor processes heartbeat wall clock),
-  // and the replicas flagged over straggler_multiple x the median.
+  // Straggler stats from the HeartbeatMonitor: the simulated makespan of
+  // every replica that reported this iteration, and the replicas flagged
+  // over straggler_multiple x the median.
   int32_t heartbeat_replicas = 0;
   double replica_median_ms = 0.0;
   double replica_max_ms = 0.0;
   std::vector<int32_t> straggler_replicas;
-  // Replicas declared dead by the time this iteration completed (cumulative
-  // snapshot, ascending) — which iterations of the epoch ran degraded.
-  std::vector<int32_t> dead_replicas;
 };
 
 struct EpochResult {
@@ -228,15 +149,6 @@ struct EpochResult {
   // Total straggler flags raised across the epoch (per-iteration detail in
   // records[*].straggler_replicas).
   int64_t straggler_flags = 0;
-  // Recovery (service/fleet.h): replicas declared dead during the epoch
-  // (declaration order), how many of their pending plans were re-published
-  // to survivors, and the total detect -> re-publish wall time.
-  std::vector<int32_t> dead_replicas;
-  int64_t replanned_iterations = 0;
-  double recovery_ms = 0.0;
-  // Per-connection executor metric snapshots pulled over the stats channel
-  // at epoch end (empty on non-socket backends or when nothing attached).
-  std::vector<ExecutorMetrics> executor_metrics;
 
   double tokens_per_second() const {
     return train_time_ms <= 0.0 ? 0.0 : static_cast<double>(real_tokens) /

@@ -158,31 +158,21 @@ void FleetCoordinator::OnDeath(int32_t replica) {
   std::unique_lock<std::mutex> lock(mu_);
   report_.dead_replicas.push_back(replica);
   members_[replica] = Member::kDead;  // sticky, like the monitor's kDead
-  if (options_.policy == FailurePolicy::kFailFast) {
-    report_.fail_fast_triggered = true;
-    lock.unlock();
-    // Unblocks every Push parked in capacity backpressure (including ones
-    // stalled on the dead replica's unfetched slots) and disarms future
-    // pushes: the epoch is over.
-    store_->Shutdown();
-    lock.lock();
+  const std::vector<int32_t> survivors = PeersLocked(replica);
+  if (survivors.empty()) {
+    // Nobody left to take the work; free the slots so parked pushes
+    // unblock, and record the loss.
+    report_.dropped_iterations +=
+        static_cast<int64_t>(store_->DropReplica(replica));
   } else {
-    const std::vector<int32_t> survivors = PeersLocked(replica);
-    if (survivors.empty()) {
-      // Nobody left to take the work; free the slots so parked pushes
-      // unblock, and record the loss.
-      report_.dropped_iterations +=
-          static_cast<int64_t>(store_->DropReplica(replica));
-    } else {
-      const size_t moved =
-          MoveLocked(replica, store_->PendingIterations(replica), survivors)
-              .size();
-      report_.replanned_iterations += static_cast<int64_t>(moved);
-      static common::Counter& reposts =
-          common::MetricsRegistry::Instance().GetCounter(
-              "recovery_reposts_total");
-      reposts.Add(static_cast<int64_t>(moved));
-    }
+    const size_t moved =
+        MoveLocked(replica, store_->PendingIterations(replica), survivors)
+            .size();
+    report_.replanned_iterations += static_cast<int64_t>(moved);
+    static common::Counter& reposts =
+        common::MetricsRegistry::Instance().GetCounter(
+            "recovery_reposts_total");
+    reposts.Add(static_cast<int64_t>(moved));
   }
   const double recovery_ms = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - t0)

@@ -4,12 +4,9 @@
 // FleetCoordinator *acts*. It has one job — keep every plan on an executor
 // that will run it — and four reactions to the monitor's events:
 //
-//   death     a replica turns kDead. kDegradeAndContinue reposts its
-//             unfetched backlog round-robin to the surviving members;
-//             kFailFast instead shuts the store down (every Push parked in
-//             capacity backpressure unblocks, the epoch aborts, the caller
-//             reads fail_fast_triggered). With no survivor left the backlog
-//             is dropped and counted.
+//   death     a replica turns kDead. Its unfetched backlog is reposted
+//             round-robin to the surviving members; with no survivor left
+//             the backlog is dropped and counted.
 //   straggle  (rebalance on) a member flagged on `rebalance_consecutive_flags`
 //             complete iterations in a row sheds the tail of its backlog —
 //             at most `rebalance_max_moves` plans — to members that kept
@@ -53,12 +50,12 @@
 // draining victims are never released: neither is ever a destination again.
 //
 // Thread-safe: events arrive from server connection handlers, the shm
-// poller, the watchdog and the trainer loop concurrently. One mutex guards
+// poller, the watchdog and the publisher loop concurrently. One mutex guards
 // the member set, the report, the rebalance streaks and the spare keys; it
 // is never held across set_expected_replicas (a shrink fires the straggler
-// callback synchronously, back into this coordinator), drain_ack or the
-// fail-fast Shutdown. Construct after the monitor, destroy first — the
-// destructor unregisters both callbacks and drains in-flight deliveries.
+// callback synchronously, back into this coordinator) or drain_ack.
+// Construct after the monitor, destroy first — the destructor unregisters
+// both callbacks and drains in-flight deliveries.
 #ifndef DYNAPIPE_SRC_SERVICE_FLEET_H_
 #define DYNAPIPE_SRC_SERVICE_FLEET_H_
 
@@ -74,16 +71,7 @@
 
 namespace dynapipe::service {
 
-enum class FailurePolicy : uint8_t {
-  // First kDead aborts the epoch: the store shuts down (unblocking parked
-  // pushes) and no plans move.
-  kFailFast = 0,
-  // Re-publish the dead replica's backlog to survivors and keep going.
-  kDegradeAndContinue,
-};
-
 struct FleetOptions {
-  FailurePolicy policy = FailurePolicy::kDegradeAndContinue;
   // The fleet at epoch start. A death outside the member set (an unknown
   // attacher) is recorded, and whatever it holds is reposted like any death.
   std::vector<int32_t> replicas;
@@ -105,15 +93,13 @@ struct FleetOptions {
   std::function<void(int32_t)> drain_ack;
 };
 
-// What the coordinator has done so far; the trainer copies the recovery
-// fields into EpochResult.
+// What the coordinator has done so far.
 struct FleetReport {
   // Deaths.
   std::vector<int32_t> dead_replicas;  // declaration order
   int64_t replanned_iterations = 0;    // plans moved to survivors
   int64_t dropped_iterations = 0;      // no survivor left to take them
   double recovery_ms = 0.0;            // total detect -> re-publish wall time
-  bool fail_fast_triggered = false;
   // Stragglers.
   int64_t shed_events = 0;              // triggers that moved >= 1 plan
   int64_t shed_iterations = 0;          // plans migrated in total

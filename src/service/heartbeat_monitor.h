@@ -1,8 +1,8 @@
 // Heartbeat monitor: per-replica liveness tracking and straggler detection.
 //
-// Executor processes report iteration completion back to the trainer — a
+// Executor processes report iteration completion back to the publisher — a
 // kHeartbeat frame over the wire backends, or a direct OnHeartbeat call for
-// replicas the trainer executes itself. The monitor keeps two views of that
+// replicas a process executes itself (the Trainer's in-process loop). The monitor keeps two views of that
 // stream:
 //   - per-replica progress: the last iteration each replica completed (a
 //     replica whose frontier stops advancing is dead or wedged);
@@ -37,7 +37,7 @@
 // Deadlines are enforced by an internal watchdog thread (started only when a
 // deadline is configured) and by PollLiveness(), which tests call directly
 // for deterministic ticks. Thread-safe: heartbeats arrive concurrently from
-// server connection handlers, the trainer's own execution loop, and the
+// server connection handlers, an in-process execution loop, and the
 // watchdog. Events are delivered outside the monitor lock, so a callback may
 // call back into the monitor or the store.
 #ifndef DYNAPIPE_SRC_SERVICE_HEARTBEAT_MONITOR_H_
@@ -99,7 +99,7 @@ struct HeartbeatMonitorOptions {
   // Tests disable it and drive PollLiveness() by hand.
   bool watchdog = true;
 
-  // How many replicas are expected to report each iteration (the trainer
+  // How many replicas are expected to report each iteration (the Trainer
   // passes its DP width). 0 = unknown: straggler flagging falls back to
   // whatever subset has reported. When set, ForIteration flags stragglers
   // only once at least this many replicas reported — a mid-iteration query
@@ -188,7 +188,7 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   // Replicas declared dead so far, ascending.
   std::vector<int32_t> DeadReplicas() const;
   // Replicas the monitor has seen at all (any state past kUnknown),
-  // ascending. The fleet barrier: a trainer that must not start publishing
+  // ascending. The fleet barrier: a publisher that must not start publishing
   // until its executors attached waits on this count.
   std::vector<int32_t> KnownReplicas() const;
 

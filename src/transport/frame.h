@@ -63,7 +63,7 @@ enum class FrameType : uint8_t {
                       // clock-alignment exchange at executor attach), and the
                       // server may ask a mux client that declared the stats
                       // capability in its kAttach payload — that is how the
-                      // trainer pulls executor-side snapshots mid-epoch.
+                      // publisher pulls executor-side snapshots mid-epoch.
   kDrainRequest = 10,  // frame v4: replica (in the header) asks to leave the
                        // fleet gracefully. The server fences the replica as a
                        // repost destination and hands the event to the

@@ -50,7 +50,7 @@ void MuxInstructionStore::DemuxLoop() {
     }
     if (reply->type == FrameType::kStatsRequest) {
       // Not a reply at all: the *server* is asking for this process's
-      // snapshot (the trainer's mid-epoch pull). Dispatching on type before
+      // snapshot (the publisher's mid-epoch pull). Dispatching on type before
       // the waiter lookup keeps the two directions' id spaces independent —
       // the echoed id below is the server's, never one of ours. Answered
       // inline: the demux thread holds no lock while serving, and the

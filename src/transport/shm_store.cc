@@ -67,7 +67,7 @@ struct ShmHeartbeatEntry {
 
 // One replica's liveness mailbox. Claimed once under the header mutex
 // (replica flips from -1); thereafter a single process writes it under the
-// slot seqlock — same discipline as the index, so the trainer-side poller
+// slot seqlock — same discipline as the index, so the publisher-side poller
 // reads without the cross-process lock. last_alive_us is a lone CLOCK_
 // MONOTONIC stamp read/written as a standalone atomic: pure liveness touches
 // (TouchReplica, every executor poll) skip the seqlock entirely.

@@ -21,7 +21,7 @@
 // writes its completions and a last-alive timestamp into it with the same
 // single-writer seqlock discipline as the index — so same-host deployments
 // get straggler and failure detection with no socket side-channel. The
-// trainer runs a ShmHeartbeatPoller (below) that drains the slots into a
+// publisher runs a ShmHeartbeatPoller (below) that drains the slots into a
 // runtime::HeartbeatSink.
 //
 // Concurrency model, chosen to be TSan-clean and cross-process correct:
@@ -154,11 +154,11 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   // intrinsic — no server, no sink attachment needed on this side.
   bool supports_heartbeat() const override { return true; }
   // Records an iteration completion in the replica's heartbeat slot (claimed
-  // on first use). The trainer-side ShmHeartbeatPoller forwards it to the
+  // on first use). The publisher-side ShmHeartbeatPoller forwards it to the
   // HeartbeatMonitor. Always returns true.
   bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms) override;
   // Claims the replica's heartbeat slot and stamps it alive — executors call
-  // this right after Attach so the trainer's fleet barrier sees them before
+  // this right after Attach so the publisher's fleet barrier sees them before
   // their first completion.
   void AnnounceReplica(int32_t replica);
   // Refreshes the replica's last-alive stamp without recording a completion;

@@ -1,4 +1,4 @@
-// Unit tests for src/common: RNG, statistics, interpolation, table formatting.
+// Unit tests for src/common: RNG, statistics, table formatting.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/interp.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -216,52 +215,6 @@ TEST(HistogramTest, ToStringHasOneLinePerBucket) {
   h.Add(1.0);
   const std::string s = h.ToString();
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
-}
-
-// ---------- LinearInterp1D ----------
-
-TEST(LinearInterp1DTest, ExactAtKnots) {
-  LinearInterp1D f({1.0, 2.0, 4.0}, {10.0, 20.0, 40.0});
-  EXPECT_DOUBLE_EQ(f(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(f(2.0), 20.0);
-  EXPECT_DOUBLE_EQ(f(4.0), 40.0);
-}
-
-TEST(LinearInterp1DTest, LinearBetweenKnots) {
-  LinearInterp1D f({0.0, 10.0}, {0.0, 100.0});
-  EXPECT_DOUBLE_EQ(f(2.5), 25.0);
-}
-
-TEST(LinearInterp1DTest, ExtrapolatesFromEdges) {
-  LinearInterp1D f({0.0, 1.0}, {0.0, 2.0});
-  EXPECT_DOUBLE_EQ(f(2.0), 4.0);
-  EXPECT_DOUBLE_EQ(f(-1.0), -2.0);
-}
-
-// ---------- BilinearInterp2D ----------
-
-TEST(BilinearInterp2DTest, ReproducesBilinearFunctionExactly) {
-  // f(x, y) = 2 + 3x + 5y + 7xy is exactly representable.
-  auto f = [](double x, double y) { return 2.0 + 3.0 * x + 5.0 * y + 7.0 * x * y; };
-  std::vector<double> xs{0.0, 1.0, 3.0};
-  std::vector<double> ys{0.0, 2.0, 5.0};
-  std::vector<std::vector<double>> values(xs.size(), std::vector<double>(ys.size()));
-  for (size_t i = 0; i < xs.size(); ++i) {
-    for (size_t j = 0; j < ys.size(); ++j) {
-      values[i][j] = f(xs[i], ys[j]);
-    }
-  }
-  BilinearInterp2D interp(xs, ys, values);
-  for (double x : {0.3, 1.7, 2.9}) {
-    for (double y : {0.1, 1.9, 4.2}) {
-      EXPECT_NEAR(interp(x, y), f(x, y), 1e-9);
-    }
-  }
-}
-
-TEST(BilinearInterp2DTest, DegenerateAxisIsConstant) {
-  BilinearInterp2D interp({1.0}, {0.0, 1.0}, {{3.0, 5.0}});
-  EXPECT_DOUBLE_EQ(interp(100.0, 0.5), 4.0);
 }
 
 // ---------- TextTable ----------

@@ -520,7 +520,7 @@ TEST(TwoProcessShmPlanDistributionTest, AttachedFetchesAreByteIdentical) {
 // ---------- the executor daemon (acceptance criterion) ----------
 
 // Three fork()ed executor processes — src/executor/RunExecutor, the library
-// behind tools/dynapipe_executor — attach to the trainer-side store, fetch
+// behind tools/dynapipe_executor — attach to the publisher-side store, fetch
 // their replica's plans, execute them on their own ClusterSims, and
 // heartbeat completion back, once over each endpoint: the mux store server
 // (heartbeats routed through the server's sink) and the shm segment
@@ -1006,7 +1006,6 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);  // iteration 2's plan moved
   EXPECT_EQ(report.dropped_iterations, 0);
-  EXPECT_FALSE(report.fail_fast_triggered);
   EXPECT_GE(report.recovery_ms, 0.0);
 
   // Teardown ends the survivors' open-ended runs cleanly.
@@ -1252,7 +1251,6 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   // spare replica 2 inherited moves on. 2 + 1, no plan lost.
   EXPECT_EQ(report.replanned_iterations, 3);
   EXPECT_EQ(report.dropped_iterations, 0);
-  EXPECT_FALSE(report.fail_fast_triggered);
 
   server->Stop();
   server.reset();
@@ -1354,7 +1352,7 @@ TEST(ShmFaultControlLoopTest, SigkilledReaderPinIsReclaimedAndArenaRewinds) {
 
 // The shm-native straggler reaction, end to end with no socket anywhere:
 // three executor processes attach to one segment; liveness and completions
-// flow only through the segment's heartbeat slots into the trainer-side
+// flow only through the segment's heartbeat slots into the publisher-side
 // poller. Replica 1 stalls 1200 ms inside iteration 1, so its heartbeat
 // arrives late and over-wall; the monitor flags it the moment the report
 // set completes, and the rebalance coordinator moves the tail of its

@@ -11,8 +11,8 @@
 // once — so the publisher side of a multi-process run does not execute
 // in-process; a live Trainer epoch consumes its own plans.)
 //
-//   dynapipe_executor --attach /tmp/trainer.sock --replica 0
-//   dynapipe_executor --attach /tmp/trainer.sock --replica 1 --iterations 50
+//   dynapipe_executor --attach /tmp/publisher.sock --replica 0
+//   dynapipe_executor --attach /tmp/publisher.sock --replica 1 --iterations 50
 //   dynapipe_executor --attach /dynapipe-store-1234-0 --replica 0   (shm)
 //
 // Open-ended runs (no --iterations) drain plans as they appear and exit
