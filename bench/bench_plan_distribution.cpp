@@ -186,7 +186,7 @@ HeartbeatRow MeasureHeartbeat(const char* name,
 
 // Recovery latency: the detect -> re-publish hop of the failure control loop
 // (bench/README.md "Failure recovery"). An executor vanishes with `backlog`
-// plans still unfetched; the monitor declares it dead (grace 0: an unclean
+// plans still unfetched; the monitor declares it dead (an unclean
 // connection drop is death) and the FleetCoordinator moves the backlog to
 // survivors. The coordinator reposts synchronously inside the event
 // delivery, so the OnReplicaDisconnected call spans the whole hop — what a

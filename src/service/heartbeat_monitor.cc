@@ -1,6 +1,7 @@
 #include "src/service/heartbeat_monitor.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/metrics.h"
 
@@ -10,7 +11,6 @@ const char* ReplicaLivenessName(ReplicaLiveness state) {
   switch (state) {
     case ReplicaLiveness::kUnknown: return "unknown";
     case ReplicaLiveness::kAlive: return "alive";
-    case ReplicaLiveness::kSuspect: return "suspect";
     case ReplicaLiveness::kDead: return "dead";
     case ReplicaLiveness::kDetached: return "detached";
     case ReplicaLiveness::kDraining: return "draining";
@@ -20,10 +20,7 @@ const char* ReplicaLivenessName(ReplicaLiveness state) {
 
 HeartbeatMonitor::HeartbeatMonitor(HeartbeatMonitorOptions options)
     : options_(options), expected_replicas_(options.expected_replicas) {
-  const bool deadlines = options_.suspect_after_ms > 0.0 ||
-                         options_.dead_after_ms > 0.0 ||
-                         options_.connection_grace_ms > 0.0;
-  if (deadlines && options_.watchdog) {
+  if (options_.dead_after_ms > 0.0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
   }
 }
@@ -72,9 +69,6 @@ void HeartbeatMonitor::TransitionLocked(int32_t replica, ReplicaLiveness to,
   event.to = to;
   event.reason = reason;
   state.state = to;
-  if (to != ReplicaLiveness::kSuspect) {
-    state.grace_deadline.reset();
-  }
   static common::Counter& transitions =
       common::MetricsRegistry::Instance().GetCounter(
           "liveness_transitions_total");
@@ -208,18 +202,11 @@ void HeartbeatMonitor::OnReplicaDisconnected(int32_t replica, bool clean) {
     } else if (clean) {
       TransitionLocked(replica, ReplicaLiveness::kDetached, "clean detach",
                        &events);
-    } else if (options_.connection_grace_ms > 0.0) {
-      // Reconnect tolerance: suspect now, dead if not seen again in time.
-      state.grace_deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 options_.connection_grace_ms));
-      TransitionLocked(replica, ReplicaLiveness::kSuspect,
-                       "connection dropped", &events);
     } else {
-      // The vanished-process case: the stream died with the replica still
-      // attached and no grace is configured — declare death immediately, so
-      // recovery starts without waiting out a heartbeat deadline.
+      // The stream died with the replica still attached: a vanished process
+      // or a peer dropped for a malformed frame. Declare death immediately,
+      // so recovery starts without waiting out a heartbeat deadline; the
+      // peer's reconnect, if any, is evicted.
       TransitionLocked(replica, ReplicaLiveness::kDead, "connection dropped",
                        &events);
     }
@@ -276,36 +263,20 @@ int32_t HeartbeatMonitor::expected_replicas() const {
   return expected_replicas_;
 }
 
-int HeartbeatMonitor::PollLiveness() {
+int HeartbeatMonitor::PollLiveness(Clock::time_point now) {
   std::vector<ReplicaEvent> events;
-  {
+  if (options_.dead_after_ms > 0.0) {
+    const std::chrono::duration<double, std::milli> deadline(
+        options_.dead_after_ms);
     std::lock_guard<std::mutex> lock(mu_);
-    const Clock::time_point now = Clock::now();
     for (auto& [replica, state] : replicas_) {
-      if (state.state != ReplicaLiveness::kAlive &&
-          state.state != ReplicaLiveness::kSuspect &&
-          state.state != ReplicaLiveness::kDraining) {
-        continue;  // deadlines apply only while presence is expected — and a
-                   // drainer that wedges instead of detaching must still die
-      }
-      const double silent_ms =
-          std::chrono::duration<double, std::milli>(now - state.last_seen)
-              .count();
-      if (state.grace_deadline.has_value() && now >= *state.grace_deadline) {
-        TransitionLocked(replica, ReplicaLiveness::kDead,
-                         "no reconnect within grace", &events);
-        continue;
-      }
-      if (options_.dead_after_ms > 0.0 && silent_ms > options_.dead_after_ms) {
+      // The deadline applies only while presence is expected — and a drainer
+      // that wedges instead of detaching must still die.
+      if ((state.state == ReplicaLiveness::kAlive ||
+           state.state == ReplicaLiveness::kDraining) &&
+          now - state.last_seen > deadline) {
         TransitionLocked(replica, ReplicaLiveness::kDead,
                          "heartbeat deadline", &events);
-        continue;
-      }
-      if (state.state == ReplicaLiveness::kAlive &&
-          options_.suspect_after_ms > 0.0 &&
-          silent_ms > options_.suspect_after_ms) {
-        TransitionLocked(replica, ReplicaLiveness::kSuspect,
-                         "heartbeat overdue", &events);
       }
     }
   }
@@ -330,31 +301,12 @@ std::vector<int32_t> HeartbeatMonitor::DeadReplicas() const {
   return dead;
 }
 
-std::vector<int32_t> HeartbeatMonitor::KnownReplicas() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<int32_t> known;
-  for (const auto& [replica, state] : replicas_) {
-    if (state.state != ReplicaLiveness::kUnknown) {
-      known.push_back(replica);  // map order = ascending
-    }
-  }
-  return known;
-}
-
 void HeartbeatMonitor::WatchdogLoop() {
-  // Tick fast enough that a deadline is detected within a fraction of
+  // Tick fast enough that the deadline is detected within a fraction of
   // itself, clamped so near-zero test deadlines do not spin.
-  double min_deadline_ms = 1e18;
-  for (const double deadline :
-       {options_.suspect_after_ms, options_.dead_after_ms,
-        options_.connection_grace_ms}) {
-    if (deadline > 0.0) {
-      min_deadline_ms = std::min(min_deadline_ms, deadline);
-    }
-  }
   const auto tick = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(
-          std::clamp(min_deadline_ms / 4.0, 1.0, 50.0)));
+          std::clamp(options_.dead_after_ms / 4.0, 1.0, 50.0)));
   std::unique_lock<std::mutex> lock(mu_);
   while (!watchdog_stop_) {
     watchdog_cv_.wait_for(lock, tick, [&] { return watchdog_stop_; });
@@ -362,7 +314,7 @@ void HeartbeatMonitor::WatchdogLoop() {
       break;
     }
     lock.unlock();
-    PollLiveness();
+    PollLiveness(Clock::now());
     lock.lock();
   }
 }
@@ -426,21 +378,6 @@ int64_t HeartbeatMonitor::LastIteration(int32_t replica) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = last_iteration_.find(replica);
   return it == last_iteration_.end() ? -1 : it->second;
-}
-
-std::vector<int32_t> HeartbeatMonitor::LaggingReplicas(int64_t max_lag) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t frontier = -1;
-  for (const auto& [replica, iteration] : last_iteration_) {
-    frontier = std::max(frontier, iteration);
-  }
-  std::vector<int32_t> lagging;
-  for (const auto& [replica, iteration] : last_iteration_) {
-    if (frontier - iteration > max_lag) {
-      lagging.push_back(replica);
-    }
-  }
-  return lagging;
 }
 
 int64_t HeartbeatMonitor::total_heartbeats() const {

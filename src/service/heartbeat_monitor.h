@@ -12,15 +12,14 @@
 //     (plus an absolute slack so microsecond-scale jitter on fast iterations
 //     never flags).
 //
-// On top of lag it now tracks *liveness* — the state machine the recovery
-// control loop acts on:
+// On top of lag it tracks *liveness* — the one fact the publisher acts on:
+// is this replica dead, so its plans must move?
 //
-//   kUnknown ──attach/heartbeat──> kAlive
-//   kAlive   ──no heartbeat for suspect_after_ms──────> kSuspect
-//   kAlive/kSuspect ──no heartbeat for dead_after_ms──> kDead
-//   kAlive/kSuspect ──unclean connection drop──> kDead   (grace 0)
-//                                           └──> kSuspect, then kDead after
-//                                                connection_grace_ms (grace>0)
+//   kUnknown/kDetached ──attach/heartbeat──> kAlive
+//   kAlive/kDraining ──no heartbeat for dead_after_ms──> kDead
+//   any non-dead ──unclean connection drop──> kDead  (a vanished process —
+//                                  the SIGKILL case — or a peer the server
+//                                  dropped for a malformed frame)
 //   any non-dead ──drain request──> kDraining (elastic membership: the
 //                                   replica asked to leave; heartbeats for
 //                                   in-flight work still refresh its deadline
@@ -34,12 +33,14 @@
 // IsReplicaDead). Every transition is surfaced through the ReplicaEvent
 // callback, which is what FleetCoordinator subscribes to.
 //
-// Deadlines are enforced by an internal watchdog thread (started only when a
-// deadline is configured) and by PollLiveness(), which tests call directly
-// for deterministic ticks. Thread-safe: heartbeats arrive concurrently from
-// server connection handlers, an in-process execution loop, and the
-// watchdog. Events are delivered outside the monitor lock, so a callback may
-// call back into the monitor or the store.
+// The deadline runs on the caller's clock: PollLiveness(now) applies it as of
+// `now`, against the steady_clock stamps attaches and heartbeats leave. The
+// internal watchdog thread (started only when dead_after_ms > 0) is the one
+// real-time caller; tests step `now` forward instead of sleeping.
+// Thread-safe: heartbeats arrive concurrently from server connection
+// handlers, an in-process execution loop, and the watchdog. Events are
+// delivered outside the monitor lock, so a callback may call back into the
+// monitor or the store.
 #ifndef DYNAPIPE_SRC_SERVICE_HEARTBEAT_MONITOR_H_
 #define DYNAPIPE_SRC_SERVICE_HEARTBEAT_MONITOR_H_
 
@@ -49,7 +50,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -63,7 +63,6 @@ namespace dynapipe::service {
 enum class ReplicaLiveness : uint8_t {
   kUnknown = 0,  // never seen
   kAlive,
-  kSuspect,   // deadline blown or unclean drop within grace — not yet acted on
   kDead,      // declared dead; sticky (recovery may have moved its plans)
   kDetached,  // clean goodbye; absence is expected, deadlines off
   kDraining,  // asked to leave gracefully; finishing in-flight work, must not
@@ -82,22 +81,11 @@ struct HeartbeatMonitorOptions {
   double straggler_multiple = 2.0;
   double min_straggler_gap_ms = 0.0;
 
-  // --- Liveness deadlines (0 disables the transition) ---
-  // Silence (no heartbeat/attach) longer than this marks an alive replica
-  // kSuspect...
-  double suspect_after_ms = 0.0;
-  // ...and longer than this declares it kDead. The stall-detection deadline:
-  // a wedged executor whose connection is still up only ever trips this.
+  // Silence (no heartbeat/attach) longer than this declares an alive or
+  // draining replica kDead; 0 disables the deadline and the watchdog. The
+  // stall-detection deadline: a wedged executor whose connection is still up
+  // only ever trips this.
   double dead_after_ms = 0.0;
-  // Unclean connection drop (the server saw the stream die with the replica
-  // still attached): 0 declares the replica dead immediately — a vanished
-  // process, the SIGKILL case; > 0 marks it kSuspect and declares death only
-  // if it has not re-attached or heartbeated within the grace — tolerance
-  // for clients that reconnect after a transport error.
-  double connection_grace_ms = 0.0;
-  // Start the internal watchdog thread when any deadline above is set.
-  // Tests disable it and drive PollLiveness() by hand.
-  bool watchdog = true;
 
   // How many replicas are expected to report each iteration (the Trainer
   // passes its DP width). 0 = unknown: straggler flagging falls back to
@@ -159,7 +147,7 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   // runtime::HeartbeatSink: one replica finished one iteration. A duplicate
   // (replica, iteration) report overwrites — a reconnecting executor may
   // legitimately resend its last heartbeat. Refreshes the liveness deadline
-  // and revives kSuspect (never kDead — see the sticky rule above).
+  // (never reviving kDead — see the sticky rule above).
   void OnHeartbeat(int32_t replica, int64_t iteration,
                    double wall_ms) override;
   void OnReplicaAttached(int32_t replica) override;
@@ -180,17 +168,14 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   void set_expected_replicas(int32_t expected);
   int32_t expected_replicas() const;
 
-  // Applies the deadline transitions due as of now; returns how many fired.
-  // The watchdog calls this periodically; tests call it directly.
-  int PollLiveness();
+  // Declares dead every alive or draining replica silent for more than
+  // dead_after_ms as of `now`; returns how many died. The watchdog calls
+  // this with steady_clock::now(); tests pass a `now` of their choosing.
+  int PollLiveness(std::chrono::steady_clock::time_point now);
 
   ReplicaLiveness Liveness(int32_t replica) const;
   // Replicas declared dead so far, ascending.
   std::vector<int32_t> DeadReplicas() const;
-  // Replicas the monitor has seen at all (any state past kUnknown),
-  // ascending. The fleet barrier: a publisher that must not start publishing
-  // until its executors attached waits on this count.
-  std::vector<int32_t> KnownReplicas() const;
 
   // Snapshot of iteration `iteration` (zeros when nothing reported yet).
   IterationHeartbeatStats ForIteration(int64_t iteration) const;
@@ -199,14 +184,7 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   // per-replica progress frontier.
   int64_t LastIteration(int32_t replica) const;
 
-  // Replicas whose progress frontier lags the most advanced replica by more
-  // than `max_lag` iterations — the liveness (as opposed to latency) view of
-  // straggling: a replica that stopped heartbeating entirely shows up here
-  // even though it contributes no wall-ms samples to lag behind on.
-  std::vector<int32_t> LaggingReplicas(int64_t max_lag) const;
-
   int64_t total_heartbeats() const;
-  const HeartbeatMonitorOptions& options() const { return options_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -214,9 +192,6 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   struct ReplicaState {
     ReplicaLiveness state = ReplicaLiveness::kUnknown;
     Clock::time_point last_seen;  // last attach or heartbeat
-    // Set on an unclean drop under a grace: death fires here unless the
-    // replica is seen again first.
-    std::optional<Clock::time_point> grace_deadline;
   };
 
   IterationHeartbeatStats ForIterationLocked(int64_t iteration) const;
@@ -230,9 +205,7 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   HeartbeatMonitorOptions options_;
   mutable std::mutex mu_;
   // The live fleet size, options_.expected_replicas at construction and
-  // adjusted by set_expected_replicas on join/drain. Kept apart from options_
-  // so options() stays an immutable snapshot of the configuration. Guarded by
-  // mu_.
+  // adjusted by set_expected_replicas on join/drain. Guarded by mu_.
   int32_t expected_replicas_ = 0;
   // Iterations whose completion already fired the straggler callback — the
   // exactly-once guard now that a shrinking fleet can complete a set both by
@@ -261,7 +234,7 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   int callbacks_in_flight_ = 0;  // guarded by mu_
   mutable std::condition_variable callback_cv_;
 
-  // Watchdog: ticks PollLiveness while any deadline is armed.
+  // Watchdog: ticks PollLiveness while the deadline is armed.
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  // guarded by mu_
   std::thread watchdog_;

@@ -919,13 +919,16 @@ size_t ShmInstructionStore::DropReplica(int32_t replica) {
 
 // --- ShmHeartbeatPoller ---
 
+namespace {
+// Slot scan period. A slot keeps only its last kShmHeartbeatRing
+// completions, so this bounds how many a fast replica can overwrite before
+// they are forwarded.
+constexpr auto kHeartbeatPollInterval = std::chrono::milliseconds(5);
+}  // namespace
+
 ShmHeartbeatPoller::ShmHeartbeatPoller(
-    std::shared_ptr<ShmInstructionStore> store, runtime::HeartbeatSink* sink,
-    int poll_interval_ms)
-    : store_(std::move(store)),
-      sink_(sink),
-      poll_interval_ms_(poll_interval_ms),
-      observed_(kShmHeartbeatSlots) {
+    std::shared_ptr<ShmInstructionStore> store, runtime::HeartbeatSink* sink)
+    : store_(std::move(store)), sink_(sink), observed_(kShmHeartbeatSlots) {
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -944,8 +947,7 @@ void ShmHeartbeatPoller::Loop() {
     lock.unlock();
     PollOnce();
     lock.lock();
-    stop_cv_.wait_for(lock, std::chrono::milliseconds(poll_interval_ms_),
-                      [&] { return stop_; });
+    stop_cv_.wait_for(lock, kHeartbeatPollInterval, [&] { return stop_; });
   }
 }
 

@@ -242,16 +242,16 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   std::vector<int32_t> fenced_;
 };
 
-// Trainer-side pump for the segment's heartbeat slots: a thread that polls
-// every claimed slot and forwards attaches, completions, clean detaches, and
-// last-alive refreshes into a runtime::HeartbeatSink (concretely the
-// service::HeartbeatMonitor, whose deadline machinery then provides
-// suspect/dead transitions — the shm-native stall detector). Keeps the store
+// Publisher-side pump for the segment's heartbeat slots: a thread that
+// polls every claimed slot every 5 ms and forwards attaches, completions,
+// clean detaches, and last-alive refreshes into a runtime::HeartbeatSink
+// (concretely the service::HeartbeatMonitor, whose deadline then declares a
+// silent replica dead — the shm-native stall detector). Keeps the store
 // alive via shared_ptr; destroy the poller before the sink.
 class ShmHeartbeatPoller {
  public:
   ShmHeartbeatPoller(std::shared_ptr<ShmInstructionStore> store,
-                     runtime::HeartbeatSink* sink, int poll_interval_ms = 5);
+                     runtime::HeartbeatSink* sink);
   ~ShmHeartbeatPoller();
 
   ShmHeartbeatPoller(const ShmHeartbeatPoller&) = delete;
@@ -275,7 +275,6 @@ class ShmHeartbeatPoller {
 
   std::shared_ptr<ShmInstructionStore> store_;
   runtime::HeartbeatSink* sink_;
-  int poll_interval_ms_;
   std::vector<SlotObservation> observed_;
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;

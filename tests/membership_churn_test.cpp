@@ -191,10 +191,7 @@ struct ChurnControlPlane {
     mopts.straggler_multiple = 2.0;
     mopts.min_straggler_gap_ms = 50.0;
     mopts.expected_replicas = kBaseReplicas;  // membership re-gates it live
-    if (dead_after_ms > 0) {
-      mopts.suspect_after_ms = dead_after_ms / 3.0;
-      mopts.dead_after_ms = dead_after_ms;
-    }
+    mopts.dead_after_ms = dead_after_ms;
     return mopts;
   }
 

@@ -908,19 +908,17 @@ TEST(HeartbeatMonitorTest, MedianThresholdFlagsOnlyTheStraggler) {
   EXPECT_EQ(monitor.ForIteration(99).replicas_reported, 0);
 }
 
-TEST(HeartbeatMonitorTest, ProgressFrontiersAndLaggingReplicas) {
+TEST(HeartbeatMonitorTest, ProgressFrontiers) {
   service::HeartbeatMonitor monitor;
   EXPECT_EQ(monitor.LastIteration(0), -1);  // nothing heard yet
   monitor.OnHeartbeat(0, 0, 1.0);
   monitor.OnHeartbeat(1, 0, 1.0);
   monitor.OnHeartbeat(0, 1, 1.0);
   monitor.OnHeartbeat(0, 2, 1.0);
+  // Each replica keeps its own frontier: replica 1 is 2 iterations behind.
   EXPECT_EQ(monitor.LastIteration(0), 2);
   EXPECT_EQ(monitor.LastIteration(1), 0);
-  // Replica 1 is 2 iterations behind the frontier: lagging under max_lag 1,
-  // within tolerance under max_lag 2.
-  EXPECT_EQ(monitor.LaggingReplicas(1), std::vector<int32_t>{1});
-  EXPECT_TRUE(monitor.LaggingReplicas(2).empty());
+  EXPECT_EQ(monitor.LastIteration(2), -1);
   // A late heartbeat for an old iteration never regresses the frontier.
   monitor.OnHeartbeat(0, 0, 2.0);
   EXPECT_EQ(monitor.LastIteration(0), 2);
@@ -1014,28 +1012,24 @@ TEST(FaultInjectionTest, DisarmedIsInertAndFiringIsOneShot) {
 
 // ---------- liveness state machine ----------
 
-TEST(HeartbeatMonitorTest, LivenessDeadlinesSuspectThenDeadAndDeathIsSticky) {
+// The heartbeat deadline on virtual time: PollLiveness applies it as of the
+// caller's `now`, so the test steps past dead_after_ms instead of sleeping
+// through it.
+TEST(HeartbeatMonitorTest, HeartbeatDeadlineOnCallerClockAndDeathIsSticky) {
+  using namespace std::chrono_literals;
   service::HeartbeatMonitorOptions opts;
-  opts.suspect_after_ms = 50.0;
-  opts.dead_after_ms = 500.0;
-  opts.watchdog = false;  // deterministic: the test ticks PollLiveness itself
+  opts.dead_after_ms = 60'000.0;
   service::HeartbeatMonitor monitor(opts);
 
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kUnknown);
+  const auto start = std::chrono::steady_clock::now();  // before every stamp
   monitor.OnReplicaAttached(0);
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kAlive);
-  EXPECT_EQ(monitor.PollLiveness(), 0);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_GE(monitor.PollLiveness(), 1);
-  EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kSuspect);
-  EXPECT_FALSE(monitor.IsReplicaDead(0));
-
-  monitor.OnHeartbeat(0, 0, 1.0);  // a suspect that reports revives
+  EXPECT_EQ(monitor.PollLiveness(start + 59s), 0);
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kAlive);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  EXPECT_GE(monitor.PollLiveness(), 1);
+  const auto stamped = std::chrono::steady_clock::now();  // after every stamp
+  EXPECT_EQ(monitor.PollLiveness(stamped + 61s), 1);
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kDead);
   EXPECT_TRUE(monitor.IsReplicaDead(0));
   EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{0});
@@ -1047,46 +1041,90 @@ TEST(HeartbeatMonitorTest, LivenessDeadlinesSuspectThenDeadAndDeathIsSticky) {
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kDead);
 }
 
-TEST(HeartbeatMonitorTest, ConnectionDropGraceAndCleanDetach) {
-  // Grace 0: an unclean drop is immediate death (the SIGKILL shape).
-  {
-    service::HeartbeatMonitorOptions opts;
-    opts.watchdog = false;
-    service::HeartbeatMonitor monitor(opts);
-    monitor.OnReplicaAttached(1);
-    monitor.OnReplicaDisconnected(1, /*clean=*/false);
-    EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDead);
-    // Clean detach is expected absence: no death, deadlines off.
-    monitor.OnReplicaAttached(2);
-    monitor.OnReplicaDisconnected(2, /*clean=*/true);
-    EXPECT_EQ(monitor.Liveness(2), service::ReplicaLiveness::kDetached);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(monitor.PollLiveness(), 0);
-    EXPECT_EQ(monitor.Liveness(2), service::ReplicaLiveness::kDetached);
+// The drain and detach rules under the deadline, on virtual time. A
+// drainer's in-flight heartbeat refreshes its deadline but never revives it
+// to kAlive; a silent drainer still dies; detached and dead replicas are out
+// of the deadline's reach at any `now`.
+TEST(HeartbeatMonitorTest, DrainersKeepTheDeadlineAndDetachedOrDeadNeverMove) {
+  using namespace std::chrono_literals;
+  using Clock = std::chrono::steady_clock;
+  service::HeartbeatMonitorOptions opts;
+  opts.dead_after_ms = 60'000.0;
+  service::HeartbeatMonitor monitor(opts);
+  // Single-threaded: the watchdog polls real time, where nobody is silent
+  // for a minute.
+  std::vector<service::ReplicaEvent> deaths;
+  monitor.set_event_callback([&](const service::ReplicaEvent& event) {
+    if (event.to == service::ReplicaLiveness::kDead) {
+      deaths.push_back(event);
+    }
+  });
+
+  const Clock::time_point start = Clock::now();  // before every stamp
+  monitor.OnReplicaAttached(0);  // alive, then silent
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaDrainRequested(1);  // draining, still reporting
+  monitor.OnReplicaAttached(2);
+  monitor.OnReplicaDrainRequested(2);  // draining, then silent
+  monitor.OnReplicaAttached(3);
+  monitor.OnReplicaDisconnected(3, /*clean=*/true);
+  monitor.OnReplicaAttached(4);
+  monitor.OnReplicaDisconnected(4, /*clean=*/false);
+  EXPECT_EQ(monitor.PollLiveness(start + 59s), 0);
+
+  // Step the clock strictly past every stamp so far: replica 1's heartbeat
+  // is stamped at or after `beat`, every other replica's last stamp before.
+  Clock::time_point beat = Clock::now();
+  for (const Clock::time_point stamped = beat; beat <= stamped;) {
+    beat = Clock::now();
   }
-  // Grace > 0: the drop is suspicion; reconnecting inside the grace
-  // survives, failing to blows the deadline.
-  {
-    service::HeartbeatMonitorOptions opts;
-    opts.connection_grace_ms = 50.0;
-    opts.watchdog = false;
-    service::HeartbeatMonitor monitor(opts);
-    monitor.OnReplicaAttached(3);
-    monitor.OnReplicaDisconnected(3, /*clean=*/false);
-    EXPECT_EQ(monitor.Liveness(3), service::ReplicaLiveness::kSuspect);
-    monitor.OnReplicaAttached(3);  // reconnected in time
-    EXPECT_EQ(monitor.Liveness(3), service::ReplicaLiveness::kAlive);
-    monitor.OnReplicaDisconnected(3, /*clean=*/false);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_GE(monitor.PollLiveness(), 1);
-    EXPECT_EQ(monitor.Liveness(3), service::ReplicaLiveness::kDead);
+  monitor.OnHeartbeat(1, 0, 1.0);
+  EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDraining);
+
+  EXPECT_EQ(monitor.PollLiveness(beat + 60s), 2);
+  EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kDead);
+  EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDraining);
+  EXPECT_EQ(monitor.Liveness(2), service::ReplicaLiveness::kDead);
+
+  const Clock::time_point end = Clock::now();  // after every stamp
+  EXPECT_EQ(monitor.PollLiveness(end + 61s), 1);
+  EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDead);
+
+  for (const Clock::time_point now : {start, end + 61s, end + 24h}) {
+    EXPECT_EQ(monitor.PollLiveness(now), 0);
   }
+  EXPECT_EQ(monitor.Liveness(3), service::ReplicaLiveness::kDetached);
+  EXPECT_EQ(monitor.Liveness(4), service::ReplicaLiveness::kDead);
+  monitor.set_event_callback(nullptr);
+
+  ASSERT_EQ(deaths.size(), 4u);
+  EXPECT_EQ(deaths[0].replica, 4);
+  EXPECT_EQ(deaths[0].reason, "connection dropped");
+  const std::vector<int32_t> by_deadline = {0, 2, 1};
+  for (size_t i = 0; i < by_deadline.size(); ++i) {
+    EXPECT_EQ(deaths[i + 1].replica, by_deadline[i]);
+    EXPECT_EQ(deaths[i + 1].reason, "heartbeat deadline");
+  }
+  EXPECT_EQ(deaths[2].from, service::ReplicaLiveness::kDraining);
+}
+
+// An unclean drop is death at once (a vanished process, or a peer the server
+// dropped for a malformed frame); a clean detach is expected absence.
+TEST(HeartbeatMonitorTest, UncleanDropIsDeathAndCleanDetachIsNot) {
+  service::HeartbeatMonitor monitor;
+  monitor.OnReplicaAttached(1);
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+  EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDead);
+  monitor.OnReplicaAttached(1);  // the reconnect is a zombie's
+  EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDead);
+  monitor.OnReplicaAttached(2);
+  monitor.OnReplicaDisconnected(2, /*clean=*/true);
+  EXPECT_EQ(monitor.Liveness(2), service::ReplicaLiveness::kDetached);
+  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{1});
 }
 
 TEST(HeartbeatMonitorTest, EventCallbackStreamsEveryTransition) {
-  service::HeartbeatMonitorOptions opts;
-  opts.watchdog = false;
-  service::HeartbeatMonitor monitor(opts);
+  service::HeartbeatMonitor monitor;
   std::vector<service::ReplicaEvent> events;  // no watchdog: single-threaded
   monitor.set_event_callback(
       [&](const service::ReplicaEvent& event) { events.push_back(event); });
@@ -1113,7 +1151,6 @@ TEST(HeartbeatMonitorTest, PartialReportSetsNeverFlagStragglers) {
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 3;
-  opts.watchdog = false;
   service::HeartbeatMonitor monitor(opts);
   monitor.OnHeartbeat(0, 0, 10.0);
   monitor.OnHeartbeat(1, 0, 500.0);  // looks like a straggler, but 2/3
@@ -1136,7 +1173,6 @@ TEST(HeartbeatMonitorTest, StragglerCallbackFiresOncePerCompleteIteration) {
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 2;
-  opts.watchdog = false;
   service::HeartbeatMonitor monitor(opts);
   std::vector<service::IterationHeartbeatStats> fired;  // single-threaded
   monitor.set_straggler_callback(
@@ -1168,7 +1204,6 @@ TEST(HeartbeatMonitorTest, ShrinkingExpectedRetroactivelyCompletesReportSets) {
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 3;
-  opts.watchdog = false;
   service::HeartbeatMonitor monitor(opts);
   std::vector<service::IterationHeartbeatStats> fired;  // single-threaded
   monitor.set_straggler_callback(
@@ -1202,7 +1237,6 @@ TEST(HeartbeatMonitorTest, GrowingExpectedNeverDoubleFiresACompletedIteration) {
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 2;
-  opts.watchdog = false;
   service::HeartbeatMonitor monitor(opts);
   std::vector<service::IterationHeartbeatStats> fired;  // single-threaded
   monitor.set_straggler_callback(
@@ -1244,7 +1278,6 @@ service::HeartbeatMonitorOptions FleetMonitorOptions() {
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 3;
-  opts.watchdog = false;
   return opts;
 }
 
@@ -1272,9 +1305,7 @@ service::FleetOptions RebalancingFleet(std::vector<int32_t> replicas,
 TEST(FleetCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
+  service::HeartbeatMonitor monitor;
   service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1, 2}));
 
   // Replica 1 dies with three unfetched plans; 0 and 2 are survivors.
@@ -1282,7 +1313,7 @@ TEST(FleetCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
   store.PushBytes(1, 1, "plan-b");
   store.PushBytes(2, 1, "plan-c");
   monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);  // grace 0 -> kDead
+  monitor.OnReplicaDisconnected(1, /*clean=*/false);  // -> kDead
 
   EXPECT_TRUE(store.PendingIterations(1).empty());
   // Round-robin over the survivors, spare numbers per survivor from the
@@ -1302,9 +1333,7 @@ TEST(FleetCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
 TEST(FleetCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
+  service::HeartbeatMonitor monitor;
   service::FleetCoordinator fleet(&store, &monitor, Fleet({1}));
 
   store.PushBytes(0, 1, "plan-a");
@@ -1324,9 +1353,7 @@ TEST(FleetCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
 TEST(FleetCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
+  service::HeartbeatMonitor monitor;
   service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1}));
 
   // Someone already published at the survivor's first spare key.
@@ -1350,9 +1377,7 @@ TEST(FleetCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
 TEST(FleetCoordinatorTest, SpareKeysSurviveASecondDeath) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
+  service::HeartbeatMonitor monitor;
   service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1, 2}));
 
   store.PushBytes(0, 1, "plan-a");
@@ -1442,7 +1467,7 @@ TEST(FleetCoordinatorTest, DeadReplicaPinsItsBacklog) {
                                   RebalancingFleet({0, 1, 2}, 1));
 
   monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDisconnected(2, /*clean=*/false);  // grace 0 -> kDead
+  monitor.OnReplicaDisconnected(2, /*clean=*/false);  // -> kDead
   store.PushBytes(0, 2, "dead-backlog");
   FeedIteration(monitor, 1, /*slow=*/2);  // late beats from the dead replica
   EXPECT_EQ(fleet.report().shed_events, 0);
@@ -1631,9 +1656,7 @@ TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
 TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts;
-  mopts.watchdog = false;
-  service::HeartbeatMonitor monitor(mopts);
+  service::HeartbeatMonitor monitor;
   service::FleetOptions opts = Fleet({0, 1});
   opts.membership = true;
   service::FleetCoordinator fleet(&store, &monitor, opts);

@@ -148,7 +148,7 @@ struct ShmBackend : Backend {
       : store_(transport::ShmInstructionStore::Create(
             std::move(name), transport::ShmStoreOptions{capacity, 64,
                                                         size_t{1} << 20})),
-        poller_(store_, &monitor_, /*poll_interval_ms=*/1) {}
+        poller_(store_, &monitor_) {}
   runtime::InstructionStoreInterface& store() override { return *store_; }
   const service::HeartbeatMonitor* heartbeats() const override {
     return &monitor_;

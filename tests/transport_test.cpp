@@ -669,11 +669,10 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
           << "iteration " << i;
       EXPECT_GE(stats.max_wall_ms, kSlowMs) << "iteration " << i;
     }
-    // Progress frontiers: every replica finished the epoch, nobody lags.
+    // Progress frontiers: every replica finished the epoch.
     for (int32_t replica = 0; replica < kReplicas; ++replica) {
       EXPECT_EQ(monitor.LastIteration(replica), kIterations - 1);
     }
-    EXPECT_TRUE(monitor.LaggingReplicas(0).empty());
     if (server.has_value()) {
       server->Stop();
     }
@@ -938,10 +937,10 @@ TEST(ExecutorDaemonTest, BinaryAttachesOverShmAndDrains) {
 
 // Three executors; replica 1 SIGKILLs itself at iteration 1's heartbeat
 // fault point — a real crash, no unwind, no goodbye. Its mux stream, which
-// carried its kAttach, drops uncleanly, so with connection grace 0 the monitor
-// declares it dead immediately; the recovery coordinator moves its one
-// unfetched plan (iteration 2) to a survivor at a spare iteration number,
-// and the open-ended survivors — parked polling past their own epoch —
+// carried its kAttach, drops uncleanly, so the monitor declares it dead
+// immediately; the recovery coordinator moves its one unfetched plan
+// (iteration 2) to a survivor at a spare iteration number, and the
+// open-ended survivors — parked polling past their own epoch —
 // pick it up and drain the store to zero. Plans are byte-identical: the
 // children verify every fetched plan re-encodes to bytes the parent
 // published. fork() happens before any parent-side thread exists (TSan).
@@ -971,8 +970,8 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
     children.push_back(child);
   }
 
-  // Control plane. No heartbeat deadlines: death comes from the unclean
-  // connection drop alone (grace 0 = a vanished process is dead now). The
+  // Control plane. No heartbeat deadline: death comes from the unclean
+  // connection drop alone (a vanished process is dead now). The
   // coordinator subscribes before the server serves its first frame.
   service::HeartbeatMonitor monitor;
   runtime::InstructionStore store(
@@ -1058,7 +1057,6 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   }
 
   service::HeartbeatMonitorOptions mopts;
-  mopts.suspect_after_ms = 150.0;
   mopts.dead_after_ms = 450.0;
   service::HeartbeatMonitor monitor(mopts);
   runtime::InstructionStore store(
@@ -1103,25 +1101,40 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   }
 }
 
-// Replica 1's third frame on its persistent mux stream is corrupted in
-// flight (the injector flips the type byte, so the server deterministically
-// rejects it and drops the connection). With a connection grace configured
-// the drop is suspicion, not death: the executor reconnects, re-attaches,
-// retries, and finishes its counted run — the fault is a hiccup, nobody is
-// declared dead, and nothing is re-published.
-TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
+namespace {
+// Three replicas' plans for the corrupted-frame tests, plus their encodings
+// (what the children accept as a byte-identical fetch).
+struct CorruptEpoch {
+  std::vector<std::vector<sim::ExecutionPlan>> plans;
+  std::vector<std::string> expected;
+};
+
+CorruptEpoch MakeCorruptEpoch(int iterations, int32_t replicas) {
+  CorruptEpoch epoch;
+  epoch.plans.resize(static_cast<size_t>(replicas));
+  for (int i = 0; i < iterations; ++i) {
+    for (int32_t r = 0; r < replicas; ++r) {
+      epoch.plans[static_cast<size_t>(r)].push_back(
+          MarkerPlan(200 + 10 * i + r));
+      epoch.expected.push_back(service::EncodeExecutionPlan(
+          epoch.plans[static_cast<size_t>(r)].back()));
+    }
+  }
+  return epoch;
+}
+}  // namespace
+
+// Replica 1's third frame on its persistent mux stream (its first publish
+// poll, after kAttach and the clock sync) is corrupted in flight: the
+// injector flips the type byte, so the server deterministically rejects it
+// and drops the connection. With no liveness sink on the store nothing can
+// declare death, so the drop is a hiccup: the executor reconnects,
+// re-attaches, retries, and finishes its counted run.
+TEST(FaultControlLoopTest, CorruptedFrameWithoutLivenessSinkReconnects) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(200 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const CorruptEpoch epoch = MakeCorruptEpoch(kIterations, kReplicas);
   const std::string socket_path = UniqueSocketPath("corrupt");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1129,16 +1142,61 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
     ASSERT_GE(child, 0);
     if (child == 0) {
       RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
-                    expected, r == kVictim ? "corrupt@2" : nullptr,
+                    epoch.expected, r == kVictim ? "corrupt@2" : nullptr,
                     /*iterations=*/kIterations,
                     /*require_reconnect=*/r == kVictim);
     }
     children.push_back(child);
   }
 
-  service::HeartbeatMonitorOptions mopts;
-  mopts.connection_grace_ms = 2'000.0;  // a drop is suspicion, not death
-  service::HeartbeatMonitor monitor(mopts);
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
+  auto server = std::make_unique<transport::InstructionStoreServer>(
+      transport.get(), &store);
+  for (int i = 0; i < kIterations; ++i) {
+    for (int32_t r = 0; r < kReplicas; ++r) {
+      store.Push(i, r,
+                 epoch.plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
+    }
+  }
+
+  for (const pid_t child : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "executor status " << status;
+  }
+  EXPECT_EQ(store.size(), 0u);
+  server->Stop();
+}
+
+// The same corrupted frame with the monitor attached: an unclean drop is
+// death, whatever caused it. Recovery moves the victim's whole backlog (it
+// fetched nothing) to the survivors' spare keys, and the victim's reconnect
+// is answered kEvicted at its kAttach — it exits as evicted (code 7) without
+// running anything, so every plan runs exactly once, on a survivor.
+TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
+  constexpr int kIterations = 3;
+  constexpr int32_t kReplicas = 3;
+  constexpr int32_t kVictim = 1;
+  const CorruptEpoch epoch = MakeCorruptEpoch(kIterations, kReplicas);
+  const std::string socket_path = UniqueSocketPath("corrupt-evict");
+  std::vector<pid_t> children;
+  for (int32_t r = 0; r < kReplicas; ++r) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Survivors run open-ended so they pick up the spare keys.
+      RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
+                    epoch.expected, r == kVictim ? "corrupt@2" : nullptr,
+                    /*iterations=*/r == kVictim ? kIterations : -1,
+                    /*require_reconnect=*/false);
+    }
+    children.push_back(child);
+  }
+
+  service::HeartbeatMonitor monitor;
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   store.set_heartbeat_sink(&monitor);
@@ -1151,22 +1209,41 @@ TEST(FaultControlLoopTest, CorruptedFrameCausesReconnectNotDeath) {
       transport.get(), &store);
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
+      store.Push(i, r,
+                 epoch.plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
     }
   }
 
-  for (const pid_t child : children) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "executor status " << status;
-  }
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(monitor.DeadReplicas().empty());
+  // The server must still be up for the victim to hear the verdict, so it
+  // is reaped before teardown.
+  int status = 0;
+  ASSERT_EQ(::waitpid(children[kVictim], &status, 0), children[kVictim]);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 7)
+      << "victim status " << status;
+  ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
+  // One heartbeat per executed plan: the survivors' own epochs plus the
+  // victim's moved backlog, and none from the victim.
+  const int64_t plans_total = int64_t{kIterations} * kReplicas;
+  ASSERT_TRUE(WaitUntil(
+      [&] { return monitor.total_heartbeats() >= plans_total; }, 30'000));
+  EXPECT_EQ(monitor.total_heartbeats(), plans_total);
+  EXPECT_EQ(monitor.LastIteration(kVictim), -1);
+  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
   const service::FleetReport report = fleet.report();
-  EXPECT_TRUE(report.dead_replicas.empty());
-  EXPECT_EQ(report.replanned_iterations, 0);
+  EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
+  EXPECT_EQ(report.replanned_iterations, kIterations);
+  EXPECT_EQ(report.dropped_iterations, 0);
+
   server->Stop();
+  server.reset();
+  transport.reset();
+  for (int32_t r = 0; r < kReplicas; ++r) {
+    if (r == kVictim) continue;
+    ASSERT_EQ(::waitpid(children[static_cast<size_t>(r)], &status, 0),
+              children[static_cast<size_t>(r)]);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "survivor " << r << " status " << status;
+  }
 }
 
 // Two deaths in one epoch. Replica 1 crashes at its first heartbeat; the
