@@ -147,9 +147,7 @@ class LatencyTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Point-in-time copy of every registered instrument, name-sorted. Also the
-// unit that crosses the wire in a kStatsReply (codec in
-// src/transport/frame.h) and folds into EpochResult.
+// Point-in-time copy of every registered instrument, name-sorted.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;

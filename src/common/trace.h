@@ -9,7 +9,7 @@
 // Timeline alignment: every process stamps events on its own steady clock,
 // anchored to wall-clock microseconds at tracer init so independently started
 // processes land on roughly the same axis, plus an adjustable offset refined
-// by a wire exchange at executor attach (a kStatsRequest round trip: offset
+// by a wire exchange at executor attach (a kClockRequest round trip: offset
 // += peer_now − midpoint(send, recv) — see docs/OBSERVABILITY.md). Offsets
 // make timestamps comparable across processes, which is what lets one merged
 // trace interleave the trainer and its forked executors.

@@ -198,7 +198,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       // (unclean connection drop -> kDead) from a finished one (clean
       // detach).
       if (!mux_client->Attach(options.replica, &evicted,
-                              kAttachReplyTimeoutMs, options.join)) {
+                              kAttachReplyTimeoutMs)) {
         return fail("liveness attach on " + options.attach + " failed");
       }
       if (!evicted) {
@@ -245,7 +245,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       // Bounded: the reconnect window overlaps server teardown, where a
       // connection is accepted by the OS but never served.
       if (!fresh->Attach(options.replica, &attach_evicted,
-                         kAttachReplyTimeoutMs, options.join)) {
+                         kAttachReplyTimeoutMs)) {
         continue;
       }
       if (attach_evicted) {

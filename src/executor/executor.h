@@ -75,16 +75,17 @@ struct ExecutorOptions {
   // 10 ms floor), so one knob scales the whole attach/reconnect patience.
   int attach_timeout_ms = 10'000;
   // --- Elastic membership ---
-  // Declare join intent on attach (kAttachCapJoin on the socket endpoint; a
-  // plain announce on shm, where joining is intrinsic). The publisher's
-  // FleetCoordinator admits the replica and seeds it with stolen
-  // backlog at spare iteration keys — a joiner therefore normally runs with
-  // start_iteration at the publisher's spare base.
-  bool join = false;
-  // >= 0: after this many executed iterations, request a graceful drain
-  // (kDrainRequest / the shm slot's drain word), wait for the publisher's
-  // acknowledgement (by which point the unfetched backlog has been handed to
-  // the survivors), then detach cleanly and exit. -1 never drains.
+  // A replica outside the publisher's fleet joins by attaching like any
+  // other: the FleetCoordinator admits the replica when it turns alive and
+  // seeds it with stolen backlog at spare iteration keys — a joiner
+  // therefore normally runs with start_iteration at the publisher's spare
+  // base.
+  //
+  // drain_after >= 0: after this many executed iterations, request a
+  // graceful drain (kDrainRequest / the shm slot's drain word), wait for the
+  // publisher's acknowledgement (by which point the unfetched backlog has
+  // been handed to the survivors), then detach cleanly and exit. -1 never
+  // drains.
   int64_t drain_after = -1;
   // Per-iteration hook (nullable). The plan/sim pointers are valid only for
   // the duration of the call.

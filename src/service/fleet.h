@@ -15,11 +15,11 @@
 //             fetch may be in flight); the furthest-future plans are the ones
 //             a fast replica overtakes.
 //   join      (membership on) a replica outside the member set turns kAlive —
-//             a wire attach with kAttachCapJoin, or a bare shm
-//             AnnounceReplica: admission keys off the liveness event, so the
-//             shm path needs no attach frame. It is admitted, the expected
-//             fleet grows, and it steals a fair share (deepest backlog / new
-//             fleet size) of the deepest member's tail.
+//             a plain wire kAttach, or a bare shm AnnounceReplica: admission
+//             keys off the liveness event, so neither path declares
+//             anything. It is admitted, the expected fleet grows, and it
+//             steals a fair share (deepest backlog / new fleet size) of the
+//             deepest member's tail.
 //   drain     (membership on) a member turns kDraining (wire kDrainRequest or
 //             the shm slot's drain word). It is fenced in the store, its
 //             backlog is reposted to the surviving members, the expected

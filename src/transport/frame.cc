@@ -1,14 +1,20 @@
 #include "src/transport/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/fault_injection.h"
+#include "src/common/metrics.h"
 #include "src/service/plan_serde.h"
 
 namespace dynapipe::transport {
 
 namespace {
+
+// ReadFrame grows a frame body by at most this much per read, so a claimed
+// length costs only the bytes that actually arrive.
+constexpr uint64_t kReadChunkBytes = uint64_t{64} << 10;
 
 // Frames-by-type counters, resolved once per type. WriteFrame is the one
 // choke point every outbound frame in both directions passes through, so
@@ -45,10 +51,10 @@ common::Counter& FrameCounterFor(FrameType type) {
           reg.GetCounter("transport_frames_detach_total");
       return c;
     }
-    case FrameType::kStatsRequest:
-    case FrameType::kStatsReply: {
+    case FrameType::kClockRequest:
+    case FrameType::kClockReply: {
       static common::Counter& c =
-          reg.GetCounter("transport_frames_stats_total");
+          reg.GetCounter("transport_frames_clock_total");
       return c;
     }
     case FrameType::kPlanBytes: {
@@ -157,9 +163,15 @@ std::optional<Frame> ReadFrame(Stream& stream, std::string* error) {
   if (len > kMaxFrameBytes) {
     return fail("frame: implausible length");
   }
-  std::string body(len, '\0');
-  if (!stream.ReadAll(body.data(), body.size())) {
-    return fail("frame: truncated body");
+  // A header claiming 1 GiB followed by EOF must not make us zero-fill
+  // 1 GiB. Frames up to one chunk (every plan) still read in one go.
+  std::string body;
+  while (body.size() < len) {
+    const size_t have = body.size();
+    body.resize(have + std::min<uint64_t>(len - have, kReadChunkBytes));
+    if (!stream.ReadAll(body.data() + have, body.size() - have)) {
+      return fail("frame: truncated body");
+    }
   }
 
   Frame frame;
@@ -206,135 +218,20 @@ bool TryParseHeartbeatPayload(std::string_view payload, double* wall_ms) {
   return true;
 }
 
-namespace {
-
-constexpr size_t kMaxStatsNameBytes = 256;
-
-void AppendName(const std::string& name, std::string* out) {
-  service::AppendVarint(name.size(), out);
-  out->append(name);
-}
-
-bool TryParseName(std::string_view payload, size_t* pos, std::string* name) {
-  uint64_t len = 0;
-  if (!service::TryParseVarint(payload, pos, &len) ||
-      len > kMaxStatsNameBytes || len > payload.size() - *pos) {
-    return false;
-  }
-  name->assign(payload.data() + *pos, static_cast<size_t>(len));
-  *pos += static_cast<size_t>(len);
-  return true;
-}
-
-// An entry count larger than the remaining bytes is corrupt (every entry is
-// at least 2 bytes); rejecting it here means a flipped count byte cannot
-// drive allocation — same discipline as plan_serde's implausible counts.
-bool PlausibleCount(uint64_t count, std::string_view payload, size_t pos) {
-  return count <= payload.size() - pos;
-}
-
-}  // namespace
-
-void AppendStatsPayload(int64_t trace_now_us,
-                        const common::MetricsSnapshot& snapshot,
-                        std::string* out) {
+void AppendClockPayload(int64_t trace_now_us, std::string* out) {
   service::AppendVarint(
       trace_now_us < 0 ? 0 : static_cast<uint64_t>(trace_now_us), out);
-  service::AppendVarint(snapshot.counters.size(), out);
-  for (const auto& c : snapshot.counters) {
-    AppendName(c.name, out);
-    service::AppendZigzag(c.value, out);
-  }
-  service::AppendVarint(snapshot.gauges.size(), out);
-  for (const auto& g : snapshot.gauges) {
-    AppendName(g.name, out);
-    service::AppendZigzag(g.value, out);
-  }
-  service::AppendVarint(snapshot.histograms.size(), out);
-  for (const auto& h : snapshot.histograms) {
-    AppendName(h.name, out);
-    service::AppendVarint(static_cast<uint64_t>(h.count < 0 ? 0 : h.count),
-                          out);
-    service::AppendVarint(static_cast<uint64_t>(h.sum_us < 0 ? 0 : h.sum_us),
-                          out);
-    service::AppendVarint(h.buckets.size(), out);
-    for (const int64_t b : h.buckets) {
-      service::AppendVarint(static_cast<uint64_t>(b < 0 ? 0 : b), out);
-    }
-  }
 }
 
-bool TryParseStatsPayload(std::string_view payload, int64_t* trace_now_us,
-                          common::MetricsSnapshot* snapshot) {
-  *snapshot = common::MetricsSnapshot{};
+bool TryParseClockPayload(std::string_view payload, int64_t* trace_now_us) {
   size_t pos = 0;
   uint64_t now = 0;
-  if (!service::TryParseVarint(payload, &pos, &now) || now > INT64_MAX) {
+  if (!service::TryParseVarint(payload, &pos, &now) || now > INT64_MAX ||
+      pos != payload.size()) {
     return false;
   }
   *trace_now_us = static_cast<int64_t>(now);
-
-  uint64_t count = 0;
-  if (!service::TryParseVarint(payload, &pos, &count) ||
-      !PlausibleCount(count, payload, pos)) {
-    return false;
-  }
-  snapshot->counters.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    common::MetricsSnapshot::CounterValue c;
-    if (!TryParseName(payload, &pos, &c.name) ||
-        !service::TryParseZigzag(payload, &pos, &c.value)) {
-      return false;
-    }
-    snapshot->counters.push_back(std::move(c));
-  }
-
-  if (!service::TryParseVarint(payload, &pos, &count) ||
-      !PlausibleCount(count, payload, pos)) {
-    return false;
-  }
-  snapshot->gauges.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    common::MetricsSnapshot::CounterValue g;
-    if (!TryParseName(payload, &pos, &g.name) ||
-        !service::TryParseZigzag(payload, &pos, &g.value)) {
-      return false;
-    }
-    snapshot->gauges.push_back(std::move(g));
-  }
-
-  if (!service::TryParseVarint(payload, &pos, &count) ||
-      !PlausibleCount(count, payload, pos)) {
-    return false;
-  }
-  snapshot->histograms.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    common::MetricsSnapshot::HistogramValue h;
-    uint64_t v = 0;
-    if (!TryParseName(payload, &pos, &h.name) ||
-        !service::TryParseVarint(payload, &pos, &v) || v > INT64_MAX) {
-      return false;
-    }
-    h.count = static_cast<int64_t>(v);
-    if (!service::TryParseVarint(payload, &pos, &v) || v > INT64_MAX) {
-      return false;
-    }
-    h.sum_us = static_cast<int64_t>(v);
-    uint64_t num_buckets = 0;
-    if (!service::TryParseVarint(payload, &pos, &num_buckets) ||
-        num_buckets > common::LatencyHistogram::kNumBuckets) {
-      return false;
-    }
-    h.buckets.reserve(static_cast<size_t>(num_buckets));
-    for (uint64_t b = 0; b < num_buckets; ++b) {
-      if (!service::TryParseVarint(payload, &pos, &v) || v > INT64_MAX) {
-        return false;
-      }
-      h.buckets.push_back(static_cast<int64_t>(v));
-    }
-    snapshot->histograms.push_back(std::move(h));
-  }
-  return pos == payload.size();
+  return true;
 }
 
 }  // namespace dynapipe::transport

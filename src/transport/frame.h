@@ -7,9 +7,11 @@
 //          zigzag(replica), payload...
 //
 // The payload is the rest of the body and is type-specific: plan_serde bytes
-// for kPush/kPlanBytes, one 0/1 byte for kBool, a varint for kCount, empty
-// otherwise. Integers reuse the plan_serde varint primitives so the whole
-// wire speaks one encoding.
+// for kPush/kPlanBytes, one 0/1 byte for kBool, a varint for kCount,
+// kHeartbeat and kClockReply, empty otherwise. Integers reuse the plan_serde
+// varint primitives so the whole wire speaks one encoding. Every frame type
+// has one direction: the client sends requests and the server writes only
+// replies.
 //
 // request_id correlates replies with requests on a multiplexed connection
 // (mux.h): the client tags every request with a fresh id and the server
@@ -23,7 +25,8 @@
 //
 // ReadFrame never trusts the peer: a corrupt length (over kMaxFrameBytes),
 // truncated body, or unparsable header field is a clean nullopt, not a crash
-// in the receiving process.
+// in the receiving process — and a length the peer claims but never sends
+// costs at most what actually arrived, not the claim.
 #ifndef DYNAPIPE_SRC_TRANSPORT_FRAME_H_
 #define DYNAPIPE_SRC_TRANSPORT_FRAME_H_
 
@@ -32,7 +35,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/common/metrics.h"
 #include "src/transport/transport.h"
 
 namespace dynapipe::transport {
@@ -48,22 +50,18 @@ enum class FrameType : uint8_t {
                    // payload = varint(wall-clock microseconds the iteration
                    // took); response kOk (the reply keeps the protocol
                    // strictly request/response on every transport)
-  kAttach = 7,     // replica announces itself on this connection; response
-                   // kOk — or kEvicted when the replica was declared dead
-                   // (a zombie reconnecting after recovery moved its plans).
-                   // A connection that ends after kAttach without a matching
-                   // kDetach is an *unclean* disconnect: the server reports
-                   // it to the liveness sink, which is how a SIGKILLed
-                   // executor is detected immediately instead of after a
-                   // heartbeat deadline.
+  kAttach = 7,     // replica announces itself on this connection; payload
+                   // empty; response kOk — or kEvicted when the replica was
+                   // declared dead (a zombie reconnecting after recovery
+                   // moved its plans). A connection that ends after kAttach
+                   // without a matching kDetach is an *unclean* disconnect:
+                   // the server reports it to the liveness sink, which is how
+                   // a SIGKILLed executor is detected immediately instead of
+                   // after a heartbeat deadline.
   kDetach = 8,     // clean goodbye for one replica; response kOk
-  kStatsRequest = 9,  // frame v3: "send me your metrics snapshot"; response
-                      // kStatsReply. Travels *both* directions: any client
-                      // may ask the server (this round trip is also the
-                      // clock-alignment exchange at executor attach), and the
-                      // server may ask a mux client that declared the stats
-                      // capability in its kAttach payload — that is how the
-                      // publisher pulls executor-side snapshots mid-epoch.
+  kClockRequest = 9,  // "what does your trace clock read?"; response
+                      // kClockReply. The executor's clock-alignment exchange
+                      // at attach and reconnect.
   kDrainRequest = 10,  // frame v4: replica (in the header) asks to leave the
                        // fleet gracefully. The server fences the replica as a
                        // repost destination and hands the event to the
@@ -88,10 +86,8 @@ enum class FrameType : uint8_t {
   kEvicted = 69,   // kHeartbeat/kAttach from a replica declared dead: stop —
                    // your plans were re-published, exit instead of
                    // double-running them.
-  kStatsReply = 70,  // frame v3: payload = varint(responder's aligned
-                     // trace-clock now, µs) + metrics snapshot (codec below).
-                     // A malformed payload is handled like any malformed
-                     // frame: drop the connection, never crash.
+  kClockReply = 70,  // payload = varint(server's aligned trace-clock now,
+                     // µs); codec below.
   kDrainAck = 71,  // frame v4: the drain handoff finished — the replica is
                    // fenced, its unfetched backlog lives with survivors.
                    // Receiving it is the green light to finish in-flight
@@ -134,42 +130,11 @@ void AppendHeartbeatPayload(double wall_ms, std::string* out);
 // that like any malformed frame (drop the connection, never crash).
 bool TryParseHeartbeatPayload(std::string_view payload, double* wall_ms);
 
-// kStatsReply payload codec (frame v3). Layout, varints/zigzags throughout:
-//
-//   varint(trace_now_us)            responder's aligned trace clock (µs;
-//                                   negatives clamp to 0 at encode)
-//   varint(#counters)   then per counter:   varint(len) name zigzag(value)
-//   varint(#gauges)     then per gauge:     varint(len) name zigzag(value)
-//   varint(#histograms) then per histogram: varint(len) name varint(count)
-//                                           varint(sum_us) varint(#buckets)
-//                                           varint(bucket)...
-//
-// TryParse distrusts the peer the same way plan_serde does: entry counts are
-// bounded by remaining payload bytes (a corrupt count cannot drive
-// allocation), names are capped at 256 bytes, bucket vectors at
-// LatencyHistogram::kNumBuckets, and trailing bytes are malformed. False
-// means "treat as malformed frame" — drop the connection, never crash.
-void AppendStatsPayload(int64_t trace_now_us,
-                        const common::MetricsSnapshot& snapshot,
-                        std::string* out);
-bool TryParseStatsPayload(std::string_view payload, int64_t* trace_now_us,
-                          common::MetricsSnapshot* snapshot);
-
-// kAttach capability payload (frame v3/v4). v2 attach payloads were empty and
-// remain valid (no capabilities). Byte 0 is a capability bitmask today;
-// kAttachCapStats marks a connection whose client demux answers
-// server-initiated kStatsRequest frames (the mux client); a client that does
-// not read its stream between requests must NOT set it.
-inline constexpr uint8_t kAttachCapStats = 0x01;
-// frame v4: the attaching replica declares it may be *outside* the fleet the
-// publisher configured — a mid-epoch joiner. The server's handling is
-// identical either way (attach + liveness touch); the bit exists so the
-// intent is explicit on the wire and a future server may refuse unknown
-// replicas that do not declare it. Admission itself rides the liveness event
-// stream: the FleetCoordinator admits any unknown replica that goes
-// alive, which is also how shm joiners (who have no attach frame at all —
-// AnnounceReplica claims a heartbeat slot) are admitted.
-inline constexpr uint8_t kAttachCapJoin = 0x02;
+// kClockReply payload codec: varint(trace_now_us). A negative clock encodes
+// as 0; TryParse rejects a truncated varint, a value over INT64_MAX and any
+// trailing byte — the caller treats that like any malformed frame.
+void AppendClockPayload(int64_t trace_now_us, std::string* out);
+bool TryParseClockPayload(std::string_view payload, int64_t* trace_now_us);
 
 }  // namespace dynapipe::transport
 

@@ -48,33 +48,14 @@ void MuxInstructionStore::DemuxLoop() {
     if (!reply.has_value()) {
       break;  // closed, torn, or malformed: the connection is over
     }
-    if (reply->type == FrameType::kStatsRequest) {
-      // Not a reply at all: the *server* is asking for this process's
-      // snapshot (the publisher's mid-epoch pull). Dispatching on type before
-      // the waiter lookup keeps the two directions' id spaces independent —
-      // the echoed id below is the server's, never one of ours. Answered
-      // inline: the demux thread holds no lock while serving, and the
-      // snapshot walk is microseconds.
-      Frame stats;
-      stats.type = FrameType::kStatsReply;
-      stats.request_id = reply->request_id;
-      AppendStatsPayload(common::Tracer::Instance().NowUs(),
-                         common::MetricsRegistry::Instance().Snapshot(),
-                         &stats.payload);
-      std::lock_guard<std::mutex> write_lock(write_mu_);
-      if (!WriteFrame(*stream_, stats)) {
-        error = "mux: stats reply write failed";
-        break;
-      }
-      continue;
-    }
     std::lock_guard<std::mutex> lock(mu_);
     Waiter* waiter =
         slots_[reply->request_id % static_cast<uint64_t>(kMuxWaiterSlots)];
     if (waiter == nullptr || waiter->request_id != reply->request_id) {
-      // A reply nobody asked for is a protocol violation; treat it like a
+      // A frame nobody asked for (an unknown id, or a request — the server
+      // writes only replies) is a protocol violation; treat it like a
       // malformed frame and drop the connection rather than guess.
-      error = "mux: reply for unknown request id";
+      error = "mux: frame for unknown request id";
       break;
     }
     slots_[reply->request_id % static_cast<uint64_t>(kMuxWaiterSlots)] =
@@ -391,20 +372,11 @@ bool MuxInstructionStore::TryHeartbeat(int32_t replica, int64_t iteration,
 }
 
 bool MuxInstructionStore::Attach(int32_t replica, bool* evicted,
-                                 int timeout_ms, bool join) {
+                                 int timeout_ms) {
   *evicted = false;
   Frame request;
   request.type = FrameType::kAttach;
   request.replica = replica;
-  // Declare the stats capability: this client's demux loop answers
-  // server-initiated kStatsRequest frames, so the server may pull snapshots
-  // over this connection mid-epoch. A joiner additionally declares
-  // kAttachCapJoin (frame v4).
-  uint8_t caps = kAttachCapStats;
-  if (join) {
-    caps |= kAttachCapJoin;
-  }
-  request.payload.push_back(static_cast<char>(caps));
   Frame reply;
   if (!TryCall(request, &reply, timeout_ms)) {
     return false;
@@ -441,29 +413,19 @@ bool MuxInstructionStore::Detach(int32_t replica) {
   return TryCall(request, &reply) && reply.type == FrameType::kOk;
 }
 
-bool MuxInstructionStore::TryStats(int64_t* server_trace_now_us,
-                                   common::MetricsSnapshot* snapshot,
-                                   int timeout_ms) {
+bool MuxInstructionStore::TrySyncClock(int timeout_ms) {
+  common::Tracer& tracer = common::Tracer::Instance();
+  const int64_t send_us = tracer.NowUs();
   Frame request;
-  request.type = FrameType::kStatsRequest;
+  request.type = FrameType::kClockRequest;
   Frame reply;
   if (!TryCall(request, &reply, timeout_ms)) {
     return false;
   }
-  if (reply.type != FrameType::kStatsReply ||
-      !TryParseStatsPayload(reply.payload, server_trace_now_us, snapshot)) {
-    stream_->Close();  // protocol confusion: connection-grade failure
-    return false;
-  }
-  return true;
-}
-
-bool MuxInstructionStore::TrySyncClock(int timeout_ms) {
-  common::Tracer& tracer = common::Tracer::Instance();
-  const int64_t send_us = tracer.NowUs();
   int64_t server_now_us = 0;
-  common::MetricsSnapshot ignored;
-  if (!TryStats(&server_now_us, &ignored, timeout_ms)) {
+  if (reply.type != FrameType::kClockReply ||
+      !TryParseClockPayload(reply.payload, &server_now_us)) {
+    stream_->Close();  // protocol confusion: connection-grade failure
     return false;
   }
   tracer.AlignToPeer(server_now_us, send_us, tracer.NowUs());

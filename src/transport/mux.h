@@ -30,7 +30,9 @@
 // A torn or malformed reply stream is a connection error, not a crash: the
 // demux loop closes the stream, fails every outstanding waiter, and marks
 // the client dead (connection_ok()); subsequent calls are fatal at the call
-// site (the store is gone).
+// site (the store is gone). The server writes only replies, so any frame
+// that matches no waiter — an unknown id, or a request the server has no
+// business sending — is such an error too.
 #ifndef DYNAPIPE_SRC_TRANSPORT_MUX_H_
 #define DYNAPIPE_SRC_TRANSPORT_MUX_H_
 
@@ -124,13 +126,8 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
                     bool* evicted);
   // Liveness announcement for `replica` on this connection (kAttach /
   // kDetach). *evicted=true when the server refused the attach because the
-  // replica is already declared dead. The attach payload declares the stats
-  // capability (frame v3): this connection's demux loop answers
-  // server-initiated kStatsRequest frames. `join` additionally sets
-  // kAttachCapJoin (frame v4) — declarative intent to join a running fleet;
-  // admission itself rides the liveness event the attach fires.
-  bool Attach(int32_t replica, bool* evicted, int timeout_ms = 0,
-              bool join = false);
+  // replica is already declared dead.
+  bool Attach(int32_t replica, bool* evicted, int timeout_ms = 0);
   bool Detach(int32_t replica);
   // Graceful-leave handshake (frame v4 kDrainRequest): by the time kDrainAck
   // comes back the server has fenced this replica and reposted its unfetched
@@ -138,14 +135,11 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   // server answered kEvicted (this replica was declared dead mid-request).
   // False on connection loss or timeout.
   bool TryDrain(int32_t replica, bool* evicted, int timeout_ms = 0);
-  // Client-initiated kStatsRequest: the server's process-wide snapshot plus
-  // its aligned trace clock. False on connection loss or a malformed reply
-  // (which closes the stream — protocol confusion is connection-grade).
-  bool TryStats(int64_t* server_trace_now_us, common::MetricsSnapshot* snapshot,
-                int timeout_ms = 0);
-  // One kStatsRequest round trip folded into the tracer's clock offset
+  // One kClockRequest round trip folded into the tracer's clock offset
   // (offset += server_now − midpoint(send, recv)), so spans this process
-  // emits land on the server's timeline. Call once after Attach.
+  // emits land on the server's timeline. Call once after Attach. False on
+  // connection loss or a malformed reply (which closes the stream — protocol
+  // confusion is connection-grade).
   bool TrySyncClock(int timeout_ms = 0);
 
  private:
@@ -179,8 +173,8 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   void DemuxLoop();
 
   std::unique_ptr<Stream> stream_;
-  // Serializes frame writes onto the single stream (any caller thread plus
-  // none from the demux side — replies only flow inward).
+  // Serializes frame writes onto the single stream (caller threads only —
+  // the demux side never writes).
   mutable std::mutex write_mu_;
 
   mutable std::mutex mu_;  // waiter slab, credits, failure state

@@ -1,7 +1,6 @@
 #include "src/transport/store_server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <optional>
@@ -44,7 +43,7 @@ void InstructionStoreServer::Stop() {
   // dropping those plans is the correct outcome (same as the in-process
   // store's teardown contract).
   store_->Shutdown();
-  std::vector<std::shared_ptr<Handler>> handlers;
+  std::vector<std::unique_ptr<Handler>> handlers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     handlers.swap(handlers_);
@@ -79,12 +78,12 @@ void InstructionStoreServer::AcceptLoop() {
     // leave finished handlers behind; reap them here to keep the list
     // bounded by concurrently-live connections.
     ReapFinishedLocked();
-    auto handler = std::make_shared<Handler>();
+    auto handler = std::make_unique<Handler>();
     handler->conn = std::move(conn);
     Handler* h = handler.get();
     handlers_.push_back(std::move(handler));
     // `h` stays valid until joined: reaping joins only after `done`, and the
-    // swap in Stop() keeps the shared_ptrs alive through their joins.
+    // swap in Stop() keeps the handlers alive through their joins.
     h->thread = std::thread([this, h] {
       HandleConnection(*h);
       // Dropping a connection (clean EOF, malformed frame, misbehaving
@@ -96,83 +95,11 @@ void InstructionStoreServer::AcceptLoop() {
   }
 }
 
-std::vector<RemoteReplicaStats> InstructionStoreServer::CollectRemoteStats(
-    int timeout_ms) {
-  // Snapshot the stats-capable handlers that have a replica attached, then
-  // send each one a kStatsRequest tagged with a freshly minted id. The
-  // handler threads deliver matching kStatsReply frames into pending_stats_.
-  std::vector<std::shared_ptr<Handler>> targets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return {};
-    }
-    for (const std::shared_ptr<Handler>& h : handlers_) {
-      if (h->done.load(std::memory_order_acquire) ||
-          !h->stats_capable.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      std::lock_guard<std::mutex> attach_lock(h->attach_mu);
-      if (!h->attached.empty()) {
-        targets.push_back(h);
-      }
-    }
-  }
-  std::vector<uint64_t> ids;
-  for (const std::shared_ptr<Handler>& h : targets) {
-    uint64_t id;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      id = next_stats_request_id_++;
-      PendingStats& pending = pending_stats_[id];
-      std::lock_guard<std::mutex> attach_lock(h->attach_mu);
-      pending.result.replicas = h->attached;
-    }
-    Frame request;
-    request.type = FrameType::kStatsRequest;
-    request.request_id = id;
-    bool sent;
-    {
-      std::lock_guard<std::mutex> lock(h->write_mu);
-      sent = WriteFrame(*h->conn, request);
-    }
-    if (sent) {
-      ids.push_back(id);
-    } else {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      pending_stats_.erase(id);
-    }
-  }
-
-  std::vector<RemoteReplicaStats> results;
-  std::unique_lock<std::mutex> lock(stats_mu_);
-  stats_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    for (const uint64_t id : ids) {
-      const auto it = pending_stats_.find(id);
-      if (it != pending_stats_.end() && !it->second.done) {
-        return false;
-      }
-    }
-    return true;
-  });
-  for (const uint64_t id : ids) {
-    const auto it = pending_stats_.find(id);
-    if (it != pending_stats_.end()) {
-      if (it->second.done) {
-        results.push_back(std::move(it->second.result));
-      }
-      pending_stats_.erase(it);
-    }
-  }
-  return results;
-}
-
 void InstructionStoreServer::HandleConnection(Handler& handler) {
   Stream& conn = *handler.conn;
-  // Replies come from three threads — the demux loop below (inline replies),
-  // the push worker (deferred kPush replies), and CollectRemoteStats
-  // (server-initiated kStatsRequest) — so frame writes are serialized per
-  // connection through the handler's write lock.
+  // Replies come from two threads — the demux loop below (inline replies)
+  // and the push worker (deferred kPush replies) — so frame writes are
+  // serialized per connection through the handler's write lock.
   std::mutex& write_mu = handler.write_mu;
   const auto write_reply = [&](const Frame& reply) {
     std::lock_guard<std::mutex> lock(write_mu);
@@ -226,23 +153,15 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
   // — SIGKILL, crash, torn transport — and the liveness sink hears about it
   // as an *unclean* disconnect. Suppressed while the server itself is
   // stopping: teardown closes every stream, and that must not declare the
-  // whole fleet dead. Lives on the handler (under attach_mu) so
-  // CollectRemoteStats can label this connection's snapshot with its
-  // replicas; this demux thread is the only writer.
-  std::vector<int32_t>& attached = handler.attached;
+  // whole fleet dead.
+  std::vector<int32_t> attached;
   const auto finish = [&] {
-    {
-      // Scope the lock to the attach-list mutation: joining a push worker
-      // parked in a capacity wait below can take a while, and
-      // CollectRemoteStats must not block on attach_mu for that long.
-      std::lock_guard<std::mutex> attach_lock(handler.attach_mu);
-      for (const int32_t replica : attached) {
-        if (!stopping_.load(std::memory_order_acquire)) {
-          store_->NotifyReplicaDisconnected(replica, /*clean=*/false);
-        }
+    for (const int32_t replica : attached) {
+      if (!stopping_.load(std::memory_order_acquire)) {
+        store_->NotifyReplicaDisconnected(replica, /*clean=*/false);
       }
-      attached.clear();
     }
+    attached.clear();
     if (!push_worker.joinable()) {
       return;  // no kPush ever arrived
     }
@@ -346,34 +265,20 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
         break;
       }
       case FrameType::kAttach: {
-        // Frame v3/v4 capability payload: empty (v2) or one bitmask byte.
-        // Anything longer is malformed like any unparsable frame.
-        if (request->payload.size() > 1) {
+        // The payload is empty; anything else is malformed like any
+        // unparsable frame.
+        if (!request->payload.empty()) {
           finish();
           return;
         }
-        if (!request->payload.empty() &&
-            (static_cast<uint8_t>(request->payload[0]) & kAttachCapStats) !=
-                0) {
-          handler.stats_capable.store(true, std::memory_order_relaxed);
-        }
-        // kAttachCapJoin needs no handler state: join admission rides the
-        // liveness event the NotifyReplicaAttached below fires — the
-        // FleetCoordinator admits any unknown replica that turns alive
-        // (membership on). The bit is declarative intent (and keeps the
-        // executor's command line honest); an old server ignores it
-        // harmlessly.
         if (store_->ReplicaConsideredDead(request->replica)) {
           reply.type = FrameType::kEvicted;  // zombie reconnect: refuse
           break;
         }
         store_->NotifyReplicaAttached(request->replica);
-        {
-          std::lock_guard<std::mutex> attach_lock(handler.attach_mu);
-          if (std::find(attached.begin(), attached.end(), request->replica) ==
-              attached.end()) {
-            attached.push_back(request->replica);
-          }
+        if (std::find(attached.begin(), attached.end(), request->replica) ==
+            attached.end()) {
+          attached.push_back(request->replica);
         }
         reply.type = FrameType::kOk;
         break;
@@ -396,49 +301,17 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
       }
       case FrameType::kDetach: {
         store_->NotifyReplicaDisconnected(request->replica, /*clean=*/true);
-        {
-          std::lock_guard<std::mutex> attach_lock(handler.attach_mu);
-          attached.erase(
-              std::remove(attached.begin(), attached.end(), request->replica),
-              attached.end());
-        }
+        attached.erase(
+            std::remove(attached.begin(), attached.end(), request->replica),
+            attached.end());
         reply.type = FrameType::kOk;
         break;
       }
-      case FrameType::kStatsRequest: {
-        // Any client may ask for this process's snapshot; the reply also
-        // carries our aligned trace clock, which is the server half of the
-        // clock-alignment exchange at executor attach.
-        reply.type = FrameType::kStatsReply;
-        AppendStatsPayload(common::Tracer::Instance().NowUs(),
-                           common::MetricsRegistry::Instance().Snapshot(),
-                           &reply.payload);
+      case FrameType::kClockRequest:
+        // The server half of the executor's clock-alignment exchange.
+        reply.type = FrameType::kClockReply;
+        AppendClockPayload(common::Tracer::Instance().NowUs(), &reply.payload);
         break;
-      }
-      case FrameType::kStatsReply: {
-        // Answer to a server-initiated pull (CollectRemoteStats). Malformed
-        // payloads get the standard treatment: drop the connection, never
-        // crash. A well-formed reply whose id matches no pending pull (the
-        // collector timed out and forgot it) is simply discarded.
-        int64_t remote_now_us = 0;
-        common::MetricsSnapshot snapshot;
-        if (!TryParseStatsPayload(request->payload, &remote_now_us,
-                                  &snapshot)) {
-          finish();
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          const auto it = pending_stats_.find(request->request_id);
-          if (it != pending_stats_.end()) {
-            it->second.result.remote_trace_now_us = remote_now_us;
-            it->second.result.snapshot = std::move(snapshot);
-            it->second.done = true;
-          }
-        }
-        stats_cv_.notify_all();
-        continue;  // a reply frame gets no reply
-      }
       default:
         // Unknown request type: drop the connection.
         finish();

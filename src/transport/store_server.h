@@ -22,35 +22,25 @@
 // Plan bytes pass through verbatim (InstructionStore::PushBytes/FetchBytes):
 // the server never decodes a plan, so what the executor fetches is
 // byte-identical to what the planner published. Malformed frames (corrupt
-// length, truncated body, unparsable header) drop the connection cleanly —
-// the server never crashes or hangs on hostile bytes.
+// length, truncated body, unparsable header, a reply-type frame sent as a
+// request) drop the connection cleanly — the server never crashes or hangs
+// on hostile bytes. The server writes only replies: it never initiates a
+// frame, so a client that reads its stream only while awaiting a reply is
+// never surprised.
 #ifndef DYNAPIPE_SRC_TRANSPORT_STORE_SERVER_H_
 #define DYNAPIPE_SRC_TRANSPORT_STORE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "src/common/metrics.h"
 #include "src/runtime/instruction_store.h"
 #include "src/transport/transport.h"
 
 namespace dynapipe::transport {
-
-// One executor-side metrics snapshot pulled over the wire (frame v3
-// kStatsRequest/kStatsReply): which replicas were attached on the connection
-// that answered, the responder's aligned trace-clock at answer time, and its
-// process-wide snapshot.
-struct RemoteReplicaStats {
-  std::vector<int32_t> replicas;
-  int64_t remote_trace_now_us = 0;
-  common::MetricsSnapshot snapshot;
-};
 
 class InstructionStoreServer {
  public:
@@ -76,33 +66,16 @@ class InstructionStoreServer {
   // Requests answered so far (malformed ones excluded).
   int64_t requests_served() const { return requests_served_.load(); }
 
-  // Mid-epoch executor observability: sends kStatsRequest to every live
-  // connection that attached a replica AND declared the stats capability in
-  // its kAttach payload (the mux client does; a client that omits it may not
-  // read its stream between requests), then waits up to
-  // `timeout_ms` for the kStatsReply round trips. Returns whatever arrived in
-  // time; a silent or vanished peer just drops out of the result. Safe to
-  // call at any time, including concurrently with traffic on the polled
-  // connections — server-initiated requests use their own id space and the
-  // client demux answers them by type, so they never collide with the
-  // client's own in-flight ids.
-  std::vector<RemoteReplicaStats> CollectRemoteStats(int timeout_ms);
-
  private:
   // One live connection: the stream (so Stop can close it out from under a
   // blocked read/write), the demux thread serving it (which owns the
   // connection's push worker), and the per-connection write lock shared by
-  // inline replies, deferred push replies, and server-initiated stats
-  // requests. Held by shared_ptr so CollectRemoteStats can write to a
-  // connection that races with its own reap.
+  // inline replies and deferred push replies.
   struct Handler {
     std::shared_ptr<Stream> conn;
     std::thread thread;
     std::atomic<bool> done{false};
     std::mutex write_mu;
-    std::atomic<bool> stats_capable{false};
-    std::mutex attach_mu;
-    std::vector<int32_t> attached;  // guarded by attach_mu
   };
 
   void AcceptLoop();
@@ -121,20 +94,8 @@ class InstructionStoreServer {
 
   std::mutex mu_;
   bool stopped_ = false;
-  std::vector<std::shared_ptr<Handler>> handlers_;  // guarded by mu_
+  std::vector<std::unique_ptr<Handler>> handlers_;  // guarded by mu_
   std::thread accept_thread_;
-
-  // In-flight server-initiated stats pulls, keyed by the request id minted
-  // for them; handler threads fill entries when the matching kStatsReply
-  // lands on their connection.
-  struct PendingStats {
-    bool done = false;
-    RemoteReplicaStats result;
-  };
-  std::mutex stats_mu_;
-  std::condition_variable stats_cv_;
-  uint64_t next_stats_request_id_ = 1;
-  std::map<uint64_t, PendingStats> pending_stats_;  // guarded by stats_mu_
 };
 
 }  // namespace dynapipe::transport

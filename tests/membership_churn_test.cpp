@@ -95,7 +95,6 @@ bool WaitUntil(const std::function<bool()>& condition, int timeout_ms) {
 // One forked executor's role in a churn epoch.
 struct ChurnChildSpec {
   int32_t replica = 0;
-  bool join = false;              // declare join intent; admission by event
   bool require_work = false;      // joiner in the acceptance test: >= 1 plan
   int64_t start_iteration = 0;    // joiners poll at the spare base
   int64_t drain_after = -1;       // request a drain after this many runs
@@ -131,7 +130,6 @@ struct ChurnChildSpec {
   opts.start_iteration = spec.start_iteration;
   opts.idle_timeout_ms = spec.idle_timeout_ms;
   opts.slow_ms = kPaceMs;
-  opts.join = spec.join;
   opts.drain_after = spec.drain_after;
   // Byte checks are set-membership: a moved plan (stolen for a joiner,
   // reposted off a drainer or a corpse) keeps its bytes but not its key.
@@ -226,7 +224,6 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     ChurnChildSpec spec;
     spec.replica = r;
     if (r == kJoiner) {
-      spec.join = true;
       spec.require_work = true;
       spec.start_iteration = kIterations;  // the spare base
     }
@@ -353,7 +350,6 @@ void RunSeededChurnEpoch(uint32_t seed) {
     ChurnChildSpec spec;
     spec.replica = r;
     if (r == kJoiner) {
-      spec.join = true;
       spec.start_iteration = kIterations;
       spec.pre_attach_delay_ms = schedule.join_delay_ms;
       // A late joiner can legitimately find the backlog already fair-shared

@@ -1,10 +1,10 @@
 // Tests for the cross-process observability stack (src/common/metrics.h,
-// src/common/trace.h, and the frame-v3 stats channel): lock-free instrument
+// src/common/trace.h, and the wire clock exchange): lock-free instrument
 // correctness under thread hammering (the TSan job runs this suite), snapshot
-// deltas, stats-payload codec round trips and hostile-input fuzzing — both
-// standalone and against a live store server — a mid-epoch CollectRemoteStats
-// pull from a fork()ed executor, ring-buffer wraparound JSON well-formedness,
-// and the acceptance run: a fork()ed three-executor mux epoch whose merged
+// deltas, clock-payload codec bounds, a live store server that shrugs off
+// hostile bytes and still serves the clock exchange, ring-buffer wraparound
+// JSON well-formedness, and the acceptance run: a fork()ed three-executor
+// mux epoch whose merged
 // trace must contain a complete, clock-aligned
 // planned → published → fetched → decoded → executed chain for every
 // iteration across all four processes.
@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -39,6 +38,7 @@
 #include "src/executor/executor.h"
 #include "src/runtime/instruction_store.h"
 #include "src/service/heartbeat_monitor.h"
+#include "src/service/plan_serde.h"
 #include "src/sim/cluster_sim.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
@@ -180,125 +180,91 @@ TEST(MetricsTest, PrometheusTextExportsRegisteredInstruments) {
   EXPECT_NE(text.find("dynapipe_obs_test_prom_us_sum"), std::string::npos);
 }
 
-// ---------- stats payload codec ----------
+// ---------- clock payload codec ----------
 
-common::MetricsSnapshot SyntheticSnapshot() {
-  common::MetricsSnapshot snap;
-  snap.counters.push_back({"alpha_total", 17});
-  snap.counters.push_back({"beta_total", 0});
-  snap.gauges.push_back({"depth", -5});
-  common::MetricsSnapshot::HistogramValue h;
-  h.name = "lat_us";
-  h.count = 3;
-  h.sum_us = 700;
-  h.buckets = {0, 1, 2};
-  snap.histograms.push_back(h);
-  return snap;
+TEST(ClockPayloadTest, RoundTripAndClamp) {
+  for (const int64_t now_us : {int64_t{0}, int64_t{123'456'789}, INT64_MAX}) {
+    std::string payload;
+    transport::AppendClockPayload(now_us, &payload);
+    int64_t parsed = -1;
+    ASSERT_TRUE(transport::TryParseClockPayload(payload, &parsed));
+    EXPECT_EQ(parsed, now_us);
+  }
+  // A negative clock encodes as 0.
+  std::string payload;
+  transport::AppendClockPayload(-42, &payload);
+  int64_t parsed = -1;
+  ASSERT_TRUE(transport::TryParseClockPayload(payload, &parsed));
+  EXPECT_EQ(parsed, 0);
 }
 
-TEST(StatsPayloadTest, RoundTrip) {
-  const common::MetricsSnapshot snap = SyntheticSnapshot();
+TEST(ClockPayloadTest, RejectsTruncationTrailingBytesAndOverflow) {
   std::string payload;
-  transport::AppendStatsPayload(123'456'789, snap, &payload);
-
-  int64_t now_us = 0;
-  common::MetricsSnapshot parsed;
-  ASSERT_TRUE(transport::TryParseStatsPayload(payload, &now_us, &parsed));
-  EXPECT_EQ(now_us, 123'456'789);
-  ASSERT_EQ(parsed.counters.size(), 2u);
-  EXPECT_EQ(parsed.counter("alpha_total"), 17);
-  EXPECT_EQ(parsed.counter("beta_total"), 0);
-  EXPECT_EQ(parsed.gauge("depth"), -5);
-  const common::MetricsSnapshot::HistogramValue* h = parsed.histogram("lat_us");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 3);
-  EXPECT_EQ(h->sum_us, 700);
-  EXPECT_EQ(h->buckets, (std::vector<int64_t>{0, 1, 2}));
-}
-
-TEST(StatsPayloadTest, TruncationAndBitFlipsNeverCrash) {
-  const common::MetricsSnapshot snap = SyntheticSnapshot();
-  std::string payload;
-  transport::AppendStatsPayload(987'654, snap, &payload);
-
-  // Every proper prefix is either rejected or parses to something sane —
-  // never a crash, never an over-allocation.
+  transport::AppendClockPayload(INT64_MAX, &payload);
+  int64_t parsed = 0;
+  // Every proper prefix (the empty payload included) is rejected.
   for (size_t len = 0; len < payload.size(); ++len) {
-    int64_t now_us = 0;
-    common::MetricsSnapshot parsed;
-    const bool ok = transport::TryParseStatsPayload(
-        std::string_view(payload.data(), len), &now_us, &parsed);
-    EXPECT_FALSE(ok) << "truncated payload of " << len << " bytes accepted";
+    EXPECT_FALSE(transport::TryParseClockPayload(
+        std::string_view(payload.data(), len), &parsed))
+        << "truncated payload of " << len << " bytes accepted";
   }
-  // Trailing garbage is malformed.
-  {
-    int64_t now_us = 0;
-    common::MetricsSnapshot parsed;
-    EXPECT_FALSE(
-        transport::TryParseStatsPayload(payload + '\0', &now_us, &parsed));
-  }
-  // Deterministic bit flips: whatever they decode to, the parser must return
-  // and any accepted snapshot must stay within hostile-input bounds.
-  uint64_t rng = 0x9e3779b97f4a7c15ull;
-  for (int trial = 0; trial < 2000; ++trial) {
-    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-    std::string corrupt = payload;
-    corrupt[(rng >> 16) % corrupt.size()] ^=
-        static_cast<char>(1u << ((rng >> 40) % 8));
-    int64_t now_us = 0;
-    common::MetricsSnapshot parsed;
-    if (transport::TryParseStatsPayload(corrupt, &now_us, &parsed)) {
-      for (const auto& c : parsed.counters) {
-        EXPECT_LE(c.name.size(), 256u);
-      }
-      for (const auto& h : parsed.histograms) {
-        EXPECT_LE(h.buckets.size(),
-                  static_cast<size_t>(common::LatencyHistogram::kNumBuckets));
-      }
-    }
-  }
+  // Trailing bytes are malformed.
+  EXPECT_FALSE(transport::TryParseClockPayload(payload + '\0', &parsed));
+  // A well-formed varint over INT64_MAX is not a clock.
+  std::string overflow;
+  service::AppendVarint(uint64_t{INT64_MAX} + 1, &overflow);
+  EXPECT_FALSE(transport::TryParseClockPayload(overflow, &parsed));
+  overflow.clear();
+  service::AppendVarint(UINT64_MAX, &overflow);
+  EXPECT_FALSE(transport::TryParseClockPayload(overflow, &parsed));
 }
 
-// ---------- stats channel against a live server ----------
+// ---------- clock exchange against a live server ----------
 
-TEST(StatsChannelTest, ServerSurvivesHostileBytesAndStillServesStats) {
+TEST(ClockChannelTest, ServerSurvivesHostileBytesAndStillServesClock) {
   const std::string socket_path = UniqueSocketPath("hostile");
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   transport::UnixSocketTransport transport(socket_path);
   transport::InstructionStoreServer server(&transport, &store);
 
-  // A few hostile connections: raw garbage, a truncated frame header, an
-  // oversized attach payload (capability payloads over one byte are
-  // malformed), and a kStatsReply nobody asked for. The server must shrug
-  // every one of them off.
+  // A few hostile connections: raw garbage, attach payloads of 16 bytes and
+  // of one byte (kAttach carries none), and a kClockReply sent as a request.
+  // The server must shrug every one of them off. The framed ones are
+  // complete, so the server judges them at once: it drops the connection and
+  // the peer reads EOF, never a reply.
+  const auto expect_dropped = [](transport::Stream& s, const char* what) {
+    EXPECT_FALSE(ReadFrame(s).has_value()) << what << " was answered";
+  };
   {
     std::unique_ptr<transport::Stream> s = transport.Connect();
     ASSERT_NE(s, nullptr);
     const std::string garbage = "\xff\xfe\xfd not a frame at all";
     s->WriteAll(garbage.data(), garbage.size());
   }
-  {
+  for (const size_t payload_bytes : {size_t{16}, size_t{1}}) {
     std::unique_ptr<transport::Stream> s = transport.Connect();
     ASSERT_NE(s, nullptr);
     transport::Frame attach;
     attach.type = transport::FrameType::kAttach;
     attach.replica = 0;
-    attach.payload = std::string(16, '\x01');  // 16-byte capability mask: bad
-    WriteFrame(*s, attach);
+    attach.payload = std::string(payload_bytes, '\x01');
+    ASSERT_TRUE(WriteFrame(*s, attach));
+    expect_dropped(*s, payload_bytes == 1 ? "1-byte attach payload"
+                                          : "16-byte attach payload");
   }
   {
     std::unique_ptr<transport::Stream> s = transport.Connect();
     ASSERT_NE(s, nullptr);
     transport::Frame reply;
-    reply.type = transport::FrameType::kStatsReply;
-    reply.iteration = 424242;  // matches no pending server request
-    reply.payload = "definitely not a stats payload";
-    WriteFrame(*s, reply);
+    reply.type = transport::FrameType::kClockReply;
+    transport::AppendClockPayload(424242, &reply.payload);
+    ASSERT_TRUE(WriteFrame(*s, reply));
+    expect_dropped(*s, "unsolicited kClockReply");
   }
 
-  // A well-behaved client still gets full service: attach, a stats pull of
-  // the server's process-wide snapshot, and plan traffic.
+  // A well-behaved client still gets full service: attach, the clock
+  // exchange, and plan traffic.
   std::shared_ptr<transport::MuxInstructionStore> client =
       transport::MuxInstructionStore::OverUnixSocket(socket_path);
   ASSERT_NE(client, nullptr);
@@ -306,121 +272,17 @@ TEST(StatsChannelTest, ServerSurvivesHostileBytesAndStillServesStats) {
   bool evicted = true;
   ASSERT_TRUE(client->Attach(0, &evicted, /*timeout_ms=*/2000));
   EXPECT_FALSE(evicted);
+  ASSERT_TRUE(client->TrySyncClock(/*timeout_ms=*/2000));
 
   store.Push(7, 0, MarkerPlan(3));
   bool lost = false;
   std::optional<sim::ExecutionPlan> plan = client->TryFetch(7, 0, &lost);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(lost);
-
-  int64_t server_now_us = 0;
-  common::MetricsSnapshot snap;
-  ASSERT_TRUE(client->TryStats(&server_now_us, &snap, /*timeout_ms=*/2000));
-  EXPECT_GT(server_now_us, 0);
-  // The fetch above went through the mux backend on the server side.
-  EXPECT_GE(snap.counter("store_mux_fetch_total"), 1);
+  EXPECT_TRUE(client->connection_ok());
 
   client->Detach(0);
   client->Shutdown();
-  server.Stop();
-}
-
-TEST(StatsChannelTest, CollectRemoteStatsPullsForkedExecutorSnapshot) {
-  constexpr int kIterations = 2;
-  const std::string socket_path = UniqueSocketPath("pull");
-
-  // fork() before any parent-side thread exists (TSan).
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    executor::ExecutorOptions opts;
-    opts.attach = socket_path;
-    opts.endpoint = executor::AttachEndpoint::kUnixSocketMux;
-    opts.replica = 0;
-    opts.iterations = kIterations;
-    // Slow enough that the executor stays attached while the parent pulls.
-    opts.slow_ms = 300.0;
-    const executor::ExecutorReport report = executor::RunExecutor(opts);
-    ::_exit(report.ok ? 0 : 2);
-  }
-
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(socket_path);
-  transport::InstructionStoreServer server(&transport, &store);
-  for (int i = 0; i < kIterations; ++i) {
-    store.Push(i, 0, MarkerPlan(i + 1));
-  }
-
-  // The executor needs a moment to attach; retry the pull until it answers.
-  std::vector<transport::RemoteReplicaStats> remote;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (remote.empty() && std::chrono::steady_clock::now() < deadline) {
-    remote = server.CollectRemoteStats(/*timeout_ms=*/1000);
-    if (remote.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  ASSERT_FALSE(remote.empty()) << "no executor answered the stats pull";
-  EXPECT_EQ(remote[0].replicas, std::vector<int32_t>{0});
-  EXPECT_GT(remote[0].remote_trace_now_us, 0);
-  // The executor fetched at least one plan through its mux client by now.
-  EXPECT_GE(remote[0].snapshot.counter("store_mux_fetch_total"), 1);
-
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "executor exited with status " << status;
-  server.Stop();
-}
-
-// The server must only pull stats from connections that declared
-// kAttachCapStats. No client in this repo attaches without it, but the wire
-// allows it (request id 0, an empty kAttach payload), so a raw stream speaks
-// that shape here: it is attached and tracked, yet CollectRemoteStats returns
-// only the mux replica and never writes a kStatsRequest to the raw stream.
-TEST(StatsChannelTest, AttachWithoutStatsCapabilityIsNeverPolled) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  transport::LoopbackTransport transport;
-  transport::InstructionStoreServer server(&transport, &store);
-
-  std::unique_ptr<transport::Stream> raw = transport.Connect();
-  ASSERT_NE(raw, nullptr);
-  transport::Frame attach;
-  attach.type = transport::FrameType::kAttach;
-  attach.replica = 1;  // no capability byte at all
-  ASSERT_TRUE(WriteFrame(*raw, attach));
-  std::optional<transport::Frame> reply = ReadFrame(*raw);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, transport::FrameType::kOk);
-
-  std::shared_ptr<transport::MuxInstructionStore> client =
-      transport::MuxInstructionStore::OverTransport(&transport);
-  bool evicted = true;
-  ASSERT_TRUE(client->Attach(0, &evicted, /*timeout_ms=*/2000));
-  EXPECT_FALSE(evicted);
-
-  const std::vector<transport::RemoteReplicaStats> remote =
-      server.CollectRemoteStats(/*timeout_ms=*/1000);
-  ASSERT_EQ(remote.size(), 1u);
-  EXPECT_EQ(remote[0].replicas, std::vector<int32_t>{0});
-
-  // Replies on one connection are written in order, so a kStatsRequest sent
-  // to the raw stream during the pull would arrive ahead of this kCount.
-  transport::Frame size_req;
-  size_req.type = transport::FrameType::kSize;
-  ASSERT_TRUE(WriteFrame(*raw, size_req));
-  reply = ReadFrame(*raw);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, transport::FrameType::kCount);
-
-  client->Detach(0);
-  client.reset();
-  raw->Close();
   server.Stop();
 }
 

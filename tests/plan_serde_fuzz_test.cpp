@@ -285,14 +285,14 @@ TEST(FrameLayerFuzzTest, MalformedRepliesFailMuxDemuxLoopCleanly) {
   // must end in a clean connection error (connection_ok() false, demux
   // thread exited, destructor joins) — never a crash or a hang.
   Rng rng(0xD00Full);
-  for (int case_i = 0; case_i < 40; ++case_i) {
+  for (int case_i = 0; case_i < 50; ++case_i) {
     transport::LoopbackTransport transport;
     auto client = transport::MuxInstructionStore::OverTransport(&transport);
     std::unique_ptr<transport::Stream> fake_server = transport.Accept();
     ASSERT_NE(fake_server, nullptr);
 
     std::string wire;
-    switch (case_i % 4) {
+    switch (case_i % 5) {
       case 0:  // oversized length
         wire = std::string("\xff\xff\xff\xff", 4);
         break;
@@ -304,6 +304,17 @@ TEST(FrameLayerFuzzTest, MalformedRepliesFailMuxDemuxLoopCleanly) {
         frame.type = transport::FrameType::kOk;
         frame.request_id = 7777;
         WriteFrame(*fake_server, frame);
+        break;
+      }
+      case 3: {  // a request: the server writes only replies
+        transport::Frame frame;
+        frame.type = transport::FrameType::kClockRequest;
+        frame.request_id = 1;
+        WriteFrame(*fake_server, frame);
+        // The client drops the stream instead of answering, so the fake
+        // server reads EOF, not a reply.
+        EXPECT_FALSE(ReadFrame(*fake_server).has_value())
+            << "the mux client answered a server-initiated request";
         break;
       }
       default: {  // random garbage

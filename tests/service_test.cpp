@@ -1536,7 +1536,7 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   store.PushBytes(0, 0, "shallow");
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
 
-  // A bare shm announce or a kAttach carrying kAttachCapJoin both surface
+  // A bare shm announce or a plain wire kAttach both surface
   // here: an unknown replica turning alive.
   monitor.OnReplicaAttached(3);
   const service::FleetReport report = fleet.report();

@@ -78,10 +78,10 @@ struct Backend {
   }
   virtual bool heartbeats_are_async() const { return false; }
   // Mid-epoch join is a capability too: how a replica outside the configured
-  // fleet announces itself to a running store. Wire clients carry
-  // kAttachCapJoin on their kAttach (frame v4); a shm replica claims a
-  // heartbeat slot with no frame at all; a plain in-process store has no
-  // membership plane. Returns whether the announcement was delivered.
+  // fleet announces itself to a running store. Wire clients send a plain
+  // kAttach; a shm replica claims a heartbeat slot with no frame at all; a
+  // plain in-process store has no membership plane. Returns whether the
+  // announcement was delivered.
   virtual bool supports_join() const { return false; }
   virtual bool Join(int32_t replica) {
     (void)replica;
@@ -123,11 +123,10 @@ struct MuxBackend : Backend {
   }
   bool supports_join() const override { return true; }
   bool Join(int32_t replica) override {
-    // The mux client's own attach surface; join=true sets kAttachCapJoin on
-    // the persistent connection's kAttach.
+    // A joiner attaches like any replica: admission keys off the liveness
+    // event the attach fires.
     bool evicted = false;
-    return client_->Attach(replica, &evicted, /*timeout_ms=*/2000,
-                           /*join=*/true) &&
+    return client_->Attach(replica, &evicted, /*timeout_ms=*/2000) &&
            !evicted;
   }
 

@@ -7,6 +7,7 @@
 // store would have delivered.
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -148,6 +149,35 @@ TEST(FrameTest, RejectsImplausibleLengthAndTruncatedBody) {
     EXPECT_FALSE(ReadFrame(*server, &error).has_value());
     EXPECT_TRUE(error.empty());
   }
+}
+
+// A header may claim up to kMaxFrameBytes, but the reader pays only for the
+// bytes that actually arrive: a 1 GiB claim followed by EOF is a truncated
+// body, not a 1 GiB allocation. ru_maxrss is the process's peak RSS in KiB.
+TEST(FrameTest, ClaimedLengthDoesNotDriveAllocation) {
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  {
+    transport::LoopbackTransport lo;
+    auto client = lo.Connect();
+    auto server = lo.Accept();
+    const uint64_t claim = transport::kMaxFrameBytes;
+    const unsigned char header[4] = {
+        static_cast<unsigned char>(claim & 0xff),
+        static_cast<unsigned char>((claim >> 8) & 0xff),
+        static_cast<unsigned char>((claim >> 16) & 0xff),
+        static_cast<unsigned char>((claim >> 24) & 0xff)};
+    ASSERT_TRUE(client->WriteAll(header, sizeof(header)));
+    client->Close();
+    std::string error;
+    EXPECT_FALSE(ReadFrame(*server, &error).has_value());
+    EXPECT_EQ(error, "frame: truncated body");
+  }
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64L * 1024)
+      << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss)
+      << " KiB reading a body that never arrived";
 }
 
 // ---------- streams ----------

@@ -50,10 +50,6 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "  --start-iteration <n> first iteration to fetch (default 0)\n"
       "  --iterations <n>      iterations to run; omit to drain until idle\n"
       "  --slow-ms <ms>        artificial per-iteration delay (a straggler)\n"
-      "  --join                attach as a mid-epoch joiner: declare the join\n"
-      "                        capability so the publisher's fleet coordinator\n"
-      "                        admits this replica and seeds it with stolen\n"
-      "                        backlog (poll at the epoch's spare base)\n"
       "  --drain-after <n>     after n executed iterations, request a drain:\n"
       "                        hand the unfetched backlog back to the fleet\n"
       "                        and detach cleanly once acknowledged\n"
@@ -167,8 +163,6 @@ int main(int argc, char** argv) {
       options.iterations = next_int();
     } else if (arg == "--slow-ms") {
       options.slow_ms = ParseDoubleFlag("--slow-ms", next());
-    } else if (arg == "--join") {
-      options.join = true;
     } else if (arg == "--drain-after") {
       options.drain_after = next_int();
     } else if (arg == "--idle-timeout-ms") {
