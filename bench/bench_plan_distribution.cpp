@@ -188,8 +188,8 @@ HeartbeatRow MeasureHeartbeat(const char* name,
 // (bench/README.md "Failure recovery"). An executor vanishes with `backlog`
 // plans still unfetched; the monitor declares it dead (an unclean
 // connection drop is death) and the FleetCoordinator moves the backlog to
-// survivors. The coordinator reposts synchronously inside the event
-// delivery, so the OnReplicaDisconnected call spans the whole hop — what a
+// survivors. The coordinator reposts inside the same call, so the
+// OnReplicaDisconnected call spans the whole hop — what a
 // trainer stalls for before degraded-mode execution can resume. Reposting is
 // a key move on resident bytes (no re-plan, no re-encode), so the per-plan
 // cost should stay flat as the backlog grows.
@@ -208,17 +208,16 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
     // be re-killed. Setup (pushes, attach) stays outside the timed window.
     runtime::InstructionStore store(
         runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    service::HeartbeatMonitor monitor;
     service::FleetOptions fleet_opts;
     fleet_opts.replicas = {0, 1, 2};
     fleet_opts.spare_iteration_base = backlog;
-    service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
+    service::FleetCoordinator fleet(&store, {}, fleet_opts);
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);
     }
-    monitor.OnReplicaAttached(1);
+    fleet.OnReplicaAttached(1);
     const auto t0 = std::chrono::steady_clock::now();
-    monitor.OnReplicaDisconnected(/*replica=*/1, /*clean=*/false);
+    fleet.OnReplicaDisconnected(/*replica=*/1, /*clean=*/false);
     row.recovery_ms += MsSince(t0);
     const service::FleetReport report = fleet.report();
     if (report.replanned_iterations != backlog) {
@@ -261,22 +260,21 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     // joins once). Setup (pushes) stays outside the timed windows.
     runtime::InstructionStore store(
         runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    service::HeartbeatMonitor monitor;
     service::FleetOptions fleet_opts;
     fleet_opts.replicas = {0, 1, 2};
     fleet_opts.spare_iteration_base = backlog;
     fleet_opts.membership = true;
-    service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
+    service::FleetCoordinator fleet(&store, {}, fleet_opts);
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);
     }
     // Join admission: alive -> admitted, expected grown, fair share stolen.
     auto t0 = std::chrono::steady_clock::now();
-    monitor.OnReplicaAttached(3);
+    fleet.OnReplicaAttached(3);
     row.join_ms += MsSince(t0);
     // Drain handoff: request -> fence -> repost to survivors -> ack.
     t0 = std::chrono::steady_clock::now();
-    monitor.OnReplicaDrainRequested(1);
+    fleet.OnReplicaDrainRequested(1);
     row.drain_ms += MsSince(t0);
     const service::FleetReport report = fleet.report();
     const int64_t stolen = backlog / 4;  // fair share of the 4-strong fleet

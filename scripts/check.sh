@@ -13,11 +13,21 @@ BUILD_DIR="${1:-${BUILD_DIR:-build-check}}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Layering guard: src/runtime/ is the single-process training loop. The
-# multi-process publisher (socket and shm stores, the fleet coordinator) is
-# wired by its callers (examples/plan_distribution, bench/e2e), so no runtime
-# file may include a transport header or src/service/fleet.h.
+# multi-process publisher (socket and shm stores, the heartbeat monitor or
+# the fleet coordinator) is wired by its callers, so no runtime file may
+# include a transport header or src/service/fleet.h.
 if grep -rnE '#include "src/(transport/|service/fleet\.h)' src/runtime/; then
   echo "ERROR: src/runtime/ includes src/transport/ or src/service/fleet.h" >&2
+  exit 1
+fi
+
+# The heartbeat monitor is a pure detector on the caller's clock: every input
+# returns what it changed, and the fleet coordinator that owns it reacts. It
+# owns no thread and takes no callback.
+if grep -nE 'std::(thread|function)' src/service/heartbeat_monitor.h \
+    src/service/heartbeat_monitor.cc; then
+  echo "ERROR: src/service/heartbeat_monitor.{h,cc} names std::thread or" \
+    "std::function" >&2
   exit 1
 fi
 

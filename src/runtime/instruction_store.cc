@@ -282,9 +282,9 @@ void InstructionStore::NotifyReplicaDrainRequested(int32_t replica) {
     sink = heartbeat_sink_;
   }
   if (sink != nullptr) {
-    // Outside mu_: the sink fires the liveness event chain synchronously, and
-    // the FleetCoordinator at its end calls straight back into this
-    // store (FenceReplica, PendingIterations, Repost).
+    // Outside mu_: a FleetCoordinator sink hands the drainer off inside
+    // this call, straight back into this store (FenceReplica,
+    // PendingIterations, Repost).
     sink->OnReplicaDrainRequested(replica);
   }
 }

@@ -38,10 +38,13 @@
 namespace dynapipe::runtime {
 
 // Receives executor liveness reports on the planner side. The transport
-// server and the in-process store forward heartbeats here; the concrete sink
-// is service::HeartbeatMonitor (straggler detection), kept abstract at this
-// layer so runtime does not depend on service. Implementations must be
-// thread-safe: heartbeats arrive from any number of connection handlers.
+// server, the in-process store and the shm poller forward heartbeats here;
+// the concrete sink is a service::HeartbeatMonitor (detection alone) or a
+// service::FleetCoordinator (detection plus the reaction, in the same call),
+// kept abstract at this layer so runtime does not depend on service.
+// Implementations must be thread-safe: heartbeats arrive from any number of
+// connection handlers. Callers deliver outside their own locks — a
+// coordinator calls straight back into the store.
 class HeartbeatSink {
  public:
   virtual ~HeartbeatSink() = default;
@@ -72,7 +75,7 @@ class HeartbeatSink {
   // frame v4: the replica asked to leave gracefully (kDrainRequest on the
   // wire, a drain-state heartbeat slot on shm). Default no-op so lag-only
   // sinks keep working; the HeartbeatMonitor turns it into a kDraining
-  // liveness event, which is what the FleetCoordinator acts on.
+  // transition, which the FleetCoordinator hands off before it returns.
   virtual void OnReplicaDrainRequested(int32_t replica) { (void)replica; }
 };
 

@@ -27,32 +27,94 @@ int64_t FleetCoordinator::SpareKeyAllocator::Next(int32_t replica) {
 }
 
 FleetCoordinator::FleetCoordinator(runtime::InstructionStoreInterface* store,
-                                   HeartbeatMonitor* monitor,
+                                   HeartbeatMonitorOptions monitor_options,
                                    FleetOptions options)
     : store_(store),
-      monitor_(monitor),
       options_(std::move(options)),
+      monitor_(monitor_options),
       spare_keys_(options_.spare_iteration_base) {
   for (const int32_t replica : options_.replicas) {
     members_.emplace(replica, Member::kActive);
   }
-  monitor_->set_event_callback(
-      [this](const ReplicaEvent& event) { OnEvent(event); });
-  if (options_.rebalance) {
-    monitor_->set_straggler_callback(
-        [this](const IterationHeartbeatStats& stats) {
-          OnIterationComplete(stats);
-        });
+  if (monitor_options.dead_after_ms > 0.0) {
+    // Tick fast enough that the deadline is detected within a fraction of
+    // itself, clamped so near-zero test deadlines do not spin.
+    const auto period = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(
+            std::clamp(monitor_options.dead_after_ms / 4.0, 1.0, 50.0)));
+    ticker_ = std::thread([this, period] {
+      std::unique_lock<std::mutex> lock(mu_);
+      while (!ticker_cv_.wait_for(lock, period, [&] { return ticker_stop_; })) {
+        ReactLocked(monitor_.PollLiveness(Clock::now()));
+      }
+    });
   }
 }
 
 FleetCoordinator::~FleetCoordinator() {
-  // Each drains its in-flight deliveries before returning, so no handler can
-  // run on a destroyed coordinator.
-  if (options_.rebalance) {
-    monitor_->set_straggler_callback(nullptr);
+  if (ticker_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ticker_stop_ = true;
+    }
+    ticker_cv_.notify_all();
+    ticker_.join();
   }
-  monitor_->set_event_callback(nullptr);
+}
+
+void FleetCoordinator::Beat(int32_t replica, int64_t iteration,
+                            double wall_ms, Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReactLocked(monitor_.Beat(replica, iteration, wall_ms, now));
+}
+
+void FleetCoordinator::Attach(int32_t replica, Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReactLocked(monitor_.Attach(replica, now));
+}
+
+void FleetCoordinator::Drain(int32_t replica, Clock::time_point now) {
+  bool handed_off = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t drained = report_.drained.size();
+    ReactLocked(monitor_.Drain(replica, now));
+    handed_off = report_.drained.size() > drained;
+  }
+  if (handed_off && options_.drain_ack) {
+    options_.drain_ack(replica);
+  }
+}
+
+void FleetCoordinator::Drop(int32_t replica, bool clean) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReactLocked(monitor_.Drop(replica, clean));
+}
+
+void FleetCoordinator::PollLiveness(Clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReactLocked(monitor_.PollLiveness(now));
+}
+
+void FleetCoordinator::OnHeartbeat(int32_t replica, int64_t iteration,
+                                   double wall_ms) {
+  Beat(replica, iteration, wall_ms, Clock::now());
+}
+
+void FleetCoordinator::OnReplicaAttached(int32_t replica) {
+  Attach(replica, Clock::now());
+}
+
+void FleetCoordinator::OnReplicaDisconnected(int32_t replica, bool clean) {
+  Drop(replica, clean);
+}
+
+void FleetCoordinator::OnReplicaDrainRequested(int32_t replica) {
+  Drain(replica, Clock::now());
+}
+
+bool FleetCoordinator::IsReplicaDead(int32_t replica) const {
+  return monitor_.IsReplicaDead(replica);
 }
 
 FleetReport FleetCoordinator::report() const {
@@ -122,40 +184,52 @@ std::vector<int64_t> FleetCoordinator::MoveLocked(
   return moved;
 }
 
-void FleetCoordinator::OnEvent(const ReplicaEvent& event) {
-  switch (event.to) {
-    case ReplicaLiveness::kDead:
-      OnDeath(event.replica);
-      break;
-    case ReplicaLiveness::kAlive:
-      if (options_.membership) {
-        OnJoin(event.replica);
+void FleetCoordinator::ReactLocked(const MonitorUpdate& update) {
+  for (const ReplicaEvent& event : update.transitions) {
+    switch (event.to) {
+      case ReplicaLiveness::kDead:
+        OnDeathLocked(event.replica);
+        break;
+      case ReplicaLiveness::kAlive:
+        if (options_.membership) {
+          OnJoinLocked(event.replica);
+        }
+        break;
+      case ReplicaLiveness::kDraining:
+        if (options_.membership) {
+          OnDrainLocked(event.replica);
+        }
+        break;
+      case ReplicaLiveness::kDetached: {
+        // A drainer's clean exit: the handoff and the shrink already
+        // happened, so just retire it. The fence stays up so nothing can
+        // target the departed id; a re-join lifts it.
+        const auto it = members_.find(event.replica);
+        if (it != members_.end() && it->second == Member::kDraining) {
+          members_.erase(it);
+        }
+        break;
       }
-      break;
-    case ReplicaLiveness::kDraining:
-      if (options_.membership) {
-        OnDrain(event.replica);
-      }
-      break;
-    case ReplicaLiveness::kDetached: {
-      // A drainer's clean exit: the handoff and the shrink already happened,
-      // so just retire it. The fence stays up so nothing can target the
-      // departed id; a re-join lifts it.
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = members_.find(event.replica);
-      if (it != members_.end() && it->second == Member::kDraining) {
-        members_.erase(it);
-      }
-      break;
+      default:
+        break;
     }
-    default:
-      break;
+  }
+  if (options_.rebalance) {
+    for (const IterationHeartbeatStats& stats : update.completed) {
+      OnIterationCompleteLocked(stats);
+    }
   }
 }
 
-void FleetCoordinator::OnDeath(int32_t replica) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(mu_);
+void FleetCoordinator::ResizeLocked() {
+  if (options_.membership) {
+    ReactLocked(monitor_.set_expected_replicas(
+        static_cast<int32_t>(ActiveLocked().size())));
+  }
+}
+
+void FleetCoordinator::OnDeathLocked(int32_t replica) {
+  const auto t0 = Clock::now();
   report_.dead_replicas.push_back(replica);
   members_[replica] = Member::kDead;  // sticky, like the monitor's kDead
   const std::vector<int32_t> survivors = PeersLocked(replica);
@@ -174,23 +248,18 @@ void FleetCoordinator::OnDeath(int32_t replica) {
             "recovery_reposts_total");
     reposts.Add(static_cast<int64_t>(moved));
   }
-  const double recovery_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
+  const double recovery_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   report_.recovery_ms += recovery_ms;
-  lock.unlock();
   static common::LatencyHistogram& recovery_us =
       common::MetricsRegistry::Instance().GetHistogram("recovery_us");
   recovery_us.RecordMs(recovery_ms);
-  if (options_.membership) {
-    SyncExpectedReplicas();
-  }
+  ResizeLocked();
 }
 
-void FleetCoordinator::OnIterationComplete(
+void FleetCoordinator::OnIterationCompleteLocked(
     const IterationHeartbeatStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The callback fires only on complete report sets, so every active member
+  // Only complete report sets arrive here, so every active member
   // either straggled this iteration or kept pace — keeping pace resets its
   // streak.
   const std::vector<int32_t> active = ActiveLocked();
@@ -208,15 +277,9 @@ void FleetCoordinator::OnIterationComplete(
         stats.iteration < cooldown->second) {
       continue;  // hysteresis: recently shed work, let it show in the walls
     }
-    // The monitor flips kDead before the death handler runs; a replica dying
-    // right now is the death handler's.
-    if (monitor_->Liveness(slow) == ReplicaLiveness::kDead) {
-      continue;
-    }
     std::vector<int32_t> destinations;
     for (const int32_t peer : PeersLocked(slow)) {
-      if (!Contains(stats.stragglers, peer) &&
-          monitor_->Liveness(peer) != ReplicaLiveness::kDead) {
+      if (!Contains(stats.stragglers, peer)) {
         destinations.push_back(peer);
       }
     }
@@ -250,86 +313,58 @@ void FleetCoordinator::OnIterationComplete(
   }
 }
 
-void FleetCoordinator::OnJoin(int32_t replica) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (members_.count(replica) != 0) {
-      return;  // a known member proving liveness, or a zombie — not a join
-    }
-    common::TraceSpan span("join", "membership", /*iteration=*/0, replica);
-    members_.emplace(replica, Member::kActive);
-    store_->UnfenceReplica(replica);  // re-admission after a drain
-    report_.joined.push_back(replica);
-    static common::Counter& joins =
-        common::MetricsRegistry::Instance().GetCounter(
-            "membership_joins_total");
-    joins.Add();
-    // Donor: the peer with the deepest unfetched backlog.
-    int32_t donor = -1;
-    std::vector<int64_t> tail;
-    for (const int32_t peer : PeersLocked(replica)) {
-      std::vector<int64_t> pending = store_->PendingIterations(peer);
-      if (pending.size() > tail.size()) {
-        donor = peer;
-        tail = std::move(pending);
-      }
-    }
-    if (donor >= 0) {
-      const size_t share = tail.size() / ActiveLocked().size();
-      std::reverse(tail.begin(), tail.end());
-      tail.resize(share);
-      report_.join_stolen +=
-          static_cast<int64_t>(MoveLocked(donor, tail, {replica}).size());
+void FleetCoordinator::OnJoinLocked(int32_t replica) {
+  if (members_.count(replica) != 0) {
+    return;  // a known member proving liveness, or a zombie — not a join
+  }
+  common::TraceSpan span("join", "membership", /*iteration=*/0, replica);
+  members_.emplace(replica, Member::kActive);
+  store_->UnfenceReplica(replica);  // re-admission after a drain
+  report_.joined.push_back(replica);
+  static common::Counter& joins =
+      common::MetricsRegistry::Instance().GetCounter("membership_joins_total");
+  joins.Add();
+  // Donor: the peer with the deepest unfetched backlog.
+  int32_t donor = -1;
+  std::vector<int64_t> tail;
+  for (const int32_t peer : PeersLocked(replica)) {
+    std::vector<int64_t> pending = store_->PendingIterations(peer);
+    if (pending.size() > tail.size()) {
+      donor = peer;
+      tail = std::move(pending);
     }
   }
-  SyncExpectedReplicas();
+  if (donor >= 0) {
+    const size_t share = tail.size() / ActiveLocked().size();
+    std::reverse(tail.begin(), tail.end());
+    tail.resize(share);
+    report_.join_stolen +=
+        static_cast<int64_t>(MoveLocked(donor, tail, {replica}).size());
+  }
+  ResizeLocked();
 }
 
-void FleetCoordinator::OnDrain(int32_t replica) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = members_.find(replica);
-    if (it != members_.end() && it->second != Member::kActive) {
-      return;  // zombie or duplicate request
-    }
-    // Fence first so no racing move lands on the leaver from here on, then
-    // hand its backlog to the survivors.
-    common::TraceSpan span("drain", "membership", /*iteration=*/0, replica);
-    store_->FenceReplica(replica);
-    members_[replica] = Member::kDraining;  // a drain implies membership
-    report_.drain_reposted += static_cast<int64_t>(
-        MoveLocked(replica, store_->PendingIterations(replica),
-                   PeersLocked(replica))
-            .size());
-    report_.drained.push_back(replica);
-    static common::Counter& drains =
-        common::MetricsRegistry::Instance().GetCounter(
-            "membership_drains_total");
-    drains.Add();
+void FleetCoordinator::OnDrainLocked(int32_t replica) {
+  const auto it = members_.find(replica);
+  if (it != members_.end() && it->second != Member::kActive) {
+    return;  // zombie or duplicate request
   }
+  // Fence first so no racing move lands on the leaver from here on, then
+  // hand its backlog to the survivors.
+  common::TraceSpan span("drain", "membership", /*iteration=*/0, replica);
+  store_->FenceReplica(replica);
+  members_[replica] = Member::kDraining;  // a drain implies membership
+  report_.drain_reposted += static_cast<int64_t>(
+      MoveLocked(replica, store_->PendingIterations(replica),
+                 PeersLocked(replica))
+          .size());
+  report_.drained.push_back(replica);
+  static common::Counter& drains =
+      common::MetricsRegistry::Instance().GetCounter("membership_drains_total");
+  drains.Add();
   // Shrink after the handoff: a report set this completes retroactively
   // must see the reposted work already off the leaver's keys.
-  SyncExpectedReplicas();
-  if (options_.drain_ack) {
-    options_.drain_ack(replica);
-  }
-}
-
-void FleetCoordinator::SyncExpectedReplicas() {
-  std::unique_lock<std::mutex> lock(mu_);
-  resync_expected_ = true;
-  if (syncing_expected_) {
-    return;  // the syncing thread re-reads the member set before it stops
-  }
-  syncing_expected_ = true;
-  while (resync_expected_) {
-    resync_expected_ = false;
-    const auto expected = static_cast<int32_t>(ActiveLocked().size());
-    lock.unlock();
-    monitor_->set_expected_replicas(expected);
-    lock.lock();
-  }
-  syncing_expected_ = false;
+  ResizeLocked();
 }
 
 }  // namespace dynapipe::service

@@ -2,7 +2,7 @@
 //
 // The HeartbeatMonitor *detects* (liveness state machine, straggler signal);
 // FleetCoordinator *acts*. It has one job — keep every plan on an executor
-// that will run it — and four reactions to the monitor's events:
+// that will run it — and four reactions to what its monitor reports:
 //
 //   death     a replica turns kDead. Its unfetched backlog is reposted
 //             round-robin to the surviving members; with no survivor left
@@ -24,8 +24,8 @@
 //             the shm slot's drain word). It is fenced in the store, its
 //             backlog is reposted to the surviving members, the expected
 //             fleet shrinks, and `drain_ack` fires — over the wire the
-//             server's kDrainAck reply, sent when the synchronous event chain
-//             returns, is the ack; the shm path passes
+//             server's kDrainAck reply, sent when the sink call returns, is
+//             the ack; the shm path passes
 //             ShmInstructionStore::AcknowledgeDrain. A drainer that then
 //             detaches cleanly is retired; its fence stays until it re-joins.
 //
@@ -49,21 +49,29 @@
 // landing beyond a hole the victim never crosses. The keys of dead and
 // draining victims are never released: neither is ever a destination again.
 //
-// Thread-safe: events arrive from server connection handlers, the shm
-// poller, the watchdog and the publisher loop concurrently. One mutex guards
-// the member set, the report, the rebalance streaks and the spare keys; it
-// is never held across set_expected_replicas (a shrink fires the straggler
-// callback synchronously, back into this coordinator) or drain_ack.
-// Construct after the monitor, destroy first — the destructor unregisters
-// both callbacks and drains in-flight deliveries.
+// One state machine on the caller's clock. The coordinator owns its monitor
+// and is the runtime::HeartbeatSink that stores, the mux server and the shm
+// poller feed: each input goes to the monitor, and the coordinator reacts to
+// the returned update before the call returns, under its one mutex — so the
+// member set changes in the same critical section as the monitor's flip,
+// and a drain's shrink reacts to the report sets it completes in place.
+// Tests drive the same inputs with a `now` of their choosing. With a
+// deadline armed, one ticker thread applies it in real time. Locks are taken
+// coordinator -> monitor and coordinator -> store; the feeders call their
+// sink outside their own locks. `drain_ack` fires after the mutex is
+// released. Make the coordinator the sink before the feeders serve, and
+// destroy the feeders first.
 #ifndef DYNAPIPE_SRC_SERVICE_FLEET_H_
 #define DYNAPIPE_SRC_SERVICE_FLEET_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/runtime/instruction_store.h"
@@ -78,9 +86,9 @@ struct FleetOptions {
   // First spare iteration key on every destination — normally the epoch's
   // iteration count, where an open-ended executor polls after its own share.
   int64_t spare_iteration_base = 0;
-  // Straggler rebalance. Registers the coordinator as the monitor's straggler
-  // callback, which needs the monitor's expected_replicas set: with an
-  // unknown fleet size no iteration ever completes and nothing fires.
+  // Straggler rebalance on every completed report set, which needs the
+  // monitor's expected_replicas set: with an unknown fleet size no iteration
+  // ever completes.
   bool rebalance = false;
   int32_t rebalance_consecutive_flags = 3;  // flagged iterations in a row
   int32_t rebalance_max_moves = 2;          // plans shed per trigger
@@ -111,20 +119,38 @@ struct FleetReport {
   int64_t drain_reposted = 0;    // backlog moved off drainers
 };
 
-class FleetCoordinator {
+class FleetCoordinator final : public runtime::HeartbeatSink {
  public:
-  // Registers itself as `monitor`'s event callback (and straggler callback
-  // when rebalance is on). Neither pointer is owned; both must outlive the
-  // coordinator. The store must have a recovery surface
-  // (supports_recovery()) — the in-process store or the shm segment: plans
-  // move in the process where they live.
+  using Clock = std::chrono::steady_clock;
+
+  // The store must have a recovery surface (supports_recovery()) — the
+  // in-process store or the shm segment: plans move in the process where
+  // they live. Not owned; it must outlive the coordinator.
   FleetCoordinator(runtime::InstructionStoreInterface* store,
-                   HeartbeatMonitor* monitor, FleetOptions options);
-  ~FleetCoordinator();
+                   HeartbeatMonitorOptions monitor_options,
+                   FleetOptions options);
+  ~FleetCoordinator() override;
 
   FleetCoordinator(const FleetCoordinator&) = delete;
   FleetCoordinator& operator=(const FleetCoordinator&) = delete;
 
+  // The monitor's inputs (heartbeat_monitor.h), reacted to in the same call.
+  void Beat(int32_t replica, int64_t iteration, double wall_ms,
+            Clock::time_point now);
+  void Attach(int32_t replica, Clock::time_point now);
+  void Drain(int32_t replica, Clock::time_point now);
+  void Drop(int32_t replica, bool clean);
+  void PollLiveness(Clock::time_point now);
+
+  // runtime::HeartbeatSink: the inputs above at steady_clock::now().
+  void OnHeartbeat(int32_t replica, int64_t iteration,
+                   double wall_ms) override;
+  void OnReplicaAttached(int32_t replica) override;
+  void OnReplicaDisconnected(int32_t replica, bool clean) override;
+  void OnReplicaDrainRequested(int32_t replica) override;
+  bool IsReplicaDead(int32_t replica) const override;
+
+  const HeartbeatMonitor& monitor() const { return monitor_; }
   FleetReport report() const;
 
   // Members that take work and count toward the expected fleet size
@@ -150,11 +176,15 @@ class FleetCoordinator {
     std::map<int32_t, std::set<int64_t>> released_;
   };
 
-  void OnEvent(const ReplicaEvent& event);
-  void OnDeath(int32_t replica);
-  void OnIterationComplete(const IterationHeartbeatStats& stats);
-  void OnJoin(int32_t replica);
-  void OnDrain(int32_t replica);
+  // The reactions; caller holds mu_.
+  void ReactLocked(const MonitorUpdate& update);
+  void OnDeathLocked(int32_t replica);
+  void OnIterationCompleteLocked(const IterationHeartbeatStats& stats);
+  void OnJoinLocked(int32_t replica);
+  void OnDrainLocked(int32_t replica);
+  // Membership on: applies the active member count to the monitor as its
+  // expected fleet size and reacts to the report sets that completes.
+  void ResizeLocked();
 
   // Moves `plans` off `victim` in order, round-robin over `destinations`
   // (advancing on each move), each to the destination's next spare key.
@@ -167,23 +197,21 @@ class FleetCoordinator {
   // Caller holds mu_.
   std::vector<int32_t> PeersLocked(int32_t replica) const;
   std::vector<int32_t> ActiveLocked() const;
-  // Pushes the active member count into the monitor as its expected fleet
-  // size. Called without mu_; concurrent callers coalesce so the last value
-  // applied is always the current one.
-  void SyncExpectedReplicas();
-
   runtime::InstructionStoreInterface* store_;
-  HeartbeatMonitor* monitor_;
   const FleetOptions options_;
 
   mutable std::mutex mu_;
+  HeartbeatMonitor monitor_;
   FleetReport report_;
   std::map<int32_t, Member> members_;
   SpareKeyAllocator spare_keys_;
   std::map<int32_t, int32_t> streak_;          // replica -> flags in a row
   std::map<int32_t, int64_t> cooldown_until_;  // replica -> immune below this
-  bool syncing_expected_ = false;
-  bool resync_expected_ = false;
+
+  // The deadline's real-time driver: ticks PollLiveness while armed.
+  std::condition_variable ticker_cv_;
+  bool ticker_stop_ = false;  // guarded by mu_
+  std::thread ticker_;
 };
 
 }  // namespace dynapipe::service

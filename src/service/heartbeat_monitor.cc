@@ -1,7 +1,6 @@
 #include "src/service/heartbeat_monitor.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/common/metrics.h"
 
@@ -19,55 +18,19 @@ const char* ReplicaLivenessName(ReplicaLiveness state) {
 }
 
 HeartbeatMonitor::HeartbeatMonitor(HeartbeatMonitorOptions options)
-    : options_(options), expected_replicas_(options.expected_replicas) {
-  if (options_.dead_after_ms > 0.0) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
-}
-
-HeartbeatMonitor::~HeartbeatMonitor() {
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
-}
-
-void HeartbeatMonitor::set_event_callback(
-    std::function<void(const ReplicaEvent&)> callback) {
-  std::unique_lock<std::mutex> lock(mu_);
-  event_callback_ = std::move(callback);
-  // Swapping the callback out (to nullptr at subscriber teardown) must not
-  // return while a delivery is mid-flight on another thread — the subscriber
-  // is about to be destroyed. Wait for in-flight deliveries to drain; new
-  // deliveries see the new callback.
-  callback_cv_.wait(lock, [&] { return callbacks_in_flight_ == 0; });
-}
-
-void HeartbeatMonitor::set_straggler_callback(
-    std::function<void(const IterationHeartbeatStats&)> callback) {
-  std::unique_lock<std::mutex> lock(mu_);
-  straggler_callback_ = std::move(callback);
-  // Same drain rule as set_event_callback: unregistering (nullptr) must not
-  // return while a delivery runs on another thread.
-  callback_cv_.wait(lock, [&] { return callbacks_in_flight_ == 0; });
-}
+    : options_(options), expected_replicas_(options.expected_replicas) {}
 
 void HeartbeatMonitor::TransitionLocked(int32_t replica, ReplicaLiveness to,
                                         const char* reason,
-                                        std::vector<ReplicaEvent>* events) {
+                                        MonitorUpdate* update) {
   ReplicaState& state = replicas_[replica];
   if (state.state == to) {
     return;
   }
-  ReplicaEvent event;
-  event.replica = replica;
-  event.from = state.state;
-  event.to = to;
-  event.reason = reason;
+  if (update != nullptr) {
+    update->transitions.push_back(
+        ReplicaEvent{replica, state.state, to, reason});
+  }
   state.state = to;
   static common::Counter& transitions =
       common::MetricsRegistry::Instance().GetCounter(
@@ -79,209 +42,171 @@ void HeartbeatMonitor::TransitionLocked(int32_t replica, ReplicaLiveness to,
             "liveness_deaths_total");
     deaths.Add();
   }
-  events->push_back(std::move(event));
 }
 
-void HeartbeatMonitor::FireEvents(const std::vector<ReplicaEvent>& events) {
-  if (events.empty()) {
+void HeartbeatMonitor::CompleteLocked(int64_t iteration,
+                                      IterationReports& reports,
+                                      MonitorUpdate* update) {
+  // >= (not ==): the fleet may have shrunk below an iteration's reporter
+  // count between its heartbeats. The flag makes completion exactly-once
+  // across both paths that can reach it, a fresh reporter and a shrink.
+  if (reports.completed || expected_replicas_ <= 0 ||
+      static_cast<int32_t>(reports.walls.size()) < expected_replicas_) {
     return;
   }
-  std::function<void(const ReplicaEvent&)> callback;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    callback = event_callback_;
-    if (callback) {
-      ++callbacks_in_flight_;
+  reports.completed = true;
+  if (update != nullptr) {
+    update->completed.push_back(ForIterationLocked(iteration));
+  }
+}
+
+void HeartbeatMonitor::BeatLocked(int32_t replica, int64_t iteration,
+                                  double wall_ms, Clock::time_point now,
+                                  MonitorUpdate* update) {
+  ReplicaState& state = replicas_[replica];
+  if (state.state == ReplicaLiveness::kDead) {
+    // Sticky: a zombie's report neither refreshes anything nor counts toward
+    // the iteration's report set — once the expected fleet has shrunk past
+    // it, a late beat would complete the set before a live member reported,
+    // hiding that member's straggle.
+    return;
+  }
+  ++total_heartbeats_;
+  auto [it, inserted] = last_iteration_.emplace(replica, iteration);
+  if (!inserted) {
+    it->second = std::max(it->second, iteration);
+  }
+  state.last_seen = std::max(state.last_seen, now);
+  // A draining replica's in-flight completions refresh its deadline but
+  // never revive it to kAlive — it is on its way out, not back.
+  if (state.state != ReplicaLiveness::kDraining) {
+    TransitionLocked(replica, ReplicaLiveness::kAlive, "heartbeat", update);
+  }
+  IterationReports& reports = completions_[iteration];
+  // Only a *new* reporter can complete the set; a duplicate overwrites.
+  if (reports.walls.insert_or_assign(replica, wall_ms).second) {
+    CompleteLocked(iteration, reports, update);
+  }
+}
+
+MonitorUpdate HeartbeatMonitor::Beat(int32_t replica, int64_t iteration,
+                                     double wall_ms, Clock::time_point now) {
+  MonitorUpdate update;
+  std::lock_guard<std::mutex> lock(mu_);
+  BeatLocked(replica, iteration, wall_ms, now, &update);
+  return update;
+}
+
+MonitorUpdate HeartbeatMonitor::Attach(int32_t replica,
+                                       Clock::time_point now) {
+  MonitorUpdate update;
+  std::lock_guard<std::mutex> lock(mu_);
+  ReplicaState& state = replicas_[replica];
+  if (state.state != ReplicaLiveness::kDead) {  // a zombie stays dead
+    state.last_seen = std::max(state.last_seen, now);
+    // Liveness touches (the shm poller relays Contains-poll activity as
+    // attach) must not flip a drainer back to alive mid-handoff.
+    if (state.state != ReplicaLiveness::kDraining) {
+      TransitionLocked(replica, ReplicaLiveness::kAlive, "attached", &update);
     }
   }
-  if (!callback) {
-    return;
+  return update;
+}
+
+MonitorUpdate HeartbeatMonitor::Drain(int32_t replica, Clock::time_point now) {
+  MonitorUpdate update;
+  std::lock_guard<std::mutex> lock(mu_);
+  ReplicaState& state = replicas_[replica];
+  if (state.state != ReplicaLiveness::kDead) {  // too late: evicted instead
+    state.last_seen = std::max(state.last_seen, now);
+    TransitionLocked(replica, ReplicaLiveness::kDraining, "drain requested",
+                     &update);
   }
-  for (const ReplicaEvent& event : events) {
-    callback(event);
+  return update;
+}
+
+MonitorUpdate HeartbeatMonitor::Drop(int32_t replica, bool clean) {
+  MonitorUpdate update;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (replicas_[replica].state == ReplicaLiveness::kDead) {
+    // Already declared; the dropped zombie connection changes nothing.
+  } else if (clean) {
+    TransitionLocked(replica, ReplicaLiveness::kDetached, "clean detach",
+                     &update);
+  } else {
+    // The stream died with the replica still attached: a vanished process
+    // or a peer dropped for a malformed frame. Declare death immediately,
+    // so recovery starts without waiting out a heartbeat deadline; the
+    // peer's reconnect, if any, is evicted.
+    TransitionLocked(replica, ReplicaLiveness::kDead, "connection dropped",
+                     &update);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --callbacks_in_flight_;
+  return update;
+}
+
+MonitorUpdate HeartbeatMonitor::set_expected_replicas(int32_t expected) {
+  MonitorUpdate update;
+  std::lock_guard<std::mutex> lock(mu_);
+  const int32_t previous = expected_replicas_;
+  expected_replicas_ = expected;
+  // A shrink can complete report sets retroactively: an iteration parked at
+  // N-1 of N reporters — the drained replica's beat is never coming — is
+  // complete at N-1 of N-1, and the rebalance loop downstream would
+  // otherwise wait forever on a stale fleet size.
+  if (expected < previous) {
+    for (auto& [iteration, reports] : completions_) {
+      CompleteLocked(iteration, reports, &update);
+    }
   }
-  callback_cv_.notify_all();
+  return update;
+}
+
+MonitorUpdate HeartbeatMonitor::PollLiveness(Clock::time_point now) {
+  MonitorUpdate update;
+  if (options_.dead_after_ms <= 0.0) {
+    return update;
+  }
+  const std::chrono::duration<double, std::milli> deadline(
+      options_.dead_after_ms);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [replica, state] : replicas_) {
+    // The deadline applies only while presence is expected — and a drainer
+    // that wedges instead of detaching must still die.
+    if ((state.state == ReplicaLiveness::kAlive ||
+         state.state == ReplicaLiveness::kDraining) &&
+        now - state.last_seen > deadline) {
+      TransitionLocked(replica, ReplicaLiveness::kDead, "heartbeat deadline",
+                       &update);
+    }
+  }
+  return update;
 }
 
 void HeartbeatMonitor::OnHeartbeat(int32_t replica, int64_t iteration,
                                    double wall_ms) {
-  std::vector<ReplicaEvent> events;
-  std::optional<IterationHeartbeatStats> completed;
-  std::function<void(const IterationHeartbeatStats&)> straggler_callback;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++total_heartbeats_;
-    auto [it, inserted] = last_iteration_.emplace(replica, iteration);
-    if (!inserted) {
-      it->second = std::max(it->second, iteration);
-    }
-    std::map<int32_t, double>& by_replica = completions_[iteration];
-    const auto [wall_it, fresh] = by_replica.try_emplace(replica, wall_ms);
-    if (!fresh) {
-      wall_it->second = wall_ms;
-    }
-    // The completing heartbeat: a *new* reporter just grew the set to the
-    // expected fleet size. The straggler_fired_ guard makes the fire
-    // exactly-once per iteration — a duplicate beat overwrites its wall but
-    // cannot re-complete the set, and >= (not ==) keeps the fire alive when
-    // the fleet shrank below an iteration's current reporter count between
-    // its heartbeats. Snapshot the stats under the lock, deliver outside it.
-    if (fresh && straggler_callback_ && expected_replicas_ > 0 &&
-        static_cast<int32_t>(by_replica.size()) >= expected_replicas_ &&
-        straggler_fired_.insert(iteration).second) {
-      completed = ForIterationLocked(iteration);
-      straggler_callback = straggler_callback_;
-      ++callbacks_in_flight_;
-    }
-
-    ReplicaState& state = replicas_[replica];
-    if (state.state != ReplicaLiveness::kDead) {  // dead is sticky
-      state.last_seen = Clock::now();
-      // A draining replica's in-flight completions refresh its deadline but
-      // never revive it to kAlive — it is on its way out, not back.
-      if (state.state != ReplicaLiveness::kDraining) {
-        TransitionLocked(replica, ReplicaLiveness::kAlive, "heartbeat",
-                         &events);
-      }
-    }
-  }
-  FireEvents(events);
-  if (completed.has_value()) {
-    straggler_callback(*completed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --callbacks_in_flight_;
-    }
-    callback_cv_.notify_all();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  BeatLocked(replica, iteration, wall_ms, Clock::now(), nullptr);
 }
 
 void HeartbeatMonitor::OnReplicaAttached(int32_t replica) {
-  std::vector<ReplicaEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ReplicaState& state = replicas_[replica];
-    if (state.state != ReplicaLiveness::kDead) {  // a zombie stays dead
-      state.last_seen = Clock::now();
-      // Liveness touches (the shm poller relays Contains-poll activity as
-      // attach) must not flip a drainer back to alive mid-handoff.
-      if (state.state != ReplicaLiveness::kDraining) {
-        TransitionLocked(replica, ReplicaLiveness::kAlive, "attached",
-                         &events);
-      }
-    }
-  }
-  FireEvents(events);
-}
-
-void HeartbeatMonitor::OnReplicaDrainRequested(int32_t replica) {
-  std::vector<ReplicaEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ReplicaState& state = replicas_[replica];
-    if (state.state != ReplicaLiveness::kDead) {  // too late: evicted instead
-      state.last_seen = Clock::now();
-      TransitionLocked(replica, ReplicaLiveness::kDraining, "drain requested",
-                       &events);
-    }
-  }
-  FireEvents(events);
+  Attach(replica, Clock::now());
 }
 
 void HeartbeatMonitor::OnReplicaDisconnected(int32_t replica, bool clean) {
-  std::vector<ReplicaEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ReplicaState& state = replicas_[replica];
-    if (state.state == ReplicaLiveness::kDead) {
-      // Already declared; the dropped zombie connection changes nothing.
-    } else if (clean) {
-      TransitionLocked(replica, ReplicaLiveness::kDetached, "clean detach",
-                       &events);
-    } else {
-      // The stream died with the replica still attached: a vanished process
-      // or a peer dropped for a malformed frame. Declare death immediately,
-      // so recovery starts without waiting out a heartbeat deadline; the
-      // peer's reconnect, if any, is evicted.
-      TransitionLocked(replica, ReplicaLiveness::kDead, "connection dropped",
-                       &events);
-    }
-  }
-  FireEvents(events);
+  Drop(replica, clean);
+}
+
+void HeartbeatMonitor::OnReplicaDrainRequested(int32_t replica) {
+  Drain(replica, Clock::now());
 }
 
 bool HeartbeatMonitor::IsReplicaDead(int32_t replica) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = replicas_.find(replica);
-  return it != replicas_.end() && it->second.state == ReplicaLiveness::kDead;
-}
-
-void HeartbeatMonitor::set_expected_replicas(int32_t expected) {
-  std::vector<IterationHeartbeatStats> completed;
-  std::function<void(const IterationHeartbeatStats&)> straggler_callback;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const int32_t previous = expected_replicas_;
-    expected_replicas_ = expected;
-    // A shrink can complete report sets retroactively: an iteration parked at
-    // N-1 of N reporters — the drained replica's beat is never coming — is
-    // complete at N-1 of N-1, and the rebalance loop downstream would
-    // otherwise wait forever for a fire gated on a stale fleet size. The
-    // straggler_fired_ guard keeps every fire exactly-once across both
-    // completion paths.
-    if (straggler_callback_ && expected > 0 && expected < previous) {
-      for (const auto& [iteration, by_replica] : completions_) {
-        if (static_cast<int32_t>(by_replica.size()) >= expected &&
-            straggler_fired_.insert(iteration).second) {
-          completed.push_back(ForIterationLocked(iteration));
-        }
-      }
-      if (!completed.empty()) {
-        straggler_callback = straggler_callback_;
-        ++callbacks_in_flight_;
-      }
-    }
-  }
-  if (straggler_callback) {
-    for (const IterationHeartbeatStats& stats : completed) {
-      straggler_callback(stats);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --callbacks_in_flight_;
-    }
-    callback_cv_.notify_all();
-  }
+  return Liveness(replica) == ReplicaLiveness::kDead;
 }
 
 int32_t HeartbeatMonitor::expected_replicas() const {
   std::lock_guard<std::mutex> lock(mu_);
   return expected_replicas_;
-}
-
-int HeartbeatMonitor::PollLiveness(Clock::time_point now) {
-  std::vector<ReplicaEvent> events;
-  if (options_.dead_after_ms > 0.0) {
-    const std::chrono::duration<double, std::milli> deadline(
-        options_.dead_after_ms);
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [replica, state] : replicas_) {
-      // The deadline applies only while presence is expected — and a drainer
-      // that wedges instead of detaching must still die.
-      if ((state.state == ReplicaLiveness::kAlive ||
-           state.state == ReplicaLiveness::kDraining) &&
-          now - state.last_seen > deadline) {
-        TransitionLocked(replica, ReplicaLiveness::kDead,
-                         "heartbeat deadline", &events);
-      }
-    }
-  }
-  FireEvents(events);
-  return static_cast<int>(events.size());
 }
 
 ReplicaLiveness HeartbeatMonitor::Liveness(int32_t replica) const {
@@ -301,24 +226,6 @@ std::vector<int32_t> HeartbeatMonitor::DeadReplicas() const {
   return dead;
 }
 
-void HeartbeatMonitor::WatchdogLoop() {
-  // Tick fast enough that the deadline is detected within a fraction of
-  // itself, clamped so near-zero test deadlines do not spin.
-  const auto tick = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(
-          std::clamp(options_.dead_after_ms / 4.0, 1.0, 50.0)));
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lock, tick, [&] { return watchdog_stop_; });
-    if (watchdog_stop_) {
-      break;
-    }
-    lock.unlock();
-    PollLiveness(Clock::now());
-    lock.lock();
-  }
-}
-
 IterationHeartbeatStats HeartbeatMonitor::ForIteration(
     int64_t iteration) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -331,10 +238,10 @@ IterationHeartbeatStats HeartbeatMonitor::ForIterationLocked(
   stats.iteration = iteration;
   stats.replicas_expected = expected_replicas_;
   const auto it = completions_.find(iteration);
-  if (it == completions_.end() || it->second.empty()) {
+  if (it == completions_.end() || it->second.walls.empty()) {
     return stats;
   }
-  const std::map<int32_t, double>& by_replica = it->second;
+  const std::map<int32_t, double>& by_replica = it->second.walls;
   stats.replicas_reported = static_cast<int32_t>(by_replica.size());
   // Member scratch (mu_ is held): clear keeps capacity, so steady-state
   // queries allocate nothing.

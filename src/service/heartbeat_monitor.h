@@ -27,33 +27,28 @@
 //                                   wedged drainer still dies by deadline)
 //   any non-dead ──clean detach──> kDetached (deadline tracking stops)
 //
-// kDead is *sticky*: a heartbeat or re-attach from a dead replica never
-// revives it — its plans may already be re-published, so the only safe
-// answer to a zombie is eviction (the server's kEvicted reply, driven by
-// IsReplicaDead). Every transition is surfaced through the ReplicaEvent
-// callback, which is what FleetCoordinator subscribes to.
+// kDead is *sticky*: a heartbeat or re-attach from a dead replica changes
+// nothing — its plans may already be re-published, so the only safe answer
+// to a zombie is eviction (the server's kEvicted reply, driven by
+// IsReplicaDead), and its late report must not complete a report set.
 //
-// The deadline runs on the caller's clock: PollLiveness(now) applies it as of
-// `now`, against the steady_clock stamps attaches and heartbeats leave. The
-// internal watchdog thread (started only when dead_after_ms > 0) is the one
-// real-time caller; tests step `now` forward instead of sleeping.
-// Thread-safe: heartbeats arrive concurrently from server connection
-// handlers, an in-process execution loop, and the watchdog. Events are
-// delivered outside the monitor lock, so a callback may call back into the
-// monitor or the store.
+// A pure detector on the caller's clock. Every input (Beat, Attach, Drain,
+// Drop, set_expected_replicas, PollLiveness) applies one event as of the
+// caller's `now` and returns what it changed: the liveness transitions in
+// order, and the iterations whose report set it completed. The monitor owns
+// no thread; the FleetCoordinator feeds it and reacts to the returned update,
+// tests step `now` instead of sleeping. The HeartbeatSink overrides are the
+// same inputs stamped with steady_clock::now(), update dropped — for callers
+// that use the detector alone. Thread-safe: server connection handlers, the
+// shm poller and an in-process loop may call a bare monitor concurrently.
 #ifndef DYNAPIPE_SRC_SERVICE_HEARTBEAT_MONITOR_H_
 #define DYNAPIPE_SRC_SERVICE_HEARTBEAT_MONITOR_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/runtime/instruction_store.h"
@@ -82,9 +77,9 @@ struct HeartbeatMonitorOptions {
   double min_straggler_gap_ms = 0.0;
 
   // Silence (no heartbeat/attach) longer than this declares an alive or
-  // draining replica kDead; 0 disables the deadline and the watchdog. The
-  // stall-detection deadline: a wedged executor whose connection is still up
-  // only ever trips this.
+  // draining replica kDead; 0 disables the deadline. The stall-detection
+  // deadline: a wedged executor whose connection is still up only ever trips
+  // this. PollLiveness applies it; the FleetCoordinator ticks it in real time.
   double dead_after_ms = 0.0;
 
   // How many replicas are expected to report each iteration (the Trainer
@@ -112,7 +107,7 @@ struct IterationHeartbeatStats {
   std::vector<int32_t> stragglers;
 };
 
-// One liveness transition, delivered to the event callback as it happens.
+// One liveness transition.
 struct ReplicaEvent {
   int32_t replica = 0;
   ReplicaLiveness from = ReplicaLiveness::kUnknown;
@@ -121,58 +116,58 @@ struct ReplicaEvent {
                        // dropped", "clean detach", ...
 };
 
+// What one input changed.
+struct MonitorUpdate {
+  std::vector<ReplicaEvent> transitions;  // in the order they happened
+  // Iterations whose report set this input completed (replicas_reported
+  // reached expected_replicas; needs expected_replicas > 0), as of the
+  // completion. Each iteration completes at most once, ever: a duplicate
+  // beat overwrites its wall, and a later growth of the fleet never
+  // re-completes it. The straggler signal the rebalance loop acts on.
+  std::vector<IterationHeartbeatStats> completed;
+};
+
 class HeartbeatMonitor final : public runtime::HeartbeatSink {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit HeartbeatMonitor(HeartbeatMonitorOptions options = {});
-  ~HeartbeatMonitor() override;
 
   HeartbeatMonitor(const HeartbeatMonitor&) = delete;
   HeartbeatMonitor& operator=(const HeartbeatMonitor&) = delete;
 
-  // Called (once, at setup, before replicas report) to receive every
-  // liveness transition. Invoked outside the monitor lock, possibly from a
-  // server connection handler or the watchdog thread.
-  void set_event_callback(std::function<void(const ReplicaEvent&)> callback);
+  // One replica finished one iteration. A duplicate (replica, iteration)
+  // report overwrites — a reconnecting executor may legitimately resend its
+  // last heartbeat. Refreshes the liveness deadline; a dead replica's beat
+  // changes nothing (the sticky rule above).
+  MonitorUpdate Beat(int32_t replica, int64_t iteration, double wall_ms,
+                     Clock::time_point now);
+  MonitorUpdate Attach(int32_t replica, Clock::time_point now);
+  // The replica asked to leave the fleet gracefully: kDraining, the
+  // FleetCoordinator's cue to fence it, repost its backlog, and shrink the
+  // expected fleet. Ignored for dead replicas (their plans already moved;
+  // the server evicts them instead).
+  MonitorUpdate Drain(int32_t replica, Clock::time_point now);
+  MonitorUpdate Drop(int32_t replica, bool clean);
+  // Elastic membership: re-gate iteration completion on a new fleet size
+  // mid-epoch. Shrinking can complete report sets retroactively — an
+  // iteration stuck at N-1 of N reporters is complete at N-1 of N-1.
+  MonitorUpdate set_expected_replicas(int32_t expected);
+  // Declares dead every alive or draining replica silent for more than
+  // dead_after_ms as of `now`.
+  MonitorUpdate PollLiveness(Clock::time_point now);
 
-  // Called with the finished iteration's stats the moment its report set
-  // completes (replicas_reported reaches expected_replicas; requires
-  // expected_replicas > 0 — with an unknown fleet size there is no "complete"
-  // moment to fire on). This is the straggler *signal* the rebalance control
-  // loop subscribes to. Invoked outside the monitor lock from whatever
-  // thread delivered the completing heartbeat; same drain guarantee as
-  // set_event_callback (setting nullptr waits out in-flight deliveries).
-  void set_straggler_callback(
-      std::function<void(const IterationHeartbeatStats&)> callback);
-
-  // runtime::HeartbeatSink: one replica finished one iteration. A duplicate
-  // (replica, iteration) report overwrites — a reconnecting executor may
-  // legitimately resend its last heartbeat. Refreshes the liveness deadline
-  // (never reviving kDead — see the sticky rule above).
+  // runtime::HeartbeatSink: the inputs above at steady_clock::now(), the
+  // update dropped. A heartbeat records nothing for the caller to drop, so
+  // the detector alone allocates nothing per iteration.
   void OnHeartbeat(int32_t replica, int64_t iteration,
                    double wall_ms) override;
   void OnReplicaAttached(int32_t replica) override;
   void OnReplicaDisconnected(int32_t replica, bool clean) override;
-  // The replica asked to leave the fleet gracefully: transitions it to
-  // kDraining and fires the event — the FleetCoordinator's cue to fence
-  // it, repost its backlog, and shrink the expected fleet. Ignored for dead
-  // replicas (their plans already moved; the server evicts them instead).
   void OnReplicaDrainRequested(int32_t replica) override;
   bool IsReplicaDead(int32_t replica) const override;
 
-  // Elastic membership: re-gate iteration completion (the straggler-callback
-  // fire and ForIteration's partial-set guard) on a new fleet size mid-epoch.
-  // Shrinking can complete report sets retroactively — an iteration stuck at
-  // N-1 of N reporters is complete at N-1 of N-1 — so a shrink fires the
-  // straggler callback for every newly-complete iteration (exactly once per
-  // iteration, ever; a later growth never un-fires or re-fires one).
-  void set_expected_replicas(int32_t expected);
   int32_t expected_replicas() const;
-
-  // Declares dead every alive or draining replica silent for more than
-  // dead_after_ms as of `now`; returns how many died. The watchdog calls
-  // this with steady_clock::now(); tests pass a `now` of their choosing.
-  int PollLiveness(std::chrono::steady_clock::time_point now);
-
   ReplicaLiveness Liveness(int32_t replica) const;
   // Replicas declared dead so far, ascending.
   std::vector<int32_t> DeadReplicas() const;
@@ -187,37 +182,40 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   int64_t total_heartbeats() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   struct ReplicaState {
     ReplicaLiveness state = ReplicaLiveness::kUnknown;
-    Clock::time_point last_seen;  // last attach or heartbeat
+    // Last attach or heartbeat. Never moves back: inputs stamped on other
+    // threads may be applied out of stamp order.
+    Clock::time_point last_seen;
   };
 
-  IterationHeartbeatStats ForIterationLocked(int64_t iteration) const;
-  // Transition + event record; caller holds mu_ and owns delivering
-  // `events` after unlocking (FireEvents).
-  void TransitionLocked(int32_t replica, ReplicaLiveness to,
-                        const char* reason, std::vector<ReplicaEvent>* events);
-  void FireEvents(const std::vector<ReplicaEvent>& events);
-  void WatchdogLoop();
+  // One iteration's report set. Iterations are short-lived keys; the trainer
+  // consumes stats per iteration, but nothing is evicted — an epoch is
+  // thousands of iterations of a few replicas each, far below memory
+  // relevance.
+  struct IterationReports {
+    std::map<int32_t, double> walls;  // replica -> wall_ms
+    bool completed = false;           // reported as completed, ever
+  };
 
-  HeartbeatMonitorOptions options_;
+  // The input bodies; caller holds mu_. A null `update` records nothing.
+  void BeatLocked(int32_t replica, int64_t iteration, double wall_ms,
+                  Clock::time_point now, MonitorUpdate* update);
+  // Marks `reports` completed once it reaches the expected fleet size.
+  void CompleteLocked(int64_t iteration, IterationReports& reports,
+                      MonitorUpdate* update);
+  void TransitionLocked(int32_t replica, ReplicaLiveness to,
+                        const char* reason, MonitorUpdate* update);
+  IterationHeartbeatStats ForIterationLocked(int64_t iteration) const;
+
+  const HeartbeatMonitorOptions options_;
   mutable std::mutex mu_;
   // The live fleet size, options_.expected_replicas at construction and
   // adjusted by set_expected_replicas on join/drain. Guarded by mu_.
   int32_t expected_replicas_ = 0;
-  // Iterations whose completion already fired the straggler callback — the
-  // exactly-once guard now that a shrinking fleet can complete a set both by
-  // a fresh heartbeat and by set_expected_replicas. Guarded by mu_.
-  std::set<int64_t> straggler_fired_;
   int64_t total_heartbeats_ = 0;
   std::map<int32_t, int64_t> last_iteration_;  // replica -> frontier
-  // iteration -> (replica -> wall_ms). Iterations are short-lived keys; the
-  // trainer consumes stats per iteration, but nothing is evicted — an epoch
-  // is thousands of iterations of a few replicas each, far below memory
-  // relevance.
-  std::map<int64_t, std::map<int32_t, double>> completions_;
+  std::map<int64_t, IterationReports> completions_;  // by iteration
 
   // Median scratch for ForIterationLocked, reused across calls so the
   // per-iteration stats query (trainer hot loop, once per iteration) stops
@@ -225,19 +223,6 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   mutable std::vector<double> wall_scratch_;
 
   std::map<int32_t, ReplicaState> replicas_;  // guarded by mu_
-  std::function<void(const ReplicaEvent&)> event_callback_;  // guarded by mu_
-  // Fired when an iteration's report set completes; guarded by mu_, shares
-  // the in-flight drain protocol below with event_callback_.
-  std::function<void(const IterationHeartbeatStats&)> straggler_callback_;
-  // Deliveries currently running outside mu_; set_event_callback drains them
-  // so a subscriber can unregister safely at its own teardown.
-  int callbacks_in_flight_ = 0;  // guarded by mu_
-  mutable std::condition_variable callback_cv_;
-
-  // Watchdog: ticks PollLiveness while the deadline is armed.
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;  // guarded by mu_
-  std::thread watchdog_;
 };
 
 }  // namespace dynapipe::service

@@ -1025,10 +1025,9 @@ int ShmHeartbeatPoller::PollOnce() {
       obs.detach_delivered = true;
       ++delivered;
     } else if (detached == 2 && !obs.drain_delivered) {
-      // Drain requested: the sink's event chain (monitor -> recovery ->
-      // membership) fences and reposts synchronously; the membership
-      // coordinator acknowledges via AcknowledgeDrain when the handoff is
-      // done.
+      // Drain requested: a FleetCoordinator sink fences and reposts inside
+      // this call, then acknowledges via AcknowledgeDrain once the handoff
+      // is done.
       sink_->OnReplicaDrainRequested(replica);
       obs.drain_delivered = true;
       ++delivered;

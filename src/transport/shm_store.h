@@ -245,9 +245,9 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
 // Publisher-side pump for the segment's heartbeat slots: a thread that
 // polls every claimed slot every 5 ms and forwards attaches, completions,
 // clean detaches, and last-alive refreshes into a runtime::HeartbeatSink
-// (concretely the service::HeartbeatMonitor, whose deadline then declares a
-// silent replica dead — the shm-native stall detector). Keeps the store
-// alive via shared_ptr; destroy the poller before the sink.
+// (a service::HeartbeatMonitor, or a FleetCoordinator whose deadline then
+// declares a silent replica dead — the shm-native stall detector). Keeps
+// the store alive via shared_ptr; destroy the poller before the sink.
 class ShmHeartbeatPoller {
  public:
   ShmHeartbeatPoller(std::shared_ptr<ShmInstructionStore> store,

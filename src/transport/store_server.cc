@@ -284,11 +284,11 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
         break;
       }
       case FrameType::kDrainRequest: {
-        // Graceful leave. The liveness event chain (monitor -> recovery ->
-        // membership) runs synchronously inside this notify: by the time it
-        // returns, the replica is fenced and its unfetched backlog is
-        // reposted to the survivors — so the kDrainAck reply really is the
-        // green light to finish in-flight work and kDetach. A replica
+        // Graceful leave. The sink's reaction (monitor -> membership) runs
+        // inside this notify: by the time it returns, the replica is fenced
+        // and its unfetched backlog is reposted to the survivors — so the
+        // kDrainAck reply really is the green light to finish in-flight work
+        // and kDetach. A replica
         // already declared dead gets kEvicted instead: its plans moved long
         // ago and the only safe instruction is "stop".
         if (store_->ReplicaConsideredDead(request->replica)) {

@@ -47,7 +47,7 @@ class InstructionStoreServer {
   // Starts serving immediately. `store` must be in serialized mode (the wire
   // carries plan_serde bytes). Executor kHeartbeat reports route through the
   // store's heartbeat capability (InstructionStore::set_heartbeat_sink —
-  // typically a service::HeartbeatMonitor); a store without a sink
+  // a service::HeartbeatMonitor or FleetCoordinator); a store without a sink
   // acknowledges and discards them, so the wire clients' capability answer
   // stays unconditional. Neither pointer is owned; both must outlive the
   // server.

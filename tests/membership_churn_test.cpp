@@ -148,17 +148,16 @@ struct ChurnChildSpec {
   ::_exit(0);
 }
 
-// The publisher-side control plane for one churn epoch: monitor -> one
-// FleetCoordinator with all three policies on (recovery, straggler rebalance
-// at a one-flag streak, membership), fed by the segment poller. Declaration
-// order is teardown order in reverse: the poller stops feeding the monitor
-// before the coordinator unhooks.
+// The publisher-side control plane for one churn epoch: one FleetCoordinator
+// with all three policies on (recovery, straggler rebalance at a one-flag
+// streak, membership), fed by the segment poller. Declaration order is
+// teardown order in reverse: the poller stops feeding the coordinator before
+// the coordinator goes.
 struct ChurnControlPlane {
   ChurnControlPlane(const std::string& shm_name,
                     const std::vector<std::vector<sim::ExecutionPlan>>& plans,
                     double dead_after_ms)
-      : monitor(MonitorOptions(dead_after_ms)),
-        store(transport::ShmInstructionStore::Create(
+      : store(transport::ShmInstructionStore::Create(
             shm_name, transport::ShmStoreOptions{})) {
     // Publish the whole epoch before the poller starts delivering events:
     // a joiner can announce the moment the segment exists, and its
@@ -180,8 +179,9 @@ struct ChurnControlPlane {
     fleet_opts.drain_ack = [raw](int32_t replica) {
       raw->AcknowledgeDrain(replica);
     };
-    fleet.emplace(store.get(), &monitor, std::move(fleet_opts));
-    poller.emplace(store, &monitor);
+    fleet.emplace(store.get(), MonitorOptions(dead_after_ms),
+                  std::move(fleet_opts));
+    poller.emplace(store, &*fleet);
   }
 
   static service::HeartbeatMonitorOptions MonitorOptions(double dead_after_ms) {
@@ -193,7 +193,8 @@ struct ChurnControlPlane {
     return mopts;
   }
 
-  service::HeartbeatMonitor monitor;
+  const service::HeartbeatMonitor& monitor() const { return fleet->monitor(); }
+
   std::shared_ptr<transport::ShmInstructionStore> store;
   std::optional<service::FleetCoordinator> fleet;
   std::optional<transport::ShmHeartbeatPoller> poller;
@@ -246,7 +247,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   const int64_t expected_beats =
       static_cast<int64_t>(kIterations) * kBaseReplicas;
   ASSERT_TRUE(WaitUntil(
-      [&] { return plane.monitor.total_heartbeats() >= expected_beats; },
+      [&] { return plane.monitor().total_heartbeats() >= expected_beats; },
       10'000));
 
   for (size_t c = 0; c < children.size(); ++c) {
@@ -259,7 +260,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   // Exactly once: nothing resident, every published plan heartbeat exactly
   // one completion wherever it ended up running.
   EXPECT_EQ(plane.store->size(), 0u);
-  EXPECT_EQ(plane.monitor.total_heartbeats(), expected_beats);
+  EXPECT_EQ(plane.monitor().total_heartbeats(), expected_beats);
 
   // The join: admitted, seeded with stolen tail backlog.
   const service::FleetReport report = plane.fleet->report();
@@ -274,11 +275,11 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   // the active fleet while the joiner stays a member.
   ASSERT_TRUE(WaitUntil(
       [&] {
-        return plane.monitor.Liveness(kDrainer) ==
+        return plane.monitor().Liveness(kDrainer) ==
                service::ReplicaLiveness::kDetached;
       },
       5'000));
-  EXPECT_TRUE(plane.monitor.DeadReplicas().empty());
+  EXPECT_TRUE(plane.monitor().DeadReplicas().empty());
   EXPECT_EQ(plane.fleet->ActiveMembers(),
             (std::vector<int32_t>{0, 1, kJoiner}));
 
@@ -384,7 +385,7 @@ void RunSeededChurnEpoch(uint32_t seed) {
       static_cast<int64_t>(kIterations) * kBaseReplicas - (crash ? 1 : 0);
   ASSERT_TRUE(WaitUntil([&] { return plane.store->size() == 0; }, 30'000));
   ASSERT_TRUE(WaitUntil(
-      [&] { return plane.monitor.total_heartbeats() >= expected_beats; },
+      [&] { return plane.monitor().total_heartbeats() >= expected_beats; },
       15'000));
 
   for (int32_t r = 0; r <= kJoiner; ++r) {
@@ -401,15 +402,15 @@ void RunSeededChurnEpoch(uint32_t seed) {
   }
 
   EXPECT_EQ(plane.store->size(), 0u);
-  EXPECT_EQ(plane.monitor.total_heartbeats(), expected_beats);
+  EXPECT_EQ(plane.monitor().total_heartbeats(), expected_beats);
 
   // Only a crash produces a death; a stall is a straggle and a drain is a
   // goodbye. Nobody innocent ever dies.
   if (crash) {
-    EXPECT_EQ(plane.monitor.DeadReplicas(),
+    EXPECT_EQ(plane.monitor().DeadReplicas(),
               std::vector<int32_t>{schedule.fault_replica});
   } else {
-    EXPECT_TRUE(plane.monitor.DeadReplicas().empty());
+    EXPECT_TRUE(plane.monitor().DeadReplicas().empty());
   }
 
   // The schedule's churn was recorded: exactly this joiner, exactly this

@@ -1012,33 +1012,36 @@ TEST(FaultInjectionTest, DisarmedIsInertAndFiringIsOneShot) {
 
 // ---------- liveness state machine ----------
 
-// The heartbeat deadline on virtual time: PollLiveness applies it as of the
-// caller's `now`, so the test steps past dead_after_ms instead of sleeping
-// through it.
+// The heartbeat deadline on virtual time: every input takes the caller's
+// `now`, so the test steps past dead_after_ms instead of sleeping through it.
 TEST(HeartbeatMonitorTest, HeartbeatDeadlineOnCallerClockAndDeathIsSticky) {
   using namespace std::chrono_literals;
   service::HeartbeatMonitorOptions opts;
   opts.dead_after_ms = 60'000.0;
   service::HeartbeatMonitor monitor(opts);
+  const service::HeartbeatMonitor::Clock::time_point t0{24h};
 
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kUnknown);
-  const auto start = std::chrono::steady_clock::now();  // before every stamp
-  monitor.OnReplicaAttached(0);
+  monitor.Attach(0, t0);
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kAlive);
-  EXPECT_EQ(monitor.PollLiveness(start + 59s), 0);
+  // Exactly dead_after_ms of silence is still alive; 1 ms more is not.
+  EXPECT_TRUE(monitor.PollLiveness(t0 + 60s).transitions.empty());
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kAlive);
-
-  const auto stamped = std::chrono::steady_clock::now();  // after every stamp
-  EXPECT_EQ(monitor.PollLiveness(stamped + 61s), 1);
-  EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kDead);
+  const service::MonitorUpdate died = monitor.PollLiveness(t0 + 60s + 1ms);
+  ASSERT_EQ(died.transitions.size(), 1u);
+  EXPECT_EQ(died.transitions[0].replica, 0);
+  EXPECT_EQ(died.transitions[0].to, service::ReplicaLiveness::kDead);
   EXPECT_TRUE(monitor.IsReplicaDead(0));
   EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{0});
 
-  // Sticky: a zombie's heartbeat or re-attach never revives it — its plans
+  // Sticky: a zombie's heartbeat or re-attach changes nothing — its plans
   // may already have been re-published.
-  monitor.OnHeartbeat(0, 1, 1.0);
-  monitor.OnReplicaAttached(0);
+  EXPECT_TRUE(monitor.Beat(0, 1, 1.0, t0 + 61s).transitions.empty());
+  EXPECT_TRUE(monitor.Attach(0, t0 + 61s).transitions.empty());
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kDead);
+  EXPECT_EQ(monitor.LastIteration(0), -1);
+  EXPECT_EQ(monitor.ForIteration(1).replicas_reported, 0);
+  EXPECT_EQ(monitor.total_heartbeats(), 0);
 }
 
 // The drain and detach rules under the deadline, on virtual time. A
@@ -1047,55 +1050,51 @@ TEST(HeartbeatMonitorTest, HeartbeatDeadlineOnCallerClockAndDeathIsSticky) {
 // of the deadline's reach at any `now`.
 TEST(HeartbeatMonitorTest, DrainersKeepTheDeadlineAndDetachedOrDeadNeverMove) {
   using namespace std::chrono_literals;
-  using Clock = std::chrono::steady_clock;
   service::HeartbeatMonitorOptions opts;
   opts.dead_after_ms = 60'000.0;
   service::HeartbeatMonitor monitor(opts);
-  // Single-threaded: the watchdog polls real time, where nobody is silent
-  // for a minute.
+  const service::HeartbeatMonitor::Clock::time_point t0{24h};
   std::vector<service::ReplicaEvent> deaths;
-  monitor.set_event_callback([&](const service::ReplicaEvent& event) {
-    if (event.to == service::ReplicaLiveness::kDead) {
-      deaths.push_back(event);
+  const auto died = [&](const service::MonitorUpdate& update) {
+    size_t n = 0;
+    for (const service::ReplicaEvent& event : update.transitions) {
+      if (event.to == service::ReplicaLiveness::kDead) {
+        deaths.push_back(event);
+        ++n;
+      }
     }
-  });
+    return n;
+  };
 
-  const Clock::time_point start = Clock::now();  // before every stamp
-  monitor.OnReplicaAttached(0);  // alive, then silent
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDrainRequested(1);  // draining, still reporting
-  monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDrainRequested(2);  // draining, then silent
-  monitor.OnReplicaAttached(3);
-  monitor.OnReplicaDisconnected(3, /*clean=*/true);
-  monitor.OnReplicaAttached(4);
-  monitor.OnReplicaDisconnected(4, /*clean=*/false);
-  EXPECT_EQ(monitor.PollLiveness(start + 59s), 0);
+  monitor.Attach(0, t0);  // alive, then silent
+  monitor.Attach(1, t0);
+  monitor.Drain(1, t0);  // draining, still reporting
+  monitor.Attach(2, t0);
+  monitor.Drain(2, t0);  // draining, then silent
+  monitor.Attach(3, t0);
+  EXPECT_EQ(died(monitor.Drop(3, /*clean=*/true)), 0u);
+  monitor.Attach(4, t0);
+  EXPECT_EQ(died(monitor.Drop(4, /*clean=*/false)), 1u);
+  EXPECT_EQ(died(monitor.PollLiveness(t0 + 59s)), 0u);
 
-  // Step the clock strictly past every stamp so far: replica 1's heartbeat
-  // is stamped at or after `beat`, every other replica's last stamp before.
-  Clock::time_point beat = Clock::now();
-  for (const Clock::time_point stamped = beat; beat <= stamped;) {
-    beat = Clock::now();
-  }
-  monitor.OnHeartbeat(1, 0, 1.0);
+  EXPECT_TRUE(monitor.Beat(1, 0, 1.0, t0 + 30s).transitions.empty());
   EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDraining);
 
-  EXPECT_EQ(monitor.PollLiveness(beat + 60s), 2);
+  EXPECT_EQ(died(monitor.PollLiveness(t0 + 60s)), 0u);
+  EXPECT_EQ(died(monitor.PollLiveness(t0 + 60s + 1ms)), 2u);
   EXPECT_EQ(monitor.Liveness(0), service::ReplicaLiveness::kDead);
   EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDraining);
   EXPECT_EQ(monitor.Liveness(2), service::ReplicaLiveness::kDead);
 
-  const Clock::time_point end = Clock::now();  // after every stamp
-  EXPECT_EQ(monitor.PollLiveness(end + 61s), 1);
+  EXPECT_EQ(died(monitor.PollLiveness(t0 + 90s)), 0u);
+  EXPECT_EQ(died(monitor.PollLiveness(t0 + 90s + 1ms)), 1u);
   EXPECT_EQ(monitor.Liveness(1), service::ReplicaLiveness::kDead);
 
-  for (const Clock::time_point now : {start, end + 61s, end + 24h}) {
-    EXPECT_EQ(monitor.PollLiveness(now), 0);
+  for (const auto now : {t0, t0 + 91s, t0 + 48h}) {
+    EXPECT_EQ(died(monitor.PollLiveness(now)), 0u);
   }
   EXPECT_EQ(monitor.Liveness(3), service::ReplicaLiveness::kDetached);
   EXPECT_EQ(monitor.Liveness(4), service::ReplicaLiveness::kDead);
-  monitor.set_event_callback(nullptr);
 
   ASSERT_EQ(deaths.size(), 4u);
   EXPECT_EQ(deaths[0].replica, 4);
@@ -1123,13 +1122,15 @@ TEST(HeartbeatMonitorTest, UncleanDropIsDeathAndCleanDetachIsNot) {
   EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{1});
 }
 
-TEST(HeartbeatMonitorTest, EventCallbackStreamsEveryTransition) {
+TEST(HeartbeatMonitorTest, UpdatesStreamEveryTransition) {
   service::HeartbeatMonitor monitor;
-  std::vector<service::ReplicaEvent> events;  // no watchdog: single-threaded
-  monitor.set_event_callback(
-      [&](const service::ReplicaEvent& event) { events.push_back(event); });
-  monitor.OnReplicaAttached(0);
-  monitor.OnReplicaDisconnected(0, /*clean=*/false);
+  const auto now = service::HeartbeatMonitor::Clock::now();
+  std::vector<service::ReplicaEvent> events;
+  for (const service::MonitorUpdate& update :
+       {monitor.Attach(0, now), monitor.Drop(0, /*clean=*/false)}) {
+    events.insert(events.end(), update.transitions.begin(),
+                  update.transitions.end());
+  }
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].replica, 0);
   EXPECT_EQ(events[0].from, service::ReplicaLiveness::kUnknown);
@@ -1137,7 +1138,6 @@ TEST(HeartbeatMonitorTest, EventCallbackStreamsEveryTransition) {
   EXPECT_EQ(events[1].from, service::ReplicaLiveness::kAlive);
   EXPECT_EQ(events[1].to, service::ReplicaLiveness::kDead);
   EXPECT_FALSE(events[1].reason.empty());
-  monitor.set_event_callback(nullptr);
 }
 
 // ---------- heartbeat monitor: expected-replica gating ----------
@@ -1165,99 +1165,85 @@ TEST(HeartbeatMonitorTest, PartialReportSetsNeverFlagStragglers) {
   EXPECT_EQ(stats.stragglers, std::vector<int32_t>{1});
 }
 
-// The straggler callback is the rebalancer's trigger: it must fire exactly
-// once per iteration, on the heartbeat that completes the report set, and a
-// duplicate beat must not re-fire it.
-TEST(HeartbeatMonitorTest, StragglerCallbackFiresOncePerCompleteIteration) {
+// A completed report set is the rebalancer's trigger: the heartbeat that
+// completes it returns it exactly once, and a duplicate beat must not
+// complete it again.
+TEST(HeartbeatMonitorTest, BeatCompletesEachIterationOnce) {
   service::HeartbeatMonitorOptions opts;
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 2;
   service::HeartbeatMonitor monitor(opts);
-  std::vector<service::IterationHeartbeatStats> fired;  // single-threaded
-  monitor.set_straggler_callback(
-      [&](const service::IterationHeartbeatStats& stats) {
-        fired.push_back(stats);
-      });
-  monitor.OnHeartbeat(0, 7, 10.0);
-  EXPECT_TRUE(fired.empty());  // 1/2: incomplete
-  monitor.OnHeartbeat(1, 7, 11.0);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].iteration, 7);
-  EXPECT_EQ(fired[0].replicas_reported, 2);
-  monitor.OnHeartbeat(1, 7, 12.0);  // duplicate: overwrites, no re-fire
-  EXPECT_EQ(fired.size(), 1u);
-  monitor.set_straggler_callback(nullptr);
+  const auto now = service::HeartbeatMonitor::Clock::now();
+  EXPECT_TRUE(monitor.Beat(0, 7, 10.0, now).completed.empty());  // 1/2
+  const service::MonitorUpdate update = monitor.Beat(1, 7, 11.0, now);
+  ASSERT_EQ(update.completed.size(), 1u);
+  EXPECT_EQ(update.completed[0].iteration, 7);
+  EXPECT_EQ(update.completed[0].replicas_reported, 2);
+  // Duplicate: overwrites its wall, completes nothing.
+  EXPECT_TRUE(monitor.Beat(1, 7, 12.0, now).completed.empty());
+  // The sink path marks completion too, with the update dropped: a later
+  // shrink finds nothing left to complete.
   monitor.OnHeartbeat(0, 8, 1.0);
   monitor.OnHeartbeat(1, 8, 1.0);
-  EXPECT_EQ(fired.size(), 1u);  // unhooked
+  EXPECT_TRUE(monitor.set_expected_replicas(1).completed.empty());
 }
 
 // ---------- heartbeat monitor: dynamic expected replicas ----------
 
 // A drain shrinks the fleet mid-epoch. Iterations stuck at N-1 of N reports
-// become complete the moment the expectation drops — the callback must fire
-// for them retroactively, exactly once, and a late beat from the departed
-// replica must not re-fire it.
+// become complete the moment the expectation drops — the shrink returns them
+// retroactively, exactly once, and a late beat from the departed replica
+// must not complete them again.
 TEST(HeartbeatMonitorTest, ShrinkingExpectedRetroactivelyCompletesReportSets) {
   service::HeartbeatMonitorOptions opts;
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 3;
   service::HeartbeatMonitor monitor(opts);
-  std::vector<service::IterationHeartbeatStats> fired;  // single-threaded
-  monitor.set_straggler_callback(
-      [&](const service::IterationHeartbeatStats& stats) {
-        fired.push_back(stats);
-      });
-  monitor.OnHeartbeat(0, 0, 10.0);
-  monitor.OnHeartbeat(1, 0, 11.0);
-  EXPECT_TRUE(fired.empty());  // 2/3: the third never comes — it drained
-  monitor.set_expected_replicas(2);
-  ASSERT_EQ(fired.size(), 1u);  // retroactively complete
-  EXPECT_EQ(fired[0].iteration, 0);
-  EXPECT_EQ(fired[0].replicas_reported, 2);
-  EXPECT_EQ(fired[0].replicas_expected, 2);
+  const auto now = service::HeartbeatMonitor::Clock::now();
+  EXPECT_TRUE(monitor.Beat(0, 0, 10.0, now).completed.empty());
+  // 2/3: the third never comes — it drained.
+  EXPECT_TRUE(monitor.Beat(1, 0, 11.0, now).completed.empty());
+  const service::MonitorUpdate shrink = monitor.set_expected_replicas(2);
+  ASSERT_EQ(shrink.completed.size(), 1u);  // retroactively complete
+  EXPECT_EQ(shrink.completed[0].iteration, 0);
+  EXPECT_EQ(shrink.completed[0].replicas_reported, 2);
+  EXPECT_EQ(shrink.completed[0].replicas_expected, 2);
   // A straggling beat from the drained replica lands in the stats but must
-  // not fire the already-fired iteration again.
-  monitor.OnHeartbeat(2, 0, 99.0);
-  EXPECT_EQ(fired.size(), 1u);
+  // not complete the already-completed iteration again.
+  EXPECT_TRUE(monitor.Beat(2, 0, 99.0, now).completed.empty());
   // Later iterations complete at the new size.
-  monitor.OnHeartbeat(0, 1, 10.0);
-  monitor.OnHeartbeat(1, 1, 10.0);
-  EXPECT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[1].iteration, 1);
+  EXPECT_TRUE(monitor.Beat(0, 1, 10.0, now).completed.empty());
+  const service::MonitorUpdate next = monitor.Beat(1, 1, 10.0, now);
+  ASSERT_EQ(next.completed.size(), 1u);
+  EXPECT_EQ(next.completed[0].iteration, 1);
 }
 
-// A join grows the fleet. Iterations that already completed (and fired) at
-// the old size stay fired — growth must neither re-fire nor "un-complete"
-// them — and new iterations gate on the larger set.
+// A join grows the fleet. Iterations that already completed at the old size
+// stay completed — growth must neither complete them again nor
+// "un-complete" them — and new iterations gate on the larger set.
 TEST(HeartbeatMonitorTest, GrowingExpectedNeverDoubleFiresACompletedIteration) {
   service::HeartbeatMonitorOptions opts;
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
   opts.expected_replicas = 2;
   service::HeartbeatMonitor monitor(opts);
-  std::vector<service::IterationHeartbeatStats> fired;  // single-threaded
-  monitor.set_straggler_callback(
-      [&](const service::IterationHeartbeatStats& stats) {
-        fired.push_back(stats);
-      });
-  monitor.OnHeartbeat(0, 0, 10.0);
-  monitor.OnHeartbeat(1, 0, 10.0);
-  ASSERT_EQ(fired.size(), 1u);  // complete at the old size
-  monitor.set_expected_replicas(3);  // a joiner was admitted
-  EXPECT_EQ(fired.size(), 1u);
-  monitor.OnHeartbeat(2, 0, 10.0);  // joiner's beat on the fired iteration
-  EXPECT_EQ(fired.size(), 1u);
+  const auto now = service::HeartbeatMonitor::Clock::now();
+  monitor.Beat(0, 0, 10.0, now);
+  // Complete at the old size.
+  ASSERT_EQ(monitor.Beat(1, 0, 10.0, now).completed.size(), 1u);
+  // A joiner was admitted.
+  EXPECT_TRUE(monitor.set_expected_replicas(3).completed.empty());
+  // The joiner's beat on the completed iteration.
+  EXPECT_TRUE(monitor.Beat(2, 0, 10.0, now).completed.empty());
   // The next iteration needs all three.
-  monitor.OnHeartbeat(0, 1, 10.0);
-  monitor.OnHeartbeat(1, 1, 10.0);
-  EXPECT_EQ(fired.size(), 1u);  // 2/3 now incomplete
-  monitor.OnHeartbeat(2, 1, 10.0);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[1].iteration, 1);
-  EXPECT_EQ(fired[1].replicas_expected, 3);
+  EXPECT_TRUE(monitor.Beat(0, 1, 10.0, now).completed.empty());
+  EXPECT_TRUE(monitor.Beat(1, 1, 10.0, now).completed.empty());  // 2/3
+  const service::MonitorUpdate update = monitor.Beat(2, 1, 10.0, now);
+  ASSERT_EQ(update.completed.size(), 1u);
+  EXPECT_EQ(update.completed[0].iteration, 1);
+  EXPECT_EQ(update.completed[0].replicas_expected, 3);
 }
 
 // ---------- fleet coordinator ----------
@@ -1266,10 +1252,10 @@ namespace {
 // Feeds one complete iteration's heartbeats from replicas 0..replicas-1:
 // `slow` reports 40 ms, everyone else 10 ms — over the 2*median+1 bar, so
 // `slow` is flagged (or nobody, with slow < 0).
-void FeedIteration(service::HeartbeatMonitor& monitor, int64_t iteration,
+void FeedIteration(runtime::HeartbeatSink& sink, int64_t iteration,
                    int32_t slow, int32_t replicas = 3) {
   for (int32_t replica = 0; replica < replicas; ++replica) {
-    monitor.OnHeartbeat(replica, iteration, replica == slow ? 40.0 : 10.0);
+    sink.OnHeartbeat(replica, iteration, replica == slow ? 40.0 : 10.0);
   }
 }
 
@@ -1305,15 +1291,14 @@ service::FleetOptions RebalancingFleet(std::vector<int32_t> replicas,
 TEST(FleetCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor;
-  service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1, 2}));
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
 
   // Replica 1 dies with three unfetched plans; 0 and 2 are survivors.
   store.PushBytes(0, 1, "plan-a");
   store.PushBytes(1, 1, "plan-b");
   store.PushBytes(2, 1, "plan-c");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);  // -> kDead
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);  // -> kDead
 
   EXPECT_TRUE(store.PendingIterations(1).empty());
   // Round-robin over the survivors, spare numbers per survivor from the
@@ -1333,13 +1318,12 @@ TEST(FleetCoordinatorTest, MovesDeadReplicasBacklogToSurvivorsByteStable) {
 TEST(FleetCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor;
-  service::FleetCoordinator fleet(&store, &monitor, Fleet({1}));
+  service::FleetCoordinator fleet(&store, {}, Fleet({1}));
 
   store.PushBytes(0, 1, "plan-a");
   store.PushBytes(1, 1, "plan-b");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);
 
   EXPECT_TRUE(store.PendingIterations(1).empty());
   const service::FleetReport report = fleet.report();
@@ -1353,15 +1337,14 @@ TEST(FleetCoordinatorTest, DropsBacklogWhenNoSurvivorRemains) {
 TEST(FleetCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor;
-  service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1}));
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1}));
 
   // Someone already published at the survivor's first spare key.
   store.PushBytes(10, 0, "squatter");
   store.PushBytes(0, 1, "plan-a");
   store.PushBytes(1, 1, "plan-b");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);
 
   // Key 10 was tried, found taken, burned; both plans landed on later keys.
   EXPECT_EQ(fleet.report().replanned_iterations, 2);
@@ -1377,17 +1360,16 @@ TEST(FleetCoordinatorTest, TakenSpareKeyAdvancesInsteadOfWedging) {
 TEST(FleetCoordinatorTest, SpareKeysSurviveASecondDeath) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor;
-  service::FleetCoordinator fleet(&store, &monitor, Fleet({0, 1, 2}));
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
 
   store.PushBytes(0, 1, "plan-a");
   store.PushBytes(1, 1, "plan-b");
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDisconnected(1, /*clean=*/false);
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaAttached(2);
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);
   // First death: round-robin lands plan-a at (10, 0) and plan-b at (10, 2).
   // Neither survivor fetches anything before the second death.
-  monitor.OnReplicaDisconnected(2, /*clean=*/false);
+  fleet.OnReplicaDisconnected(2, /*clean=*/false);
 
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas, (std::vector<int32_t>{1, 2}));
@@ -1400,22 +1382,66 @@ TEST(FleetCoordinatorTest, SpareKeysSurviveASecondDeath) {
   EXPECT_EQ(store.FetchBytes(11, 0), "plan-b");
 }
 
+// The deadline's reaction on the caller's clock: no sleep, no fork. The
+// coordinator's real-time ticker polls too, but nobody is silent for a
+// minute of wall time.
+TEST(FleetCoordinatorTest, DeadlineDeathOnVirtualClockRepostsBacklog) {
+  using namespace std::chrono_literals;
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.dead_after_ms = 60'000.0;
+  service::FleetCoordinator fleet(&store, mopts, Fleet({0, 1, 2}));
+
+  const auto t0 = service::FleetCoordinator::Clock::now();
+  for (const int32_t replica : {0, 1, 2}) {
+    fleet.Attach(replica, t0);
+  }
+  store.PushBytes(0, 1, "b0");
+  store.PushBytes(1, 1, "b1");
+  store.PushBytes(2, 1, "b2");
+  fleet.Beat(0, 0, 1.0, t0 + 50s);
+  fleet.Beat(2, 0, 1.0, t0 + 50s);
+
+  fleet.PollLiveness(t0 + 60s);  // exactly the deadline: still alive
+  EXPECT_EQ(fleet.monitor().Liveness(1), service::ReplicaLiveness::kAlive);
+  EXPECT_EQ(store.PendingIterations(1), (std::vector<int64_t>{0, 1, 2}));
+  EXPECT_TRUE(fleet.report().dead_replicas.empty());
+
+  fleet.PollLiveness(t0 + 60s + 1ms);
+  EXPECT_TRUE(fleet.IsReplicaDead(1));
+  EXPECT_EQ(fleet.report().dead_replicas, std::vector<int32_t>{1});
+  EXPECT_EQ(fleet.report().replanned_iterations, 3);
+  EXPECT_TRUE(store.PendingIterations(1).empty());
+
+  // The zombie comes back: still dead, nothing moves back.
+  fleet.Beat(1, 0, 1.0, t0 + 61s);
+  fleet.Attach(1, t0 + 61s);
+  EXPECT_TRUE(fleet.IsReplicaDead(1));
+  EXPECT_TRUE(store.PendingIterations(1).empty());
+  EXPECT_EQ(fleet.report().replanned_iterations, 3);
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 2}));
+  // Round-robin over the survivors at their spare keys.
+  EXPECT_EQ(store.FetchBytes(10, 0), "b0");
+  EXPECT_EQ(store.FetchBytes(10, 2), "b1");
+  EXPECT_EQ(store.FetchBytes(11, 0), "b2");
+}
+
 // --- stragglers ---
 
 TEST(FleetCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
-  service::FleetCoordinator fleet(&store, &monitor,
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
                                   RebalancingFleet({0, 1, 2}, 2));
 
   for (int64_t i = 0; i < 6; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
-  FeedIteration(monitor, 0, /*slow=*/1);  // streak 1: under threshold
+  FeedIteration(fleet, 0, /*slow=*/1);  // streak 1: under threshold
   EXPECT_EQ(fleet.report().shed_events, 0);
   EXPECT_EQ(store.PendingIterations(1).size(), 6u);
-  FeedIteration(monitor, 1, /*slow=*/1);  // streak 2: trigger
+  FeedIteration(fleet, 1, /*slow=*/1);  // streak 2: trigger
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.shed_events, 1);
   EXPECT_EQ(report.shed_iterations, 2);
@@ -1431,29 +1457,28 @@ TEST(FleetCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
 TEST(FleetCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
-  service::FleetCoordinator fleet(&store, &monitor,
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
                                   RebalancingFleet({0, 1, 2}, 2));
 
   for (int64_t i = 0; i < 8; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
-  FeedIteration(monitor, 0, 1);
-  FeedIteration(monitor, 1, 1);  // event at iteration 1; cooldown until 5
+  FeedIteration(fleet, 0, 1);
+  FeedIteration(fleet, 1, 1);  // event at iteration 1; cooldown until 5
   ASSERT_EQ(fleet.report().shed_events, 1);
   // Still slow every iteration — but a fresh streak has to build AND the
   // cooldown has to pass before anything moves again.
-  FeedIteration(monitor, 2, 1);
-  FeedIteration(monitor, 3, 1);
-  FeedIteration(monitor, 4, 1);
+  FeedIteration(fleet, 2, 1);
+  FeedIteration(fleet, 3, 1);
+  FeedIteration(fleet, 4, 1);
   EXPECT_EQ(fleet.report().shed_events, 1);  // iterations < 5: immune
-  FeedIteration(monitor, 5, 1);  // past cooldown, streak long since rebuilt
+  FeedIteration(fleet, 5, 1);  // past cooldown, streak long since rebuilt
   EXPECT_EQ(fleet.report().shed_events, 2);
   EXPECT_EQ(fleet.report().shed_iterations, 4);
   // An intervening fast iteration resets the streak: no third event until
   // two more consecutive flags accumulate.
-  FeedIteration(monitor, 9, /*slow=*/-1);  // everyone keeps pace
-  FeedIteration(monitor, 10, 1);
+  FeedIteration(fleet, 9, /*slow=*/-1);  // everyone keeps pace
+  FeedIteration(fleet, 10, 1);
   EXPECT_EQ(fleet.report().shed_events, 2);  // streak 1 of 2
 }
 
@@ -1462,27 +1487,61 @@ TEST(FleetCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
 TEST(FleetCoordinatorTest, DeadReplicaPinsItsBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
-  service::FleetCoordinator fleet(&store, &monitor,
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
                                   RebalancingFleet({0, 1, 2}, 1));
 
-  monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDisconnected(2, /*clean=*/false);  // -> kDead
+  fleet.OnReplicaAttached(2);
+  fleet.OnReplicaDisconnected(2, /*clean=*/false);  // -> kDead
   store.PushBytes(0, 2, "dead-backlog");
-  FeedIteration(monitor, 1, /*slow=*/2);  // late beats from the dead replica
+  FeedIteration(fleet, 1, /*slow=*/2);  // late beats from the dead replica
   EXPECT_EQ(fleet.report().shed_events, 0);
   EXPECT_EQ(store.PendingIterations(2), std::vector<int64_t>{0});
+}
+
+// A zombie's late beat must not count toward a report set. Once replica 3's
+// death has shrunk the expected fleet to 3, its beat for iteration 5 would
+// complete the set together with 0 and 2 — before replica 1 reported — and
+// replica 1's straggle would never be acted on.
+TEST(FleetCoordinatorTest, ZombieBeatNeverCompletesAReportSet) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
+  mopts.expected_replicas = 4;
+  service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
+  opts.membership = true;
+  service::FleetCoordinator fleet(&store, mopts, opts);
+
+  for (int64_t i = 0; i < 4; ++i) {
+    store.PushBytes(i, 1, "p" + std::to_string(i));
+  }
+  fleet.OnReplicaAttached(3);
+  fleet.OnReplicaDisconnected(3, /*clean=*/false);  // -> kDead
+  ASSERT_EQ(fleet.monitor().expected_replicas(), 3);
+
+  fleet.OnHeartbeat(3, 5, 10.0);  // the zombie
+  fleet.OnHeartbeat(0, 5, 10.0);
+  fleet.OnHeartbeat(2, 5, 10.0);
+  EXPECT_EQ(fleet.report().shed_events, 0);  // 2 of 3: still open
+  fleet.OnHeartbeat(1, 5, 40.0);  // completes the set, flagged
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.shed_events, 1);
+  EXPECT_EQ(report.shed_iterations, 2);
+  EXPECT_EQ(fleet.monitor().ForIteration(5).replicas_reported, 3);
+  EXPECT_EQ(store.PendingIterations(1), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(store.FetchBytes(10, 0), "p3");
+  EXPECT_EQ(store.FetchBytes(10, 2), "p2");
 }
 
 TEST(FleetCoordinatorTest, NoFastDestinationMeansNoMove) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
   // Nobody else is a member to take work.
-  service::FleetCoordinator fleet(&store, &monitor, RebalancingFleet({1}, 1));
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
+                                  RebalancingFleet({1}, 1));
 
   store.PushBytes(0, 1, "stuck");
-  FeedIteration(monitor, 0, /*slow=*/1);
+  FeedIteration(fleet, 0, /*slow=*/1);
   EXPECT_EQ(fleet.report().shed_events, 0);
   EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
 }
@@ -1494,22 +1553,21 @@ TEST(FleetCoordinatorTest, NoFastDestinationMeansNoMove) {
 TEST(FleetCoordinatorTest, DeathRepostFillsTheGapARebalanceVacated) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
   service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 1);
   opts.rebalance_max_moves = 1;
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   // Rebalance moves one plan to a fast replica's first spare key...
   store.PushBytes(0, 1, "slow-tail");
-  FeedIteration(monitor, 0, /*slow=*/1);
+  FeedIteration(fleet, 0, /*slow=*/1);
   ASSERT_EQ(fleet.report().shed_iterations, 1);
   // ...then that fast replica's peer dies and the backlog round-robins over
   // the survivors: keys continue after the rebalance's on the fast replica,
   // and the straggler's repost reuses the key the steal vacated.
   store.PushBytes(1, 2, "dead-a");
   store.PushBytes(2, 2, "dead-b");
-  monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDisconnected(2, /*clean=*/false);
+  fleet.OnReplicaAttached(2);
+  fleet.OnReplicaDisconnected(2, /*clean=*/false);
   EXPECT_EQ(fleet.report().replanned_iterations, 2);
   EXPECT_EQ(store.FetchBytes(10, 0), "slow-tail");
   EXPECT_EQ(store.FetchBytes(11, 0), "dead-a");
@@ -1525,10 +1583,9 @@ TEST(FleetCoordinatorTest, DeathRepostFillsTheGapARebalanceVacated) {
 TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
   service::FleetOptions opts = Fleet({0, 1, 2});
   opts.membership = true;
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int64_t i = 0; i < 8; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
@@ -1538,11 +1595,11 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
 
   // A bare shm announce or a plain wire kAttach both surface
   // here: an unknown replica turning alive.
-  monitor.OnReplicaAttached(3);
+  fleet.OnReplicaAttached(3);
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{3});
   EXPECT_EQ(report.join_stolen, 2);  // floor(8 / new fleet of 4)
-  EXPECT_EQ(monitor.expected_replicas(), 4);
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 4);
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2, 3}));
   // Tail first, at the joiner's spare keys; the donor keeps its head and
   // replica 0's shallow backlog was never the donor.
@@ -1560,26 +1617,25 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
 TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
   service::FleetOptions opts = Fleet({0, 1, 2});
   opts.membership = true;
   std::vector<int32_t> acked;  // event chain is synchronous here
   opts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
-  monitor.OnReplicaAttached(0);
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaAttached(2);
+  fleet.OnReplicaAttached(0);
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaAttached(2);
   store.PushBytes(0, 2, "d0");
   store.PushBytes(1, 2, "d1");
   store.PushBytes(2, 2, "d2");
 
-  monitor.OnReplicaDrainRequested(2);
+  fleet.OnReplicaDrainRequested(2);
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.drained, std::vector<int32_t>{2});
   EXPECT_EQ(report.drain_reposted, 3);
   EXPECT_EQ(acked, std::vector<int32_t>{2});
-  EXPECT_EQ(monitor.expected_replicas(), 2);
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 2);
   EXPECT_TRUE(store.IsReplicaFenced(2));
   EXPECT_TRUE(store.PendingIterations(2).empty());
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
@@ -1588,7 +1644,7 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   EXPECT_EQ(store.FetchBytes(10, 1), "d1");
   EXPECT_EQ(store.FetchBytes(11, 0), "d2");
 
-  monitor.OnReplicaDrainRequested(2);  // duplicate
+  fleet.OnReplicaDrainRequested(2);  // duplicate
   EXPECT_EQ(fleet.report().drained, std::vector<int32_t>{2});
   EXPECT_EQ(fleet.report().drain_reposted, 3);
   EXPECT_EQ(acked.size(), 1u);
@@ -1623,27 +1679,28 @@ TEST(InstructionStoreTest, FencedReplicaRefusesIncomingReposts) {
 TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
   service::FleetOptions opts = Fleet({0, 1, 2});
   opts.membership = true;
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
-  monitor.OnReplicaAttached(0);
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaAttached(2);
-  monitor.OnReplicaDrainRequested(2);
-  ASSERT_EQ(monitor.expected_replicas(), 2);
+  fleet.OnReplicaAttached(0);
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaAttached(2);
+  fleet.OnReplicaDrainRequested(2);
+  ASSERT_EQ(fleet.monitor().expected_replicas(), 2);
   ASSERT_TRUE(store.IsReplicaFenced(2));
 
-  monitor.OnReplicaDisconnected(2, /*clean=*/true);
-  EXPECT_EQ(monitor.expected_replicas(), 2);  // shrank at the drain, not here
+  fleet.OnReplicaDisconnected(2, /*clean=*/true);
+  // Shrank at the drain, not here.
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 2);
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
   EXPECT_TRUE(store.IsReplicaFenced(2));  // no destination while gone
-  EXPECT_TRUE(monitor.DeadReplicas().empty());  // a goodbye, not a death
+  // A goodbye, not a death.
+  EXPECT_TRUE(fleet.monitor().DeadReplicas().empty());
 
-  monitor.OnReplicaAttached(2);  // comes back: a joiner like any other
+  fleet.OnReplicaAttached(2);  // comes back: a joiner like any other
   EXPECT_FALSE(store.IsReplicaFenced(2));
-  EXPECT_EQ(monitor.expected_replicas(), 3);
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 3);
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
   EXPECT_EQ(fleet.report().joined, std::vector<int32_t>{2});
 }
@@ -1656,18 +1713,17 @@ TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
 TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor;
   service::FleetOptions opts = Fleet({0, 1});
   opts.membership = true;
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, {}, opts);
 
   store.PushBytes(0, 0, "plan-a");
   store.PushBytes(1, 0, "plan-b");
-  monitor.OnReplicaAttached(0);
-  monitor.OnReplicaAttached(1);
-  monitor.OnReplicaAttached(2);  // joins; fair share floor(2 / 3) = 0
-  monitor.OnReplicaDrainRequested(1);
-  monitor.OnReplicaDisconnected(0, /*clean=*/false);  // dies holding both
+  fleet.OnReplicaAttached(0);
+  fleet.OnReplicaAttached(1);
+  fleet.OnReplicaAttached(2);  // joins; fair share floor(2 / 3) = 0
+  fleet.OnReplicaDrainRequested(1);
+  fleet.OnReplicaDisconnected(0, /*clean=*/false);  // dies holding both
 
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{2});
@@ -1685,20 +1741,19 @@ TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
 TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitor monitor(FleetMonitorOptions());
   service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 2);
   opts.membership = true;
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int64_t i = 0; i < 8; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
-  monitor.OnReplicaAttached(3);  // steals p7, p6 to (10, 3), (11, 3)
+  fleet.OnReplicaAttached(3);  // steals p7, p6 to (10, 3), (11, 3)
   ASSERT_EQ(fleet.report().join_stolen, 2);
-  ASSERT_EQ(monitor.expected_replicas(), 4);
-  FeedIteration(monitor, 0, /*slow=*/3, /*replicas=*/4);
+  ASSERT_EQ(fleet.monitor().expected_replicas(), 4);
+  FeedIteration(fleet, 0, /*slow=*/3, /*replicas=*/4);
   EXPECT_EQ(fleet.report().shed_events, 0);  // streak 1 of 2
-  FeedIteration(monitor, 1, /*slow=*/3, /*replicas=*/4);
+  FeedIteration(fleet, 1, /*slow=*/3, /*replicas=*/4);
 
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.shed_events, 1);
@@ -1710,36 +1765,33 @@ TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
 }
 
 // A drain that shrinks the expected fleet completes a report set parked at
-// N-1 of N, and the monitor fires the straggler callback for it from inside
-// the drain's own event chain. That fire re-enters the same coordinator; it
-// must reach the rebalance handler (the coordinator's mutex is not held
-// across set_expected_replicas) and act on a member set without the leaver.
+// N-1 of N. The coordinator reacts to that completion inside the drain's own
+// call, on a member set that no longer holds the leaver.
 TEST(FleetCoordinatorTest, DrainCompletingAParkedIterationRebalances) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
   mopts.expected_replicas = 4;
-  service::HeartbeatMonitor monitor(mopts);
   service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
   opts.membership = true;
   std::vector<int32_t> acked;
   opts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
-  service::FleetCoordinator fleet(&store, &monitor, opts);
+  service::FleetCoordinator fleet(&store, mopts, opts);
 
   for (int64_t i = 0; i < 4; ++i) {
     store.PushBytes(i, 2, "p" + std::to_string(i));
   }
-  monitor.OnReplicaAttached(3);
-  FeedIteration(monitor, 0, /*slow=*/2);  // 3 of 4 reported: parked
-  EXPECT_EQ(monitor.ForIteration(0).stragglers, std::vector<int32_t>{});
+  fleet.OnReplicaAttached(3);
+  FeedIteration(fleet, 0, /*slow=*/2);  // 3 of 4 reported: parked
+  EXPECT_TRUE(fleet.monitor().ForIteration(0).stragglers.empty());
   EXPECT_EQ(fleet.report().shed_events, 0);
 
-  monitor.OnReplicaDrainRequested(3);  // 3 of 3: complete, 2 flagged
+  fleet.OnReplicaDrainRequested(3);  // 3 of 3: complete, 2 flagged
 
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.drained, std::vector<int32_t>{3});
   EXPECT_EQ(acked, std::vector<int32_t>{3});
-  EXPECT_EQ(monitor.expected_replicas(), 3);
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 3);
   EXPECT_EQ(report.shed_events, 1);
   EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{2});
   // The tail went to the fast members that stay, never to the leaver.

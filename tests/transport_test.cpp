@@ -1002,15 +1002,15 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
 
   // Control plane. No heartbeat deadline: death comes from the unclean
   // connection drop alone (a vanished process is dead now). The
-  // coordinator subscribes before the server serves its first frame.
-  service::HeartbeatMonitor monitor;
+  // coordinator is the store's sink before the server serves its first
+  // frame.
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
   service::FleetOptions fleet_opts;
   fleet_opts.replicas = {0, 1, 2};
   fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
+  service::FleetCoordinator fleet(&store, {}, fleet_opts);
+  store.set_heartbeat_sink(&fleet);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -1029,8 +1029,8 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   // Death declared, backlog re-published, survivors drain everything —
   // including the moved plan at its spare iteration.
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(monitor.Liveness(kVictim), service::ReplicaLiveness::kDead);
-  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
+  EXPECT_EQ(fleet.monitor().Liveness(kVictim), service::ReplicaLiveness::kDead);
+  EXPECT_EQ(fleet.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);  // iteration 2's plan moved
@@ -1051,15 +1051,15 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
 }
 
 // Replica 1 wedges (stalls 1500 ms mid-iteration — connection still up, so
-// only the heartbeat deadline can catch it). The watchdog declares it dead
-// at dead_after_ms, its pending plan moves to a survivor, and when the
-// stalled process wakes and heartbeats, the server answers kEvicted: the
-// zombie stops instead of double-running work that was re-published. The
-// drained survivors meanwhile sit in publish-polls — traffic that refreshes
-// their liveness, which is exactly why a deadline much shorter than the
-// idle window doesn't kill them. Margins are TSan-safe: the 1500 ms sleep
-// is not inflated, and the deadline only has to split 1500 from the
-// milliseconds of real work per iteration.
+// only the heartbeat deadline can catch it). The coordinator's deadline
+// ticker declares it dead at dead_after_ms, its pending plan moves to a
+// survivor, and when the stalled process wakes and heartbeats, the server
+// answers kEvicted: the zombie stops instead of double-running work that
+// was re-published. The drained survivors meanwhile sit in publish-polls —
+// traffic that refreshes their liveness, which is exactly why a deadline
+// much shorter than the idle window doesn't kill them. Margins are
+// TSan-safe: the 1500 ms sleep is not inflated, and the deadline only has to
+// split 1500 from the milliseconds of real work per iteration.
 TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
@@ -1088,14 +1088,13 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
 
   service::HeartbeatMonitorOptions mopts;
   mopts.dead_after_ms = 450.0;
-  service::HeartbeatMonitor monitor(mopts);
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
   service::FleetOptions fleet_opts;
   fleet_opts.replicas = {0, 1, 2};
   fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
+  service::FleetCoordinator fleet(&store, mopts, fleet_opts);
+  store.set_heartbeat_sink(&fleet);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -1113,7 +1112,7 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 7)
       << "victim status " << status;
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
+  EXPECT_EQ(fleet.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);
@@ -1225,15 +1224,13 @@ TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
     }
     children.push_back(child);
   }
-
-  service::HeartbeatMonitor monitor;
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
   service::FleetOptions fleet_opts;
   fleet_opts.replicas = {0, 1, 2};
   fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
+  service::FleetCoordinator fleet(&store, {}, fleet_opts);
+  store.set_heartbeat_sink(&fleet);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -1255,10 +1252,11 @@ TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
   // victim's moved backlog, and none from the victim.
   const int64_t plans_total = int64_t{kIterations} * kReplicas;
   ASSERT_TRUE(WaitUntil(
-      [&] { return monitor.total_heartbeats() >= plans_total; }, 30'000));
-  EXPECT_EQ(monitor.total_heartbeats(), plans_total);
-  EXPECT_EQ(monitor.LastIteration(kVictim), -1);
-  EXPECT_EQ(monitor.DeadReplicas(), std::vector<int32_t>{kVictim});
+      [&] { return fleet.monitor().total_heartbeats() >= plans_total; },
+      30'000));
+  EXPECT_EQ(fleet.monitor().total_heartbeats(), plans_total);
+  EXPECT_EQ(fleet.monitor().LastIteration(kVictim), -1);
+  EXPECT_EQ(fleet.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, kIterations);
@@ -1319,15 +1317,13 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
     }
     children.push_back(child);
   }
-
-  service::HeartbeatMonitor monitor;
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
   service::FleetOptions fleet_opts;
   fleet_opts.replicas = {0, 1, 2};
   fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, &monitor, fleet_opts);
+  service::FleetCoordinator fleet(&store, {}, fleet_opts);
+  store.set_heartbeat_sink(&fleet);
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
@@ -1349,7 +1345,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
       << "second victim status " << status;
 
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(monitor.DeadReplicas(),
+  EXPECT_EQ(fleet.monitor().DeadReplicas(),
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.dead_replicas,
@@ -1508,7 +1504,6 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   mopts.straggler_multiple = 2.0;
   mopts.min_straggler_gap_ms = 50.0;
   mopts.expected_replicas = kReplicas;
-  service::HeartbeatMonitor monitor(mopts);
   auto store = transport::ShmInstructionStore::Create(
       shm_name, transport::ShmStoreOptions{});
   service::FleetOptions fleet_opts;
@@ -1518,8 +1513,8 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   fleet_opts.rebalance_consecutive_flags = 1;
   fleet_opts.rebalance_max_moves = 2;
   fleet_opts.rebalance_hysteresis_iterations = kIterations;  // one event, max
-  service::FleetCoordinator fleet(store.get(), &monitor, fleet_opts);
-  transport::ShmHeartbeatPoller poller(store, &monitor);
+  service::FleetCoordinator fleet(store.get(), mopts, fleet_opts);
+  transport::ShmHeartbeatPoller poller(store, &fleet);
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
@@ -1532,10 +1527,10 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   ASSERT_TRUE(WaitUntil([&] { return store->size() == 0; }, 30'000));
   ASSERT_TRUE(WaitUntil(
       [&] {
-        return monitor.total_heartbeats() >= kIterations * kReplicas;
+        return fleet.monitor().total_heartbeats() >= kIterations * kReplicas;
       },
       10'000));
-  EXPECT_EQ(monitor.total_heartbeats(), kIterations * kReplicas);
+  EXPECT_EQ(fleet.monitor().total_heartbeats(), kIterations * kReplicas);
 
   for (const pid_t child : children) {
     int status = 0;
@@ -1546,7 +1541,8 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
 
   // The stall was detected through the segment alone: iteration 1 saw all
   // three replicas report and flagged exactly the stalled one.
-  const service::IterationHeartbeatStats stalled = monitor.ForIteration(1);
+  const service::IterationHeartbeatStats stalled =
+      fleet.monitor().ForIteration(1);
   EXPECT_EQ(stalled.replicas_reported, kReplicas);
   EXPECT_EQ(stalled.stragglers, std::vector<int32_t>{kVictim});
   EXPECT_GE(stalled.max_wall_ms, 1200.0);
@@ -1556,7 +1552,7 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   EXPECT_GE(report.shed_iterations, 1);
   EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{kVictim});
   // Nobody was declared dead: a stall is a straggle, not a failure.
-  EXPECT_TRUE(monitor.DeadReplicas().empty());
+  EXPECT_TRUE(fleet.monitor().DeadReplicas().empty());
 }
 
 // The mux client against the store server: many threads sharing ONE stream,
