@@ -167,16 +167,22 @@ struct HeartbeatRow {
 };
 
 HeartbeatRow MeasureHeartbeat(const char* name,
-                              runtime::InstructionStoreInterface& store,
+                              transport::MuxInstructionStore& client,
                               int rounds) {
-  store.Heartbeat(0, -1, 1.0);  // warm-up: first connect, scratch growth
+  bool evicted = false;
+  // Warm-up: first connect, scratch growth.
+  client.TryHeartbeat(0, -1, 1.0, &evicted);
   HeartbeatRow row;
   row.name = name;
   int64_t allocs = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < rounds; ++i) {
     const int64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-    store.Heartbeat(/*replica=*/0, /*iteration=*/i, /*wall_ms=*/12.5);
+    if (!client.TryHeartbeat(/*replica=*/0, /*iteration=*/i,
+                             /*wall_ms=*/12.5, &evicted) ||
+        evicted) {
+      std::printf("!! heartbeat %d not delivered\n", i);
+    }
     allocs += g_allocs.load(std::memory_order_relaxed) - allocs0;
   }
   row.heartbeat_ms = MsSince(t0) / rounds;
@@ -237,12 +243,12 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
 // and steals the joiner's fair share of the deepest backlog to its spare
 // keys — the OnReplicaAttached call spans the whole admission, i.e. the
 // delay before the joiner has work to find. Drain: a member asks to leave
-// and the coordinator fences it, reposts its remaining backlog round-robin
-// to the survivors, and acknowledges — the OnReplicaDrainRequested call
-// spans request -> ack, the time a leaver waits before it may finish
-// in-flight work and detach. Both hops are key moves on resident bytes
-// (no re-plan, no re-encode), so per-plan cost should stay flat like
-// recovery's.
+// and the coordinator drops it from the member set, reposts its remaining
+// backlog round-robin to the survivors, and acknowledges — the
+// OnReplicaDrainRequested call spans request -> ack, the time a leaver
+// waits before it may finish in-flight work and detach. Both hops are key
+// moves on resident bytes (no re-plan, no re-encode), so per-plan cost
+// should stay flat like recovery's.
 struct MembershipRow {
   int backlog;
   double join_ms = 0.0;
@@ -272,7 +278,8 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     auto t0 = std::chrono::steady_clock::now();
     fleet.OnReplicaAttached(3);
     row.join_ms += MsSince(t0);
-    // Drain handoff: request -> fence -> repost to survivors -> ack.
+    // Drain handoff: request -> leave the member set -> repost to
+    // survivors -> ack.
     t0 = std::chrono::steady_clock::now();
     fleet.OnReplicaDrainRequested(1);
     row.drain_ms += MsSince(t0);
@@ -475,8 +482,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "(join = unknown replica turns alive -> admitted + fair share of the "
-      "deepest backlog stolen to its spare keys; drain = request -> fence -> "
-      "remaining backlog reposted to survivors -> ack; both are key moves on "
+      "deepest backlog stolen to its spare keys; drain = request -> member "
+      "set shrinks -> remaining backlog reposted to survivors -> ack; both "
+      "are key moves on "
       "resident bytes)\n");
 
   // Observability overhead. Ordering matters: the shm publish rows run

@@ -31,6 +31,14 @@ if grep -nE 'std::(thread|function)' src/service/heartbeat_monitor.h \
   exit 1
 fi
 
+# The store interface is only the publish/fetch contract. Moving plans is the
+# RecoverableStore type, not a capability flag, and no store fences members:
+# the fleet coordinator's member set alone decides who receives work.
+if grep -nE 'supports_|Fence' src/runtime/instruction_store.h; then
+  echo "ERROR: src/runtime/instruction_store.h names supports_ or Fence" >&2
+  exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-Release}" \
   -DDYNAPIPE_WERROR=ON

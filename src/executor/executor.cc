@@ -223,7 +223,6 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
     case AttachEndpoint::kAuto:
       return fail("unreachable endpoint kind");
   }
-  report.heartbeat_supported = store->supports_heartbeat();
 
   // Mid-run mux reconnect: bounded attempts with capped, jittered backoff.
   // True restores a working (re-attached) client; false means the publisher
@@ -272,10 +271,10 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   std::function<bool(int64_t, double)> send_heartbeat;
   std::function<void()> goodbye;
   // request_drain: the graceful-leave handshake. True once the publisher
-  // acknowledged (its FleetCoordinator has fenced this replica and
-  // reposted the unfetched backlog); false on a vanished publisher or
-  // eviction (check the flag). Called between iterations, so "finish
-  // in-flight work" is already satisfied when the ack lands.
+  // acknowledged (its FleetCoordinator has taken this replica out of the
+  // member set and reposted the unfetched backlog); false on a vanished
+  // publisher or eviction (check the flag). Called between iterations, so
+  // "finish in-flight work" is already satisfied when the ack lands.
   std::function<bool()> request_drain;
 
   switch (endpoint) {
@@ -364,7 +363,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
         return store->Fetch(iteration, options.replica);
       };
       send_heartbeat = [&](int64_t iteration, double wall_ms) {
-        return store->Heartbeat(options.replica, iteration, wall_ms);
+        return shm_store->Heartbeat(options.replica, iteration, wall_ms);
       };
       goodbye = [&] {
         // Clean detach: flips the slot's detached flag so the poller reports
@@ -493,21 +492,18 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
     exec_span.reset();
     const double exec_wall_ms = MsSince(t0);
 
-    if (report.heartbeat_supported) {
-      // Crash site: SIGKILL after executing but before reporting — the
-      // worst-timed death, leaving the publisher to infer it from the
-      // dropped connection or the missed deadline.
-      common::FaultPoint("executor.heartbeat", iteration);
-      const auto hb0 = std::chrono::steady_clock::now();
-      {
-        common::TraceSpan span("heartbeat", "plan", iteration,
-                               options.replica);
-        if (send_heartbeat(iteration, exec_wall_ms)) {
-          ++report.heartbeats_sent;
-        }
+    // Crash site: SIGKILL after executing but before reporting — the
+    // worst-timed death, leaving the publisher to infer it from the dropped
+    // connection or the missed deadline.
+    common::FaultPoint("executor.heartbeat", iteration);
+    const auto hb0 = std::chrono::steady_clock::now();
+    {
+      common::TraceSpan span("heartbeat", "plan", iteration, options.replica);
+      if (send_heartbeat(iteration, exec_wall_ms)) {
+        ++report.heartbeats_sent;
       }
-      report.heartbeat_ms_total += MsSince(hb0);
     }
+    report.heartbeat_ms_total += MsSince(hb0);
 
     ++report.iterations_run;
     for (const auto& device : plan.devices) {

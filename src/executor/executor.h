@@ -95,7 +95,6 @@ struct ExecutorOptions {
 struct ExecutorReport {
   bool ok = false;
   std::string error;  // set when !ok
-  bool heartbeat_supported = false;
   // The server declared this replica dead and refused further service
   // (kEvicted): its plans were re-published to survivors while it was
   // stalled or disconnected, so it stopped instead of double-running them.

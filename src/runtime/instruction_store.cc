@@ -1,7 +1,5 @@
 #include "src/runtime/instruction_store.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
@@ -151,13 +149,6 @@ RepostOutcome InstructionStore::Repost(int64_t src_iteration,
     if (plans_.find(dst_key) != plans_.end()) {
       return RepostOutcome::kDestinationTaken;  // leave both alone
     }
-    // A draining replica must not be handed new work: an in-flight rebalance
-    // or recovery move racing a clean drain reads this exactly like a taken
-    // key — burn the spare key, pick another destination.
-    if (std::find(fenced_.begin(), fenced_.end(), dst_replica) !=
-        fenced_.end()) {
-      return RepostOutcome::kDestinationTaken;
-    }
     plans_.emplace(dst_key, std::move(src->second));
     plans_.erase(src);
     // Residency count is unchanged, but a poller parked on the destination
@@ -186,24 +177,6 @@ size_t InstructionStore::DropReplica(int32_t replica) {
   return dropped;
 }
 
-void InstructionStore::FenceReplica(int32_t replica) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (std::find(fenced_.begin(), fenced_.end(), replica) == fenced_.end()) {
-    fenced_.push_back(replica);
-  }
-}
-
-void InstructionStore::UnfenceReplica(int32_t replica) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fenced_.erase(std::remove(fenced_.begin(), fenced_.end(), replica),
-                fenced_.end());
-}
-
-bool InstructionStore::IsReplicaFenced(int32_t replica) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::find(fenced_.begin(), fenced_.end(), replica) != fenced_.end();
-}
-
 bool InstructionStore::Contains(int64_t iteration, int32_t replica) const {
   std::lock_guard<std::mutex> lock(mu_);
   return plans_.find(std::make_pair(iteration, replica)) != plans_.end();
@@ -230,11 +203,6 @@ int64_t InstructionStore::serialized_bytes_total() const {
 void InstructionStore::set_heartbeat_sink(HeartbeatSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   heartbeat_sink_ = sink;
-}
-
-bool InstructionStore::supports_heartbeat() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heartbeat_sink_ != nullptr;
 }
 
 bool InstructionStore::Heartbeat(int32_t replica, int64_t iteration,
@@ -283,8 +251,7 @@ void InstructionStore::NotifyReplicaDrainRequested(int32_t replica) {
   }
   if (sink != nullptr) {
     // Outside mu_: a FleetCoordinator sink hands the drainer off inside
-    // this call, straight back into this store (FenceReplica,
-    // PendingIterations, Repost).
+    // this call, straight back into this store (PendingIterations, Repost).
     sink->OnReplicaDrainRequested(replica);
   }
 }

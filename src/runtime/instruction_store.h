@@ -20,7 +20,9 @@
 //     same-host executor processes attach to by name and fetch from with no
 //     wire at all.
 // Everything above the interface (PlanAheadService, Trainer) is agnostic to
-// which one it is talking to.
+// which one it is talking to. The two that hold the plans themselves (the
+// in-process store and the shm segment) are also a RecoverableStore, the
+// surface the fleet coordinator moves plans through.
 #ifndef DYNAPIPE_SRC_RUNTIME_INSTRUCTION_STORE_H_
 #define DYNAPIPE_SRC_RUNTIME_INSTRUCTION_STORE_H_
 
@@ -88,7 +90,6 @@ enum class RepostOutcome : uint8_t {
   kMoved,             // plan now resides at the destination key
   kSourceGone,        // fetched out from under us — the race is benign
   kDestinationTaken,  // destination key already published; pick another
-  kUnsupported,       // backend has no recovery surface
 };
 
 // The store contract every backend implements. Thread-safe; one producer
@@ -119,69 +120,25 @@ class InstructionStoreInterface {
   // cross an encode boundary) — the "wire" volume the paper's Redis store
   // would carry.
   virtual int64_t serialized_bytes_total() const = 0;
+};
 
-  // --- Executor liveness (optional capability) ---
-  // Whether this backend has a channel carrying iteration-completion
-  // heartbeats back toward the planner. Wire backends do (a kHeartbeat
-  // frame), and the shared-memory segment carries per-replica heartbeat
-  // slots in its header. Callers must treat "no" as a capability, never an
-  // error.
-  virtual bool supports_heartbeat() const { return false; }
-  // Reports that this executor finished `iteration` on `replica` in `wall_ms`
-  // of wall clock. Returns false — a clean no-op, not a crash — when the
-  // backend has no heartbeat channel (supports_heartbeat() is false).
-  virtual bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms) {
-    (void)replica;
-    (void)iteration;
-    (void)wall_ms;
-    return false;
-  }
-
-  // --- Recovery surface (optional capability) ---
-  // Whether this backend can enumerate and move resident plans — the
-  // planner-side machinery the FleetCoordinator sits on. Backends the
-  // coordinator runs next to (the in-process store, the shm
-  // segment) say yes; remote *clients* say no — recovery always runs where
-  // the plans actually live.
-  virtual bool supports_recovery() const { return false; }
+// A store that holds the plans itself and can move them: the planner-side
+// machinery the FleetCoordinator sits on. The in-process store and the shm
+// segment are recoverable; remote *clients* are not — recovery always runs
+// in the process where the plans live.
+class RecoverableStore : public InstructionStoreInterface {
+ public:
   // Iterations currently published for `replica`, ascending — the unfetched
   // backlog recovery or rebalance must move.
-  virtual std::vector<int64_t> PendingIterations(int32_t replica) const {
-    (void)replica;
-    return {};
-  }
+  virtual std::vector<int64_t> PendingIterations(int32_t replica) const = 0;
   // Moves one resident plan to a new key, verbatim (plans are byte-stable, so
   // re-publishing to a survivor is a key move, not a re-encode). Outcomes are
   // never fatal: coordinator races must degrade, not abort the trainer.
   virtual RepostOutcome Repost(int64_t src_iteration, int32_t src_replica,
-                               int64_t dst_iteration, int32_t dst_replica) {
-    (void)src_iteration;
-    (void)src_replica;
-    (void)dst_iteration;
-    (void)dst_replica;
-    return RepostOutcome::kUnsupported;
-  }
+                               int64_t dst_iteration, int32_t dst_replica) = 0;
   // Discards every resident plan for `replica` and returns how many; frees
   // capacity slots (wakes blocked pushes) like any fetch.
-  virtual size_t DropReplica(int32_t replica) {
-    (void)replica;
-    return 0;
-  }
-
-  // --- Membership fence (optional capability, rides the recovery surface) ---
-  // A draining replica must stop *receiving* work while it hands off: once
-  // fenced, any Repost naming it as the destination returns
-  // kDestinationTaken, so an in-flight rebalance move racing the drain burns
-  // its spare key and retries elsewhere instead of stranding a plan on the
-  // leaver. Process-local state: the coordinators that call Repost live in
-  // the publisher process alongside the fence. Backends without a recovery
-  // surface ignore the calls (there is nothing to repost anyway).
-  virtual void FenceReplica(int32_t replica) { (void)replica; }
-  virtual void UnfenceReplica(int32_t replica) { (void)replica; }
-  virtual bool IsReplicaFenced(int32_t replica) const {
-    (void)replica;
-    return false;
-  }
+  virtual size_t DropReplica(int32_t replica) = 0;
 };
 
 struct InstructionStoreOptions {
@@ -193,7 +150,7 @@ struct InstructionStoreOptions {
 };
 
 // The in-process backend (and the storage a transport server fronts).
-class InstructionStore final : public InstructionStoreInterface {
+class InstructionStore final : public RecoverableStore {
  public:
   InstructionStore() = default;
   explicit InstructionStore(InstructionStoreOptions options)
@@ -221,15 +178,11 @@ class InstructionStore final : public InstructionStoreInterface {
   // a kMissing reply on *its* connection, never a crash in the publisher.
   std::optional<std::string> TryFetchBytes(int64_t iteration, int32_t replica);
 
-  // --- Recovery surface (planner side) ---
-  bool supports_recovery() const override { return true; }
+  // RecoverableStore (planner side).
   std::vector<int64_t> PendingIterations(int32_t replica) const override;
   RepostOutcome Repost(int64_t src_iteration, int32_t src_replica,
                        int64_t dst_iteration, int32_t dst_replica) override;
   size_t DropReplica(int32_t replica) override;
-  void FenceReplica(int32_t replica) override;
-  void UnfenceReplica(int32_t replica) override;
-  bool IsReplicaFenced(int32_t replica) const override;
 
   // Liveness relays for the transport server; forwarded to the sink (outside
   // the store lock) when one is attached, no-ops otherwise.
@@ -238,13 +191,15 @@ class InstructionStore final : public InstructionStoreInterface {
   void NotifyReplicaDrainRequested(int32_t replica);
   bool ReplicaConsideredDead(int32_t replica) const;
 
-  // Attaching a sink turns the heartbeat capability on: Heartbeat forwards to
-  // it and returns true. Not owned; must strictly outlive the store —
-  // delivery happens outside the store's lock, so swapping the sink out (or
-  // to nullptr) cannot be used to quiesce in-flight Heartbeat calls.
+  // The sink the relays above and Heartbeat forward to. Not owned; must
+  // strictly outlive the store — delivery happens outside the store's lock,
+  // so swapping the sink out (or to nullptr) cannot be used to quiesce
+  // in-flight Heartbeat calls.
   void set_heartbeat_sink(HeartbeatSink* sink);
-  bool supports_heartbeat() const override;
-  bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms) override;
+  // Reports that an executor finished `iteration` on `replica` in `wall_ms`
+  // of wall clock: the transport server's kHeartbeat relay. Forwarded to the
+  // sink (outside the store lock); false when none is attached.
+  bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms);
 
   const InstructionStoreOptions& options() const { return options_; }
 
@@ -267,7 +222,6 @@ class InstructionStore final : public InstructionStoreInterface {
   bool shutdown_ = false;
   int64_t serialized_bytes_total_ = 0;
   std::map<std::pair<int64_t, int32_t>, Entry> plans_;
-  std::vector<int32_t> fenced_;  // draining replicas; guarded by mu_
 };
 
 }  // namespace dynapipe::runtime

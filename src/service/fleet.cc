@@ -26,7 +26,7 @@ int64_t FleetCoordinator::SpareKeyAllocator::Next(int32_t replica) {
   return it->second++;
 }
 
-FleetCoordinator::FleetCoordinator(runtime::InstructionStoreInterface* store,
+FleetCoordinator::FleetCoordinator(runtime::RecoverableStore* store,
                                    HeartbeatMonitorOptions monitor_options,
                                    FleetOptions options)
     : store_(store),
@@ -138,14 +138,8 @@ std::vector<int32_t> FleetCoordinator::ActiveLocked() const {
 }
 
 std::vector<int32_t> FleetCoordinator::PeersLocked(int32_t replica) const {
-  // A fence that lands after this snapshot is still safe: the store answers
-  // the Repost with kDestinationTaken and the mover burns that key.
-  std::vector<int32_t> peers;
-  for (const int32_t member : ActiveLocked()) {
-    if (member != replica && !store_->IsReplicaFenced(member)) {
-      peers.push_back(member);
-    }
-  }
+  std::vector<int32_t> peers = ActiveLocked();
+  peers.erase(std::remove(peers.begin(), peers.end(), replica), peers.end());
   return peers;
 }
 
@@ -177,7 +171,6 @@ std::vector<int64_t> FleetCoordinator::MoveLocked(
         }
       }
       // kSourceGone: the victim fetched it in a race — the work happens.
-      // kUnsupported: this store cannot move plans.
       break;
     }
   }
@@ -202,8 +195,7 @@ void FleetCoordinator::ReactLocked(const MonitorUpdate& update) {
         break;
       case ReplicaLiveness::kDetached: {
         // A drainer's clean exit: the handoff and the shrink already
-        // happened, so just retire it. The fence stays up so nothing can
-        // target the departed id; a re-join lifts it.
+        // happened, so just retire it; a re-join admits the id afresh.
         const auto it = members_.find(event.replica);
         if (it != members_.end() && it->second == Member::kDraining) {
           members_.erase(it);
@@ -283,10 +275,11 @@ void FleetCoordinator::OnIterationCompleteLocked(
         destinations.push_back(peer);
       }
     }
+    // The tail only: the lowest pending plan stays (see the header).
     std::vector<int64_t> tail = store_->PendingIterations(slow);
     std::reverse(tail.begin(), tail.end());
     tail.resize(std::min<size_t>(
-        tail.size(),
+        tail.empty() ? 0 : tail.size() - 1,
         static_cast<size_t>(std::max(options_.rebalance_max_moves, 0))));
     const std::vector<int64_t> moved = MoveLocked(slow, tail, destinations);
     if (moved.empty()) {
@@ -319,7 +312,6 @@ void FleetCoordinator::OnJoinLocked(int32_t replica) {
   }
   common::TraceSpan span("join", "membership", /*iteration=*/0, replica);
   members_.emplace(replica, Member::kActive);
-  store_->UnfenceReplica(replica);  // re-admission after a drain
   report_.joined.push_back(replica);
   static common::Counter& joins =
       common::MetricsRegistry::Instance().GetCounter("membership_joins_total");
@@ -349,10 +341,9 @@ void FleetCoordinator::OnDrainLocked(int32_t replica) {
   if (it != members_.end() && it->second != Member::kActive) {
     return;  // zombie or duplicate request
   }
-  // Fence first so no racing move lands on the leaver from here on, then
-  // hand its backlog to the survivors.
+  // Out of the member set first — no move targets it from here on, and its
+  // vacated keys are not released — then hand its backlog to the survivors.
   common::TraceSpan span("drain", "membership", /*iteration=*/0, replica);
-  store_->FenceReplica(replica);
   members_[replica] = Member::kDraining;  // a drain implies membership
   report_.drain_reposted += static_cast<int64_t>(
       MoveLocked(replica, store_->PendingIterations(replica),

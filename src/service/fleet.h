@@ -11,9 +11,10 @@
 //             complete iterations in a row sheds the tail of its backlog —
 //             at most `rebalance_max_moves` plans — to members that kept
 //             pace, then is immune for `rebalance_hysteresis_iterations`.
-//             The slow replica keeps the iterations it reaches next (its
-//             fetch may be in flight); the furthest-future plans are the ones
-//             a fast replica overtakes.
+//             The slow replica always keeps its lowest pending plan — the
+//             one it reaches next, whose fetch may be in flight — so a shed
+//             moves at most pending - 1; the furthest-future plans are the
+//             ones a fast replica overtakes.
 //   join      (membership on) a replica outside the member set turns kAlive —
 //             a plain wire kAttach, or a bare shm AnnounceReplica: admission
 //             keys off the liveness event, so neither path declares
@@ -21,24 +22,24 @@
 //             steals a fair share (deepest backlog / new fleet size) of the
 //             deepest member's tail.
 //   drain     (membership on) a member turns kDraining (wire kDrainRequest or
-//             the shm slot's drain word). It is fenced in the store, its
+//             the shm slot's drain word). It leaves the member set, its
 //             backlog is reposted to the surviving members, the expected
 //             fleet shrinks, and `drain_ack` fires — over the wire the
 //             server's kDrainAck reply, sent when the sink call returns, is
 //             the ack; the shm path passes
 //             ShmInstructionStore::AcknowledgeDrain. A drainer that then
-//             detaches cleanly is retired; its fence stays until it re-joins.
+//             detaches cleanly is retired; a re-join admits it afresh.
 //
 // All four move plans between the same member set — the initial fleet plus
-// joiners, minus the dead and the draining — through one private mover. A
-// move is a store-level Repost (plans are byte-stable and keyed by
-// (iteration, replica): a key move, no re-plan, no re-encode) to the
-// destination's next *spare* iteration key, starting at
+// joiners, minus the dead, the draining and the retired — through one
+// private mover under the one mutex, so the member set alone decides who
+// receives work. A move is a store-level Repost (plans are byte-stable and
+// keyed by (iteration, replica): a key move, no re-plan, no re-encode) to
+// the destination's next *spare* iteration key, starting at
 // `spare_iteration_base` (the epoch's iteration count, where an open-ended
 // executor polls once its own share is done). Spare keys are burned on
-// allocation: a destination that turns out taken (kDestinationTaken — a
-// squatter, or a replica fenced after the destinations were chosen) is
-// skipped and the next key tried.
+// allocation: a destination key that turns out taken (kDestinationTaken — a
+// squatter) is skipped and the next key tried.
 //
 // The gap-filling rule lives in the mover alone. An executor polls its keys
 // strictly in order and gives up at the first gap, so a live victim's pending
@@ -47,7 +48,7 @@
 // key back, and the next repost *to* that victim reuses released keys
 // smallest-first before minting fresh ones — it fills the gap instead of
 // landing beyond a hole the victim never crosses. The keys of dead and
-// draining victims are never released: neither is ever a destination again.
+// draining victims are never released: neither polls them again.
 //
 // One state machine on the caller's clock. The coordinator owns its monitor
 // and is the runtime::HeartbeatSink that stores, the mux server and the shm
@@ -123,10 +124,10 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
  public:
   using Clock = std::chrono::steady_clock;
 
-  // The store must have a recovery surface (supports_recovery()) — the
-  // in-process store or the shm segment: plans move in the process where
-  // they live. Not owned; it must outlive the coordinator.
-  FleetCoordinator(runtime::InstructionStoreInterface* store,
+  // The store holds the plans — the in-process store or the shm segment:
+  // plans move in the process where they live. Not owned; it must outlive
+  // the coordinator.
+  FleetCoordinator(runtime::RecoverableStore* store,
                    HeartbeatMonitorOptions monitor_options,
                    FleetOptions options);
   ~FleetCoordinator() override;
@@ -193,11 +194,11 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   std::vector<int64_t> MoveLocked(int32_t victim,
                                   const std::vector<int64_t>& plans,
                                   const std::vector<int32_t>& destinations);
-  // Active members other than `replica` that can take work (not fenced).
+  // Active members other than `replica`: the destinations of every move.
   // Caller holds mu_.
   std::vector<int32_t> PeersLocked(int32_t replica) const;
   std::vector<int32_t> ActiveLocked() const;
-  runtime::InstructionStoreInterface* store_;
+  runtime::RecoverableStore* store_;
   const FleetOptions options_;
 
   mutable std::mutex mu_;

@@ -144,8 +144,8 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
                      Clock::time_point now);
   MonitorUpdate Attach(int32_t replica, Clock::time_point now);
   // The replica asked to leave the fleet gracefully: kDraining, the
-  // FleetCoordinator's cue to fence it, repost its backlog, and shrink the
-  // expected fleet. Ignored for dead replicas (their plans already moved;
+  // FleetCoordinator's cue to drop it from the member set, repost its
+  // backlog, and shrink the expected fleet. Ignored for dead replicas (their plans already moved;
   // the server evicts them instead).
   MonitorUpdate Drain(int32_t replica, Clock::time_point now);
   MonitorUpdate Drop(int32_t replica, bool clean);

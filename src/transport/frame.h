@@ -63,10 +63,10 @@ enum class FrameType : uint8_t {
                       // kClockReply. The executor's clock-alignment exchange
                       // at attach and reconnect.
   kDrainRequest = 10,  // frame v4: replica (in the header) asks to leave the
-                       // fleet gracefully. The server fences the replica as a
-                       // repost destination and hands the event to the
-                       // membership layer, which reposts the leaver's
-                       // unfetched backlog to survivors *before* the reply is
+                       // fleet gracefully. The server hands the event to the
+                       // membership layer, which drops the replica from the
+                       // member set and reposts the leaver's unfetched
+                       // backlog to survivors *before* the reply is
                        // written — so the kDrainAck the client blocks on IS
                        // the handoff-complete signal. The replica then
                        // finishes anything already fetched and sends a normal
@@ -89,9 +89,9 @@ enum class FrameType : uint8_t {
   kClockReply = 70,  // payload = varint(server's aligned trace-clock now,
                      // µs); codec below.
   kDrainAck = 71,  // frame v4: the drain handoff finished — the replica is
-                   // fenced, its unfetched backlog lives with survivors.
-                   // Receiving it is the green light to finish in-flight
-                   // work and kDetach.
+                   // out of the member set, its unfetched backlog lives
+                   // with survivors. Receiving it is the green light to
+                   // finish in-flight work and kDetach.
 };
 
 // Ceiling on one frame's body; anything larger is a corrupt length field.

@@ -275,18 +275,6 @@ void MuxInstructionStore::Shutdown() {
   Call(request, FrameType::kOk);
 }
 
-bool MuxInstructionStore::Heartbeat(int32_t replica, int64_t iteration,
-                                    double wall_ms) {
-  thread_local Frame request;
-  request.type = FrameType::kHeartbeat;
-  request.iteration = iteration;
-  request.replica = replica;
-  request.payload.clear();
-  AppendHeartbeatPayload(wall_ms, &request.payload);
-  Call(request, FrameType::kOk);
-  return true;
-}
-
 int64_t MuxInstructionStore::serialized_bytes_total() const {
   return serialized_bytes_total_.load(std::memory_order_relaxed);
 }

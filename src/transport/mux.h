@@ -90,10 +90,6 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   void Shutdown() override;
   // Encoded bytes this client pushed (the wire volume it produced).
   int64_t serialized_bytes_total() const override;
-  // The wire carries heartbeats (kHeartbeat frame), multiplexed like any
-  // other request.
-  bool supports_heartbeat() const override { return true; }
-  bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms) override;
 
   // False once the stream died or the server sent an unparsable/unmatched
   // reply (the demux loop has exited and failed all waiters).
@@ -120,8 +116,9 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   std::optional<sim::ExecutionPlan> TryFetch(int64_t iteration,
                                              int32_t replica,
                                              bool* connection_lost);
-  // Heartbeat; *evicted=true when the server answered kEvicted (this
-  // replica was declared dead — stop executing).
+  // Heartbeat (a kHeartbeat frame, multiplexed like any other request);
+  // *evicted=true when the server answered kEvicted (this replica was
+  // declared dead — stop executing).
   bool TryHeartbeat(int32_t replica, int64_t iteration, double wall_ms,
                     bool* evicted);
   // Liveness announcement for `replica` on this connection (kAttach /
@@ -130,10 +127,10 @@ class MuxInstructionStore final : public runtime::InstructionStoreInterface {
   bool Attach(int32_t replica, bool* evicted, int timeout_ms = 0);
   bool Detach(int32_t replica);
   // Graceful-leave handshake (frame v4 kDrainRequest): by the time kDrainAck
-  // comes back the server has fenced this replica and reposted its unfetched
-  // backlog — finish in-flight work, then Detach. *evicted=true when the
-  // server answered kEvicted (this replica was declared dead mid-request).
-  // False on connection loss or timeout.
+  // comes back the server has taken this replica out of the member set and
+  // reposted its unfetched backlog — finish in-flight work, then Detach.
+  // *evicted=true when the server answered kEvicted (this replica was
+  // declared dead mid-request). False on connection loss or timeout.
   bool TryDrain(int32_t replica, bool* evicted, int timeout_ms = 0);
   // One kClockRequest round trip folded into the tracer's clock offset
   // (offset += server_now − midpoint(send, recv)), so spans this process

@@ -811,7 +811,7 @@ void ShmInstructionStore::AcknowledgeDrain(int32_t replica) {
   }
 }
 
-// --- Recovery surface ---
+// --- RecoverableStore ---
 
 std::vector<int64_t> ShmInstructionStore::PendingIterations(
     int32_t replica) const {
@@ -859,11 +859,6 @@ runtime::RepostOutcome ShmInstructionStore::Repost(int64_t src_iteration,
   if (src_i < 0) {
     return runtime::RepostOutcome::kSourceGone;
   }
-  // A draining destination reads exactly like a taken key: burn the spare
-  // key and let the caller's retry chain pick another survivor.
-  if (IsReplicaFenced(dst_replica)) {
-    return runtime::RepostOutcome::kDestinationTaken;
-  }
   // A key move, not a byte move: the arena payload stays where it is, only
   // the index entry is re-keyed — reposted plans stay byte-identical.
   ShmSlot& slot = slot_array[src_i];
@@ -872,24 +867,6 @@ runtime::RepostOutcome ShmInstructionStore::Repost(int64_t src_iteration,
     slot.replica.store(dst_replica, std::memory_order_relaxed);
   });
   return runtime::RepostOutcome::kMoved;
-}
-
-void ShmInstructionStore::FenceReplica(int32_t replica) {
-  std::lock_guard<std::mutex> lock(fence_mu_);
-  if (std::find(fenced_.begin(), fenced_.end(), replica) == fenced_.end()) {
-    fenced_.push_back(replica);
-  }
-}
-
-void ShmInstructionStore::UnfenceReplica(int32_t replica) {
-  std::lock_guard<std::mutex> lock(fence_mu_);
-  fenced_.erase(std::remove(fenced_.begin(), fenced_.end(), replica),
-                fenced_.end());
-}
-
-bool ShmInstructionStore::IsReplicaFenced(int32_t replica) const {
-  std::lock_guard<std::mutex> lock(fence_mu_);
-  return std::find(fenced_.begin(), fenced_.end(), replica) != fenced_.end();
 }
 
 size_t ShmInstructionStore::DropReplica(int32_t replica) {
@@ -1025,7 +1002,7 @@ int ShmHeartbeatPoller::PollOnce() {
       obs.detach_delivered = true;
       ++delivered;
     } else if (detached == 2 && !obs.drain_delivered) {
-      // Drain requested: a FleetCoordinator sink fences and reposts inside
+      // Drain requested: a FleetCoordinator sink reposts the backlog inside
       // this call, then acknowledges via AcknowledgeDrain once the handoff
       // is done.
       sink_->OnReplicaDrainRequested(replica);

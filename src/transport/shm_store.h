@@ -96,7 +96,7 @@ struct ShmStoreOptions {
   size_t arena_bytes = size_t{32} << 20;
 };
 
-class ShmInstructionStore final : public runtime::InstructionStoreInterface {
+class ShmInstructionStore final : public runtime::RecoverableStore {
  public:
   // Creates (shm_open O_CREAT|O_EXCL) and initializes a fresh segment. The
   // creating process owns the name: the destructor shm_unlinks it. `name`
@@ -150,13 +150,13 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   bool PushBytes(int64_t iteration, int32_t replica, std::string_view bytes);
 
   // --- Liveness channel (executor side) ---
-  // The segment carries per-replica heartbeat slots, so the capability is
-  // intrinsic — no server, no sink attachment needed on this side.
-  bool supports_heartbeat() const override { return true; }
+  // The segment carries per-replica heartbeat slots — no server, no sink
+  // attachment needed on this side.
+  //
   // Records an iteration completion in the replica's heartbeat slot (claimed
   // on first use). The publisher-side ShmHeartbeatPoller forwards it to the
   // HeartbeatMonitor. Always returns true.
-  bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms) override;
+  bool Heartbeat(int32_t replica, int64_t iteration, double wall_ms);
   // Claims the replica's heartbeat slot and stamps it alive — executors call
   // this right after Attach so the publisher's fleet barrier sees them before
   // their first completion.
@@ -175,7 +175,7 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   //   3 = drain acknowledged (publisher wrote). Same layout, same version.
   // Executor side: asks to leave — the shm equivalent of the wire
   // kDrainRequest. The poller forwards it to the HeartbeatSink and the
-  // FleetCoordinator fences + reposts before acknowledging.
+  // FleetCoordinator reposts the backlog before acknowledging.
   void RequestDrain(int32_t replica);
   // Executor side: true once the publisher acknowledged the drain — the
   // green light to finish in-flight work and DetachReplica.
@@ -185,15 +185,7 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   // the wire kDrainAck reply.
   void AcknowledgeDrain(int32_t replica);
 
-  // Membership fence — process-local, like the in-process store's: the
-  // coordinators live in the publisher process, so the fence does not need
-  // to cross the segment.
-  void FenceReplica(int32_t replica) override;
-  void UnfenceReplica(int32_t replica) override;
-  bool IsReplicaFenced(int32_t replica) const override;
-
-  // --- Recovery surface (planner side) ---
-  bool supports_recovery() const override { return true; }
+  // --- RecoverableStore (planner side) ---
   std::vector<int64_t> PendingIterations(int32_t replica) const override;
   runtime::RepostOutcome Repost(int64_t src_iteration, int32_t src_replica,
                                 int64_t dst_iteration,
@@ -237,9 +229,6 @@ class ShmInstructionStore final : public runtime::InstructionStoreInterface {
   // writers so each slot keeps a single seqlock writer.
   mutable std::mutex hb_mu_;
   std::map<int32_t, uint32_t> hb_claimed_;  // replica -> slot index
-  // Process-local membership fence (publisher side); guarded by fence_mu_.
-  mutable std::mutex fence_mu_;
-  std::vector<int32_t> fenced_;
 };
 
 // Publisher-side pump for the segment's heartbeat slots: a thread that

@@ -253,8 +253,8 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
           finish();
           return;
         }
-        // One delivery path: the store's heartbeat capability. False (no
-        // sink attached) means acknowledged-and-discarded.
+        // One delivery path: the store's heartbeat relay. False (no sink
+        // attached) means acknowledged-and-discarded.
         store_->Heartbeat(request->replica, request->iteration, wall_ms);
         // Fencing: a replica declared dead hears it on its next heartbeat —
         // its plans were re-published, so the only safe instruction is
@@ -285,12 +285,12 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
       }
       case FrameType::kDrainRequest: {
         // Graceful leave. The sink's reaction (monitor -> membership) runs
-        // inside this notify: by the time it returns, the replica is fenced
-        // and its unfetched backlog is reposted to the survivors — so the
-        // kDrainAck reply really is the green light to finish in-flight work
-        // and kDetach. A replica
-        // already declared dead gets kEvicted instead: its plans moved long
-        // ago and the only safe instruction is "stop".
+        // inside this notify: by the time it returns, the replica has left
+        // the member set and its unfetched backlog is reposted to the
+        // survivors — so the kDrainAck reply really is the green light to
+        // finish in-flight work and kDetach. A replica already declared dead
+        // gets kEvicted instead: its plans moved long ago and the only safe
+        // instruction is "stop".
         if (store_->ReplicaConsideredDead(request->replica)) {
           reply.type = FrameType::kEvicted;
           break;

@@ -5,9 +5,9 @@
 //   1. A deterministic forked acceptance test: three shm executors start an
 //      epoch; mid-epoch a fourth joins by bare announce and one of the three
 //      drains out through its heartbeat slot's drain word. The joiner must
-//      be admitted and seeded with stolen backlog, the drainer must be
-//      fenced, handed off, acknowledged, and detached clean — and every
-//      published plan must execute exactly once, byte-identical.
+//      be admitted and seeded with stolen backlog, the drainer must leave
+//      the member set, be handed off, acknowledged, and detached clean —
+//      and every published plan must execute exactly once, byte-identical.
 //
 //   2. A seeded chaos harness: five deterministic std::mt19937 schedules,
 //      each picking who drains (and when), who joins (and when), and whether
@@ -205,8 +205,8 @@ struct ChurnControlPlane {
 // Replica 2 drains after two iterations; replica 3 joins immediately at the
 // spare base. Every handoff is asserted individually: the joiner is
 // admitted and seeded (>= 1 stolen plan — share = 6 pending / 4 expected),
-// the drainer is fenced, reposted, acknowledged (clean handshake, no
-// eviction) and retired on detach, and the whole epoch executes exactly
+// the drainer leaves the member set, is reposted, acknowledged (clean
+// handshake, no eviction) and retired on detach, and the whole epoch executes exactly
 // once, byte-identical.
 TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   constexpr int32_t kDrainer = 2;
@@ -266,8 +266,9 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   const service::FleetReport report = plane.fleet->report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{kJoiner});
   EXPECT_GE(report.join_stolen, 1);
-  // The drain: fenced and handed off (the drainer left 4 unfetched), then
-  // acknowledged — the child's exit code already proved the clean handshake.
+  // The drain: out of the member set and handed off (the drainer left 4
+  // unfetched), then acknowledged — the child's exit code already proved the
+  // clean handshake.
   EXPECT_EQ(report.drained, std::vector<int32_t>{kDrainer});
   EXPECT_GE(report.drain_reposted, 1);
 

@@ -446,8 +446,10 @@ TEST(HeartbeatFramingTest, TruncationsAndBitFlipsNeverCrashServerOrMonitor) {
 
   // The server survived all of it: a valid heartbeat still lands.
   auto client = transport::MuxInstructionStore::OverTransport(&transport);
-  EXPECT_TRUE(client->Heartbeat(/*replica=*/5, /*iteration=*/33,
-                                /*wall_ms=*/7.5));
+  bool evicted = false;
+  EXPECT_TRUE(client->TryHeartbeat(/*replica=*/5, /*iteration=*/33,
+                                   /*wall_ms=*/7.5, &evicted));
+  EXPECT_FALSE(evicted);
   EXPECT_EQ(monitor.LastIteration(5), 33);
   const service::IterationHeartbeatStats stats = monitor.ForIteration(33);
   EXPECT_EQ(stats.replicas_reported, 1);

@@ -1454,6 +1454,24 @@ TEST(FleetCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
   EXPECT_EQ(store.FetchBytes(10, 2), "p4");
 }
 
+// However short the backlog, a shed leaves the straggler its lowest pending
+// plan: the one it polls next, whose fetch may already be in flight. Moving
+// it would make that fetch abort on shm and idle out on the wire.
+TEST(FleetCoordinatorTest, StragglerShedKeepsItsNextPlan) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
+                                  RebalancingFleet({0, 1, 2}, 1));
+
+  store.PushBytes(0, 1, "next");
+  store.PushBytes(1, 1, "tail");
+  FeedIteration(fleet, 0, /*slow=*/1);  // max 2 moves, but only 1 may go
+  EXPECT_EQ(fleet.report().shed_iterations, 1);
+  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
+  EXPECT_EQ(store.FetchBytes(0, 1), "next");
+  EXPECT_EQ(store.FetchBytes(10, 0), "tail");
+}
+
 TEST(FleetCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
@@ -1557,8 +1575,9 @@ TEST(FleetCoordinatorTest, DeathRepostFillsTheGapARebalanceVacated) {
   opts.rebalance_max_moves = 1;
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
-  // Rebalance moves one plan to a fast replica's first spare key...
-  store.PushBytes(0, 1, "slow-tail");
+  // Rebalance moves the tail plan to a fast replica's first spare key...
+  store.PushBytes(0, 1, "slow-head");
+  store.PushBytes(1, 1, "slow-tail");
   FeedIteration(fleet, 0, /*slow=*/1);
   ASSERT_EQ(fleet.report().shed_iterations, 1);
   // ...then that fast replica's peer dies and the backlog round-robins over
@@ -1571,7 +1590,8 @@ TEST(FleetCoordinatorTest, DeathRepostFillsTheGapARebalanceVacated) {
   EXPECT_EQ(fleet.report().replanned_iterations, 2);
   EXPECT_EQ(store.FetchBytes(10, 0), "slow-tail");
   EXPECT_EQ(store.FetchBytes(11, 0), "dead-a");
-  EXPECT_EQ(store.FetchBytes(0, 1), "dead-b");
+  EXPECT_EQ(store.FetchBytes(0, 1), "slow-head");
+  EXPECT_EQ(store.FetchBytes(1, 1), "dead-b");
 }
 
 // --- membership ---
@@ -1610,10 +1630,11 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   EXPECT_EQ(store.PendingIterations(0), std::vector<int64_t>{0});
 }
 
-// A drain request fences the leaver, hands its unfetched backlog round-robin
-// to the surviving members at spare keys, shrinks the expected fleet *after*
-// the handoff, and acknowledges through the backend hook. A duplicate
-// request must not repost or ack twice.
+// A drain request takes the leaver out of the member set, hands its
+// unfetched backlog round-robin to the surviving members at spare keys,
+// shrinks the expected fleet *after* the handoff, and acknowledges through
+// the backend hook. A duplicate request must not repost or ack twice, and
+// the drainer receives nothing from a later death.
 TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
@@ -1636,7 +1657,6 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   EXPECT_EQ(report.drain_reposted, 3);
   EXPECT_EQ(acked, std::vector<int32_t>{2});
   EXPECT_EQ(fleet.monitor().expected_replicas(), 2);
-  EXPECT_TRUE(store.IsReplicaFenced(2));
   EXPECT_TRUE(store.PendingIterations(2).empty());
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
   // Round-robin over the survivors at their spare keys.
@@ -1648,61 +1668,62 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   EXPECT_EQ(fleet.report().drained, std::vector<int32_t>{2});
   EXPECT_EQ(fleet.report().drain_reposted, 3);
   EXPECT_EQ(acked.size(), 1u);
-}
 
-// The store-level fence is what closes the drain-vs-rebalance race: a mover
-// that snapshotted the leaver as a destination before the fence landed gets
-// kDestinationTaken back — key burned, plan intact — and its key chain
-// advances to an open peer. Unfencing restores the replica as a destination.
-TEST(InstructionStoreTest, FencedReplicaRefusesIncomingReposts) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.PushBytes(0, 0, "race");
-  store.FenceReplica(1);
-  EXPECT_EQ(store.Repost(0, 0, 10, 1),
-            runtime::RepostOutcome::kDestinationTaken);
-  // The plan neither moved nor vanished.
-  EXPECT_EQ(store.PendingIterations(0), std::vector<int64_t>{0});
-  // The mover retries elsewhere and the plan lands whole.
-  EXPECT_EQ(store.Repost(0, 0, 10, 2), runtime::RepostOutcome::kMoved);
-  EXPECT_EQ(store.FetchBytes(10, 2), "race");
-  store.UnfenceReplica(1);
-  store.PushBytes(1, 0, "after");
-  EXPECT_EQ(store.Repost(1, 0, 11, 1), runtime::RepostOutcome::kMoved);
-  EXPECT_EQ(store.FetchBytes(11, 1), "after");
+  store.PushBytes(0, 1, "x");
+  store.PushBytes(1, 1, "y");
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);  // dies; 0 is the heir
+  EXPECT_EQ(fleet.report().replanned_iterations, 2);
+  EXPECT_TRUE(store.PendingIterations(2).empty());
+  EXPECT_EQ(store.FetchBytes(12, 0), "x");
+  EXPECT_EQ(store.FetchBytes(13, 0), "y");
 }
 
 // Drain -> clean detach -> re-join, the full elastic round trip: the detach
 // retires the drainer without shrinking the expectation a second time, the
-// fence persists while it is gone, and a re-join of the same id lifts the
-// fence and re-admits it like any other joiner.
-TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinLiftsTheFence) {
+// retired id receives nothing while it is gone, and a re-join of the same id
+// re-admits it like any other joiner — a destination again.
+TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinReadmitsIt) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions opts = Fleet({0, 1, 2});
+  service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
+  mopts.expected_replicas = 4;
+  service::FleetOptions opts = Fleet({0, 1, 2, 3});
   opts.membership = true;
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
+  service::FleetCoordinator fleet(&store, mopts, opts);
 
-  fleet.OnReplicaAttached(0);
-  fleet.OnReplicaAttached(1);
-  fleet.OnReplicaAttached(2);
+  for (int32_t replica = 0; replica < 4; ++replica) {
+    fleet.OnReplicaAttached(replica);
+  }
   fleet.OnReplicaDrainRequested(2);
-  ASSERT_EQ(fleet.monitor().expected_replicas(), 2);
-  ASSERT_TRUE(store.IsReplicaFenced(2));
+  ASSERT_EQ(fleet.monitor().expected_replicas(), 3);
 
   fleet.OnReplicaDisconnected(2, /*clean=*/true);
   // Shrank at the drain, not here.
-  EXPECT_EQ(fleet.monitor().expected_replicas(), 2);
-  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
-  EXPECT_TRUE(store.IsReplicaFenced(2));  // no destination while gone
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 3);
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 3}));
   // A goodbye, not a death.
   EXPECT_TRUE(fleet.monitor().DeadReplicas().empty());
 
+  // No destination while gone: a death's backlog skips the retired id.
+  store.PushBytes(0, 3, "a");
+  store.PushBytes(1, 3, "b");
+  fleet.OnReplicaDisconnected(3, /*clean=*/false);
+  EXPECT_TRUE(store.PendingIterations(2).empty());
+  EXPECT_EQ(store.FetchBytes(10, 0), "a");
+  EXPECT_EQ(store.FetchBytes(10, 1), "b");
+  ASSERT_EQ(fleet.monitor().expected_replicas(), 2);
+
   fleet.OnReplicaAttached(2);  // comes back: a joiner like any other
-  EXPECT_FALSE(store.IsReplicaFenced(2));
   EXPECT_EQ(fleet.monitor().expected_replicas(), 3);
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2}));
   EXPECT_EQ(fleet.report().joined, std::vector<int32_t>{2});
+
+  // Re-admitted: the next death round-robins onto it again.
+  store.PushBytes(0, 1, "c");
+  store.PushBytes(1, 1, "d");
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);
+  EXPECT_EQ(store.FetchBytes(11, 0), "c");
+  EXPECT_EQ(store.FetchBytes(10, 2), "d");
 }
 
 // --- one member set for every policy ---
@@ -1736,8 +1757,8 @@ TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
 
 // A joiner is a rebalance member like any original one: when it straggles
 // persistently, the tail of its backlog moves to a fast member. The steal
-// that seeded it vacated the donor's keys 7 and 6, so the plan routed back
-// to the donor fills key 6 instead of landing beyond the gap.
+// that seeded it vacated the donor's keys 11, 10 and 9, so the plan routed
+// back to the donor fills key 9 instead of landing beyond the gap.
 TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
@@ -1745,11 +1766,11 @@ TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
   opts.membership = true;
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
-  for (int64_t i = 0; i < 8; ++i) {
+  for (int64_t i = 0; i < 12; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
-  fleet.OnReplicaAttached(3);  // steals p7, p6 to (10, 3), (11, 3)
-  ASSERT_EQ(fleet.report().join_stolen, 2);
+  fleet.OnReplicaAttached(3);  // steals p11, p10, p9 to (10..12, 3)
+  ASSERT_EQ(fleet.report().join_stolen, 3);
   ASSERT_EQ(fleet.monitor().expected_replicas(), 4);
   FeedIteration(fleet, 0, /*slow=*/3, /*replicas=*/4);
   EXPECT_EQ(fleet.report().shed_events, 0);  // streak 1 of 2
@@ -1759,9 +1780,9 @@ TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
   EXPECT_EQ(report.shed_events, 1);
   EXPECT_EQ(report.shed_iterations, 2);
   EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{3});
-  EXPECT_TRUE(store.PendingIterations(3).empty());
-  EXPECT_EQ(store.FetchBytes(10, 0), "p6");
-  EXPECT_EQ(store.FetchBytes(6, 1), "p7");
+  EXPECT_EQ(store.PendingIterations(3), std::vector<int64_t>{10});
+  EXPECT_EQ(store.FetchBytes(10, 0), "p9");
+  EXPECT_EQ(store.FetchBytes(9, 1), "p10");
 }
 
 // A drain that shrinks the expected fleet completes a report set parked at

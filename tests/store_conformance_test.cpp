@@ -8,7 +8,9 @@
 // capacity backpressures Push (blocking until a Fetch frees a slot), and
 // Shutdown unblocks blocked pushers and drops their plans. The suite is
 // value-parameterized over backend factories, so any future backend (a real
-// Redis client) inherits the whole contract by adding one factory line.
+// Redis client) inherits the whole contract by adding one factory line. The
+// backends that hold the plans themselves (runtime::RecoverableStore: the
+// in-process store and the shm segment) also run the recovery contract.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -65,18 +67,23 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
 }
 
 // A live backend: whatever machinery the store needs (server, transport)
-// plus the interface handle the tests drive. Backends with a heartbeat
-// channel route it into a HeartbeatMonitor and expose it so the capability
-// test can verify delivery; a backend whose delivery is asynchronous (shm:
-// beats land in segment slots and a poller replays them) also reports that,
-// so the test knows to wait instead of asserting instantly.
+// plus the interface handle the tests drive. Every backend routes liveness
+// into a HeartbeatMonitor and exposes it so the tests can verify delivery; a
+// backend whose delivery is asynchronous (shm: beats land in segment slots
+// and a poller replays them) also reports that, so the tests know to wait
+// instead of asserting instantly.
 struct Backend {
   virtual ~Backend() = default;
   virtual runtime::InstructionStoreInterface& store() = 0;
-  virtual const service::HeartbeatMonitor* heartbeats() const {
-    return nullptr;
-  }
+  virtual const service::HeartbeatMonitor& heartbeats() const = 0;
   virtual bool heartbeats_are_async() const { return false; }
+  // The store's own path for one iteration-completion report toward the
+  // planner: the in-process store's relay to its sink, a kHeartbeat frame
+  // from a wire client, a write into the replica's shm heartbeat slot.
+  // Returns whether the report was delivered.
+  virtual bool Beat(int32_t replica, int64_t iteration, double wall_ms) = 0;
+  // The recovery surface, where the backend holds the plans itself.
+  virtual runtime::RecoverableStore* recoverable() { return nullptr; }
   // Mid-epoch join is a capability too: how a replica outside the configured
   // fleet announces itself to a running store. Wire clients send a plain
   // kAttach; a shm replica claims a heartbeat slot with no frame at all; a
@@ -95,9 +102,13 @@ struct InProcessBackend : Backend {
     store_.set_heartbeat_sink(&monitor_);
   }
   runtime::InstructionStoreInterface& store() override { return store_; }
-  const service::HeartbeatMonitor* heartbeats() const override {
-    return &monitor_;
+  const service::HeartbeatMonitor& heartbeats() const override {
+    return monitor_;
   }
+  bool Beat(int32_t replica, int64_t iteration, double wall_ms) override {
+    return store_.Heartbeat(replica, iteration, wall_ms);
+  }
+  runtime::RecoverableStore* recoverable() override { return &store_; }
   service::HeartbeatMonitor monitor_;  // before store_: outlives the sink user
   runtime::InstructionStore store_;
 };
@@ -118,8 +129,13 @@ struct MuxBackend : Backend {
     store_.set_heartbeat_sink(&monitor_);
   }
   runtime::InstructionStoreInterface& store() override { return *client_; }
-  const service::HeartbeatMonitor* heartbeats() const override {
-    return &monitor_;
+  const service::HeartbeatMonitor& heartbeats() const override {
+    return monitor_;
+  }
+  bool Beat(int32_t replica, int64_t iteration, double wall_ms) override {
+    bool evicted = false;
+    return client_->TryHeartbeat(replica, iteration, wall_ms, &evicted) &&
+           !evicted;
   }
   bool supports_join() const override { return true; }
   bool Join(int32_t replica) override {
@@ -149,10 +165,14 @@ struct ShmBackend : Backend {
                                                         size_t{1} << 20})),
         poller_(store_, &monitor_) {}
   runtime::InstructionStoreInterface& store() override { return *store_; }
-  const service::HeartbeatMonitor* heartbeats() const override {
-    return &monitor_;
+  const service::HeartbeatMonitor& heartbeats() const override {
+    return monitor_;
   }
   bool heartbeats_are_async() const override { return true; }
+  bool Beat(int32_t replica, int64_t iteration, double wall_ms) override {
+    return store_->Heartbeat(replica, iteration, wall_ms);
+  }
+  runtime::RecoverableStore* recoverable() override { return store_.get(); }
   bool supports_join() const override { return true; }
   bool Join(int32_t replica) override {
     // No frame at all: claiming a heartbeat slot *is* the announcement; the
@@ -200,11 +220,20 @@ struct BackendParam {
   std::function<std::unique_ptr<Backend>(size_t capacity)> make;
 };
 
+const BackendParam kInProcessPlain{
+    "InProcessPlain",
+    [](size_t cap) { return std::make_unique<InProcessBackend>(false, cap); }};
+const BackendParam kInProcessSerialized{
+    "InProcessSerialized",
+    [](size_t cap) { return std::make_unique<InProcessBackend>(true, cap); }};
+const BackendParam kSharedMemory{
+    "SharedMemory", [](size_t cap) {
+      return std::make_unique<ShmBackend>(cap, UniqueShmName());
+    }};
+
 const BackendParam kBackends[] = {
-    {"InProcessPlain",
-     [](size_t cap) { return std::make_unique<InProcessBackend>(false, cap); }},
-    {"InProcessSerialized",
-     [](size_t cap) { return std::make_unique<InProcessBackend>(true, cap); }},
+    kInProcessPlain,
+    kInProcessSerialized,
     {"LoopbackMux",
      [](size_t cap) {
        return std::make_unique<MuxBackend<transport::LoopbackTransport>>(cap);
@@ -214,11 +243,12 @@ const BackendParam kBackends[] = {
        return std::make_unique<MuxBackend<transport::UnixSocketTransport>>(
            cap, UniqueSocketPath());
      }},
-    {"SharedMemory",
-     [](size_t cap) {
-       return std::make_unique<ShmBackend>(cap, UniqueShmName());
-     }},
+    kSharedMemory,
 };
+
+// The backends that are runtime::RecoverableStores.
+const BackendParam kRecoverableBackends[] = {
+    kInProcessPlain, kInProcessSerialized, kSharedMemory};
 
 class StoreConformanceTest : public ::testing::TestWithParam<BackendParam> {};
 
@@ -289,74 +319,27 @@ TEST_P(StoreConformanceTest, ShutdownUnblocksBlockedPushAndDropsItsPlan) {
   EXPECT_EQ(store.Fetch(0, 0), MarkerPlan(0));
 }
 
-// Heartbeats are a *capability*, not part of the core contract: backends
-// with a channel back to the planner (the wire clients, a sink-equipped
-// in-process store, the shm segment's heartbeat slots) deliver the report
-// and return true; a backend without one returns false cleanly. Either way,
-// calling Heartbeat on any backend must never crash, and the answer must
-// agree with supports_heartbeat(). Shm delivery rides the poller thread, so
-// the assertions wait for it there instead of firing instantly.
-TEST_P(StoreConformanceTest, HeartbeatIsACapabilityNotACrash) {
+// Every backend has a path carrying iteration-completion reports back to the
+// planner side (Backend::Beat), and a delivered report lands in the monitor.
+// Shm delivery rides the poller thread, so the assertions wait for it there
+// instead of firing instantly.
+TEST_P(StoreConformanceTest, HeartbeatReachesThePlannerSideMonitor) {
   auto backend = GetParam().make(0);
-  runtime::InstructionStoreInterface& store = backend->store();
-  const bool supported = store.supports_heartbeat();
-  EXPECT_EQ(store.Heartbeat(/*replica=*/1, /*iteration=*/7, /*wall_ms=*/3.25),
-            supported);
-  EXPECT_EQ(store.supports_heartbeat(), supported);  // stable answer
-  if (supported) {
-    ASSERT_NE(backend->heartbeats(), nullptr);
-    if (backend->heartbeats_are_async()) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (backend->heartbeats()->total_heartbeats() < 1 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+  EXPECT_TRUE(backend->Beat(/*replica=*/1, /*iteration=*/7, /*wall_ms=*/3.25));
+  const service::HeartbeatMonitor& monitor = backend->heartbeats();
+  if (backend->heartbeats_are_async()) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (monitor.total_heartbeats() < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    EXPECT_EQ(backend->heartbeats()->total_heartbeats(), 1);
-    EXPECT_EQ(backend->heartbeats()->LastIteration(1), 7);
-    const service::IterationHeartbeatStats stats =
-        backend->heartbeats()->ForIteration(7);
-    EXPECT_EQ(stats.replicas_reported, 1);
-    EXPECT_DOUBLE_EQ(stats.max_wall_ms, 3.25);
-  } else {
-    // No channel: the report is dropped, not recorded and not fatal.
-    EXPECT_EQ(backend->heartbeats(), nullptr);
   }
-}
-
-// The recovery surface is a capability too: stores that physically hold
-// plans (in-process, shm) can enumerate and move them; wire clients cannot —
-// recovery always runs where the plans live. Backends that support it must
-// honor the Repost outcome contract; backends that don't must refuse
-// harmlessly rather than crash.
-TEST_P(StoreConformanceTest, RecoverySurfaceIsACapabilityNotACrash) {
-  auto backend = GetParam().make(0);
-  runtime::InstructionStoreInterface& store = backend->store();
-  store.Push(0, 1, MarkerPlan(10));
-  store.Push(5, 1, MarkerPlan(11));
-  if (store.supports_recovery()) {
-    const std::vector<int64_t> pending = store.PendingIterations(1);
-    ASSERT_EQ(pending.size(), 2u);
-    EXPECT_EQ(pending[0], 0);  // sorted ascending
-    EXPECT_EQ(pending[1], 5);
-    EXPECT_EQ(store.Repost(5, 1, 7, 2), runtime::RepostOutcome::kMoved);
-    EXPECT_EQ(store.Repost(5, 1, 8, 2), runtime::RepostOutcome::kSourceGone);
-    store.Push(9, 2, MarkerPlan(12));
-    EXPECT_EQ(store.Repost(0, 1, 9, 2),
-              runtime::RepostOutcome::kDestinationTaken);
-    EXPECT_TRUE(store.Contains(0, 1));  // a refused move leaves the source
-    EXPECT_EQ(store.Fetch(7, 2), MarkerPlan(11));  // moved bytes intact
-    EXPECT_EQ(store.DropReplica(1), 1u);
-    EXPECT_FALSE(store.Contains(0, 1));
-    EXPECT_EQ(store.Fetch(9, 2), MarkerPlan(12));
-  } else {
-    EXPECT_EQ(store.Repost(0, 1, 7, 2), runtime::RepostOutcome::kUnsupported);
-    EXPECT_TRUE(store.PendingIterations(1).empty());
-    EXPECT_EQ(store.DropReplica(1), 0u);
-    EXPECT_EQ(store.Fetch(0, 1), MarkerPlan(10));
-    EXPECT_EQ(store.Fetch(5, 1), MarkerPlan(11));
-  }
+  EXPECT_EQ(monitor.total_heartbeats(), 1);
+  EXPECT_EQ(monitor.LastIteration(1), 7);
+  const service::IterationHeartbeatStats stats = monitor.ForIteration(7);
+  EXPECT_EQ(stats.replicas_reported, 1);
+  EXPECT_DOUBLE_EQ(stats.max_wall_ms, 3.25);
 }
 
 // Joining a running fleet is a capability on the same footing as
@@ -371,17 +354,16 @@ TEST_P(StoreConformanceTest, JoinIsACapabilityNotACrash) {
   EXPECT_EQ(backend->Join(/*replica=*/9), supported);
   EXPECT_EQ(backend->supports_join(), supported);  // stable answer
   if (supported) {
-    ASSERT_NE(backend->heartbeats(), nullptr);
     if (backend->heartbeats_are_async()) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (backend->heartbeats()->Liveness(9) !=
+      while (backend->heartbeats().Liveness(9) !=
                  service::ReplicaLiveness::kAlive &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
-    EXPECT_EQ(backend->heartbeats()->Liveness(9),
+    EXPECT_EQ(backend->heartbeats().Liveness(9),
               service::ReplicaLiveness::kAlive);
     // A join is announcement, not publication: the store itself is untouched.
     EXPECT_EQ(backend->store().size(), 0u);
@@ -404,6 +386,40 @@ std::string BackendName(const ::testing::TestParamInfo<BackendParam>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, StoreConformanceTest,
                          ::testing::ValuesIn(kBackends), BackendName);
+
+// The recovery contract, over the stores that hold the plans themselves:
+// enumerate a replica's backlog in ascending order, and honor every Repost
+// outcome — a move keeps the bytes, a vanished source and a taken
+// destination both leave the store as it was — and DropReplica frees the
+// replica's plans.
+class RecoverableStoreConformanceTest
+    : public ::testing::TestWithParam<BackendParam> {};
+
+TEST_P(RecoverableStoreConformanceTest, RepostAndDropHonorTheOutcomeContract) {
+  auto backend = GetParam().make(0);
+  ASSERT_NE(backend->recoverable(), nullptr);
+  runtime::RecoverableStore& store = *backend->recoverable();
+  store.Push(0, 1, MarkerPlan(10));
+  store.Push(5, 1, MarkerPlan(11));
+  const std::vector<int64_t> pending = store.PendingIterations(1);
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0], 0);  // sorted ascending
+  EXPECT_EQ(pending[1], 5);
+  EXPECT_EQ(store.Repost(5, 1, 7, 2), runtime::RepostOutcome::kMoved);
+  EXPECT_EQ(store.Repost(5, 1, 8, 2), runtime::RepostOutcome::kSourceGone);
+  store.Push(9, 2, MarkerPlan(12));
+  EXPECT_EQ(store.Repost(0, 1, 9, 2),
+            runtime::RepostOutcome::kDestinationTaken);
+  EXPECT_TRUE(store.Contains(0, 1));  // a refused move leaves the source
+  EXPECT_EQ(store.Fetch(7, 2), MarkerPlan(11));  // moved bytes intact
+  EXPECT_EQ(store.DropReplica(1), 1u);
+  EXPECT_FALSE(store.Contains(0, 1));
+  EXPECT_EQ(store.Fetch(9, 2), MarkerPlan(12));
+}
+
+INSTANTIATE_TEST_SUITE_P(RecoverableBackends, RecoverableStoreConformanceTest,
+                         ::testing::ValuesIn(kRecoverableBackends),
+                         BackendName);
 
 #if DYNAPIPE_DEATH_TESTS
 class StoreConformanceDeathTest : public ::testing::TestWithParam<BackendParam> {

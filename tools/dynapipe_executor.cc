@@ -121,12 +121,11 @@ int RunAttachMode(const executor::ExecutorOptions& options,
   }
   std::printf(
       "[executor] done: %lld iterations, %lld instructions, "
-      "%lld heartbeats%s (fetch %.2f ms, heartbeat %.2f ms total, "
+      "%lld heartbeats (fetch %.2f ms, heartbeat %.2f ms total, "
       "%lld reconnects%s)\n",
       static_cast<long long>(report.iterations_run),
       static_cast<long long>(report.instructions_executed),
       static_cast<long long>(report.heartbeats_sent),
-      report.heartbeat_supported ? "" : " (backend has no heartbeat channel)",
       report.fetch_ms_total, report.heartbeat_ms_total,
       static_cast<long long>(report.reconnects),
       report.evicted ? ", evicted" : "");
