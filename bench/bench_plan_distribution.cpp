@@ -7,11 +7,6 @@
 //
 //   in-process         move the plan object (no encode)
 //   in-process serde   encode on Push, decode on Fetch (plan_serde)
-//   loopback mux       full frame protocol over in-memory streams, through
-//                      one multiplexed connection (request-id frames,
-//                      deferred kPush replies)
-//   unix socket mux    same client and server over AF_UNIX — the wire path
-//                      a separate executor process pays
 //   shm store          shared-memory segment: encode-into-arena on Push,
 //                      zero-copy view + decode-in-place on Fetch
 //   shm view           same segment, but the fetch column is the raw
@@ -19,16 +14,17 @@
 //                      and release it, no decode (decode-in-place costs the
 //                      same everywhere and can happen lazily on the executor)
 //
+// Plans are published where the store lives, so the socket wire has no push
+// row: its fetch hop is measured end to end as bench/e2e's store.fetch_us_*
+// on gpt-mux-replay. The wire row here is the heartbeat exchange.
+//
 // Each row also counts heap allocations per Push/Fetch (global operator new
 // interposition): the steady-state publish path is designed to allocate
-// nothing (per-thread encode scratch, frame reuse), and the shm rows prove
-// it.
+// nothing (per-thread encode scratch), and the shm rows prove it.
 //
-// Reported numbers go into bench/README.md ("Plan distribution"); the wire
-// rows bound what a real multi-process deployment pays per plan, and the gap
-// between serde and wire rows is pure transport (frames + syscalls +
-// threads). Pass an integer argv[1] to override the round count (CI smoke
-// runs use a handful of rounds).
+// Reported numbers go into bench/README.md ("Plan distribution"). Pass an
+// integer argv[1] to override the round count (CI smoke runs use a handful
+// of rounds).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -90,8 +86,8 @@ struct Row {
 
 Row Measure(const char* name, runtime::InstructionStoreInterface& store,
             const sim::ExecutionPlan& plan, int rounds) {
-  // Warm-up round: first connect on a fresh socket path, first allocation,
-  // and thread-local scratch growth are not steady state.
+  // Warm-up round: first allocation and thread-local scratch growth are not
+  // steady state.
   store.Push(-1, 0, plan);
   store.Fetch(-1, 0);
   Row row;
@@ -121,9 +117,8 @@ Row Measure(const char* name, runtime::InstructionStoreInterface& store,
 }
 
 // The shm distribution hop alone: push into the arena, acquire the zero-copy
-// view, release — no decode. This is the number to compare against the wire
-// rows' transport cost: it is what a same-host executor pays to *obtain* a
-// published plan's bytes.
+// view, release — no decode. It is what a same-host executor pays to
+// *obtain* a published plan's bytes.
 Row MeasureShmView(transport::ShmInstructionStore& store,
                    const sim::ExecutionPlan& plan, int rounds) {
   store.Push(-1, 0, plan);
@@ -372,29 +367,6 @@ int main(int argc, char** argv) {
     rows.push_back(Measure("in-process serde", store, exec, rounds));
   }
   {
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    transport::LoopbackTransport transport;
-    transport::InstructionStoreServer server(&transport, &store);
-    {
-      auto client = transport::MuxInstructionStore::OverTransport(&transport);
-      rows.push_back(Measure("loopback mux", *client, exec, rounds));
-    }
-    server.Stop();
-  }
-  {
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    transport::UnixSocketTransport transport(
-        "/tmp/dynapipe-bench-mux-" + std::to_string(::getpid()) + ".sock");
-    transport::InstructionStoreServer server(&transport, &store);
-    {
-      auto client = transport::MuxInstructionStore::OverTransport(&transport);
-      rows.push_back(Measure("unix socket mux", *client, exec, rounds));
-    }
-    server.Stop();
-  }
-  {
     auto store = transport::ShmInstructionStore::Create(
         "/dynapipe-bench-" + std::to_string(::getpid()),
         transport::ShmStoreOptions{});
@@ -417,9 +389,8 @@ int main(int argc, char** argv) {
                 row.push_allocs, row.fetch_allocs);
   }
   std::printf(
-      "\n(%d rounds per backend; mux rows reuse one connection, shm rows "
-      "never touch a wire; "
-      "alloc columns are heap allocations per operation in this process)\n",
+      "\n(%d rounds per backend; shm rows never touch a wire; alloc columns "
+      "are heap allocations per operation in this process)\n",
       rounds);
 
   // Heartbeat overhead per iteration over the socket. (Shm heartbeats are

@@ -2,9 +2,10 @@
 // execution plans; a fork()ed executor process fetches and decodes the
 // instruction streams — twice, over the two distribution paths:
 //
-//   1. the wire: InstructionStoreServer over a Unix domain socket, fetched
-//      with MuxInstructionStore (serialized plan bytes cross one persistent
-//      connection);
+//   1. the wire: the planner publishes into its own store, served by
+//      InstructionStoreServer over a Unix domain socket; the executor
+//      fetches with MuxInstructionStore (serialized plan bytes cross one
+//      persistent connection);
 //   2. shared memory: the planner creates a named ShmInstructionStore
 //      segment, the executor *attaches by name* (shm_open + mmap) and pulls
 //      zero-copy views of the very bytes the planner wrote — no wire, no
@@ -37,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cost/pipeline_cost_model.h"
@@ -240,7 +242,13 @@ int main() {
           client = transport::MuxInstructionStore::OverUnixSocket(
               socket_path, /*connect_timeout_ms=*/10'000);
         }
-        return client->Fetch(iteration, /*replica=*/0);
+        bool lost = false;
+        std::optional<sim::ExecutionPlan> plan =
+            client->TryFetch(iteration, /*replica=*/0, &lost);
+        if (!plan.has_value()) {
+          ::_exit(3);  // published before the go signal, so never missing
+        }
+        return std::move(*plan);
       },
       /*publish=*/
       [&] {

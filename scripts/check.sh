@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verify for CI: check that src/runtime/ stays free of the
-# multi-process wire path, configure and build with -Wall -Wextra promoted to
-# errors for src/ (the library), check that every tests/*.cpp is a
-# registered ctest suite, run ctest (the forked-executor, fault, churn and
-# trace suites, and the spawned dynapipe_executor daemon, all run there),
-# then smoke bench_plan_distribution and every end-to-end benchmark
-# workload. Usage: scripts/check.sh [build-dir]
+# Tier-1 verify for CI: run the source guards below (src/runtime/ stays free
+# of the multi-process wire path, among others), configure and build with
+# -Wall -Wextra promoted to errors for src/ (the library), check that every
+# tests/*.cpp is a registered ctest suite, run ctest (the forked-executor,
+# fault, churn and trace suites, and the spawned dynapipe_executor daemon,
+# all run there), then smoke bench_plan_distribution and every end-to-end
+# benchmark workload. Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,6 +39,18 @@ if grep -nE 'supports_|Fence' src/runtime/instruction_store.h; then
   exit 1
 fi
 
+# The socket wire is the executor's request/response client: plans are
+# published where the store lives, so the client starts no thread and the
+# frame protocol has no push request.
+if grep -n 'std::thread' src/transport/mux.h; then
+  echo "ERROR: src/transport/mux.h names std::thread" >&2
+  exit 1
+fi
+if grep -n 'kPush' src/transport/frame.h; then
+  echo "ERROR: src/transport/frame.h names kPush" >&2
+  exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-Release}" \
   -DDYNAPIPE_WERROR=ON
@@ -67,9 +79,9 @@ fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Smoke the plan-distribution bench end to end (3 rounds): it drives every
-# store backend — in-process, serde, mux over loopback and socket, shm — through
-# real pushes and fetches, so a backend that builds but cannot move a plan
-# fails CI here rather than in a user's hands.
+# store — in-process, serde, shm — through real pushes and fetches, and the
+# socket client through heartbeats into a live server, so a backend that
+# builds but cannot move a plan fails CI here rather than in a user's hands.
 "$BUILD_DIR"/bench_plan_distribution 3
 
 # Smoke the end-to-end benchmark (bench/e2e/README.md): one short run of every

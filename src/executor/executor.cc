@@ -17,7 +17,6 @@
 #include "src/common/fault_injection.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
-#include "src/runtime/instruction_store.h"
 #include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
 #include "src/transport/transport.h"
@@ -172,9 +171,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
   // tolerance for a slow publisher.
   const int connect_timeout_ms = std::max(10, options.attach_timeout_ms / 100);
 
-  std::shared_ptr<runtime::InstructionStoreInterface> store;
-  // Shm only: the concrete handle, for the liveness slot calls the
-  // interface does not carry (announce / touch / detach).
+  // One of the two is set, by the endpoint kind.
   std::shared_ptr<transport::ShmInstructionStore> shm_store;
   std::shared_ptr<transport::MuxInstructionStore> mux_client;
   // Sticky once the server answers kEvicted anywhere: this replica was
@@ -192,7 +189,6 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       }
       mux_client = std::make_shared<transport::MuxInstructionStore>(
           std::move(stream));
-      store = mux_client;
       // Announce this replica's presence (kAttach/kDetach), so the
       // publisher's liveness machinery can tell a vanished executor
       // (unclean connection drop -> kDead) from a finished one (clean
@@ -214,7 +210,6 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       }
       shm_store = transport::ShmInstructionStore::Attach(
           options.attach, options.attach_timeout_ms);
-      store = shm_store;
       // Claims this replica's heartbeat slot in the segment header: the
       // shm-native analogue of the socket kAttach frame. The publisher's
       // poller sees the claim and starts tracking liveness from it.
@@ -253,7 +248,6 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       }
       fresh->TrySyncClock(kAttachReplyTimeoutMs);
       mux_client = fresh;
-      store = fresh;
       ++report.reconnects;
       ReconnectCounter().Add();
       return true;
@@ -355,12 +349,12 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
       // for a slow planner still reads as alive to the publisher's poller.
       probe = [&](int64_t iteration) -> std::optional<bool> {
         shm_store->TouchReplica(options.replica);
-        return store->Contains(iteration, options.replica);
+        return shm_store->Contains(iteration, options.replica);
       };
       fetch = [&](int64_t iteration,
                   bool* gone) -> std::optional<sim::ExecutionPlan> {
         *gone = false;
-        return store->Fetch(iteration, options.replica);
+        return shm_store->Fetch(iteration, options.replica);
       };
       send_heartbeat = [&](int64_t iteration, double wall_ms) {
         return shm_store->Heartbeat(options.replica, iteration, wall_ms);

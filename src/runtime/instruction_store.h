@@ -6,23 +6,22 @@
 // future iterations overlaps GPU execution (§3). InstructionStoreInterface is
 // that contract as an abstract API — fetching a missing plan is a fatal
 // error, as is double-publishing, and capacity backpressure surfaces as a
-// blocking Push — with three implementations today:
+// blocking Push — with two implementations:
 //   - InstructionStore (below): the in-process store, optionally holding
 //     plans in the compact plan_serde byte format (serialized mode) and
 //     optionally capacity-bounded (Push blocks while `capacity` plans are
 //     resident, backpressuring planners that run ahead of the executors — the
-//     paper's bounded Redis working set);
-//   - transport::MuxInstructionStore: a client that speaks the same API
-//     across a process boundary, over one persistent connection, to an
-//     InstructionStoreServer wrapping the store above (src/transport/), which
-//     is how executor processes fetch plans over a socket;
+//     paper's bounded Redis working set). An InstructionStoreServer
+//     (src/transport/) serves it over a socket to executor processes;
 //   - transport::ShmInstructionStore: a shared-memory segment that
 //     same-host executor processes attach to by name and fetch from with no
 //     wire at all.
-// Everything above the interface (PlanAheadService, Trainer) is agnostic to
-// which one it is talking to. The two that hold the plans themselves (the
-// in-process store and the shm segment) are also a RecoverableStore, the
-// surface the fleet coordinator moves plans through.
+// Plans are always published in the process where the store lives. The
+// executor's socket client (transport::MuxInstructionStore) only fetches and
+// is not an implementation of this interface. Everything above the interface
+// (PlanAheadService, Trainer) is agnostic to which one it is talking to. Both
+// hold the plans themselves, so both are also a RecoverableStore, the surface
+// the fleet coordinator moves plans through.
 #ifndef DYNAPIPE_SRC_RUNTIME_INSTRUCTION_STORE_H_
 #define DYNAPIPE_SRC_RUNTIME_INSTRUCTION_STORE_H_
 

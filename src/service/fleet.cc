@@ -45,7 +45,7 @@ FleetCoordinator::FleetCoordinator(runtime::RecoverableStore* store,
     ticker_ = std::thread([this, period] {
       std::unique_lock<std::mutex> lock(mu_);
       while (!ticker_cv_.wait_for(lock, period, [&] { return ticker_stop_; })) {
-        ReactLocked(monitor_.PollLiveness(Clock::now()));
+        ApplyLocked(monitor_.PollLiveness(Clock::now()));
       }
     });
   }
@@ -65,12 +65,12 @@ FleetCoordinator::~FleetCoordinator() {
 void FleetCoordinator::Beat(int32_t replica, int64_t iteration,
                             double wall_ms, Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
-  ReactLocked(monitor_.Beat(replica, iteration, wall_ms, now));
+  ApplyLocked(monitor_.Beat(replica, iteration, wall_ms, now));
 }
 
 void FleetCoordinator::Attach(int32_t replica, Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
-  ReactLocked(monitor_.Attach(replica, now));
+  ApplyLocked(monitor_.Attach(replica, now));
 }
 
 void FleetCoordinator::Drain(int32_t replica, Clock::time_point now) {
@@ -78,7 +78,7 @@ void FleetCoordinator::Drain(int32_t replica, Clock::time_point now) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const size_t drained = report_.drained.size();
-    ReactLocked(monitor_.Drain(replica, now));
+    ApplyLocked(monitor_.Drain(replica, now));
     handed_off = report_.drained.size() > drained;
   }
   if (handed_off && options_.drain_ack) {
@@ -88,12 +88,12 @@ void FleetCoordinator::Drain(int32_t replica, Clock::time_point now) {
 
 void FleetCoordinator::Drop(int32_t replica, bool clean) {
   std::lock_guard<std::mutex> lock(mu_);
-  ReactLocked(monitor_.Drop(replica, clean));
+  ApplyLocked(monitor_.Drop(replica, clean));
 }
 
 void FleetCoordinator::PollLiveness(Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
-  ReactLocked(monitor_.PollLiveness(now));
+  ApplyLocked(monitor_.PollLiveness(now));
 }
 
 void FleetCoordinator::OnHeartbeat(int32_t replica, int64_t iteration,
@@ -177,6 +177,17 @@ std::vector<int64_t> FleetCoordinator::MoveLocked(
   return moved;
 }
 
+void FleetCoordinator::ApplyLocked(const MonitorUpdate& update) {
+  ReactLocked(update);
+  // A plan pushed to a replica after its death lands at a key nobody polls:
+  // move it as the death moved the backlog. No dead member, no store call.
+  for (const auto& [replica, state] : members_) {
+    if (state == Member::kDead) {
+      RehomeLocked(replica);
+    }
+  }
+}
+
 void FleetCoordinator::ReactLocked(const MonitorUpdate& update) {
   for (const ReplicaEvent& event : update.transitions) {
     switch (event.to) {
@@ -220,26 +231,28 @@ void FleetCoordinator::ResizeLocked() {
   }
 }
 
-void FleetCoordinator::OnDeathLocked(int32_t replica) {
-  const auto t0 = Clock::now();
-  report_.dead_replicas.push_back(replica);
-  members_[replica] = Member::kDead;  // sticky, like the monitor's kDead
-  const std::vector<int32_t> survivors = PeersLocked(replica);
+void FleetCoordinator::RehomeLocked(int32_t dead) {
+  const std::vector<int32_t> survivors = PeersLocked(dead);
   if (survivors.empty()) {
     // Nobody left to take the work; free the slots so parked pushes
     // unblock, and record the loss.
     report_.dropped_iterations +=
-        static_cast<int64_t>(store_->DropReplica(replica));
-  } else {
-    const size_t moved =
-        MoveLocked(replica, store_->PendingIterations(replica), survivors)
-            .size();
-    report_.replanned_iterations += static_cast<int64_t>(moved);
-    static common::Counter& reposts =
-        common::MetricsRegistry::Instance().GetCounter(
-            "recovery_reposts_total");
-    reposts.Add(static_cast<int64_t>(moved));
+        static_cast<int64_t>(store_->DropReplica(dead));
+    return;
   }
+  const size_t moved =
+      MoveLocked(dead, store_->PendingIterations(dead), survivors).size();
+  report_.replanned_iterations += static_cast<int64_t>(moved);
+  static common::Counter& reposts =
+      common::MetricsRegistry::Instance().GetCounter("recovery_reposts_total");
+  reposts.Add(static_cast<int64_t>(moved));
+}
+
+void FleetCoordinator::OnDeathLocked(int32_t replica) {
+  const auto t0 = Clock::now();
+  report_.dead_replicas.push_back(replica);
+  members_[replica] = Member::kDead;  // sticky, like the monitor's kDead
+  RehomeLocked(replica);
   const double recovery_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   report_.recovery_ms += recovery_ms;

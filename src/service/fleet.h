@@ -6,7 +6,11 @@
 //
 //   death     a replica turns kDead. Its unfetched backlog is reposted
 //             round-robin to the surviving members; with no survivor left
-//             the backlog is dropped and counted.
+//             the backlog is dropped and counted. A plan pushed to it later
+//             (a publisher that has not heard) moves, or is dropped, the
+//             same way on the coordinator's next input: every input sweeps
+//             the dead members' keys, and with no dead member makes no
+//             store call.
 //   straggle  (rebalance on) a member flagged on `rebalance_consecutive_flags`
 //             complete iterations in a row sheds the tail of its backlog —
 //             at most `rebalance_max_moves` plans — to members that kept
@@ -177,9 +181,15 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
     std::map<int32_t, std::set<int64_t>> released_;
   };
 
+  // One input's reaction, then a sweep of every dead member's keys. Caller
+  // holds mu_.
+  void ApplyLocked(const MonitorUpdate& update);
   // The reactions; caller holds mu_.
   void ReactLocked(const MonitorUpdate& update);
   void OnDeathLocked(int32_t replica);
+  // Moves whatever `dead` still holds to the active members, or drops it
+  // when none is left.
+  void RehomeLocked(int32_t dead);
   void OnIterationCompleteLocked(const IterationHeartbeatStats& stats);
   void OnJoinLocked(int32_t replica);
   void OnDrainLocked(int32_t replica);

@@ -71,12 +71,15 @@ struct PlanAheadOptions {
   size_t store_capacity = 0;
   // Store backend override. Null (default): the service owns an in-process
   // InstructionStore built from the two knobs above. Non-null: plans publish
-  // to this store instead — e.g. a transport::MuxInstructionStore fronting
-  // another process — and serialize_plans is ignored (a remote backend always
-  // serializes). store_capacity must still mirror the backend's actual
-  // capacity: the publisher uses it to defer (rather than block in) pushes
-  // that would exceed it, which is what keeps a consumer that help-drains
-  // planning tasks from wedging against its own unfetched plans.
+  // to this store instead — one of the interface's two implementations, e.g.
+  // a transport::ShmInstructionStore segment that executor processes attach
+  // to, or a serialized InstructionStore an InstructionStoreServer serves
+  // (the executor's mux client fetches; it is not a store) — and
+  // serialize_plans is ignored (the backend decides). store_capacity must
+  // still mirror the backend's actual capacity: the publisher uses it to
+  // defer (rather than block in) pushes that would exceed it, which is what
+  // keeps a consumer that help-drains planning tasks from wedging against its
+  // own unfetched plans.
   std::shared_ptr<runtime::InstructionStoreInterface> store;
 };
 

@@ -22,10 +22,6 @@ constexpr uint64_t kReadChunkBytes = uint64_t{64} << 10;
 common::Counter& FrameCounterFor(FrameType type) {
   common::MetricsRegistry& reg = common::MetricsRegistry::Instance();
   switch (type) {
-    case FrameType::kPush: {
-      static common::Counter& c = reg.GetCounter("transport_frames_push_total");
-      return c;
-    }
     case FrameType::kFetch: {
       static common::Counter& c =
           reg.GetCounter("transport_frames_fetch_total");
@@ -69,7 +65,6 @@ common::Counter& FrameCounterFor(FrameType type) {
     }
     case FrameType::kOk:
     case FrameType::kBool:
-    case FrameType::kCount:
     case FrameType::kMissing:
     case FrameType::kEvicted:
     case FrameType::kDrainAck: {
@@ -77,9 +72,6 @@ common::Counter& FrameCounterFor(FrameType type) {
           reg.GetCounter("transport_frames_reply_total");
       return c;
     }
-    case FrameType::kSize:
-    case FrameType::kShutdown:
-      break;
   }
   static common::Counter& c = reg.GetCounter("transport_frames_other_total");
   return c;
@@ -125,10 +117,9 @@ bool WriteFrame(Stream& stream, const Frame& frame, std::string* scratch) {
       return false;
     case common::FaultKind::kCorruptFrame:
       // Flip a bit in the type byte: every request type maps to something
-      // the receiver's demux switch rejects, so the corruption is
-      // *deterministically* detected and answered with a connection drop
-      // (a flipped payload bit could still parse as a different valid
-      // varint and sail through).
+      // the receiver rejects, so the corruption is *deterministically*
+      // detected and answered with a connection drop (a flipped payload bit
+      // could still parse as a different valid varint and sail through).
       wire[4] ^= 0x40;
       break;
     default:
@@ -138,7 +129,8 @@ bool WriteFrame(Stream& stream, const Frame& frame, std::string* scratch) {
   return stream.WriteAll(wire.data(), wire.size());
 }
 
-std::optional<Frame> ReadFrame(Stream& stream, std::string* error) {
+std::optional<Frame> ReadFrame(Stream& stream, std::string* error,
+                               Deadline deadline) {
   const auto fail = [&](const char* what) -> std::optional<Frame> {
     if (error != nullptr) {
       *error = what;
@@ -150,8 +142,8 @@ std::optional<Frame> ReadFrame(Stream& stream, std::string* error) {
   }
 
   unsigned char header[4];
-  if (!stream.ReadAll(header, sizeof(header))) {
-    return std::nullopt;  // clean EOF (or peer loss) between frames
+  if (!stream.ReadAllUntil(header, sizeof(header), deadline)) {
+    return std::nullopt;  // clean EOF, peer loss or deadline between frames
   }
   const uint64_t len = static_cast<uint64_t>(header[0]) |
                        static_cast<uint64_t>(header[1]) << 8 |
@@ -169,7 +161,8 @@ std::optional<Frame> ReadFrame(Stream& stream, std::string* error) {
   while (body.size() < len) {
     const size_t have = body.size();
     body.resize(have + std::min<uint64_t>(len - have, kReadChunkBytes));
-    if (!stream.ReadAll(body.data() + have, body.size() - have)) {
+    if (!stream.ReadAllUntil(body.data() + have, body.size() - have,
+                             deadline)) {
       return fail("frame: truncated body");
     }
   }

@@ -1,4 +1,4 @@
-// Length-prefixed frame protocol for the instruction-store wire.
+// Length-prefixed frame protocol for the instruction-store wire (frame v6).
 //
 // Every message is one frame:
 //
@@ -7,21 +7,22 @@
 //          zigzag(replica), payload...
 //
 // The payload is the rest of the body and is type-specific: plan_serde bytes
-// for kPush/kPlanBytes, one 0/1 byte for kBool, a varint for kCount,
-// kHeartbeat and kClockReply, empty otherwise. Integers reuse the plan_serde
-// varint primitives so the whole wire speaks one encoding. Every frame type
-// has one direction: the client sends requests and the server writes only
-// replies.
+// for kPlanBytes, one 0/1 byte for kBool, a varint for kHeartbeat and
+// kClockReply, empty otherwise. Integers reuse the plan_serde varint
+// primitives so the whole wire speaks one encoding. Every frame type has one
+// direction: the client sends requests and the server writes only replies,
+// one per request, in order.
 //
-// request_id correlates replies with requests on a multiplexed connection
-// (mux.h): the client tags every request with a fresh id and the server
-// echoes it on the reply, so many requests can be in flight on one long-lived
-// stream and the demux loop matches each reply to its waiter. A client that
-// omits correlation sends id 0 (one varint byte) and ignores it on replies —
-// on a strict request/response stream there is nothing to correlate. Either
-// way, the server replying to kPush only after the store accepted the plan is
-// exactly how capacity backpressure crosses the process boundary: the
-// client's Push blocks waiting for that kOk until a Fetch frees a slot.
+// The server echoes each request's request_id on its reply. The client (the
+// executor's fetch client, mux.h) has at most one request in flight, so the
+// echo is a check, not a lookup: a reply that does not carry the id of the
+// request just sent means the stream is out of step, and the client drops
+// the connection.
+//
+// Plans are published where the store lives, never over the wire: v6 retired
+// the remote-publishing types — push (1), size (4), shutdown (5) and count
+// (67). Their numbers stay unassigned, so such a frame is an unknown type and
+// drops the connection.
 //
 // ReadFrame never trusts the peer: a corrupt length (over kMaxFrameBytes),
 // truncated body, or unparsable header field is a clean nullopt, not a crash
@@ -41,11 +42,8 @@ namespace dynapipe::transport {
 
 enum class FrameType : uint8_t {
   // Requests (client -> server).
-  kPush = 1,       // payload = encoded plan; response kOk once stored/dropped
   kFetch = 2,      // response kPlanBytes
   kContains = 3,   // response kBool
-  kSize = 4,       // response kCount
-  kShutdown = 5,   // response kOk
   kHeartbeat = 6,  // executor liveness: iteration/replica in the header,
                    // payload = varint(wall-clock microseconds the iteration
                    // took); response kOk (the reply keeps the protocol
@@ -77,7 +75,6 @@ enum class FrameType : uint8_t {
   kOk = 64,
   kPlanBytes = 65,
   kBool = 66,
-  kCount = 67,
   kMissing = 68,   // kFetch of a key the store does not hold — after
                    // recovery reposted a dead replica's plan, the zombie's
                    // fetch gets this instead of crashing the server. Clients
@@ -100,8 +97,7 @@ inline constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 30;
 
 struct Frame {
   FrameType type = FrameType::kOk;
-  // Reply-correlation id on multiplexed connections; 0 from a client that
-  // omits it.
+  // Set by the client on each request, echoed by the server on the reply.
   uint64_t request_id = 0;
   int64_t iteration = 0;
   int32_t replica = 0;
@@ -110,15 +106,17 @@ struct Frame {
 
 // Writes one frame; false when the peer is gone. The overload taking
 // `scratch` assembles the wire bytes in the caller's buffer instead of a
-// fresh allocation — a steady-state publisher (the mux client) reuses one
-// buffer per thread so pushing a plan does no per-plan heap allocation
-// once the buffer has grown to plan size.
+// fresh allocation — the fetch client reuses one buffer per connection, so a
+// steady-state request allocates nothing.
 bool WriteFrame(Stream& stream, const Frame& frame);
 bool WriteFrame(Stream& stream, const Frame& frame, std::string* scratch);
 
-// Reads one frame; nullopt on clean EOF, peer loss, or a malformed frame
-// (reason in *error when provided — empty for clean EOF before any byte).
-std::optional<Frame> ReadFrame(Stream& stream, std::string* error = nullptr);
+// Reads one frame; nullopt on clean EOF, peer loss, a malformed frame (reason
+// in *error when provided — empty for clean EOF before any byte), or the
+// frame not arriving by `deadline` (after which the stream is out of step and
+// must be closed).
+std::optional<Frame> ReadFrame(Stream& stream, std::string* error = nullptr,
+                               Deadline deadline = kNoDeadline);
 
 // kHeartbeat payload codec. Wall time travels as a varint of whole
 // microseconds (negatives and NaN clamp to 0, values at or over 2^64 µs to

@@ -1,16 +1,12 @@
 #include "src/transport/store_server.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/trace.h"
-#include "src/service/plan_serde.h"
 #include "src/transport/frame.h"
-#include "src/transport/mux.h"
 
 namespace dynapipe::transport {
 
@@ -38,10 +34,10 @@ void InstructionStoreServer::Stop() {
   stopping_.store(true, std::memory_order_release);
   transport_->Close();
   accept_thread_.join();
-  // Push workers parked in the store's capacity wait hold no way out except
-  // the store's own shutdown; at server teardown the pipeline is over, so
-  // dropping those plans is the correct outcome (same as the in-process
-  // store's teardown contract).
+  // A publisher parked in the store's capacity wait has no way out but a
+  // fetch or the store's shutdown; with no executor left to fetch, the
+  // pipeline is over, so dropping its plan is the correct outcome (the
+  // in-process store's teardown contract).
   store_->Shutdown();
   std::vector<std::unique_ptr<Handler>> handlers;
   {
@@ -49,8 +45,8 @@ void InstructionStoreServer::Stop() {
     handlers.swap(handlers_);
   }
   for (const auto& handler : handlers) {
-    // A demux loop can also be parked reading from (or replying to) a client
-    // that connected and went silent; closing the stream unblocks it so the
+    // A handler can be parked reading from (or replying to) a client that
+    // connected and went silent; closing the stream unblocks it so the
     // join below cannot hang teardown.
     handler->conn->Close();
     handler->thread.join();
@@ -85,7 +81,7 @@ void InstructionStoreServer::AcceptLoop() {
     // `h` stays valid until joined: reaping joins only after `done`, and the
     // swap in Stop() keeps the handlers alive through their joins.
     h->thread = std::thread([this, h] {
-      HandleConnection(*h);
+      HandleConnection(*h->conn);
       // Dropping a connection (clean EOF, malformed frame, misbehaving
       // peer) must be visible to the peer: a client parked reading a reply
       // that will never come unblocks here instead of at reap time.
@@ -95,59 +91,7 @@ void InstructionStoreServer::AcceptLoop() {
   }
 }
 
-void InstructionStoreServer::HandleConnection(Handler& handler) {
-  Stream& conn = *handler.conn;
-  // Replies come from two threads — the demux loop below (inline replies)
-  // and the push worker (deferred kPush replies) — so frame writes are
-  // serialized per connection through the handler's write lock.
-  std::mutex& write_mu = handler.write_mu;
-  const auto write_reply = [&](const Frame& reply) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    // Count before replying: a client that has its reply must observe the
-    // request as served. A reply to a vanished client fails harmlessly; the
-    // demux loop notices the dead stream on its next read.
-    requests_served_.fetch_add(1);
-    WriteFrame(conn, reply);
-  };
-
-  // The connection's push worker: runs deferred kPush requests in arrival
-  // order, parking in the store's capacity wait as needed. A parked push
-  // never stalls the demux loop, so the fetch that frees the slot can arrive
-  // on this very connection — that is what preserves blocking-Push semantics
-  // over a multiplexed stream. Spawned lazily on the first kPush: fetch-only
-  // connections never pay the second thread.
-  std::mutex push_mu;
-  std::condition_variable push_cv;
-  std::deque<Frame> push_queue;
-  bool conn_done = false;
-  std::thread push_worker;
-  const auto push_worker_loop = [&] {
-    for (;;) {
-      Frame request;
-      {
-        std::unique_lock<std::mutex> lock(push_mu);
-        push_cv.wait(lock,
-                     [&] { return !push_queue.empty() || conn_done; });
-        if (push_queue.empty()) {
-          return;  // connection over and queue drained
-        }
-        request = std::move(push_queue.front());
-        push_queue.pop_front();
-      }
-      // Blocks here while the store is at capacity — the delayed kOk is the
-      // client's backpressure. Shutdown (ours at Stop, or a client's
-      // kShutdown) unblocks it; the dropped plan still gets its kOk, same as
-      // the in-process Push returning after shutdown.
-      store_->PushBytes(request.iteration, request.replica,
-                        std::move(request.payload));
-      Frame reply;
-      reply.type = FrameType::kOk;
-      reply.request_id = request.request_id;
-      reply.iteration = request.iteration;
-      reply.replica = request.replica;
-      write_reply(reply);
-    }
-  };
+void InstructionStoreServer::HandleConnection(Stream& conn) {
   // Replicas announced on this connection (kAttach) that have not said
   // kDetach. If the connection ends while any remain, the executor vanished
   // — SIGKILL, crash, torn transport — and the liveness sink hears about it
@@ -162,23 +106,13 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
       }
     }
     attached.clear();
-    if (!push_worker.joinable()) {
-      return;  // no kPush ever arrived
-    }
-    {
-      std::lock_guard<std::mutex> lock(push_mu);
-      conn_done = true;
-    }
-    push_cv.notify_all();
-    push_worker.join();
   };
 
   for (;;) {
     std::optional<Frame> request = ReadFrame(conn);
     if (!request.has_value()) {
       // Clean close, torn connection, or malformed frame: drop the
-      // connection, never crash the server. Queued pushes still complete
-      // (their plans were received intact); their replies go nowhere.
+      // connection, never crash the server.
       break;
     }
     Frame reply;
@@ -186,30 +120,6 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
     reply.iteration = request->iteration;
     reply.replica = request->replica;
     switch (request->type) {
-      case FrameType::kPush: {
-        if (!push_worker.joinable()) {
-          push_worker = std::thread(push_worker_loop);
-        }
-        std::unique_lock<std::mutex> lock(push_mu);
-        if (push_queue.size() >=
-            static_cast<size_t>(kMuxPushCredits)) {
-          // The client-side credit protocol bounds deferred pushes; a peer
-          // that blows past it is misbehaving — drop it rather than buffer
-          // unboundedly. Discard its backlog and close the stream *now* so
-          // the drop is effective immediately; the worker may still be
-          // parked on one in-flight push (released by a fetch or the
-          // store's shutdown, like any vanished client's parked push).
-          push_queue.clear();
-          lock.unlock();
-          conn.Close();
-          finish();
-          return;
-        }
-        push_queue.push_back(std::move(*request));
-        lock.unlock();
-        push_cv.notify_one();
-        continue;  // reply deferred to the push worker
-      }
       case FrameType::kFetch: {
         // Try-fetch, not the fatal FetchBytes: after recovery reposts a
         // dead replica's plan, the zombie's fetch of the moved key must be
@@ -236,14 +146,6 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
         reply.payload.push_back(
             store_->Contains(request->iteration, request->replica) ? '\1'
                                                                    : '\0');
-        break;
-      case FrameType::kSize:
-        reply.type = FrameType::kCount;
-        service::AppendVarint(store_->size(), &reply.payload);
-        break;
-      case FrameType::kShutdown:
-        store_->Shutdown();
-        reply.type = FrameType::kOk;
         break;
       case FrameType::kHeartbeat: {
         double wall_ms = 0.0;
@@ -313,11 +215,13 @@ void InstructionStoreServer::HandleConnection(Handler& handler) {
         AppendClockPayload(common::Tracer::Instance().NowUs(), &reply.payload);
         break;
       default:
-        // Unknown request type: drop the connection.
+        // Unknown request type (a retired one included): drop the
+        // connection.
         finish();
         return;
     }
-    write_reply(reply);
+    // A reply to a vanished client fails harmlessly; the next read notices.
+    WriteFrame(conn, reply);
   }
   finish();
 }

@@ -5,8 +5,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -46,12 +48,18 @@ class LoopbackStream final : public Stream {
     return true;
   }
 
-  bool ReadAll(void* data, size_t n) override {
+  bool ReadAllUntil(void* data, size_t n, Deadline deadline) override {
     std::unique_lock<std::mutex> lock(read_half_->mu);
-    read_half_->cv.wait(
-        lock, [&] { return read_half_->buf.size() >= n || read_half_->closed; });
+    const auto ready = [&] {
+      return read_half_->buf.size() >= n || read_half_->closed;
+    };
+    if (deadline == kNoDeadline) {
+      read_half_->cv.wait(lock, ready);
+    } else {
+      read_half_->cv.wait_until(lock, deadline, ready);
+    }
     if (read_half_->buf.size() < n) {
-      return false;  // closed before the bytes arrived
+      return false;  // closed (or timed out) before the bytes arrived
     }
     std::memcpy(data, read_half_->buf.data(), n);
     read_half_->buf.erase(0, n);
@@ -102,9 +110,12 @@ class FdStream final : public Stream {
     return true;
   }
 
-  bool ReadAll(void* data, size_t n) override {
+  bool ReadAllUntil(void* data, size_t n, Deadline deadline) override {
     char* p = static_cast<char*>(data);
     while (n > 0) {
+      if (deadline != kNoDeadline && !AwaitReadable(deadline)) {
+        return false;
+      }
       const ssize_t r = ::recv(fd_, p, n, 0);
       if (r < 0 && errno == EINTR) {
         continue;
@@ -121,6 +132,27 @@ class FdStream final : public Stream {
   void Close() override { ::shutdown(fd_, SHUT_RDWR); }
 
  private:
+  // Polls until the socket has bytes (or EOF/error, which recv reports);
+  // false once the deadline passes first.
+  bool AwaitReadable(Deadline deadline) const {
+    for (;;) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) {
+        return false;
+      }
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<int64_t>(
+                                            left.count(), INT32_MAX)));
+      if (ready > 0) {
+        return true;
+      }
+      if (ready < 0 && errno != EINTR) {
+        return true;  // let recv surface the error
+      }
+    }
+  }
+
   int fd_;
 };
 

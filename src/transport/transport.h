@@ -18,6 +18,7 @@
 #define DYNAPIPE_SRC_TRANSPORT_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -26,6 +27,10 @@
 #include <string>
 
 namespace dynapipe::transport {
+
+// The point in time a bounded read gives up; kNoDeadline waits for ever.
+using Deadline = std::chrono::steady_clock::time_point;
+inline constexpr Deadline kNoDeadline = Deadline::max();
 
 // A duplex byte stream. Reads and writes are blocking; thread-safe as one
 // reader plus one writer (the frame protocol is strictly request/response, so
@@ -37,7 +42,12 @@ class Stream {
   // Writes all n bytes; false when the peer is gone.
   virtual bool WriteAll(const void* data, size_t n) = 0;
   // Reads exactly n bytes; false if the stream closes before they arrive.
-  virtual bool ReadAll(void* data, size_t n) = 0;
+  bool ReadAll(void* data, size_t n) {
+    return ReadAllUntil(data, n, kNoDeadline);
+  }
+  // ReadAll that also gives up once `deadline` passes. Bytes already consumed
+  // are lost, so a caller that times out must close the stream.
+  virtual bool ReadAllUntil(void* data, size_t n, Deadline deadline) = 0;
   // Closes both directions, unblocking a peer parked in ReadAll. Destructors
   // call this implicitly.
   virtual void Close() = 0;

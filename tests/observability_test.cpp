@@ -281,8 +281,7 @@ TEST(ClockChannelTest, ServerSurvivesHostileBytesAndStillServesClock) {
   EXPECT_FALSE(lost);
   EXPECT_TRUE(client->connection_ok());
 
-  client->Detach(0);
-  client->Shutdown();
+  EXPECT_TRUE(client->Detach(0));
   server.Stop();
 }
 

@@ -11,10 +11,9 @@
 //     hardening the transport's receiving side depends on).
 // The frame-layer tests push the same hostility one level up: truncated,
 // oversized, and bit-flipped frame headers and bodies against a live
-// InstructionStoreServer (and against a mux client's demux loop) must yield
+// InstructionStoreServer (and as replies to a mux client's call) must yield
 // a clean connection drop — never a crash, never a hang, and never a wedged
 // server.
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -228,8 +227,10 @@ TEST(FrameLayerFuzzTest, MalformedFramesDropConnectionNeverCrashServer) {
 
   const auto expect_server_alive = [&] {
     auto client = transport::MuxInstructionStore::OverTransport(&transport);
-    EXPECT_FALSE(client->Contains(1, 1));
-    EXPECT_EQ(client->size(), 0u);
+    bool present = true;
+    EXPECT_TRUE(client->TryContains(1, 1, &present));
+    EXPECT_FALSE(present);
+    EXPECT_EQ(store.size(), 0u);
   };
 
   // Oversized length field (over kMaxFrameBytes).
@@ -247,6 +248,23 @@ TEST(FrameLayerFuzzTest, MalformedFramesDropConnectionNeverCrashServer) {
   // Unknown frame type.
   SendHostileBytes(transport, std::string("\x01\x00\x00\x00\x2a", 5), false);
   expect_server_alive();
+  // A well-formed frame v5 push (type 1, retired in v6) carrying a real
+  // plan: an unknown type like any other, so nothing is stored.
+  {
+    std::string body = "\x01";
+    service::AppendVarint(/*request_id=*/1, &body);
+    service::AppendZigzag(/*iteration=*/0, &body);
+    service::AppendZigzag(/*replica=*/1, &body);
+    Rng plan_rng(0x9u);
+    body += service::EncodeExecutionPlan(RandomPlan(plan_rng));
+    const uint32_t len = static_cast<uint32_t>(body.size());
+    std::string wire;
+    for (int shift = 0; shift < 32; shift += 8) {
+      wire.push_back(static_cast<char>((len >> shift) & 0xff));
+    }
+    SendHostileBytes(transport, wire + body, false);
+    expect_server_alive();
+  }
 
   // Randomized garbage and bit-flipped valid frames.
   Rng rng(0xFADEDull);
@@ -280,10 +298,12 @@ TEST(FrameLayerFuzzTest, MalformedFramesDropConnectionNeverCrashServer) {
   server.Stop();
 }
 
-TEST(FrameLayerFuzzTest, MalformedRepliesFailMuxDemuxLoopCleanly) {
-  // The demux loop is the mux client's receiving side; hostile reply bytes
-  // must end in a clean connection error (connection_ok() false, demux
-  // thread exited, destructor joins) — never a crash or a hang.
+TEST(FrameLayerFuzzTest, MalformedRepliesFailTheMuxCallCleanly) {
+  // Each hostile reply answers an outstanding call: the call fails, the
+  // client closes the connection and sends nothing more, later calls fail at
+  // once — never a crash or a hang. The complete replies stay on an open
+  // stream, so the client must reject them on their bytes alone; the partial
+  // ones need the peer's close to end.
   Rng rng(0xD00Full);
   for (int case_i = 0; case_i < 50; ++case_i) {
     transport::LoopbackTransport transport;
@@ -291,49 +311,53 @@ TEST(FrameLayerFuzzTest, MalformedRepliesFailMuxDemuxLoopCleanly) {
     std::unique_ptr<transport::Stream> fake_server = transport.Accept();
     ASSERT_NE(fake_server, nullptr);
 
-    std::string wire;
-    switch (case_i % 5) {
-      case 0:  // oversized length
-        wire = std::string("\xff\xff\xff\xff", 4);
-        break;
-      case 1:  // truncated body
-        wire = std::string("\x20\x00\x00\x00", 4) + "xy";
-        break;
-      case 2: {  // reply to a request nobody sent
-        transport::Frame frame;
-        frame.type = transport::FrameType::kOk;
-        frame.request_id = 7777;
-        WriteFrame(*fake_server, frame);
-        break;
-      }
-      case 3: {  // a request: the server writes only replies
-        transport::Frame frame;
-        frame.type = transport::FrameType::kClockRequest;
-        frame.request_id = 1;
-        WriteFrame(*fake_server, frame);
-        // The client drops the stream instead of answering, so the fake
-        // server reads EOF, not a reply.
-        EXPECT_FALSE(ReadFrame(*fake_server).has_value())
-            << "the mux client answered a server-initiated request";
-        break;
-      }
-      default: {  // random garbage
-        const size_t len = 1 + rng.NextBelow(48);
-        for (size_t b = 0; b < len; ++b) {
-          wire.push_back(static_cast<char>(rng.NextBelow(256)));
+    std::thread server([&] {
+      const std::optional<transport::Frame> request = ReadFrame(*fake_server);
+      ASSERT_TRUE(request.has_value());
+      transport::Frame frame;
+      frame.request_id = request->request_id;
+      std::string wire;
+      bool close_after = false;
+      switch (case_i % 5) {
+        case 0:  // oversized length
+          wire = std::string("\xff\xff\xff\xff", 4);
+          break;
+        case 1:  // truncated body
+          wire = std::string("\x20\x00\x00\x00", 4) + "xy";
+          close_after = true;
+          break;
+        case 2:  // the right reply type for another request id
+          frame.type = transport::FrameType::kBool;
+          frame.request_id += 7777;
+          frame.payload = "\x01";
+          WriteFrame(*fake_server, frame);
+          break;
+        case 3:  // a request with the echoed id: the server writes replies
+          frame.type = transport::FrameType::kClockRequest;
+          WriteFrame(*fake_server, frame);
+          break;
+        default: {  // random garbage
+          const size_t len = 1 + rng.NextBelow(48);
+          for (size_t b = 0; b < len; ++b) {
+            wire.push_back(static_cast<char>(rng.NextBelow(256)));
+          }
+          close_after = true;
+          break;
         }
-        break;
       }
-    }
-    if (!wire.empty()) {
       fake_server->WriteAll(wire.data(), wire.size());
-    }
-    fake_server->Close();
-    // The demux loop notices and marks the connection dead; no call is
-    // outstanding, so nothing crashes and nothing waits forever.
-    while (client->connection_ok()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+      if (close_after) {
+        fake_server->Close();
+      } else {
+        EXPECT_FALSE(ReadFrame(*fake_server).has_value())
+            << "the client kept talking after a malformed reply";
+      }
+    });
+    bool present = false;
+    EXPECT_FALSE(client->TryContains(1, 0, &present));
+    EXPECT_FALSE(client->connection_ok());
+    server.join();
+    EXPECT_FALSE(client->TryContains(1, 0, &present));
   }
 }
 

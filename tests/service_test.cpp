@@ -29,10 +29,7 @@
 #include "src/service/plan_ahead_service.h"
 #include "src/service/plan_cache.h"
 #include "src/service/plan_serde.h"
-#include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
 
 namespace dynapipe {
 namespace {
@@ -501,114 +498,61 @@ TEST_F(PlanAheadServiceTest, AnyLookaheadCacheSerdeBitIdenticalToInline) {
   }
 }
 
-// The server half of a wire-backed store: storage, transport, server, and the
-// mux client the service publishes through. Declaration order is teardown
-// order in reverse — the client must close before the server tears down.
-struct WireBackend {
-  WireBackend(std::unique_ptr<transport::Transport> t, size_t capacity)
-      : store(runtime::InstructionStoreOptions{/*serialized=*/true, capacity}),
-        transport(std::move(t)), server(transport.get(), &store),
-        client(transport::MuxInstructionStore::OverTransport(transport.get())) {}
-
-  runtime::InstructionStore store;
-  std::unique_ptr<transport::Transport> transport;
-  transport::InstructionStoreServer server;
-  std::shared_ptr<transport::MuxInstructionStore> client;
-};
-
 TEST_F(PlanAheadServiceTest, TransportBackendsBitIdenticalToInline) {
   // The transport axis of the bit-identity matrix: publishing through the
-  // mux client over the loopback or Unix-socket wire or through the
   // shared-memory segment must deliver exactly the plans the in-process
   // inline path does, at any lookahead, cache on or off — and a replayed
   // epoch served entirely from the plan cache must republish through a
-  // fresh backend just as bit-identically.
+  // fresh segment just as bit-identically.
   const data::Dataset dataset = SmallDataset();
   const EpochPlans base = Collect({}, dataset);
   ASSERT_EQ(base.plans.size(), 4u);
 
   ThreadPool pool(2);
   int backend_id = 0;
-  enum class Kind { kLoopback, kSocket, kShm };
-  // The server half (when the backend has one) plus the client the service
-  // publishes through, and how to read the server-side byte counter the
-  // client volume must match.
-  struct Backend {
-    std::unique_ptr<WireBackend> wire;
-    std::shared_ptr<runtime::InstructionStoreInterface> client;
-    std::function<int64_t()> server_bytes;
+  auto make_segment = [&] {
+    return transport::ShmInstructionStore::Create(
+        "/dynapipe-svc-" + std::to_string(::getpid()) + "-" +
+            std::to_string(backend_id++),
+        transport::ShmStoreOptions{/*capacity=*/3, /*num_slots=*/64,
+                                   /*arena_bytes=*/size_t{1} << 20});
   };
-  auto make_backend = [&](Kind kind) {
-    const std::string id =
-        std::to_string(::getpid()) + "-" + std::to_string(backend_id++);
-    Backend b;
-    switch (kind) {
-      case Kind::kLoopback:
-      case Kind::kSocket: {
-        std::unique_ptr<transport::Transport> t;
-        if (kind == Kind::kSocket) {
-          t = std::make_unique<transport::UnixSocketTransport>(
-              "/tmp/dynapipe-svc-" + id + ".sock");
-        } else {
-          t = std::make_unique<transport::LoopbackTransport>();
-        }
-        b.wire = std::make_unique<WireBackend>(std::move(t), /*capacity=*/3);
-        b.client = b.wire->client;
-        b.server_bytes = [&w = b.wire->store] {
-          return w.serialized_bytes_total();
-        };
-        break;
+  for (const int32_t lookahead : {0, 2}) {
+    for (const bool cache : {false, true}) {
+      SCOPED_TRACE("lookahead=" + std::to_string(lookahead) +
+                   " cache=" + std::to_string(cache));
+      service::PlanAheadOptions sopts;
+      sopts.lookahead = lookahead;
+      sopts.pool = lookahead > 0 ? &pool : nullptr;
+      if (cache) {
+        sopts.plan_cache = std::make_shared<service::PlanCache>();
+        sopts.config_hash = 99;
       }
-      case Kind::kShm: {
-        auto shm = transport::ShmInstructionStore::Create(
-            "/dynapipe-svc-" + id,
-            transport::ShmStoreOptions{/*capacity=*/3, /*num_slots=*/64,
-                                       /*arena_bytes=*/size_t{1} << 20});
-        b.client = shm;
-        b.server_bytes = [shm] { return shm->serialized_bytes_total(); };
-        break;
+      sopts.store_capacity = 3;  // mirrors the segment's bound
+      {
+        const auto segment = make_segment();
+        sopts.store = segment;
+        const EpochPlans got = Collect(sopts, dataset);
+        ExpectPlansBitIdentical(base, got);
+        // The published volume is real and matches what the segment holds
+        // accounted (every plan crossed an encode boundary).
+        EXPECT_GT(got.stats.published_bytes, 0);
+        EXPECT_EQ(got.stats.published_bytes, segment->serialized_bytes_total());
       }
-    }
-    return b;
-  };
-  for (const Kind kind : {Kind::kLoopback, Kind::kSocket, Kind::kShm}) {
-    for (const int32_t lookahead : {0, 2}) {
-      for (const bool cache : {false, true}) {
-        SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(kind)) +
-                     " lookahead=" + std::to_string(lookahead) +
-                     " cache=" + std::to_string(cache));
-        service::PlanAheadOptions sopts;
-        sopts.lookahead = lookahead;
-        sopts.pool = lookahead > 0 ? &pool : nullptr;
-        if (cache) {
-          sopts.plan_cache = std::make_shared<service::PlanCache>();
-          sopts.config_hash = 99;
+      if (cache) {
+        // Replay the same shuffle with the same cache into a fresh segment:
+        // every iteration is a hit, and cached plans republish like any
+        // other.
+        const auto segment = make_segment();
+        sopts.store = segment;
+        const EpochPlans replay = Collect(sopts, dataset);
+        ASSERT_EQ(replay.cache_hits.size(), base.plans.size());
+        for (const bool hit : replay.cache_hits) {
+          EXPECT_TRUE(hit);
         }
-        sopts.store_capacity = 3;  // mirrors the backend store's bound
-        {
-          const Backend backend = make_backend(kind);
-          sopts.store = backend.client;
-          const EpochPlans got = Collect(sopts, dataset);
-          ExpectPlansBitIdentical(base, got);
-          // The wire volume is real and matches what the backend store holds
-          // accounted (every plan crossed an encode boundary).
-          EXPECT_GT(got.stats.published_bytes, 0);
-          EXPECT_EQ(got.stats.published_bytes, backend.server_bytes());
-        }
-        if (cache) {
-          // Replay the same shuffle with the same cache into a fresh backend:
-          // every iteration is a hit, and cached plans republish through the
-          // backend like any other.
-          const Backend backend = make_backend(kind);
-          sopts.store = backend.client;
-          const EpochPlans replay = Collect(sopts, dataset);
-          ASSERT_EQ(replay.cache_hits.size(), base.plans.size());
-          for (const bool hit : replay.cache_hits) {
-            EXPECT_TRUE(hit);
-          }
-          ExpectPlansBitIdentical(base, replay);
-          EXPECT_EQ(replay.stats.published_bytes, backend.server_bytes());
-        }
+        ExpectPlansBitIdentical(base, replay);
+        EXPECT_EQ(replay.stats.published_bytes,
+                  segment->serialized_bytes_total());
       }
     }
   }
@@ -1501,7 +1445,8 @@ TEST(FleetCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
 }
 
 // A replica the monitor has declared dead belongs to the death handler: the
-// rebalance must not race it for the backlog, even on late beats.
+// rebalance must not race it for the backlog, even on late beats. What it
+// receives after its death moves as a death moves it.
 TEST(FleetCoordinatorTest, DeadReplicaPinsItsBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
@@ -1512,8 +1457,41 @@ TEST(FleetCoordinatorTest, DeadReplicaPinsItsBacklog) {
   fleet.OnReplicaDisconnected(2, /*clean=*/false);  // -> kDead
   store.PushBytes(0, 2, "dead-backlog");
   FeedIteration(fleet, 1, /*slow=*/2);  // late beats from the dead replica
-  EXPECT_EQ(fleet.report().shed_events, 0);
-  EXPECT_EQ(store.PendingIterations(2), std::vector<int64_t>{0});
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.shed_events, 0);
+  EXPECT_EQ(report.replanned_iterations, 1);
+  EXPECT_TRUE(store.PendingIterations(2).empty());
+  EXPECT_EQ(store.FetchBytes(10, 0), "dead-backlog");
+}
+
+// A publisher that has not heard of a death keeps pushing to the dead
+// replica, whose executor will never poll again. The coordinator's next
+// input moves the late plan as the death moved the backlog, so the store
+// still drains; with nobody left to take it, the plan is dropped and
+// counted.
+TEST(FleetCoordinatorTest, LatePushToADeadReplicaMovesOnTheNextInput) {
+  using namespace std::chrono_literals;
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
+
+  const auto t0 = service::FleetCoordinator::Clock::now();
+  fleet.Drop(1, /*clean=*/false);  // -> kDead, with nothing to move yet
+  ASSERT_TRUE(fleet.IsReplicaDead(1));
+  store.PushBytes(5, 1, "late");
+  fleet.Beat(0, 0, 1.0, t0 + 1ms);  // a survivor's input
+  EXPECT_TRUE(store.PendingIterations(1).empty());
+  EXPECT_EQ(store.FetchBytes(10, 0), "late");
+  EXPECT_EQ(fleet.report().replanned_iterations, 1);
+
+  fleet.Drop(0, /*clean=*/false);
+  fleet.Drop(2, /*clean=*/false);
+  store.PushBytes(6, 1, "orphan");
+  fleet.PollLiveness(t0 + 2ms);
+  EXPECT_EQ(store.size(), 0u);
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.replanned_iterations, 1);
+  EXPECT_EQ(report.dropped_iterations, 1);
 }
 
 // A zombie's late beat must not count toward a report set. Once replica 3's

@@ -1,16 +1,15 @@
 // Backend-conformance suite for the InstructionStoreInterface contract.
 //
-// Every store backend — in-process plain, in-process serialized, the
-// multiplexed persistent-connection client over the loopback and Unix-socket
-// transports, and the shared-memory store — must honor the
-// same publish-before-fetch contract: push/fetch round-trips plans losslessly
-// under independent keys, double-publish and fetch-before-publish abort,
-// capacity backpressures Push (blocking until a Fetch frees a slot), and
-// Shutdown unblocks blocked pushers and drops their plans. The suite is
-// value-parameterized over backend factories, so any future backend (a real
-// Redis client) inherits the whole contract by adding one factory line. The
-// backends that hold the plans themselves (runtime::RecoverableStore: the
-// in-process store and the shm segment) also run the recovery contract.
+// Every store backend — in-process plain, in-process serialized, and the
+// shared-memory store — must honor the same publish-before-fetch contract:
+// push/fetch round-trips plans losslessly under independent keys,
+// double-publish and fetch-before-publish abort, capacity backpressures Push
+// (blocking until a Fetch frees a slot), and Shutdown unblocks blocked
+// pushers and drops their plans. The suite is value-parameterized over
+// backend factories, so any future backend (a real Redis client) inherits
+// the whole contract by adding one factory line. Every backend holds the
+// plans itself (runtime::RecoverableStore), so each also runs the recovery
+// contract.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -30,10 +29,7 @@
 #include "src/runtime/instruction_store.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/sim/instruction.h"
-#include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
 
 namespace dynapipe {
 namespace {
@@ -66,29 +62,26 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
   return plan;
 }
 
-// A live backend: whatever machinery the store needs (server, transport)
-// plus the interface handle the tests drive. Every backend routes liveness
+// A live backend: whatever machinery the store needs (a monitor, a poller)
+// plus the store handle the tests drive. Every backend routes liveness
 // into a HeartbeatMonitor and exposes it so the tests can verify delivery; a
 // backend whose delivery is asynchronous (shm: beats land in segment slots
 // and a poller replays them) also reports that, so the tests know to wait
 // instead of asserting instantly.
 struct Backend {
   virtual ~Backend() = default;
-  virtual runtime::InstructionStoreInterface& store() = 0;
+  virtual runtime::RecoverableStore& store() = 0;
   virtual const service::HeartbeatMonitor& heartbeats() const = 0;
   virtual bool heartbeats_are_async() const { return false; }
   // The store's own path for one iteration-completion report toward the
-  // planner: the in-process store's relay to its sink, a kHeartbeat frame
-  // from a wire client, a write into the replica's shm heartbeat slot.
-  // Returns whether the report was delivered.
+  // planner: the in-process store's relay to its sink, a write into the
+  // replica's shm heartbeat slot. Returns whether the report was delivered.
   virtual bool Beat(int32_t replica, int64_t iteration, double wall_ms) = 0;
-  // The recovery surface, where the backend holds the plans itself.
-  virtual runtime::RecoverableStore* recoverable() { return nullptr; }
   // Mid-epoch join is a capability too: how a replica outside the configured
-  // fleet announces itself to a running store. Wire clients send a plain
-  // kAttach; a shm replica claims a heartbeat slot with no frame at all; a
-  // plain in-process store has no membership plane. Returns whether the
-  // announcement was delivered.
+  // fleet announces itself to a running store. A shm replica claims a
+  // heartbeat slot with no frame at all; a plain in-process store has no
+  // membership plane (the wire's kAttach join is MuxStoreTest's). Returns
+  // whether the announcement was delivered.
   virtual bool supports_join() const { return false; }
   virtual bool Join(int32_t replica) {
     (void)replica;
@@ -101,56 +94,15 @@ struct InProcessBackend : Backend {
       : store_(runtime::InstructionStoreOptions{serialized, capacity}) {
     store_.set_heartbeat_sink(&monitor_);
   }
-  runtime::InstructionStoreInterface& store() override { return store_; }
+  runtime::RecoverableStore& store() override { return store_; }
   const service::HeartbeatMonitor& heartbeats() const override {
     return monitor_;
   }
   bool Beat(int32_t replica, int64_t iteration, double wall_ms) override {
     return store_.Heartbeat(replica, iteration, wall_ms);
   }
-  runtime::RecoverableStore* recoverable() override { return &store_; }
   service::HeartbeatMonitor monitor_;  // before store_: outlives the sink user
   runtime::InstructionStore store_;
-};
-
-// Mux client + in-process server over a transport: one persistent
-// multiplexed connection (request-id-tagged frames, credit-based deferred
-// kPush replies). Member order is the teardown order in reverse: client dies
-// first, then the server (which joins its handlers), then the transport, then
-// the storage.
-template <typename TransportT>
-struct MuxBackend : Backend {
-  template <typename... TransportArgs>
-  explicit MuxBackend(size_t capacity, TransportArgs&&... args)
-      : store_(runtime::InstructionStoreOptions{/*serialized=*/true, capacity}),
-        transport_(std::forward<TransportArgs>(args)...),
-        server_(&transport_, &store_),
-        client_(transport::MuxInstructionStore::OverTransport(&transport_)) {
-    store_.set_heartbeat_sink(&monitor_);
-  }
-  runtime::InstructionStoreInterface& store() override { return *client_; }
-  const service::HeartbeatMonitor& heartbeats() const override {
-    return monitor_;
-  }
-  bool Beat(int32_t replica, int64_t iteration, double wall_ms) override {
-    bool evicted = false;
-    return client_->TryHeartbeat(replica, iteration, wall_ms, &evicted) &&
-           !evicted;
-  }
-  bool supports_join() const override { return true; }
-  bool Join(int32_t replica) override {
-    // A joiner attaches like any replica: admission keys off the liveness
-    // event the attach fires.
-    bool evicted = false;
-    return client_->Attach(replica, &evicted, /*timeout_ms=*/2000) &&
-           !evicted;
-  }
-
-  service::HeartbeatMonitor monitor_;
-  runtime::InstructionStore store_;
-  TransportT transport_;
-  transport::InstructionStoreServer server_;
-  std::shared_ptr<transport::MuxInstructionStore> client_;
 };
 
 // The shared-memory segment: the store object is the backend — no server,
@@ -164,7 +116,7 @@ struct ShmBackend : Backend {
             std::move(name), transport::ShmStoreOptions{capacity, 64,
                                                         size_t{1} << 20})),
         poller_(store_, &monitor_) {}
-  runtime::InstructionStoreInterface& store() override { return *store_; }
+  runtime::RecoverableStore& store() override { return *store_; }
   const service::HeartbeatMonitor& heartbeats() const override {
     return monitor_;
   }
@@ -172,7 +124,6 @@ struct ShmBackend : Backend {
   bool Beat(int32_t replica, int64_t iteration, double wall_ms) override {
     return store_->Heartbeat(replica, iteration, wall_ms);
   }
-  runtime::RecoverableStore* recoverable() override { return store_.get(); }
   bool supports_join() const override { return true; }
   bool Join(int32_t replica) override {
     // No frame at all: claiming a heartbeat slot *is* the announcement; the
@@ -185,12 +136,6 @@ struct ShmBackend : Backend {
   std::shared_ptr<transport::ShmInstructionStore> store_;
   transport::ShmHeartbeatPoller poller_;
 };
-
-std::string UniqueSocketPath() {
-  static std::atomic<uint64_t> counter{0};
-  return "/tmp/dynapipe-conf-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter.fetch_add(1)) + ".sock";
-}
 
 std::string UniqueShmName() {
   static std::atomic<uint64_t> counter{0};
@@ -231,24 +176,8 @@ const BackendParam kSharedMemory{
       return std::make_unique<ShmBackend>(cap, UniqueShmName());
     }};
 
-const BackendParam kBackends[] = {
-    kInProcessPlain,
-    kInProcessSerialized,
-    {"LoopbackMux",
-     [](size_t cap) {
-       return std::make_unique<MuxBackend<transport::LoopbackTransport>>(cap);
-     }},
-    {"UnixSocketMux",
-     [](size_t cap) {
-       return std::make_unique<MuxBackend<transport::UnixSocketTransport>>(
-           cap, UniqueSocketPath());
-     }},
-    kSharedMemory,
-};
-
-// The backends that are runtime::RecoverableStores.
-const BackendParam kRecoverableBackends[] = {
-    kInProcessPlain, kInProcessSerialized, kSharedMemory};
+const BackendParam kBackends[] = {kInProcessPlain, kInProcessSerialized,
+                                  kSharedMemory};
 
 class StoreConformanceTest : public ::testing::TestWithParam<BackendParam> {};
 
@@ -387,8 +316,7 @@ std::string BackendName(const ::testing::TestParamInfo<BackendParam>& info) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, StoreConformanceTest,
                          ::testing::ValuesIn(kBackends), BackendName);
 
-// The recovery contract, over the stores that hold the plans themselves:
-// enumerate a replica's backlog in ascending order, and honor every Repost
+// The recovery contract: enumerate a replica's backlog in ascending order, and honor every Repost
 // outcome — a move keeps the bytes, a vanished source and a taken
 // destination both leave the store as it was — and DropReplica frees the
 // replica's plans.
@@ -397,8 +325,7 @@ class RecoverableStoreConformanceTest
 
 TEST_P(RecoverableStoreConformanceTest, RepostAndDropHonorTheOutcomeContract) {
   auto backend = GetParam().make(0);
-  ASSERT_NE(backend->recoverable(), nullptr);
-  runtime::RecoverableStore& store = *backend->recoverable();
+  runtime::RecoverableStore& store = backend->store();
   store.Push(0, 1, MarkerPlan(10));
   store.Push(5, 1, MarkerPlan(11));
   const std::vector<int64_t> pending = store.PendingIterations(1);
@@ -418,8 +345,7 @@ TEST_P(RecoverableStoreConformanceTest, RepostAndDropHonorTheOutcomeContract) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RecoverableBackends, RecoverableStoreConformanceTest,
-                         ::testing::ValuesIn(kRecoverableBackends),
-                         BackendName);
+                         ::testing::ValuesIn(kBackends), BackendName);
 
 #if DYNAPIPE_DEATH_TESTS
 class StoreConformanceDeathTest : public ::testing::TestWithParam<BackendParam> {
@@ -427,8 +353,6 @@ class StoreConformanceDeathTest : public ::testing::TestWithParam<BackendParam> 
 
 TEST_P(StoreConformanceDeathTest, DoublePublishDies) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  // For remote backends the abort fires on the server side of the boundary —
-  // inside this (forked) process for the in-process servers the tests host.
   EXPECT_DEATH(
       {
         auto backend = GetParam().make(0);

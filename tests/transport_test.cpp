@@ -2,9 +2,9 @@
 // length-prefixed frame protocol (round-trip, malformed-input rejection), the
 // loopback and Unix-socket byte streams, the store server / mux client
 // pair, and — the point of the subsystem — a fork()ed two-process run where a
-// planner process publishes an epoch of plans over a Unix domain socket and
-// an executor process fetches byte-identical copies of what the in-process
-// store would have delivered.
+// planner process publishes an epoch of plans into its store, served over a
+// Unix domain socket, and an executor process fetches byte-identical copies
+// of what the in-process store would have delivered.
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/resource.h>
@@ -82,7 +82,7 @@ TEST(FrameTest, RoundTripOverLoopback) {
   ASSERT_NE(server, nullptr);
 
   transport::Frame out;
-  out.type = transport::FrameType::kPush;
+  out.type = transport::FrameType::kPlanBytes;
   out.iteration = -3;  // zigzag keeps negatives 1 byte
   out.replica = 1 << 20;
   out.payload = std::string("\x00\x80\xff binary ok", 13);
@@ -245,31 +245,69 @@ sim::ExecutionPlan MarkerPlan(int32_t marker) {
   return plan;
 }
 
+// The executor's fetch client against the store server. Plans are pushed on
+// the server side, where the store lives, and come back through the client
+// byte for byte; a missing key, a heartbeat, a join and a silent peer each
+// get the answer the executor relies on.
 template <typename MakeTransport>
 void MuxStoreRoundTrip(MakeTransport make_transport) {
+  service::HeartbeatMonitor monitor;
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  store.set_heartbeat_sink(&monitor);
   auto transport = make_transport();
   transport::InstructionStoreServer server(transport.get(), &store);
   auto client = transport::MuxInstructionStore::OverTransport(transport.get());
 
   const sim::ExecutionPlan p0 = MarkerPlan(1);
   const sim::ExecutionPlan p1 = MarkerPlan(2);
-  client->Push(0, 0, p0);
-  client->Push(0, 1, p1);
-  EXPECT_EQ(client->size(), 2u);
-  EXPECT_TRUE(client->Contains(0, 0));
-  EXPECT_FALSE(client->Contains(1, 0));
-  // The client's wire volume matches the server store's resident bytes: the
-  // server never re-encodes what the client sent.
-  EXPECT_EQ(client->serialized_bytes_total(), store.serialized_bytes_total());
-  EXPECT_GT(client->serialized_bytes_total(), 0);
-  EXPECT_EQ(client->Fetch(0, 1), p1);
-  EXPECT_EQ(client->Fetch(0, 0), p0);
-  EXPECT_EQ(client->size(), 0u);
-  EXPECT_GE(server.requests_served(), 8);
+  store.Push(0, 0, p0);
+  store.Push(0, 1, p1);
+  bool present = false;
+  ASSERT_TRUE(client->TryContains(0, 0, &present));
+  EXPECT_TRUE(present);
+  ASSERT_TRUE(client->TryContains(1, 0, &present));
+  EXPECT_FALSE(present);
+  for (const auto& [replica, plan] : {std::pair{1, &p1}, std::pair{0, &p0}}) {
+    bool lost = true;
+    const std::optional<sim::ExecutionPlan> got =
+        client->TryFetch(0, replica, &lost);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(lost);
+    EXPECT_EQ(service::EncodeExecutionPlan(*got),
+              service::EncodeExecutionPlan(*plan));
+  }
+  EXPECT_EQ(store.size(), 0u);
+
+  // A key the store does not hold is kMissing, not a lost connection.
+  bool lost = true;
+  EXPECT_FALSE(client->TryFetch(5, 0, &lost).has_value());
+  EXPECT_FALSE(lost);
+
+  bool evicted = true;
+  ASSERT_TRUE(client->TryHeartbeat(/*replica=*/1, /*iteration=*/7,
+                                   /*wall_ms=*/3.25, &evicted));
+  EXPECT_FALSE(evicted);
+  EXPECT_EQ(monitor.total_heartbeats(), 1);
+  EXPECT_EQ(monitor.LastIteration(1), 7);
+  EXPECT_DOUBLE_EQ(monitor.ForIteration(7).max_wall_ms, 3.25);
+
+  // A replica outside the fleet joins with a plain kAttach.
+  ASSERT_TRUE(client->Attach(/*replica=*/9, &evicted, /*timeout_ms=*/2000));
+  EXPECT_FALSE(evicted);
+  EXPECT_EQ(monitor.Liveness(9), service::ReplicaLiveness::kAlive);
+  EXPECT_TRUE(client->Detach(9));
+  EXPECT_TRUE(client->connection_ok());
   client.reset();
   server.Stop();
+
+  // A peer that accepts but never replies: the bounded call gives up and
+  // the connection is over.
+  auto silent = make_transport();
+  auto stranded = transport::MuxInstructionStore::OverTransport(silent.get());
+  EXPECT_FALSE(stranded->TryContains(0, 0, &present, /*timeout_ms=*/50));
+  EXPECT_FALSE(stranded->connection_ok());
+  EXPECT_FALSE(stranded->TryContains(0, 0, &present, /*timeout_ms=*/50));
 }
 
 TEST(MuxStoreTest, RoundTripOverLoopback) {
@@ -393,10 +431,15 @@ TEST(TwoProcessPlanDistributionTest, SocketFetchesAreByteIdenticalToInProcess) {
     auto remote = transport::MuxInstructionStore::OverUnixSocket(
         socket_path, /*connect_timeout_ms=*/10'000);
     for (int i = 0; i < kIterations; ++i) {
-      const sim::ExecutionPlan plan = remote->Fetch(i, 0);
+      bool lost = false;
+      const std::optional<sim::ExecutionPlan> plan =
+          remote->TryFetch(i, 0, &lost);
+      if (!plan.has_value()) {
+        ::_exit(4);
+      }
       // Re-encode the decoded plan: the bytes prove the fetch decoded into
       // exactly the published instruction stream.
-      const std::string bytes = service::EncodeExecutionPlan(plan);
+      const std::string bytes = service::EncodeExecutionPlan(*plan);
       const uint32_t len = static_cast<uint32_t>(bytes.size());
       if (!WriteFull(result_pipe[1], &len, sizeof(len)) ||
           !WriteFull(result_pipe[1], bytes.data(), bytes.size())) {
@@ -1550,41 +1593,6 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{kVictim});
   // Nobody was declared dead: a stall is a straggle, not a failure.
   EXPECT_TRUE(fleet.monitor().DeadReplicas().empty());
-}
-
-// The mux client against the store server: many threads sharing ONE stream,
-// pushes parked in deferred-kOk backpressure while fetches on the same
-// stream free them — the scenario the demux loop and credit protocol exist
-// for.
-TEST(MuxStoreTest, ConcurrentPushersAndFetchersShareOneStream) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/2});
-  transport::LoopbackTransport transport;
-  transport::InstructionStoreServer server(&transport, &store);
-  {
-    auto client = transport::MuxInstructionStore::OverTransport(&transport);
-
-    constexpr int kPlans = 24;
-    std::thread producer([&] {
-      for (int i = 0; i < kPlans; ++i) {
-        client->Push(i, 0, MarkerPlan(i));  // parks whenever 2 are resident
-      }
-    });
-    for (int i = 0; i < kPlans; ++i) {
-      // Publish-before-fetch: poll Contains (multiplexed over the same
-      // stream the parked Push is waiting on) until the plan lands.
-      while (!client->Contains(i, 0)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      EXPECT_EQ(client->Fetch(i, 0), MarkerPlan(i));
-    }
-    producer.join();
-    EXPECT_EQ(client->size(), 0u);
-    EXPECT_TRUE(client->connection_ok());
-    // Every exchange multiplexed over the single persistent connection.
-    EXPECT_GE(server.requests_served(), 2 * kPlans + 1);
-  }
-  server.Stop();
 }
 
 }  // namespace
