@@ -7,15 +7,18 @@
 //
 // Two planner variants run per batch size (bench/README.md "Planning-time
 // methodology"):
-//   seed   — fully serial planning
-//   pooled — a 4-thread pool for recompute modes, the window precompute and
-//            per-t_max DPs
-// Plans are bit-identical between the two; only planning latency changes, so
-// "speedup" is their plan-time ratio. The first kWarmupIters iterations are
-// excluded from both variants' stats, so first-touch effects (page faults on
-// fresh planning buffers, cold caches) do not colour the steady state Fig. 17
-// is about, where planning must keep up with the GPU for thousands of
-// iterations.
+//   seed   — fully serial planning, which skips recompute modes whose lower
+//            bound shows they cannot win
+//   pooled — a 4-thread pool for every recompute mode, the window precompute
+//            and per-t_max DPs
+// Plans are bit-identical between the two, but the variants do different
+// work: "speedup" is their plan-time ratio and can fall below 1 where the
+// seed prunes modes the pool plans, and the "modes" columns give the mean
+// recompute modes each planned per iteration. The first kWarmupIters
+// iterations are excluded from both variants' stats, so first-touch effects
+// (page faults on fresh planning buffers, cold caches) do not colour the
+// steady state Fig. 17 is about, where planning must keep up with the GPU for
+// thousands of iterations.
 //
 // A second table measures the plan-ahead service (src/service): per-iteration
 // planning *stall* — the time the executors actually waited for a plan — as a
@@ -41,6 +44,7 @@ constexpr int32_t kMeasuredIters = 24;
 struct EpochPlanTimes {
   RunningStats plan_stats;
   std::vector<double> plan_ms;
+  RunningStats modes_stats;  // recompute modes planned per iteration
   RunningStats iter_stats;
   RunningStats stall_stats;
   std::vector<double> stall_ms;
@@ -65,6 +69,7 @@ EpochPlanTimes MeasureEpoch(runtime::Trainer& trainer, const data::Dataset& data
     const auto& rec = r.records[i];
     out.plan_ms.push_back(rec.planning_ms);
     out.plan_stats.Add(rec.planning_ms);
+    out.modes_stats.Add(rec.recompute_modes_tried);
     out.iter_stats.Add(rec.measured_ms);
     out.stall_ms.push_back(rec.plan_stall_ms);
     out.stall_stats.Add(rec.plan_stall_ms);
@@ -100,17 +105,21 @@ void RunModel(model::ModelArch arch, int32_t pool_threads) {
   par_planner.pool = &pool;
 
   TextTable table({"global_batch", "seed_plan_ms", "par_plan_ms", "speedup",
-                   "plan_ms(p95)", "iter_ms(mean)", "plan/iter ratio"});
+                   "seed_modes", "par_modes", "plan_ms(p95)", "iter_ms(mean)",
+                   "plan/iter ratio"});
   for (const int64_t batch : {16'384ll, 32'768ll, 65'536ll, 131'072ll}) {
     const EpochPlanTimes seed = MeasureEpoch(trainer, dataset, seed_planner, batch);
     const EpochPlanTimes par = MeasureEpoch(trainer, dataset, par_planner, batch);
     if (!seed.ok || !par.ok) {
-      table.AddRow({std::to_string(batch), "OOM", "-", "-", "-", "-", "-"});
+      table.AddRow(
+          {std::to_string(batch), "OOM", "-", "-", "-", "-", "-", "-", "-"});
       continue;
     }
     table.AddRow({std::to_string(batch), TextTable::Fmt(seed.plan_stats.mean(), 1),
                   TextTable::Fmt(par.plan_stats.mean(), 1),
                   TextTable::Fmt(seed.plan_stats.mean() / par.plan_stats.mean(), 2),
+                  TextTable::Fmt(seed.modes_stats.mean(), 2),
+                  TextTable::Fmt(par.modes_stats.mean(), 2),
                   TextTable::Fmt(Percentile(par.plan_ms, 95.0), 1),
                   TextTable::Fmt(par.iter_stats.mean(), 1),
                   TextTable::Fmt(par.plan_stats.mean() / par.iter_stats.mean(), 2)});
@@ -195,7 +204,9 @@ int main() {
               "plan/iteration ratio stays small enough to overlap with training "
               "(peaks at 12.9x single-thread in the paper) (Fig. 17). Here a "
               "4-thread pool gives the `speedup` column over the serial "
-              "planner, with identical plans. The "
+              "planner, with identical plans; the serial planner skips "
+              "recompute modes that cannot win (`seed_modes`), so the "
+              "ratio can fall below 1. The "
               "plan-ahead tables report the *stall* executors see through the "
               "PlanAheadService: lookahead >= 2 overlaps planning with "
               "execution (needs spare cores), and a replayed epoch's plan-cache "

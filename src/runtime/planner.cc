@@ -62,16 +62,18 @@ ReplicaBuild BuildReplica(const cost::PipelineCostModel& cm,
   for (int32_t k = 0; k < m; ++k) {
     shapes[static_cast<size_t>(k)] = mbs[static_cast<size_t>(k)].shape;
   }
-  // The per-stage profile walks (StageFwdMs/StageBwdMs/StageActivationMb) are
-  // the schedule phase's dominant cost. BuildOpCosts dedups shapes so each
-  // distinct one is priced once per stage.
+  // Profile lookups are the schedule phase's dominant cost. BuildOpCosts
+  // dedups shapes so each distinct one is priced once per stage, and one
+  // located grid cell serves all three of its tables.
   schedule::OpCostsBuild built = schedule::BuildOpCosts(
       c, shapes,
       [&](int32_t s, const model::MicroBatchShape& shape, double* fwd,
           double* bwd, double* act) {
-        *fwd = cm.StageFwdMs(s, shape);
-        *bwd = cm.StageBwdMs(s, shape, mode);
-        *act = cm.StageActivationMb(s, shape, mode);
+        const cost::StageCostModel& stage = cm.stage(s);
+        const cost::GridInterp3D::Cell cell = stage.Locate(shape);
+        *fwd = stage.FwdMsAt(cell);
+        *bwd = stage.BwdMsAt(cell, mode);
+        *act = stage.ActivationMbAt(cell, mode);
       });
   schedule::OpCosts& costs = built.costs;
   std::vector<double>& mb_time = built.mb_time;
@@ -181,6 +183,58 @@ std::vector<std::vector<mb::MicroBatch>> BalanceReplicas(
 
 }  // namespace
 
+std::vector<data::Sample> PlanningOrder(const model::ModelConfig& config,
+                                        std::vector<data::Sample> minibatch,
+                                        mb::OrderingMethod ordering) {
+  return mb::OrderSamples(CanonicalizeForArch(config, std::move(minibatch)),
+                          ordering);
+}
+
+std::vector<double> RecomputeLowerBoundsMs(
+    const cost::PipelineCostModel& cm, const std::vector<data::Sample>& ordered,
+    const std::vector<model::RecomputeMode>& modes, int32_t max_microbatch_size) {
+  const size_t n = ordered.size();
+  const size_t c = static_cast<size_t>(cm.num_stages());
+  const size_t cols = modes.size() * c;  // one column per (mode, stage)
+  const size_t max_width = std::min(n, static_cast<size_t>(max_microbatch_size));
+  std::vector<const cost::StageCostModel*> stages(c);
+  for (size_t s = 0; s < c; ++s) {
+    stages[s] = &cm.stage(static_cast<int32_t>(s));
+  }
+  // least[j * cols + m * c + s]: the least summed stage-s time under modes[m]
+  // over the partitions of ordered[0, j). Windows are relaxed forward from
+  // their start, so row i is final once every window ending at i is seen.
+  std::vector<double> least((n + 1) * cols, std::numeric_limits<double>::infinity());
+  std::fill_n(least.begin(), cols, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* from = least.data() + i * cols;
+    model::MicroBatchShape shape;
+    for (size_t w = 1; w <= max_width && i + w <= n; ++w) {
+      shape.num_samples = static_cast<int32_t>(w);
+      shape.input_len = std::max(shape.input_len, ordered[i + w - 1].input_len);
+      shape.target_len = std::max(shape.target_len, ordered[i + w - 1].target_len);
+      // Every stage shares stage 0's grid (see PipelineCostModel::WindowCosts).
+      const cost::GridInterp3D::Cell cell = stages[0]->Locate(shape);
+      double* to = least.data() + (i + w) * cols;
+      for (size_t s = 0; s < c; ++s) {
+        const double fwd = stages[s]->FwdMsAt(cell);
+        for (size_t m = 0; m < modes.size(); ++m) {
+          const size_t col = m * c + s;
+          to[col] = std::min(to[col],
+                             from[col] + fwd + stages[s]->BwdMsAt(cell, modes[m]));
+        }
+      }
+    }
+  }
+  std::vector<double> bounds(modes.size());
+  const double* last = least.data() + n * cols;
+  for (size_t m = 0; m < modes.size(); ++m) {
+    bounds[m] = *std::max_element(last + m * c, last + (m + 1) * c) /
+                static_cast<double>(cm.parallel().dp);
+  }
+  return bounds;
+}
+
 int32_t IterationPlan::total_microbatches() const {
   int32_t total = 0;
   for (const auto& r : replicas) {
@@ -263,8 +317,8 @@ IterationPlan IterationPlanner::PlanWithRecompute(
 IterationPlan IterationPlanner::PlanIteration(
     const std::vector<data::Sample>& minibatch) const {
   const auto start = SteadyClock::now();
-  const std::vector<data::Sample> ordered = mb::OrderSamples(
-      CanonicalizeForArch(cm_.config(), minibatch), options_.ordering);
+  const std::vector<data::Sample> ordered =
+      PlanningOrder(cm_.config(), minibatch, options_.ordering);
   const double order_ms = ElapsedMs(start);
 
   std::vector<model::RecomputeMode> modes;
@@ -275,22 +329,13 @@ IterationPlan IterationPlanner::PlanIteration(
     modes = {options_.static_recompute};
   }
 
-  // Recompute modes are independent end-to-end plans over the same ordered
-  // samples, so they fan out over the pool into per-mode slots. (Each mode's
-  // t_max sweep nests another fan-out on the same pool — safe, see
-  // ParallelFor.) The serial merge below prefers strictly faster plans in mode
-  // order, which is exactly the seed's serial-loop tie-breaking: kNone beats an
-  // equally fast kSelective beats an equally fast kFull.
-  std::vector<IterationPlan> outcomes(modes.size());
-  ParallelFor(options_.pool, modes.size(), [&](size_t i) {
-    outcomes[i] = PlanWithRecompute(ordered, modes[i]);
-  });
-
+  // Candidates merge in mode order, keeping only strictly faster plans: kNone
+  // beats an equally fast kSelective beats an equally fast kFull.
   IterationPlan best;
   best.predicted_iteration_ms = std::numeric_limits<double>::infinity();
   PlanningStats stats;
   stats.order_ms = order_ms;
-  for (auto& candidate : outcomes) {
+  auto merge = [&](IterationPlan& candidate) {
     stats.partition_ms += candidate.stats.partition_ms;
     stats.schedule_ms += candidate.stats.schedule_ms;
     stats.recompute_modes_tried += candidate.stats.recompute_modes_tried;
@@ -300,6 +345,47 @@ IterationPlan IterationPlanner::PlanIteration(
     } else if (!candidate.feasible && !best.feasible &&
                best.infeasible_reason.empty()) {
       best.infeasible_reason = candidate.infeasible_reason;
+    }
+  };
+
+  if (options_.pool == nullptr) {
+    // Serially, a mode is planned only if it could still win: its lower bound
+    // must undercut the best feasible plan so far. The 1e-9 slack absorbs the
+    // bound's summation order, so a skipped mode's plan would have been at
+    // least as slow and lost the strict-improvement merge anyway. The modes
+    // after the first feasible plan are bounded in one sweep.
+    std::vector<double> bounds;  // of modes[bounded_from..]
+    size_t bounded_from = 0;
+    for (size_t i = 0; i < modes.size(); ++i) {
+      if (best.feasible) {
+        if (bounds.empty()) {
+          const auto bound_start = SteadyClock::now();
+          bounded_from = i;
+          bounds = RecomputeLowerBoundsMs(
+              cm_, ordered, {modes.begin() + static_cast<ptrdiff_t>(i), modes.end()},
+              options_.max_microbatch_size);
+          stats.partition_ms += ElapsedMs(bound_start);
+        }
+        if (bounds[i - bounded_from] * (1.0 - 1e-9) >= best.predicted_iteration_ms) {
+          continue;
+        }
+      }
+      IterationPlan candidate = PlanWithRecompute(ordered, modes[i]);
+      merge(candidate);
+    }
+  } else {
+    // On a pool every mode is an independent end-to-end plan over the same
+    // ordered samples, so all of them fan out into per-mode slots. (Each
+    // mode's t_max sweep nests another fan-out on the same pool — safe, see
+    // ParallelFor.) Pruning here would run the first mode ahead of the rest,
+    // serializing what the pool overlaps, and on GPT dp3/pp4 the bound never
+    // prunes kSelective: the pipeline bubble is not in it.
+    std::vector<IterationPlan> outcomes(modes.size());
+    ParallelFor(options_.pool, modes.size(), [&](size_t i) {
+      outcomes[i] = PlanWithRecompute(ordered, modes[i]);
+    });
+    for (auto& candidate : outcomes) {
+      merge(candidate);
     }
   }
   if (!best.feasible) {

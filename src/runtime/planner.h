@@ -41,19 +41,23 @@ struct PlannerOptions {
   bool adaptive_schedule = true;
   bool reorder_microbatches = true;
   int32_t reorder_clusters = 3;
-  // Dynamic recomputation (§7): try kNone → kSelective → kFull, keep the fastest
-  // feasible. When false, only static_recompute is attempted.
+  // Dynamic recomputation (§7): consider kNone → kSelective → kFull, keep the
+  // fastest feasible. Serial planning skips a mode whose lower bound
+  // (RecomputeLowerBoundsMs) is already no better than the best plan so far;
+  // the pool plans every mode. When false, only static_recompute is
+  // attempted.
   bool dynamic_recompute = true;
   model::RecomputeMode static_recompute = model::RecomputeMode::kNone;
   // DP algorithm knobs (see DpPartitionerOptions).
   double tmax_interval_ms = 0.05;
   int32_t max_tmax_candidates = 256;
   int32_t max_microbatch_size = 128;
-  // Fan independent planning work (recompute modes, per-t_max DPs) over this
-  // pool; null plans serially. Plans are bit-identical either way — parallel
-  // slots are merged deterministically (see DpPartitionerOptions::pool). The
-  // pool may be shared across planners and with the trainer's plan-ahead
-  // workers; nested fan-outs are deadlock-free (see ParallelFor).
+  // Fan independent planning work (every recompute mode, per-t_max DPs) over
+  // this pool; null plans serially, pruning modes that cannot win. Plans are
+  // bit-identical either way — parallel slots are merged deterministically
+  // (see DpPartitionerOptions::pool) and a pruned mode could not have won the
+  // merge. The pool may be shared across planners and with the trainer's
+  // plan-ahead workers; nested fan-outs are deadlock-free (see ParallelFor).
   ThreadPool* pool = nullptr;
 };
 
@@ -64,13 +68,17 @@ struct ReplicaPlan {
   sim::ExecutionPlan exec_plan;
 };
 
-// Where one PlanIteration call spent its time, summed over every recompute
-// mode tried (losing modes still cost planning time). Phase times are CPU
+// Where one PlanIteration call spent its time, summed over the recompute
+// modes planned: losing modes that were planned still cost planning time,
+// modes pruned by their lower bound cost only the bound. Phase times are CPU
 // work, so with a pool they can exceed the wall-clock planning_time_ms.
 struct PlanningStats {
   double order_ms = 0.0;      // sample ordering
-  double partition_ms = 0.0;  // DP partitioning (windows + t_max sweep)
+  // DP partitioning (windows + t_max sweep) plus the recompute lower bounds
+  double partition_ms = 0.0;
   double schedule_ms = 0.0;   // replica balance + schedule + comm construction
+  // Modes fully planned: with dynamic recompute, all 3 on a pool, and
+  // serially only those whose lower bound could still win.
   int32_t recompute_modes_tried = 0;
   // Always zero: the planner keeps no cost cache and no cross-iteration
   // prefix cache. Kept because bench/e2e reads them for its
@@ -123,6 +131,26 @@ class CostModelAdapter : public mb::MicroBatchCostFn {
   const cost::PipelineCostModel& cm_;
   model::RecomputeMode mode_;
 };
+
+// `minibatch` in the order PlanIteration partitions it: decoder-only models
+// train on one concatenated sequence per sample, so their target tokens fold
+// into the input length; then `ordering` applies.
+std::vector<data::Sample> PlanningOrder(const model::ModelConfig& config,
+                                        std::vector<data::Sample> minibatch,
+                                        mb::OrderingMethod ordering);
+
+// For each of `modes`, a lower bound on the predicted_iteration_ms of every
+// plan the planner can build over `ordered` (in PlanningOrder) under that
+// mode. The simulator runs a device's ops back to back, so a replica lasts
+// at least any one stage's summed fwd+bwd over its micro-batches, and the
+// slowest of the dp replicas at least the average. Hence: the max over
+// stages of the least summed stage time over every consecutive partition of
+// `ordered` into windows of at most max_microbatch_size samples (memory
+// ignored), divided by dp. One O(n x width) sweep for all modes, one grid
+// lookup per window shared by every stage and mode.
+std::vector<double> RecomputeLowerBoundsMs(
+    const cost::PipelineCostModel& cm, const std::vector<data::Sample>& ordered,
+    const std::vector<model::RecomputeMode>& modes, int32_t max_microbatch_size);
 
 class IterationPlanner {
  public:

@@ -242,6 +242,7 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     record.recompute = plan.recompute;
     record.partition_ms = plan.stats.partition_ms;
     record.schedule_ms = plan.stats.schedule_ms;
+    record.recompute_modes_tried = plan.stats.recompute_modes_tried;
     record.prefix_cache_hits = plan.stats.prefix_cache_hits;
     record.prefix_cache_misses = plan.stats.prefix_cache_misses;
     record.plan_cache_hit = serviced->plan_cache_hit;

@@ -101,6 +101,7 @@ struct IterationRecord {
   // without re-instrumenting the planner.
   double partition_ms = 0.0;
   double schedule_ms = 0.0;
+  int32_t recompute_modes_tried = 0;
   // Always zero (copied from PlanningStats, whose planner keeps no cost cache
   // and no prefix cache). Kept because bench/e2e reads them for
   // cost.cache_hit_rate and mb.prefix_hit_rate.

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "src/runtime/grid_search.h"
 #include "src/runtime/planner.h"
 #include "src/runtime/trainer.h"
+#include "src/service/plan_serde.h"
 
 namespace dynapipe {
 namespace {
@@ -268,20 +270,36 @@ uint64_t HashDouble(double v, uint64_t h) {
   return Fnv1a(&bits, sizeof(bits), h);
 }
 
-// Digest of eight seeded 64k-token mini-batches planned with the knobs the
-// benches use (bench::BenchPlanner, bench::BenchProfile).
-uint64_t PlanDigest(const model::ModelConfig& config,
-                    const model::ParallelConfig& parallel, ThreadPool* pool) {
+// The knobs the benches use (bench::BenchProfile, bench::BenchPlanner).
+cost::ProfileOptions BenchProfile() {
   cost::ProfileOptions profile;
   profile.max_microbatch_size = 128;
   profile.max_seq_len = 16'384;
-  const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
-      config, model::HardwareSpec{}, parallel, profile);
+  return profile;
+}
+
+runtime::PlannerOptions BenchPlanner() {
   runtime::PlannerOptions popts;
   popts.max_tmax_candidates = 96;
   popts.tmax_interval_ms = 0.2;
   popts.max_microbatch_size = 128;
   popts.dynamic_recompute = true;
+  return popts;
+}
+
+struct BenchBatchPlans {
+  uint64_t digest = 0;
+  std::vector<int32_t> modes_tried;  // PlanningStats::recompute_modes_tried
+};
+
+// Plans eight seeded 64k-token mini-batches with the benches' knobs and
+// digests the plans.
+BenchBatchPlans PlanBenchBatches(const model::ModelConfig& config,
+                                 const model::ParallelConfig& parallel,
+                                 ThreadPool* pool) {
+  const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+      config, model::HardwareSpec{}, parallel, BenchProfile());
+  runtime::PlannerOptions popts = BenchPlanner();
   popts.pool = pool;
   const runtime::IterationPlanner planner(cm, popts);
 
@@ -295,10 +313,12 @@ uint64_t PlanDigest(const model::ModelConfig& config,
   sopts.seed = 5;
   data::MiniBatchSampler sampler(dataset, sopts);
 
+  BenchBatchPlans out;
   uint64_t h = 1469598103934665603ull;
   for (int it = 0; it < 8; ++it) {
     const runtime::IterationPlan plan = planner.PlanIteration(sampler.Next());
     EXPECT_TRUE(plan.feasible) << "iteration " << it;
+    out.modes_tried.push_back(plan.stats.recompute_modes_tried);
     h = HashDouble(plan.predicted_iteration_ms, h);
     for (const auto& replica : plan.replicas) {
       for (const auto& m : replica.micro_batches) {
@@ -309,7 +329,13 @@ uint64_t PlanDigest(const model::ModelConfig& config,
       }
     }
   }
-  return h;
+  out.digest = h;
+  return out;
+}
+
+uint64_t PlanDigest(const model::ModelConfig& config,
+                    const model::ParallelConfig& parallel, ThreadPool* pool) {
+  return PlanBenchBatches(config, parallel, pool).digest;
 }
 
 TEST(GoldenPlanDigestTest, T5SerialAndPooledMatchGolden) {
@@ -328,6 +354,126 @@ TEST(GoldenPlanDigestTest, GptSerialAndPooledMatchGolden) {
   const uint64_t pooled = PlanDigest(model::ModelConfig::Gpt3_35B(), parallel, &pool);
   EXPECT_EQ(serial, 0xed5b13ed4c1a06f6ull) << std::hex << serial;
   EXPECT_EQ(pooled, 0xed5b13ed4c1a06f6ull) << std::hex << pooled;
+}
+
+// ---------- Recompute-mode pruning ----------
+
+// On T5 dp1/tp2/pp2 kNone wins every batch by more than the other modes'
+// lower bounds, so serial planning plans only kNone; the pool still plans
+// all three modes. A change that silently disables pruning fails here.
+TEST(RecomputePruningTest, SerialT5PlansOnlyTheWinningMode) {
+  const model::ParallelConfig parallel{1, 2, 2};
+  const BenchBatchPlans serial =
+      PlanBenchBatches(model::ModelConfig::T5_5_5B(), parallel, nullptr);
+  ThreadPool pool(3);
+  const BenchBatchPlans pooled =
+      PlanBenchBatches(model::ModelConfig::T5_5_5B(), parallel, &pool);
+  EXPECT_EQ(serial.modes_tried, std::vector<int32_t>(8, 1));
+  EXPECT_EQ(pooled.modes_tried, std::vector<int32_t>(8, 3));
+}
+
+struct BoundCase {
+  const char* name;
+  model::ModelConfig config;
+  model::ParallelConfig parallel;
+  double device_memory_mb;
+  int64_t batch_tokens;
+  // A mode that must win at least one batch, so pruning is exercised where
+  // kNone is not the answer; kNone when any winner will do.
+  model::RecomputeMode must_win;
+};
+
+// RecomputeLowerBoundsMs never exceeds the predicted iteration time of a plan
+// built with that mode alone (where it is exact, at pp1, it may overshoot by
+// summation-order rounding only), and the pruned serial dynamic plan
+// serializes to exactly the bytes of the pooled plan, which plans every mode.
+TEST(RecomputePruningTest, BoundIsSoundAndPrunedPlansMatchPooled) {
+  const model::HardwareSpec defaults;
+  const BoundCase cases[] = {
+      {"T5 dp1/tp2/pp2", model::ModelConfig::T5_5_5B(), {1, 2, 2},
+       defaults.device_memory_mb, 65'536, model::RecomputeMode::kNone},
+      {"T5 dp2/tp1/pp2", model::ModelConfig::T5_5_5B(), {2, 1, 2},
+       defaults.device_memory_mb, 65'536, model::RecomputeMode::kSelective},
+      {"T5 dp1/tp4/pp1", model::ModelConfig::T5_5_5B(), {1, 4, 1},
+       defaults.device_memory_mb, 65'536, model::RecomputeMode::kNone},
+      {"GPT dp3/tp1/pp4", model::ModelConfig::Gpt3_35B(), {3, 1, 4},
+       defaults.device_memory_mb, 65'536, model::RecomputeMode::kNone},
+      {"GPT dp2/tp2/pp1", model::ModelConfig::Gpt3_35B(), {2, 2, 1},
+       defaults.device_memory_mb, 65'536, model::RecomputeMode::kNone},
+      {"GPT dp1/tp1/pp4 20GB", model::ModelConfig::Gpt3_35B(), {1, 1, 4},
+       20.0 * 1024.0, 131'072, model::RecomputeMode::kFull},
+  };
+  const model::RecomputeMode modes[] = {model::RecomputeMode::kNone,
+                                        model::RecomputeMode::kSelective,
+                                        model::RecomputeMode::kFull};
+  const runtime::PlannerOptions popts = BenchPlanner();
+  data::FlanGeneratorOptions gen;
+  gen.num_samples = 4000;
+  gen.seed = 42;
+  const data::Dataset dataset = data::GenerateFlanLikeDataset(gen);
+  ThreadPool pool(3);
+
+  for (const BoundCase& bc : cases) {
+    SCOPED_TRACE(bc.name);
+    model::HardwareSpec hw;
+    hw.device_memory_mb = bc.device_memory_mb;
+    const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+        bc.config, hw, bc.parallel, BenchProfile());
+    runtime::PlannerOptions pooled_opts = popts;
+    pooled_opts.pool = &pool;
+    const runtime::IterationPlanner serial(cm, popts);
+    const runtime::IterationPlanner pooled(cm, pooled_opts);
+
+    data::MiniBatchSamplerOptions sopts;
+    sopts.global_batch_tokens = bc.batch_tokens;
+    sopts.max_input_len = 2048;
+    sopts.seed = 5;
+    data::MiniBatchSampler sampler(dataset, sopts);
+    bool winner_seen = false;
+    for (int it = 0; it < 3; ++it) {
+      SCOPED_TRACE("batch " + std::to_string(it));
+      const std::vector<data::Sample> minibatch = sampler.Next();
+      const std::vector<data::Sample> ordered =
+          runtime::PlanningOrder(bc.config, minibatch, popts.ordering);
+      // One sweep over all modes prices each exactly as a sweep of its own.
+      const std::vector<double> joint = runtime::RecomputeLowerBoundsMs(
+          cm, ordered, {std::begin(modes), std::end(modes)},
+          popts.max_microbatch_size);
+      for (size_t m = 0; m < std::size(modes); ++m) {
+        const model::RecomputeMode mode = modes[m];
+        const double bound = runtime::RecomputeLowerBoundsMs(
+            cm, ordered, {mode}, popts.max_microbatch_size)[0];
+        EXPECT_EQ(joint[m], bound) << model::RecomputeModeName(mode);
+        runtime::PlannerOptions alone = popts;
+        alone.dynamic_recompute = false;
+        alone.static_recompute = mode;
+        const runtime::IterationPlan plan =
+            runtime::IterationPlanner(cm, alone).PlanIteration(minibatch);
+        if (!plan.feasible) {
+          continue;
+        }
+        EXPECT_LE(bound, plan.predicted_iteration_ms * (1.0 + 1e-12))
+            << model::RecomputeModeName(mode);
+      }
+
+      const runtime::IterationPlan a = serial.PlanIteration(minibatch);
+      const runtime::IterationPlan b = pooled.PlanIteration(minibatch);
+      ASSERT_TRUE(a.feasible);
+      ASSERT_TRUE(b.feasible);
+      EXPECT_EQ(a.recompute, b.recompute);
+      EXPECT_EQ(a.predicted_iteration_ms, b.predicted_iteration_ms);
+      ASSERT_EQ(a.replicas.size(), b.replicas.size());
+      for (size_t d = 0; d < a.replicas.size(); ++d) {
+        EXPECT_EQ(service::EncodeExecutionPlan(a.replicas[d].exec_plan),
+                  service::EncodeExecutionPlan(b.replicas[d].exec_plan))
+            << "replica " << d;
+      }
+      EXPECT_EQ(b.stats.recompute_modes_tried, 3);
+      winner_seen |= a.recompute == bc.must_win;
+    }
+    EXPECT_TRUE(bc.must_win == model::RecomputeMode::kNone || winner_seen)
+        << model::RecomputeModeName(bc.must_win) << " never won";
+  }
 }
 
 // ---------- Grid search equivalence ----------
