@@ -13,9 +13,9 @@ BUILD_DIR="${1:-${BUILD_DIR:-build-check}}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Layering guard: src/runtime/ is the single-process training loop. The
-# multi-process publisher (socket and shm stores, the heartbeat monitor or
-# the fleet coordinator) is wired by its callers, so no runtime file may
-# include a transport header or src/service/fleet.h.
+# multi-process publisher (socket and shm stores and the fleet coordinator)
+# is executor::Publisher in src/executor/, so no runtime file may include a
+# transport header or src/service/fleet.h.
 if grep -rnE '#include "src/(transport/|service/fleet\.h)' src/runtime/; then
   echo "ERROR: src/runtime/ includes src/transport/ or src/service/fleet.h" >&2
   exit 1
@@ -28,6 +28,23 @@ if grep -nE 'std::(thread|function)' src/service/heartbeat_monitor.h \
     src/service/heartbeat_monitor.cc; then
   echo "ERROR: src/service/heartbeat_monitor.{h,cc} names std::thread or" \
     "std::function" >&2
+  exit 1
+fi
+
+# The fleet coordinator reacts inside the call that fed it, like the monitor
+# it owns: it takes no callback.
+if grep -n 'std::function' src/service/fleet.h; then
+  echo "ERROR: src/service/fleet.h names std::function" >&2
+  exit 1
+fi
+
+# Runnable programs get their publisher from one place: executor::Publisher
+# wires the store, its server or shm poller, and the fleet coordinator.
+if grep -rnE 'InstructionStoreServer|ShmHeartbeatPoller|FleetCoordinator' \
+    examples/ tools/; then
+  echo "ERROR: examples/ or tools/ wire InstructionStoreServer," \
+    "ShmHeartbeatPoller or FleetCoordinator by hand;" \
+    "use executor::Publisher" >&2
   exit 1
 fi
 

@@ -4,7 +4,8 @@
 // per-iteration execution plans that worker processes consume. The
 // PlanAheadService publishes that shape — serialized plans into a store
 // backend, over a wire protocol or a shared segment. RunExecutor is the
-// consumer end: it attaches to a publisher's store by Unix-socket path (one
+// consumer end: it attaches to a publisher's store (executor::Publisher,
+// publisher.h, built from the same attach string) by Unix-socket path (one
 // persistent multiplexed connection) or shared-memory segment name, fetches
 // the plans published for its replica (fetch consumes — the publisher side
 // of a multi-process run does not execute in-process), executes each on its

@@ -65,9 +65,8 @@ struct TrainerOptions {
   // Distribute plans through the in-process instruction store as serialized
   // bytes (service/plan_serde.h), and bound the store's resident plans (Push
   // backpressure; 0 = unbounded, must be >= dp replicas otherwise). The
-  // multi-process publisher — a PlanAheadService over a socket or shm store,
-  // with executors attached — is wired by its caller (examples/
-  // plan_distribution, bench/e2e/fleet_workload.cc), not by the Trainer,
+  // multi-process publisher — a socket or shm store with executors attached,
+  // fed by a PlanAheadService — is executor::Publisher, not the Trainer,
   // which consumes its own plans.
   bool serialize_plans = false;
   size_t instruction_store_capacity = 0;

@@ -74,16 +74,8 @@ void FleetCoordinator::Attach(int32_t replica, Clock::time_point now) {
 }
 
 void FleetCoordinator::Drain(int32_t replica, Clock::time_point now) {
-  bool handed_off = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t drained = report_.drained.size();
-    ApplyLocked(monitor_.Drain(replica, now));
-    handed_off = report_.drained.size() > drained;
-  }
-  if (handed_off && options_.drain_ack) {
-    options_.drain_ack(replica);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ApplyLocked(monitor_.Drain(replica, now));
 }
 
 void FleetCoordinator::Drop(int32_t replica, bool clean) {

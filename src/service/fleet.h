@@ -27,12 +27,12 @@
 //             deepest member's tail.
 //   drain     (membership on) a member turns kDraining (wire kDrainRequest or
 //             the shm slot's drain word). It leaves the member set, its
-//             backlog is reposted to the surviving members, the expected
-//             fleet shrinks, and `drain_ack` fires — over the wire the
-//             server's kDrainAck reply, sent when the sink call returns, is
-//             the ack; the shm path passes
-//             ShmInstructionStore::AcknowledgeDrain. A drainer that then
-//             detaches cleanly is retired; a re-join admits it afresh.
+//             backlog is reposted to the surviving members and the expected
+//             fleet shrinks, all before the sink call returns — so the
+//             feeder's acknowledgement sent after that return (the server's
+//             kDrainAck reply, the shm poller's AcknowledgeDrain) follows
+//             the handoff. A drainer that then detaches cleanly is retired;
+//             a re-join admits it afresh.
 //
 // All four move plans between the same member set — the initial fleet plus
 // joiners, minus the dead, the draining and the retired — through one
@@ -63,16 +63,16 @@
 // Tests drive the same inputs with a `now` of their choosing. With a
 // deadline armed, one ticker thread applies it in real time. Locks are taken
 // coordinator -> monitor and coordinator -> store; the feeders call their
-// sink outside their own locks. `drain_ack` fires after the mutex is
-// released. Make the coordinator the sink before the feeders serve, and
-// destroy the feeders first.
+// sink outside every lock the coordinator can reach (the shm poller holds
+// only its own pass lock). The coordinator must be the sink before the
+// feeders serve and outlive them: executor::Publisher (src/executor/
+// publisher.h) wires it that way, and is how runnable programs get one.
 #ifndef DYNAPIPE_SRC_SERVICE_FLEET_H_
 #define DYNAPIPE_SRC_SERVICE_FLEET_H_
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -101,9 +101,6 @@ struct FleetOptions {
   // Elastic membership: admit joiners, hand off drainers, and keep the
   // monitor's expected fleet size equal to the active member count.
   bool membership = false;
-  // Backend acknowledgement for a completed drain handoff; null on the wire
-  // (see the header comment).
-  std::function<void(int32_t)> drain_ack;
 };
 
 // What the coordinator has done so far.

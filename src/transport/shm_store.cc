@@ -911,7 +911,7 @@ ShmHeartbeatPoller::ShmHeartbeatPoller(
 
 ShmHeartbeatPoller::~ShmHeartbeatPoller() {
   {
-    std::lock_guard<std::mutex> lock(stop_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   stop_cv_.notify_all();
@@ -919,16 +919,19 @@ ShmHeartbeatPoller::~ShmHeartbeatPoller() {
 }
 
 void ShmHeartbeatPoller::Loop() {
-  std::unique_lock<std::mutex> lock(stop_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    lock.unlock();
-    PollOnce();
-    lock.lock();
+    PollLocked();
     stop_cv_.wait_for(lock, kHeartbeatPollInterval, [&] { return stop_; });
   }
 }
 
 int ShmHeartbeatPoller::PollOnce() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PollLocked();
+}
+
+int ShmHeartbeatPoller::PollLocked() {
   int delivered = 0;
   ShmHeartbeatSlot* hb = store_->heartbeat_slots();
   for (uint32_t i = 0; i < kShmHeartbeatSlots; ++i) {
@@ -1002,10 +1005,14 @@ int ShmHeartbeatPoller::PollOnce() {
       obs.detach_delivered = true;
       ++delivered;
     } else if (detached == 2 && !obs.drain_delivered) {
-      // Drain requested: a FleetCoordinator sink reposts the backlog inside
-      // this call, then acknowledges via AcknowledgeDrain once the handoff
-      // is done.
+      // Drain requested: a FleetCoordinator sink hands the backlog off
+      // inside this call, so the ack written after it returns follows the
+      // handoff. A replica already declared dead gets no ack — the server's
+      // kDrainAck/kEvicted rule: its plans moved long ago.
       sink_->OnReplicaDrainRequested(replica);
+      if (!sink_->IsReplicaDead(replica)) {
+        store_->AcknowledgeDrain(replica);
+      }
       obs.drain_delivered = true;
       ++delivered;
     } else if (detached == 0) {

@@ -174,15 +174,16 @@ class ShmInstructionStore final : public runtime::RecoverableStore {
   //   0 = attached, 1 = clean goodbye, 2 = drain requested (executor wrote),
   //   3 = drain acknowledged (publisher wrote). Same layout, same version.
   // Executor side: asks to leave — the shm equivalent of the wire
-  // kDrainRequest. The poller forwards it to the HeartbeatSink and the
-  // FleetCoordinator reposts the backlog before acknowledging.
+  // kDrainRequest. The poller forwards it to the HeartbeatSink (the
+  // FleetCoordinator reposts the backlog inside that call), then
+  // acknowledges.
   void RequestDrain(int32_t replica);
   // Executor side: true once the publisher acknowledged the drain — the
   // green light to finish in-flight work and DetachReplica.
   bool DrainAcknowledged(int32_t replica);
   // Publisher side: acknowledges a requested drain (CAS 2 -> 3 on the slot
   // owned by `replica`; a racing final goodbye wins). The shm equivalent of
-  // the wire kDrainAck reply.
+  // the wire kDrainAck reply; the ShmHeartbeatPoller calls it.
   void AcknowledgeDrain(int32_t replica);
 
   // --- RecoverableStore (planner side) ---
@@ -233,10 +234,13 @@ class ShmInstructionStore final : public runtime::RecoverableStore {
 
 // Publisher-side pump for the segment's heartbeat slots: a thread that
 // polls every claimed slot every 5 ms and forwards attaches, completions,
-// clean detaches, and last-alive refreshes into a runtime::HeartbeatSink
-// (a service::HeartbeatMonitor, or a FleetCoordinator whose deadline then
-// declares a silent replica dead — the shm-native stall detector). Keeps
-// the store alive via shared_ptr; destroy the poller before the sink.
+// clean detaches, drain requests and last-alive refreshes into a
+// runtime::HeartbeatSink (executor::Publisher wires a FleetCoordinator,
+// whose deadline then declares a silent replica dead — the shm-native stall
+// detector). A delivered drain request is acknowledged (AcknowledgeDrain)
+// once the sink returns, unless the sink reports the replica dead — the
+// shm twin of the server's kDrainAck/kEvicted reply. Keeps the store alive
+// via shared_ptr; destroy the poller before the sink.
 class ShmHeartbeatPoller {
  public:
   ShmHeartbeatPoller(std::shared_ptr<ShmInstructionStore> store,
@@ -247,7 +251,8 @@ class ShmHeartbeatPoller {
   ShmHeartbeatPoller& operator=(const ShmHeartbeatPoller&) = delete;
 
   // One polling pass over all slots (the loop body); returns how many sink
-  // calls it made. Tests call this directly for deterministic ticks.
+  // calls it made. Serialized with the thread's passes, so by its return
+  // every slot state written before the call has been delivered.
   int PollOnce();
 
  private:
@@ -261,11 +266,12 @@ class ShmHeartbeatPoller {
   };
 
   void Loop();
+  int PollLocked();  // caller holds mu_
 
   std::shared_ptr<ShmInstructionStore> store_;
   runtime::HeartbeatSink* sink_;
+  std::mutex mu_;  // guards observed_ and stop_
   std::vector<SlotObservation> observed_;
-  std::mutex stop_mu_;
   std::condition_variable stop_cv_;
   bool stop_ = false;
   std::thread thread_;

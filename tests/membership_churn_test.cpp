@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -46,10 +45,10 @@
 
 #include "src/common/fault_injection.h"
 #include "src/executor/executor.h"
+#include "src/executor/publisher.h"
 #include "src/service/fleet.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
-#include "src/transport/shm_store.h"
 
 namespace dynapipe {
 namespace {
@@ -148,63 +147,57 @@ struct ChurnChildSpec {
   ::_exit(0);
 }
 
-// The publisher-side control plane for one churn epoch: one FleetCoordinator
-// with all three policies on (recovery, straggler rebalance at a one-flag
-// streak, membership), fed by the segment poller. Declaration order is
-// teardown order in reverse: the poller stops feeding the coordinator before
-// the coordinator goes.
+// The publisher-side control plane for one churn epoch: one shm Publisher
+// whose FleetCoordinator has all three policies on (recovery, straggler
+// rebalance at a one-flag streak, membership), with the whole epoch
+// published.
 struct ChurnControlPlane {
   ChurnControlPlane(const std::string& shm_name,
                     const std::vector<std::vector<sim::ExecutionPlan>>& plans,
                     double dead_after_ms)
-      : store(transport::ShmInstructionStore::Create(
-            shm_name, transport::ShmStoreOptions{})) {
-    // Publish the whole epoch before the poller starts delivering events:
-    // a joiner can announce the moment the segment exists, and its
-    // admission steal should find a backlog worth sharing.
+      : publisher(Options(shm_name, dead_after_ms)),
+        store(publisher.store()) {
     for (int i = 0; i < kIterations; ++i) {
       for (int32_t r = 0; r < kBaseReplicas; ++r) {
         store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
       }
     }
-    service::FleetOptions fleet_opts;
+  }
+
+  static executor::PublisherOptions Options(const std::string& shm_name,
+                                            double dead_after_ms) {
+    executor::PublisherOptions options;
+    options.attach = shm_name;
+    options.monitor.straggler_multiple = 2.0;
+    options.monitor.min_straggler_gap_ms = 50.0;
+    // Membership re-gates the expected fleet size live.
+    options.monitor.expected_replicas = kBaseReplicas;
+    options.monitor.dead_after_ms = dead_after_ms;
     for (int32_t r = 0; r < kBaseReplicas; ++r) {
-      fleet_opts.replicas.push_back(r);
+      options.fleet.replicas.push_back(r);
     }
-    fleet_opts.spare_iteration_base = kIterations;
-    fleet_opts.rebalance = true;
-    fleet_opts.rebalance_consecutive_flags = 1;
-    fleet_opts.membership = true;
-    transport::ShmInstructionStore* raw = store.get();
-    fleet_opts.drain_ack = [raw](int32_t replica) {
-      raw->AcknowledgeDrain(replica);
-    };
-    fleet.emplace(store.get(), MonitorOptions(dead_after_ms),
-                  std::move(fleet_opts));
-    poller.emplace(store, &*fleet);
+    options.fleet.spare_iteration_base = kIterations;
+    options.fleet.rebalance = true;
+    options.fleet.rebalance_consecutive_flags = 1;
+    options.fleet.membership = true;
+    return options;
   }
 
-  static service::HeartbeatMonitorOptions MonitorOptions(double dead_after_ms) {
-    service::HeartbeatMonitorOptions mopts;
-    mopts.straggler_multiple = 2.0;
-    mopts.min_straggler_gap_ms = 50.0;
-    mopts.expected_replicas = kBaseReplicas;  // membership re-gates it live
-    mopts.dead_after_ms = dead_after_ms;
-    return mopts;
+  const service::HeartbeatMonitor& monitor() const {
+    return publisher.monitor();
   }
 
-  const service::HeartbeatMonitor& monitor() const { return fleet->monitor(); }
-
-  std::shared_ptr<transport::ShmInstructionStore> store;
-  std::optional<service::FleetCoordinator> fleet;
-  std::optional<transport::ShmHeartbeatPoller> poller;
+  executor::Publisher publisher;
+  std::shared_ptr<runtime::RecoverableStore> store;
 };
 
 // ---------- the deterministic acceptance test ----------
 
-// Replica 2 drains after two iterations; replica 3 joins immediately at the
-// spare base. Every handoff is asserted individually: the joiner is
-// admitted and seeded (>= 1 stolen plan — share = 6 pending / 4 expected),
+// Replica 2 drains after two iterations; replica 3 joins at the spare base
+// 20 ms in — after the epoch is published, while the base replicas are in
+// their first paced iteration. Every handoff is asserted individually: the
+// joiner is admitted and seeded (>= 1 stolen plan — share = 5 or 6 pending
+// / 4 expected),
 // the drainer leaves the member set, is reposted, acknowledged (clean
 // handshake, no eviction) and retired on detach, and the whole epoch executes exactly
 // once, byte-identical.
@@ -227,6 +220,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     if (r == kJoiner) {
       spec.require_work = true;
       spec.start_iteration = kIterations;  // the spare base
+      spec.pre_attach_delay_ms = 20;
     }
     if (r == kDrainer) {
       spec.drain_after = 2;
@@ -263,7 +257,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   EXPECT_EQ(plane.monitor().total_heartbeats(), expected_beats);
 
   // The join: admitted, seeded with stolen tail backlog.
-  const service::FleetReport report = plane.fleet->report();
+  const service::FleetReport report = plane.publisher.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{kJoiner});
   EXPECT_GE(report.join_stolen, 1);
   // The drain: out of the member set and handed off (the drainer left 4
@@ -281,12 +275,12 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
       },
       5'000));
   EXPECT_TRUE(plane.monitor().DeadReplicas().empty());
-  EXPECT_EQ(plane.fleet->ActiveMembers(),
+  EXPECT_EQ(plane.publisher.ActiveMembers(),
             (std::vector<int32_t>{0, 1, kJoiner}));
 
   // Recovery never ran: a drain is not a death.
-  EXPECT_TRUE(plane.fleet->report().dead_replicas.empty());
-  EXPECT_EQ(plane.fleet->report().replanned_iterations, 0);
+  EXPECT_TRUE(plane.publisher.report().dead_replicas.empty());
+  EXPECT_EQ(plane.publisher.report().replanned_iterations, 0);
 }
 
 // ---------- the seeded chaos harness ----------
@@ -416,7 +410,7 @@ void RunSeededChurnEpoch(uint32_t seed) {
 
   // The schedule's churn was recorded: exactly this joiner, exactly this
   // drainer, and no survivor left to drop a plan on.
-  const service::FleetReport report = plane.fleet->report();
+  const service::FleetReport report = plane.publisher.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{kJoiner});
   EXPECT_EQ(report.drained, std::vector<int32_t>{schedule.drainer});
   EXPECT_EQ(report.dropped_iterations, 0);

@@ -36,8 +36,8 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/executor/executor.h"
+#include "src/executor/publisher.h"
 #include "src/runtime/instruction_store.h"
-#include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
 #include "src/sim/cluster_sim.h"
 #include "src/transport/frame.h"
@@ -457,12 +457,10 @@ TEST(TraceAcceptanceTest, ForkedMuxEpochProducesCompleteAlignedChains) {
     children.push_back(child);
   }
 
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  store.set_heartbeat_sink(&monitor);
-  transport::UnixSocketTransport transport(socket_path);
-  transport::InstructionStoreServer server(&transport, &store);
+  executor::PublisherOptions options;
+  options.attach = socket_path;
+  executor::Publisher publisher(options);
+  runtime::RecoverableStore& store = *publisher.store();
   for (int i = 0; i < kIterations; ++i) {
     // The "planned" span a PlanAheadService iteration would emit; replica −1
     // because one planning pass covers every replica.
@@ -478,7 +476,7 @@ TEST(TraceAcceptanceTest, ForkedMuxEpochProducesCompleteAlignedChains) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "executor exited with status " << status;
   }
-  server.Stop();
+  publisher.Stop();
   ASSERT_TRUE(common::Tracer::Instance().WriteMergedTrace());
 
   const std::string merged = ReadFileOrEmpty(trace_path);

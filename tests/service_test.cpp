@@ -1610,16 +1610,14 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
 
 // A drain request takes the leaver out of the member set, hands its
 // unfetched backlog round-robin to the surviving members at spare keys,
-// shrinks the expected fleet *after* the handoff, and acknowledges through
-// the backend hook. A duplicate request must not repost or ack twice, and
-// the drainer receives nothing from a later death.
+// and shrinks the expected fleet *after* the handoff, all inside the sink
+// call the feeder acknowledges after. A duplicate request must not repost
+// twice, and the drainer receives nothing from a later death.
 TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetOptions opts = Fleet({0, 1, 2});
   opts.membership = true;
-  std::vector<int32_t> acked;  // event chain is synchronous here
-  opts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   fleet.OnReplicaAttached(0);
@@ -1633,7 +1631,6 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.drained, std::vector<int32_t>{2});
   EXPECT_EQ(report.drain_reposted, 3);
-  EXPECT_EQ(acked, std::vector<int32_t>{2});
   EXPECT_EQ(fleet.monitor().expected_replicas(), 2);
   EXPECT_TRUE(store.PendingIterations(2).empty());
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
@@ -1645,7 +1642,6 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   fleet.OnReplicaDrainRequested(2);  // duplicate
   EXPECT_EQ(fleet.report().drained, std::vector<int32_t>{2});
   EXPECT_EQ(fleet.report().drain_reposted, 3);
-  EXPECT_EQ(acked.size(), 1u);
 
   store.PushBytes(0, 1, "x");
   store.PushBytes(1, 1, "y");
@@ -1773,8 +1769,6 @@ TEST(FleetCoordinatorTest, DrainCompletingAParkedIterationRebalances) {
   mopts.expected_replicas = 4;
   service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
   opts.membership = true;
-  std::vector<int32_t> acked;
-  opts.drain_ack = [&](int32_t replica) { acked.push_back(replica); };
   service::FleetCoordinator fleet(&store, mopts, opts);
 
   for (int64_t i = 0; i < 4; ++i) {
@@ -1789,7 +1783,6 @@ TEST(FleetCoordinatorTest, DrainCompletingAParkedIterationRebalances) {
 
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.drained, std::vector<int32_t>{3});
-  EXPECT_EQ(acked, std::vector<int32_t>{3});
   EXPECT_EQ(fleet.monitor().expected_replicas(), 3);
   EXPECT_EQ(report.shed_events, 1);
   EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{2});

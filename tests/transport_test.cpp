@@ -33,6 +33,7 @@
 #include "src/data/flan_generator.h"
 #include "src/data/minibatch_sampler.h"
 #include "src/executor/executor.h"
+#include "src/executor/publisher.h"
 #include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
 #include "src/service/fleet.h"
@@ -599,9 +600,9 @@ TEST(TwoProcessShmPlanDistributionTest, AttachedFetchesAreByteIdentical) {
 // (heartbeats routed through the server's sink) and the shm segment
 // (heartbeats stamped into the segment's slots and replayed by a
 // ShmHeartbeatPoller — no socket anywhere). Replica 2 is deliberately
-// slowed; the trainer's HeartbeatMonitor must attribute the straggle to it
-// (and only it) on every iteration, and every plan each executor fetched
-// must re-encode to exactly the bytes the trainer published. Replica 1
+// slowed; the publisher's monitor must attribute the straggle to it (and
+// only it) on every iteration, and every plan each executor fetched must
+// re-encode to exactly the bytes the trainer published. Replica 1
 // leaves the endpoint on kAuto, so attach-string detection is exercised end
 // to end on both.
 TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
@@ -679,40 +680,21 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
       children.push_back(child);
     }
 
-    // Trainer process: bring the store up with a heartbeat monitor and
-    // publish every replica's plans. Margins sized for TSan (5-20x slowdown
-    // inflates fast replicas' walls but not the sleep): a false flag needs a
-    // fast replica over 2*median + 50 ms, a miss needs the fast median over
-    // ~200 ms. The straggler math waits for the full report set.
-    service::HeartbeatMonitorOptions mopts;
-    mopts.straggler_multiple = 2.0;
-    mopts.min_straggler_gap_ms = 50.0;
-    mopts.expected_replicas = kReplicas;
-    service::HeartbeatMonitor monitor(mopts);
-    std::optional<runtime::InstructionStore> store;
-    std::optional<transport::UnixSocketTransport> transport;
-    std::optional<transport::InstructionStoreServer> server;
-    std::shared_ptr<transport::ShmInstructionStore> shm;
-    // Declared after the store it polls, so it stops feeding the monitor
-    // before the segment goes away.
-    std::optional<transport::ShmHeartbeatPoller> poller;
-    runtime::InstructionStoreInterface* publish_to = nullptr;
-    if (over_shm) {
-      shm = transport::ShmInstructionStore::Create(
-          attach, transport::ShmStoreOptions{});
-      poller.emplace(shm, &monitor);
-      publish_to = shm.get();
-    } else {
-      store.emplace(runtime::InstructionStoreOptions{/*serialized=*/true,
-                                                     /*capacity=*/0});
-      store->set_heartbeat_sink(&monitor);
-      transport.emplace(attach);
-      server.emplace(&*transport, &*store);
-      publish_to = &*store;
-    }
+    // Trainer process: bring the publisher up and publish every replica's
+    // plans. Margins sized for TSan (5-20x slowdown inflates fast replicas'
+    // walls but not the sleep): a false flag needs a fast replica over
+    // 2*median + 50 ms, a miss needs the fast median over ~200 ms. The
+    // straggler math waits for the full report set.
+    executor::PublisherOptions pub_opts;
+    pub_opts.attach = attach;
+    pub_opts.monitor.straggler_multiple = 2.0;
+    pub_opts.monitor.min_straggler_gap_ms = 50.0;
+    pub_opts.monitor.expected_replicas = kReplicas;
+    executor::Publisher publisher(pub_opts);
+    const service::HeartbeatMonitor& monitor = publisher.monitor();
     for (int i = 0; i < kIterations; ++i) {
       for (int32_t replica = 0; replica < kReplicas; ++replica) {
-        publish_to->Push(i, replica, exec_plans[static_cast<size_t>(i)]);
+        publisher.store()->Push(i, replica, exec_plans[static_cast<size_t>(i)]);
       }
     }
 
@@ -722,7 +704,7 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
       EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
           << "executor exited with status " << status;
     }
-    EXPECT_EQ(publish_to->size(), 0u);  // every plan fetched exactly once
+    EXPECT_EQ(publisher.store()->size(), 0u);  // every plan fetched once
 
     // Shm beats reach the monitor through the poller thread, after the
     // executors have exited; the mux beats were delivered synchronously.
@@ -743,9 +725,6 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
     for (int32_t replica = 0; replica < kReplicas; ++replica) {
       EXPECT_EQ(monitor.LastIteration(replica), kIterations - 1);
     }
-    if (server.has_value()) {
-      server->Stop();
-    }
   }
 }
 
@@ -757,15 +736,12 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
 // finds no listener, and the epoch is over.
 TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
   const std::string socket_path = UniqueSocketPath("drain");
-  service::HeartbeatMonitor monitor;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  store.set_heartbeat_sink(&monitor);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
-  store.Push(0, 0, MarkerPlan(1));
-  store.Push(1, 0, MarkerPlan(2));
+  executor::PublisherOptions options;
+  options.attach = socket_path;
+  executor::Publisher publisher(options);
+  const runtime::RecoverableStore& store = *publisher.store();
+  publisher.store()->Push(0, 0, MarkerPlan(1));
+  publisher.store()->Push(1, 0, MarkerPlan(2));
 
   executor::ExecutorReport report;
   std::thread daemon([&] {
@@ -779,14 +755,12 @@ TEST(ExecutorDaemonTest, OpenEndedRunExitsCleanlyWhenPublisherShutsDown) {
   });
   // Both published plans executed and heartbeat; the daemon is now parked
   // polling for iteration 2.
-  while (monitor.total_heartbeats() < 2) {
+  while (publisher.monitor().total_heartbeats() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Publisher teardown: destroying the transport closes the listener and
-  // unlinks the path, so the daemon's reconnects read "publisher gone".
-  server->Stop();
-  server.reset();
-  transport.reset();
+  // Publisher teardown closes the listener and unlinks the path, so the
+  // daemon's reconnects read "publisher gone".
+  publisher.Stop();
   daemon.join();
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.iterations_run, 2);
@@ -894,7 +868,7 @@ bool ExitedWith(int status, int code) {
 }
 
 // The daemon binary end to end — nothing else runs its main(). Against a
-// parent-side shm segment (watched through a ShmHeartbeatPoller): malformed
+// parent-side shm publisher: malformed
 // invocations are refused before any attach, leaving every published plan
 // resident — a replica that wraps or goes negative (2^32 would narrow to
 // replica 0 and consume its plans) and the removed demo flags; a good one
@@ -904,10 +878,11 @@ bool ExitedWith(int status, int code) {
 TEST(ExecutorDaemonTest, BinaryAttachesOverShmAndDrains) {
   constexpr int kIterations = 3;
   const std::string shm_name = UniqueShmName("bin");
-  service::HeartbeatMonitor monitor;
-  auto store = transport::ShmInstructionStore::Create(
-      shm_name, transport::ShmStoreOptions{});
-  transport::ShmHeartbeatPoller poller(store, &monitor);
+  executor::PublisherOptions options;
+  options.attach = shm_name;
+  executor::Publisher publisher(options);
+  const std::shared_ptr<runtime::RecoverableStore>& store = publisher.store();
+  const service::HeartbeatMonitor& monitor = publisher.monitor();
   const auto publish_epoch = [&] {
     for (int i = 0; i < kIterations; ++i) {
       store->Push(i, 0, MarkerPlan(600 + i));
@@ -958,6 +933,17 @@ TEST(ExecutorDaemonTest, BinaryAttachesOverShmAndDrains) {
 }
 
 // ---------- the failure control loop (acceptance criterion) ----------
+
+// A publisher for the three-replica fault epochs: recovery on (the
+// default), spare keys past the epoch, where the open-ended survivors poll.
+executor::PublisherOptions RecoveringFleet(const std::string& attach,
+                                           int iterations) {
+  executor::PublisherOptions options;
+  options.attach = attach;
+  options.fleet.replicas = {0, 1, 2};
+  options.fleet.spare_iteration_base = iterations;
+  return options;
+}
 
 // Child-process body shared by the fault control-loop tests: optionally arm
 // one injected fault, run the executor, and encode the outcome as an exit
@@ -1041,19 +1027,9 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   }
 
   // Control plane. No heartbeat deadline: death comes from the unclean
-  // connection drop alone (a vanished process is dead now). The
-  // coordinator is the store's sink before the server serves its first
-  // frame.
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions fleet_opts;
-  fleet_opts.replicas = {0, 1, 2};
-  fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, {}, fleet_opts);
-  store.set_heartbeat_sink(&fleet);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
+  // connection drop alone (a vanished process is dead now).
+  executor::Publisher publisher(RecoveringFleet(socket_path, kIterations));
+  runtime::RecoverableStore& store = *publisher.store();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
@@ -1069,18 +1045,17 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   // Death declared, backlog re-published, survivors drain everything —
   // including the moved plan at its spare iteration.
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(fleet.monitor().Liveness(kVictim), service::ReplicaLiveness::kDead);
-  EXPECT_EQ(fleet.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(publisher.monitor().Liveness(kVictim),
+            service::ReplicaLiveness::kDead);
+  EXPECT_EQ(publisher.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
+  const service::FleetReport report = publisher.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);  // iteration 2's plan moved
   EXPECT_EQ(report.dropped_iterations, 0);
   EXPECT_GE(report.recovery_ms, 0.0);
 
   // Teardown ends the survivors' open-ended runs cleanly.
-  server->Stop();
-  server.reset();
-  transport.reset();
+  publisher.Stop();
   for (int32_t r = 0; r < kReplicas; ++r) {
     if (r == kVictim) continue;
     ASSERT_EQ(::waitpid(children[static_cast<size_t>(r)], &status, 0),
@@ -1126,18 +1101,11 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
     children.push_back(child);
   }
 
-  service::HeartbeatMonitorOptions mopts;
-  mopts.dead_after_ms = 450.0;
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions fleet_opts;
-  fleet_opts.replicas = {0, 1, 2};
-  fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, mopts, fleet_opts);
-  store.set_heartbeat_sink(&fleet);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
+  executor::PublisherOptions pub_opts =
+      RecoveringFleet(socket_path, kIterations);
+  pub_opts.monitor.dead_after_ms = 450.0;
+  executor::Publisher publisher(pub_opts);
+  runtime::RecoverableStore& store = *publisher.store();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
@@ -1152,15 +1120,13 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 7)
       << "victim status " << status;
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(fleet.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(publisher.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
+  const service::FleetReport report = publisher.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, 1);
   EXPECT_EQ(report.dropped_iterations, 0);
 
-  server->Stop();
-  server.reset();
-  transport.reset();
+  publisher.Stop();
   for (int32_t r = 0; r < kReplicas; ++r) {
     if (r == kVictim) continue;
     ASSERT_EQ(::waitpid(children[static_cast<size_t>(r)], &status, 0),
@@ -1264,16 +1230,8 @@ TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
     }
     children.push_back(child);
   }
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions fleet_opts;
-  fleet_opts.replicas = {0, 1, 2};
-  fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, {}, fleet_opts);
-  store.set_heartbeat_sink(&fleet);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
+  executor::Publisher publisher(RecoveringFleet(socket_path, kIterations));
+  runtime::RecoverableStore& store = *publisher.store();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store.Push(i, r,
@@ -1292,19 +1250,17 @@ TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
   // victim's moved backlog, and none from the victim.
   const int64_t plans_total = int64_t{kIterations} * kReplicas;
   ASSERT_TRUE(WaitUntil(
-      [&] { return fleet.monitor().total_heartbeats() >= plans_total; },
+      [&] { return publisher.monitor().total_heartbeats() >= plans_total; },
       30'000));
-  EXPECT_EQ(fleet.monitor().total_heartbeats(), plans_total);
-  EXPECT_EQ(fleet.monitor().LastIteration(kVictim), -1);
-  EXPECT_EQ(fleet.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
-  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(publisher.monitor().total_heartbeats(), plans_total);
+  EXPECT_EQ(publisher.monitor().LastIteration(kVictim), -1);
+  EXPECT_EQ(publisher.monitor().DeadReplicas(), std::vector<int32_t>{kVictim});
+  const service::FleetReport report = publisher.report();
   EXPECT_EQ(report.dead_replicas, std::vector<int32_t>{kVictim});
   EXPECT_EQ(report.replanned_iterations, kIterations);
   EXPECT_EQ(report.dropped_iterations, 0);
 
-  server->Stop();
-  server.reset();
-  transport.reset();
+  publisher.Stop();
   for (int32_t r = 0; r < kReplicas; ++r) {
     if (r == kVictim) continue;
     ASSERT_EQ(::waitpid(children[static_cast<size_t>(r)], &status, 0),
@@ -1357,16 +1313,8 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
     }
     children.push_back(child);
   }
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions fleet_opts;
-  fleet_opts.replicas = {0, 1, 2};
-  fleet_opts.spare_iteration_base = kIterations;
-  service::FleetCoordinator fleet(&store, {}, fleet_opts);
-  store.set_heartbeat_sink(&fleet);
-  auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
-  auto server = std::make_unique<transport::InstructionStoreServer>(
-      transport.get(), &store);
+  executor::Publisher publisher(RecoveringFleet(socket_path, kIterations));
+  runtime::RecoverableStore& store = *publisher.store();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
@@ -1385,9 +1333,9 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
       << "second victim status " << status;
 
   ASSERT_TRUE(WaitUntil([&] { return store.size() == 0; }, 30'000));
-  EXPECT_EQ(fleet.monitor().DeadReplicas(),
+  EXPECT_EQ(publisher.monitor().DeadReplicas(),
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
-  const service::FleetReport report = fleet.report();
+  const service::FleetReport report = publisher.report();
   EXPECT_EQ(report.dead_replicas,
             (std::vector<int32_t>{kFirstVictim, kSecondVictim}));
   // First death: iterations 1 and 2 of replica 1 move. Second death: the
@@ -1395,9 +1343,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   EXPECT_EQ(report.replanned_iterations, 3);
   EXPECT_EQ(report.dropped_iterations, 0);
 
-  server->Stop();
-  server.reset();
-  transport.reset();
+  publisher.Stop();
   ASSERT_EQ(::waitpid(children[0], &status, 0), children[0]);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "survivor status " << status;
@@ -1540,21 +1486,16 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   // Control plane, created only after the forks (no threads cross fork).
   // No death deadlines: a 1200 ms stall must stay a straggler, never a
   // death — rebalancing, not recovery, is under test.
-  service::HeartbeatMonitorOptions mopts;
-  mopts.straggler_multiple = 2.0;
-  mopts.min_straggler_gap_ms = 50.0;
-  mopts.expected_replicas = kReplicas;
-  auto store = transport::ShmInstructionStore::Create(
-      shm_name, transport::ShmStoreOptions{});
-  service::FleetOptions fleet_opts;
-  fleet_opts.replicas = {0, 1, 2};
-  fleet_opts.spare_iteration_base = kIterations;
-  fleet_opts.rebalance = true;
-  fleet_opts.rebalance_consecutive_flags = 1;
-  fleet_opts.rebalance_max_moves = 2;
-  fleet_opts.rebalance_hysteresis_iterations = kIterations;  // one event, max
-  service::FleetCoordinator fleet(store.get(), mopts, fleet_opts);
-  transport::ShmHeartbeatPoller poller(store, &fleet);
+  executor::PublisherOptions pub_opts = RecoveringFleet(shm_name, kIterations);
+  pub_opts.monitor.straggler_multiple = 2.0;
+  pub_opts.monitor.min_straggler_gap_ms = 50.0;
+  pub_opts.monitor.expected_replicas = kReplicas;
+  pub_opts.fleet.rebalance = true;
+  pub_opts.fleet.rebalance_consecutive_flags = 1;
+  pub_opts.fleet.rebalance_max_moves = 2;
+  pub_opts.fleet.rebalance_hysteresis_iterations = kIterations;  // one event
+  executor::Publisher publisher(pub_opts);
+  const std::shared_ptr<runtime::RecoverableStore>& store = publisher.store();
   for (int i = 0; i < kIterations; ++i) {
     for (int32_t r = 0; r < kReplicas; ++r) {
       store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
@@ -1567,10 +1508,11 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   ASSERT_TRUE(WaitUntil([&] { return store->size() == 0; }, 30'000));
   ASSERT_TRUE(WaitUntil(
       [&] {
-        return fleet.monitor().total_heartbeats() >= kIterations * kReplicas;
+        return publisher.monitor().total_heartbeats() >=
+               kIterations * kReplicas;
       },
       10'000));
-  EXPECT_EQ(fleet.monitor().total_heartbeats(), kIterations * kReplicas);
+  EXPECT_EQ(publisher.monitor().total_heartbeats(), kIterations * kReplicas);
 
   for (const pid_t child : children) {
     int status = 0;
@@ -1582,18 +1524,110 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   // The stall was detected through the segment alone: iteration 1 saw all
   // three replicas report and flagged exactly the stalled one.
   const service::IterationHeartbeatStats stalled =
-      fleet.monitor().ForIteration(1);
+      publisher.monitor().ForIteration(1);
   EXPECT_EQ(stalled.replicas_reported, kReplicas);
   EXPECT_EQ(stalled.stragglers, std::vector<int32_t>{kVictim});
   EXPECT_GE(stalled.max_wall_ms, 1200.0);
   // And reacted to: unfetched backlog moved off the straggler mid-epoch.
-  const service::FleetReport report = fleet.report();
+  const service::FleetReport report = publisher.report();
   EXPECT_GE(report.shed_events, 1);
   EXPECT_GE(report.shed_iterations, 1);
   EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{kVictim});
   // Nobody was declared dead: a stall is a straggle, not a failure.
-  EXPECT_TRUE(fleet.monitor().DeadReplicas().empty());
+  EXPECT_TRUE(publisher.monitor().DeadReplicas().empty());
 }
+
+
+// ---------- the shm poller's drain path ----------
+
+// Counts drain requests; reports every replica dead, or none.
+class DrainCountingSink final : public runtime::HeartbeatSink {
+ public:
+  explicit DrainCountingSink(bool dead) : dead_(dead) {}
+  void OnHeartbeat(int32_t, int64_t, double) override {}
+  void OnReplicaDrainRequested(int32_t) override { ++drains; }
+  bool IsReplicaDead(int32_t) const override { return dead_; }
+  std::atomic<int> drains{0};
+
+ private:
+  const bool dead_;
+};
+
+// A drain requested in the segment is delivered once and acknowledged after
+// the sink returns — unless the sink reports the replica dead. PollOnce is
+// serialized with the poller thread's passes, so by its return the request
+// written before it has been delivered, by this pass or the thread's.
+TEST(ShmHeartbeatPollerTest, DrainIsDeliveredOnceAndAckedUnlessDead) {
+  for (const bool dead : {false, true}) {
+    SCOPED_TRACE(dead ? "dead replica" : "live replica");
+    const std::string name = UniqueShmName("poll");
+    auto store = transport::ShmInstructionStore::Create(name, {});
+    auto executor_side = transport::ShmInstructionStore::Attach(name);
+    executor_side->AnnounceReplica(3);
+    executor_side->RequestDrain(3);
+    DrainCountingSink sink(dead);
+    transport::ShmHeartbeatPoller poller(store, &sink);
+    poller.PollOnce();
+    EXPECT_EQ(sink.drains.load(), 1);
+    EXPECT_EQ(executor_side->DrainAcknowledged(3), !dead);
+    EXPECT_EQ(poller.PollOnce(), 0);
+    EXPECT_EQ(sink.drains.load(), 1);
+  }
+}
+
+// ---------- the publisher ----------
+
+// Both ends of a deployment from one attach string, in-process: a client
+// announces replicas 0 and 1 over the endpoint the string names (the mux
+// wire or the segment's heartbeat slots) and beats for 0. The beat reaches
+// monitor(), 1's drain is acknowledged and recorded, and Stop() with 0 still
+// attached declares nobody dead.
+class PublisherTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PublisherTest, BeatReachesMonitorDrainIsAckedAndStopKillsNobody) {
+  const bool over_shm = GetParam();
+  executor::PublisherOptions options;
+  options.attach = over_shm ? UniqueShmName("pub") : UniqueSocketPath("pub");
+  options.fleet.replicas = {0, 1};
+  options.fleet.membership = true;
+  executor::Publisher publisher(options);
+
+  std::shared_ptr<transport::MuxInstructionStore> mux;
+  std::shared_ptr<transport::ShmInstructionStore> shm;
+  bool evicted = false;
+  if (over_shm) {
+    shm = transport::ShmInstructionStore::Attach(options.attach);
+    shm->AnnounceReplica(0);
+    shm->AnnounceReplica(1);
+    shm->Heartbeat(0, 0, 5.0);
+  } else {
+    mux = transport::MuxInstructionStore::OverUnixSocket(options.attach);
+    ASSERT_TRUE(mux->Attach(0, &evicted));
+    ASSERT_TRUE(mux->Attach(1, &evicted));
+    ASSERT_TRUE(mux->TryHeartbeat(0, 0, 5.0, &evicted));
+  }
+  EXPECT_TRUE(WaitUntil(
+      [&] { return publisher.monitor().total_heartbeats() == 1; }, 5'000));
+  EXPECT_EQ(publisher.monitor().LastIteration(0), 0);
+
+  if (over_shm) {
+    shm->RequestDrain(1);
+    EXPECT_TRUE(WaitUntil([&] { return shm->DrainAcknowledged(1); }, 5'000));
+  } else {
+    EXPECT_TRUE(mux->TryDrain(1, &evicted));
+  }
+  EXPECT_FALSE(evicted);
+  EXPECT_EQ(publisher.report().drained, std::vector<int32_t>{1});
+
+  publisher.Stop();
+  EXPECT_TRUE(publisher.report().dead_replicas.empty());
+  EXPECT_TRUE(publisher.monitor().DeadReplicas().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Endpoints, PublisherTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Shm" : "Socket";
+                         });
 
 }  // namespace
 }  // namespace dynapipe
