@@ -8,30 +8,23 @@
 #include "src/transport/transport.h"
 
 namespace dynapipe::executor {
-namespace {
-
-std::shared_ptr<runtime::RecoverableStore> MakeStore(const std::string& attach,
-                                                     size_t capacity) {
-  if (DetectEndpoint(attach) == AttachEndpoint::kSharedMemory) {
-    transport::ShmStoreOptions options;
-    options.capacity = capacity;
-    return transport::ShmInstructionStore::Create(attach, options);
-  }
-  return std::make_shared<runtime::InstructionStore>(
-      runtime::InstructionStoreOptions{/*serialized=*/true, capacity});
-}
-
-}  // namespace
 
 Publisher::Publisher(PublisherOptions options)
-    : store_(MakeStore(options.attach, options.capacity)),
+    : wire_(DetectEndpoint(options.attach) == AttachEndpoint::kSharedMemory
+                ? nullptr
+                : std::make_shared<runtime::InstructionStore>(
+                      runtime::InstructionStoreOptions{/*serialized=*/true})),
+      store_(wire_ != nullptr
+                 ? std::shared_ptr<runtime::RecoverableStore>(wire_)
+                 : transport::ShmInstructionStore::Create(
+                       options.attach, transport::ShmStoreOptions{})),
       fleet_(store_.get(), options.monitor, std::move(options.fleet)) {
-  if (auto* wire = dynamic_cast<runtime::InstructionStore*>(store_.get())) {
-    wire->set_heartbeat_sink(&fleet_);
+  if (wire_ != nullptr) {
+    wire_->set_heartbeat_sink(&fleet_);
     transport_ =
         std::make_unique<transport::UnixSocketTransport>(options.attach);
     server_ = std::make_unique<transport::InstructionStoreServer>(
-        transport_.get(), wire);
+        transport_.get(), wire_.get());
   } else {
     poller_ = std::make_unique<transport::ShmHeartbeatPoller>(
         std::static_pointer_cast<transport::ShmInstructionStore>(store_),
@@ -43,8 +36,8 @@ Publisher::~Publisher() {
   Stop();
   // The store may outlive the coordinator; with the server joined, no
   // delivery to it is in flight.
-  if (auto* wire = dynamic_cast<runtime::InstructionStore*>(store_.get())) {
-    wire->set_heartbeat_sink(nullptr);
+  if (wire_ != nullptr) {
+    wire_->set_heartbeat_sink(nullptr);
   }
 }
 

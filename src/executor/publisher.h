@@ -26,7 +26,6 @@
 #ifndef DYNAPIPE_SRC_EXECUTOR_PUBLISHER_H_
 #define DYNAPIPE_SRC_EXECUTOR_PUBLISHER_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,9 +45,8 @@ namespace dynapipe::executor {
 
 struct PublisherOptions {
   // Socket path or shm segment name, exactly as the executors' --attach.
+  // Either store is unbounded: Push never blocks.
   std::string attach;
-  // Maximum resident plans; Push blocks at it. 0 means unbounded.
-  size_t capacity = 0;
   service::HeartbeatMonitorOptions monitor;
   service::FleetOptions fleet;
 };
@@ -78,6 +76,9 @@ class Publisher {
   void Stop();
 
  private:
+  // The socket endpoint's in-process store; null on shm. Declared first:
+  // store_ is initialized from it.
+  std::shared_ptr<runtime::InstructionStore> wire_;
   std::shared_ptr<runtime::RecoverableStore> store_;
   service::FleetCoordinator fleet_;
   // The feeders; one pair is null, by the endpoint.

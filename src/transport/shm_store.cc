@@ -1005,16 +1005,17 @@ int ShmHeartbeatPoller::PollLocked() {
       obs.detach_delivered = true;
       ++delivered;
     } else if (detached == 2 && !obs.drain_delivered) {
-      // Drain requested: a FleetCoordinator sink hands the backlog off
-      // inside this call, so the ack written after it returns follows the
-      // handoff. A replica already declared dead gets no ack — the server's
-      // kDrainAck/kEvicted rule: its plans moved long ago.
-      sink_->OnReplicaDrainRequested(replica);
-      if (!sink_->IsReplicaDead(replica)) {
-        store_->AcknowledgeDrain(replica);
-      }
+      // Drain requested. A replica already declared dead is neither
+      // delivered nor acknowledged — the server's kDrainAck/kEvicted rule:
+      // its plans moved long ago. Otherwise a FleetCoordinator sink hands
+      // the backlog off inside the call, so the ack written after it
+      // returns follows the handoff.
       obs.drain_delivered = true;
-      ++delivered;
+      if (!sink_->IsReplicaDead(replica)) {
+        sink_->OnReplicaDrainRequested(replica);
+        store_->AcknowledgeDrain(replica);
+        ++delivered;
+      }
     } else if (detached == 0) {
       obs.detach_delivered = false;  // re-announced after a clean goodbye
       obs.drain_delivered = false;

@@ -237,9 +237,10 @@ class ShmInstructionStore final : public runtime::RecoverableStore {
 // clean detaches, drain requests and last-alive refreshes into a
 // runtime::HeartbeatSink (executor::Publisher wires a FleetCoordinator,
 // whose deadline then declares a silent replica dead — the shm-native stall
-// detector). A delivered drain request is acknowledged (AcknowledgeDrain)
-// once the sink returns, unless the sink reports the replica dead — the
-// shm twin of the server's kDrainAck/kEvicted reply. Keeps the store alive
+// detector). A drain request is delivered and then acknowledged
+// (AcknowledgeDrain) once the sink returns; a replica the sink reports dead
+// gets neither — the shm twin of the server's kDrainAck/kEvicted reply.
+// Keeps the store alive
 // via shared_ptr; destroy the poller before the sink.
 class ShmHeartbeatPoller {
  public:

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -98,7 +99,8 @@ struct ChurnChildSpec {
   int64_t start_iteration = 0;    // joiners poll at the spare base
   int64_t drain_after = -1;       // request a drain after this many runs
   std::string fault;              // injected fault spec; empty = none
-  int pre_attach_delay_ms = 0;    // late joiner: sleep before attaching
+  int release_fd = -1;            // joiner: wait for EOF here, then...
+  int pre_attach_delay_ms = 0;    // ...sleep this long before attaching
   int idle_timeout_ms = 2500;
 };
 
@@ -109,6 +111,11 @@ struct ChurnChildSpec {
 [[noreturn]] void RunChurnChild(const std::string& shm_name,
                                 const std::vector<std::string>& expected,
                                 const ChurnChildSpec& spec) {
+  if (spec.release_fd >= 0) {
+    char byte;
+    while (::read(spec.release_fd, &byte, 1) < 0 && errno == EINTR) {
+    }
+  }
   if (spec.pre_attach_delay_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(spec.pre_attach_delay_ms));
@@ -191,14 +198,32 @@ struct ChurnControlPlane {
   std::shared_ptr<runtime::RecoverableStore> store;
 };
 
+// Holds a joiner back until the whole epoch is published: the Publisher's
+// poller runs from its construction, so a joiner announced before the
+// pushes would be admitted with nothing to steal. Every child closes its
+// copy of the write end; the joiner reads EOF once the parent closes its
+// own, after the pushes (or on any early return of the test).
+struct ReleasePipe {
+  ReleasePipe() {
+    if (::pipe(fds) != 0) fds[0] = fds[1] = -1;
+  }
+  ~ReleasePipe() {
+    Release();
+    if (fds[0] >= 0) ::close(fds[0]);
+  }
+  void Release() {
+    if (fds[1] >= 0) ::close(fds[1]);
+    fds[1] = -1;
+  }
+  int fds[2];
+};
+
 // ---------- the deterministic acceptance test ----------
 
 // Replica 2 drains after two iterations; replica 3 joins at the spare base
-// 20 ms in — after the epoch is published, while the base replicas are in
-// their first paced iteration. Every handoff is asserted individually: the
-// joiner is admitted and seeded (>= 1 stolen plan — share = 5 or 6 pending
-// / 4 expected),
-// the drainer leaves the member set, is reposted, acknowledged (clean
+// as soon as the epoch is published. Every handoff is asserted
+// individually: the joiner is admitted and seeded (>= 1 stolen plan —
+// share = 5 or 6 pending / 4 expected), the drainer leaves the member set, is reposted, acknowledged (clean
 // handshake, no eviction) and retired on detach, and the whole epoch executes exactly
 // once, byte-identical.
 TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
@@ -213,6 +238,8 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     }
   }
   const std::string shm_name = UniqueShmName("accept");
+  ReleasePipe release;
+  ASSERT_GE(release.fds[0], 0);
   std::vector<pid_t> children;
   for (int32_t r = 0; r <= kJoiner; ++r) {
     ChurnChildSpec spec;
@@ -220,7 +247,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     if (r == kJoiner) {
       spec.require_work = true;
       spec.start_iteration = kIterations;  // the spare base
-      spec.pre_attach_delay_ms = 20;
+      spec.release_fd = release.fds[0];
     }
     if (r == kDrainer) {
       spec.drain_after = 2;
@@ -228,6 +255,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
+      release.Release();
       RunChurnChild(shm_name, expected, spec);
     }
     children.push_back(child);
@@ -236,6 +264,7 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   // No liveness deadlines: nobody dies here, and a false death would steal
   // the drainer's exit from under the assertion.
   ChurnControlPlane plane(shm_name, plans, /*dead_after_ms=*/0.0);
+  release.Release();
 
   ASSERT_TRUE(WaitUntil([&] { return plane.store->size() == 0; }, 30'000));
   const int64_t expected_beats =
@@ -341,12 +370,15 @@ void RunSeededChurnEpoch(uint32_t seed) {
     }
   }
   const std::string shm_name = UniqueShmName("chaos");
+  ReleasePipe release;
+  ASSERT_GE(release.fds[0], 0);
   std::vector<pid_t> children;
   for (int32_t r = 0; r <= kJoiner; ++r) {
     ChurnChildSpec spec;
     spec.replica = r;
     if (r == kJoiner) {
       spec.start_iteration = kIterations;
+      spec.release_fd = release.fds[0];
       spec.pre_attach_delay_ms = schedule.join_delay_ms;
       // A late joiner can legitimately find the backlog already fair-shared
       // to zero, so it must not *require* work — the invariants below are
@@ -361,6 +393,7 @@ void RunSeededChurnEpoch(uint32_t seed) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
+      release.Release();
       RunChurnChild(shm_name, expected, spec);
     }
     children.push_back(child);
@@ -371,6 +404,7 @@ void RunSeededChurnEpoch(uint32_t seed) {
   // between publishes never get near it (idle shm executors stamp their
   // slot's alive marker on every probe).
   ChurnControlPlane plane(shm_name, plans, /*dead_after_ms=*/1'200.0);
+  release.Release();
 
   // A crash loses exactly one heartbeat: the victim dies at the heartbeat
   // site, after executing the plan it never reported. Everything else —

@@ -945,6 +945,34 @@ executor::PublisherOptions RecoveringFleet(const std::string& attach,
   return options;
 }
 
+// One fault epoch: a marker plan per (iteration, replica), numbered from
+// `base`, plus their encodings (what the children accept as a byte-identical
+// fetch).
+struct FaultEpoch {
+  FaultEpoch(int32_t base, int iterations, int32_t replicas)
+      : plans(static_cast<size_t>(replicas)) {
+    for (int i = 0; i < iterations; ++i) {
+      for (int32_t r = 0; r < replicas; ++r) {
+        plans[static_cast<size_t>(r)].push_back(MarkerPlan(base + 10 * i + r));
+        expected.push_back(
+            service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
+      }
+    }
+  }
+  // Publishes every plan, iteration-major, at its own key.
+  void PushTo(runtime::RecoverableStore& store) const {
+    for (size_t i = 0; i < plans[0].size(); ++i) {
+      for (size_t r = 0; r < plans.size(); ++r) {
+        store.Push(static_cast<int64_t>(i), static_cast<int32_t>(r),
+                   plans[r][i]);
+      }
+    }
+  }
+
+  std::vector<std::vector<sim::ExecutionPlan>> plans;
+  std::vector<std::string> expected;
+};
+
 // Child-process body shared by the fault control-loop tests: optionally arm
 // one injected fault, run the executor, and encode the outcome as an exit
 // code the parent can assert on. gtest macros don't work in a fork()ed
@@ -1004,15 +1032,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const FaultEpoch epoch(0, kIterations, kReplicas);
   const std::string socket_path = UniqueSocketPath("kill");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1020,7 +1040,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
     ASSERT_GE(child, 0);
     if (child == 0) {
       RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
-                    expected, r == kVictim ? "crash@1" : nullptr,
+                    epoch.expected, r == kVictim ? "crash@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false);
     }
     children.push_back(child);
@@ -1030,11 +1050,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
   // connection drop alone (a vanished process is dead now).
   executor::Publisher publisher(RecoveringFleet(socket_path, kIterations));
   runtime::RecoverableStore& store = *publisher.store();
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  epoch.PushTo(store);
 
   // The victim dies by SIGKILL at its own fault point, after consuming
   // iterations 0 and 1.
@@ -1079,15 +1095,7 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(100 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const FaultEpoch epoch(100, kIterations, kReplicas);
   const std::string socket_path = UniqueSocketPath("stall");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1095,7 +1103,7 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
     ASSERT_GE(child, 0);
     if (child == 0) {
       RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
-                    expected, r == kVictim ? "stall:1500@1" : nullptr,
+                    epoch.expected, r == kVictim ? "stall:1500@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false);
     }
     children.push_back(child);
@@ -1106,11 +1114,7 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   pub_opts.monitor.dead_after_ms = 450.0;
   executor::Publisher publisher(pub_opts);
   runtime::RecoverableStore& store = *publisher.store();
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  epoch.PushTo(store);
 
   // The victim wakes from its stall into a kEvicted heartbeat reply and
   // exits as evicted (code 7) — the server must still be up for it to hear
@@ -1136,29 +1140,6 @@ TEST(FaultControlLoopTest, StalledExecutorIsEvictedAndSurvivorsTakeBacklog) {
   }
 }
 
-namespace {
-// Three replicas' plans for the corrupted-frame tests, plus their encodings
-// (what the children accept as a byte-identical fetch).
-struct CorruptEpoch {
-  std::vector<std::vector<sim::ExecutionPlan>> plans;
-  std::vector<std::string> expected;
-};
-
-CorruptEpoch MakeCorruptEpoch(int iterations, int32_t replicas) {
-  CorruptEpoch epoch;
-  epoch.plans.resize(static_cast<size_t>(replicas));
-  for (int i = 0; i < iterations; ++i) {
-    for (int32_t r = 0; r < replicas; ++r) {
-      epoch.plans[static_cast<size_t>(r)].push_back(
-          MarkerPlan(200 + 10 * i + r));
-      epoch.expected.push_back(service::EncodeExecutionPlan(
-          epoch.plans[static_cast<size_t>(r)].back()));
-    }
-  }
-  return epoch;
-}
-}  // namespace
-
 // Replica 1's third frame on its persistent mux stream (its first publish
 // poll, after kAttach and the clock sync) is corrupted in flight: the
 // injector flips the type byte, so the server deterministically rejects it
@@ -1169,7 +1150,7 @@ TEST(FaultControlLoopTest, CorruptedFrameWithoutLivenessSinkReconnects) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  const CorruptEpoch epoch = MakeCorruptEpoch(kIterations, kReplicas);
+  const FaultEpoch epoch(200, kIterations, kReplicas);
   const std::string socket_path = UniqueSocketPath("corrupt");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1189,12 +1170,7 @@ TEST(FaultControlLoopTest, CorruptedFrameWithoutLivenessSinkReconnects) {
   auto transport = std::make_unique<transport::UnixSocketTransport>(socket_path);
   auto server = std::make_unique<transport::InstructionStoreServer>(
       transport.get(), &store);
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r,
-                 epoch.plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  epoch.PushTo(store);
 
   for (const pid_t child : children) {
     int status = 0;
@@ -1215,7 +1191,7 @@ TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
   constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  const CorruptEpoch epoch = MakeCorruptEpoch(kIterations, kReplicas);
+  const FaultEpoch epoch(200, kIterations, kReplicas);
   const std::string socket_path = UniqueSocketPath("corrupt-evict");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1232,12 +1208,7 @@ TEST(FaultControlLoopTest, CorruptedFrameIsDeathAndTheReconnectIsEvicted) {
   }
   executor::Publisher publisher(RecoveringFleet(socket_path, kIterations));
   runtime::RecoverableStore& store = *publisher.store();
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r,
-                 epoch.plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  epoch.PushTo(store);
 
   // The server must still be up for the victim to hear the verdict, so it
   // is reaped before teardown.
@@ -1285,15 +1256,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kFirstVictim = 1;
   constexpr int32_t kSecondVictim = 2;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(300 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const FaultEpoch epoch(300, kIterations, kReplicas);
   const std::string socket_path = UniqueSocketPath("twokill");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1307,7 +1270,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
       // the inherited spare well before this replica reaches its own crash
       // point — the spare must demonstrably be resident when it dies.
       RunFaultChild(socket_path, executor::AttachEndpoint::kUnixSocketMux, r,
-                    expected, fault, /*iterations=*/-1,
+                    epoch.expected, fault, /*iterations=*/-1,
                     /*require_reconnect=*/false,
                     /*slow_ms=*/r == kSecondVictim ? 150.0 : 0.0);
     }
@@ -1315,11 +1278,7 @@ TEST(FaultControlLoopTest, SpareKeysSurviveASecondForkedDeath) {
   }
   executor::Publisher publisher(RecoveringFleet(socket_path, kIterations));
   runtime::RecoverableStore& store = *publisher.store();
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store.Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  epoch.PushTo(store);
 
   // Both victims die by SIGKILL at their fault points, in pace order.
   int status = 0;
@@ -1456,15 +1415,7 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
   constexpr double kPaceMs = 60.0;
-  std::vector<std::vector<sim::ExecutionPlan>> plans(kReplicas);
-  std::vector<std::string> expected;
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      plans[static_cast<size_t>(r)].push_back(MarkerPlan(400 + 10 * i + r));
-      expected.push_back(
-          service::EncodeExecutionPlan(plans[static_cast<size_t>(r)].back()));
-    }
-  }
+  const FaultEpoch epoch(400, kIterations, kReplicas);
   const std::string shm_name = UniqueShmName("stall");
   std::vector<pid_t> children;
   for (int32_t r = 0; r < kReplicas; ++r) {
@@ -1476,7 +1427,7 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
       // must outlast the park between a fast replica draining its epoch
       // (~360 ms) and the migration landing (after the 1200 ms stall).
       RunFaultChild(shm_name, executor::AttachEndpoint::kSharedMemory, r,
-                    expected, r == kVictim ? "stall:1200@1" : nullptr,
+                    epoch.expected, r == kVictim ? "stall:1200@1" : nullptr,
                     /*iterations=*/-1, /*require_reconnect=*/false,
                     /*slow_ms=*/kPaceMs, /*idle_timeout_ms=*/5'000);
     }
@@ -1496,11 +1447,7 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   pub_opts.fleet.rebalance_hysteresis_iterations = kIterations;  // one event
   executor::Publisher publisher(pub_opts);
   const std::shared_ptr<runtime::RecoverableStore>& store = publisher.store();
-  for (int i = 0; i < kIterations; ++i) {
-    for (int32_t r = 0; r < kReplicas; ++r) {
-      store->Push(i, r, plans[static_cast<size_t>(r)][static_cast<size_t>(i)]);
-    }
-  }
+  epoch.PushTo(*store);
 
   // Every plan — including the migrated ones at spare keys — executes
   // exactly once somewhere, so the drain and the heartbeat total are exact
@@ -1554,7 +1501,8 @@ class DrainCountingSink final : public runtime::HeartbeatSink {
 };
 
 // A drain requested in the segment is delivered once and acknowledged after
-// the sink returns — unless the sink reports the replica dead. PollOnce is
+// the sink returns. A replica the sink reports dead gets neither, as on the
+// wire, where the server answers kEvicted without a sink call. PollOnce is
 // serialized with the poller thread's passes, so by its return the request
 // written before it has been delivered, by this pass or the thread's.
 TEST(ShmHeartbeatPollerTest, DrainIsDeliveredOnceAndAckedUnlessDead) {
@@ -1568,10 +1516,10 @@ TEST(ShmHeartbeatPollerTest, DrainIsDeliveredOnceAndAckedUnlessDead) {
     DrainCountingSink sink(dead);
     transport::ShmHeartbeatPoller poller(store, &sink);
     poller.PollOnce();
-    EXPECT_EQ(sink.drains.load(), 1);
+    EXPECT_EQ(sink.drains.load(), dead ? 0 : 1);
     EXPECT_EQ(executor_side->DrainAcknowledged(3), !dead);
     EXPECT_EQ(poller.PollOnce(), 0);
-    EXPECT_EQ(sink.drains.load(), 1);
+    EXPECT_EQ(sink.drains.load(), dead ? 0 : 1);
   }
 }
 
