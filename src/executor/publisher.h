@@ -45,7 +45,8 @@ namespace dynapipe::executor {
 
 struct PublisherOptions {
   // Socket path or shm segment name, exactly as the executors' --attach.
-  // Either store is unbounded: Push never blocks.
+  // Neither store caps resident plans (capacity 0); a segment is bounded
+  // only by its own slots and arena.
   std::string attach;
   service::HeartbeatMonitorOptions monitor;
   service::FleetOptions fleet;
