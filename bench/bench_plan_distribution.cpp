@@ -1,30 +1,20 @@
-// Plan distribution latency: per-plan publish/fetch cost by store backend.
+// Plan distribution: the control-plane and instrument costs that the
+// end-to-end benchmark cannot see.
 //
-// The plan-ahead pipeline hides planning latency, but the *distribution* hop
-// — publishing a serialized plan into the store and fetching it back on the
-// executor side — sits on the critical path of every iteration start. This
-// bench measures that hop per backend, same plan, same contract:
+// bench/e2e already times every distribution hop where it runs: the
+// publish/fetch hop of each backend (store.push_us_* / store.fetch_us_* on
+// t5-inline, gpt-shm-* and gpt-mux-replay) and the heartbeat exchange
+// (heartbeat.us_mean on every workload). What stays here is what a healthy
+// run never exercises or cannot isolate:
 //
-//   in-process         move the plan object (no encode)
-//   in-process serde   encode on Push, decode on Fetch (plan_serde)
-//   shm store          shared-memory segment: encode-into-arena on Push,
-//                      zero-copy view + decode-in-place on Fetch
-//   shm view           same segment, but the fetch column is the raw
-//                      distribution hop alone: acquire the zero-copy view
-//                      and release it, no decode (decode-in-place costs the
-//                      same everywhere and can happen lazily on the executor)
+//   recovery     a dead replica's backlog reposted by the FleetCoordinator
+//   membership   a joiner's admission and a drainer's handoff
+//   instruments  one metric / trace operation armed vs disarmed, and the shm
+//                publish path's allocations with metrics armed vs off
 //
-// Plans are published where the store lives, so the socket wire has no push
-// row: its fetch hop is measured end to end as bench/e2e's store.fetch_us_*
-// on gpt-mux-replay. The wire row here is the heartbeat exchange.
-//
-// Each row also counts heap allocations per Push/Fetch (global operator new
-// interposition): the steady-state publish path is designed to allocate
-// nothing (per-thread encode scratch), and the shm rows prove it.
-//
-// Reported numbers go into bench/README.md ("Plan distribution"). Pass an
-// integer argv[1] to override the round count (CI smoke runs use a handful
-// of rounds).
+// The allocation columns count heap allocations per operation (global
+// operator new interposition). Pass an integer argv[1] to override the round
+// count (CI smoke runs use a handful of rounds).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -43,12 +33,8 @@
 #include "src/data/minibatch_sampler.h"
 #include "src/runtime/instruction_store.h"
 #include "src/service/fleet.h"
-#include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
-#include "src/transport/mux.h"
 #include "src/transport/shm_store.h"
-#include "src/transport/store_server.h"
-#include "src/transport/transport.h"
 
 // ---- allocation counting (whole binary) ----
 namespace {
@@ -74,115 +60,6 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-struct Row {
-  const char* name;
-  double push_ms = 0.0;
-  double fetch_ms = 0.0;
-  double push_allocs = 0.0;
-  double fetch_allocs = 0.0;
-};
-
-Row Measure(const char* name, runtime::InstructionStoreInterface& store,
-            const sim::ExecutionPlan& plan, int rounds) {
-  // Warm-up round: first allocation and thread-local scratch growth are not
-  // steady state.
-  store.Push(-1, 0, plan);
-  store.Fetch(-1, 0);
-  Row row;
-  row.name = name;
-  int64_t push_allocs = 0;
-  int64_t fetch_allocs = 0;
-  for (int i = 0; i < rounds; ++i) {
-    int64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-    auto t0 = std::chrono::steady_clock::now();
-    store.Push(i, 0, plan);
-    row.push_ms += MsSince(t0);
-    const int64_t allocs1 = g_allocs.load(std::memory_order_relaxed);
-    push_allocs += allocs1 - allocs0;
-    t0 = std::chrono::steady_clock::now();
-    const sim::ExecutionPlan fetched = store.Fetch(i, 0);
-    row.fetch_ms += MsSince(t0);
-    fetch_allocs += g_allocs.load(std::memory_order_relaxed) - allocs1;
-    if (fetched.num_microbatches != plan.num_microbatches) {
-      std::printf("!! %s corrupted a plan\n", name);
-    }
-  }
-  row.push_ms /= rounds;
-  row.fetch_ms /= rounds;
-  row.push_allocs = static_cast<double>(push_allocs) / rounds;
-  row.fetch_allocs = static_cast<double>(fetch_allocs) / rounds;
-  return row;
-}
-
-// The shm distribution hop alone: push into the arena, acquire the zero-copy
-// view, release — no decode. It is what a same-host executor pays to
-// *obtain* a published plan's bytes.
-Row MeasureShmView(transport::ShmInstructionStore& store,
-                   const sim::ExecutionPlan& plan, int rounds) {
-  store.Push(-1, 0, plan);
-  { const auto warm = store.AcquireView(-1, 0); (void)warm; }
-  Row row;
-  row.name = "shm view (no decode)";
-  int64_t push_allocs = 0;
-  int64_t fetch_allocs = 0;
-  for (int i = 0; i < rounds; ++i) {
-    int64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-    auto t0 = std::chrono::steady_clock::now();
-    store.Push(i, 0, plan);
-    row.push_ms += MsSince(t0);
-    const int64_t allocs1 = g_allocs.load(std::memory_order_relaxed);
-    push_allocs += allocs1 - allocs0;
-    t0 = std::chrono::steady_clock::now();
-    {
-      const auto view = store.AcquireView(i, 0);
-      if (view.bytes().size() < 5) {
-        std::printf("!! shm view too small\n");
-      }
-    }
-    row.fetch_ms += MsSince(t0);
-    fetch_allocs += g_allocs.load(std::memory_order_relaxed) - allocs1;
-  }
-  row.push_ms /= rounds;
-  row.fetch_ms /= rounds;
-  row.push_allocs = static_cast<double>(push_allocs) / rounds;
-  row.fetch_allocs = static_cast<double>(fetch_allocs) / rounds;
-  return row;
-}
-
-// Heartbeat overhead: what an executor pays per iteration to report
-// completion back to the trainer (bench/README.md "Executor deployment").
-// The row measures the full request/reply exchange over the socket mux,
-// landing in a real HeartbeatMonitor.
-struct HeartbeatRow {
-  const char* name;
-  double heartbeat_ms = 0.0;
-  double heartbeat_allocs = 0.0;
-};
-
-HeartbeatRow MeasureHeartbeat(const char* name,
-                              transport::MuxInstructionStore& client,
-                              int rounds) {
-  bool evicted = false;
-  // Warm-up: first connect, scratch growth.
-  client.TryHeartbeat(0, -1, 1.0, &evicted);
-  HeartbeatRow row;
-  row.name = name;
-  int64_t allocs = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < rounds; ++i) {
-    const int64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-    if (!client.TryHeartbeat(/*replica=*/0, /*iteration=*/i,
-                             /*wall_ms=*/12.5, &evicted) ||
-        evicted) {
-      std::printf("!! heartbeat %d not delivered\n", i);
-    }
-    allocs += g_allocs.load(std::memory_order_relaxed) - allocs0;
-  }
-  row.heartbeat_ms = MsSince(t0) / rounds;
-  row.heartbeat_allocs = static_cast<double>(allocs) / rounds;
-  return row;
 }
 
 // Recovery latency: the detect -> re-publish hop of the failure control loop
@@ -352,74 +229,9 @@ int main(int argc, char** argv) {
   }
   const std::string encoded = service::EncodeExecutionPlan(exec);
   std::printf("plan: %d microbatches, %d devices, %zu instructions, "
-              "%zu encoded bytes\n\n",
+              "%zu encoded bytes\n",
               exec.num_microbatches, exec.num_devices(), instructions,
               encoded.size());
-
-  std::vector<Row> rows;
-  {
-    runtime::InstructionStore store;
-    rows.push_back(Measure("in-process", store, exec, rounds));
-  }
-  {
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    rows.push_back(Measure("in-process serde", store, exec, rounds));
-  }
-  {
-    auto store = transport::ShmInstructionStore::Create(
-        "/dynapipe-bench-" + std::to_string(::getpid()),
-        transport::ShmStoreOptions{});
-    rows.push_back(Measure("shm store", *store, exec, rounds));
-  }
-  {
-    auto store = transport::ShmInstructionStore::Create(
-        "/dynapipe-bench-view-" + std::to_string(::getpid()),
-        transport::ShmStoreOptions{});
-    rows.push_back(MeasureShmView(*store, exec, rounds));
-  }
-
-  std::printf("%-20s | %9s | %9s | %10s | %11s | %12s\n", "backend", "push ms",
-              "fetch ms", "round trip", "push allocs", "fetch allocs");
-  std::printf("---------------------+-----------+-----------+------------+"
-              "-------------+-------------\n");
-  for (const Row& row : rows) {
-    std::printf("%-20s | %9.4f | %9.4f | %10.4f | %11.1f | %12.1f\n", row.name,
-                row.push_ms, row.fetch_ms, row.push_ms + row.fetch_ms,
-                row.push_allocs, row.fetch_allocs);
-  }
-  std::printf(
-      "\n(%d rounds per backend; shm rows never touch a wire; alloc columns "
-      "are heap allocations per operation in this process)\n",
-      rounds);
-
-  // Heartbeat overhead per iteration over the socket. (Shm heartbeats are
-  // slot stamps replayed by a poller — no request/reply to time here.)
-  std::vector<HeartbeatRow> hb_rows;
-  {
-    service::HeartbeatMonitor monitor;
-    runtime::InstructionStore store(
-        runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-    store.set_heartbeat_sink(&monitor);
-    transport::UnixSocketTransport transport(
-        "/tmp/dynapipe-bench-hbmux-" + std::to_string(::getpid()) + ".sock");
-    transport::InstructionStoreServer server(&transport, &store);
-    {
-      auto client = transport::MuxInstructionStore::OverTransport(&transport);
-      hb_rows.push_back(MeasureHeartbeat("unix socket mux", *client, rounds));
-    }
-    server.Stop();
-  }
-  std::printf("\n%-20s | %12s | %16s\n", "heartbeat backend", "heartbeat ms",
-              "heartbeat allocs");
-  std::printf("---------------------+--------------+-----------------\n");
-  for (const HeartbeatRow& row : hb_rows) {
-    std::printf("%-20s | %12.4f | %16.1f\n", row.name, row.heartbeat_ms,
-                row.heartbeat_allocs);
-  }
-  std::printf(
-      "(one completion report per iteration, round-tripped into a live "
-      "HeartbeatMonitor)\n");
 
   // Recovery latency: detect -> re-publish for a vanished replica's backlog.
   std::vector<RecoveryRow> rec_rows;
@@ -488,8 +300,8 @@ int main(int argc, char** argv) {
     });
 
     // The shm publish path, armed vs disarmed (µs-scale; shown in ns for
-    // one table). The disarmed row is the ≤5%-regression / 0-extra-allocs
-    // budget from the acceptance criteria.
+    // one table). The alloc columns must match: docs/OBSERVABILITY.md
+    // "Cost discipline" holds instrumentation to no extra allocation.
     {
       OverheadRow row;
       row.name = "shm publish";

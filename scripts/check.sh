@@ -4,8 +4,9 @@
 # -Wall -Wextra promoted to errors for src/ (the library), check that every
 # tests/*.cpp is a registered ctest suite, run ctest (the forked-executor,
 # fault, churn and trace suites, and the spawned dynapipe_executor daemon,
-# all run there), then smoke bench_plan_distribution and every end-to-end
-# benchmark workload. Usage: scripts/check.sh [build-dir]
+# all run there), then smoke bench_plan_distribution's fleet and instrument
+# rows and every end-to-end benchmark workload.
+# Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,30 +22,39 @@ if grep -rnE '#include "src/(transport/|service/fleet\.h)' src/runtime/; then
   exit 1
 fi
 
-# The heartbeat monitor is a pure detector on the caller's clock: every input
-# returns what it changed, and the fleet coordinator that owns it reacts. It
-# owns no thread and takes no callback.
-if grep -nE 'std::(thread|function)' src/service/heartbeat_monitor.h \
-    src/service/heartbeat_monitor.cc; then
-  echo "ERROR: src/service/heartbeat_monitor.{h,cc} names std::thread or" \
-    "std::function" >&2
+# src/service/ starts no thread: the plan-ahead pipeline runs on the planner
+# pool, and the fleet control plane is one state machine on the caller's
+# clock, whose deadline ticker runs in executor::Publisher.
+if grep -rn 'std::thread' src/service/; then
+  echo "ERROR: src/service/ names std::thread" >&2
   exit 1
 fi
 
-# The fleet coordinator reacts inside the call that fed it, like the monitor
-# it owns: it takes no callback.
-if grep -n 'std::function' src/service/fleet.h; then
-  echo "ERROR: src/service/fleet.h names std::function" >&2
+# The heartbeat monitor and the fleet coordinator that owns it react inside
+# the call that fed them: every input returns or applies what it changed, so
+# neither takes a callback nor waits on a condition.
+if grep -nE 'std::(function|condition_variable)' \
+    src/service/heartbeat_monitor.h src/service/heartbeat_monitor.cc \
+    src/service/fleet.h src/service/fleet.cc; then
+  echo "ERROR: the heartbeat monitor or the fleet coordinator names" \
+    "std::function or std::condition_variable" >&2
   exit 1
 fi
 
 # Runnable programs get their publisher from one place: executor::Publisher
-# wires the store, its server or shm poller, and the fleet coordinator.
+# wires the store, its server or shm poller, and the fleet coordinator. The
+# benches may time a FleetCoordinator move in-process, but serve no store by
+# hand (bench/e2e/ still does, until it moves onto the Publisher).
 if grep -rnE 'InstructionStoreServer|ShmHeartbeatPoller|FleetCoordinator' \
     examples/ tools/; then
   echo "ERROR: examples/ or tools/ wire InstructionStoreServer," \
     "ShmHeartbeatPoller or FleetCoordinator by hand;" \
     "use executor::Publisher" >&2
+  exit 1
+fi
+if grep -nE 'InstructionStoreServer|ShmHeartbeatPoller' bench/*.cpp; then
+  echo "ERROR: bench/*.cpp wires InstructionStoreServer or" \
+    "ShmHeartbeatPoller by hand; use executor::Publisher" >&2
   exit 1
 fi
 
@@ -95,10 +105,10 @@ fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-# Smoke the plan-distribution bench end to end (3 rounds): it drives every
-# store — in-process, serde, shm — through real pushes and fetches, and the
-# socket client through heartbeats into a live server, so a backend that
-# builds but cannot move a plan fails CI here rather than in a user's hands.
+# Smoke the plan-distribution bench (3 rounds): it moves real plans through
+# the FleetCoordinator's recovery, join and drain reactions and publishes
+# into a shm segment with metrics armed and off, so a reaction that builds
+# but cannot move a plan fails CI here rather than in a user's hands.
 "$BUILD_DIR"/bench_plan_distribution 3
 
 # Smoke the end-to-end benchmark (bench/e2e/README.md): one short run of every

@@ -8,6 +8,7 @@
 //   FaultPoint("executor.heartbeat", iteration)   // crash-before-heartbeat
 //   FaultPoint("executor.iteration", iteration)   // stall-for-N-ms
 //   FaultPoint("transport.write")                 // drop / corrupt a frame
+//   FaultPoint("shm.heartbeat", iteration)        // crash mid-seqlock write
 //
 // Disarmed (the default, and the only state outside tests and --fault runs)
 // a fault point is one relaxed atomic load and a predictable branch — no

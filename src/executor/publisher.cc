@@ -1,5 +1,7 @@
 #include "src/executor/publisher.h"
 
+#include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "src/executor/executor.h"
@@ -30,6 +32,19 @@ Publisher::Publisher(PublisherOptions options)
         std::static_pointer_cast<transport::ShmInstructionStore>(store_),
         &fleet_);
   }
+  const double dead_after_ms = options.monitor.dead_after_ms;
+  if (dead_after_ms > 0.0) {
+    // Tick fast enough that the deadline is detected within a fraction of
+    // itself, clamped so near-zero test deadlines do not spin.
+    const auto period = std::chrono::duration<double, std::milli>(
+        std::clamp(dead_after_ms / 4.0, 1.0, 50.0));
+    ticker_ = std::thread([this, period] {
+      std::unique_lock<std::mutex> lock(ticker_mu_);
+      while (!ticker_cv_.wait_for(lock, period, [&] { return ticker_stop_; })) {
+        fleet_.PollLiveness(service::FleetCoordinator::Clock::now());
+      }
+    });
+  }
 }
 
 Publisher::~Publisher() {
@@ -42,6 +57,14 @@ Publisher::~Publisher() {
 }
 
 void Publisher::Stop() {
+  if (ticker_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(ticker_mu_);
+      ticker_stop_ = true;
+    }
+    ticker_cv_.notify_all();
+    ticker_.join();
+  }
   server_.reset();  // its destructor stops it
   transport_.reset();
   poller_.reset();

@@ -15,10 +15,13 @@
 //
 // Either way one service::FleetCoordinator over the store is the sink that
 // the server or the poller feeds; with the default FleetOptions it recovers
-// dead replicas' backlog, and rebalance and membership are off. The type
-// fixes the wiring order: the coordinator is the sink before the endpoint
-// serves, and teardown stops the feeders, then the coordinator, then the
-// store.
+// dead replicas' backlog, and rebalance and membership are off. The
+// coordinator owns no thread, so the publisher also runs its real-time
+// deadline ticker: with monitor.dead_after_ms > 0, a thread calls the
+// coordinator's PollLiveness(now) every clamp(dead_after_ms / 4, 1, 50) ms.
+// The type fixes the wiring order: the coordinator is the sink before the
+// endpoint serves, and teardown stops the ticker and the feeders, then the
+// coordinator, then the store.
 //
 // Plans are published into store() directly — tests push hand-built
 // per-replica plans — or by a service::PlanAheadService given store() as
@@ -26,9 +29,12 @@
 #ifndef DYNAPIPE_SRC_EXECUTOR_PUBLISHER_H_
 #define DYNAPIPE_SRC_EXECUTOR_PUBLISHER_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/runtime/instruction_store.h"
@@ -69,11 +75,11 @@ class Publisher {
   service::FleetReport report() const { return fleet_.report(); }
   std::vector<int32_t> ActiveMembers() const { return fleet_.ActiveMembers(); }
 
-  // Stops the feeders: the server (which shuts the store down, closes every
-  // connection without declaring its replica dead, and unlinks the socket)
-  // or the poller. No executor input reaches the coordinator afterwards; an
-  // armed deadline (dead_after_ms) still ticks until destruction. Attached
-  // shm executors can still fetch from the segment. Idempotent.
+  // Stops the deadline ticker and the feeders: the server (which shuts the
+  // store down, closes every connection without declaring its replica dead,
+  // and unlinks the socket) or the poller. Nothing reaches the coordinator
+  // afterwards, so nothing declares a replica dead and no plan moves.
+  // Attached shm executors can still fetch from the segment. Idempotent.
   void Stop();
 
  private:
@@ -86,6 +92,12 @@ class Publisher {
   std::unique_ptr<transport::UnixSocketTransport> transport_;
   std::unique_ptr<transport::InstructionStoreServer> server_;
   std::unique_ptr<transport::ShmHeartbeatPoller> poller_;
+  // The deadline's real-time ticker; not started when dead_after_ms is 0.
+  // ticker_mu_ guards only the stop flag: the coordinator never takes it.
+  std::mutex ticker_mu_;
+  std::condition_variable ticker_cv_;
+  bool ticker_stop_ = false;
+  std::thread ticker_;
 };
 
 }  // namespace dynapipe::executor

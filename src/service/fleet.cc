@@ -36,30 +36,6 @@ FleetCoordinator::FleetCoordinator(runtime::RecoverableStore* store,
   for (const int32_t replica : options_.replicas) {
     members_.emplace(replica, Member::kActive);
   }
-  if (monitor_options.dead_after_ms > 0.0) {
-    // Tick fast enough that the deadline is detected within a fraction of
-    // itself, clamped so near-zero test deadlines do not spin.
-    const auto period = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(
-            std::clamp(monitor_options.dead_after_ms / 4.0, 1.0, 50.0)));
-    ticker_ = std::thread([this, period] {
-      std::unique_lock<std::mutex> lock(mu_);
-      while (!ticker_cv_.wait_for(lock, period, [&] { return ticker_stop_; })) {
-        ApplyLocked(monitor_.PollLiveness(Clock::now()));
-      }
-    });
-  }
-}
-
-FleetCoordinator::~FleetCoordinator() {
-  if (ticker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ticker_stop_ = true;
-    }
-    ticker_cv_.notify_all();
-    ticker_.join();
-  }
 }
 
 void FleetCoordinator::Beat(int32_t replica, int64_t iteration,

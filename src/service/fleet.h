@@ -60,8 +60,10 @@
 // the returned update before the call returns, under its one mutex — so the
 // member set changes in the same critical section as the monitor's flip,
 // and a drain's shrink reacts to the report sets it completes in place.
-// Tests drive the same inputs with a `now` of their choosing. With a
-// deadline armed, one ticker thread applies it in real time. Locks are taken
+// Tests drive the same inputs with a `now` of their choosing. The
+// coordinator owns no thread: every transition comes from an input the
+// caller stamps, the deadline included — PollLiveness applies it, and
+// executor::Publisher ticks it in real time. Locks are taken
 // coordinator -> monitor and coordinator -> store; the feeders call their
 // sink outside every lock the coordinator can reach (the shm poller holds
 // only its own pass lock). The coordinator must be the sink before the
@@ -71,12 +73,10 @@
 #define DYNAPIPE_SRC_SERVICE_FLEET_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "src/runtime/instruction_store.h"
@@ -131,7 +131,6 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   FleetCoordinator(runtime::RecoverableStore* store,
                    HeartbeatMonitorOptions monitor_options,
                    FleetOptions options);
-  ~FleetCoordinator() override;
 
   FleetCoordinator(const FleetCoordinator&) = delete;
   FleetCoordinator& operator=(const FleetCoordinator&) = delete;
@@ -215,11 +214,6 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   SpareKeyAllocator spare_keys_;
   std::map<int32_t, int32_t> streak_;          // replica -> flags in a row
   std::map<int32_t, int64_t> cooldown_until_;  // replica -> immune below this
-
-  // The deadline's real-time driver: ticks PollLiveness while armed.
-  std::condition_variable ticker_cv_;
-  bool ticker_stop_ = false;  // guarded by mu_
-  std::thread ticker_;
 };
 
 }  // namespace dynapipe::service

@@ -79,7 +79,7 @@ struct HeartbeatMonitorOptions {
   // Silence (no heartbeat/attach) longer than this declares an alive or
   // draining replica kDead; 0 disables the deadline. The stall-detection
   // deadline: a wedged executor whose connection is still up only ever trips
-  // this. PollLiveness applies it; the FleetCoordinator ticks it in real time.
+  // this. PollLiveness applies it; executor::Publisher ticks it in real time.
   double dead_after_ms = 0.0;
 
   // How many replicas are expected to report each iteration (the Trainer

@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/fault_injection.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/service/plan_serde.h"
@@ -748,6 +749,8 @@ bool ShmInstructionStore::Heartbeat(int32_t replica, int64_t iteration,
   std::lock_guard<std::mutex> lock(hb_mu_);  // one seqlock writer per slot
   ShmHeartbeatSlot& slot = HeartbeatSlotLocked(replica);
   SeqlockWrite(slot, [&] {
+    // Inside the odd window: a crash here leaves the slot's seq odd for ever.
+    common::FaultPoint("shm.heartbeat", iteration);
     const uint64_t beat = slot.beats.load(std::memory_order_relaxed);
     internal::ShmHeartbeatEntry& entry = slot.ring[beat % kShmHeartbeatRing];
     entry.iteration.store(iteration, std::memory_order_relaxed);
@@ -901,6 +904,9 @@ namespace {
 // completions, so this bounds how many a fast replica can overwrite before
 // they are forwarded.
 constexpr auto kHeartbeatPollInterval = std::chrono::milliseconds(5);
+// Snapshot attempts per slot and pass. A live writer's window is a few
+// stores; a writer still inside after this many is read on a later pass.
+constexpr int kHeartbeatSnapshotAttempts = 1024;
 }  // namespace
 
 ShmHeartbeatPoller::ShmHeartbeatPoller(
@@ -951,7 +957,9 @@ int ShmHeartbeatPoller::PollLocked() {
     uint32_t detached = 0;
     int64_t ring_iter[kShmHeartbeatRing];
     uint64_t ring_wall[kShmHeartbeatRing];
-    for (;;) {
+    bool consistent = false;
+    for (int attempt = 0; !consistent && attempt < kHeartbeatSnapshotAttempts;
+         ++attempt) {
       const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
       if (s1 & 1) {
         continue;  // writer inside; the critical section is a few stores
@@ -963,9 +971,13 @@ int ShmHeartbeatPoller::PollLocked() {
         ring_wall[r] = slot.ring[r].wall_us.load(std::memory_order_relaxed);
       }
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) == s1) {
-        break;
-      }
+      consistent = slot.seq.load(std::memory_order_relaxed) == s1;
+    }
+    if (!consistent) {
+      // Skip the slot this pass. A writer killed inside its window leaves
+      // seq odd for ever; its replica leaves by the deadline, like any shm
+      // death, while the other slots keep being read.
+      continue;
     }
     const int64_t last_alive =
         slot.last_alive_us.load(std::memory_order_acquire);

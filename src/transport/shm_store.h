@@ -253,7 +253,9 @@ class ShmHeartbeatPoller {
 
   // One polling pass over all slots (the loop body); returns how many sink
   // calls it made. Serialized with the thread's passes, so by its return
-  // every slot state written before the call has been delivered.
+  // every slot state written before the call has been delivered — except in
+  // a slot whose writer stays inside its seqlock window (one killed there
+  // stays for ever), which a pass skips after a bounded number of reads.
   int PollOnce();
 
  private:

@@ -1326,9 +1326,28 @@ TEST(FleetCoordinatorTest, SpareKeysSurviveASecondDeath) {
   EXPECT_EQ(store.FetchBytes(11, 0), "plan-b");
 }
 
-// The deadline's reaction on the caller's clock: no sleep, no fork. The
-// coordinator's real-time ticker polls too, but nobody is silent for a
-// minute of wall time.
+// The coordinator owns no clock: with a deadline armed and real time
+// passing, nothing happens until the caller polls.
+TEST(FleetCoordinatorTest, IdleCoordinatorDeclaresNobodyDeadUntilPolled) {
+  using namespace std::chrono_literals;
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::HeartbeatMonitorOptions mopts;
+  mopts.dead_after_ms = 1.0;
+  service::FleetCoordinator fleet(&store, mopts, Fleet({0}));
+
+  const auto now = service::FleetCoordinator::Clock::now();
+  fleet.Attach(0, now);
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(fleet.IsReplicaDead(0));
+  EXPECT_TRUE(fleet.report().dead_replicas.empty());
+
+  fleet.PollLiveness(now + 2ms);
+  EXPECT_TRUE(fleet.IsReplicaDead(0));
+  EXPECT_EQ(fleet.report().dead_replicas, std::vector<int32_t>{0});
+}
+
+// The deadline's reaction on the caller's clock: no sleep, no fork.
 TEST(FleetCoordinatorTest, DeadlineDeathOnVirtualClockRepostsBacklog) {
   using namespace std::chrono_literals;
   runtime::InstructionStore store(
@@ -1337,7 +1356,7 @@ TEST(FleetCoordinatorTest, DeadlineDeathOnVirtualClockRepostsBacklog) {
   mopts.dead_after_ms = 60'000.0;
   service::FleetCoordinator fleet(&store, mopts, Fleet({0, 1, 2}));
 
-  const auto t0 = service::FleetCoordinator::Clock::now();
+  const service::FleetCoordinator::Clock::time_point t0{24h};
   for (const int32_t replica : {0, 1, 2}) {
     fleet.Attach(replica, t0);
   }

@@ -1082,7 +1082,7 @@ TEST(FaultControlLoopTest, KilledExecutorIsDeclaredDeadAndBacklogMoves) {
 }
 
 // Replica 1 wedges (stalls 1500 ms mid-iteration — connection still up, so
-// only the heartbeat deadline can catch it). The coordinator's deadline
+// only the heartbeat deadline can catch it). The publisher's deadline
 // ticker declares it dead at dead_after_ms, its pending plan moves to a
 // survivor, and when the stalled process wakes and heartbeats, the server
 // answers kEvicted: the zombie stops instead of double-running work that
@@ -1485,15 +1485,16 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
 }
 
 
-// ---------- the shm poller's drain path ----------
+// ---------- the shm poller ----------
 
-// Counts drain requests; reports every replica dead, or none.
-class DrainCountingSink final : public runtime::HeartbeatSink {
+// Counts beats and drain requests; reports every replica dead, or none.
+class CountingSink final : public runtime::HeartbeatSink {
  public:
-  explicit DrainCountingSink(bool dead) : dead_(dead) {}
-  void OnHeartbeat(int32_t, int64_t, double) override {}
+  explicit CountingSink(bool dead) : dead_(dead) {}
+  void OnHeartbeat(int32_t, int64_t, double) override { ++beats; }
   void OnReplicaDrainRequested(int32_t) override { ++drains; }
   bool IsReplicaDead(int32_t) const override { return dead_; }
+  std::atomic<int> beats{0};
   std::atomic<int> drains{0};
 
  private:
@@ -1513,13 +1514,63 @@ TEST(ShmHeartbeatPollerTest, DrainIsDeliveredOnceAndAckedUnlessDead) {
     auto executor_side = transport::ShmInstructionStore::Attach(name);
     executor_side->AnnounceReplica(3);
     executor_side->RequestDrain(3);
-    DrainCountingSink sink(dead);
+    CountingSink sink(dead);
     transport::ShmHeartbeatPoller poller(store, &sink);
     poller.PollOnce();
     EXPECT_EQ(sink.drains.load(), dead ? 0 : 1);
     EXPECT_EQ(executor_side->DrainAcknowledged(3), !dead);
     EXPECT_EQ(poller.PollOnce(), 0);
     EXPECT_EQ(sink.drains.load(), dead ? 0 : 1);
+  }
+}
+
+// An executor killed inside its heartbeat's seqlock window leaves the slot's
+// seq odd for ever. The poller skips that slot, still delivers a later beat
+// from another replica, and tears down. It runs in a forked child, so a
+// poller that spins on the odd seq fails the bounded wait instead of hanging
+// the suite.
+TEST(ShmHeartbeatPollerTest, WriterKilledMidBeatBlocksNoOtherSlot) {
+  const std::string name = UniqueShmName("odd");
+  auto store = transport::ShmInstructionStore::Create(name, {});
+  const pid_t writer = ::fork();
+  ASSERT_GE(writer, 0);
+  if (writer == 0) {
+    common::FaultSpec spec;
+    std::string error;
+    if (!common::ParseFaultSpec("crash@0#shm.heartbeat", &spec, &error)) {
+      ::_exit(9);
+    }
+    common::FaultInjector::Instance().Arm(spec);
+    transport::ShmInstructionStore::Attach(name)->Heartbeat(1, 0, 5.0);
+    ::_exit(0);  // the fault did not fire
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(writer, &status, 0), writer);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "writer status " << status;
+
+  transport::ShmInstructionStore::Attach(name)->Heartbeat(0, 0, 5.0);
+  const pid_t polling = ::fork();
+  ASSERT_GE(polling, 0);
+  if (polling == 0) {
+    CountingSink sink(/*dead=*/false);
+    {
+      transport::ShmHeartbeatPoller poller(store, &sink);
+      poller.PollOnce();
+    }
+    ::_exit(sink.beats.load() == 1 ? 0 : 4);
+  }
+  pid_t reaped = 0;
+  EXPECT_TRUE(WaitUntil(
+      [&] { return (reaped = ::waitpid(polling, &status, WNOHANG)) != 0; },
+      10'000))
+      << "poller did not tear down";
+  if (reaped == 0) {
+    ::kill(polling, SIGKILL);
+    ::waitpid(polling, &status, 0);
+  } else {
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "poller child status " << status;
   }
 }
 
@@ -1570,6 +1621,45 @@ TEST_P(PublisherTest, BeatReachesMonitorDrainIsAckedAndStopKillsNobody) {
   publisher.Stop();
   EXPECT_TRUE(publisher.report().dead_replicas.empty());
   EXPECT_TRUE(publisher.monitor().DeadReplicas().empty());
+}
+
+// Stop() stops the deadline with the feeders: a replica attached at Stop()
+// and silent for six deadlines afterwards is not declared dead, and its
+// plans stay where they were published.
+TEST_P(PublisherTest, StopStopsTheDeadline) {
+  const bool over_shm = GetParam();
+  executor::PublisherOptions options;
+  options.attach = over_shm ? UniqueShmName("pub") : UniqueSocketPath("pub");
+  options.monitor.dead_after_ms = 50.0;
+  options.fleet.replicas = {0};
+  executor::Publisher publisher(options);
+
+  std::shared_ptr<transport::MuxInstructionStore> mux;
+  std::shared_ptr<transport::ShmInstructionStore> shm;
+  if (over_shm) {
+    shm = transport::ShmInstructionStore::Attach(options.attach);
+    shm->AnnounceReplica(0);
+  } else {
+    bool evicted = false;
+    mux = transport::MuxInstructionStore::OverUnixSocket(options.attach);
+    ASSERT_TRUE(mux->Attach(0, &evicted));
+  }
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        return publisher.monitor().Liveness(0) ==
+               service::ReplicaLiveness::kAlive;
+      },
+      5'000));
+  for (int64_t i = 0; i < 3; ++i) {
+    publisher.store()->Push(i, 0, MarkerPlan(static_cast<int32_t>(i)));
+  }
+  publisher.Stop();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  const service::FleetReport report = publisher.report();
+  EXPECT_TRUE(report.dead_replicas.empty());
+  EXPECT_EQ(report.dropped_iterations, 0);
+  EXPECT_EQ(publisher.store()->PendingIterations(0).size(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Endpoints, PublisherTest, ::testing::Bool(),
