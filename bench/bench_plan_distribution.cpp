@@ -141,7 +141,6 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     service::FleetOptions fleet_opts;
     fleet_opts.replicas = {0, 1, 2};
     fleet_opts.spare_iteration_base = backlog;
-    fleet_opts.membership = true;
     service::FleetCoordinator fleet(&store, {}, fleet_opts);
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);

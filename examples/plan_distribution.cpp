@@ -93,7 +93,7 @@ bool RunWalk(const char* label, const std::string& attach,
   options.attach = attach;
   options.monitor.straggler_multiple = 2.0;
   options.monitor.min_straggler_gap_ms = 25.0;
-  options.monitor.expected_replicas = kReplicas;
+  options.fleet.replicas = {0, 1, 2};
   executor::Publisher publisher(options);
   for (int64_t i = 0; i < iterations; ++i) {
     for (int32_t replica = 0; replica < kReplicas; ++replica) {

@@ -5,7 +5,8 @@
 # tests/*.cpp is a registered ctest suite, run ctest (the forked-executor,
 # fault, churn and trace suites, and the spawned dynapipe_executor daemon,
 # all run there), then smoke bench_plan_distribution's fleet and instrument
-# rows and every end-to-end benchmark workload.
+# rows, the plan_distribution example and every end-to-end benchmark
+# workload.
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
@@ -110,6 +111,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # into a shm segment with metrics armed and off, so a reaction that builds
 # but cannot move a plan fails CI here rather than in a user's hands.
 "$BUILD_DIR"/bench_plan_distribution 3
+
+# Run the plan-distribution example: the one program outside the tests that
+# wires a Publisher. It forks three executors over a socket and then over
+# shm, and exits nonzero unless every plan is byte-identical and the slowed
+# replica alone is flagged on both backends.
+"$BUILD_DIR"/plan_distribution
 
 # Smoke the end-to-end benchmark (bench/e2e/README.md): one short run of every
 # workload through the real sample -> plan -> publish -> fetch -> execute ->

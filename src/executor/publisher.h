@@ -14,8 +14,9 @@
 //                ShmHeartbeatPoller drains (executors attach by name).
 //
 // Either way one service::FleetCoordinator over the store is the sink that
-// the server or the poller feeds; with the default FleetOptions it recovers
-// dead replicas' backlog, and rebalance and membership are off. The
+// the server or the poller feeds. It recovers dead replicas' backlog, admits
+// joiners and hands drainers' backlog off before their drain is
+// acknowledged; straggler rebalance is off by default. The
 // coordinator owns no thread, so the publisher also runs its real-time
 // deadline ticker: with monitor.dead_after_ms > 0, a thread calls the
 // coordinator's PollLiveness(now) every clamp(dead_after_ms / 4, 1, 50) ms.
@@ -54,7 +55,11 @@ struct PublisherOptions {
   // Neither store caps resident plans (capacity 0); a segment is bounded
   // only by its own slots and arena.
   std::string attach;
+  // Thresholds; expected_replicas stays 0 (the fleet is fleet.replicas).
   service::HeartbeatMonitorOptions monitor;
+  // The fleet, listed once in fleet.replicas; empty learns it from whoever
+  // attaches. List it when the executors that count race the first pushes:
+  // an unlisted attacher joins and steals a tail of plans to spare keys.
   service::FleetOptions fleet;
 };
 

@@ -162,8 +162,6 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
   // flagging waits for all of them so a fast replica is never compared
   // against a partial report set.
   service::HeartbeatMonitorOptions monitor_opts;
-  monitor_opts.straggler_multiple = options.straggler_multiple;
-  monitor_opts.min_straggler_gap_ms = options.straggler_min_gap_ms;
   monitor_opts.expected_replicas = parallel_.dp;
   service::HeartbeatMonitor heartbeat_monitor(monitor_opts);
 

@@ -70,16 +70,6 @@ struct TrainerOptions {
   // which consumes its own plans.
   bool serialize_plans = false;
   size_t instruction_store_capacity = 0;
-  // --- Straggler detection (service/heartbeat_monitor.h) ---
-  // Each in-process replica reports its simulated makespan to a
-  // HeartbeatMonitor. A replica is flagged on iteration i when its
-  // completion exceeds
-  //   straggler_multiple * median + straggler_min_gap_ms;
-  // per-iteration stats land in IterationRecord. The relative criterion
-  // needs >= 3 replicas to be meaningful (with two, nothing can exceed
-  // twice the pair's mean).
-  double straggler_multiple = 2.0;
-  double straggler_min_gap_ms = 0.0;
   // --- Observability (src/common/trace.h, src/common/metrics.h) ---
   // Non-empty enables plan-lifecycle tracing and names the merged
   // Chrome/Perfetto trace JSON written at epoch end (any `<path>.<pid>.part`
@@ -114,9 +104,11 @@ struct IterationRecord {
   // look-ahead pipeline failed to hide; the paper's Fig. 17 overlap target).
   bool plan_cache_hit = false;
   double plan_stall_ms = 0.0;
-  // Straggler stats from the HeartbeatMonitor: the simulated makespan of
-  // every replica that reported this iteration, and the replicas flagged
-  // over straggler_multiple x the median.
+  // Straggler stats from the HeartbeatMonitor, at HeartbeatMonitorOptions'
+  // default thresholds (service/heartbeat_monitor.h): the simulated makespan
+  // of every replica that reported this iteration, and the replicas flagged
+  // over 2x the median. The relative criterion needs >= 3 replicas to be
+  // meaningful (with two, nothing can exceed twice the pair's mean).
   int32_t heartbeat_replicas = 0;
   double replica_median_ms = 0.0;
   double replica_max_ms = 0.0;

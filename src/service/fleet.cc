@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 
@@ -33,9 +34,12 @@ FleetCoordinator::FleetCoordinator(runtime::RecoverableStore* store,
       options_(std::move(options)),
       monitor_(monitor_options),
       spare_keys_(options_.spare_iteration_base) {
+  DYNAPIPE_CHECK_MSG(monitor_options.expected_replicas == 0,
+                     "the fleet's size is FleetOptions::replicas");
   for (const int32_t replica : options_.replicas) {
     members_.emplace(replica, Member::kActive);
   }
+  ResizeLocked();  // no report set exists yet, so nothing reacts
 }
 
 void FleetCoordinator::Beat(int32_t replica, int64_t iteration,
@@ -163,14 +167,10 @@ void FleetCoordinator::ReactLocked(const MonitorUpdate& update) {
         OnDeathLocked(event.replica);
         break;
       case ReplicaLiveness::kAlive:
-        if (options_.membership) {
-          OnJoinLocked(event.replica);
-        }
+        OnJoinLocked(event.replica);
         break;
       case ReplicaLiveness::kDraining:
-        if (options_.membership) {
-          OnDrainLocked(event.replica);
-        }
+        OnDrainLocked(event.replica);
         break;
       case ReplicaLiveness::kDetached: {
         // A drainer's clean exit: the handoff and the shrink already
@@ -193,10 +193,8 @@ void FleetCoordinator::ReactLocked(const MonitorUpdate& update) {
 }
 
 void FleetCoordinator::ResizeLocked() {
-  if (options_.membership) {
-    ReactLocked(monitor_.set_expected_replicas(
-        static_cast<int32_t>(ActiveLocked().size())));
-  }
+  ReactLocked(monitor_.set_expected_replicas(
+      static_cast<int32_t>(ActiveLocked().size())));
 }
 
 void FleetCoordinator::RehomeLocked(int32_t dead) {

@@ -6,11 +6,11 @@
 //
 //   death     a replica turns kDead. Its unfetched backlog is reposted
 //             round-robin to the surviving members; with no survivor left
-//             the backlog is dropped and counted. A plan pushed to it later
-//             (a publisher that has not heard) moves, or is dropped, the
-//             same way on the coordinator's next input: every input sweeps
-//             the dead members' keys, and with no dead member makes no
-//             store call.
+//             the backlog is dropped and counted. The expected fleet
+//             shrinks. A plan pushed to it later (a publisher that has not
+//             heard) moves, or is dropped, the same way on the coordinator's
+//             next input: every input sweeps the dead members' keys, and with
+//             no dead member makes no store call.
 //   straggle  (rebalance on) a member flagged on `rebalance_consecutive_flags`
 //             complete iterations in a row sheds the tail of its backlog —
 //             at most `rebalance_max_moves` plans — to members that kept
@@ -19,14 +19,14 @@
 //             one it reaches next, whose fetch may be in flight — so a shed
 //             moves at most pending - 1; the furthest-future plans are the
 //             ones a fast replica overtakes.
-//   join      (membership on) a replica outside the member set turns kAlive —
-//             a plain wire kAttach, or a bare shm AnnounceReplica: admission
-//             keys off the liveness event, so neither path declares
-//             anything. It is admitted, the expected fleet grows, and it
-//             steals a fair share (deepest backlog / new fleet size) of the
-//             deepest member's tail.
-//   drain     (membership on) a member turns kDraining (wire kDrainRequest or
-//             the shm slot's drain word). It leaves the member set, its
+//   join      a replica outside the member set turns kAlive — a plain wire
+//             kAttach, or a bare shm AnnounceReplica: admission keys off the
+//             liveness event, so neither path declares anything. It is
+//             admitted, the expected fleet grows, and it steals a fair share
+//             (deepest backlog / new fleet size) of the deepest member's
+//             tail.
+//   drain     a member turns kDraining (wire kDrainRequest or the shm slot's
+//             drain word). It leaves the member set, its
 //             backlog is reposted to the surviving members and the expected
 //             fleet shrinks, all before the sink call returns — so the
 //             feeder's acknowledgement sent after that return (the server's
@@ -34,7 +34,7 @@
 //             the handoff. A drainer that then detaches cleanly is retired;
 //             a re-join admits it afresh.
 //
-// All four move plans between the same member set — the initial fleet plus
+// All four move plans between the same member set — the listed fleet plus
 // joiners, minus the dead, the draining and the retired — through one
 // private mover under the one mutex, so the member set alone decides who
 // receives work. A move is a store-level Repost (plans are byte-stable and
@@ -84,23 +84,20 @@
 
 namespace dynapipe::service {
 
+// The fleet is stated once, here: the coordinator sizes its monitor's
+// expected fleet to `replicas.size()`, then to the active member count on
+// every join, drain and death. An empty `replicas` is learned from joiners.
 struct FleetOptions {
-  // The fleet at epoch start. A death outside the member set (an unknown
-  // attacher) is recorded, and whatever it holds is reposted like any death.
+  // The fleet at epoch start. A replica outside it that turns alive joins.
   std::vector<int32_t> replicas;
   // First spare iteration key on every destination — normally the epoch's
   // iteration count, where an open-ended executor polls after its own share.
   int64_t spare_iteration_base = 0;
-  // Straggler rebalance on every completed report set, which needs the
-  // monitor's expected_replicas set: with an unknown fleet size no iteration
-  // ever completes.
+  // Straggler rebalance on every completed report set.
   bool rebalance = false;
   int32_t rebalance_consecutive_flags = 3;  // flagged iterations in a row
   int32_t rebalance_max_moves = 2;          // plans shed per trigger
   int64_t rebalance_hysteresis_iterations = 4;  // immunity after shedding
-  // Elastic membership: admit joiners, hand off drainers, and keep the
-  // monitor's expected fleet size equal to the active member count.
-  bool membership = false;
 };
 
 // What the coordinator has done so far.
@@ -127,7 +124,8 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
 
   // The store holds the plans — the in-process store or the shm segment:
   // plans move in the process where they live. Not owned; it must outlive
-  // the coordinator.
+  // the coordinator. `monitor_options.expected_replicas` must be 0: the
+  // fleet's size is `options.replicas`.
   FleetCoordinator(runtime::RecoverableStore* store,
                    HeartbeatMonitorOptions monitor_options,
                    FleetOptions options);
@@ -189,8 +187,8 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   void OnIterationCompleteLocked(const IterationHeartbeatStats& stats);
   void OnJoinLocked(int32_t replica);
   void OnDrainLocked(int32_t replica);
-  // Membership on: applies the active member count to the monitor as its
-  // expected fleet size and reacts to the report sets that completes.
+  // Applies the active member count to the monitor as its expected fleet
+  // size and reacts to the report sets that completes.
   void ResizeLocked();
 
   // Moves `plans` off `victim` in order, round-robin over `destinations`

@@ -173,8 +173,8 @@ class PlanAheadService {
   int64_t next_deliver_ = 0;
   // Plans resident in the store, tracked locally: the service is the store's
   // only producer and FetchExecPlan its only consumer, so this mirrors
-  // store().size() without querying it — which for a remote backend would be
-  // a network round trip under mu_.
+  // store().size() without querying it — which would take the store's own
+  // lock (on shm, the segment's cross-process mutex) under mu_.
   size_t resident_plans_ = 0;
   int32_t in_flight_ = 0;
   bool publishing_ = false;

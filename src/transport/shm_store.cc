@@ -731,6 +731,16 @@ ShmHeartbeatSlot& ShmInstructionStore::HeartbeatSlotLocked(int32_t replica) {
     claim_i = free_i;
   }
   ShmHeartbeatSlot& slot = hb[claim_i];
+  // A predecessor killed inside its write window left seq odd; writing over
+  // it would keep seq odd except mid-write, and the poller would never read
+  // the slot again. Close the window when its writer is gone (the reader-pin
+  // probe). The torn ring entry is never delivered: beats is stored last.
+  if ((slot.seq.load(std::memory_order_acquire) & 1) != 0 &&
+      ::kill(static_cast<pid_t>(slot.pid.load(std::memory_order_relaxed)),
+             0) != 0 &&
+      errno == ESRCH) {
+    slot.seq.fetch_add(1, std::memory_order_release);
+  }
   SeqlockWrite(slot, [&] {
     slot.pid.store(static_cast<int32_t>(::getpid()),
                    std::memory_order_relaxed);

@@ -177,8 +177,6 @@ struct ChurnControlPlane {
     options.attach = shm_name;
     options.monitor.straggler_multiple = 2.0;
     options.monitor.min_straggler_gap_ms = 50.0;
-    // Membership re-gates the expected fleet size live.
-    options.monitor.expected_replicas = kBaseReplicas;
     options.monitor.dead_after_ms = dead_after_ms;
     for (int32_t r = 0; r < kBaseReplicas; ++r) {
       options.fleet.replicas.push_back(r);
@@ -186,7 +184,6 @@ struct ChurnControlPlane {
     options.fleet.spare_iteration_base = kIterations;
     options.fleet.rebalance = true;
     options.fleet.rebalance_consecutive_flags = 1;
-    options.fleet.membership = true;
     return options;
   }
 

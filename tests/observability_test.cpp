@@ -459,6 +459,7 @@ TEST(TraceAcceptanceTest, ForkedMuxEpochProducesCompleteAlignedChains) {
 
   executor::PublisherOptions options;
   options.attach = socket_path;
+  options.fleet.replicas = {0, 1, 2};
   executor::Publisher publisher(options);
   runtime::RecoverableStore& store = *publisher.store();
   for (int i = 0; i < kIterations; ++i) {

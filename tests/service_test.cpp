@@ -1207,7 +1207,6 @@ service::HeartbeatMonitorOptions FleetMonitorOptions() {
   service::HeartbeatMonitorOptions opts;
   opts.straggler_multiple = 2.0;
   opts.min_straggler_gap_ms = 1.0;
-  opts.expected_replicas = 3;
   return opts;
 }
 
@@ -1513,6 +1512,67 @@ TEST(FleetCoordinatorTest, LatePushToADeadReplicaMovesOnTheNextInput) {
   EXPECT_EQ(report.dropped_iterations, 1);
 }
 
+// An unlisted fleet is learned from whoever attaches: both attachers are
+// members, so a death hands its backlog to the live peer instead of dropping
+// it for want of a survivor.
+TEST(FleetCoordinatorTest, UnlistedFleetRepostsADeadReplicasBacklog) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, {}, Fleet({}));
+
+  fleet.OnReplicaAttached(0);
+  fleet.OnReplicaAttached(1);
+  store.PushBytes(0, 1, "plan-a");
+  store.PushBytes(1, 1, "plan-b");
+  store.PushBytes(2, 1, "plan-c");
+  fleet.Drop(1, /*clean=*/false);
+
+  const service::FleetReport report = fleet.report();
+  EXPECT_EQ(report.replanned_iterations, 3);
+  EXPECT_EQ(report.dropped_iterations, 0);
+  EXPECT_EQ(store.FetchBytes(10, 0), "plan-a");
+  EXPECT_EQ(store.FetchBytes(11, 0), "plan-b");
+  EXPECT_EQ(store.FetchBytes(12, 0), "plan-c");
+}
+
+// A death shrinks the expected fleet like a drain does: the survivors' report
+// sets complete without the dead replica's beat, so a straggler among them
+// is still flagged and shed.
+TEST(FleetCoordinatorTest, DeathShrinksTheExpectedFleet) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
+                                  RebalancingFleet({0, 1, 2, 3}, 2));
+
+  for (int64_t i = 0; i < 6; ++i) {
+    store.PushBytes(i, 1, "p" + std::to_string(i));
+  }
+  fleet.OnReplicaAttached(3);
+  fleet.OnReplicaDisconnected(3, /*clean=*/false);  // -> kDead
+  for (int64_t i = 0; i < 3; ++i) {
+    FeedIteration(fleet, i, /*slow=*/1);
+  }
+
+  const service::IterationHeartbeatStats stats =
+      fleet.monitor().ForIteration(2);
+  EXPECT_EQ(stats.replicas_expected, 3);
+  EXPECT_EQ(stats.stragglers, std::vector<int32_t>{1});
+  EXPECT_GE(fleet.report().shed_events, 1);
+}
+
+#if DYNAPIPE_DEATH_TESTS
+// The coordinator owns the expected fleet size; a second statement of it on
+// the monitor options is a contract violation.
+TEST(FleetCoordinatorDeathTest, MonitorExpectedReplicasDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  runtime::InstructionStore store;
+  service::HeartbeatMonitorOptions mopts;
+  mopts.expected_replicas = 2;
+  EXPECT_DEATH(service::FleetCoordinator(&store, mopts, Fleet({0, 1})),
+               "FleetOptions::replicas");
+}
+#endif
+
 // A zombie's late beat must not count toward a report set. Once replica 3's
 // death has shrunk the expected fleet to 3, its beat for iteration 5 would
 // complete the set together with 0 and 2 — before replica 1 reported — and
@@ -1520,11 +1580,8 @@ TEST(FleetCoordinatorTest, LatePushToADeadReplicaMovesOnTheNextInput) {
 TEST(FleetCoordinatorTest, ZombieBeatNeverCompletesAReportSet) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
-  mopts.expected_replicas = 4;
   service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
-  opts.membership = true;
-  service::FleetCoordinator fleet(&store, mopts, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int64_t i = 0; i < 4; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
@@ -1601,7 +1658,6 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetOptions opts = Fleet({0, 1, 2});
-  opts.membership = true;
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int64_t i = 0; i < 8; ++i) {
@@ -1636,7 +1692,6 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetOptions opts = Fleet({0, 1, 2});
-  opts.membership = true;
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   fleet.OnReplicaAttached(0);
@@ -1678,11 +1733,8 @@ TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
 TEST(FleetCoordinatorTest, DetachRetiresADrainerAndRejoinReadmitsIt) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
-  mopts.expected_replicas = 4;
   service::FleetOptions opts = Fleet({0, 1, 2, 3});
-  opts.membership = true;
-  service::FleetCoordinator fleet(&store, mopts, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int32_t replica = 0; replica < 4; ++replica) {
     fleet.OnReplicaAttached(replica);
@@ -1728,7 +1780,6 @@ TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetOptions opts = Fleet({0, 1});
-  opts.membership = true;
   service::FleetCoordinator fleet(&store, {}, opts);
 
   store.PushBytes(0, 0, "plan-a");
@@ -1756,7 +1807,6 @@ TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 2);
-  opts.membership = true;
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int64_t i = 0; i < 12; ++i) {
@@ -1784,11 +1834,8 @@ TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
 TEST(FleetCoordinatorTest, DrainCompletingAParkedIterationRebalances) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::HeartbeatMonitorOptions mopts = FleetMonitorOptions();
-  mopts.expected_replicas = 4;
   service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
-  opts.membership = true;
-  service::FleetCoordinator fleet(&store, mopts, opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
 
   for (int64_t i = 0; i < 4; ++i) {
     store.PushBytes(i, 2, "p" + std::to_string(i));

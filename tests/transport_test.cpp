@@ -689,7 +689,7 @@ TEST(ExecutorDaemonTest, ForkedExecutorsHeartbeatAndStragglerIsAttributed) {
     pub_opts.attach = attach;
     pub_opts.monitor.straggler_multiple = 2.0;
     pub_opts.monitor.min_straggler_gap_ms = 50.0;
-    pub_opts.monitor.expected_replicas = kReplicas;
+    pub_opts.fleet.replicas = {0, 1, 2};
     executor::Publisher publisher(pub_opts);
     const service::HeartbeatMonitor& monitor = publisher.monitor();
     for (int i = 0; i < kIterations; ++i) {
@@ -1440,7 +1440,6 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
   executor::PublisherOptions pub_opts = RecoveringFleet(shm_name, kIterations);
   pub_opts.monitor.straggler_multiple = 2.0;
   pub_opts.monitor.min_straggler_gap_ms = 50.0;
-  pub_opts.monitor.expected_replicas = kReplicas;
   pub_opts.fleet.rebalance = true;
   pub_opts.fleet.rebalance_consecutive_flags = 1;
   pub_opts.fleet.rebalance_max_moves = 2;
@@ -1487,13 +1486,16 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
 
 // ---------- the shm poller ----------
 
-// Counts beats and drain requests; reports every replica dead, or none.
+// Counts attaches, beats and drain requests; reports every replica dead, or
+// none.
 class CountingSink final : public runtime::HeartbeatSink {
  public:
   explicit CountingSink(bool dead) : dead_(dead) {}
   void OnHeartbeat(int32_t, int64_t, double) override { ++beats; }
+  void OnReplicaAttached(int32_t) override { ++attaches; }
   void OnReplicaDrainRequested(int32_t) override { ++drains; }
   bool IsReplicaDead(int32_t) const override { return dead_; }
+  std::atomic<int> attaches{0};
   std::atomic<int> beats{0};
   std::atomic<int> drains{0};
 
@@ -1574,13 +1576,52 @@ TEST(ShmHeartbeatPollerTest, WriterKilledMidBeatBlocksNoOtherSlot) {
   }
 }
 
+// A restart under the replica id of a writer killed inside its heartbeat's
+// seqlock window re-claims that slot with seq odd. The claim closes the dead
+// writer's window, so the successor's announce and beats are all heard
+// instead of the slot being skipped until the deadline declares it dead.
+TEST(ShmHeartbeatPollerTest, RestartAfterAWriterKilledMidBeatIsHeard) {
+  const std::string name = UniqueShmName("restart");
+  auto store = transport::ShmInstructionStore::Create(name, {});
+  const pid_t writer = ::fork();
+  ASSERT_GE(writer, 0);
+  if (writer == 0) {
+    common::FaultSpec spec;
+    std::string error;
+    if (!common::ParseFaultSpec("crash@0#shm.heartbeat", &spec, &error)) {
+      ::_exit(9);
+    }
+    common::FaultInjector::Instance().Arm(spec);
+    transport::ShmInstructionStore::Attach(name)->Heartbeat(1, 0, 5.0);
+    ::_exit(0);  // the fault did not fire
+  }
+  int status = 0;
+  // Reaped before the re-claim: a zombie still answers kill(pid, 0).
+  ASSERT_EQ(::waitpid(writer, &status, 0), writer);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "writer status " << status;
+
+  // This process is the successor.
+  auto successor = transport::ShmInstructionStore::Attach(name);
+  successor->AnnounceReplica(1);
+  for (int64_t i = 0; i < 5; ++i) {
+    successor->Heartbeat(1, i, 5.0);
+  }
+  CountingSink sink(/*dead=*/false);
+  transport::ShmHeartbeatPoller poller(store, &sink);
+  poller.PollOnce();
+  EXPECT_EQ(sink.attaches.load(), 1);
+  EXPECT_EQ(sink.beats.load(), 5);
+}
+
 // ---------- the publisher ----------
 
 // Both ends of a deployment from one attach string, in-process: a client
 // announces replicas 0 and 1 over the endpoint the string names (the mux
 // wire or the segment's heartbeat slots) and beats for 0. The beat reaches
-// monitor(), 1's drain is acknowledged and recorded, and Stop() with 0 still
-// attached declares nobody dead.
+// monitor(); 1's drain is acknowledged only after its backlog moved to 0's
+// spare keys, and is recorded; and Stop() with 0 still attached declares
+// nobody dead.
 class PublisherTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PublisherTest, BeatReachesMonitorDrainIsAckedAndStopKillsNobody) {
@@ -1588,7 +1629,7 @@ TEST_P(PublisherTest, BeatReachesMonitorDrainIsAckedAndStopKillsNobody) {
   executor::PublisherOptions options;
   options.attach = over_shm ? UniqueShmName("pub") : UniqueSocketPath("pub");
   options.fleet.replicas = {0, 1};
-  options.fleet.membership = true;
+  options.fleet.spare_iteration_base = 10;
   executor::Publisher publisher(options);
 
   std::shared_ptr<transport::MuxInstructionStore> mux;
@@ -1608,6 +1649,9 @@ TEST_P(PublisherTest, BeatReachesMonitorDrainIsAckedAndStopKillsNobody) {
   EXPECT_TRUE(WaitUntil(
       [&] { return publisher.monitor().total_heartbeats() == 1; }, 5'000));
   EXPECT_EQ(publisher.monitor().LastIteration(0), 0);
+  for (int64_t i = 0; i < 3; ++i) {
+    publisher.store()->Push(i, 1, MarkerPlan(static_cast<int32_t>(i)));
+  }
 
   if (over_shm) {
     shm->RequestDrain(1);
@@ -1617,6 +1661,8 @@ TEST_P(PublisherTest, BeatReachesMonitorDrainIsAckedAndStopKillsNobody) {
   }
   EXPECT_FALSE(evicted);
   EXPECT_EQ(publisher.report().drained, std::vector<int32_t>{1});
+  EXPECT_TRUE(publisher.store()->PendingIterations(1).empty());
+  EXPECT_EQ(publisher.store()->PendingIterations(0).size(), 3u);
 
   publisher.Stop();
   EXPECT_TRUE(publisher.report().dead_replicas.empty());
