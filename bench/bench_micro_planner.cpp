@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the planner's hot paths: cost-model
-// queries, the micro-batch DP, adaptive scheduling, timeline simulation, and
-// communication planning. These are the per-iteration CPU costs that Fig. 17
-// aggregates; keeping them fast is what lets planning overlap training.
+// queries, DP row pricing and the recompute bound sweep, the micro-batch DP,
+// adaptive scheduling, timeline simulation, and communication planning. These
+// are the per-iteration CPU costs that Fig. 17 aggregates; keeping them fast
+// is what lets planning overlap training.
 //
 // The headline pair (bench/README.md "Planning-time methodology"):
 //   BM_DpPartition         — serial sweep
@@ -14,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "src/comm/comm_planner.h"
 #include "src/common/thread_pool.h"
+#include "src/data/minibatch_sampler.h"
 #include "src/mb/dp_partitioner.h"
 #include "src/mb/karmarkar_karp.h"
 #include "src/mb/ordering.h"
@@ -73,6 +75,73 @@ void BM_WindowCosts(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowCosts);
+
+// The t5-inline shape (bench/e2e): T5-5.5B dp1/tp2/pp2 planning one sorted
+// 65,536-token mini-batch, samples cut at 2048 input and 512 target tokens.
+const cost::PipelineCostModel& T5InlineCostModel() {
+  static const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+      model::ModelConfig::T5_5_5B(), model::HardwareSpec{}, {1, 2, 2},
+      bench::BenchProfile());
+  return cm;
+}
+
+std::vector<data::Sample> T5InlineBatch() {
+  const data::Dataset dataset = bench::BenchDataset(4000, 3);
+  data::MiniBatchSamplerOptions opts;
+  opts.global_batch_tokens = 65'536;
+  opts.max_input_len = 2048;
+  opts.max_target_len = 512;
+  data::MiniBatchSampler sampler(dataset, opts);
+  return runtime::PlanningOrder(model::ModelConfig::T5_5_5B(), sampler.Next(),
+                                mb::OrderingMethod::kSortByLength);
+}
+
+// The DP's window precompute on the t5-inline shape: every row of the window
+// table priced by the cost model's row hook, one grid cursor per row.
+// items_per_second counts windows priced.
+void BM_PriceRows(benchmark::State& state) {
+  const auto& cm = T5InlineCostModel();
+  const auto ordered = T5InlineBatch();
+  const runtime::CostModelAdapter cost_fn(cm, model::RecomputeMode::kNone);
+  const size_t n = ordered.size();
+  const size_t width = std::min<size_t>(n, bench::BenchPlanner().max_microbatch_size);
+  std::vector<double> times(width);
+  std::vector<double> acts(width);
+  int64_t windows = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < n; ++i) {
+      windows += static_cast<int64_t>(
+          cost_fn.PriceRow(ordered, i, std::min(width, n - i), cm.ActivationBudgetMb(),
+                           times.data(), acts.data()));
+    }
+    benchmark::DoNotOptimize(times.data());
+  }
+  state.SetItemsProcessed(windows);
+  state.SetLabel(std::to_string(n) + " samples");
+}
+BENCHMARK(BM_PriceRows);
+
+// The serial planner's recompute bound on the t5-inline shape: the sweep
+// over kSelective and kFull that runs after kNone's plan. items_per_second
+// counts windows swept.
+void BM_RecomputeLowerBounds(benchmark::State& state) {
+  const auto& cm = T5InlineCostModel();
+  const auto ordered = T5InlineBatch();
+  const int32_t width = bench::BenchPlanner().max_microbatch_size;
+  const std::vector<model::RecomputeMode> modes = {model::RecomputeMode::kSelective,
+                                                   model::RecomputeMode::kFull};
+  int64_t windows_per_sweep = 0;
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    windows_per_sweep += static_cast<int64_t>(
+        std::min(ordered.size() - i, static_cast<size_t>(width)));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runtime::RecomputeLowerBoundsMs(cm, ordered, modes, width));
+  }
+  state.SetItemsProcessed(windows_per_sweep * state.iterations());
+  state.SetLabel(std::to_string(ordered.size()) + " samples");
+}
+BENCHMARK(BM_RecomputeLowerBounds);
 
 mb::DpPartitionerOptions PartitionBenchOptions() {
   mb::DpPartitionerOptions opts;

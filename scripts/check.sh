@@ -4,9 +4,9 @@
 # -Wall -Wextra promoted to errors for src/ (the library), check that every
 # tests/*.cpp is a registered ctest suite, run ctest (the forked-executor,
 # fault, churn and trace suites, and the spawned dynapipe_executor daemon,
-# all run there), then smoke bench_plan_distribution's fleet and instrument
-# rows, the plan_distribution example and every end-to-end benchmark
-# workload.
+# all run there), then smoke the planner microbenchmarks (if built),
+# bench_plan_distribution's fleet and instrument rows, the plan_distribution
+# example and every end-to-end benchmark workload.
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
@@ -105,6 +105,15 @@ if [ "$missing" -ne 0 ]; then
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# Smoke the planner microbenchmarks over the DP's row pricing and the
+# recompute bound sweep, so a bench that no longer runs fails here. Only when
+# the binary was built: google-benchmark is optional.
+if [ -x "$BUILD_DIR"/bench_micro_planner ]; then
+  "$BUILD_DIR"/bench_micro_planner \
+    --benchmark_filter='^BM_(WindowCosts|PriceRows|RecomputeLowerBounds)$' \
+    --benchmark_min_time=0.01
+fi
 
 # Smoke the plan-distribution bench (3 rounds): it moves real plans through
 # the FleetCoordinator's recovery, join and drain reactions and publishes

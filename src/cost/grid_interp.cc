@@ -92,27 +92,36 @@ GridInterp3D::Cell GridInterp3D::Locate(double x, double y, double z) const {
   size_t i;
   size_t j;
   size_t k;
-  Cell cell;
+  Cell cell = Offsets();
   LocateAxis(xs_, x, i, cell.tx);
   LocateAxis(ys_, y, j, cell.ty);
   LocateAxis(zs_, z, k, cell.tz);
   cell.base = (i * ys_.size() + j) * zs_.size() + k;
-  cell.di = xs_.size() == 1 ? 0 : ys_.size() * zs_.size();
-  cell.dj = ys_.size() == 1 ? 0 : zs_.size();
-  cell.dk = zs_.size() == 1 ? 0 : 1;
   return cell;
 }
 
 double GridInterp3D::At(const Cell& c) const {
   const double* v = values_.data() + c.base;
-  auto lerp = [](double a, double b, double t) { return a + t * (b - a); };
-  const double c00 = lerp(v[0], v[c.di], c.tx);
-  const double c01 = lerp(v[c.dk], v[c.di + c.dk], c.tx);
-  const double c10 = lerp(v[c.dj], v[c.di + c.dj], c.tx);
-  const double c11 = lerp(v[c.dj + c.dk], v[c.di + c.dj + c.dk], c.tx);
-  const double c0 = lerp(c00, c10, c.ty);
-  const double c1 = lerp(c01, c11, c.ty);
-  return lerp(c0, c1, c.tz);
+  return Trilerp(v[0], v[c.di], v[c.dj], v[c.di + c.dj], v[c.dk], v[c.di + c.dk],
+                 v[c.dj + c.dk], v[c.di + c.dj + c.dk], c);
+}
+
+PackedGrids::PackedGrids(const std::vector<Lane>& lanes) {
+  DYNAPIPE_CHECK(!lanes.empty());
+  const GridInterp3D& first = *lanes.front().table;
+  floors_.reserve(lanes.size());
+  for (const Lane& lane : lanes) {
+    DYNAPIPE_CHECK_MSG(!lane.table->empty() && lane.table->SameAxes(first),
+                       "packed tables disagree on grid axes");
+    floors_.push_back(lane.floor);
+  }
+  const size_t vertices = first.values_.size();
+  values_.resize(vertices * lanes.size());
+  for (size_t v = 0; v < vertices; ++v) {
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      values_[v * lanes.size() + l] = lanes[l].table->values_[v];
+    }
+  }
 }
 
 }  // namespace dynapipe::cost

@@ -4,15 +4,23 @@
 // outside the grid extrapolate linearly from the edge cell, mirroring how a profiled
 // table behaves beyond its sampled range.
 //
-// A query is located on the axes once (Locate) and then read from the table
-// (At); tables over the same axes can share one located Cell, which is how the
-// cost model prices every stage and table of a window from a single lookup.
+// A query is located on the axes once and then read from the table (At);
+// tables over the same axes can share one located Cell. Locate searches each
+// axis; a Cursor steps each axis forward instead, for a walk of queries whose
+// coordinates never decrease (one DP row: a window's size and padded lengths
+// only grow as it extends), and returns the same Cell bit for bit.
+// PackedGrids interleaves several tables over the same axes vertex-major, so
+// one inline kernel reads every table a caller needs from a Cell in one pass.
 #ifndef DYNAPIPE_SRC_COST_GRID_INTERP_H_
 #define DYNAPIPE_SRC_COST_GRID_INTERP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <iosfwd>
+#include <limits>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace dynapipe::cost {
 
@@ -30,6 +38,55 @@ class GridInterp3D {
     double tx = 0.0;
     double ty = 0.0;
     double tz = 0.0;
+  };
+
+  // Locates a walk of query points whose coordinates never decrease. Each
+  // axis keeps its current segment and only steps it forward, so Advance
+  // runs no search and returns exactly the Cell Locate returns for the same
+  // point. The grid must outlive the cursor; start a new cursor to walk back.
+  class Cursor {
+   public:
+    explicit Cursor(const GridInterp3D& grid)
+        : grid_(&grid), offsets_(grid.Offsets()) {}
+    // Each coordinate must be at least its value in the previous call.
+    Cell Advance(double x, double y, double z) {
+      x_.Step(grid_->xs_, x);
+      y_.Step(grid_->ys_, y);
+      z_.Step(grid_->zs_, z);
+      Cell cell = offsets_;
+      cell.base = (x_.k * grid_->ys_.size() + y_.k) * grid_->zs_.size() + z_.k;
+      cell.tx = x_.frac;
+      cell.ty = y_.frac;
+      cell.tz = z_.frac;
+      return cell;
+    }
+
+   private:
+    // One axis's segment and fraction at the last coordinate: the same
+    // clamped segment Locate finds by upper_bound, reached by stepping.
+    struct Axis {
+      size_t k = 0;
+      double v = std::numeric_limits<double>::quiet_NaN();
+      double frac = 0.0;
+
+      void Step(const std::vector<double>& grid, double value) {
+        DYNAPIPE_CHECK_MSG(!(value < v), "grid cursor moved backwards");
+        v = value;
+        if (grid.size() == 1) {
+          return;  // segment 0, fraction 0
+        }
+        while (k + 2 < grid.size() && grid[k + 1] <= value) {
+          ++k;
+        }
+        frac = (value - grid[k]) / (grid[k + 1] - grid[k]);
+      }
+    };
+
+    const GridInterp3D* grid_;
+    Cell offsets_;  // di, dj, dk: fixed by the axes
+    Axis x_;
+    Axis y_;
+    Axis z_;
   };
 
   GridInterp3D() = default;
@@ -53,9 +110,81 @@ class GridInterp3D {
   static GridInterp3D Load(std::istream& is);
 
  private:
+  friend class PackedGrids;
+
+  // Interpolates a cell from its 8 corner values (vijk: the corner i steps
+  // along x, j along y and k along z from the low one). Every read of a
+  // table, packed or not, goes through this one lerp order, so they agree
+  // bit for bit.
+  static double Trilerp(double v000, double v100, double v010, double v110,
+                        double v001, double v101, double v011, double v111,
+                        const Cell& c) {
+    auto lerp = [](double a, double b, double t) { return a + t * (b - a); };
+    const double c00 = lerp(v000, v100, c.tx);
+    const double c01 = lerp(v001, v101, c.tx);
+    const double c10 = lerp(v010, v110, c.tx);
+    const double c11 = lerp(v011, v111, c.tx);
+    const double c0 = lerp(c00, c10, c.ty);
+    const double c1 = lerp(c01, c11, c.ty);
+    return lerp(c0, c1, c.tz);
+  }
+
+  // The high-neighbour offsets of every Cell on these axes.
+  Cell Offsets() const {
+    Cell cell;
+    cell.di = xs_.size() == 1 ? 0 : ys_.size() * zs_.size();
+    cell.dj = ys_.size() == 1 ? 0 : zs_.size();
+    cell.dk = zs_.size() == 1 ? 0 : 1;
+    return cell;
+  }
+
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<double> zs_;
+  std::vector<double> values_;
+};
+
+// Tables over the same axes, interleaved vertex-major: lane l of flat grid
+// vertex v sits at v * lanes() + l, so the corners of one Cell hold every
+// table's value side by side. Each lane carries the floor its values are
+// clamped to.
+class PackedGrids {
+ public:
+  struct Lane {
+    const GridInterp3D* table = nullptr;
+    double floor = 0.0;
+  };
+
+  PackedGrids() = default;
+  // Every table must have the first one's axes.
+  explicit PackedGrids(const std::vector<Lane>& lanes);
+
+  size_t lanes() const { return floors_.size(); }
+
+  // Interpolates lanes [first, first + count) at a cell located on the
+  // tables' axes into out[0, count): out[l] is bit-identical to
+  // std::max(lane.floor, lane.table->At(cell)) for lane first + l.
+  void At(const GridInterp3D::Cell& c, size_t first, size_t count,
+          double* __restrict out) const {
+    const size_t n = floors_.size();
+    const double* __restrict floor = floors_.data() + first;
+    const double* __restrict v000 = values_.data() + c.base * n + first;
+    const double* __restrict v100 = v000 + c.di * n;
+    const double* __restrict v010 = v000 + c.dj * n;
+    const double* __restrict v001 = v000 + c.dk * n;
+    const double* __restrict v110 = v100 + c.dj * n;
+    const double* __restrict v101 = v100 + c.dk * n;
+    const double* __restrict v011 = v010 + c.dk * n;
+    const double* __restrict v111 = v110 + c.dk * n;
+    for (size_t l = 0; l < count; ++l) {
+      out[l] = std::max(floor[l],
+                        GridInterp3D::Trilerp(v000[l], v100[l], v010[l], v110[l], v001[l],
+                                              v101[l], v011[l], v111[l], c));
+    }
+  }
+
+ private:
+  std::vector<double> floors_;
   std::vector<double> values_;
 };
 

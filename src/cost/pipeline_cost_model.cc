@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <istream>
-#include <string>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "src/common/check.h"
 
 namespace dynapipe::cost {
+namespace {
+
+constexpr model::RecomputeMode kModes[] = {model::RecomputeMode::kNone,
+                                           model::RecomputeMode::kSelective,
+                                           model::RecomputeMode::kFull};
+
+}  // namespace
 
 PipelineCostModel PipelineCostModel::Profile(const model::ModelConfig& config,
                                              const model::HardwareSpec& hw,
@@ -24,6 +32,7 @@ PipelineCostModel PipelineCostModel::Profile(const model::ModelConfig& config,
   for (const auto& stage_truth : pcm.truth_) {
     pcm.stages_.push_back(StageCostModel::Profile(stage_truth, opts));
   }
+  pcm.PackTables();
   return pcm;
 }
 
@@ -56,6 +65,7 @@ PipelineCostModel PipelineCostModel::LoadProfile(const model::ModelConfig& confi
     DYNAPIPE_CHECK_MSG(pcm.stages_[s].SameGrid(pcm.stages_.front()),
                        "profile stages disagree on grid axes");
   }
+  pcm.PackTables();
   return pcm;
 }
 
@@ -98,21 +108,50 @@ double PipelineCostModel::MaxActivationMb(const model::MicroBatchShape& shape,
 bool PipelineCostModel::WindowCosts(const model::MicroBatchShape& shape,
                                     model::RecomputeMode mode, double limit,
                                     double* time_ms, double* act_mb) const {
-  // Every stage shares stage 0's grid (Profile builds it so; LoadProfile
-  // checks), so one Locate serves all 7 tables of all stages.
-  const GridInterp3D::Cell cell = stages_.front().Locate(shape);
-  double act = 0.0;
-  for (const auto& s : stages_) {
-    act = std::max(act, s.ActivationMbAt(cell, mode));
+  RowWalk walk(*this, {&mode, 1}, /*activation=*/true);
+  walk.Seek(shape);
+  return walk.WindowCosts(mode, limit, time_ms, act_mb);
+}
+
+void PipelineCostModel::PackTables() {
+  const size_t c = stages_.size();
+  std::vector<PackedGrids::Lane> lanes(kNumTables * c);
+  for (size_t s = 0; s < c; ++s) {
+    const StageCostModel& stage = stages_[s];
+    lanes[FwdTable() * c + s] = {&stage.fwd_table(), StageCostModel::kMinMs};
+    for (const auto mode : kModes) {
+      lanes[BwdTable(mode) * c + s] = {&stage.bwd_table(mode), StageCostModel::kMinMs};
+      lanes[ActTable(mode) * c + s] = {&stage.activation_table(mode), 0.0};
+    }
   }
-  *act_mb = act;
-  if (limit > 0.0 && act > limit) {
+  packed_ = PackedGrids(lanes);
+}
+
+double* PipelineCostModel::RowWalk::LaneScratch(size_t lanes) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < lanes) {
+    scratch.resize(lanes);
+  }
+  return scratch.data();
+}
+
+bool PipelineCostModel::RowWalk::WindowCosts(model::RecomputeMode mode, double limit,
+                                             double* time_ms, double* act_mb) const {
+  const double* act = ActivationMb(mode);
+  double worst_act = 0.0;
+  for (size_t s = 0; s < stages_; ++s) {
+    worst_act = std::max(worst_act, act[s]);
+  }
+  *act_mb = worst_act;
+  if (limit > 0.0 && worst_act > limit) {
     return false;
   }
   if (time_ms != nullptr) {
+    const double* fwd = FwdMs();
+    const double* bwd = BwdMs(mode);
     double worst = 0.0;
-    for (const auto& s : stages_) {
-      worst = std::max(worst, s.FwdMsAt(cell) + s.BwdMsAt(cell, mode));
+    for (size_t s = 0; s < stages_; ++s) {
+      worst = std::max(worst, fwd[s] + bwd[s]);
     }
     *time_ms = worst;
   }

@@ -5,11 +5,18 @@
 // t(M) in Eq. 1 is taken at the bottleneck stage (max over stages of fwd+bwd),
 // which both bounds the per-stage time and matches the paper's "execution time of
 // all micro-batches on the last stage" term when stages are balanced.
+//
+// Windows are priced from a packed copy of every stage's tables, built once
+// per model: each grid vertex holds all stages' fwd, bwd and activation values
+// side by side, so a RowWalk reads every stage's lane of a table from one
+// located cell in one pass.
 #ifndef DYNAPIPE_SRC_COST_PIPELINE_COST_MODEL_H_
 #define DYNAPIPE_SRC_COST_PIPELINE_COST_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "src/cost/stage_cost_model.h"
@@ -56,12 +63,76 @@ class PipelineCostModel {
   double MaxActivationMb(const model::MicroBatchShape& shape,
                          model::RecomputeMode mode) const;
   // Both of the above from one grid lookup shared by every stage and table —
-  // the DP's feasible-window probe. Fills *act_mb; returns false, leaving
-  // *time_ms untouched, when limit > 0 and the activation exceeds it.
-  // Otherwise fills *time_ms (unless it is null) and returns true. Values are
-  // bit-identical to the per-stage StageFwdMs/StageBwdMs/StageActivationMb.
+  // the feasible-window probe. Fills *act_mb; returns false, leaving *time_ms
+  // untouched, when limit > 0 and the activation exceeds it. Otherwise fills
+  // *time_ms (unless it is null) and returns true. Values are bit-identical
+  // to the per-stage StageFwdMs/StageBwdMs/StageActivationMb.
   bool WindowCosts(const model::MicroBatchShape& shape, model::RecomputeMode mode,
                    double limit, double* time_ms, double* act_mb) const;
+
+  // Prices a walk of windows whose shapes never shrink — one DP row, widths
+  // 1, 2, ... from a fixed start. A walk reads the same tables at every
+  // window: each stage's fwd, its bwd under each of `modes`, and, if
+  // `activation`, its activation under each of `modes`. Seek locates the
+  // window with a GridInterp3D::Cursor step (no search) and interpolates
+  // those tables for every stage in one inline pass over the packed copy.
+  // Values are bit-identical to StageFwdMs / StageBwdMs / StageActivationMb.
+  // The lane buffer is per-thread scratch, so keep at most one RowWalk alive
+  // per thread.
+  class RowWalk {
+   public:
+    RowWalk(const PipelineCostModel& cm, std::span<const model::RecomputeMode> modes,
+            bool activation)
+        : cm_(cm),
+          stages_(cm.stages_.size()),
+          cursor_(cm.stages_.front().fwd_table()),
+          lanes_(LaneScratch(cm.packed_.lanes())) {
+      size_t first = FwdTable();
+      size_t last = FwdTable();
+      for (const auto mode : modes) {
+        first = std::min(first, BwdTable(mode));
+        last = std::max(last, BwdTable(mode));
+        if (activation) {
+          first = std::min(first, ActTable(mode));
+          last = std::max(last, ActTable(mode));
+        }
+      }
+      first_lane_ = first * stages_;
+      num_lanes_ = (last + 1 - first) * stages_;
+    }
+    // Locates the next window and reads its tables: no field of shape may be
+    // below the previous call's.
+    void Seek(const model::MicroBatchShape& shape) {
+      const GridInterp3D::Cell cell =
+          cursor_.Advance(shape.num_samples, shape.input_len, shape.target_len);
+      cm_.packed_.At(cell, first_lane_, num_lanes_, lanes_ + first_lane_);
+    }
+    // The located window's value on every stage, num_stages() of them, for
+    // a table the walk reads.
+    const double* FwdMs() const { return lanes_ + FwdTable() * stages_; }
+    const double* BwdMs(model::RecomputeMode mode) const {
+      return lanes_ + BwdTable(mode) * stages_;
+    }
+    const double* ActivationMb(model::RecomputeMode mode) const {
+      return lanes_ + ActTable(mode) * stages_;
+    }
+    // PipelineCostModel::WindowCosts at the located window; needs a walk
+    // that reads `mode`'s activation.
+    bool WindowCosts(model::RecomputeMode mode, double limit, double* time_ms,
+                     double* act_mb) const;
+
+   private:
+    // The lane buffer: one per thread, grown to the widest packed copy seen,
+    // so walking a row allocates nothing.
+    static double* LaneScratch(size_t lanes);
+
+    const PipelineCostModel& cm_;
+    size_t stages_;
+    GridInterp3D::Cursor cursor_;
+    size_t first_lane_ = 0;  // the lanes Seek reads
+    size_t num_lanes_ = 0;
+    double* lanes_;
+  };
 
   // --- Exact quantities ---
   // Static memory (weights + grads + ZeRO-1 optimizer shard) on stage s.
@@ -86,7 +157,26 @@ class PipelineCostModel {
   model::ModelConfig config_;
   model::HardwareSpec hw_;
   model::ParallelConfig parallel_;
+  // The packed copy holds seven tables, each one lane per stage: table t's
+  // lanes are [t * num_stages(), (t + 1) * num_stages()). Their order puts
+  // what the serial planner reads together next to each other — kNone's DP
+  // window reads tables 0-2, the bound sweep over kSelective and kFull reads
+  // 2-4, over all modes 1-4:
+  //   0 act(kNone), 1 bwd(kNone), 2 fwd, 3 bwd(kSelective), 4 bwd(kFull),
+  //   5 act(kSelective), 6 act(kFull).
+  static constexpr size_t kNumTables = 7;
+  static size_t FwdTable() { return 2; }
+  static size_t BwdTable(model::RecomputeMode mode) {
+    return mode == model::RecomputeMode::kNone ? 1 : 2 + static_cast<size_t>(mode);
+  }
+  static size_t ActTable(model::RecomputeMode mode) {
+    return mode == model::RecomputeMode::kNone ? 0 : 4 + static_cast<size_t>(mode);
+  }
+  // Builds packed_ from stages_, which must share one grid.
+  void PackTables();
+
   std::vector<StageCostModel> stages_;
+  PackedGrids packed_;
   // Kept for the exact (non-profiled) shape and memory math only.
   std::vector<model::StagePerfModel> truth_;
 };

@@ -115,14 +115,12 @@ GridInterp3D::Cell StageCostModel::Locate(const model::MicroBatchShape& shape) c
 }
 
 double StageCostModel::FwdMsAt(const GridInterp3D::Cell& cell) const {
-  // Clamp at a microsecond: edge extrapolation on the profiled grid can undershoot
-  // for tiny shapes, and the planner must never see a non-positive duration.
-  return std::max(0.001, fwd_ms_.At(cell));
+  return std::max(kMinMs, fwd_ms_.At(cell));
 }
 
 double StageCostModel::BwdMsAt(const GridInterp3D::Cell& cell,
                                model::RecomputeMode mode) const {
-  return std::max(0.001, bwd_ms_[ModeIndex(mode)].At(cell));
+  return std::max(kMinMs, bwd_ms_[ModeIndex(mode)].At(cell));
 }
 
 double StageCostModel::ActivationMbAt(const GridInterp3D::Cell& cell,

@@ -42,6 +42,11 @@ class StageCostModel {
   double ActivationMb(const model::MicroBatchShape& shape,
                       model::RecomputeMode mode) const;
 
+  // Interpolated times are clamped at a microsecond: edge extrapolation on
+  // the profiled grid can undershoot for tiny shapes, and the planner must
+  // never see a non-positive duration. Activations are clamped at 0.
+  static constexpr double kMinMs = 0.001;
+
   // All seven tables share one grid (checked on Profile and Load), so a shape
   // located once can be read from every table — and from every stage whose
   // grid matches (SameGrid).
@@ -50,6 +55,15 @@ class StageCostModel {
   double BwdMsAt(const GridInterp3D::Cell& cell, model::RecomputeMode mode) const;
   double ActivationMbAt(const GridInterp3D::Cell& cell, model::RecomputeMode mode) const;
   bool SameGrid(const StageCostModel& other) const;
+  // The raw tables behind the accessors above (unclamped), for
+  // PipelineCostModel's packed copy.
+  const GridInterp3D& fwd_table() const { return fwd_ms_; }
+  const GridInterp3D& bwd_table(model::RecomputeMode mode) const {
+    return bwd_ms_[ModeIndex(mode)];
+  }
+  const GridInterp3D& activation_table(model::RecomputeMode mode) const {
+    return activation_mb_[ModeIndex(mode)];
+  }
 
   // Profiles are expensive to gather on real hardware, so the artifact caches
   // them across runs; Save/Load round-trips all tables in plain text.

@@ -82,6 +82,21 @@ class WindowTableLease {
 
 }  // namespace
 
+size_t MicroBatchCostFn::PriceRow(const std::vector<data::Sample>& ordered,
+                                  size_t start, size_t max_width, double limit,
+                                  double* times, double* acts) const {
+  model::MicroBatchShape shape;
+  for (size_t w = 0; w < max_width; ++w) {
+    ExtendWindow(shape, ordered[start + w]);
+    acts[w] = ActivationMb(shape);
+    if (limit > 0.0 && acts[w] > limit) {
+      return w;
+    }
+    times[w] = TimeMs(shape);
+  }
+  return max_width;
+}
+
 DpPartitioner::DpPartitioner(const MicroBatchCostFn& cost, DpPartitionerOptions options)
     : cost_(cost), options_(std::move(options)) {
   DYNAPIPE_CHECK(options_.num_stages >= 1);
@@ -104,8 +119,8 @@ PartitionResult DpPartitioner::Partition(
   // --- Precompute feasible windows, shared by every t_max candidate below.
   // Window time and activation are monotone non-decreasing in w (the count
   // grows and padded lengths never shrink), so each start index has a
-  // contiguous feasible range and we can stop extending at the first
-  // violation.
+  // contiguous feasible range: one PriceRow call per start prices it and
+  // stops at the first violation.
   const WindowTableLease lease;
   WindowTable& windows = *lease;
   const size_t max_width =
@@ -123,20 +138,11 @@ PartitionResult DpPartitioner::Partition(
     if (infeasible.load(std::memory_order_relaxed)) {
       return;
     }
-    model::MicroBatchShape shape;
-    size_t w = 1;
-    for (; i + w <= n && w <= max_width; ++w) {
-      shape.num_samples = static_cast<int32_t>(w);
-      shape.input_len = std::max(shape.input_len, ordered[i + w - 1].input_len);
-      shape.target_len = std::max(shape.target_len, ordered[i + w - 1].target_len);
-      const size_t cell = windows.cell(i, w);
-      if (!cost_.WindowCosts(shape, options_.activation_limit_mb,
-                             &windows.times[cell], &windows.acts[cell])) {
-        break;
-      }
-    }
-    windows.len[i] = w - 1;
-    if (w == 1) {
+    const size_t cell = windows.cell(i, 1);
+    windows.len[i] = cost_.PriceRow(ordered, i, std::min(max_width, n - i),
+                                    options_.activation_limit_mb,
+                                    &windows.times[cell], &windows.acts[cell]);
+    if (windows.len[i] == 0) {
       infeasible.store(true, std::memory_order_relaxed);
     }
   });

@@ -18,9 +18,16 @@
 // limit are excluded inside the recurrence, which is how the paper folds the memory
 // constraint into the DP after the sliding-window coupling breaks optimal
 // substructure.
+//
+// Every window is priced once, before the candidate sweep, one row at a time:
+// MicroBatchCostFn::PriceRow walks the windows from start i as they widen, so
+// the profiled cost model locates each with a forward-only grid cursor and
+// reads its packed tables instead of searching the grid per window.
 #ifndef DYNAPIPE_SRC_MB_DP_PARTITIONER_H_
 #define DYNAPIPE_SRC_MB_DP_PARTITIONER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,22 +50,27 @@ class MicroBatchCostFn {
   virtual ~MicroBatchCostFn() = default;
   virtual double TimeMs(const model::MicroBatchShape& shape) const = 0;
   virtual double ActivationMb(const model::MicroBatchShape& shape) const = 0;
-  // One feasible-window probe, the DP precompute's hot call: returns false when
-  // the activation footprint exceeds `limit` (if limit > 0; *time_ms is then
-  // untouched), otherwise fills both values. The default preserves the
-  // laziness of the split calls — time is never computed for over-limit
-  // windows; the profiled cost model overrides it to serve both from a single
-  // grid lookup.
-  virtual bool WindowCosts(const model::MicroBatchShape& shape, double limit,
-                           double* time_ms, double* act_mb) const {
-    *act_mb = ActivationMb(shape);
-    if (limit > 0.0 && *act_mb > limit) {
-      return false;
-    }
-    *time_ms = TimeMs(shape);
-    return true;
-  }
+  // Prices one row of the DP's window table, its hot loop: the windows
+  // ordered[start, start + w) for w = 1, 2, ..., max_width, into times[w - 1]
+  // and acts[w - 1]. Stops at the first window whose activation exceeds
+  // `limit` (if limit > 0), writing no time for it, and returns how many
+  // windows fit. The caller keeps start + max_width <= ordered.size().
+  // Along a row the window's size and padded lengths never shrink. The
+  // default prices each window by ActivationMb, then TimeMs only if it fits;
+  // the profiled cost model overrides it to walk the row with one
+  // forward-only grid cursor.
+  virtual size_t PriceRow(const std::vector<data::Sample>& ordered, size_t start,
+                          size_t max_width, double limit, double* times,
+                          double* acts) const;
 };
+
+// Grows a window by the next sample in planning order: one more sample, and
+// padded lengths raised to cover it.
+inline void ExtendWindow(model::MicroBatchShape& shape, const data::Sample& sample) {
+  ++shape.num_samples;
+  shape.input_len = std::max(shape.input_len, sample.input_len);
+  shape.target_len = std::max(shape.target_len, sample.target_len);
+}
 
 struct DpPartitionerOptions {
   // Pipeline stages c in Eq. 1.

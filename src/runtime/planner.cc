@@ -190,6 +190,21 @@ std::vector<data::Sample> PlanningOrder(const model::ModelConfig& config,
                           ordering);
 }
 
+size_t CostModelAdapter::PriceRow(const std::vector<data::Sample>& ordered,
+                                  size_t start, size_t max_width, double limit,
+                                  double* times, double* acts) const {
+  cost::PipelineCostModel::RowWalk walk(cm_, {&mode_, 1}, /*activation=*/true);
+  model::MicroBatchShape shape;
+  for (size_t w = 0; w < max_width; ++w) {
+    mb::ExtendWindow(shape, ordered[start + w]);
+    walk.Seek(shape);
+    if (!walk.WindowCosts(mode_, limit, &times[w], &acts[w])) {
+      return w;
+    }
+  }
+  return max_width;
+}
+
 std::vector<double> RecomputeLowerBoundsMs(
     const cost::PipelineCostModel& cm, const std::vector<data::Sample>& ordered,
     const std::vector<model::RecomputeMode>& modes, int32_t max_microbatch_size) {
@@ -197,31 +212,29 @@ std::vector<double> RecomputeLowerBoundsMs(
   const size_t c = static_cast<size_t>(cm.num_stages());
   const size_t cols = modes.size() * c;  // one column per (mode, stage)
   const size_t max_width = std::min(n, static_cast<size_t>(max_microbatch_size));
-  std::vector<const cost::StageCostModel*> stages(c);
-  for (size_t s = 0; s < c; ++s) {
-    stages[s] = &cm.stage(static_cast<int32_t>(s));
-  }
   // least[j * cols + m * c + s]: the least summed stage-s time under modes[m]
   // over the partitions of ordered[0, j). Windows are relaxed forward from
   // their start, so row i is final once every window ending at i is seen.
-  std::vector<double> least((n + 1) * cols, std::numeric_limits<double>::infinity());
+  // Per-thread scratch: the sweep calls nothing that could run another
+  // sweep on this thread.
+  thread_local std::vector<double> least;
+  least.assign((n + 1) * cols, std::numeric_limits<double>::infinity());
   std::fill_n(least.begin(), cols, 0.0);
   for (size_t i = 0; i < n; ++i) {
     const double* from = least.data() + i * cols;
+    cost::PipelineCostModel::RowWalk walk(cm, modes, /*activation=*/false);
     model::MicroBatchShape shape;
     for (size_t w = 1; w <= max_width && i + w <= n; ++w) {
-      shape.num_samples = static_cast<int32_t>(w);
-      shape.input_len = std::max(shape.input_len, ordered[i + w - 1].input_len);
-      shape.target_len = std::max(shape.target_len, ordered[i + w - 1].target_len);
-      // Every stage shares stage 0's grid (see PipelineCostModel::WindowCosts).
-      const cost::GridInterp3D::Cell cell = stages[0]->Locate(shape);
+      mb::ExtendWindow(shape, ordered[i + w - 1]);
+      walk.Seek(shape);
+      const double* fwd = walk.FwdMs();
       double* to = least.data() + (i + w) * cols;
-      for (size_t s = 0; s < c; ++s) {
-        const double fwd = stages[s]->FwdMsAt(cell);
-        for (size_t m = 0; m < modes.size(); ++m) {
-          const size_t col = m * c + s;
-          to[col] = std::min(to[col],
-                             from[col] + fwd + stages[s]->BwdMsAt(cell, modes[m]));
+      for (size_t m = 0; m < modes.size(); ++m) {
+        const double* bwd = walk.BwdMs(modes[m]);
+        const double* from_m = from + m * c;
+        double* to_m = to + m * c;
+        for (size_t s = 0; s < c; ++s) {
+          to_m[s] = std::min(to_m[s], from_m[s] + fwd[s] + bwd[s]);
         }
       }
     }

@@ -109,8 +109,9 @@ struct IterationPlan {
 
 // The DP partitioner's cost oracle over the profiled cost model for one
 // recompute mode: bottleneck-stage time and the worst per-stage activation
-// footprint, each window priced from one shared grid lookup. Thread-safe (the
-// cost model is immutable).
+// footprint. A DP row is priced by one PipelineCostModel::RowWalk, so each
+// window is located by a grid cursor step and read from the packed tables.
+// Thread-safe (the cost model is immutable).
 class CostModelAdapter : public mb::MicroBatchCostFn {
  public:
   CostModelAdapter(const cost::PipelineCostModel& cm, model::RecomputeMode mode)
@@ -122,10 +123,9 @@ class CostModelAdapter : public mb::MicroBatchCostFn {
   double ActivationMb(const model::MicroBatchShape& shape) const override {
     return cm_.MaxActivationMb(shape, mode_);
   }
-  bool WindowCosts(const model::MicroBatchShape& shape, double limit,
-                   double* time_ms, double* act_mb) const override {
-    return cm_.WindowCosts(shape, mode_, limit, time_ms, act_mb);
-  }
+  size_t PriceRow(const std::vector<data::Sample>& ordered, size_t start,
+                  size_t max_width, double limit, double* times,
+                  double* acts) const override;
 
  private:
   const cost::PipelineCostModel& cm_;
@@ -146,8 +146,9 @@ std::vector<data::Sample> PlanningOrder(const model::ModelConfig& config,
 // slowest of the dp replicas at least the average. Hence: the max over
 // stages of the least summed stage time over every consecutive partition of
 // `ordered` into windows of at most max_microbatch_size samples (memory
-// ignored), divided by dp. One O(n x width) sweep for all modes, one grid
-// lookup per window shared by every stage and mode.
+// ignored), divided by dp. One O(n x width) sweep for all modes: each row is
+// one PipelineCostModel::RowWalk, which locates a window by a cursor step and
+// reads every stage's fwd once for all modes.
 std::vector<double> RecomputeLowerBoundsMs(
     const cost::PipelineCostModel& cm, const std::vector<data::Sample>& ordered,
     const std::vector<model::RecomputeMode>& modes, int32_t max_microbatch_size);

@@ -1,14 +1,18 @@
 // Unit tests for src/cost: grid interpolation and the profiled cost models,
 // including the honesty property (exact at grid points, bounded error between),
-// the one-lookup WindowCosts probe, and profile (de)serialization.
+// the grid cursor against Locate, the one-lookup WindowCosts probe over the
+// packed tables, and profile (de)serialization.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/cost/grid_interp.h"
 #include "src/cost/pipeline_cost_model.h"
 #include "src/cost/stage_cost_model.h"
@@ -349,6 +353,83 @@ TEST(WindowCostsTest, OverLimitReturnsFalseAndLeavesTimeUntouched) {
   // At the limit exactly the window still fits.
   EXPECT_TRUE(pcm.WindowCosts(shape, mode, act, &time_ms, &act_mb));
   EXPECT_EQ(time_ms, pcm.MicroBatchTimeMs(shape, mode));
+}
+
+// ---------- GridInterp3D::Cursor: Locate without the searches ----------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectSameCell(const GridInterp3D::Cell& got, const GridInterp3D::Cell& want) {
+  EXPECT_EQ(got.base, want.base);
+  EXPECT_EQ(got.di, want.di);
+  EXPECT_EQ(got.dj, want.dj);
+  EXPECT_EQ(got.dk, want.dk);
+  EXPECT_EQ(Bits(got.tx), Bits(want.tx));
+  EXPECT_EQ(Bits(got.ty), Bits(want.ty));
+  EXPECT_EQ(Bits(got.tz), Bits(want.tz));
+}
+
+// Walks `grid` along seeded nondecreasing paths through the candidate
+// coordinates of each axis — each step keeps an axis or moves it to a later
+// candidate, repeats included — and checks every step's cursor cell against
+// Locate bit for bit.
+void ExpectCursorMatchesLocate(const GridInterp3D& grid, const std::vector<double>& xs,
+                               const std::vector<double>& ys,
+                               const std::vector<double>& zs) {
+  Rng rng(17);
+  auto advance = [&](const std::vector<double>& axis, size_t& at) {
+    const uint64_t roll = rng.NextBelow(4);
+    if (roll == 0 && at + 1 < axis.size()) {
+      at += 1 + rng.NextBelow(axis.size() - at - 1);  // jump ahead
+    } else if (roll == 1 && at + 1 < axis.size()) {
+      ++at;
+    }
+  };
+  for (int walk = 0; walk < 300; ++walk) {
+    size_t i = rng.NextBelow(xs.size());
+    size_t j = rng.NextBelow(ys.size());
+    size_t k = rng.NextBelow(zs.size());
+    GridInterp3D::Cursor cursor(grid);
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE(testing::Message() << "walk " << walk << " at (" << xs[i] << ", "
+                                      << ys[j] << ", " << zs[k] << ")");
+      ExpectSameCell(cursor.Advance(xs[i], ys[j], zs[k]),
+                     grid.Locate(xs[i], ys[j], zs[k]));
+      advance(xs, i);
+      advance(ys, j);
+      advance(zs, k);
+    }
+  }
+}
+
+TEST(GridCursorTest, T5GridMatchesLocateOnNondecreasingWalks) {
+  const PipelineCostModel pcm = PipelineCostModel::Profile(
+      model::ModelConfig::T5_5_5B(), model::HardwareSpec{}, {1, 2, 2}, FullProfile());
+  // On grid points, between them, below the first point and past the last.
+  const std::vector<double> sizes{0, 1, 2, 3, 4, 5, 7, 8, 64, 100, 127, 128, 129, 1000};
+  std::vector<double> lens;
+  for (int v = 0; v < 32; ++v) {
+    lens.push_back(v);
+  }
+  for (const double v : {32, 33, 63, 64, 100, 1024, 5000, 16'383, 16'384, 16'385,
+                         40'000}) {
+    lens.push_back(v);
+  }
+  ExpectCursorMatchesLocate(pcm.stage(0).fwd_table(), sizes, lens, lens);
+}
+
+TEST(GridCursorTest, GptSinglePointTargetAxisMatchesLocate) {
+  const PipelineCostModel pcm = PipelineCostModel::Profile(
+      model::ModelConfig::Gpt3_35B(), model::HardwareSpec{}, {3, 1, 4}, FullProfile());
+  ExpectCursorMatchesLocate(pcm.stage(0).fwd_table(), {1, 2, 3, 64, 128, 129, 1000},
+                            {1, 31, 32, 100, 16'384, 16'385, 40'000}, {0, 5, 7});
+}
+
+TEST(GridCursorDeathTest, MovingBackwardsAborts) {
+  const GridInterp3D grid({1.0, 2.0, 4.0}, {32.0, 64.0}, {0.0}, std::vector<double>(6));
+  GridInterp3D::Cursor cursor(grid);
+  cursor.Advance(2.0, 64.0, 0.0);
+  EXPECT_DEATH(cursor.Advance(2.0, 32.0, 0.0), "backwards");
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Tests for the parallel planning subsystem: ParallelFor (including nested
 // fan-outs), parallel-vs-serial determinism of the DP partitioner and the full
-// planner, golden plan digests that pin planner output bit for bit, and
-// ThreadPool-backed grid search equivalence.
+// planner, golden plan digests that pin planner output bit for bit, row
+// pricing (the DP rows and the recompute bound sweep) against per-window
+// oracles, and ThreadPool-backed grid search equivalence.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -473,6 +476,159 @@ TEST(RecomputePruningTest, BoundIsSoundAndPrunedPlansMatchPooled) {
     }
     EXPECT_TRUE(bc.must_win == model::RecomputeMode::kNone || winner_seen)
         << model::RecomputeModeName(bc.must_win) << " never won";
+  }
+}
+
+// ---------- Row pricing: the DP rows and the bound sweep ----------
+
+struct RowCase {
+  const char* name;
+  model::ModelConfig config;
+  model::ParallelConfig parallel;
+};
+
+const RowCase kRowCases[] = {
+    {"T5 dp1/tp2/pp2", model::ModelConfig::T5_5_5B(), {1, 2, 2}},
+    {"GPT dp3/tp1/pp4", model::ModelConfig::Gpt3_35B(), {3, 1, 4}},
+};
+
+// Three seeded 65,536-token mini-batches in planning order.
+std::vector<std::vector<data::Sample>> OrderedBenchBatches(
+    const model::ModelConfig& config) {
+  data::FlanGeneratorOptions gen;
+  gen.num_samples = 4000;
+  gen.seed = 42;
+  const data::Dataset dataset = data::GenerateFlanLikeDataset(gen);
+  data::MiniBatchSamplerOptions sopts;
+  sopts.global_batch_tokens = 65'536;
+  sopts.max_input_len = 2048;
+  sopts.seed = 5;
+  data::MiniBatchSampler sampler(dataset, sopts);
+  std::vector<std::vector<data::Sample>> batches;
+  for (int it = 0; it < 3; ++it) {
+    batches.push_back(
+        runtime::PlanningOrder(config, sampler.Next(), BenchPlanner().ordering));
+  }
+  return batches;
+}
+
+// The cost model's row hook prices every window exactly as the per-stage
+// accessors price it alone, and stops at the same first window over the
+// memory limit: with the budget the DP uses and with a limit tight enough
+// that rows stop early.
+TEST(RowPricingTest, RowHookBitEqualsPerWindowPricing) {
+  const int32_t width = BenchPlanner().max_microbatch_size;
+  for (const RowCase& rc : kRowCases) {
+    SCOPED_TRACE(rc.name);
+    const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+        rc.config, model::HardwareSpec{}, rc.parallel, BenchProfile());
+    const auto batches = OrderedBenchBatches(rc.config);
+    for (const auto mode : {model::RecomputeMode::kNone, model::RecomputeMode::kSelective,
+                            model::RecomputeMode::kFull}) {
+      SCOPED_TRACE(model::RecomputeModeName(mode));
+      const runtime::CostModelAdapter adapter(cm, mode);
+      int64_t windows = 0;
+      int64_t stopped_rows = 0;
+      for (const double limit : {cm.ActivationBudgetMb(), cm.ActivationBudgetMb() / 16}) {
+        for (const auto& ordered : batches) {
+          const size_t n = ordered.size();
+          for (size_t i = 0; i < n; ++i) {
+            const size_t max_width = std::min(n - i, static_cast<size_t>(width));
+            std::vector<double> times(max_width, -1.0);
+            std::vector<double> acts(max_width, -1.0);
+            const size_t len =
+                adapter.PriceRow(ordered, i, max_width, limit, times.data(), acts.data());
+            // The per-window oracle: every stage priced on its own.
+            model::MicroBatchShape shape;
+            size_t want_len = max_width;
+            for (size_t w = 0; w < max_width; ++w) {
+              mb::ExtendWindow(shape, ordered[i + w]);
+              double want_time = 0.0;
+              double want_act = 0.0;
+              for (int32_t s = 0; s < cm.num_stages(); ++s) {
+                want_time = std::max(want_time, cm.StageFwdMs(s, shape) +
+                                                    cm.StageBwdMs(s, shape, mode));
+                want_act = std::max(want_act, cm.StageActivationMb(s, shape, mode));
+              }
+              if (want_act > limit) {
+                want_len = w;
+                break;
+              }
+              ASSERT_LT(w, len) << "row " << i;
+              EXPECT_EQ(times[w], want_time) << "row " << i << " width " << w + 1;
+              EXPECT_EQ(acts[w], want_act) << "row " << i << " width " << w + 1;
+              ++windows;
+            }
+            ASSERT_EQ(len, want_len) << "row " << i;
+            stopped_rows += want_len < max_width ? 1 : 0;
+          }
+        }
+      }
+      EXPECT_GT(windows, 10'000);
+      EXPECT_GT(stopped_rows, 0);
+    }
+  }
+}
+
+// Reference RecomputeLowerBoundsMs: each window located by a grid search and
+// priced stage by stage through the per-stage accessors.
+std::vector<double> LowerBoundsOracle(const cost::PipelineCostModel& cm,
+                                      const std::vector<data::Sample>& ordered,
+                                      const std::vector<model::RecomputeMode>& modes,
+                                      int32_t max_microbatch_size) {
+  const size_t n = ordered.size();
+  const size_t c = static_cast<size_t>(cm.num_stages());
+  const size_t cols = modes.size() * c;
+  const size_t max_width = std::min(n, static_cast<size_t>(max_microbatch_size));
+  std::vector<double> least((n + 1) * cols, std::numeric_limits<double>::infinity());
+  std::fill_n(least.begin(), cols, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    model::MicroBatchShape shape;
+    for (size_t w = 1; w <= max_width && i + w <= n; ++w) {
+      mb::ExtendWindow(shape, ordered[i + w - 1]);
+      const cost::GridInterp3D::Cell cell = cm.stage(0).Locate(shape);
+      for (size_t s = 0; s < c; ++s) {
+        const cost::StageCostModel& stage = cm.stage(static_cast<int32_t>(s));
+        const double fwd = stage.FwdMsAt(cell);
+        for (size_t m = 0; m < modes.size(); ++m) {
+          double& to = least[(i + w) * cols + m * c + s];
+          to = std::min(to, least[i * cols + m * c + s] + fwd +
+                                stage.BwdMsAt(cell, modes[m]));
+        }
+      }
+    }
+  }
+  std::vector<double> bounds(modes.size());
+  for (size_t m = 0; m < modes.size(); ++m) {
+    const double* last = least.data() + n * cols + m * c;
+    bounds[m] = *std::max_element(last, last + c) / static_cast<double>(cm.parallel().dp);
+  }
+  return bounds;
+}
+
+TEST(RowPricingTest, LowerBoundsBitEqualPerWindowOracle) {
+  const int32_t width = BenchPlanner().max_microbatch_size;
+  const std::vector<std::vector<model::RecomputeMode>> mode_sets = {
+      {model::RecomputeMode::kNone, model::RecomputeMode::kSelective,
+       model::RecomputeMode::kFull},
+      {model::RecomputeMode::kSelective, model::RecomputeMode::kFull},
+      {model::RecomputeMode::kFull},
+  };
+  for (const RowCase& rc : kRowCases) {
+    SCOPED_TRACE(rc.name);
+    const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+        rc.config, model::HardwareSpec{}, rc.parallel, BenchProfile());
+    for (const auto& ordered : OrderedBenchBatches(rc.config)) {
+      for (const auto& modes : mode_sets) {
+        const std::vector<double> got =
+            runtime::RecomputeLowerBoundsMs(cm, ordered, modes, width);
+        const std::vector<double> want = LowerBoundsOracle(cm, ordered, modes, width);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t m = 0; m < got.size(); ++m) {
+          EXPECT_EQ(got[m], want[m]) << model::RecomputeModeName(modes[m]);
+        }
+      }
+    }
   }
 }
 
