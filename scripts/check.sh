@@ -42,6 +42,13 @@ if grep -nE 'std::(function|condition_variable)' \
   exit 1
 fi
 
+# The fleet coordinator acts on liveness and membership only: a straggler
+# flag is detection (HeartbeatMonitor::ForIteration), never a plan move.
+if grep -n 'stragglers' src/service/fleet.h src/service/fleet.cc; then
+  echo "ERROR: src/service/fleet.{h,cc} names stragglers" >&2
+  exit 1
+fi
+
 # Runnable programs get their publisher from one place: executor::Publisher
 # wires the store, its server or shm poller, and the fleet coordinator. The
 # benches may time a FleetCoordinator move in-process, but serve no store by

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 
 #include "src/executor/executor.h"
 #include "src/transport/shm_store.h"
@@ -20,7 +19,7 @@ Publisher::Publisher(PublisherOptions options)
                  ? std::shared_ptr<runtime::RecoverableStore>(wire_)
                  : transport::ShmInstructionStore::Create(
                        options.attach, transport::ShmStoreOptions{})),
-      fleet_(store_.get(), options.monitor, std::move(options.fleet)) {
+      fleet_(store_.get(), options.monitor, options.fleet) {
   if (wire_ != nullptr) {
     wire_->set_heartbeat_sink(&fleet_);
     transport_ =

@@ -14,9 +14,9 @@
 //                ShmHeartbeatPoller drains (executors attach by name).
 //
 // Either way one service::FleetCoordinator over the store is the sink that
-// the server or the poller feeds. It recovers dead replicas' backlog, admits
-// joiners and hands drainers' backlog off before their drain is
-// acknowledged; straggler rebalance is off by default. The
+// the server or the poller feeds. It admits joiners and moves whatever the
+// dead, the draining and the departed still hold to the active members — a
+// drainer's backlog before its drain is acknowledged. The
 // coordinator owns no thread, so the publisher also runs its real-time
 // deadline ticker: with monitor.dead_after_ms > 0, a thread calls the
 // coordinator's PollLiveness(now) every clamp(dead_after_ms / 4, 1, 50) ms.

@@ -128,7 +128,7 @@ class InstructionStoreInterface {
 class RecoverableStore : public InstructionStoreInterface {
  public:
   // Iterations currently published for `replica`, ascending — the unfetched
-  // backlog recovery or rebalance must move.
+  // backlog a FleetCoordinator may move.
   virtual std::vector<int64_t> PendingIterations(int32_t replica) const = 0;
   // Moves one resident plan to a new key, verbatim (plans are byte-stable, so
   // re-publishing to a survivor is a key move, not a re-encode). Outcomes are

@@ -293,14 +293,8 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
     }
     measured += cost_model_.DpGradSyncMs();
     record.measured_ms = measured;
-    const service::IterationHeartbeatStats hb_stats =
-        heartbeat_monitor.ForIteration(iteration);
-    record.heartbeat_replicas = hb_stats.replicas_reported;
-    record.replica_median_ms = hb_stats.median_wall_ms;
-    record.replica_max_ms = hb_stats.max_wall_ms;
-    record.straggler_replicas = hb_stats.stragglers;
-    result.straggler_flags +=
-        static_cast<int64_t>(record.straggler_replicas.size());
+    record.heartbeat_replicas =
+        heartbeat_monitor.ForIteration(iteration).replicas_reported;
 
     for (const auto& replica : plan.replicas) {
       for (const auto& m : replica.micro_batches) {

@@ -104,15 +104,9 @@ struct IterationRecord {
   // look-ahead pipeline failed to hide; the paper's Fig. 17 overlap target).
   bool plan_cache_hit = false;
   double plan_stall_ms = 0.0;
-  // Straggler stats from the HeartbeatMonitor, at HeartbeatMonitorOptions'
-  // default thresholds (service/heartbeat_monitor.h): the simulated makespan
-  // of every replica that reported this iteration, and the replicas flagged
-  // over 2x the median. The relative criterion needs >= 3 replicas to be
-  // meaningful (with two, nothing can exceed twice the pair's mean).
+  // Replicas whose heartbeat the HeartbeatMonitor holds for this iteration.
+  // Kept because bench/e2e reads it as its delivery check.
   int32_t heartbeat_replicas = 0;
-  double replica_median_ms = 0.0;
-  double replica_max_ms = 0.0;
-  std::vector<int32_t> straggler_replicas;
 };
 
 struct EpochResult {
@@ -138,9 +132,6 @@ struct EpochResult {
   std::vector<IterationRecord> records;
   int64_t deadlocks = 0;
   int64_t ooms = 0;
-  // Total straggler flags raised across the epoch (per-iteration detail in
-  // records[*].straggler_replicas).
-  int64_t straggler_flags = 0;
 
   double tokens_per_second() const {
     return train_time_ms <= 0.0 ? 0.0 : static_cast<double>(real_tokens) /

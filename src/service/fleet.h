@@ -1,65 +1,55 @@
 // The fleet coordinator: the reaction half of the control plane.
 //
 // The HeartbeatMonitor *detects* (liveness state machine, straggler signal);
-// FleetCoordinator *acts*. It has one job — keep every plan on an executor
-// that will run it — and four reactions to what its monitor reports:
+// FleetCoordinator *acts*. It has one job — every plan runs exactly once, on
+// an executor that still polls — and acts on liveness and membership only.
+// A flagged straggler moves nothing: its walls come from executor wall-clock,
+// which on a simulated cluster is scheduler jitter, not measured stage load.
 //
-//   death     a replica turns kDead. Its unfetched backlog is reposted
-//             round-robin to the surviving members; with no survivor left
-//             the backlog is dropped and counted. The expected fleet
-//             shrinks. A plan pushed to it later (a publisher that has not
-//             heard) moves, or is dropped, the same way on the coordinator's
-//             next input: every input sweeps the dead members' keys, and with
-//             no dead member makes no store call.
-//   straggle  (rebalance on) a member flagged on `rebalance_consecutive_flags`
-//             complete iterations in a row sheds the tail of its backlog —
-//             at most `rebalance_max_moves` plans — to members that kept
-//             pace, then is immune for `rebalance_hysteresis_iterations`.
-//             The slow replica always keeps its lowest pending plan — the
-//             one it reaches next, whose fetch may be in flight — so a shed
-//             moves at most pending - 1; the furthest-future plans are the
-//             ones a fast replica overtakes.
-//   join      a replica outside the member set turns kAlive — a plain wire
-//             kAttach, or a bare shm AnnounceReplica: admission keys off the
-//             liveness event, so neither path declares anything. It is
-//             admitted, the expected fleet grows, and it steals a fair share
-//             (deepest backlog / new fleet size) of the deepest member's
-//             tail.
-//   drain     a member turns kDraining (wire kDrainRequest or the shm slot's
-//             drain word). It leaves the member set, its
-//             backlog is reposted to the surviving members and the expected
-//             fleet shrinks, all before the sink call returns — so the
-//             feeder's acknowledgement sent after that return (the server's
-//             kDrainAck reply, the shm poller's AcknowledgeDrain) follows
-//             the handoff. A drainer that then detaches cleanly is retired;
-//             a re-join admits it afresh.
+// Members are the listed fleet plus joiners. A member is *active* until it
+// stops polling: it dies (kDead: an unclean drop or a missed deadline;
+// sticky), drains (kDraining: wire kDrainRequest or the shm slot's drain
+// word) or departs (a clean detach, from any state but dead). Each shrinks
+// the expected fleet. Plans move for one reason, a member stopped polling:
 //
-// All four move plans between the same member set — the listed fleet plus
-// joiners, minus the dead, the draining and the retired — through one
-// private mover under the one mutex, so the member set alone decides who
-// receives work. A move is a store-level Repost (plans are byte-stable and
-// keyed by (iteration, replica): a key move, no re-plan, no re-encode) to
-// the destination's next *spare* iteration key, starting at
-// `spare_iteration_base` (the epoch's iteration count, where an open-ended
-// executor polls once its own share is done). Spare keys are burned on
-// allocation: a destination key that turns out taken (kDestinationTaken — a
-// squatter) is skipped and the next key tried.
+//   sweep  at the end of every input, whatever a non-active member still
+//          holds — its backlog, or a plan pushed to it later by a publisher
+//          that has not heard — moves round-robin to the active members;
+//          with none left it is dropped and counted. With every member
+//          active the sweep makes no store call. A drain's handoff happens
+//          in the sink call itself, so the feeder's acknowledgement sent
+//          after that call returns (the server's kDrainAck reply, the shm
+//          poller's AcknowledgeDrain) follows it.
+//   join   a replica outside the active set turns kAlive — a plain wire
+//          kAttach, a bare shm AnnounceReplica, or a departed member coming
+//          back: admission keys off the liveness event, so neither path
+//          declares anything. It is admitted, the expected fleet grows, and
+//          it steals a fair share (deepest backlog / new fleet size) of the
+//          deepest member's tail — the only move off a live member.
+//
+// Both move plans through one private mover under the one mutex. A move is
+// a store-level Repost (plans are byte-stable and keyed by (iteration,
+// replica): a key move, no re-plan, no re-encode) to the destination's next
+// *spare* iteration key, starting at `spare_iteration_base` (the epoch's
+// iteration count, where an open-ended executor polls once its own share is
+// done). Spare keys are burned on allocation: a destination key that turns
+// out taken (kDestinationTaken — a squatter) is skipped and the next key
+// tried.
 //
 // The gap-filling rule lives in the mover alone. An executor polls its keys
 // strictly in order and gives up at the first gap, so a live victim's pending
-// keys must stay contiguous from its poll cursor. A tail steal (straggle,
-// join) vacates a live victim's highest keys; the mover hands each vacated
-// key back, and the next repost *to* that victim reuses released keys
-// smallest-first before minting fresh ones — it fills the gap instead of
-// landing beyond a hole the victim never crosses. The keys of dead and
-// draining victims are never released: neither polls them again.
+// keys must stay contiguous from its poll cursor. A join steal vacates the
+// donor's highest keys; the mover hands each vacated key back, and the next
+// repost *to* that donor reuses released keys smallest-first before minting
+// fresh ones — it fills the gap instead of landing beyond a hole the donor
+// never crosses. The keys of non-active victims are never released: they
+// are not polled again.
 //
 // One state machine on the caller's clock. The coordinator owns its monitor
 // and is the runtime::HeartbeatSink that stores, the mux server and the shm
 // poller feed: each input goes to the monitor, and the coordinator reacts to
 // the returned update before the call returns, under its one mutex — so the
-// member set changes in the same critical section as the monitor's flip,
-// and a drain's shrink reacts to the report sets it completes in place.
+// member set changes in the same critical section as the monitor's flip.
 // Tests drive the same inputs with a `now` of their choosing. The
 // coordinator owns no thread: every transition comes from an input the
 // caller stamps, the deadline included — PollLiveness applies it, and
@@ -86,36 +76,28 @@ namespace dynapipe::service {
 
 // The fleet is stated once, here: the coordinator sizes its monitor's
 // expected fleet to `replicas.size()`, then to the active member count on
-// every join, drain and death. An empty `replicas` is learned from joiners.
+// every join, drain, departure and death. An empty `replicas` is learned
+// from joiners.
 struct FleetOptions {
   // The fleet at epoch start. A replica outside it that turns alive joins.
   std::vector<int32_t> replicas;
   // First spare iteration key on every destination — normally the epoch's
   // iteration count, where an open-ended executor polls after its own share.
   int64_t spare_iteration_base = 0;
-  // Straggler rebalance on every completed report set.
-  bool rebalance = false;
-  int32_t rebalance_consecutive_flags = 3;  // flagged iterations in a row
-  int32_t rebalance_max_moves = 2;          // plans shed per trigger
-  int64_t rebalance_hysteresis_iterations = 4;  // immunity after shedding
 };
 
 // What the coordinator has done so far.
 struct FleetReport {
   // Deaths.
   std::vector<int32_t> dead_replicas;  // declaration order
-  int64_t replanned_iterations = 0;    // plans moved to survivors
-  int64_t dropped_iterations = 0;      // no survivor left to take them
-  double recovery_ms = 0.0;            // total detect -> re-publish wall time
-  // Stragglers.
-  int64_t shed_events = 0;              // triggers that moved >= 1 plan
-  int64_t shed_iterations = 0;          // plans migrated in total
-  std::vector<int32_t> shed_replicas;  // first-trigger order
+  int64_t replanned_iterations = 0;    // plans moved off the dead
+  int64_t dropped_iterations = 0;      // a leaver's, no active member left
+  double recovery_ms = 0.0;            // total wall time rehoming them
   // Membership.
   std::vector<int32_t> joined;   // admission order
-  std::vector<int32_t> drained;  // handoff order
+  std::vector<int32_t> drained;  // drain-request order
   int64_t join_stolen = 0;       // backlog moved to joiners
-  int64_t drain_reposted = 0;    // backlog moved off drainers
+  int64_t drain_reposted = 0;    // plans moved off drainers and departed
 };
 
 class FleetCoordinator final : public runtime::HeartbeatSink {
@@ -128,7 +110,7 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   // fleet's size is `options.replicas`.
   FleetCoordinator(runtime::RecoverableStore* store,
                    HeartbeatMonitorOptions monitor_options,
-                   FleetOptions options);
+                   const FleetOptions& options);
 
   FleetCoordinator(const FleetCoordinator&) = delete;
   FleetCoordinator& operator=(const FleetCoordinator&) = delete;
@@ -153,11 +135,11 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   FleetReport report() const;
 
   // Members that take work and count toward the expected fleet size
-  // (admitted, not dead, not draining), ascending.
+  // (admitted, not dead, draining or departed), ascending.
   std::vector<int32_t> ActiveMembers() const;
 
  private:
-  enum class Member : uint8_t { kActive, kDraining, kDead };
+  enum class Member : uint8_t { kActive, kDraining, kDeparted, kDead };
 
   // Spare destination keys: one counter per destination from the base, plus
   // keys vacated on live victims, reissued smallest-first. Guarded by mu_.
@@ -175,43 +157,34 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
     std::map<int32_t, std::set<int64_t>> released_;
   };
 
-  // One input's reaction, then a sweep of every dead member's keys. Caller
-  // holds mu_.
+  // One input's reaction, then the sweep. Caller holds mu_.
   void ApplyLocked(const MonitorUpdate& update);
   // The reactions; caller holds mu_.
-  void ReactLocked(const MonitorUpdate& update);
   void OnDeathLocked(int32_t replica);
-  // Moves whatever `dead` still holds to the active members, or drops it
-  // when none is left.
-  void RehomeLocked(int32_t dead);
-  void OnIterationCompleteLocked(const IterationHeartbeatStats& stats);
   void OnJoinLocked(int32_t replica);
   void OnDrainLocked(int32_t replica);
+  // Moves whatever non-active `replica` still holds to the active members,
+  // or drops it when none is left.
+  void RehomeLocked(int32_t replica, Member state);
   // Applies the active member count to the monitor as its expected fleet
-  // size and reacts to the report sets that completes.
+  // size.
   void ResizeLocked();
 
   // Moves `plans` off `victim` in order, round-robin over `destinations`
   // (advancing on each move), each to the destination's next spare key.
-  // Returns the source iterations that moved. The only caller of Repost and
-  // of the spare keys. Caller holds mu_.
-  std::vector<int64_t> MoveLocked(int32_t victim,
-                                  const std::vector<int64_t>& plans,
-                                  const std::vector<int32_t>& destinations);
-  // Active members other than `replica`: the destinations of every move.
+  // Returns how many moved. The only caller of Repost and of the spare keys.
   // Caller holds mu_.
-  std::vector<int32_t> PeersLocked(int32_t replica) const;
+  size_t MoveLocked(int32_t victim, const std::vector<int64_t>& plans,
+                    const std::vector<int32_t>& destinations);
   std::vector<int32_t> ActiveLocked() const;
+
   runtime::RecoverableStore* store_;
-  const FleetOptions options_;
 
   mutable std::mutex mu_;
   HeartbeatMonitor monitor_;
   FleetReport report_;
   std::map<int32_t, Member> members_;
   SpareKeyAllocator spare_keys_;
-  std::map<int32_t, int32_t> streak_;          // replica -> flags in a row
-  std::map<int32_t, int64_t> cooldown_until_;  // replica -> immune below this
 };
 
 }  // namespace dynapipe::service

@@ -44,22 +44,6 @@ void HeartbeatMonitor::TransitionLocked(int32_t replica, ReplicaLiveness to,
   }
 }
 
-void HeartbeatMonitor::CompleteLocked(int64_t iteration,
-                                      IterationReports& reports,
-                                      MonitorUpdate* update) {
-  // >= (not ==): the fleet may have shrunk below an iteration's reporter
-  // count between its heartbeats. The flag makes completion exactly-once
-  // across both paths that can reach it, a fresh reporter and a shrink.
-  if (reports.completed || expected_replicas_ <= 0 ||
-      static_cast<int32_t>(reports.walls.size()) < expected_replicas_) {
-    return;
-  }
-  reports.completed = true;
-  if (update != nullptr) {
-    update->completed.push_back(ForIterationLocked(iteration));
-  }
-}
-
 void HeartbeatMonitor::BeatLocked(int32_t replica, int64_t iteration,
                                   double wall_ms, Clock::time_point now,
                                   MonitorUpdate* update) {
@@ -67,8 +51,8 @@ void HeartbeatMonitor::BeatLocked(int32_t replica, int64_t iteration,
   if (state.state == ReplicaLiveness::kDead) {
     // Sticky: a zombie's report neither refreshes anything nor counts toward
     // the iteration's report set — once the expected fleet has shrunk past
-    // it, a late beat would complete the set before a live member reported,
-    // hiding that member's straggle.
+    // it, a late beat would fill the set before a live member reported and
+    // flag stragglers against the wrong median.
     return;
   }
   ++total_heartbeats_;
@@ -82,11 +66,7 @@ void HeartbeatMonitor::BeatLocked(int32_t replica, int64_t iteration,
   if (state.state != ReplicaLiveness::kDraining) {
     TransitionLocked(replica, ReplicaLiveness::kAlive, "heartbeat", update);
   }
-  IterationReports& reports = completions_[iteration];
-  // Only a *new* reporter can complete the set; a duplicate overwrites.
-  if (reports.walls.insert_or_assign(replica, wall_ms).second) {
-    CompleteLocked(iteration, reports, update);
-  }
+  completions_[iteration][replica] = wall_ms;  // a duplicate overwrites
 }
 
 MonitorUpdate HeartbeatMonitor::Beat(int32_t replica, int64_t iteration,
@@ -144,21 +124,9 @@ MonitorUpdate HeartbeatMonitor::Drop(int32_t replica, bool clean) {
   return update;
 }
 
-MonitorUpdate HeartbeatMonitor::set_expected_replicas(int32_t expected) {
-  MonitorUpdate update;
+void HeartbeatMonitor::set_expected_replicas(int32_t expected) {
   std::lock_guard<std::mutex> lock(mu_);
-  const int32_t previous = expected_replicas_;
   expected_replicas_ = expected;
-  // A shrink can complete report sets retroactively: an iteration parked at
-  // N-1 of N reporters — the drained replica's beat is never coming — is
-  // complete at N-1 of N-1, and the rebalance loop downstream would
-  // otherwise wait forever on a stale fleet size.
-  if (expected < previous) {
-    for (auto& [iteration, reports] : completions_) {
-      CompleteLocked(iteration, reports, &update);
-    }
-  }
-  return update;
 }
 
 MonitorUpdate HeartbeatMonitor::PollLiveness(Clock::time_point now) {
@@ -238,10 +206,10 @@ IterationHeartbeatStats HeartbeatMonitor::ForIterationLocked(
   stats.iteration = iteration;
   stats.replicas_expected = expected_replicas_;
   const auto it = completions_.find(iteration);
-  if (it == completions_.end() || it->second.walls.empty()) {
+  if (it == completions_.end() || it->second.empty()) {
     return stats;
   }
-  const std::map<int32_t, double>& by_replica = it->second.walls;
+  const std::map<int32_t, double>& by_replica = it->second;
   stats.replicas_reported = static_cast<int32_t>(by_replica.size());
   // Member scratch (mu_ is held): clear keeps capacity, so steady-state
   // queries allocate nothing.

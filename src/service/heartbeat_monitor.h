@@ -30,14 +30,13 @@
 // kDead is *sticky*: a heartbeat or re-attach from a dead replica changes
 // nothing — its plans may already be re-published, so the only safe answer
 // to a zombie is eviction (the server's kEvicted reply, driven by
-// IsReplicaDead), and its late report must not complete a report set.
+// IsReplicaDead), and its late report must not count toward a report set.
 //
 // A pure detector on the caller's clock. Every input (Beat, Attach, Drain,
-// Drop, set_expected_replicas, PollLiveness) applies one event as of the
-// caller's `now` and returns what it changed: the liveness transitions in
-// order, and the iterations whose report set it completed. The monitor owns
-// no thread; the FleetCoordinator feeds it and reacts to the returned update,
-// tests step `now` instead of sleeping. The HeartbeatSink overrides are the
+// Drop, PollLiveness) applies one event as of the caller's `now` and returns
+// the liveness transitions it caused, in order. The monitor owns no thread;
+// the FleetCoordinator feeds it and reacts to the returned update, tests step
+// `now` instead of sleeping. The HeartbeatSink overrides are the
 // same inputs stamped with steady_clock::now(), update dropped — for callers
 // that use the detector alone. Thread-safe: server connection handlers, the
 // shm poller and an in-process loop may call a bare monitor concurrently.
@@ -119,12 +118,6 @@ struct ReplicaEvent {
 // What one input changed.
 struct MonitorUpdate {
   std::vector<ReplicaEvent> transitions;  // in the order they happened
-  // Iterations whose report set this input completed (replicas_reported
-  // reached expected_replicas; needs expected_replicas > 0), as of the
-  // completion. Each iteration completes at most once, ever: a duplicate
-  // beat overwrites its wall, and a later growth of the fleet never
-  // re-completes it. The straggler signal the rebalance loop acts on.
-  std::vector<IterationHeartbeatStats> completed;
 };
 
 class HeartbeatMonitor final : public runtime::HeartbeatSink {
@@ -145,14 +138,13 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   MonitorUpdate Attach(int32_t replica, Clock::time_point now);
   // The replica asked to leave the fleet gracefully: kDraining, the
   // FleetCoordinator's cue to drop it from the member set, repost its
-  // backlog, and shrink the expected fleet. Ignored for dead replicas (their plans already moved;
-  // the server evicts them instead).
+  // backlog, and shrink the expected fleet. Ignored for dead replicas (their
+  // plans already moved; the server evicts them instead).
   MonitorUpdate Drain(int32_t replica, Clock::time_point now);
   MonitorUpdate Drop(int32_t replica, bool clean);
-  // Elastic membership: re-gate iteration completion on a new fleet size
-  // mid-epoch. Shrinking can complete report sets retroactively — an
-  // iteration stuck at N-1 of N reporters is complete at N-1 of N-1.
-  MonitorUpdate set_expected_replicas(int32_t expected);
+  // Elastic membership: re-gate straggler flagging on a new fleet size
+  // mid-epoch.
+  void set_expected_replicas(int32_t expected);
   // Declares dead every alive or draining replica silent for more than
   // dead_after_ms as of `now`.
   MonitorUpdate PollLiveness(Clock::time_point now);
@@ -189,21 +181,9 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
     Clock::time_point last_seen;
   };
 
-  // One iteration's report set. Iterations are short-lived keys; the trainer
-  // consumes stats per iteration, but nothing is evicted — an epoch is
-  // thousands of iterations of a few replicas each, far below memory
-  // relevance.
-  struct IterationReports {
-    std::map<int32_t, double> walls;  // replica -> wall_ms
-    bool completed = false;           // reported as completed, ever
-  };
-
   // The input bodies; caller holds mu_. A null `update` records nothing.
   void BeatLocked(int32_t replica, int64_t iteration, double wall_ms,
                   Clock::time_point now, MonitorUpdate* update);
-  // Marks `reports` completed once it reaches the expected fleet size.
-  void CompleteLocked(int64_t iteration, IterationReports& reports,
-                      MonitorUpdate* update);
   void TransitionLocked(int32_t replica, ReplicaLiveness to,
                         const char* reason, MonitorUpdate* update);
   IterationHeartbeatStats ForIterationLocked(int64_t iteration) const;
@@ -215,7 +195,11 @@ class HeartbeatMonitor final : public runtime::HeartbeatSink {
   int32_t expected_replicas_ = 0;
   int64_t total_heartbeats_ = 0;
   std::map<int32_t, int64_t> last_iteration_;  // replica -> frontier
-  std::map<int64_t, IterationReports> completions_;  // by iteration
+  // Iteration -> replica -> wall_ms: each iteration's report set.
+  // Iterations are short-lived keys; the trainer consumes stats per
+  // iteration, but nothing is evicted — an epoch is thousands of iterations
+  // of a few replicas each, far below memory relevance.
+  std::map<int64_t, std::map<int32_t, double>> completions_;
 
   // Median scratch for ForIterationLocked, reused across calls so the
   // per-iteration stats query (trainer hot loop, once per iteration) stops

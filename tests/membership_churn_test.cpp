@@ -17,9 +17,10 @@
 //      death loses the executed-but-unreported plan's beat, nothing else),
 //      nobody innocent is declared dead, and the drain and join are
 //      recorded. The exact heartbeat count is also the spare-key-collision
-//      probe: recovery, rebalance, and membership all move plans through
-//      one FleetCoordinator's mover and spare keys, and a collision would
-//      either lose a plan (count short) or double-run one (count over).
+//      probe: the join steal and the sweep of the dead, the draining and the
+//      departed all move plans through one FleetCoordinator's mover and
+//      spare keys, and a collision would either lose a plan (count short) or
+//      double-run one (count over).
 //
 // Everything is shm-native: liveness, the drain word, and the handoffs all
 // live in the segment; no socket exists anywhere in this file. fork()
@@ -155,9 +156,7 @@ struct ChurnChildSpec {
 }
 
 // The publisher-side control plane for one churn epoch: one shm Publisher
-// whose FleetCoordinator has all three policies on (recovery, straggler
-// rebalance at a one-flag streak, membership), with the whole epoch
-// published.
+// over the listed base fleet, with the whole epoch published.
 struct ChurnControlPlane {
   ChurnControlPlane(const std::string& shm_name,
                     const std::vector<std::vector<sim::ExecutionPlan>>& plans,
@@ -175,15 +174,11 @@ struct ChurnControlPlane {
                                             double dead_after_ms) {
     executor::PublisherOptions options;
     options.attach = shm_name;
-    options.monitor.straggler_multiple = 2.0;
-    options.monitor.min_straggler_gap_ms = 50.0;
     options.monitor.dead_after_ms = dead_after_ms;
     for (int32_t r = 0; r < kBaseReplicas; ++r) {
       options.fleet.replicas.push_back(r);
     }
     options.fleet.spare_iteration_base = kIterations;
-    options.fleet.rebalance = true;
-    options.fleet.rebalance_consecutive_flags = 1;
     return options;
   }
 
@@ -292,17 +287,23 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   EXPECT_EQ(report.drained, std::vector<int32_t>{kDrainer});
   EXPECT_GE(report.drain_reposted, 1);
 
-  // The drainer ended detached — not dead, not evicted, and retired from
-  // the active fleet while the joiner stays a member.
+  // Every executor ended detached — not dead, not evicted — and a clean
+  // detach retires a member: once the poller has delivered the four
+  // goodbyes, nobody is left in the active fleet and nothing was dropped.
   ASSERT_TRUE(WaitUntil(
       [&] {
-        return plane.monitor().Liveness(kDrainer) ==
-               service::ReplicaLiveness::kDetached;
+        for (int32_t r = 0; r <= kJoiner; ++r) {
+          if (plane.monitor().Liveness(r) !=
+              service::ReplicaLiveness::kDetached) {
+            return false;
+          }
+        }
+        return true;
       },
       5'000));
   EXPECT_TRUE(plane.monitor().DeadReplicas().empty());
-  EXPECT_EQ(plane.publisher.ActiveMembers(),
-            (std::vector<int32_t>{0, 1, kJoiner}));
+  EXPECT_TRUE(plane.publisher.ActiveMembers().empty());
+  EXPECT_EQ(plane.publisher.report().dropped_iterations, 0);
 
   // Recovery never ran: a drain is not a death.
   EXPECT_TRUE(plane.publisher.report().dead_replicas.empty());

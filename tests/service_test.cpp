@@ -869,10 +869,9 @@ TEST(HeartbeatMonitorTest, ProgressFrontiers) {
   EXPECT_EQ(monitor.total_heartbeats(), 5);
 }
 
-TEST(TrainerServiceTest, IterationRecordsCarryReplicaCompletionStats) {
-  // dp = 2: two in-process replicas report their simulated makespans, so
-  // every record carries the completion stats surface (median == one of the
-  // two, straggler list empty — the two-replica criterion cannot fire).
+TEST(TrainerServiceTest, IterationRecordsCountEveryReplicasHeartbeat) {
+  // dp = 2: both in-process replicas report their simulated makespan, so
+  // every record counts two heartbeats (bench/e2e's delivery check).
   const auto config = model::ModelConfig::Gpt3_35B();
   const model::HardwareSpec hw;
   runtime::Trainer trainer(config, hw, {2, 1, 2}, SmallProfile());
@@ -886,13 +885,9 @@ TEST(TrainerServiceTest, IterationRecordsCarryReplicaCompletionStats) {
   opts.max_iterations = 2;
   const runtime::EpochResult res = trainer.RunEpoch(dataset, FastPlanner(), opts);
   ASSERT_TRUE(res.feasible) << res.failure;
-  EXPECT_EQ(res.straggler_flags, 0);
+  ASSERT_EQ(res.records.size(), 2u);
   for (const runtime::IterationRecord& record : res.records) {
     EXPECT_EQ(record.heartbeat_replicas, 2);
-    EXPECT_GT(record.replica_median_ms, 0.0);
-    EXPECT_GE(record.replica_max_ms, record.replica_median_ms);
-    EXPECT_LE(record.replica_max_ms, record.measured_ms);
-    EXPECT_TRUE(record.straggler_replicas.empty());
   }
 }
 
@@ -1109,100 +1104,9 @@ TEST(HeartbeatMonitorTest, PartialReportSetsNeverFlagStragglers) {
   EXPECT_EQ(stats.stragglers, std::vector<int32_t>{1});
 }
 
-// A completed report set is the rebalancer's trigger: the heartbeat that
-// completes it returns it exactly once, and a duplicate beat must not
-// complete it again.
-TEST(HeartbeatMonitorTest, BeatCompletesEachIterationOnce) {
-  service::HeartbeatMonitorOptions opts;
-  opts.straggler_multiple = 2.0;
-  opts.min_straggler_gap_ms = 1.0;
-  opts.expected_replicas = 2;
-  service::HeartbeatMonitor monitor(opts);
-  const auto now = service::HeartbeatMonitor::Clock::now();
-  EXPECT_TRUE(monitor.Beat(0, 7, 10.0, now).completed.empty());  // 1/2
-  const service::MonitorUpdate update = monitor.Beat(1, 7, 11.0, now);
-  ASSERT_EQ(update.completed.size(), 1u);
-  EXPECT_EQ(update.completed[0].iteration, 7);
-  EXPECT_EQ(update.completed[0].replicas_reported, 2);
-  // Duplicate: overwrites its wall, completes nothing.
-  EXPECT_TRUE(monitor.Beat(1, 7, 12.0, now).completed.empty());
-  // The sink path marks completion too, with the update dropped: a later
-  // shrink finds nothing left to complete.
-  monitor.OnHeartbeat(0, 8, 1.0);
-  monitor.OnHeartbeat(1, 8, 1.0);
-  EXPECT_TRUE(monitor.set_expected_replicas(1).completed.empty());
-}
-
-// ---------- heartbeat monitor: dynamic expected replicas ----------
-
-// A drain shrinks the fleet mid-epoch. Iterations stuck at N-1 of N reports
-// become complete the moment the expectation drops — the shrink returns them
-// retroactively, exactly once, and a late beat from the departed replica
-// must not complete them again.
-TEST(HeartbeatMonitorTest, ShrinkingExpectedRetroactivelyCompletesReportSets) {
-  service::HeartbeatMonitorOptions opts;
-  opts.straggler_multiple = 2.0;
-  opts.min_straggler_gap_ms = 1.0;
-  opts.expected_replicas = 3;
-  service::HeartbeatMonitor monitor(opts);
-  const auto now = service::HeartbeatMonitor::Clock::now();
-  EXPECT_TRUE(monitor.Beat(0, 0, 10.0, now).completed.empty());
-  // 2/3: the third never comes — it drained.
-  EXPECT_TRUE(monitor.Beat(1, 0, 11.0, now).completed.empty());
-  const service::MonitorUpdate shrink = monitor.set_expected_replicas(2);
-  ASSERT_EQ(shrink.completed.size(), 1u);  // retroactively complete
-  EXPECT_EQ(shrink.completed[0].iteration, 0);
-  EXPECT_EQ(shrink.completed[0].replicas_reported, 2);
-  EXPECT_EQ(shrink.completed[0].replicas_expected, 2);
-  // A straggling beat from the drained replica lands in the stats but must
-  // not complete the already-completed iteration again.
-  EXPECT_TRUE(monitor.Beat(2, 0, 99.0, now).completed.empty());
-  // Later iterations complete at the new size.
-  EXPECT_TRUE(monitor.Beat(0, 1, 10.0, now).completed.empty());
-  const service::MonitorUpdate next = monitor.Beat(1, 1, 10.0, now);
-  ASSERT_EQ(next.completed.size(), 1u);
-  EXPECT_EQ(next.completed[0].iteration, 1);
-}
-
-// A join grows the fleet. Iterations that already completed at the old size
-// stay completed — growth must neither complete them again nor
-// "un-complete" them — and new iterations gate on the larger set.
-TEST(HeartbeatMonitorTest, GrowingExpectedNeverDoubleFiresACompletedIteration) {
-  service::HeartbeatMonitorOptions opts;
-  opts.straggler_multiple = 2.0;
-  opts.min_straggler_gap_ms = 1.0;
-  opts.expected_replicas = 2;
-  service::HeartbeatMonitor monitor(opts);
-  const auto now = service::HeartbeatMonitor::Clock::now();
-  monitor.Beat(0, 0, 10.0, now);
-  // Complete at the old size.
-  ASSERT_EQ(monitor.Beat(1, 0, 10.0, now).completed.size(), 1u);
-  // A joiner was admitted.
-  EXPECT_TRUE(monitor.set_expected_replicas(3).completed.empty());
-  // The joiner's beat on the completed iteration.
-  EXPECT_TRUE(monitor.Beat(2, 0, 10.0, now).completed.empty());
-  // The next iteration needs all three.
-  EXPECT_TRUE(monitor.Beat(0, 1, 10.0, now).completed.empty());
-  EXPECT_TRUE(monitor.Beat(1, 1, 10.0, now).completed.empty());  // 2/3
-  const service::MonitorUpdate update = monitor.Beat(2, 1, 10.0, now);
-  ASSERT_EQ(update.completed.size(), 1u);
-  EXPECT_EQ(update.completed[0].iteration, 1);
-  EXPECT_EQ(update.completed[0].replicas_expected, 3);
-}
-
 // ---------- fleet coordinator ----------
 
 namespace {
-// Feeds one complete iteration's heartbeats from replicas 0..replicas-1:
-// `slow` reports 40 ms, everyone else 10 ms — over the 2*median+1 bar, so
-// `slow` is flagged (or nobody, with slow < 0).
-void FeedIteration(runtime::HeartbeatSink& sink, int64_t iteration,
-                   int32_t slow, int32_t replicas = 3) {
-  for (int32_t replica = 0; replica < replicas; ++replica) {
-    sink.OnHeartbeat(replica, iteration, replica == slow ? 40.0 : 10.0);
-  }
-}
-
 service::HeartbeatMonitorOptions FleetMonitorOptions() {
   service::HeartbeatMonitorOptions opts;
   opts.straggler_multiple = 2.0;
@@ -1217,16 +1121,6 @@ service::FleetOptions Fleet(std::vector<int32_t> replicas) {
   return opts;
 }
 
-// Straggler rebalance on, with the thresholds the tests below exercise.
-service::FleetOptions RebalancingFleet(std::vector<int32_t> replicas,
-                                       int32_t consecutive_flags) {
-  service::FleetOptions opts = Fleet(std::move(replicas));
-  opts.rebalance = true;
-  opts.rebalance_consecutive_flags = consecutive_flags;
-  opts.rebalance_max_moves = 2;
-  opts.rebalance_hysteresis_iterations = 4;
-  return opts;
-}
 }  // namespace
 
 // --- deaths ---
@@ -1389,99 +1283,6 @@ TEST(FleetCoordinatorTest, DeadlineDeathOnVirtualClockRepostsBacklog) {
   EXPECT_EQ(store.FetchBytes(11, 0), "b2");
 }
 
-// --- stragglers ---
-
-TEST(FleetCoordinatorTest, PersistentStragglerShedsTailOfItsBacklog) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
-                                  RebalancingFleet({0, 1, 2}, 2));
-
-  for (int64_t i = 0; i < 6; ++i) {
-    store.PushBytes(i, 1, "p" + std::to_string(i));
-  }
-  FeedIteration(fleet, 0, /*slow=*/1);  // streak 1: under threshold
-  EXPECT_EQ(fleet.report().shed_events, 0);
-  EXPECT_EQ(store.PendingIterations(1).size(), 6u);
-  FeedIteration(fleet, 1, /*slow=*/1);  // streak 2: trigger
-  const service::FleetReport report = fleet.report();
-  EXPECT_EQ(report.shed_events, 1);
-  EXPECT_EQ(report.shed_iterations, 2);
-  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{1});
-  // The *tail* moved (the slow replica keeps the work it reaches next),
-  // round-robin over the fast replicas at their spare keys.
-  EXPECT_EQ(store.PendingIterations(1),
-            (std::vector<int64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(store.FetchBytes(10, 0), "p5");
-  EXPECT_EQ(store.FetchBytes(10, 2), "p4");
-}
-
-// However short the backlog, a shed leaves the straggler its lowest pending
-// plan: the one it polls next, whose fetch may already be in flight. Moving
-// it would make that fetch abort on shm and idle out on the wire.
-TEST(FleetCoordinatorTest, StragglerShedKeepsItsNextPlan) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
-                                  RebalancingFleet({0, 1, 2}, 1));
-
-  store.PushBytes(0, 1, "next");
-  store.PushBytes(1, 1, "tail");
-  FeedIteration(fleet, 0, /*slow=*/1);  // max 2 moves, but only 1 may go
-  EXPECT_EQ(fleet.report().shed_iterations, 1);
-  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
-  EXPECT_EQ(store.FetchBytes(0, 1), "next");
-  EXPECT_EQ(store.FetchBytes(10, 0), "tail");
-}
-
-TEST(FleetCoordinatorTest, HysteresisAndStreakResetPreventThrash) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
-                                  RebalancingFleet({0, 1, 2}, 2));
-
-  for (int64_t i = 0; i < 8; ++i) {
-    store.PushBytes(i, 1, "p" + std::to_string(i));
-  }
-  FeedIteration(fleet, 0, 1);
-  FeedIteration(fleet, 1, 1);  // event at iteration 1; cooldown until 5
-  ASSERT_EQ(fleet.report().shed_events, 1);
-  // Still slow every iteration — but a fresh streak has to build AND the
-  // cooldown has to pass before anything moves again.
-  FeedIteration(fleet, 2, 1);
-  FeedIteration(fleet, 3, 1);
-  FeedIteration(fleet, 4, 1);
-  EXPECT_EQ(fleet.report().shed_events, 1);  // iterations < 5: immune
-  FeedIteration(fleet, 5, 1);  // past cooldown, streak long since rebuilt
-  EXPECT_EQ(fleet.report().shed_events, 2);
-  EXPECT_EQ(fleet.report().shed_iterations, 4);
-  // An intervening fast iteration resets the streak: no third event until
-  // two more consecutive flags accumulate.
-  FeedIteration(fleet, 9, /*slow=*/-1);  // everyone keeps pace
-  FeedIteration(fleet, 10, 1);
-  EXPECT_EQ(fleet.report().shed_events, 2);  // streak 1 of 2
-}
-
-// A replica the monitor has declared dead belongs to the death handler: the
-// rebalance must not race it for the backlog, even on late beats. What it
-// receives after its death moves as a death moves it.
-TEST(FleetCoordinatorTest, DeadReplicaPinsItsBacklog) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
-                                  RebalancingFleet({0, 1, 2}, 1));
-
-  fleet.OnReplicaAttached(2);
-  fleet.OnReplicaDisconnected(2, /*clean=*/false);  // -> kDead
-  store.PushBytes(0, 2, "dead-backlog");
-  FeedIteration(fleet, 1, /*slow=*/2);  // late beats from the dead replica
-  const service::FleetReport report = fleet.report();
-  EXPECT_EQ(report.shed_events, 0);
-  EXPECT_EQ(report.replanned_iterations, 1);
-  EXPECT_TRUE(store.PendingIterations(2).empty());
-  EXPECT_EQ(store.FetchBytes(10, 0), "dead-backlog");
-}
-
 // A publisher that has not heard of a death keeps pushing to the dead
 // replica, whose executor will never poll again. The coordinator's next
 // input moves the late plan as the death moved the backlog, so the store
@@ -1536,28 +1337,24 @@ TEST(FleetCoordinatorTest, UnlistedFleetRepostsADeadReplicasBacklog) {
 }
 
 // A death shrinks the expected fleet like a drain does: the survivors' report
-// sets complete without the dead replica's beat, so a straggler among them
-// is still flagged and shed.
+// sets are full without the dead replica's beat, so a straggler among them
+// is still flagged.
 TEST(FleetCoordinatorTest, DeathShrinksTheExpectedFleet) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
-                                  RebalancingFleet({0, 1, 2, 3}, 2));
+                                  Fleet({0, 1, 2, 3}));
 
-  for (int64_t i = 0; i < 6; ++i) {
-    store.PushBytes(i, 1, "p" + std::to_string(i));
-  }
   fleet.OnReplicaAttached(3);
   fleet.OnReplicaDisconnected(3, /*clean=*/false);  // -> kDead
-  for (int64_t i = 0; i < 3; ++i) {
-    FeedIteration(fleet, i, /*slow=*/1);
-  }
+  fleet.OnHeartbeat(0, 0, 10.0);
+  fleet.OnHeartbeat(1, 0, 40.0);  // over the 2 * median + 1 bar
+  fleet.OnHeartbeat(2, 0, 10.0);
 
   const service::IterationHeartbeatStats stats =
-      fleet.monitor().ForIteration(2);
+      fleet.monitor().ForIteration(0);
   EXPECT_EQ(stats.replicas_expected, 3);
   EXPECT_EQ(stats.stragglers, std::vector<int32_t>{1});
-  EXPECT_GE(fleet.report().shed_events, 1);
 }
 
 #if DYNAPIPE_DEATH_TESTS
@@ -1575,17 +1372,14 @@ TEST(FleetCoordinatorDeathTest, MonitorExpectedReplicasDies) {
 
 // A zombie's late beat must not count toward a report set. Once replica 3's
 // death has shrunk the expected fleet to 3, its beat for iteration 5 would
-// complete the set together with 0 and 2 — before replica 1 reported — and
-// replica 1's straggle would never be acted on.
-TEST(FleetCoordinatorTest, ZombieBeatNeverCompletesAReportSet) {
+// fill the set together with 0 and 2 — before replica 1 reported — and flag
+// against a median that never saw replica 1.
+TEST(FleetCoordinatorTest, ZombieBeatNeverCountsTowardAReportSet) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
+  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
+                                  Fleet({0, 1, 2, 3}));
 
-  for (int64_t i = 0; i < 4; ++i) {
-    store.PushBytes(i, 1, "p" + std::to_string(i));
-  }
   fleet.OnReplicaAttached(3);
   fleet.OnReplicaDisconnected(3, /*clean=*/false);  // -> kDead
   ASSERT_EQ(fleet.monitor().expected_replicas(), 3);
@@ -1593,59 +1387,14 @@ TEST(FleetCoordinatorTest, ZombieBeatNeverCompletesAReportSet) {
   fleet.OnHeartbeat(3, 5, 10.0);  // the zombie
   fleet.OnHeartbeat(0, 5, 10.0);
   fleet.OnHeartbeat(2, 5, 10.0);
-  EXPECT_EQ(fleet.report().shed_events, 0);  // 2 of 3: still open
-  fleet.OnHeartbeat(1, 5, 40.0);  // completes the set, flagged
+  service::IterationHeartbeatStats stats = fleet.monitor().ForIteration(5);
+  EXPECT_EQ(stats.replicas_reported, 2);  // 2 of 3: still partial
+  EXPECT_TRUE(stats.stragglers.empty());
 
-  const service::FleetReport report = fleet.report();
-  EXPECT_EQ(report.shed_events, 1);
-  EXPECT_EQ(report.shed_iterations, 2);
-  EXPECT_EQ(fleet.monitor().ForIteration(5).replicas_reported, 3);
-  EXPECT_EQ(store.PendingIterations(1), (std::vector<int64_t>{0, 1}));
-  EXPECT_EQ(store.FetchBytes(10, 0), "p3");
-  EXPECT_EQ(store.FetchBytes(10, 2), "p2");
-}
-
-TEST(FleetCoordinatorTest, NoFastDestinationMeansNoMove) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  // Nobody else is a member to take work.
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(),
-                                  RebalancingFleet({1}, 1));
-
-  store.PushBytes(0, 1, "stuck");
-  FeedIteration(fleet, 0, /*slow=*/1);
-  EXPECT_EQ(fleet.report().shed_events, 0);
-  EXPECT_EQ(store.PendingIterations(1), std::vector<int64_t>{0});
-}
-
-// A rebalance and a later death repost share one set of spare keys, so they
-// can never hand out the same destination key — and the still-polling
-// straggler gets the key its tail steal vacated back first, keeping its key
-// sequence gap-free.
-TEST(FleetCoordinatorTest, DeathRepostFillsTheGapARebalanceVacated) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 1);
-  opts.rebalance_max_moves = 1;
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
-
-  // Rebalance moves the tail plan to a fast replica's first spare key...
-  store.PushBytes(0, 1, "slow-head");
-  store.PushBytes(1, 1, "slow-tail");
-  FeedIteration(fleet, 0, /*slow=*/1);
-  ASSERT_EQ(fleet.report().shed_iterations, 1);
-  // ...then that fast replica's peer dies and the backlog round-robins over
-  // the survivors: keys continue after the rebalance's on the fast replica,
-  // and the straggler's repost reuses the key the steal vacated.
-  store.PushBytes(1, 2, "dead-a");
-  store.PushBytes(2, 2, "dead-b");
-  fleet.OnReplicaAttached(2);
-  fleet.OnReplicaDisconnected(2, /*clean=*/false);
-  EXPECT_EQ(fleet.report().replanned_iterations, 2);
-  EXPECT_EQ(store.FetchBytes(10, 0), "slow-tail");
-  EXPECT_EQ(store.FetchBytes(11, 0), "dead-a");
-  EXPECT_EQ(store.FetchBytes(0, 1), "slow-head");
-  EXPECT_EQ(store.FetchBytes(1, 1), "dead-b");
+  fleet.OnHeartbeat(1, 5, 40.0);  // fills the set, flagged
+  stats = fleet.monitor().ForIteration(5);
+  EXPECT_EQ(stats.replicas_reported, 3);
+  EXPECT_EQ(stats.stragglers, std::vector<int32_t>{1});
 }
 
 // --- membership ---
@@ -1683,11 +1432,11 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   EXPECT_EQ(store.PendingIterations(0), std::vector<int64_t>{0});
 }
 
-// A drain request takes the leaver out of the member set, hands its
-// unfetched backlog round-robin to the surviving members at spare keys,
-// and shrinks the expected fleet *after* the handoff, all inside the sink
-// call the feeder acknowledges after. A duplicate request must not repost
-// twice, and the drainer receives nothing from a later death.
+// A drain request takes the leaver out of the member set, shrinks the
+// expected fleet and hands its unfetched backlog round-robin to the
+// surviving members at spare keys, all inside the sink call the feeder
+// acknowledges after. A duplicate request must not repost twice, and the
+// drainer receives nothing from a later death.
 TEST(FleetCoordinatorTest, DrainHandsOffBacklogAndAcknowledgesOnce) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
@@ -1799,64 +1548,102 @@ TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
   EXPECT_EQ(fleet.ActiveMembers(), std::vector<int32_t>{2});
 }
 
-// A joiner is a rebalance member like any original one: when it straggles
-// persistently, the tail of its backlog moves to a fast member. The steal
-// that seeded it vacated the donor's keys 11, 10 and 9, so the plan routed
-// back to the donor fills key 9 instead of landing beyond the gap.
-TEST(FleetCoordinatorTest, PersistentlySlowJoinerShedsItsTail) {
+// The gap-filling rule. A join steal vacates the donor's highest keys; the
+// donor still polls its keys in order, so a later death repost to it reuses
+// the lowest vacated key instead of landing beyond a gap it never crosses.
+TEST(FleetCoordinatorTest, DeathRepostFillsTheGapAJoinVacated) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions opts = RebalancingFleet({0, 1, 2}, 2);
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
 
   for (int64_t i = 0; i < 12; ++i) {
     store.PushBytes(i, 1, "p" + std::to_string(i));
   }
   fleet.OnReplicaAttached(3);  // steals p11, p10, p9 to (10..12, 3)
   ASSERT_EQ(fleet.report().join_stolen, 3);
-  ASSERT_EQ(fleet.monitor().expected_replicas(), 4);
-  FeedIteration(fleet, 0, /*slow=*/3, /*replicas=*/4);
-  EXPECT_EQ(fleet.report().shed_events, 0);  // streak 1 of 2
-  FeedIteration(fleet, 1, /*slow=*/3, /*replicas=*/4);
+  EXPECT_EQ(store.FetchBytes(10, 3), "p11");
 
-  const service::FleetReport report = fleet.report();
-  EXPECT_EQ(report.shed_events, 1);
-  EXPECT_EQ(report.shed_iterations, 2);
-  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{3});
-  EXPECT_EQ(store.PendingIterations(3), std::vector<int64_t>{10});
-  EXPECT_EQ(store.FetchBytes(10, 0), "p9");
-  EXPECT_EQ(store.FetchBytes(9, 1), "p10");
+  store.PushBytes(0, 2, "dead-a");
+  store.PushBytes(1, 2, "dead-b");
+  store.PushBytes(2, 2, "dead-c");
+  fleet.Drop(2, /*clean=*/false);  // round-robin over {0, 1, 3}
+
+  EXPECT_EQ(fleet.report().replanned_iterations, 3);
+  // The donor's keys stay contiguous from its poll cursor.
+  EXPECT_EQ(store.PendingIterations(1),
+            (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(store.FetchBytes(10, 0), "dead-a");
+  EXPECT_EQ(store.FetchBytes(9, 1), "dead-b");  // the lowest vacated key
+  EXPECT_EQ(store.FetchBytes(13, 3), "dead-c");
 }
 
-// A drain that shrinks the expected fleet completes a report set parked at
-// N-1 of N. The coordinator reacts to that completion inside the drain's own
-// call, on a member set that no longer holds the leaver.
-TEST(FleetCoordinatorTest, DrainCompletingAParkedIterationRebalances) {
+// --- every member that stops polling is swept ---
+
+// A publisher that has not heard of a drain keeps pushing to the drainer,
+// whose executor has already detached. The coordinator's next input moves
+// the late plan as the drain moved the backlog.
+TEST(FleetCoordinatorTest, LatePushToADrainedReplicaMovesOnTheNextInput) {
+  using namespace std::chrono_literals;
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetOptions opts = RebalancingFleet({0, 1, 2, 3}, 1);
-  service::FleetCoordinator fleet(&store, FleetMonitorOptions(), opts);
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
 
-  for (int64_t i = 0; i < 4; ++i) {
-    store.PushBytes(i, 2, "p" + std::to_string(i));
-  }
-  fleet.OnReplicaAttached(3);
-  FeedIteration(fleet, 0, /*slow=*/2);  // 3 of 4 reported: parked
-  EXPECT_TRUE(fleet.monitor().ForIteration(0).stragglers.empty());
-  EXPECT_EQ(fleet.report().shed_events, 0);
+  const auto t0 = service::FleetCoordinator::Clock::now();
+  fleet.Drain(2, t0);
+  fleet.Drop(2, /*clean=*/true);
+  store.PushBytes(1, 2, "late");
+  fleet.Beat(0, 0, 1.0, t0 + 1ms);  // a survivor's input
 
-  fleet.OnReplicaDrainRequested(3);  // 3 of 3: complete, 2 flagged
+  ASSERT_TRUE(store.PendingIterations(2).empty());
+  EXPECT_EQ(store.FetchBytes(10, 0), "late");
+  EXPECT_EQ(fleet.report().drain_reposted, 1);
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1}));
+}
+
+// A clean detach retires any member, not only a drainer: a detached replica
+// never polls again, so it takes no work, holds none and leaves the expected
+// fleet.
+TEST(FleetCoordinatorTest, CleanDetachRetiresAMember) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
+
+  fleet.OnReplicaAttached(0);
+  fleet.OnReplicaDisconnected(0, /*clean=*/true);
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{1, 2}));
+  EXPECT_EQ(fleet.monitor().expected_replicas(), 2);
+
+  store.PushBytes(0, 1, "plan-a");
+  store.PushBytes(1, 1, "plan-b");
+  fleet.OnReplicaDisconnected(1, /*clean=*/false);  // dies holding both
+
+  EXPECT_EQ(fleet.report().replanned_iterations, 2);
+  ASSERT_TRUE(store.PendingIterations(0).empty());
+  EXPECT_EQ(store.FetchBytes(10, 2), "plan-a");
+  EXPECT_EQ(store.FetchBytes(11, 2), "plan-b");
+  EXPECT_EQ(fleet.ActiveMembers(), std::vector<int32_t>{2});
+
+  fleet.OnReplicaAttached(0);  // back: a joiner like any other
+  EXPECT_EQ(fleet.report().joined, std::vector<int32_t>{0});
+  EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 2}));
+}
+
+// The last member draining has no peer to hand off to: its backlog is
+// dropped and counted, as a death's is, not left on keys nobody polls.
+TEST(FleetCoordinatorTest, DrainWithNoPeerLeftDropsItsBacklog) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, {}, Fleet({0}));
+
+  store.PushBytes(0, 0, "plan-a");
+  store.PushBytes(1, 0, "plan-b");
+  fleet.OnReplicaDrainRequested(0);
 
   const service::FleetReport report = fleet.report();
-  EXPECT_EQ(report.drained, std::vector<int32_t>{3});
-  EXPECT_EQ(fleet.monitor().expected_replicas(), 3);
-  EXPECT_EQ(report.shed_events, 1);
-  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{2});
-  // The tail went to the fast members that stay, never to the leaver.
-  EXPECT_EQ(store.PendingIterations(2), (std::vector<int64_t>{0, 1}));
-  EXPECT_TRUE(store.PendingIterations(3).empty());
-  EXPECT_EQ(store.FetchBytes(10, 0), "p3");
-  EXPECT_EQ(store.FetchBytes(10, 1), "p2");
+  EXPECT_EQ(report.drained, std::vector<int32_t>{0});
+  EXPECT_EQ(report.drain_reposted, 0);
+  EXPECT_EQ(report.dropped_iterations, 2);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 }  // namespace

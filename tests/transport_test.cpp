@@ -1398,23 +1398,16 @@ TEST(ShmFaultControlLoopTest, SigkilledReaderPinIsReclaimedAndArenaRewinds) {
   ::close(pinned_pipe[0]);
 }
 
-// The shm-native straggler reaction, end to end with no socket anywhere:
-// three executor processes attach to one segment; liveness and completions
+// Shm-native straggler detection, end to end with no socket anywhere: three
+// counted executor processes attach to one segment; liveness and completions
 // flow only through the segment's heartbeat slots into the publisher-side
-// poller. Replica 1 stalls 1200 ms inside iteration 1, so its heartbeat
-// arrives late and over-wall; the monitor flags it the moment the report
-// set completes, and the rebalance coordinator moves the tail of its
-// unfetched backlog to spare keys on the fast replicas, which drain them.
-// Every child verifies each fetched plan re-encodes to published bytes
-// (set membership — migrated plans appear under spare keys, bytes
-// unchanged). All children are paced identically so pacing cannot shift
-// the straggler medians, and so the stalled replica still has a movable
-// backlog when its flag lands.
-TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
-  constexpr int kIterations = 6;
+// poller. Replica 1 stalls 300 ms inside iteration 1, so its heartbeat
+// arrives late and over-wall, and the monitor flags it once the report set
+// is full. The flag moves nothing: every plan runs where it was published.
+TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedThroughTheSegment) {
+  constexpr int kIterations = 3;
   constexpr int32_t kReplicas = 3;
   constexpr int32_t kVictim = 1;
-  constexpr double kPaceMs = 60.0;
   const FaultEpoch epoch(400, kIterations, kReplicas);
   const std::string shm_name = UniqueShmName("stall");
   std::vector<pid_t> children;
@@ -1422,43 +1415,23 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      // Open-ended: survivors must pick up migrated plans at spare keys
-      // past their own epoch. The idle timeout is the exit condition — it
-      // must outlast the park between a fast replica draining its epoch
-      // (~360 ms) and the migration landing (after the 1200 ms stall).
       RunFaultChild(shm_name, executor::AttachEndpoint::kSharedMemory, r,
-                    epoch.expected, r == kVictim ? "stall:1200@1" : nullptr,
-                    /*iterations=*/-1, /*require_reconnect=*/false,
-                    /*slow_ms=*/kPaceMs, /*idle_timeout_ms=*/5'000);
+                    epoch.expected, r == kVictim ? "stall:300@1" : nullptr,
+                    kIterations, /*require_reconnect=*/false);
     }
     children.push_back(child);
   }
 
   // Control plane, created only after the forks (no threads cross fork).
-  // No death deadlines: a 1200 ms stall must stay a straggler, never a
-  // death — rebalancing, not recovery, is under test.
-  executor::PublisherOptions pub_opts = RecoveringFleet(shm_name, kIterations);
+  // No death deadline: a stall is a straggle, never a death.
+  executor::PublisherOptions pub_opts;
+  pub_opts.attach = shm_name;
+  pub_opts.fleet.replicas = {0, 1, 2};
   pub_opts.monitor.straggler_multiple = 2.0;
   pub_opts.monitor.min_straggler_gap_ms = 50.0;
-  pub_opts.fleet.rebalance = true;
-  pub_opts.fleet.rebalance_consecutive_flags = 1;
-  pub_opts.fleet.rebalance_max_moves = 2;
-  pub_opts.fleet.rebalance_hysteresis_iterations = kIterations;  // one event
   executor::Publisher publisher(pub_opts);
   const std::shared_ptr<runtime::RecoverableStore>& store = publisher.store();
   epoch.PushTo(*store);
-
-  // Every plan — including the migrated ones at spare keys — executes
-  // exactly once somewhere, so the drain and the heartbeat total are exact
-  // regardless of how the move races resolve.
-  ASSERT_TRUE(WaitUntil([&] { return store->size() == 0; }, 30'000));
-  ASSERT_TRUE(WaitUntil(
-      [&] {
-        return publisher.monitor().total_heartbeats() >=
-               kIterations * kReplicas;
-      },
-      10'000));
-  EXPECT_EQ(publisher.monitor().total_heartbeats(), kIterations * kReplicas);
 
   for (const pid_t child : children) {
     int status = 0;
@@ -1466,6 +1439,14 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "executor status " << status;
   }
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        return publisher.monitor().total_heartbeats() >=
+               kIterations * kReplicas;
+      },
+      10'000));
+  EXPECT_EQ(publisher.monitor().total_heartbeats(), kIterations * kReplicas);
+  EXPECT_EQ(store->size(), 0u);
 
   // The stall was detected through the segment alone: iteration 1 saw all
   // three replicas report and flagged exactly the stalled one.
@@ -1473,14 +1454,11 @@ TEST(ShmFaultControlLoopTest, StalledShmExecutorIsFlaggedAndBacklogRebalances) {
       publisher.monitor().ForIteration(1);
   EXPECT_EQ(stalled.replicas_reported, kReplicas);
   EXPECT_EQ(stalled.stragglers, std::vector<int32_t>{kVictim});
-  EXPECT_GE(stalled.max_wall_ms, 1200.0);
-  // And reacted to: unfetched backlog moved off the straggler mid-epoch.
-  const service::FleetReport report = publisher.report();
-  EXPECT_GE(report.shed_events, 1);
-  EXPECT_GE(report.shed_iterations, 1);
-  EXPECT_EQ(report.shed_replicas, std::vector<int32_t>{kVictim});
-  // Nobody was declared dead: a stall is a straggle, not a failure.
+  EXPECT_GE(stalled.max_wall_ms, 300.0);
+  // Nobody was declared dead, and nothing moved.
   EXPECT_TRUE(publisher.monitor().DeadReplicas().empty());
+  const service::FleetReport report = publisher.report();
+  EXPECT_EQ(report.replanned_iterations + report.drain_reposted, 0);
 }
 
 
