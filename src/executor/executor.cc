@@ -48,37 +48,6 @@ constexpr int kReconnectAttempts = 3;
 constexpr int kReconnectBackoffMs = 10;  // initial; doubles, capped
 constexpr int kReconnectBackoffCapMs = 500;
 
-// Deterministic synthetic hardware for the standalone simulator: durations
-// derived only from what the plan itself carries (shapes and transfer
-// sizes), so any well-formed plan executes without profiles or model
-// configs. Magnitudes are loosely GPU-shaped (sub-ms kernels, GB/s-scale
-// transfers); straggler detection compares wall clock across replicas, not
-// these simulated durations.
-class SyntheticGroundTruth final : public sim::GroundTruth {
- public:
-  double ComputeMs(int32_t device, const sim::Instruction& instr) override {
-    (void)device;
-    const double tokens =
-        static_cast<double>(instr.shape.num_samples) *
-        static_cast<double>(instr.shape.input_len + instr.shape.target_len);
-    const double forward = 0.02 + tokens * 2e-6;
-    return instr.type == sim::InstrType::kBackwardPass ? 2.0 * forward
-                                                       : forward;
-  }
-  double ActivationMb(int32_t device, const sim::Instruction& instr) override {
-    (void)device;
-    const double tokens =
-        static_cast<double>(instr.shape.num_samples) *
-        static_cast<double>(instr.shape.input_len + instr.shape.target_len);
-    return tokens * 1e-3;
-  }
-  double TransferMs(int32_t src, int32_t dst, int64_t bytes) override {
-    (void)src;
-    (void)dst;
-    return 0.005 + static_cast<double>(bytes) / (100.0 * 1024.0 * 1024.0);
-  }
-};
-
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -139,6 +108,25 @@ common::Counter& ReconnectCounter() {
 }
 
 }  // namespace
+
+// padded_tokens() sums the lengths in int64: a hostile plan's int32 lengths
+// may not fit an int32 sum, and ClusterSim admits only non-negative shapes.
+double SyntheticGroundTruth::ComputeMs(int32_t /*device*/,
+                                       const sim::Instruction& instr) {
+  const double forward =
+      0.02 + static_cast<double>(instr.shape.padded_tokens()) * 2e-6;
+  return instr.type == sim::InstrType::kBackwardPass ? 2.0 * forward : forward;
+}
+
+double SyntheticGroundTruth::ActivationMb(int32_t /*device*/,
+                                          const sim::Instruction& instr) {
+  return static_cast<double>(instr.shape.padded_tokens()) * 1e-3;
+}
+
+double SyntheticGroundTruth::TransferMs(int32_t /*src*/, int32_t /*dst*/,
+                                        int64_t bytes) {
+  return 0.005 + static_cast<double>(bytes) / (100.0 * 1024.0 * 1024.0);
+}
 
 AttachEndpoint DetectEndpoint(const std::string& attach) {
   // A POSIX shm name is "/name" — exactly one slash, leading. Socket paths
@@ -472,7 +460,7 @@ ExecutorReport RunExecutor(const ExecutorOptions& options) {
     std::optional<common::TraceSpan> exec_span;
     exec_span.emplace("executed", "plan", iteration, options.replica);
     const sim::SimResult result = cluster.Run(plan);
-    if (result.deadlocked || result.oom) {
+    if (result.refused || result.deadlocked || result.oom) {
       return fail("iteration " + std::to_string(iteration) + " " +
                   result.diagnostic);
     }

@@ -114,10 +114,25 @@ struct ExecutorReport {
   double heartbeat_ms_total = 0.0;
 };
 
+// Deterministic synthetic hardware for the executor's ClusterSim: durations
+// derived only from what the plan itself carries (shapes and transfer sizes),
+// so any plan ClusterSim admits executes without profiles or model configs.
+// Magnitudes are loosely GPU-shaped (sub-ms kernels, GB/s-scale transfers);
+// straggler detection compares wall clock across replicas, not these
+// simulated durations.
+class SyntheticGroundTruth final : public sim::GroundTruth {
+ public:
+  double ComputeMs(int32_t device, const sim::Instruction& instr) override;
+  double ActivationMb(int32_t device, const sim::Instruction& instr) override;
+  double TransferMs(int32_t src, int32_t dst, int64_t bytes) override;
+};
+
 // Attaches, drains, heartbeats, returns. A missing, slow, or cleanly
 // departed publisher is never an abort: attach failure and a publisher that
 // vanishes while we are *between* plans are `ok = false` reports (or, for an
-// open-ended run, a clean end-of-epoch). Like every store client, it does
+// open-ended run, a clean end-of-epoch). So is a decoded plan that
+// ClusterSim refuses, deadlocks on or runs out of memory with: the report
+// carries Run's diagnostic. Like every store client, it does
 // abort on a violated store contract — corrupt plan bytes, a key consumed
 // out from under us, or a peer torn away mid-exchange — because a corrupted
 // or half-delivered plan must not execute.

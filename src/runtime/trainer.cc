@@ -262,19 +262,12 @@ EpochResult Trainer::RunEpochImpl(const data::Dataset& dataset,
                                           static_cast<int32_t>(d));
         return cluster.Run(exec);
       }();
-      if (res.deadlocked) {
-        ++result.deadlocks;
+      if (res.refused || res.deadlocked || res.oom) {
+        result.deadlocks += res.deadlocked ? 1 : 0;
+        result.ooms += res.oom ? 1 : 0;
         result.feasible = false;
         result.failure = "iteration " + std::to_string(iteration) +
                          " replica " + std::to_string(d) + " " + res.diagnostic;
-        capture_service_stats();
-        return result;
-      }
-      if (res.oom) {
-        ++result.ooms;
-        result.feasible = false;
-        result.failure = "iteration " + std::to_string(iteration) + " replica " +
-                         std::to_string(d) + " " + res.diagnostic;
         capture_service_stats();
         return result;
       }

@@ -24,7 +24,7 @@ void Channel::PostGroup(int32_t device, std::vector<CommOp> group) {
   SideFor(device).push_back(std::move(group));
 }
 
-void Channel::TryMatch(
+bool Channel::TryMatch(
     const std::function<double(int64_t)>& duration_ms,
     const std::function<void(int64_t, int64_t, double, double, int64_t)>& on_transfer) {
   while (!side_a_.empty() && !side_b_.empty()) {
@@ -39,7 +39,9 @@ void Channel::TryMatch(
         if (b.matched || a.is_send == b.is_send || a.tag != b.tag) {
           continue;
         }
-        DYNAPIPE_CHECK_MSG(a.bytes == b.bytes, "send/recv size mismatch");
+        if (a.bytes != b.bytes) {
+          return false;
+        }
         CommOp& send = a.is_send ? a : b;
         CommOp& recv = a.is_send ? b : a;
         const double start =
@@ -70,9 +72,10 @@ void Channel::TryMatch(
     // posts cannot legally match past the heads, so stop (potential deadlock —
     // diagnosed by the simulator if nothing else progresses).
     if (!matched_any && !popped) {
-      return;
+      return true;
     }
   }
+  return true;
 }
 
 bool Channel::HasPendingOps() const { return !side_a_.empty() || !side_b_.empty(); }

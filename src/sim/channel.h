@@ -42,8 +42,10 @@ class Channel {
 
   // Attempt head-group matching. For every transfer scheduled, invokes
   // on_transfer(send_handle, recv_handle, start_ms, end_ms, bytes); duration_ms
-  // supplies the latency+bandwidth model.
-  void TryMatch(const std::function<double(int64_t)>& duration_ms,
+  // supplies the latency+bandwidth model. Returns false, matching nothing
+  // further, at a conjugate pair whose byte counts disagree: the plan is
+  // malformed, and ClusterSim refuses it.
+  bool TryMatch(const std::function<double(int64_t)>& duration_ms,
                 const std::function<void(int64_t, int64_t, double, double, int64_t)>&
                     on_transfer);
 

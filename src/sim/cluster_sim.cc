@@ -48,6 +48,126 @@ InstrType StartTypeForWait(InstrType wait) {
   }
 }
 
+// The entry scan's per-micro-batch bits on one device.
+enum PassBits : uint8_t {
+  kForwardRan = 1,
+  kBackwardRan = 2,
+  kActWaited = 4,
+  kGradWaited = 8,
+};
+
+// A Start kind's bit in the entry scan's per-(micro-batch, peer) table.
+uint8_t StartBit(InstrType start) {
+  return static_cast<uint8_t>(
+      1u << (static_cast<int>(start) - static_cast<int>(InstrType::kSendActStart)));
+}
+
+// The entry scan: every per-device rule the header lists, in one pass over each
+// device's instructions. Returns the first violation, or "" for a plan Run may
+// execute. Per-micro-batch state is sized only after every device is shown to
+// hold two compute ops per micro-batch, so a hostile count allocates nothing.
+std::string FirstViolation(const ExecutionPlan& plan, int32_t num_devices) {
+  const int32_t c = plan.num_devices();
+  if (c == 0) {
+    return "plan has no devices";
+  }
+  if (c != num_devices) {
+    return "plan has " + std::to_string(c) + " devices, the simulator " +
+           std::to_string(num_devices);
+  }
+  const int32_t m = plan.num_microbatches;
+  if (m < 0) {
+    return "negative micro-batch count " + std::to_string(m);
+  }
+  for (int32_t j = 0; j < c; ++j) {
+    const size_t n = plan.devices[static_cast<size_t>(j)].instructions.size();
+    if (n < 2 * static_cast<size_t>(m)) {
+      return "device " + std::to_string(j) + ": " + std::to_string(n) +
+             " instructions cannot run a forward and a backward for each of " +
+             std::to_string(m) + " micro-batches";
+    }
+  }
+  std::vector<uint8_t> passes(static_cast<size_t>(m));
+  std::vector<uint8_t> started(static_cast<size_t>(m) * static_cast<size_t>(c));
+  for (int32_t j = 0; j < c; ++j) {
+    const auto& instrs = plan.devices[static_cast<size_t>(j)].instructions;
+    const auto fault = [&](size_t k, const char* what) {
+      return "device " + std::to_string(j) + " #" + std::to_string(k) + " " +
+             instrs[k].ToString() + ": " + what;
+    };
+    std::fill(passes.begin(), passes.end(), 0);
+    for (size_t k = 0; k < instrs.size(); ++k) {
+      const Instruction& in = instrs[k];
+      if (in.microbatch < 0 || in.microbatch >= m) {
+        return fault(k, "micro-batch out of range");
+      }
+      if (in.bytes < 0 || in.shape.num_samples < 0 || in.shape.input_len < 0 ||
+          in.shape.target_len < 0) {
+        return fault(k, "negative shape or byte count");
+      }
+      uint8_t& pass = passes[static_cast<size_t>(in.microbatch)];
+      if (in.type == InstrType::kForwardPass) {
+        if ((pass & kForwardRan) != 0) {
+          return fault(k, "second forward");
+        }
+        if (j > 0 && (pass & kActWaited) == 0) {
+          return fault(k, "forward before its WaitRecvAct");
+        }
+        pass |= kForwardRan;
+        continue;
+      }
+      if (in.type == InstrType::kBackwardPass) {
+        if ((pass & kForwardRan) == 0 || (pass & kBackwardRan) != 0) {
+          return fault(k, "backward not after exactly one forward");
+        }
+        if (j < c - 1 && (pass & kGradWaited) == 0) {
+          return fault(k, "backward before its WaitRecvGrad");
+        }
+        pass |= kBackwardRan;
+        continue;
+      }
+      if (in.peer < 0 || in.peer >= c || in.peer == j) {
+        return fault(k, "peer out of range or the device itself");
+      }
+      uint8_t& kinds = started[static_cast<size_t>(in.microbatch) *
+                                   static_cast<size_t>(c) +
+                               static_cast<size_t>(in.peer)];
+      if (IsCommStart(in.type)) {
+        kinds |= StartBit(in.type);
+        continue;
+      }
+      if ((kinds & StartBit(StartTypeForWait(in.type))) == 0) {
+        return fault(k, "Wait with no Start");
+      }
+      if (in.type == InstrType::kWaitRecvAct) {
+        pass |= kActWaited;
+      } else if (in.type == InstrType::kWaitRecvGrad) {
+        pass |= kGradWaited;
+      }
+    }
+    for (int32_t i = 0; i < m; ++i) {
+      if ((passes[static_cast<size_t>(i)] & kBackwardRan) == 0) {
+        return "device " + std::to_string(j) + ": micro-batch " +
+               std::to_string(i) + " never ran its forward and backward";
+      }
+    }
+    for (const Instruction& in : instrs) {
+      if (!IsCompute(in.type)) {
+        started[static_cast<size_t>(in.microbatch) * static_cast<size_t>(c) +
+                static_cast<size_t>(in.peer)] = 0;
+      }
+    }
+  }
+  return "";
+}
+
+SimResult Refused(std::string reason) {
+  SimResult result;
+  result.refused = true;
+  result.diagnostic = "refused: " + std::move(reason);
+  return result;
+}
+
 struct Transfer {
   bool complete = false;
   double end_ms = 0.0;
@@ -80,7 +200,7 @@ ClusterSim::ClusterSim(int32_t num_devices, GroundTruth* ground_truth,
                        ClusterSimOptions options)
     : num_devices_(num_devices), ground_truth_(ground_truth),
       options_(std::move(options)) {
-  DYNAPIPE_CHECK(num_devices_ >= 1);
+  DYNAPIPE_CHECK(num_devices_ >= 0);
   DYNAPIPE_CHECK(ground_truth_ != nullptr);
   if (!options_.static_memory_mb.empty()) {
     DYNAPIPE_CHECK(options_.static_memory_mb.size() ==
@@ -89,8 +209,10 @@ ClusterSim::ClusterSim(int32_t num_devices, GroundTruth* ground_truth,
 }
 
 SimResult ClusterSim::Run(const ExecutionPlan& plan) {
-  DYNAPIPE_CHECK_MSG(plan.num_devices() == num_devices_,
-                     "plan/device count mismatch");
+  if (std::string violation = FirstViolation(plan, num_devices_);
+      !violation.empty()) {
+    return Refused(std::move(violation));
+  }
 
   std::vector<DeviceState> devices(static_cast<size_t>(num_devices_));
   for (int32_t d = 0; d < num_devices_; ++d) {
@@ -188,8 +310,6 @@ SimResult ClusterSim::Run(const ExecutionPlan& plan) {
         }
         ++ds.pc;
       } else if (IsCommStart(instr.type)) {
-        DYNAPIPE_CHECK_MSG(instr.peer >= 0 && instr.peer < num_devices_,
-                           "comm instruction with invalid peer");
         // Gather this Start plus any directly-following Starts sharing a
         // non-negative fusion_group and the same peer into one fused issue.
         std::vector<CommOp> group;
@@ -234,16 +354,19 @@ SimResult ClusterSim::Run(const ExecutionPlan& plan) {
         Channel& ch = channel_for(d, peer);
         ch.PostGroup(d, std::move(group));
         const auto pair = std::minmax(d, peer);
-        ch.TryMatch(
-            [&](int64_t bytes) {
-              return ground_truth_->TransferMs(pair.first, pair.second, bytes);
-            },
-            on_transfer);
+        if (!ch.TryMatch(
+                [&](int64_t bytes) {
+                  return ground_truth_->TransferMs(pair.first, pair.second,
+                                                   bytes);
+                },
+                on_transfer)) {
+          return Refused("send/recv size mismatch on " + ch.DescribeHeads());
+        }
       } else {  // Wait op
         const WaitKey key{StartTypeForWait(instr.type), instr.microbatch, instr.peer};
         auto it = ds.started.find(key);
         DYNAPIPE_CHECK_MSG(it != ds.started.end(),
-                           "Wait without a preceding Start on this device");
+                           "entry scan admitted a Wait with no Start");
         const int64_t handle = it->second;
         const Transfer& tr = transfers[static_cast<size_t>(handle)];
         if (tr.complete) {
@@ -261,9 +384,19 @@ SimResult ClusterSim::Run(const ExecutionPlan& plan) {
     }
   }
 
+  const bool all_done = std::all_of(devices.begin(), devices.end(),
+                                    [](const DeviceState& ds) { return ds.done; });
+  if (all_done) {
+    for (const auto& [key, ch] : channels) {
+      if (ch.HasPendingOps()) {
+        return Refused("unmatched ops once every device finished: " +
+                       ch.DescribeHeads());
+      }
+    }
+  }
+
   SimResult result;
   result.devices.resize(static_cast<size_t>(num_devices_));
-  bool all_done = true;
   for (int32_t d = 0; d < num_devices_; ++d) {
     const DeviceState& ds = devices[static_cast<size_t>(d)];
     DeviceStats& out = result.devices[static_cast<size_t>(d)];
@@ -278,7 +411,6 @@ SimResult ClusterSim::Run(const ExecutionPlan& plan) {
                             ds.memory->DescribeOom();
       }
     }
-    all_done = all_done && ds.done;
   }
   result.makespan_ms = std::max(result.makespan_ms, last_transfer_end_ms);
 

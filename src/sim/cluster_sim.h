@@ -8,6 +8,23 @@
 // can make progress and any is unfinished, the iteration has deadlocked and the
 // result carries a channel-head diagnostic.
 //
+// Run is the one plan checker: executors run decoded plans from another process,
+// so it refuses a malformed plan (SimResult::refused, the first violation in
+// `diagnostic`) instead of aborting. One entry scan refuses
+//   - a device count other than the simulator's, or no devices at all;
+//   - a micro-batch index outside [0, num_microbatches);
+//   - a comm peer out of range or equal to the device itself;
+//   - a Wait with no earlier Start of the same kind, micro-batch and peer;
+//   - a forward on device j > 0 with no earlier WaitRecvAct for its micro-batch,
+//     or a backward on device j < c-1 with no earlier WaitRecvGrad;
+//   - anything but exactly one forward, then one backward, per micro-batch per
+//     device;
+//   - a negative shape field or byte count.
+// The channels refuse, where they match, a send/recv pair whose sizes disagree,
+// and any channel still holding unmatched ops once every device has finished.
+// A refused plan runs no further; deadlock and OOM are results of plans that
+// pass.
+//
 // Data-parallel replicas run as independent ClusterSim instances (they interact only
 // through the end-of-iteration gradient allreduce, which the Trainer adds
 // analytically) and tensor parallelism is folded into per-stage durations, so a
@@ -54,6 +71,7 @@ struct DeviceStats {
 };
 
 struct SimResult {
+  bool refused = false;  // malformed plan; nothing else is set
   bool deadlocked = false;
   bool oom = false;
   std::string diagnostic;
@@ -69,7 +87,7 @@ class ClusterSim {
   ClusterSim(int32_t num_devices, GroundTruth* ground_truth,
              ClusterSimOptions options = {});
 
-  // Executes the plan from t=0. The plan must have one DevicePlan per device.
+  // Executes the plan from t=0, or refuses it (see the top of this file).
   SimResult Run(const ExecutionPlan& plan);
 
  private:

@@ -1,12 +1,12 @@
 // Tests for src/comm: the ahead-of-time communication planner (deadlock-freedom by
-// construction), the naive baseline (deadlocks under dynamic schedules, works
-// under fused uniform 1F1B), and the static verifiers.
+// construction) and the naive baseline (deadlocks under dynamic schedules, works
+// under fused uniform 1F1B). Every plan is checked by executing it on
+// sim::ClusterSim, which refuses malformed plans.
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/comm/comm_planner.h"
-#include "src/comm/verify.h"
 #include "src/common/rng.h"
 #include "src/schedule/adaptive_scheduler.h"
 #include "src/schedule/executor_simulator.h"
@@ -80,15 +80,27 @@ CommPlannerInputs MakeInputs(const PipelineSchedule& sched,
   return in;
 }
 
+// Runs a plan on the cluster simulator, the one plan checker.
+sim::SimResult Execute(const sim::ExecutionPlan& plan) {
+  ShapeGroundTruth gt;
+  sim::ClusterSim cluster(plan.num_devices(), &gt);
+  return cluster.Run(plan);
+}
+
+// Admitted and drained: neither refused nor deadlocked.
+void ExpectRuns(const sim::ExecutionPlan& plan) {
+  const sim::SimResult res = Execute(plan);
+  EXPECT_FALSE(res.refused) << res.diagnostic << "\n" << plan.ToString();
+  EXPECT_FALSE(res.deadlocked) << res.diagnostic;
+}
+
 // ---------- Planner output structure ----------
 
 TEST(CommPlannerTest, WellFormedFor1F1B) {
   const Scenario sc = MakeScenario(4, 8, 1);
   const PipelineSchedule sched = schedule::OneFOneBSchedule(8, 4);
   const auto tl = schedule::SimulateSchedule(sched, sc.costs);
-  const sim::ExecutionPlan plan = PlanCommunication(MakeInputs(sched, tl, sc));
-  EXPECT_TRUE(VerifyWellFormed(plan).empty());
-  EXPECT_TRUE(VerifyChannelOrderConsistency(plan).empty());
+  ExpectRuns(PlanCommunication(MakeInputs(sched, tl, sc)));
 }
 
 TEST(CommPlannerTest, WellFormedForAdaptive) {
@@ -96,9 +108,7 @@ TEST(CommPlannerTest, WellFormedForAdaptive) {
   const auto sched = schedule::MemoryAwareAdaptiveSchedule(sc.costs);
   ASSERT_TRUE(sched.has_value());
   const auto tl = schedule::SimulateSchedule(*sched, sc.costs);
-  const sim::ExecutionPlan plan = PlanCommunication(MakeInputs(*sched, tl, sc));
-  EXPECT_TRUE(VerifyWellFormed(plan).empty()) << plan.ToString();
-  EXPECT_TRUE(VerifyChannelOrderConsistency(plan).empty());
+  ExpectRuns(PlanCommunication(MakeInputs(*sched, tl, sc)));
 }
 
 TEST(CommPlannerTest, WaitImmediatelyPrecedesConsumer) {
@@ -150,11 +160,8 @@ TEST_P(PlannerExecutes, AdaptiveScheduleRunsDeadlockFree) {
   const auto sched = schedule::MemoryAwareAdaptiveSchedule(sc.costs);
   ASSERT_TRUE(sched.has_value());
   const auto tl = schedule::SimulateSchedule(*sched, sc.costs);
-  const sim::ExecutionPlan plan = PlanCommunication(MakeInputs(*sched, tl, sc));
-  ASSERT_TRUE(VerifyChannelOrderConsistency(plan).empty());
-  ShapeGroundTruth gt;
-  sim::ClusterSim cluster(c, &gt);
-  const sim::SimResult res = cluster.Run(plan);
+  const sim::SimResult res = Execute(PlanCommunication(MakeInputs(*sched, tl, sc)));
+  EXPECT_FALSE(res.refused) << res.diagnostic;
   EXPECT_FALSE(res.deadlocked) << res.diagnostic;
   EXPECT_GT(res.makespan_ms, 0.0);
 }
@@ -168,11 +175,7 @@ TEST(CommPlannerTest, ReorderedInjectionStillDeadlockFree) {
   const auto sched = schedule::MemoryAwareAdaptiveSchedule(sc.costs, opts);
   ASSERT_TRUE(sched.has_value());
   const auto tl = schedule::SimulateSchedule(*sched, sc.costs);
-  const sim::ExecutionPlan plan = PlanCommunication(MakeInputs(*sched, tl, sc));
-  ShapeGroundTruth gt;
-  sim::ClusterSim cluster(4, &gt);
-  const sim::SimResult res = cluster.Run(plan);
-  EXPECT_FALSE(res.deadlocked) << res.diagnostic;
+  ExpectRuns(PlanCommunication(MakeInputs(*sched, tl, sc)));
 }
 
 // ---------- Naive baseline ----------
@@ -193,12 +196,7 @@ TEST(NaivePlanTest, FusedNaiveWorksForUniform1F1B) {
   }
   const PipelineSchedule sched = schedule::OneFOneBSchedule(8, 4);
   const auto tl = schedule::SimulateSchedule(sched, sc.costs);
-  const sim::ExecutionPlan plan = PlanCommunicationNaive(MakeInputs(sched, tl, sc));
-  EXPECT_TRUE(VerifyChannelOrderConsistency(plan).empty());
-  ShapeGroundTruth gt;
-  sim::ClusterSim cluster(4, &gt);
-  const sim::SimResult res = cluster.Run(plan);
-  EXPECT_FALSE(res.deadlocked) << res.diagnostic;
+  ExpectRuns(PlanCommunicationNaive(MakeInputs(sched, tl, sc)));
 }
 
 TEST(NaivePlanTest, NaiveDeadlocksUnderAdaptiveSchedule) {
@@ -212,13 +210,10 @@ TEST(NaivePlanTest, NaiveDeadlocksUnderAdaptiveSchedule) {
   const auto tl = schedule::SimulateSchedule(*sched, sc.costs);
   NaivePlanOptions no_fusion;
   no_fusion.fuse_adjacent_pairs = false;
-  const sim::ExecutionPlan naive =
-      PlanCommunicationNaive(MakeInputs(*sched, tl, sc), no_fusion);
-  const auto violations = VerifyChannelOrderConsistency(naive);
-  EXPECT_FALSE(violations.empty());  // statically detectable
-  ShapeGroundTruth gt;
-  sim::ClusterSim cluster(4, &gt);
-  const sim::SimResult res = cluster.Run(naive);
+  // Well-formed, so admitted: the deadlock is the channel order's alone.
+  const sim::SimResult res =
+      Execute(PlanCommunicationNaive(MakeInputs(*sched, tl, sc), no_fusion));
+  EXPECT_FALSE(res.refused) << res.diagnostic;
   EXPECT_TRUE(res.deadlocked);
 }
 
@@ -231,10 +226,7 @@ TEST(NaivePlanTest, OpportunisticPairFusionRescuesWaveAlignedSchedules) {
   const auto sched = schedule::MemoryAwareAdaptiveSchedule(sc.costs);
   ASSERT_TRUE(sched.has_value());
   const auto tl = schedule::SimulateSchedule(*sched, sc.costs);
-  const sim::ExecutionPlan fused = PlanCommunicationNaive(MakeInputs(*sched, tl, sc));
-  ShapeGroundTruth gt;
-  sim::ClusterSim cluster(4, &gt);
-  EXPECT_FALSE(cluster.Run(fused).deadlocked);
+  ExpectRuns(PlanCommunicationNaive(MakeInputs(*sched, tl, sc)));
 }
 
 TEST(NaivePlanTest, UnfusedNaiveDeadlocksEvenFor1F1B) {
@@ -245,47 +237,10 @@ TEST(NaivePlanTest, UnfusedNaiveDeadlocksEvenFor1F1B) {
   const auto tl = schedule::SimulateSchedule(sched, sc.costs);
   NaivePlanOptions opts;
   opts.fuse_adjacent_pairs = false;
-  const sim::ExecutionPlan plan =
-      PlanCommunicationNaive(MakeInputs(sched, tl, sc), opts);
-  ShapeGroundTruth gt;
-  sim::ClusterSim cluster(2, &gt);
-  const sim::SimResult res = cluster.Run(plan);
+  const sim::SimResult res =
+      Execute(PlanCommunicationNaive(MakeInputs(sched, tl, sc), opts));
+  EXPECT_FALSE(res.refused) << res.diagnostic;
   EXPECT_TRUE(res.deadlocked);
-}
-
-// ---------- Verifier negatives ----------
-
-TEST(VerifyTest, DetectsMissingWait) {
-  sim::ExecutionPlan plan;
-  plan.num_microbatches = 1;
-  plan.devices.resize(1);
-  sim::Instruction wait;
-  wait.type = sim::InstrType::kWaitRecvAct;
-  wait.microbatch = 0;
-  wait.peer = 0;
-  plan.devices[0].instructions = {wait};
-  const auto violations = VerifyWellFormed(plan);
-  EXPECT_FALSE(violations.empty());
-}
-
-TEST(VerifyTest, DetectsOrderMismatch) {
-  sim::ExecutionPlan plan;
-  plan.num_microbatches = 2;
-  plan.devices.resize(2);
-  auto comm = [](sim::InstrType t, int32_t mb, int32_t peer) {
-    sim::Instruction in;
-    in.type = t;
-    in.microbatch = mb;
-    in.peer = peer;
-    in.bytes = 10;
-    return in;
-  };
-  plan.devices[0].instructions = {comm(sim::InstrType::kSendActStart, 0, 1),
-                                  comm(sim::InstrType::kSendActStart, 1, 1)};
-  plan.devices[1].instructions = {comm(sim::InstrType::kRecvActStart, 1, 0),
-                                  comm(sim::InstrType::kRecvActStart, 0, 0)};
-  const auto violations = VerifyChannelOrderConsistency(plan);
-  ASSERT_EQ(violations.size(), 1u);
 }
 
 }  // namespace

@@ -55,13 +55,16 @@ std::string UniqueSocketPath(const char* tag) {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
+// A one-device, one-micro-batch plan an executor runs; the marker rides in
+// the shape, so each marker encodes to distinct bytes.
 sim::ExecutionPlan MarkerPlan(int32_t marker) {
   sim::ExecutionPlan plan;
-  plan.num_microbatches = marker;
+  plan.num_microbatches = 1;
   sim::DevicePlan dev;
   sim::Instruction instr;
-  instr.microbatch = marker;
   instr.shape = {marker, 256, 64};
+  dev.instructions.push_back(instr);  // the forward of micro-batch 0
+  instr.type = sim::InstrType::kBackwardPass;
   dev.instructions.push_back(instr);
   plan.devices.push_back(std::move(dev));
   return plan;

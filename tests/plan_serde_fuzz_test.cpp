@@ -8,13 +8,23 @@
 //     every recompute mode, sentinel values, and extreme field magnitudes;
 //   - malformation safety: truncated or bit-flipped buffers never crash the
 //     decoder — TryDecodeExecutionPlan reports a clean error instead (the
-//     hardening the transport's receiving side depends on).
+//     hardening the transport's receiving side depends on);
+//   - hostile plans: real planner plans with mutated instruction fields,
+//     micro-batch counts and device lists decode, then run on ClusterSim with
+//     the executor's ground truth to a result (completed, deadlocked, OOM or
+//     refused) and never abort.
 // The frame-layer tests push the same hostility one level up: truncated,
 // oversized, and bit-flipped frame headers and bodies against a live
 // InstructionStoreServer (and as replies to a mux client's call) must yield
 // a clean connection drop — never a crash, never a hang, and never a wedged
 // server.
+#include <unistd.h>
+
+#include <algorithm>
+#include <climits>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
@@ -24,10 +34,16 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/cost/pipeline_cost_model.h"
+#include "src/data/flan_generator.h"
+#include "src/executor/executor.h"
 #include "src/runtime/instruction_store.h"
+#include "src/runtime/planner.h"
 #include "src/service/heartbeat_monitor.h"
 #include "src/service/plan_serde.h"
+#include "src/sim/cluster_sim.h"
 #include "src/sim/instruction.h"
 #include "src/transport/frame.h"
 #include "src/transport/mux.h"
@@ -172,6 +188,240 @@ TEST(PlanSerdeFuzzTest, CorruptMagicAndVersionAlwaysRejected) {
       EXPECT_TRUE(error == "bad magic" || error == "unsupported version")
           << "byte " << byte_i << " bit " << bit << ": " << error;
     }
+  }
+}
+
+// ---------- hostile plans: decoded plans meet ClusterSim ----------
+
+// Real planner plans, the starting points the mutations work from: GPT with
+// two data-parallel replicas over four stages, and T5 over two stages.
+const std::vector<sim::ExecutionPlan>& PlannerPlans() {
+  static const std::vector<sim::ExecutionPlan> plans = [] {
+    std::vector<sim::ExecutionPlan> out;
+    const auto plan_for = [&out](const model::ModelConfig& config,
+                                 const model::ParallelConfig& parallel,
+                                 uint64_t seed) {
+      cost::ProfileOptions profile;
+      profile.max_microbatch_size = 32;
+      profile.max_seq_len = 4096;
+      runtime::PlannerOptions popts;
+      popts.max_tmax_candidates = 48;
+      popts.tmax_interval_ms = 0.5;
+      popts.max_microbatch_size = 32;
+      popts.reorder_clusters = 2;
+      popts.dynamic_recompute = false;
+      const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+          config, model::HardwareSpec{}, parallel, profile);
+      const runtime::IterationPlanner planner(cm, popts);
+      data::FlanGeneratorOptions gen;
+      gen.num_samples = 60;
+      gen.seed = seed;
+      gen.length_cap = 1024;
+      const runtime::IterationPlan plan =
+          planner.PlanIteration(data::GenerateFlanLikeDataset(gen).samples());
+      DYNAPIPE_CHECK_MSG(plan.feasible, plan.infeasible_reason);
+      for (const auto& replica : plan.replicas) {
+        out.push_back(replica.exec_plan);
+      }
+    };
+    plan_for(model::ModelConfig::Gpt3_35B(), {2, 1, 4}, 1);
+    plan_for(model::ModelConfig::T5_5_5B(), {1, 2, 2}, 2);
+    return out;
+  }();
+  return plans;
+}
+
+// What the executor does with fetched bytes: decode, then run the plan on a
+// ClusterSim sized by the plan, with the executor's ground truth. A plan the
+// codec rejects never reaches the simulator.
+std::optional<sim::SimResult> DecodeAndRun(const sim::ExecutionPlan& plan) {
+  const std::optional<sim::ExecutionPlan> decoded =
+      service::TryDecodeExecutionPlan(service::EncodeExecutionPlan(plan));
+  if (!decoded.has_value()) {
+    return std::nullopt;
+  }
+  executor::SyntheticGroundTruth ground_truth;
+  sim::ClusterSim cluster(decoded->num_devices(), &ground_truth);
+  return cluster.Run(*decoded);
+}
+
+// A hostile replacement for an integer field: off by one either way, the -1
+// sentinel, a small value, or an int32 extreme.
+int64_t HostileValue(Rng& rng, int64_t current) {
+  switch (rng.NextBelow(5)) {
+    case 0:
+      return current + 1;
+    case 1:
+      return current - 1;
+    case 2:
+      return -1;
+    case 3:
+      return rng.NextInt(0, 8);
+    default:
+      return rng.NextBelow(2) == 0 ? INT32_MAX : INT32_MIN;
+  }
+}
+
+int32_t ToInt32(int64_t v) {
+  return static_cast<int32_t>(std::clamp<int64_t>(v, INT32_MIN, INT32_MAX));
+}
+
+// Applies one mutation to `plan` and says what it did: an instruction's type,
+// micro-batch, peer, bytes, a shape field or fusion group; the micro-batch
+// count; or the device list.
+std::string Mutate(Rng& rng, sim::ExecutionPlan& plan) {
+  const uint64_t what = rng.NextBelow(8);
+  const int32_t c = plan.num_devices();
+  if (what == 7 && c > 0) {
+    const size_t d = rng.NextBelow(static_cast<uint64_t>(c));
+    switch (rng.NextBelow(4)) {
+      case 0:
+        plan.devices.erase(plan.devices.begin() + static_cast<ptrdiff_t>(d));
+        return "dropped device " + std::to_string(d);
+      case 1:
+        plan.devices.push_back(plan.devices[d]);
+        return "appended a copy of device " + std::to_string(d);
+      case 2: {
+        const size_t e = rng.NextBelow(static_cast<uint64_t>(c));
+        std::swap(plan.devices[d], plan.devices[e]);
+        return "swapped devices " + std::to_string(d) + " and " +
+               std::to_string(e);
+      }
+      default:
+        plan.devices.clear();
+        return "cleared the device list";
+    }
+  }
+  std::vector<size_t> busy;
+  for (size_t d = 0; d < plan.devices.size(); ++d) {
+    if (!plan.devices[d].instructions.empty()) {
+      busy.push_back(d);
+    }
+  }
+  if (what >= 6 || busy.empty()) {
+    const int32_t before = plan.num_microbatches;
+    plan.num_microbatches = ToInt32(HostileValue(rng, before));
+    return "num_microbatches " + std::to_string(before) + " -> " +
+           std::to_string(plan.num_microbatches);
+  }
+  const size_t d = busy[rng.NextBelow(busy.size())];
+  auto& instrs = plan.devices[d].instructions;
+  const size_t k = rng.NextBelow(instrs.size());
+  sim::Instruction& in = instrs[k];
+  const std::string where = "device " + std::to_string(d) + " #" +
+                            std::to_string(k) + " " + in.ToString() + ": ";
+  switch (what) {
+    case 0:
+      in.type = static_cast<sim::InstrType>(rng.NextBelow(sim::kNumInstrTypes));
+      return where + "type -> " + sim::InstrTypeName(in.type);
+    case 1:
+      in.microbatch = ToInt32(HostileValue(rng, in.microbatch));
+      return where + "microbatch -> " + std::to_string(in.microbatch);
+    case 2:
+      in.peer = ToInt32(HostileValue(rng, in.peer));
+      return where + "peer -> " + std::to_string(in.peer);
+    case 3:
+      in.bytes = rng.NextBelow(4) == 0 ? INT64_MAX : HostileValue(rng, in.bytes);
+      return where + "bytes -> " + std::to_string(in.bytes);
+    case 4: {
+      int32_t* fields[] = {&in.shape.num_samples, &in.shape.input_len,
+                           &in.shape.target_len};
+      int32_t* field = fields[rng.NextBelow(3)];
+      *field = ToInt32(HostileValue(rng, *field));
+      return where + "a shape field -> " + std::to_string(*field);
+    }
+    default:
+      in.fusion_group = ToInt32(HostileValue(rng, in.fusion_group));
+      return where + "fusion_group -> " + std::to_string(in.fusion_group);
+  }
+}
+
+// The trial in flight, written out if it aborts the process: an abort is the
+// property failing, and the seed alone does not say which mutation did it.
+std::string g_trial;
+
+extern "C" void PrintTrialOnAbort(int) {
+  static const char kPrefix[] = "\nhostile-plan trial aborted: ";
+  (void)!::write(STDERR_FILENO, kPrefix, sizeof(kPrefix) - 1);
+  (void)!::write(STDERR_FILENO, g_trial.data(), g_trial.size());
+  (void)!::write(STDERR_FILENO, "\n", 1);
+  std::signal(SIGABRT, SIG_DFL);
+  std::raise(SIGABRT);
+}
+
+// The property: every mutated planner plan that decodes yields exactly one
+// result and never aborts the executor.
+TEST(HostilePlanTest, MutatedPlannerPlansRunToAResult) {
+  const std::vector<sim::ExecutionPlan>& bases = PlannerPlans();
+  ASSERT_EQ(bases.size(), 3u);  // two GPT replicas, one T5
+  for (const sim::ExecutionPlan& base : bases) {
+    const std::optional<sim::SimResult> res = DecodeAndRun(base);
+    ASSERT_TRUE(res.has_value());
+    ASSERT_FALSE(res->refused || res->deadlocked || res->oom) << res->diagnostic;
+  }
+  const uint64_t seed = 0x5EC0DEull;
+  Rng rng(seed);
+  int completed = 0;
+  int deadlocked = 0;
+  int refused = 0;
+  const auto previous = std::signal(SIGABRT, PrintTrialOnAbort);
+  for (int trial = 0; trial < 20000; ++trial) {
+    sim::ExecutionPlan plan = bases[rng.NextBelow(bases.size())];
+    g_trial = "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
+    const uint64_t mutations = 1 + rng.NextBelow(3);
+    for (uint64_t i = 0; i < mutations; ++i) {
+      g_trial += "; " + Mutate(rng, plan);
+    }
+    const std::optional<sim::SimResult> res = DecodeAndRun(plan);
+    ASSERT_TRUE(res.has_value()) << g_trial;  // every field fits the wire
+    ASSERT_LE(int{res->refused} + int{res->deadlocked} + int{res->oom}, 1)
+        << g_trial;
+    ASSERT_EQ(res->refused || res->deadlocked, !res->diagnostic.empty())
+        << g_trial;
+    completed += res->refused || res->deadlocked ? 0 : 1;
+    deadlocked += res->deadlocked ? 1 : 0;
+    refused += res->refused ? 1 : 0;
+  }
+  std::signal(SIGABRT, previous);
+  // The synthetic ground truth sets no memory limit, so nothing is OOM; the
+  // mutations must reach every other result.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(deadlocked, 0);
+  EXPECT_GT(completed, 0);
+  std::printf("hostile plans: %d completed, %d deadlocked, %d refused\n",
+              completed, deadlocked, refused);
+}
+
+// Named hostile plans. The first three each decoded cleanly and then aborted
+// the executor inside ClusterSim::Run before it refused them.
+TEST(HostilePlanTest, NamedProbesAreRefused) {
+  const auto one_instruction = [](sim::InstrType type, int32_t peer) {
+    sim::ExecutionPlan plan;
+    plan.num_microbatches = 1;
+    plan.devices.resize(1);
+    sim::Instruction in;
+    in.type = type;
+    in.peer = peer;
+    plan.devices[0].instructions.push_back(in);
+    return plan;
+  };
+  sim::ExecutionPlan negative_shape = PlannerPlans()[0];
+  negative_shape.devices[0].instructions[0].shape.num_samples = -3;
+  const std::vector<std::pair<std::string, sim::ExecutionPlan>> probes = {
+      {"wait with no start", one_instruction(sim::InstrType::kWaitRecvAct, -1)},
+      {"send to peer 7 in a one-device plan",
+       one_instruction(sim::InstrType::kSendActStart, 7)},
+      {"backward with no forward",
+       one_instruction(sim::InstrType::kBackwardPass, -1)},
+      {"zero devices", sim::ExecutionPlan{}},
+      {"negative shape", negative_shape},
+  };
+  for (const auto& [name, plan] : probes) {
+    const std::optional<sim::SimResult> res = DecodeAndRun(plan);
+    ASSERT_TRUE(res.has_value()) << name;
+    EXPECT_TRUE(res->refused) << name;
+    EXPECT_EQ(res->diagnostic.rfind("refused: ", 0), 0u)
+        << name << ": " << res->diagnostic;
   }
 }
 

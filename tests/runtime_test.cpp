@@ -2,13 +2,13 @@
 // baseline), the instruction store, the trainer loop, and grid search.
 #include <gtest/gtest.h>
 
-#include "src/comm/verify.h"
 #include "src/data/flan_generator.h"
 #include "src/runtime/grid_search.h"
 #include "src/runtime/ground_truth.h"
 #include "src/runtime/instruction_store.h"
 #include "src/runtime/planner.h"
 #include "src/runtime/trainer.h"
+#include "src/sim/cluster_sim.h"
 
 namespace dynapipe::runtime {
 namespace {
@@ -119,6 +119,16 @@ class IterationPlannerTest : public ::testing::Test {
         cm_(cost::PipelineCostModel::Profile(config_, hw_, parallel_,
                                              TestProfile())) {}
 
+  // Runs a replica's plan on the cluster simulator, the one plan checker:
+  // admitted and drained, neither refused nor deadlocked.
+  void ExpectRuns(const sim::ExecutionPlan& plan) const {
+    SimGroundTruth gt(config_, hw_, parallel_, 0.0, 1);
+    sim::ClusterSim cluster(parallel_.pp, &gt);
+    const sim::SimResult res = cluster.Run(plan);
+    EXPECT_FALSE(res.refused) << res.diagnostic;
+    EXPECT_FALSE(res.deadlocked) << res.diagnostic;
+  }
+
   model::ModelConfig config_;
   model::HardwareSpec hw_;
   model::ParallelConfig parallel_;
@@ -140,8 +150,7 @@ TEST_F(IterationPlannerTest, PlanIsWellFormedAndOrderConsistent) {
   const IterationPlan plan = planner.PlanIteration(TestMiniBatch(60, 2));
   ASSERT_TRUE(plan.feasible);
   for (const auto& replica : plan.replicas) {
-    EXPECT_TRUE(comm::VerifyWellFormed(replica.exec_plan).empty());
-    EXPECT_TRUE(comm::VerifyChannelOrderConsistency(replica.exec_plan).empty());
+    ExpectRuns(replica.exec_plan);
   }
 }
 
@@ -235,9 +244,8 @@ TEST_F(IterationPlannerTest, BaselinePackingPlanExecutable) {
       PlanBaselineIteration(cm_, opts, TestMiniBatch(80, 8));
   ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
   for (const auto& replica : plan.replicas) {
-    EXPECT_TRUE(comm::VerifyWellFormed(replica.exec_plan).empty());
     // Fused 1F1B naive comm is order-consistent for uniform micro-batches.
-    EXPECT_TRUE(comm::VerifyChannelOrderConsistency(replica.exec_plan).empty());
+    ExpectRuns(replica.exec_plan);
   }
 }
 

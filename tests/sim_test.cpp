@@ -1,6 +1,10 @@
 // Unit tests for src/sim: channels (NCCL matching + fusion), memory tracking,
-// noise, and the cluster simulator including deadlock and OOM detection.
+// noise, and the cluster simulator including deadlock and OOM detection and the
+// refusal of malformed plans.
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,34 +229,39 @@ Instruction Comm(InstrType type, int32_t mb, int32_t peer) {
   return in;
 }
 
-// Two devices, one micro-batch: F on 0, send act, F+B on 1, send grad, B on 0.
-ExecutionPlan TwoStageOneMicrobatchPlan() {
+// Two devices, m micro-batches: device 0 runs every forward and sends each
+// activation; device 1 receives and runs every forward, then each backward and
+// its gradient send; device 0 receives each gradient and runs the backward.
+// With m = 1: F on 0, send act, F+B on 1, send grad, B on 0.
+ExecutionPlan TwoStagePlan(int32_t m) {
   ExecutionPlan plan;
-  plan.num_microbatches = 1;
+  plan.num_microbatches = m;
   plan.devices.resize(2);
   plan.devices[0].device = 0;
-  plan.devices[0].instructions = {
-      Compute(InstrType::kForwardPass, 0),
-      Comm(InstrType::kSendActStart, 0, 1),
-      Comm(InstrType::kRecvGradStart, 0, 1),
-      Comm(InstrType::kWaitRecvGrad, 0, 1),
-      Compute(InstrType::kBackwardPass, 0),
-  };
   plan.devices[1].device = 1;
-  plan.devices[1].instructions = {
-      Comm(InstrType::kRecvActStart, 0, 0),
-      Comm(InstrType::kWaitRecvAct, 0, 0),
-      Compute(InstrType::kForwardPass, 0),
-      Compute(InstrType::kBackwardPass, 0),
-      Comm(InstrType::kSendGradStart, 0, 0),
-  };
+  auto& dev0 = plan.devices[0].instructions;
+  auto& dev1 = plan.devices[1].instructions;
+  for (int32_t i = 0; i < m; ++i) {
+    dev0.push_back(Compute(InstrType::kForwardPass, i));
+    dev0.push_back(Comm(InstrType::kSendActStart, i, 1));
+    dev1.push_back(Comm(InstrType::kRecvActStart, i, 0));
+    dev1.push_back(Comm(InstrType::kWaitRecvAct, i, 0));
+    dev1.push_back(Compute(InstrType::kForwardPass, i));
+  }
+  for (int32_t i = 0; i < m; ++i) {
+    dev0.push_back(Comm(InstrType::kRecvGradStart, i, 1));
+    dev0.push_back(Comm(InstrType::kWaitRecvGrad, i, 1));
+    dev0.push_back(Compute(InstrType::kBackwardPass, i));
+    dev1.push_back(Compute(InstrType::kBackwardPass, i));
+    dev1.push_back(Comm(InstrType::kSendGradStart, i, 0));
+  }
   return plan;
 }
 
 TEST(ClusterSimTest, TwoStageMakespanHandComputed) {
   FixedGroundTruth gt(10.0, 20.0, 5.0, 1.0);
   ClusterSim sim(2, &gt);
-  const SimResult res = sim.Run(TwoStageOneMicrobatchPlan());
+  const SimResult res = sim.Run(TwoStagePlan(1));
   ASSERT_FALSE(res.deadlocked) << res.diagnostic;
   // dev0: F ends 10; transfer 10->11; dev1 F 11..21, B 21..41; grad 41..42;
   // dev0 B 42..62.
@@ -266,7 +275,7 @@ TEST(ClusterSimTest, PeakMemoryCountsInFlightActivations) {
   ClusterSimOptions opts;
   opts.static_memory_mb = {100.0, 200.0};
   ClusterSim sim(2, &gt, opts);
-  const SimResult res = sim.Run(TwoStageOneMicrobatchPlan());
+  const SimResult res = sim.Run(TwoStagePlan(1));
   EXPECT_DOUBLE_EQ(res.devices[0].peak_memory_mb, 105.0);
   EXPECT_DOUBLE_EQ(res.devices[1].peak_memory_mb, 205.0);
 }
@@ -277,7 +286,7 @@ TEST(ClusterSimTest, OomDetectedAgainstLimit) {
   opts.static_memory_mb = {100.0, 100.0};
   opts.memory_limit_mb = 120.0;
   ClusterSim sim(2, &gt, opts);
-  const SimResult res = sim.Run(TwoStageOneMicrobatchPlan());
+  const SimResult res = sim.Run(TwoStagePlan(1));
   EXPECT_TRUE(res.oom);
   EXPECT_NE(res.diagnostic.find("OOM"), std::string::npos);
 }
@@ -296,6 +305,8 @@ TEST(ClusterSimTest, MismatchedCommOrderDeadlocks) {
       Comm(InstrType::kWaitRecvGrad, 0, 1),
       Compute(InstrType::kBackwardPass, 0),
       Compute(InstrType::kForwardPass, 1),
+      Comm(InstrType::kRecvGradStart, 1, 1),
+      Comm(InstrType::kWaitRecvGrad, 1, 1),
       Compute(InstrType::kBackwardPass, 1),
   };
   plan.devices[1].device = 1;
@@ -309,10 +320,12 @@ TEST(ClusterSimTest, MismatchedCommOrderDeadlocks) {
       Comm(InstrType::kWaitRecvAct, 1, 0),
       Compute(InstrType::kForwardPass, 1),
       Compute(InstrType::kBackwardPass, 1),
+      Comm(InstrType::kSendGradStart, 1, 0),
   };
   FixedGroundTruth gt(1.0, 2.0, 0.0, 0.1);
   ClusterSim sim(2, &gt);
   const SimResult res = sim.Run(plan);
+  EXPECT_FALSE(res.refused) << res.diagnostic;
   EXPECT_TRUE(res.deadlocked);
   EXPECT_NE(res.diagnostic.find("deadlock"), std::string::npos);
 }
@@ -380,9 +393,124 @@ TEST(ClusterSimTest, SingleDeviceNoComm) {
 TEST(ClusterSimTest, IdleFractionReflectsBubbles) {
   FixedGroundTruth gt(10.0, 20.0, 5.0, 1.0);
   ClusterSim sim(2, &gt);
-  const SimResult res = sim.Run(TwoStageOneMicrobatchPlan());
+  const SimResult res = sim.Run(TwoStagePlan(1));
   // Each device busy 30 of 62 ms.
   EXPECT_NEAR(res.MeanIdleFraction(), 1.0 - 30.0 / 62.0, 1e-9);
+}
+
+// ---------- ClusterSim refusals ----------
+
+// Runs `plan` on `devices` simulated devices and expects a refusal naming
+// `reason`: no deadlock, no OOM, no abort.
+void ExpectRefused(const ExecutionPlan& plan, const std::string& reason,
+                   int32_t devices = 2) {
+  FixedGroundTruth gt(1.0, 2.0, 1.0, 0.1);
+  ClusterSim sim(devices, &gt);
+  const SimResult res = sim.Run(plan);
+  EXPECT_TRUE(res.refused) << plan.ToString();
+  EXPECT_FALSE(res.deadlocked);
+  EXPECT_FALSE(res.oom);
+  EXPECT_NE(res.diagnostic.find(reason), std::string::npos) << res.diagnostic;
+}
+
+TEST(ClusterSimTest, RefusesWaitWithNoStart) {
+  ExecutionPlan plan = TwoStagePlan(1);
+  auto& dev1 = plan.devices[1].instructions;
+  ASSERT_EQ(dev1.front().type, InstrType::kRecvActStart);
+  dev1.erase(dev1.begin());
+  ExpectRefused(plan, "Wait with no Start");
+}
+
+TEST(ClusterSimTest, RefusesOrderMismatchLeftOnTheChannel) {
+  // Two sends against two receives in the opposite order, with no Waits, after
+  // a well-formed two-micro-batch plan: both devices finish and the channel
+  // heads never match.
+  ExecutionPlan plan = TwoStagePlan(2);
+  auto& dev0 = plan.devices[0].instructions;
+  auto& dev1 = plan.devices[1].instructions;
+  dev1.push_back(Comm(InstrType::kSendActStart, 0, 0));
+  dev1.push_back(Comm(InstrType::kSendActStart, 1, 0));
+  dev0.push_back(Comm(InstrType::kRecvActStart, 1, 1));
+  dev0.push_back(Comm(InstrType::kRecvActStart, 0, 1));
+  ExpectRefused(plan, "unmatched ops once every device finished");
+  // The same ops posted in matching order drain, and the plan runs.
+  std::swap(dev0[dev0.size() - 2], dev0.back());
+  FixedGroundTruth gt(1.0, 2.0, 1.0, 0.1);
+  ClusterSim sim(2, &gt);
+  const SimResult res = sim.Run(plan);
+  EXPECT_FALSE(res.refused) << res.diagnostic;
+  EXPECT_FALSE(res.deadlocked) << res.diagnostic;
+}
+
+TEST(ClusterSimTest, RefusesForwardWithoutItsWaitRecvAct) {
+  ExecutionPlan plan = TwoStagePlan(1);
+  auto& dev1 = plan.devices[1].instructions;
+  ASSERT_EQ(dev1[1].type, InstrType::kWaitRecvAct);
+  dev1.erase(dev1.begin() + 1);
+  ExpectRefused(plan, "forward before its WaitRecvAct");
+}
+
+TEST(ClusterSimTest, RefusesAPlanThatSkipsAMicroBatch) {
+  ExecutionPlan plan = TwoStagePlan(1);
+  plan.num_microbatches = 2;
+  ExpectRefused(plan, "micro-batch 1 never ran its forward and backward");
+}
+
+TEST(ClusterSimTest, RefusesSendRecvSizeMismatch) {
+  ExecutionPlan plan = TwoStagePlan(1);
+  plan.devices[1].instructions[0].bytes = 999;  // its send carries 1000
+  ExpectRefused(plan, "send/recv size mismatch");
+}
+
+// Every other entry rule, one fault each on the two-stage plan.
+TEST(ClusterSimTest, RefusesEachEntryRuleWithItsReason) {
+  struct Case {
+    const char* reason;
+    std::function<void(ExecutionPlan&)> fault;
+  };
+  const std::vector<Case> cases = {
+      {"negative micro-batch count", [](ExecutionPlan& p) { p.num_microbatches = -1; }},
+      {"micro-batch out of range",
+       [](ExecutionPlan& p) { p.devices[0].instructions[0].microbatch = 5; }},
+      {"peer out of range",
+       [](ExecutionPlan& p) { p.devices[0].instructions[1].peer = 7; }},
+      {"the device itself",
+       [](ExecutionPlan& p) { p.devices[0].instructions[1].peer = 0; }},
+      {"second forward",
+       [](ExecutionPlan& p) {
+         auto& dev0 = p.devices[0].instructions;
+         dev0.insert(dev0.begin() + 1, dev0[0]);
+       }},
+      {"backward not after exactly one forward",
+       [](ExecutionPlan& p) {
+         auto& dev1 = p.devices[1].instructions;
+         std::swap(dev1[2], dev1[3]);
+       }},
+      {"backward before its WaitRecvGrad",
+       [](ExecutionPlan& p) {
+         auto& dev0 = p.devices[0].instructions;
+         dev0.erase(dev0.begin() + 3);
+       }},
+      {"negative shape or byte count",
+       [](ExecutionPlan& p) { p.devices[0].instructions[0].shape.input_len = -1; }},
+      {"negative shape or byte count",
+       [](ExecutionPlan& p) {
+         p.devices[0].instructions[1].bytes = -5;
+         p.devices[1].instructions[0].bytes = -5;
+       }},
+      {"unmatched ops once every device finished",
+       [](ExecutionPlan& p) {
+         p.devices[0].instructions.push_back(Comm(InstrType::kSendGradStart, 0, 1));
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.reason);
+    ExecutionPlan plan = TwoStagePlan(1);
+    c.fault(plan);
+    ExpectRefused(plan, c.reason);
+  }
+  ExpectRefused(TwoStagePlan(1), "plan has 2 devices, the simulator 3", 3);
+  ExpectRefused(ExecutionPlan{}, "plan has no devices", 0);
 }
 
 // ---------- Trace recording ----------
@@ -393,7 +521,7 @@ TEST(TraceTest, RecordsComputeAndTransferSpans) {
   ClusterSimOptions opts;
   opts.trace = &trace;
   ClusterSim sim(2, &gt, opts);
-  const SimResult res = sim.Run(TwoStageOneMicrobatchPlan());
+  const SimResult res = sim.Run(TwoStagePlan(1));
   ASSERT_FALSE(res.deadlocked);
   // 4 compute ops + 2 transfers.
   EXPECT_EQ(trace.spans().size(), 6u);
@@ -429,7 +557,7 @@ TEST(TraceTest, SpansCoverBusyTimeExactly) {
   ClusterSimOptions opts;
   opts.trace = &trace;
   ClusterSim sim(2, &gt, opts);
-  const SimResult res = sim.Run(TwoStageOneMicrobatchPlan());
+  const SimResult res = sim.Run(TwoStagePlan(1));
   double device0_span_ms = 0.0;
   for (const auto& span : trace.spans()) {
     if (span.track == 0) {

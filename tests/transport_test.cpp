@@ -234,13 +234,16 @@ TEST(UnixSocketTransportTest, ConnectToAbsentServerTimesOut) {
 
 // ---------- mux client over both transports ----------
 
+// A one-device, one-micro-batch plan an executor runs; the marker rides in
+// the shape, so each marker encodes to distinct bytes.
 sim::ExecutionPlan MarkerPlan(int32_t marker) {
   sim::ExecutionPlan plan;
-  plan.num_microbatches = marker;
+  plan.num_microbatches = 1;
   sim::DevicePlan dev;
   sim::Instruction instr;
-  instr.microbatch = marker;
   instr.shape = {marker, 256, 64};
+  dev.instructions.push_back(instr);  // the forward of micro-batch 0
+  instr.type = sim::InstrType::kBackwardPass;
   dev.instructions.push_back(instr);
   plan.devices.push_back(std::move(dev));
   return plan;
@@ -1017,6 +1020,50 @@ struct FaultEpoch {
   if (!report.ok) ::_exit(2);
   if (require_reconnect && report.reconnects == 0) ::_exit(5);
   ::_exit(0);
+}
+
+// A decoded plan that ClusterSim refuses is a clean failure, not an abort:
+// RunExecutor returns ok=false with Run's reason and exits without a goodbye.
+// To the publisher that dropped stream is a death, so the coordinator
+// declares the replica dead and the sweep moves its unfetched backlog to the
+// survivor's spare key. The refused plan itself was consumed by the fetch
+// and is not retried.
+TEST(FaultControlLoopTest, RefusedPlanFailsTheExecutorAndItsBacklogMoves) {
+  const std::string socket_path = UniqueSocketPath("refused");
+  executor::PublisherOptions options;
+  options.attach = socket_path;
+  options.fleet.replicas = {0, 1};
+  options.fleet.spare_iteration_base = 2;
+  executor::Publisher publisher(options);
+  runtime::RecoverableStore& store = *publisher.store();
+  sim::ExecutionPlan refused = MarkerPlan(1);
+  refused.num_microbatches = 2;  // runs micro-batch 0 only
+  store.Push(0, 0, refused);
+  store.Push(1, 0, MarkerPlan(2));  // replica 0's backlog
+
+  executor::ExecutorOptions opts;
+  opts.attach = socket_path;
+  opts.endpoint = executor::AttachEndpoint::kUnixSocketMux;
+  opts.replica = 0;
+  opts.iterations = 2;
+  const executor::ExecutorReport report = executor::RunExecutor(opts);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("iteration 0 refused: device 0: 2 instructions "
+                              "cannot run a forward and a backward"),
+            std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.iterations_run, 0);
+
+  ASSERT_TRUE(WaitUntil(
+      [&] { return !publisher.report().dead_replicas.empty(); }, 10'000));
+  const service::FleetReport fleet = publisher.report();
+  EXPECT_EQ(fleet.dead_replicas, std::vector<int32_t>{0});
+  EXPECT_EQ(fleet.replanned_iterations, 1);
+  EXPECT_EQ(fleet.dropped_iterations, 0);
+  EXPECT_FALSE(store.Contains(1, 0));
+  EXPECT_TRUE(store.Contains(2, 1));  // the survivor's first spare key
+  EXPECT_EQ(store.size(), 1u);
+  publisher.Stop();
 }
 
 // Three executors; replica 1 SIGKILLs itself at iteration 1's heartbeat
