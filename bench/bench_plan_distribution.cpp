@@ -111,20 +111,18 @@ RecoveryRow MeasureRecovery(const sim::ExecutionPlan& plan, int backlog,
 
 // Elastic membership latency: the two mid-epoch fleet-change hops
 // (bench/README.md "Elastic membership"). Join: an unknown replica turns
-// alive and the FleetCoordinator admits it, grows the expected fleet,
-// and steals the joiner's fair share of the deepest backlog to its spare
-// keys — the OnReplicaAttached call spans the whole admission, i.e. the
-// delay before the joiner has work to find. Drain: a member asks to leave
-// and the coordinator drops it from the member set, reposts its remaining
-// backlog round-robin to the survivors, and acknowledges — the
-// OnReplicaDrainRequested call spans request -> ack, the time a leaver
-// waits before it may finish in-flight work and detach. Both hops are key
-// moves on resident bytes (no re-plan, no re-encode), so per-plan cost
-// should stay flat like recovery's.
+// alive and the FleetCoordinator admits it and grows the expected fleet —
+// the OnReplicaAttached call spans the admission, which moves no plan.
+// Drain: a member asks to leave and the coordinator drops it from the
+// member set, reposts its remaining backlog round-robin to the survivors
+// (the joiner among them), and acknowledges — the OnReplicaDrainRequested
+// call spans request -> ack, the time a leaver waits before it may finish
+// in-flight work and detach. The handoff is key moves on resident bytes
+// (no re-plan, no re-encode), so per-plan cost should stay flat like
+// recovery's.
 struct MembershipRow {
   int backlog;
   double join_ms = 0.0;
-  int64_t join_stolen = 0;
   double drain_ms = 0.0;
   int64_t drain_reposted = 0;
 };
@@ -145,7 +143,7 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     for (int i = 0; i < backlog; ++i) {
       store.Push(i, /*replica=*/1, plan);
     }
-    // Join admission: alive -> admitted, expected grown, fair share stolen.
+    // Join admission: alive -> admitted, expected grown.
     auto t0 = std::chrono::steady_clock::now();
     fleet.OnReplicaAttached(3);
     row.join_ms += MsSince(t0);
@@ -155,15 +153,10 @@ MembershipRow MeasureMembership(const sim::ExecutionPlan& plan, int backlog,
     fleet.OnReplicaDrainRequested(1);
     row.drain_ms += MsSince(t0);
     const service::FleetReport report = fleet.report();
-    const int64_t stolen = backlog / 4;  // fair share of the 4-strong fleet
-    if (report.join_stolen != stolen ||
-        report.drain_reposted != backlog - stolen) {
-      std::printf("!! membership moved %lld + %lld of %d plans\n",
-                  static_cast<long long>(report.join_stolen),
-                  static_cast<long long>(report.drain_reposted),
-                  backlog);
+    if (report.drain_reposted != backlog) {
+      std::printf("!! drain moved %lld of %d plans\n",
+                  static_cast<long long>(report.drain_reposted), backlog);
     }
-    row.join_stolen = report.join_stolen;
     row.drain_reposted = report.drain_reposted;
   }
   row.join_ms /= rounds;
@@ -253,21 +246,19 @@ int main(int argc, char** argv) {
   for (const int backlog : {4, 16, 64}) {
     mem_rows.push_back(MeasureMembership(exec, backlog, std::min(rounds, 50)));
   }
-  std::printf("\n%-20s | %12s | %8s | %15s | %9s\n", "mid-epoch backlog",
-              "join adm ms", "stolen", "drain handoff ms", "reposted");
-  std::printf("---------------------+--------------+----------+"
+  std::printf("\n%-20s | %12s | %15s | %9s\n", "mid-epoch backlog",
+              "join adm ms", "drain handoff ms", "reposted");
+  std::printf("---------------------+--------------+"
               "-----------------+----------\n");
   for (const MembershipRow& row : mem_rows) {
-    std::printf("%-20d | %12.4f | %8lld | %15.4f | %9lld\n", row.backlog,
-                row.join_ms, static_cast<long long>(row.join_stolen),
-                row.drain_ms, static_cast<long long>(row.drain_reposted));
+    std::printf("%-20d | %12.4f | %15.4f | %9lld\n", row.backlog,
+                row.join_ms, row.drain_ms,
+                static_cast<long long>(row.drain_reposted));
   }
   std::printf(
-      "(join = unknown replica turns alive -> admitted + fair share of the "
-      "deepest backlog stolen to its spare keys; drain = request -> member "
-      "set shrinks -> remaining backlog reposted to survivors -> ack; both "
-      "are key moves on "
-      "resident bytes)\n");
+      "(join = unknown replica turns alive -> admitted, no plan moves; "
+      "drain = request -> member set shrinks -> remaining backlog reposted "
+      "to survivors and the joiner -> ack, key moves on resident bytes)\n");
 
   // Observability overhead. Ordering matters: the shm publish rows run
   // before the trace-span row enables tracing, because tracer enablement is

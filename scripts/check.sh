@@ -49,6 +49,13 @@ if grep -n 'stragglers' src/service/fleet.h src/service/fleet.cc; then
   exit 1
 fi
 
+# Nothing moves off an active member: a join is admission only, so neither
+# the join steal's count nor the vacated-key release it needed comes back.
+if grep -nE 'join_stolen|released_' src/service/fleet.h src/service/fleet.cc; then
+  echo "ERROR: src/service/fleet.{h,cc} names join_stolen or released_" >&2
+  exit 1
+fi
+
 # Runnable programs get their publisher from one place: executor::Publisher
 # wires the store, its server or shm poller, and the fleet coordinator. The
 # benches may time a FleetCoordinator move in-process, but serve no store by

@@ -77,10 +77,10 @@ struct ExecutorOptions {
   int attach_timeout_ms = 10'000;
   // --- Elastic membership ---
   // A replica outside the publisher's fleet joins by attaching like any
-  // other: the FleetCoordinator admits the replica when it turns alive and
-  // seeds it with stolen backlog at spare iteration keys — a joiner
-  // therefore normally runs with start_iteration at the publisher's spare
-  // base.
+  // other: the FleetCoordinator admits the replica when it turns alive, and
+  // from then on hands it a share of the plans it sweeps off members that
+  // stopped polling, at spare iteration keys — a joiner therefore normally
+  // runs open-ended with start_iteration at the publisher's spare base.
   //
   // drain_after >= 0: after this many executed iterations, request a
   // graceful drain (kDrainRequest / the shm slot's drain word), wait for the

@@ -14,12 +14,13 @@
 //                ShmHeartbeatPoller drains (executors attach by name).
 //
 // Either way one service::FleetCoordinator over the store is the sink that
-// the server or the poller feeds. It admits joiners and moves whatever the
-// dead, the draining and the departed still hold to the active members — a
-// drainer's backlog before its drain is acknowledged. The
-// coordinator owns no thread, so the publisher also runs its real-time
-// deadline ticker: with monitor.dead_after_ms > 0, a thread calls the
-// coordinator's PollLiveness(now) every clamp(dead_after_ms / 4, 1, 50) ms.
+// the server or the poller feeds. It admits joiners, which takes no plan off
+// anyone, and moves whatever the dead, the draining and the departed still
+// hold to the active members — a drainer's backlog before its drain is
+// acknowledged. The coordinator owns no thread, so the publisher also runs
+// its real-time deadline ticker: with monitor.dead_after_ms > 0, a thread
+// calls the coordinator's PollLiveness(now) every
+// clamp(dead_after_ms / 4, 1, 50) ms.
 // The type fixes the wiring order: the coordinator is the sink before the
 // endpoint serves, and teardown stops the ticker and the feeders, then the
 // coordinator, then the store.
@@ -59,7 +60,8 @@ struct PublisherOptions {
   service::HeartbeatMonitorOptions monitor;
   // The fleet, listed once in fleet.replicas; empty learns it from whoever
   // attaches. List it when the executors that count race the first pushes:
-  // an unlisted attacher joins and steals a tail of plans to spare keys.
+  // an unlisted replica is no member until it attaches, so the expected
+  // fleet misses it and a death's backlog cannot go to it.
   service::FleetOptions fleet;
 };
 

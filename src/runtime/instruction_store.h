@@ -80,7 +80,7 @@ class HeartbeatSink {
   virtual void OnReplicaDrainRequested(int32_t replica) { (void)replica; }
 };
 
-// Why a plan move failed (or didn't). The FleetCoordinator's mover branches
+// Why a plan move failed (or didn't). The FleetCoordinator's sweep branches
 // on this: a vanished source means the work already happened (skip),
 // a taken destination means the spare key is burned (advance and retry) —
 // collapsing both into `false` is exactly the bug that silently lost reposts

@@ -116,6 +116,8 @@ class CostModelAdapter : public mb::MicroBatchCostFn {
  public:
   CostModelAdapter(const cost::PipelineCostModel& cm, model::RecomputeMode mode)
       : cm_(cm), mode_(mode) {}
+  // Keeps `cm` by reference: a temporary would dangle.
+  CostModelAdapter(cost::PipelineCostModel&&, model::RecomputeMode) = delete;
 
   double TimeMs(const model::MicroBatchShape& shape) const override {
     return cm_.MicroBatchTimeMs(shape, mode_);
@@ -156,6 +158,8 @@ std::vector<double> RecomputeLowerBoundsMs(
 class IterationPlanner {
  public:
   IterationPlanner(const cost::PipelineCostModel& cost_model, PlannerOptions options);
+  // Keeps `cost_model` by reference: a temporary would dangle.
+  IterationPlanner(cost::PipelineCostModel&&, PlannerOptions) = delete;
 
   // Thread-safe: the trainer's plan-ahead workers call this concurrently on one
   // planner instance.

@@ -1,25 +1,12 @@
 #include "src/service/fleet.h"
 
-#include <algorithm>
 #include <chrono>
-#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 
 namespace dynapipe::service {
-
-int64_t FleetCoordinator::SpareKeyAllocator::Next(int32_t replica) {
-  auto freed = released_.find(replica);
-  if (freed != released_.end() && !freed->second.empty()) {
-    const int64_t key = *freed->second.begin();
-    freed->second.erase(freed->second.begin());
-    return key;
-  }
-  auto [it, inserted] = next_.emplace(replica, base_);
-  return it->second++;
-}
 
 FleetCoordinator::FleetCoordinator(runtime::RecoverableStore* store,
                                    HeartbeatMonitorOptions monitor_options,
@@ -102,39 +89,6 @@ std::vector<int32_t> FleetCoordinator::ActiveLocked() const {
   return active;
 }
 
-size_t FleetCoordinator::MoveLocked(int32_t victim,
-                                   const std::vector<int64_t>& plans,
-                                   const std::vector<int32_t>& destinations) {
-  // A victim that stays a polling member gets its vacated keys back (the
-  // gap-filling rule in the header); a non-active one never does.
-  const auto it = members_.find(victim);
-  const bool release_vacated =
-      it != members_.end() && it->second == Member::kActive;
-  size_t moved = 0;
-  if (destinations.empty()) {
-    return moved;
-  }
-  for (const int64_t iteration : plans) {
-    const int32_t destination = destinations[moved % destinations.size()];
-    for (int attempt = 0; attempt < 16; ++attempt) {
-      const runtime::RepostOutcome outcome = store_->Repost(
-          iteration, victim, spare_keys_.Next(destination), destination);
-      if (outcome == runtime::RepostOutcome::kDestinationTaken) {
-        continue;  // that key is burned, not the plan: try the next one
-      }
-      if (outcome == runtime::RepostOutcome::kMoved) {
-        ++moved;
-        if (release_vacated) {
-          spare_keys_.Release(victim, iteration);
-        }
-      }
-      // kSourceGone: the victim fetched it in a race — the work happens.
-      break;
-    }
-  }
-  return moved;
-}
-
 void FleetCoordinator::ApplyLocked(const MonitorUpdate& update) {
   for (const ReplicaEvent& event : update.transitions) {
     switch (event.to) {
@@ -187,8 +141,26 @@ void FleetCoordinator::RehomeLocked(int32_t replica, Member state) {
         static_cast<int64_t>(store_->DropReplica(replica));
     return;
   }
+  // In order, round-robin over the active members (advancing on each move),
+  // each to the destination's next spare key.
   const auto t0 = Clock::now();
-  const auto moved = static_cast<int64_t>(MoveLocked(replica, pending, active));
+  int64_t moved = 0;
+  for (const int64_t iteration : pending) {
+    const int32_t destination =
+        active[static_cast<size_t>(moved) % active.size()];
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const runtime::RepostOutcome outcome = store_->Repost(
+          iteration, replica, spare_keys_.Next(destination), destination);
+      if (outcome == runtime::RepostOutcome::kDestinationTaken) {
+        continue;  // that key is burned, not the plan: try the next one
+      }
+      if (outcome == runtime::RepostOutcome::kMoved) {
+        ++moved;
+      }
+      // kSourceGone: the member fetched it in a race — the work happens.
+      break;
+    }
+  }
   if (state != Member::kDead) {
     report_.drain_reposted += moved;
     return;
@@ -222,27 +194,6 @@ void FleetCoordinator::OnJoinLocked(int32_t replica) {
   static common::Counter& joins =
       common::MetricsRegistry::Instance().GetCounter("membership_joins_total");
   joins.Add();
-  // Donor: the peer with the deepest unfetched backlog.
-  const std::vector<int32_t> active = ActiveLocked();
-  int32_t donor = -1;
-  std::vector<int64_t> tail;
-  for (const int32_t peer : active) {
-    if (peer == replica) {
-      continue;
-    }
-    std::vector<int64_t> pending = store_->PendingIterations(peer);
-    if (pending.size() > tail.size()) {
-      donor = peer;
-      tail = std::move(pending);
-    }
-  }
-  if (donor >= 0) {
-    const size_t share = tail.size() / active.size();
-    std::reverse(tail.begin(), tail.end());
-    tail.resize(share);
-    report_.join_stolen +=
-        static_cast<int64_t>(MoveLocked(donor, tail, {replica}));
-  }
   ResizeLocked();
 }
 

@@ -10,40 +10,32 @@
 // stops polling: it dies (kDead: an unclean drop or a missed deadline;
 // sticky), drains (kDraining: wire kDrainRequest or the shm slot's drain
 // word) or departs (a clean detach, from any state but dead). Each shrinks
-// the expected fleet. Plans move for one reason, a member stopped polling:
+// the expected fleet. Plans move for one reason, a member stopped polling,
+// by one rule, the sweep: at the end of every input, whatever a non-active
+// member still holds — its backlog, or a plan pushed to it later by a
+// publisher that has not heard — moves round-robin to the active members;
+// with none left it is dropped and counted. With every member active the
+// sweep makes no store call. A drain's handoff happens in the sink call
+// itself, so the feeder's acknowledgement sent after that call returns (the
+// server's kDrainAck reply, the shm poller's AcknowledgeDrain) follows it.
 //
-//   sweep  at the end of every input, whatever a non-active member still
-//          holds — its backlog, or a plan pushed to it later by a publisher
-//          that has not heard — moves round-robin to the active members;
-//          with none left it is dropped and counted. With every member
-//          active the sweep makes no store call. A drain's handoff happens
-//          in the sink call itself, so the feeder's acknowledgement sent
-//          after that call returns (the server's kDrainAck reply, the shm
-//          poller's AcknowledgeDrain) follows it.
-//   join   a replica outside the active set turns kAlive — a plain wire
-//          kAttach, a bare shm AnnounceReplica, or a departed member coming
-//          back: admission keys off the liveness event, so neither path
-//          declares anything. It is admitted, the expected fleet grows, and
-//          it steals a fair share (deepest backlog / new fleet size) of the
-//          deepest member's tail — the only move off a live member.
+// A join moves nothing. A replica outside the active set that turns kAlive —
+// a plain wire kAttach, a bare shm AnnounceReplica, or a departed member
+// coming back: admission keys off the liveness event, so neither path
+// declares anything — is admitted and the expected fleet grows. From then on
+// it is a destination of the sweep like every other active member.
 //
-// Both move plans through one private mover under the one mutex. A move is
-// a store-level Repost (plans are byte-stable and keyed by (iteration,
-// replica): a key move, no re-plan, no re-encode) to the destination's next
-// *spare* iteration key, starting at `spare_iteration_base` (the epoch's
-// iteration count, where an open-ended executor polls once its own share is
-// done). Spare keys are burned on allocation: a destination key that turns
-// out taken (kDestinationTaken — a squatter) is skipped and the next key
-// tried.
+// No move is ever off an active member. An executor polls its keys strictly
+// in order and gives up at the first gap, so a key taken from a member that
+// still polls would strand every plan published to it beyond that key.
 //
-// The gap-filling rule lives in the mover alone. An executor polls its keys
-// strictly in order and gives up at the first gap, so a live victim's pending
-// keys must stay contiguous from its poll cursor. A join steal vacates the
-// donor's highest keys; the mover hands each vacated key back, and the next
-// repost *to* that donor reuses released keys smallest-first before minting
-// fresh ones — it fills the gap instead of landing beyond a hole the donor
-// never crosses. The keys of non-active victims are never released: they
-// are not polled again.
+// The sweep moves plans under the one mutex. A move is a store-level Repost
+// (plans are byte-stable and keyed by (iteration, replica): a key move, no
+// re-plan, no re-encode) to the destination's next *spare* iteration key,
+// starting at `spare_iteration_base` (the epoch's iteration count, where an
+// open-ended executor polls once its own share is done). Spare keys are
+// burned on allocation: a destination key that turns out taken
+// (kDestinationTaken — a squatter) is skipped and the next key tried.
 //
 // One state machine on the caller's clock. The coordinator owns its monitor
 // and is the runtime::HeartbeatSink that stores, the mux server and the shm
@@ -66,7 +58,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "src/runtime/instruction_store.h"
@@ -96,7 +87,6 @@ struct FleetReport {
   // Membership.
   std::vector<int32_t> joined;   // admission order
   std::vector<int32_t> drained;  // drain-request order
-  int64_t join_stolen = 0;       // backlog moved to joiners
   int64_t drain_reposted = 0;    // plans moved off drainers and departed
 };
 
@@ -141,20 +131,18 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
  private:
   enum class Member : uint8_t { kActive, kDraining, kDeparted, kDead };
 
-  // Spare destination keys: one counter per destination from the base, plus
-  // keys vacated on live victims, reissued smallest-first. Guarded by mu_.
+  // Spare destination keys: one counter per destination from the base.
+  // Guarded by mu_.
   class SpareKeyAllocator {
    public:
     explicit SpareKeyAllocator(int64_t base) : base_(base) {}
-    int64_t Next(int32_t replica);
-    void Release(int32_t replica, int64_t key) {
-      released_[replica].insert(key);
+    int64_t Next(int32_t replica) {
+      return next_.emplace(replica, base_).first->second++;
     }
 
    private:
     const int64_t base_;
     std::map<int32_t, int64_t> next_;
-    std::map<int32_t, std::set<int64_t>> released_;
   };
 
   // One input's reaction, then the sweep. Caller holds mu_.
@@ -164,18 +152,12 @@ class FleetCoordinator final : public runtime::HeartbeatSink {
   void OnJoinLocked(int32_t replica);
   void OnDrainLocked(int32_t replica);
   // Moves whatever non-active `replica` still holds to the active members,
-  // or drops it when none is left.
+  // or drops it when none is left. The only caller of Repost and of the
+  // spare keys.
   void RehomeLocked(int32_t replica, Member state);
   // Applies the active member count to the monitor as its expected fleet
   // size.
   void ResizeLocked();
-
-  // Moves `plans` off `victim` in order, round-robin over `destinations`
-  // (advancing on each move), each to the destination's next spare key.
-  // Returns how many moved. The only caller of Repost and of the spare keys.
-  // Caller holds mu_.
-  size_t MoveLocked(int32_t victim, const std::vector<int64_t>& plans,
-                    const std::vector<int32_t>& destinations);
   std::vector<int32_t> ActiveLocked() const;
 
   runtime::RecoverableStore* store_;

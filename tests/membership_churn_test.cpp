@@ -3,11 +3,12 @@
 // Two layers:
 //
 //   1. A deterministic forked acceptance test: three shm executors start an
-//      epoch; mid-epoch a fourth joins by bare announce and one of the three
-//      drains out through its heartbeat slot's drain word. The joiner must
-//      be admitted and seeded with stolen backlog, the drainer must leave
-//      the member set, be handed off, acknowledged, and detached clean —
-//      and every published plan must execute exactly once, byte-identical.
+//      epoch; a fourth joins by bare announce, and once it is admitted one
+//      of the three drains out through its heartbeat slot's drain word. The
+//      joiner must be admitted and handed part of the drainer's backlog by
+//      the sweep, the drainer must leave the member set, be handed off,
+//      acknowledged, and detached clean — and every published plan must
+//      execute exactly once, byte-identical.
 //
 //   2. A seeded chaos harness: five deterministic std::mt19937 schedules,
 //      each picking who drains (and when), who joins (and when), and whether
@@ -17,10 +18,9 @@
 //      death loses the executed-but-unreported plan's beat, nothing else),
 //      nobody innocent is declared dead, and the drain and join are
 //      recorded. The exact heartbeat count is also the spare-key-collision
-//      probe: the join steal and the sweep of the dead, the draining and the
-//      departed all move plans through one FleetCoordinator's mover and
-//      spare keys, and a collision would either lose a plan (count short) or
-//      double-run one (count over).
+//      probe: the sweep of the dead, the draining and the departed moves
+//      plans to one FleetCoordinator's spare keys, and a collision would
+//      either lose a plan (count short) or double-run one (count over).
 //
 // Everything is shm-native: liveness, the drain word, and the handoffs all
 // live in the segment; no socket exists anywhere in this file. fork()
@@ -103,7 +103,7 @@ struct ChurnChildSpec {
   int64_t start_iteration = 0;    // joiners poll at the spare base
   int64_t drain_after = -1;       // request a drain after this many runs
   std::string fault;              // injected fault spec; empty = none
-  int release_fd = -1;            // joiner: wait for EOF here, then...
+  int gate_fd = -1;               // wait for EOF here, then...
   int pre_attach_delay_ms = 0;    // ...sleep this long before attaching
   int idle_timeout_ms = 2500;
 };
@@ -115,9 +115,9 @@ struct ChurnChildSpec {
 [[noreturn]] void RunChurnChild(const std::string& shm_name,
                                 const std::vector<std::string>& expected,
                                 const ChurnChildSpec& spec) {
-  if (spec.release_fd >= 0) {
+  if (spec.gate_fd >= 0) {
     char byte;
-    while (::read(spec.release_fd, &byte, 1) < 0 && errno == EINTR) {
+    while (::read(spec.gate_fd, &byte, 1) < 0 && errno == EINTR) {
     }
   }
   if (spec.pre_attach_delay_ms > 0) {
@@ -141,8 +141,8 @@ struct ChurnChildSpec {
   opts.idle_timeout_ms = spec.idle_timeout_ms;
   opts.slow_ms = kPaceMs;
   opts.drain_after = spec.drain_after;
-  // Byte checks are set-membership: a moved plan (stolen for a joiner,
-  // reposted off a drainer or a corpse) keeps its bytes but not its key.
+  // Byte checks are set-membership: a moved plan (reposted off a drainer or
+  // a corpse) keeps its bytes but not its key.
   bool bytes_ok = true;
   opts.observer = [&](const executor::IterationOutcome& outcome) {
     const std::string bytes = service::EncodeExecutionPlan(*outcome.plan);
@@ -193,20 +193,18 @@ struct ChurnControlPlane {
   std::shared_ptr<runtime::RecoverableStore> store;
 };
 
-// Holds a joiner back until the whole epoch is published: the Publisher's
-// poller runs from its construction, so a joiner announced before the
-// pushes would be admitted with nothing to steal. Every child closes its
-// copy of the write end; the joiner reads EOF once the parent closes its
-// own, after the pushes (or on any early return of the test).
-struct ReleasePipe {
-  ReleasePipe() {
+// Holds a child back until the parent opens the gate. Every child closes
+// its copy of the write end; the held child reads EOF once the parent closes
+// its own (or on any early return of the test).
+struct Gate {
+  Gate() {
     if (::pipe(fds) != 0) fds[0] = fds[1] = -1;
   }
-  ~ReleasePipe() {
-    Release();
+  ~Gate() {
+    Open();
     if (fds[0] >= 0) ::close(fds[0]);
   }
-  void Release() {
+  void Open() {
     if (fds[1] >= 0) ::close(fds[1]);
     fds[1] = -1;
   }
@@ -215,11 +213,13 @@ struct ReleasePipe {
 
 // ---------- the deterministic acceptance test ----------
 
-// Replica 2 drains after two iterations; replica 3 joins at the spare base
-// as soon as the epoch is published. Every handoff is asserted
-// individually: the joiner is admitted and seeded (>= 1 stolen plan —
-// share = 5 or 6 pending / 4 expected), the drainer leaves the member set, is reposted, acknowledged (clean
-// handshake, no eviction) and retired on detach, and the whole epoch executes exactly
+// Replica 3 joins at the spare base; replica 2 is held back until the join
+// is admitted, then drains after two iterations. A join moves nothing, so
+// the joiner's work comes from the drainer's sweep: its 4 unfetched plans go
+// round-robin over {0, 1, 3}, one to the joiner. Every handoff is asserted
+// individually: the joiner is admitted and runs >= 1 plan, the drainer
+// leaves the member set, is reposted, acknowledged (clean handshake, no
+// eviction) and retired on detach, and the whole epoch executes exactly
 // once, byte-identical.
 TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   constexpr int32_t kDrainer = 2;
@@ -233,8 +233,8 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     }
   }
   const std::string shm_name = UniqueShmName("accept");
-  ReleasePipe release;
-  ASSERT_GE(release.fds[0], 0);
+  Gate gate;
+  ASSERT_GE(gate.fds[0], 0);
   std::vector<pid_t> children;
   for (int32_t r = 0; r <= kJoiner; ++r) {
     ChurnChildSpec spec;
@@ -242,15 +242,15 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
     if (r == kJoiner) {
       spec.require_work = true;
       spec.start_iteration = kIterations;  // the spare base
-      spec.release_fd = release.fds[0];
     }
     if (r == kDrainer) {
       spec.drain_after = 2;
+      spec.gate_fd = gate.fds[0];
     }
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      release.Release();
+      gate.Open();
       RunChurnChild(shm_name, expected, spec);
     }
     children.push_back(child);
@@ -259,7 +259,11 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   // No liveness deadlines: nobody dies here, and a false death would steal
   // the drainer's exit from under the assertion.
   ChurnControlPlane plane(shm_name, plans, /*dead_after_ms=*/0.0);
-  release.Release();
+  // The join before the drain, so the drainer's sweep has the joiner as a
+  // destination.
+  ASSERT_TRUE(WaitUntil(
+      [&] { return !plane.publisher.report().joined.empty(); }, 10'000));
+  gate.Open();
 
   ASSERT_TRUE(WaitUntil([&] { return plane.store->size() == 0; }, 30'000));
   const int64_t expected_beats =
@@ -280,15 +284,15 @@ TEST(MembershipChurnTest, JoinAndDrainHandOffMidEpochExactlyOnce) {
   EXPECT_EQ(plane.store->size(), 0u);
   EXPECT_EQ(plane.monitor().total_heartbeats(), expected_beats);
 
-  // The join: admitted, seeded with stolen tail backlog.
+  // The join: admitted; the joiner's exit code already proved it ran the
+  // plan the drain's sweep handed it.
   const service::FleetReport report = plane.publisher.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{kJoiner});
-  EXPECT_GE(report.join_stolen, 1);
   // The drain: out of the member set and handed off (the drainer left 4
   // unfetched), then acknowledged — the child's exit code already proved the
   // clean handshake.
   EXPECT_EQ(report.drained, std::vector<int32_t>{kDrainer});
-  EXPECT_GE(report.drain_reposted, 1);
+  EXPECT_EQ(report.drain_reposted, kIterations - 2);
 
   // Every executor ended detached — not dead, not evicted — and a clean
   // detach retires a member: once the poller has delivered the four
@@ -371,19 +375,16 @@ void RunSeededChurnEpoch(uint32_t seed) {
     }
   }
   const std::string shm_name = UniqueShmName("chaos");
-  ReleasePipe release;
-  ASSERT_GE(release.fds[0], 0);
   std::vector<pid_t> children;
   for (int32_t r = 0; r <= kJoiner; ++r) {
     ChurnChildSpec spec;
     spec.replica = r;
     if (r == kJoiner) {
       spec.start_iteration = kIterations;
-      spec.release_fd = release.fds[0];
       spec.pre_attach_delay_ms = schedule.join_delay_ms;
-      // A late joiner can legitimately find the backlog already fair-shared
-      // to zero, so it must not *require* work — the invariants below are
-      // global, not per-child.
+      // A joiner gets work only from a sweep after its admission, which a
+      // late join can miss, so it must not *require* work — the invariants
+      // below are global, not per-child.
     }
     if (r == schedule.drainer) {
       spec.drain_after = schedule.drain_after;
@@ -394,7 +395,6 @@ void RunSeededChurnEpoch(uint32_t seed) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      release.Release();
       RunChurnChild(shm_name, expected, spec);
     }
     children.push_back(child);
@@ -405,11 +405,10 @@ void RunSeededChurnEpoch(uint32_t seed) {
   // between publishes never get near it (idle shm executors stamp their
   // slot's alive marker on every probe).
   ChurnControlPlane plane(shm_name, plans, /*dead_after_ms=*/1'200.0);
-  release.Release();
 
   // A crash loses exactly one heartbeat: the victim dies at the heartbeat
   // site, after executing the plan it never reported. Everything else —
-  // drained, stolen, reposted, inherited-spare-reposted-again — reports
+  // drained, reposted, inherited-spare-reposted-again — reports
   // exactly once.
   const int64_t expected_beats =
       static_cast<int64_t>(kIterations) * kBaseReplicas - (crash ? 1 : 0);

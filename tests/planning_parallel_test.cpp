@@ -9,6 +9,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +200,15 @@ TEST(DpPartitionerParallelTest, SubsampledCandidatesKeepExtremesFeasible) {
 }
 
 // ---------- Planner determinism and stats ----------
+
+// The planner and its DP oracle keep the cost model by reference, so neither
+// may be built from a temporary.
+static_assert(!std::is_constructible_v<runtime::IterationPlanner,
+                                       cost::PipelineCostModel&&,
+                                       runtime::PlannerOptions>);
+static_assert(!std::is_constructible_v<runtime::CostModelAdapter,
+                                       cost::PipelineCostModel&&,
+                                       model::RecomputeMode>);
 
 class PlannerParallelTest : public ::testing::Test {
  protected:

@@ -1400,10 +1400,9 @@ TEST(FleetCoordinatorTest, ZombieBeatNeverCountsTowardAReportSet) {
 // --- membership ---
 
 // A replica outside the configured fleet turning alive is a joiner: the
-// coordinator admits it, grows the expected fleet, and steals a fair share
-// of the deepest member's *tail* backlog to the joiner's spare keys — where
-// an open-ended executor polls first.
-TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
+// coordinator admits it and grows the expected fleet, and moves nothing off
+// a live member — every member's backlog stays where it was published.
+TEST(FleetCoordinatorTest, JoinMovesNothingOffALiveMember) {
   runtime::InstructionStore store(
       runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
   service::FleetOptions opts = Fleet({0, 1, 2});
@@ -1420,16 +1419,41 @@ TEST(FleetCoordinatorTest, JoinerStealsAFairShareOfTheDeepestTail) {
   fleet.OnReplicaAttached(3);
   const service::FleetReport report = fleet.report();
   EXPECT_EQ(report.joined, std::vector<int32_t>{3});
-  EXPECT_EQ(report.join_stolen, 2);  // floor(8 / new fleet of 4)
   EXPECT_EQ(fleet.monitor().expected_replicas(), 4);
   EXPECT_EQ(fleet.ActiveMembers(), (std::vector<int32_t>{0, 1, 2, 3}));
-  // Tail first, at the joiner's spare keys; the donor keeps its head and
-  // replica 0's shallow backlog was never the donor.
-  EXPECT_EQ(store.FetchBytes(10, 3), "p7");
-  EXPECT_EQ(store.FetchBytes(11, 3), "p6");
+  EXPECT_EQ(report.replanned_iterations, 0);
+  EXPECT_EQ(report.drain_reposted, 0);
   EXPECT_EQ(store.PendingIterations(1),
-            (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+            (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(store.PendingIterations(0), std::vector<int64_t>{0});
+  EXPECT_TRUE(store.PendingIterations(3).empty());
+}
+
+// An executor polls its keys strictly in order and gives up at the first
+// gap. With a publisher streaming plans after a join, a live member's keys
+// must stay contiguous from its poll cursor: a key taken off it at the join
+// would leave every plan published to it later beyond a gap it never
+// crosses.
+TEST(FleetCoordinatorTest, JoinLeavesALiveMembersKeysContiguous) {
+  runtime::InstructionStore store(
+      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
+  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1}));
+
+  for (int64_t i = 1; i <= 5; ++i) {
+    store.PushBytes(i, 0, "a" + std::to_string(i));
+    store.PushBytes(i, 1, "b" + std::to_string(i));
+  }
+  fleet.OnReplicaAttached(2);  // joins
+  for (int64_t i = 6; i <= 8; ++i) {  // the publisher streams on
+    store.PushBytes(i, 0, "a" + std::to_string(i));
+    store.PushBytes(i, 1, "b" + std::to_string(i));
+  }
+
+  const std::vector<int64_t> contiguous = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(store.PendingIterations(0), contiguous);
+  EXPECT_EQ(store.PendingIterations(1), contiguous);
+  EXPECT_TRUE(store.PendingIterations(2).empty());
+  EXPECT_EQ(fleet.report().joined, std::vector<int32_t>{2});
 }
 
 // A drain request takes the leaver out of the member set, shrinks the
@@ -1535,7 +1559,7 @@ TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
   store.PushBytes(1, 0, "plan-b");
   fleet.OnReplicaAttached(0);
   fleet.OnReplicaAttached(1);
-  fleet.OnReplicaAttached(2);  // joins; fair share floor(2 / 3) = 0
+  fleet.OnReplicaAttached(2);  // joins
   fleet.OnReplicaDrainRequested(1);
   fleet.OnReplicaDisconnected(0, /*clean=*/false);  // dies holding both
 
@@ -1546,35 +1570,6 @@ TEST(FleetCoordinatorTest, JoinerInheritsADeadMembersBacklog) {
   EXPECT_EQ(store.FetchBytes(10, 2), "plan-a");
   EXPECT_EQ(store.FetchBytes(11, 2), "plan-b");
   EXPECT_EQ(fleet.ActiveMembers(), std::vector<int32_t>{2});
-}
-
-// The gap-filling rule. A join steal vacates the donor's highest keys; the
-// donor still polls its keys in order, so a later death repost to it reuses
-// the lowest vacated key instead of landing beyond a gap it never crosses.
-TEST(FleetCoordinatorTest, DeathRepostFillsTheGapAJoinVacated) {
-  runtime::InstructionStore store(
-      runtime::InstructionStoreOptions{/*serialized=*/true, /*capacity=*/0});
-  service::FleetCoordinator fleet(&store, {}, Fleet({0, 1, 2}));
-
-  for (int64_t i = 0; i < 12; ++i) {
-    store.PushBytes(i, 1, "p" + std::to_string(i));
-  }
-  fleet.OnReplicaAttached(3);  // steals p11, p10, p9 to (10..12, 3)
-  ASSERT_EQ(fleet.report().join_stolen, 3);
-  EXPECT_EQ(store.FetchBytes(10, 3), "p11");
-
-  store.PushBytes(0, 2, "dead-a");
-  store.PushBytes(1, 2, "dead-b");
-  store.PushBytes(2, 2, "dead-c");
-  fleet.Drop(2, /*clean=*/false);  // round-robin over {0, 1, 3}
-
-  EXPECT_EQ(fleet.report().replanned_iterations, 3);
-  // The donor's keys stay contiguous from its poll cursor.
-  EXPECT_EQ(store.PendingIterations(1),
-            (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-  EXPECT_EQ(store.FetchBytes(10, 0), "dead-a");
-  EXPECT_EQ(store.FetchBytes(9, 1), "dead-b");  // the lowest vacated key
-  EXPECT_EQ(store.FetchBytes(13, 3), "dead-c");
 }
 
 // --- every member that stops polling is swept ---
