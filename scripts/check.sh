@@ -93,6 +93,14 @@ if grep -n 'kPush' src/transport/frame.h; then
   exit 1
 fi
 
+# The profile is stored once: PipelineCostModel's packed grid holds every
+# profiled value and PackedGrids::At is its only interpolation read, so no
+# per-stage table copy and no profile file format (which nothing read) return.
+if grep -rnE 'StageCostModel|SaveProfile|LoadProfile' src/; then
+  echo "ERROR: src/ names StageCostModel, SaveProfile or LoadProfile" >&2
+  exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-Release}" \
   -DDYNAPIPE_WERROR=ON

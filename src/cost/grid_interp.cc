@@ -1,9 +1,6 @@
 #include "src/cost/grid_interp.h"
 
 #include <algorithm>
-#include <iomanip>
-#include <istream>
-#include <ostream>
 
 #include "src/common/check.h"
 
@@ -35,60 +32,14 @@ void CheckAxis(const std::vector<double>& axis) {
 }  // namespace
 
 GridInterp3D::GridInterp3D(std::vector<double> xs, std::vector<double> ys,
-                           std::vector<double> zs, std::vector<double> values)
-    : xs_(std::move(xs)), ys_(std::move(ys)), zs_(std::move(zs)),
-      values_(std::move(values)) {
+                           std::vector<double> zs)
+    : xs_(std::move(xs)), ys_(std::move(ys)), zs_(std::move(zs)) {
   CheckAxis(xs_);
   CheckAxis(ys_);
   CheckAxis(zs_);
-  DYNAPIPE_CHECK(values_.size() == xs_.size() * ys_.size() * zs_.size());
-}
-
-void GridInterp3D::Save(std::ostream& os) const {
-  os << std::setprecision(17);
-  auto save_axis = [&](const std::vector<double>& axis) {
-    os << axis.size();
-    for (const double v : axis) {
-      os << " " << v;
-    }
-    os << "\n";
-  };
-  save_axis(xs_);
-  save_axis(ys_);
-  save_axis(zs_);
-  for (const double v : values_) {
-    os << v << " ";
-  }
-  os << "\n";
-}
-
-GridInterp3D GridInterp3D::Load(std::istream& is) {
-  auto load_axis = [&]() {
-    size_t n = 0;
-    DYNAPIPE_CHECK_MSG(static_cast<bool>(is >> n), "malformed profile: axis size");
-    DYNAPIPE_CHECK_MSG(n >= 1 && n < 1'000'000, "malformed profile: axis bounds");
-    std::vector<double> axis(n);
-    for (auto& v : axis) {
-      DYNAPIPE_CHECK_MSG(static_cast<bool>(is >> v), "malformed profile: axis value");
-    }
-    return axis;
-  };
-  std::vector<double> xs = load_axis();
-  std::vector<double> ys = load_axis();
-  std::vector<double> zs = load_axis();
-  std::vector<double> values(xs.size() * ys.size() * zs.size());
-  for (auto& v : values) {
-    DYNAPIPE_CHECK_MSG(static_cast<bool>(is >> v), "malformed profile: value");
-  }
-  return GridInterp3D(std::move(xs), std::move(ys), std::move(zs), std::move(values));
-}
-
-bool GridInterp3D::SameAxes(const GridInterp3D& other) const {
-  return xs_ == other.xs_ && ys_ == other.ys_ && zs_ == other.zs_;
 }
 
 GridInterp3D::Cell GridInterp3D::Locate(double x, double y, double z) const {
-  DYNAPIPE_CHECK_MSG(!empty(), "querying an empty grid");
   size_t i;
   size_t j;
   size_t k;
@@ -100,28 +51,11 @@ GridInterp3D::Cell GridInterp3D::Locate(double x, double y, double z) const {
   return cell;
 }
 
-double GridInterp3D::At(const Cell& c) const {
-  const double* v = values_.data() + c.base;
-  return Trilerp(v[0], v[c.di], v[c.dj], v[c.di + c.dj], v[c.dk], v[c.di + c.dk],
-                 v[c.dj + c.dk], v[c.di + c.dj + c.dk], c);
-}
-
-PackedGrids::PackedGrids(const std::vector<Lane>& lanes) {
-  DYNAPIPE_CHECK(!lanes.empty());
-  const GridInterp3D& first = *lanes.front().table;
-  floors_.reserve(lanes.size());
-  for (const Lane& lane : lanes) {
-    DYNAPIPE_CHECK_MSG(!lane.table->empty() && lane.table->SameAxes(first),
-                       "packed tables disagree on grid axes");
-    floors_.push_back(lane.floor);
-  }
-  const size_t vertices = first.values_.size();
-  values_.resize(vertices * lanes.size());
-  for (size_t v = 0; v < vertices; ++v) {
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      values_[v * lanes.size() + l] = lanes[l].table->values_[v];
-    }
-  }
+PackedGrids::PackedGrids(GridInterp3D axes, std::vector<double> floors,
+                         std::vector<double> values)
+    : axes_(std::move(axes)), floors_(std::move(floors)), values_(std::move(values)) {
+  DYNAPIPE_CHECK(!floors_.empty());
+  DYNAPIPE_CHECK(values_.size() == axes_.vertices() * floors_.size());
 }
 
 }  // namespace dynapipe::cost

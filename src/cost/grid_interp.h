@@ -4,19 +4,18 @@
 // outside the grid extrapolate linearly from the edge cell, mirroring how a profiled
 // table behaves beyond its sampled range.
 //
-// A query is located on the axes once and then read from the table (At);
-// tables over the same axes can share one located Cell. Locate searches each
-// axis; a Cursor steps each axis forward instead, for a walk of queries whose
-// coordinates never decrease (one DP row: a window's size and padded lengths
-// only grow as it extends), and returns the same Cell bit for bit.
-// PackedGrids interleaves several tables over the same axes vertex-major, so
-// one inline kernel reads every table a caller needs from a Cell in one pass.
+// GridInterp3D is the axes only: it locates a query point as a Cell. Locate
+// searches each axis; a Cursor steps each axis forward instead, for a walk of
+// queries whose coordinates never decrease (one DP row: a window's size and
+// padded lengths only grow as it extends), and returns the same Cell bit for
+// bit. PackedGrids holds the values of every table over one set of axes,
+// interleaved vertex-major, so one inline kernel (At, the only interpolation
+// read) reads every table a caller needs from a Cell in one pass.
 #ifndef DYNAPIPE_SRC_COST_GRID_INTERP_H_
 #define DYNAPIPE_SRC_COST_GRID_INTERP_H_
 
 #include <algorithm>
 #include <cstddef>
-#include <iosfwd>
 #include <limits>
 #include <vector>
 
@@ -90,45 +89,14 @@ class GridInterp3D {
   };
 
   GridInterp3D() = default;
-  // values is row-major over (xs, ys, zs): (xs[i], ys[j], zs[k]) sits at
-  // (i * ys.size() + j) * zs.size() + k. Each axis strictly increasing and
-  // non-empty.
-  GridInterp3D(std::vector<double> xs, std::vector<double> ys, std::vector<double> zs,
-               std::vector<double> values);
+  // Each axis strictly increasing and non-empty. Vertex (xs[i], ys[j], zs[k])
+  // is flat vertex (i * ys.size() + j) * zs.size() + k.
+  GridInterp3D(std::vector<double> xs, std::vector<double> ys, std::vector<double> zs);
 
+  size_t vertices() const { return xs_.size() * ys_.size() * zs_.size(); }
   Cell Locate(double x, double y, double z) const;
-  // Interpolates at a cell located on this table or on any table with the
-  // same axes.
-  double At(const Cell& cell) const;
-  double operator()(double x, double y, double z) const { return At(Locate(x, y, z)); }
-
-  bool SameAxes(const GridInterp3D& other) const;
-  bool empty() const { return values_.empty(); }
-
-  // Plain-text (de)serialization; Load aborts on malformed input.
-  void Save(std::ostream& os) const;
-  static GridInterp3D Load(std::istream& is);
 
  private:
-  friend class PackedGrids;
-
-  // Interpolates a cell from its 8 corner values (vijk: the corner i steps
-  // along x, j along y and k along z from the low one). Every read of a
-  // table, packed or not, goes through this one lerp order, so they agree
-  // bit for bit.
-  static double Trilerp(double v000, double v100, double v010, double v110,
-                        double v001, double v101, double v011, double v111,
-                        const Cell& c) {
-    auto lerp = [](double a, double b, double t) { return a + t * (b - a); };
-    const double c00 = lerp(v000, v100, c.tx);
-    const double c01 = lerp(v001, v101, c.tx);
-    const double c10 = lerp(v010, v110, c.tx);
-    const double c11 = lerp(v011, v111, c.tx);
-    const double c0 = lerp(c00, c10, c.ty);
-    const double c1 = lerp(c01, c11, c.ty);
-    return lerp(c0, c1, c.tz);
-  }
-
   // The high-neighbour offsets of every Cell on these axes.
   Cell Offsets() const {
     Cell cell;
@@ -141,31 +109,26 @@ class GridInterp3D {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<double> zs_;
-  std::vector<double> values_;
 };
 
-// Tables over the same axes, interleaved vertex-major: lane l of flat grid
+// Tables over one set of axes, interleaved vertex-major: lane l of flat grid
 // vertex v sits at v * lanes() + l, so the corners of one Cell hold every
-// table's value side by side. Each lane carries the floor its values are
+// table's value side by side. Each lane carries the floor its reads are
 // clamped to.
 class PackedGrids {
  public:
-  struct Lane {
-    const GridInterp3D* table = nullptr;
-    double floor = 0.0;
-  };
-
   PackedGrids() = default;
-  // Every table must have the first one's axes.
-  explicit PackedGrids(const std::vector<Lane>& lanes);
+  // values holds axes.vertices() * floors.size() entries, laid out as above.
+  PackedGrids(GridInterp3D axes, std::vector<double> floors, std::vector<double> values);
 
+  const GridInterp3D& axes() const { return axes_; }
   size_t lanes() const { return floors_.size(); }
 
-  // Interpolates lanes [first, first + count) at a cell located on the
-  // tables' axes into out[0, count): out[l] is bit-identical to
-  // std::max(lane.floor, lane.table->At(cell)) for lane first + l.
+  // Interpolates lanes [first, first + count) at a cell located on axes()
+  // into out[0, count), each clamped to its lane's floor.
   void At(const GridInterp3D::Cell& c, size_t first, size_t count,
           double* __restrict out) const {
+    auto lerp = [](double a, double b, double t) { return a + t * (b - a); };
     const size_t n = floors_.size();
     const double* __restrict floor = floors_.data() + first;
     const double* __restrict v000 = values_.data() + c.base * n + first;
@@ -177,13 +140,18 @@ class PackedGrids {
     const double* __restrict v011 = v010 + c.dk * n;
     const double* __restrict v111 = v110 + c.dk * n;
     for (size_t l = 0; l < count; ++l) {
-      out[l] = std::max(floor[l],
-                        GridInterp3D::Trilerp(v000[l], v100[l], v010[l], v110[l], v001[l],
-                                              v101[l], v011[l], v111[l], c));
+      const double c00 = lerp(v000[l], v100[l], c.tx);
+      const double c01 = lerp(v001[l], v101[l], c.tx);
+      const double c10 = lerp(v010[l], v110[l], c.tx);
+      const double c11 = lerp(v011[l], v111[l], c.tx);
+      const double c0 = lerp(c00, c10, c.ty);
+      const double c1 = lerp(c01, c11, c.ty);
+      out[l] = std::max(floor[l], lerp(c0, c1, c.tz));
     }
   }
 
  private:
+  GridInterp3D axes_;
   std::vector<double> floors_;
   std::vector<double> values_;
 };

@@ -1,9 +1,6 @@
 #include "src/cost/pipeline_cost_model.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "src/common/check.h"
@@ -11,9 +8,23 @@
 namespace dynapipe::cost {
 namespace {
 
+// Interpolated times are clamped at a microsecond: edge extrapolation on the
+// profiled grid can undershoot for tiny shapes, and the planner must never see
+// a non-positive duration. Activations are clamped at 0.
+constexpr double kMinMs = 0.001;
+
 constexpr model::RecomputeMode kModes[] = {model::RecomputeMode::kNone,
                                            model::RecomputeMode::kSelective,
                                            model::RecomputeMode::kFull};
+
+std::vector<double> PowerOfTwoGrid(int32_t lo, int32_t hi) {
+  std::vector<double> grid;
+  for (int64_t v = lo; v <= hi; v *= 2) {
+    grid.push_back(static_cast<double>(v));
+  }
+  DYNAPIPE_CHECK(grid.size() >= 2);
+  return grid;
+}
 
 }  // namespace
 
@@ -21,73 +32,92 @@ PipelineCostModel PipelineCostModel::Profile(const model::ModelConfig& config,
                                              const model::HardwareSpec& hw,
                                              const model::ParallelConfig& parallel,
                                              const ProfileOptions& options) {
+  DYNAPIPE_CHECK(options.max_microbatch_size >= 2);
+  DYNAPIPE_CHECK(options.min_seq_len >= 1);
+  DYNAPIPE_CHECK(options.max_seq_len > options.min_seq_len);
   PipelineCostModel pcm;
   pcm.config_ = config;
   pcm.hw_ = hw;
   pcm.parallel_ = parallel;
   pcm.truth_ = model::BuildStageModels(config, hw, parallel.pp, parallel.tp);
-  ProfileOptions opts = options;
-  opts.profile_target_axis = config.arch == model::ModelArch::kT5;
-  pcm.stages_.reserve(pcm.truth_.size());
-  for (const auto& stage_truth : pcm.truth_) {
-    pcm.stages_.push_back(StageCostModel::Profile(stage_truth, opts));
+
+  const std::vector<double> mbs_grid = PowerOfTwoGrid(1, options.max_microbatch_size);
+  const std::vector<double> input_grid =
+      PowerOfTwoGrid(options.min_seq_len, options.max_seq_len);
+  const std::vector<double> target_grid =
+      config.arch == model::ModelArch::kT5
+          ? PowerOfTwoGrid(options.min_seq_len, options.max_seq_len)
+          : std::vector<double>{0.0};
+
+  // The ground truth is sampled only at the grid vertices, exactly like
+  // profiling real kernels, straight into each vertex's lanes.
+  const size_t c = pcm.truth_.size();
+  const size_t lanes = kNumTables * c;
+  std::vector<double> floors(lanes, kMinMs);
+  for (const auto mode : kModes) {
+    std::fill_n(floors.begin() + static_cast<std::ptrdiff_t>(ActTable(mode) * c), c, 0.0);
   }
-  pcm.PackTables();
+  std::vector<double> values(
+      mbs_grid.size() * input_grid.size() * target_grid.size() * lanes);
+  double* vertex = values.data();
+  for (const double b : mbs_grid) {
+    for (const double s : input_grid) {
+      for (const double t : target_grid) {
+        model::MicroBatchShape shape;
+        shape.num_samples = static_cast<int32_t>(b);
+        shape.input_len = static_cast<int32_t>(s);
+        shape.target_len = static_cast<int32_t>(t);
+        for (size_t st = 0; st < c; ++st) {
+          const model::StagePerfModel& truth = pcm.truth_[st];
+          vertex[FwdTable() * c + st] = truth.FwdMs(shape);
+          for (const auto mode : kModes) {
+            vertex[BwdTable(mode) * c + st] = truth.BwdMs(shape, mode);
+            vertex[ActTable(mode) * c + st] = truth.ActivationMb(shape, mode);
+          }
+        }
+        vertex += lanes;
+      }
+    }
+  }
+  pcm.packed_ = PackedGrids(GridInterp3D(mbs_grid, input_grid, target_grid),
+                            std::move(floors), std::move(values));
   return pcm;
 }
 
-void PipelineCostModel::SaveProfile(std::ostream& os) const {
-  os << "dynapipe-profile-v1 " << stages_.size() << "\n";
-  for (const auto& stage_cm : stages_) {
-    stage_cm.Save(os);
-  }
-}
-
-PipelineCostModel PipelineCostModel::LoadProfile(const model::ModelConfig& config,
-                                                 const model::HardwareSpec& hw,
-                                                 const model::ParallelConfig& parallel,
-                                                 std::istream& is) {
-  std::string magic;
-  size_t num_stages = 0;
-  DYNAPIPE_CHECK_MSG(static_cast<bool>(is >> magic >> num_stages),
-                     "malformed profile header");
-  DYNAPIPE_CHECK_MSG(magic == "dynapipe-profile-v1", "unknown profile format");
-  DYNAPIPE_CHECK_MSG(num_stages == static_cast<size_t>(parallel.pp),
-                     "profile stage count does not match parallel config");
-  PipelineCostModel pcm;
-  pcm.config_ = config;
-  pcm.hw_ = hw;
-  pcm.parallel_ = parallel;
-  pcm.truth_ = model::BuildStageModels(config, hw, parallel.pp, parallel.tp);
-  pcm.stages_.reserve(num_stages);
-  for (size_t s = 0; s < num_stages; ++s) {
-    pcm.stages_.push_back(StageCostModel::Load(is));
-    DYNAPIPE_CHECK_MSG(pcm.stages_[s].SameGrid(pcm.stages_.front()),
-                       "profile stages disagree on grid axes");
-  }
-  pcm.PackTables();
-  return pcm;
-}
-
-const StageCostModel& PipelineCostModel::stage(int32_t s) const {
+double PipelineCostModel::StageLane(size_t table, int32_t s,
+                                    const model::MicroBatchShape& shape) const {
   DYNAPIPE_CHECK(s >= 0 && s < num_stages());
-  return stages_[static_cast<size_t>(s)];
+  double value;
+  packed_.At(packed_.axes().Locate(shape.num_samples, shape.input_len, shape.target_len),
+             table * truth_.size() + static_cast<size_t>(s), 1, &value);
+  return value;
 }
 
 double PipelineCostModel::StageFwdMs(int32_t s,
                                      const model::MicroBatchShape& shape) const {
-  return stage(s).FwdMs(shape);
+  return StageLane(FwdTable(), s, shape);
 }
 
 double PipelineCostModel::StageBwdMs(int32_t s, const model::MicroBatchShape& shape,
                                      model::RecomputeMode mode) const {
-  return stage(s).BwdMs(shape, mode);
+  return StageLane(BwdTable(mode), s, shape);
 }
 
 double PipelineCostModel::StageActivationMb(int32_t s,
                                             const model::MicroBatchShape& shape,
                                             model::RecomputeMode mode) const {
-  return stage(s).ActivationMb(shape, mode);
+  return StageLane(ActTable(mode), s, shape);
+}
+
+void PipelineCostModel::StageCosts(const model::MicroBatchShape& shape,
+                                   model::RecomputeMode mode, double* fwd_ms,
+                                   double* bwd_ms, double* act_mb) const {
+  const size_t c = truth_.size();
+  const GridInterp3D::Cell cell =
+      packed_.axes().Locate(shape.num_samples, shape.input_len, shape.target_len);
+  packed_.At(cell, FwdTable() * c, c, fwd_ms);
+  packed_.At(cell, BwdTable(mode) * c, c, bwd_ms);
+  packed_.At(cell, ActTable(mode) * c, c, act_mb);
 }
 
 double PipelineCostModel::MicroBatchTimeMs(const model::MicroBatchShape& shape,
@@ -111,20 +141,6 @@ bool PipelineCostModel::WindowCosts(const model::MicroBatchShape& shape,
   RowWalk walk(*this, {&mode, 1}, /*activation=*/true);
   walk.Seek(shape);
   return walk.WindowCosts(mode, limit, time_ms, act_mb);
-}
-
-void PipelineCostModel::PackTables() {
-  const size_t c = stages_.size();
-  std::vector<PackedGrids::Lane> lanes(kNumTables * c);
-  for (size_t s = 0; s < c; ++s) {
-    const StageCostModel& stage = stages_[s];
-    lanes[FwdTable() * c + s] = {&stage.fwd_table(), StageCostModel::kMinMs};
-    for (const auto mode : kModes) {
-      lanes[BwdTable(mode) * c + s] = {&stage.bwd_table(mode), StageCostModel::kMinMs};
-      lanes[ActTable(mode) * c + s] = {&stage.activation_table(mode), 0.0};
-    }
-  }
-  packed_ = PackedGrids(lanes);
 }
 
 double* PipelineCostModel::RowWalk::LaneScratch(size_t lanes) {
@@ -180,15 +196,7 @@ int64_t PipelineCostModel::BoundaryBytes(int32_t s,
 
 double PipelineCostModel::TransferMs(int32_t from_stage, int32_t to_stage,
                                      int64_t bytes) const {
-  // Stage s occupies GPUs [s*tp, (s+1)*tp) within its replica; the boundary is
-  // intra-node iff representative GPUs share a node.
-  const int32_t src_gpu = from_stage * parallel_.tp;
-  const int32_t dst_gpu = to_stage * parallel_.tp;
-  const bool same_node =
-      src_gpu / hw_.gpus_per_node == dst_gpu / hw_.gpus_per_node;
-  const double bw_gbs = same_node ? hw_.intra_node_bw_gbs : hw_.inter_node_bw_gbs;
-  return hw_.p2p_latency_us / 1e3 +
-         static_cast<double>(bytes) / 1e9 / bw_gbs * 1e3;
+  return model::P2pTransferMs(hw_, parallel_.tp, from_stage, to_stage, bytes);
 }
 
 double PipelineCostModel::DpGradSyncMs() const {

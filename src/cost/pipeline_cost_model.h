@@ -1,25 +1,31 @@
-// Whole-pipeline cost model: one profiled StageCostModel per pipeline stage, plus
-// the quantities the planner knows exactly without profiling — tensor shapes at
-// stage boundaries, parameter/optimizer memory, and the interconnect model.
+// Whole-pipeline cost model: the profiled per-stage costs, plus the quantities
+// the planner knows exactly without profiling — tensor shapes at stage
+// boundaries, parameter/optimizer memory, and the interconnect model.
+//
+// Profiling mirrors the paper's cost-model construction (§3): every stage's
+// forward/backward time and activation memory per recomputation scheme are
+// sampled at power-of-two micro-batch sizes and sequence lengths, and gaps are
+// bridged by linear interpolation. The planner only ever sees these
+// interpolated values — never the analytic ground truth — so its estimates
+// carry realistic interpolation error (quantified in the Fig. 18 bench).
 //
 // t(M) in Eq. 1 is taken at the bottleneck stage (max over stages of fwd+bwd),
 // which both bounds the per-stage time and matches the paper's "execution time of
 // all micro-batches on the last stage" term when stages are balanced.
 //
-// Windows are priced from a packed copy of every stage's tables, built once
-// per model: each grid vertex holds all stages' fwd, bwd and activation values
-// side by side, so a RowWalk reads every stage's lane of a table from one
-// located cell in one pass.
+// The profile is stored once, packed per grid vertex: each vertex holds every
+// stage's fwd, bwd and activation values side by side over one set of axes,
+// so a lookup locates a shape once and reads every stage's lane of a table in
+// one pass.
 #ifndef DYNAPIPE_SRC_COST_PIPELINE_COST_MODEL_H_
 #define DYNAPIPE_SRC_COST_PIPELINE_COST_MODEL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
-#include "src/cost/stage_cost_model.h"
+#include "src/cost/grid_interp.h"
 #include "src/model/hardware_spec.h"
 #include "src/model/model_config.h"
 #include "src/model/shapes.h"
@@ -27,6 +33,16 @@
 #include "src/model/stage_perf_model.h"
 
 namespace dynapipe::cost {
+
+// The profiling grid: micro-batch sizes 1, 2, 4, ... up to
+// max_microbatch_size, and sequence lengths min_seq_len, 2 * min_seq_len, ...
+// up to max_seq_len on the input axis and, for T5, the target axis (GPT's
+// target axis is the single point 0).
+struct ProfileOptions {
+  int32_t max_microbatch_size = 128;
+  int32_t min_seq_len = 32;
+  int32_t max_seq_len = 16'384;
+};
 
 class PipelineCostModel {
  public:
@@ -37,20 +53,11 @@ class PipelineCostModel {
                                    const model::ParallelConfig& parallel,
                                    const ProfileOptions& options);
 
-  // Persist the profiled tables so repeated runs skip profiling (the paper's
-  // artifact caches profiles the same way). Load rebuilds the exact-math parts
-  // from (config, hw, parallel) and restores the tables; the caller must pass the
-  // same triple the profile was taken with.
-  void SaveProfile(std::ostream& os) const;
-  static PipelineCostModel LoadProfile(const model::ModelConfig& config,
-                                       const model::HardwareSpec& hw,
-                                       const model::ParallelConfig& parallel,
-                                       std::istream& is);
-
-  int32_t num_stages() const { return static_cast<int32_t>(stages_.size()); }
-  const StageCostModel& stage(int32_t s) const;
+  int32_t num_stages() const { return static_cast<int32_t>(truth_.size()); }
 
   // --- Profiled (interpolated) quantities ---
+  // Times are clamped at a microsecond and activations at 0. Each per-stage
+  // accessor locates the shape by a search on the grid axes.
   double StageFwdMs(int32_t s, const model::MicroBatchShape& shape) const;
   double StageBwdMs(int32_t s, const model::MicroBatchShape& shape,
                     model::RecomputeMode mode) const;
@@ -69,13 +76,18 @@ class PipelineCostModel {
   // to the per-stage StageFwdMs/StageBwdMs/StageActivationMb.
   bool WindowCosts(const model::MicroBatchShape& shape, model::RecomputeMode mode,
                    double limit, double* time_ms, double* act_mb) const;
+  // Every stage's fwd, bwd and activation under `mode` from one located cell:
+  // fills num_stages() values at each of fwd_ms, bwd_ms and act_mb, each
+  // bit-identical to the per-stage accessor.
+  void StageCosts(const model::MicroBatchShape& shape, model::RecomputeMode mode,
+                  double* fwd_ms, double* bwd_ms, double* act_mb) const;
 
   // Prices a walk of windows whose shapes never shrink — one DP row, widths
   // 1, 2, ... from a fixed start. A walk reads the same tables at every
   // window: each stage's fwd, its bwd under each of `modes`, and, if
   // `activation`, its activation under each of `modes`. Seek locates the
   // window with a GridInterp3D::Cursor step (no search) and interpolates
-  // those tables for every stage in one inline pass over the packed copy.
+  // those tables for every stage in one inline pass over the packed values.
   // Values are bit-identical to StageFwdMs / StageBwdMs / StageActivationMb.
   // The lane buffer is per-thread scratch, so keep at most one RowWalk alive
   // per thread.
@@ -84,8 +96,8 @@ class PipelineCostModel {
     RowWalk(const PipelineCostModel& cm, std::span<const model::RecomputeMode> modes,
             bool activation)
         : cm_(cm),
-          stages_(cm.stages_.size()),
-          cursor_(cm.stages_.front().fwd_table()),
+          stages_(cm.truth_.size()),
+          cursor_(cm.packed_.axes()),
           lanes_(LaneScratch(cm.packed_.lanes())) {
       size_t first = FwdTable();
       size_t last = FwdTable();
@@ -122,7 +134,7 @@ class PipelineCostModel {
                      double* act_mb) const;
 
    private:
-    // The lane buffer: one per thread, grown to the widest packed copy seen,
+    // The lane buffer: one per thread, grown to the widest packed grid seen,
     // so walking a row allocates nothing.
     static double* LaneScratch(size_t lanes);
 
@@ -143,8 +155,8 @@ class PipelineCostModel {
   // Bytes stage s sends to stage s+1 for one micro-batch (activations; gradients
   // flow back with the same volume).
   int64_t BoundaryBytes(int32_t s, const model::MicroBatchShape& shape) const;
-  // P2P transfer duration between adjacent stages (intra- vs inter-node is derived
-  // from the stage→GPU placement implied by (tp, gpus_per_node)).
+  // P2P transfer duration between adjacent stages (model::P2pTransferMs, the
+  // same formula the simulated cluster's ground truth uses).
   double TransferMs(int32_t from_stage, int32_t to_stage, int64_t bytes) const;
   // Per-iteration data-parallel gradient allreduce (max across stages).
   double DpGradSyncMs() const;
@@ -157,7 +169,7 @@ class PipelineCostModel {
   model::ModelConfig config_;
   model::HardwareSpec hw_;
   model::ParallelConfig parallel_;
-  // The packed copy holds seven tables, each one lane per stage: table t's
+  // The packed grid holds seven tables, each one lane per stage: table t's
   // lanes are [t * num_stages(), (t + 1) * num_stages()). Their order puts
   // what the serial planner reads together next to each other — kNone's DP
   // window reads tables 0-2, the bound sweep over kSelective and kFull reads
@@ -172,12 +184,12 @@ class PipelineCostModel {
   static size_t ActTable(model::RecomputeMode mode) {
     return mode == model::RecomputeMode::kNone ? 0 : 4 + static_cast<size_t>(mode);
   }
-  // Builds packed_ from stages_, which must share one grid.
-  void PackTables();
+  // Stage s's lane of `table` at `shape`: one Locate, one one-lane read.
+  double StageLane(size_t table, int32_t s, const model::MicroBatchShape& shape) const;
 
-  std::vector<StageCostModel> stages_;
   PackedGrids packed_;
-  // Kept for the exact (non-profiled) shape and memory math only.
+  // Sampled at the grid vertices by Profile; afterwards kept for the exact
+  // (non-profiled) shape and memory math only.
   std::vector<model::StagePerfModel> truth_;
 };
 

@@ -146,4 +146,15 @@ double DpGradSyncMs(const ModelConfig& config, const HardwareSpec& hw,
   return hw.allreduce_latency_us / 1e3 + gb / hw.inter_node_bw_gbs * 1e3;
 }
 
+double P2pTransferMs(const HardwareSpec& hw, int32_t tp, int32_t from_stage,
+                     int32_t to_stage, int64_t bytes) {
+  // Stage s occupies GPUs [s*tp, (s+1)*tp) within its replica; the boundary is
+  // intra-node iff representative GPUs share a node.
+  const int32_t src_gpu = from_stage * tp;
+  const int32_t dst_gpu = to_stage * tp;
+  const bool same_node = src_gpu / hw.gpus_per_node == dst_gpu / hw.gpus_per_node;
+  const double bw_gbs = same_node ? hw.intra_node_bw_gbs : hw.inter_node_bw_gbs;
+  return hw.p2p_latency_us / 1e3 + static_cast<double>(bytes) / 1e9 / bw_gbs * 1e3;
+}
+
 }  // namespace dynapipe::model

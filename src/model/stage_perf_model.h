@@ -58,6 +58,12 @@ std::vector<StagePerfModel> BuildStageModels(const ModelConfig& config,
 double DpGradSyncMs(const ModelConfig& config, const HardwareSpec& hw,
                     const StageLayout& layout, int32_t tp, int32_t dp);
 
+// P2P transfer time of `bytes` from pipeline stage from_stage to to_stage:
+// intra- vs inter-node bandwidth follows the stage→GPU placement implied by
+// (tp, gpus_per_node), plus the p2p latency.
+double P2pTransferMs(const HardwareSpec& hw, int32_t tp, int32_t from_stage,
+                     int32_t to_stage, int64_t bytes);
+
 }  // namespace dynapipe::model
 
 #endif  // DYNAPIPE_SRC_MODEL_STAGE_PERF_MODEL_H_

@@ -28,11 +28,7 @@ double SimGroundTruth::ActivationMb(int32_t device, const sim::Instruction& inst
 }
 
 double SimGroundTruth::TransferMs(int32_t src, int32_t dst, int64_t bytes) {
-  const int32_t src_gpu = src * parallel_.tp;
-  const int32_t dst_gpu = dst * parallel_.tp;
-  const bool same_node = src_gpu / hw_.gpus_per_node == dst_gpu / hw_.gpus_per_node;
-  const double bw_gbs = same_node ? hw_.intra_node_bw_gbs : hw_.inter_node_bw_gbs;
-  return hw_.p2p_latency_us / 1e3 + static_cast<double>(bytes) / 1e9 / bw_gbs * 1e3;
+  return model::P2pTransferMs(hw_, parallel_.tp, src, dst, bytes);
 }
 
 std::vector<double> SimGroundTruth::StaticMemoryMb() const {

@@ -63,17 +63,12 @@ ReplicaBuild BuildReplica(const cost::PipelineCostModel& cm,
     shapes[static_cast<size_t>(k)] = mbs[static_cast<size_t>(k)].shape;
   }
   // Profile lookups are the schedule phase's dominant cost. BuildOpCosts
-  // dedups shapes so each distinct one is priced once per stage, and one
-  // located grid cell serves all three of its tables.
+  // dedups shapes so each distinct one is priced once, for every stage from
+  // one located grid cell and one packed read of each of its three tables.
   schedule::OpCostsBuild built = schedule::BuildOpCosts(
       c, shapes,
-      [&](int32_t s, const model::MicroBatchShape& shape, double* fwd,
-          double* bwd, double* act) {
-        const cost::StageCostModel& stage = cm.stage(s);
-        const cost::GridInterp3D::Cell cell = stage.Locate(shape);
-        *fwd = stage.FwdMsAt(cell);
-        *bwd = stage.BwdMsAt(cell, mode);
-        *act = stage.ActivationMbAt(cell, mode);
+      [&](const model::MicroBatchShape& shape, double* fwd, double* bwd, double* act) {
+        cm.StageCosts(shape, mode, fwd, bwd, act);
       });
   schedule::OpCosts& costs = built.costs;
   std::vector<double>& mb_time = built.mb_time;

@@ -10,7 +10,7 @@ namespace dynapipe::schedule {
 
 OpCostsBuild BuildOpCosts(int32_t num_stages,
                           const std::vector<model::MicroBatchShape>& shapes,
-                          const StageShapePricer& price) {
+                          const ShapePricer& price) {
   OpCostsBuild out;
   const int32_t c = num_stages;
   const int32_t m = static_cast<int32_t>(shapes.size());
@@ -40,21 +40,21 @@ OpCostsBuild BuildOpCosts(int32_t num_stages,
       distinct_of[static_cast<size_t>(k)] = it->second;
     }
   }
-  std::vector<double> d_fwd(distinct.size());
-  std::vector<double> d_bwd(distinct.size());
-  std::vector<double> d_act(distinct.size());
-  for (int32_t s = 0; s < c; ++s) {
-    const size_t ss = static_cast<size_t>(s);
-    for (size_t u = 0; u < distinct.size(); ++u) {
-      price(s, distinct[u], &d_fwd[u], &d_bwd[u], &d_act[u]);
-    }
-    for (int32_t k = 0; k < m; ++k) {
-      const size_t sk = static_cast<size_t>(k);
-      const size_t u = distinct_of[sk];
-      out.costs.fwd_ms[ss][sk] = d_fwd[u];
-      out.costs.bwd_ms[ss][sk] = d_bwd[u];
-      out.costs.act_mb[ss][sk] = d_act[u];
-      out.mb_time[sk] = std::max(out.mb_time[sk], d_fwd[u] + d_bwd[u]);
+  const size_t sc = static_cast<size_t>(c);
+  std::vector<double> d_fwd(distinct.size() * sc);
+  std::vector<double> d_bwd(distinct.size() * sc);
+  std::vector<double> d_act(distinct.size() * sc);
+  for (size_t u = 0; u < distinct.size(); ++u) {
+    price(distinct[u], &d_fwd[u * sc], &d_bwd[u * sc], &d_act[u * sc]);
+  }
+  for (int32_t k = 0; k < m; ++k) {
+    const size_t sk = static_cast<size_t>(k);
+    const size_t u = distinct_of[sk] * sc;
+    for (size_t s = 0; s < sc; ++s) {
+      out.costs.fwd_ms[s][sk] = d_fwd[u + s];
+      out.costs.bwd_ms[s][sk] = d_bwd[u + s];
+      out.costs.act_mb[s][sk] = d_act[u + s];
+      out.mb_time[sk] = std::max(out.mb_time[sk], d_fwd[u + s] + d_bwd[u + s]);
     }
   }
   return out;

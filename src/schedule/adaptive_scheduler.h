@@ -25,13 +25,12 @@
 
 namespace dynapipe::schedule {
 
-// Prices one (stage, shape) pair: forward time, backward time (recompute
-// folded in by the caller), and held activation memory. The hook through
-// which the planner plugs its profile walks while the scheduler stays
-// cost-model-agnostic.
-using StageShapePricer = std::function<void(
-    int32_t stage, const model::MicroBatchShape& shape, double* fwd_ms,
-    double* bwd_ms, double* act_mb)>;
+// Prices one shape on every stage: fills num_stages values at each of
+// fwd_ms, bwd_ms (recompute folded in by the caller) and act_mb (held
+// activation memory), indexed by stage. The hook through which the planner
+// plugs its profile lookups while the scheduler stays cost-model-agnostic.
+using ShapePricer = std::function<void(const model::MicroBatchShape& shape,
+                                       double* fwd_ms, double* bwd_ms, double* act_mb)>;
 
 struct OpCostsBuild {
   OpCosts costs;
@@ -39,12 +38,12 @@ struct OpCostsBuild {
   std::vector<double> mb_time;
 };
 
-// Assembles per-op planning inputs from per-(stage, shape) prices. Micro-
-// batches cut from runs of equal-length samples share padded shapes, so each
-// distinct shape is priced exactly once per stage and fanned out.
+// Assembles per-op planning inputs from per-shape prices. Micro-batches cut
+// from runs of equal-length samples share padded shapes, so each distinct
+// shape is priced exactly once and fanned out.
 OpCostsBuild BuildOpCosts(int32_t num_stages,
                           const std::vector<model::MicroBatchShape>& shapes,
-                          const StageShapePricer& price);
+                          const ShapePricer& price);
 
 struct AdaptiveScheduleOptions {
   // Per-device activation-memory limits; empty disables the memory constraint.

@@ -1,12 +1,12 @@
-// Unit tests for src/cost: grid interpolation and the profiled cost models,
-// including the honesty property (exact at grid points, bounded error between),
-// the grid cursor against Locate, the one-lookup WindowCosts probe over the
-// packed tables, and profile (de)serialization.
+// Unit tests for src/cost: grid interpolation through the packed grid and the
+// profiled cost model, including the honesty property (exact at every grid
+// vertex, bounded error between), the grid cursor against Locate, and the
+// one-lookup WindowCosts and StageCosts reads against the per-stage accessors.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,7 +15,6 @@
 #include "src/common/rng.h"
 #include "src/cost/grid_interp.h"
 #include "src/cost/pipeline_cost_model.h"
-#include "src/cost/stage_cost_model.h"
 #include "src/model/hardware_spec.h"
 #include "src/model/model_config.h"
 #include "src/model/stage_perf_model.h"
@@ -26,11 +25,28 @@ namespace {
 using model::MicroBatchShape;
 using model::RecomputeMode;
 
-// ---------- GridInterp3D ----------
+// ---------- GridInterp3D, read through a one-lane packed grid ----------
+
+// One table as an unfloored one-lane PackedGrids: the interpolation cases
+// below read through PackedGrids::At, the cost model's only interpolation read.
+class OneLane {
+ public:
+  OneLane(std::vector<double> xs, std::vector<double> ys, std::vector<double> zs,
+          std::vector<double> values)
+      : packed_(GridInterp3D(std::move(xs), std::move(ys), std::move(zs)),
+                {-std::numeric_limits<double>::infinity()}, std::move(values)) {}
+  double operator()(double x, double y, double z) const {
+    double value;
+    packed_.At(packed_.axes().Locate(x, y, z), 0, 1, &value);
+    return value;
+  }
+
+ private:
+  PackedGrids packed_;
+};
 
 TEST(GridInterp3DTest, ExactAtGridPoints) {
-  GridInterp3D g({1.0, 2.0}, {10.0, 20.0}, {0.0, 5.0},
-                 {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
+  OneLane g({1.0, 2.0}, {10.0, 20.0}, {0.0, 5.0}, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
   EXPECT_DOUBLE_EQ(g(1, 10, 0), 1.0);
   EXPECT_DOUBLE_EQ(g(2, 20, 5), 8.0);
   EXPECT_DOUBLE_EQ(g(1, 20, 0), 3.0);
@@ -52,23 +68,23 @@ TEST(GridInterp3DTest, TrilinearFunctionReproducedExactly) {
       }
     }
   }
-  GridInterp3D g(xs, ys, zs, v);
+  OneLane g(xs, ys, zs, v);
   EXPECT_NEAR(g(0.5, 1.5, 2.0), f(0.5, 1.5, 2.0), 1e-9);
   EXPECT_NEAR(g(1.9, 0.1, 8.0), f(1.9, 0.1, 8.0), 1e-9);
 }
 
 TEST(GridInterp3DTest, DegenerateAxesBehaveAsConstant) {
-  GridInterp3D g({1.0, 2.0}, {5.0}, {0.0}, {10.0, 20.0});
+  OneLane g({1.0, 2.0}, {5.0}, {0.0}, {10.0, 20.0});
   EXPECT_DOUBLE_EQ(g(1.5, 999.0, -5.0), 15.0);
 }
 
 TEST(GridInterp3DTest, ExtrapolatesBeyondEdges) {
-  GridInterp3D g({0.0, 1.0}, {0.0}, {0.0}, {0.0, 10.0});
+  OneLane g({0.0, 1.0}, {0.0}, {0.0}, {0.0, 10.0});
   EXPECT_DOUBLE_EQ(g(2.0, 0.0, 0.0), 20.0);
 }
 
 TEST(GridInterp3DTest, FlatLookupBitEqualsNestedReference) {
-  // The flat table must reproduce the nested [i][j][k] trilinear formula bit
+  // The packed lane must reproduce the nested [i][j][k] trilinear formula bit
   // for bit, including the clamped edge cells that extrapolation reads.
   const std::vector<double> xs{1.0, 2.0, 4.0, 8.0};
   const std::vector<double> ys{32.0, 64.0, 128.0};
@@ -85,7 +101,7 @@ TEST(GridInterp3DTest, FlatLookupBitEqualsNestedReference) {
       }
     }
   }
-  const GridInterp3D g(xs, ys, zs, flat);
+  const OneLane g(xs, ys, zs, flat);
   auto locate = [](const std::vector<double>& axis, double v, size_t& k, double& t) {
     k = 0;
     while (k + 2 < axis.size() && v >= axis[k + 1]) {
@@ -114,90 +130,144 @@ TEST(GridInterp3DTest, FlatLookupBitEqualsNestedReference) {
   }
 }
 
-// ---------- StageCostModel ----------
+TEST(PackedGridsTest, LanesReadIndependentlyAndClampAtTheirFloors) {
+  // Three lanes over one 2x2x1 grid, vertex-major. Reading any lane range
+  // gives each lane's own interpolation, clamped to that lane's floor.
+  const std::vector<double> xs{0.0, 1.0};
+  const std::vector<double> ys{0.0, 2.0};
+  const std::vector<double> values{1.0, -4.0, 7.0,    // (0, 0)
+                                   3.0, -2.0, 9.0,    // (0, 2)
+                                   5.0, -8.0, 11.0,   // (1, 0)
+                                   7.0, -6.0, 13.0};  // (1, 2)
+  const PackedGrids packed(GridInterp3D(xs, ys, {0.0}), {0.0, -1.0, 20.0}, values);
+  const GridInterp3D::Cell cell = packed.axes().Locate(0.5, 1.0, 0.0);
+  double all[3];
+  packed.At(cell, 0, 3, all);
+  EXPECT_EQ(all[0], 4.0);
+  EXPECT_EQ(all[1], -1.0);  // interpolates to -5.0
+  EXPECT_EQ(all[2], 20.0);  // interpolates to 10.0
+  for (size_t l = 0; l < 3; ++l) {
+    double one;
+    packed.At(cell, l, 1, &one);
+    EXPECT_EQ(one, all[l]) << "lane " << l;
+  }
+  // Below the grid on x: lane 0 extrapolates to 1 - 3 * 4 = -11 and is
+  // floored; lane 1 extrapolates to -4 - 3 * -4 = 8.
+  double low[2];
+  packed.At(packed.axes().Locate(-3.0, 0.0, 0.0), 0, 2, low);
+  EXPECT_EQ(low[0], 0.0);
+  EXPECT_EQ(low[1], 8.0);
+}
 
-class StageCostModelTest : public ::testing::Test {
+// ---------- Profile honesty: PipelineCostModel's per-stage accessors ----------
+
+constexpr RecomputeMode kAllModes[] = {RecomputeMode::kNone, RecomputeMode::kSelective,
+                                       RecomputeMode::kFull};
+
+std::vector<int32_t> PowerOfTwoPoints(int32_t lo, int32_t hi) {
+  std::vector<int32_t> points;
+  for (int32_t v = lo; v <= hi; v *= 2) {
+    points.push_back(v);
+  }
+  return points;
+}
+
+class ProfileHonestyTest : public ::testing::Test {
  protected:
-  StageCostModelTest()
+  ProfileHonestyTest()
       : config_(model::ModelConfig::Gpt3_35B()),
-        layouts_(model::PartitionStages(config_, 2)),
-        truth_(config_, hw_, layouts_[0], 1) {
+        truth_(model::BuildStageModels(config_, hw_, parallel_.pp, parallel_.tp)) {
     options_.max_microbatch_size = 32;
     options_.min_seq_len = 32;
     options_.max_seq_len = 8192;
-    options_.profile_target_axis = false;
-    cm_ = StageCostModel::Profile(truth_, options_);
+    cm_ = PipelineCostModel::Profile(config_, hw_, parallel_, options_);
   }
 
   model::ModelConfig config_;
   model::HardwareSpec hw_;
-  std::vector<model::StageLayout> layouts_;
-  model::StagePerfModel truth_;
+  model::ParallelConfig parallel_{1, 1, 2};
+  std::vector<model::StagePerfModel> truth_;
   ProfileOptions options_;
-  StageCostModel cm_;
+  PipelineCostModel cm_;
 };
 
-TEST_F(StageCostModelTest, ExactAtProfiledGridPoints) {
-  for (int32_t b : {1, 2, 8, 32}) {
-    for (int32_t s : {32, 256, 2048, 8192}) {
-      MicroBatchShape shape{b, s, 0};
-      EXPECT_NEAR(cm_.FwdMs(shape), truth_.FwdMs(shape), 1e-9)
-          << "b=" << b << " s=" << s;
-      EXPECT_NEAR(cm_.BwdMs(shape, RecomputeMode::kNone),
-                  truth_.BwdMs(shape, RecomputeMode::kNone), 1e-9);
-      EXPECT_NEAR(cm_.ActivationMb(shape, RecomputeMode::kNone),
-                  truth_.ActivationMb(shape, RecomputeMode::kNone), 1e-6);
+TEST_F(ProfileHonestyTest, ExactAtProfiledGridPoints) {
+  for (int32_t st = 0; st < cm_.num_stages(); ++st) {
+    const model::StagePerfModel& truth = truth_[static_cast<size_t>(st)];
+    for (int32_t b : {1, 2, 8, 32}) {
+      for (int32_t s : {32, 256, 2048, 8192}) {
+        MicroBatchShape shape{b, s, 0};
+        EXPECT_NEAR(cm_.StageFwdMs(st, shape), truth.FwdMs(shape), 1e-9)
+            << "stage " << st << " b=" << b << " s=" << s;
+        EXPECT_NEAR(cm_.StageBwdMs(st, shape, RecomputeMode::kNone),
+                    truth.BwdMs(shape, RecomputeMode::kNone), 1e-9);
+        EXPECT_NEAR(cm_.StageActivationMb(st, shape, RecomputeMode::kNone),
+                    truth.ActivationMb(shape, RecomputeMode::kNone), 1e-6);
+      }
     }
   }
 }
 
-TEST_F(StageCostModelTest, InterpolationErrorBoundedOffGrid) {
+TEST_F(ProfileHonestyTest, InterpolationErrorBoundedOffGrid) {
   // Off-grid queries carry interpolation error but should stay within ~20% — the
   // regime that makes Fig. 18 meaningful.
-  for (int32_t b : {3, 5, 12, 24}) {
-    for (int32_t s : {100, 300, 1000, 3000, 6000}) {
-      MicroBatchShape shape{b, s, 0};
-      const double est = cm_.FwdMs(shape);
-      const double act = truth_.FwdMs(shape);
-      EXPECT_NEAR(est / act, 1.0, 0.2) << "b=" << b << " s=" << s;
+  for (int32_t st = 0; st < cm_.num_stages(); ++st) {
+    for (int32_t b : {3, 5, 12, 24}) {
+      for (int32_t s : {100, 300, 1000, 3000, 6000}) {
+        MicroBatchShape shape{b, s, 0};
+        const double est = cm_.StageFwdMs(st, shape);
+        const double act = truth_[static_cast<size_t>(st)].FwdMs(shape);
+        EXPECT_NEAR(est / act, 1.0, 0.2) << "stage " << st << " b=" << b << " s=" << s;
+      }
     }
   }
 }
 
-TEST_F(StageCostModelTest, MonotoneInMicroBatchSize) {
-  for (int32_t s : {128, 512, 2048}) {
+TEST_F(ProfileHonestyTest, MonotoneInMicroBatchSize) {
+  for (int32_t st = 0; st < cm_.num_stages(); ++st) {
+    for (int32_t s : {128, 512, 2048}) {
+      double prev = 0.0;
+      for (int32_t b = 1; b <= 32; b *= 2) {
+        const double t = cm_.StageFwdMs(st, {b, s, 0});
+        EXPECT_GT(t, prev) << "stage " << st;
+        prev = t;
+      }
+    }
+  }
+}
+
+TEST_F(ProfileHonestyTest, MonotoneInSequenceLength) {
+  for (int32_t st = 0; st < cm_.num_stages(); ++st) {
     double prev = 0.0;
-    for (int32_t b = 1; b <= 32; b *= 2) {
-      const double t = cm_.FwdMs({b, s, 0});
-      EXPECT_GT(t, prev);
+    for (int32_t s = 32; s <= 8192; s *= 2) {
+      const double t = cm_.StageFwdMs(st, {4, s, 0});
+      EXPECT_GT(t, prev) << "stage " << st;
       prev = t;
     }
   }
 }
 
-TEST_F(StageCostModelTest, MonotoneInSequenceLength) {
-  double prev = 0.0;
-  for (int32_t s = 32; s <= 8192; s *= 2) {
-    const double t = cm_.FwdMs({4, s, 0});
-    EXPECT_GT(t, prev);
-    prev = t;
+TEST_F(ProfileHonestyTest, RecomputeOrderingSurvivesProfiling) {
+  MicroBatchShape shape{4, 1024, 0};
+  for (int32_t st = 0; st < cm_.num_stages(); ++st) {
+    EXPECT_LT(cm_.StageBwdMs(st, shape, RecomputeMode::kNone),
+              cm_.StageBwdMs(st, shape, RecomputeMode::kSelective));
+    EXPECT_LT(cm_.StageBwdMs(st, shape, RecomputeMode::kSelective),
+              cm_.StageBwdMs(st, shape, RecomputeMode::kFull));
+    EXPECT_GT(cm_.StageActivationMb(st, shape, RecomputeMode::kNone),
+              cm_.StageActivationMb(st, shape, RecomputeMode::kFull));
   }
 }
 
-TEST_F(StageCostModelTest, RecomputeOrderingSurvivesProfiling) {
-  MicroBatchShape shape{4, 1024, 0};
-  EXPECT_LT(cm_.BwdMs(shape, RecomputeMode::kNone),
-            cm_.BwdMs(shape, RecomputeMode::kSelective));
-  EXPECT_LT(cm_.BwdMs(shape, RecomputeMode::kSelective),
-            cm_.BwdMs(shape, RecomputeMode::kFull));
-  EXPECT_GT(cm_.ActivationMb(shape, RecomputeMode::kNone),
-            cm_.ActivationMb(shape, RecomputeMode::kFull));
-}
-
-TEST_F(StageCostModelTest, AlwaysPositive) {
+TEST_F(ProfileHonestyTest, AlwaysPositive) {
   // Extrapolation below the profiled grid must never return non-positive times.
-  EXPECT_GT(cm_.FwdMs({1, 1, 0}), 0.0);
-  EXPECT_GE(cm_.ActivationMb({1, 1, 0}, RecomputeMode::kFull), 0.0);
+  for (int32_t st = 0; st < cm_.num_stages(); ++st) {
+    EXPECT_GT(cm_.StageFwdMs(st, {1, 1, 0}), 0.0);
+    for (const auto mode : kAllModes) {
+      EXPECT_GT(cm_.StageBwdMs(st, {1, 1, 0}, mode), 0.0);
+      EXPECT_GE(cm_.StageActivationMb(st, {1, 1, 0}, mode), 0.0);
+    }
+  }
 }
 
 // ---------- PipelineCostModel ----------
@@ -220,6 +290,36 @@ class PipelineCostModelTest : public ::testing::Test {
 
 TEST_F(PipelineCostModelTest, HasOneCostModelPerStage) {
   EXPECT_EQ(pcm_.num_stages(), 4);
+}
+
+TEST_F(PipelineCostModelTest, ExactAtEveryGridVertexOnEveryStage) {
+  // Every table of every stage reads back the ground truth it sampled at each
+  // power-of-two vertex. The last vertex of an axis sits at the far end of an
+  // edge cell (a + 1 * (b - a)), so compare to within a few ulps.
+  const std::vector<model::StagePerfModel> truth =
+      model::BuildStageModels(config_, hw_, parallel_.pp, parallel_.tp);
+  const std::vector<int32_t> lens = PowerOfTwoPoints(options_.min_seq_len,
+                                                     options_.max_seq_len);
+  int64_t checked = 0;
+  for (const int32_t b : PowerOfTwoPoints(1, options_.max_microbatch_size)) {
+    for (const int32_t s : lens) {
+      for (const int32_t t : lens) {
+        const MicroBatchShape shape{b, s, t};
+        for (int32_t st = 0; st < pcm_.num_stages(); ++st) {
+          SCOPED_TRACE(testing::Message() << "stage " << st << " " << shape.ToString());
+          const model::StagePerfModel& want = truth[static_cast<size_t>(st)];
+          EXPECT_DOUBLE_EQ(pcm_.StageFwdMs(st, shape), want.FwdMs(shape));
+          for (const auto mode : kAllModes) {
+            EXPECT_DOUBLE_EQ(pcm_.StageBwdMs(st, shape, mode), want.BwdMs(shape, mode));
+            EXPECT_DOUBLE_EQ(pcm_.StageActivationMb(st, shape, mode),
+                             want.ActivationMb(shape, mode));
+          }
+          checked += 7;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 5 * 8 * 8 * 4 * 7);
 }
 
 TEST_F(PipelineCostModelTest, MicroBatchTimeIsBottleneckStage) {
@@ -294,20 +394,30 @@ ProfileOptions FullProfile() {
   return opts;
 }
 
-// WindowCosts must equal the per-stage accessors bit for bit on every shape
-// the DP can ask about: on the grid, between grid points, and beyond both
-// ends of every axis (edge extrapolation reads the clamped edge cells).
+// WindowCosts and StageCosts must equal the per-stage accessors bit for bit
+// on every shape the DP or the scheduler can ask about: on the grid, between
+// grid points, and beyond both ends of every axis (edge extrapolation reads
+// the clamped edge cells).
 void ExpectWindowCostsMatchStages(const PipelineCostModel& pcm,
                                   const std::vector<int32_t>& targets) {
-  for (const auto mode :
-       {RecomputeMode::kNone, RecomputeMode::kSelective, RecomputeMode::kFull}) {
+  for (const auto mode : kAllModes) {
     for (const int32_t b : {1, 3, 64, 100, 128, 129, 1000}) {
       for (const int32_t s : {1, 16, 31, 32, 100, 1024, 5000, 16'384, 16'385, 40'000}) {
         for (const int32_t t : targets) {
           const MicroBatchShape shape{b, s, t};
+          const size_t c = static_cast<size_t>(pcm.num_stages());
+          std::vector<double> fwd(c);
+          std::vector<double> bwd(c);
+          std::vector<double> act(c);
+          pcm.StageCosts(shape, mode, fwd.data(), bwd.data(), act.data());
           double want_time = 0.0;
           double want_act = 0.0;
           for (int32_t st = 0; st < pcm.num_stages(); ++st) {
+            const size_t sst = static_cast<size_t>(st);
+            EXPECT_EQ(fwd[sst], pcm.StageFwdMs(st, shape)) << shape.ToString();
+            EXPECT_EQ(bwd[sst], pcm.StageBwdMs(st, shape, mode)) << shape.ToString();
+            EXPECT_EQ(act[sst], pcm.StageActivationMb(st, shape, mode))
+                << shape.ToString();
             want_time = std::max(want_time, pcm.StageFwdMs(st, shape) +
                                                 pcm.StageBwdMs(st, shape, mode));
             want_act = std::max(want_act, pcm.StageActivationMb(st, shape, mode));
@@ -402,9 +512,21 @@ void ExpectCursorMatchesLocate(const GridInterp3D& grid, const std::vector<doubl
   }
 }
 
+// The axes PipelineCostModel::Profile lays over FullProfile(): T5 profiles
+// the target axis like the input axis, GPT pins it to the single point 0.
+GridInterp3D FullProfileAxes(bool target_axis) {
+  auto pow2 = [](int32_t lo, int32_t hi) {
+    std::vector<double> axis;
+    for (const int32_t v : PowerOfTwoPoints(lo, hi)) {
+      axis.push_back(v);
+    }
+    return axis;
+  };
+  return GridInterp3D(pow2(1, 128), pow2(32, 16'384),
+                      target_axis ? pow2(32, 16'384) : std::vector<double>{0.0});
+}
+
 TEST(GridCursorTest, T5GridMatchesLocateOnNondecreasingWalks) {
-  const PipelineCostModel pcm = PipelineCostModel::Profile(
-      model::ModelConfig::T5_5_5B(), model::HardwareSpec{}, {1, 2, 2}, FullProfile());
   // On grid points, between them, below the first point and past the last.
   const std::vector<double> sizes{0, 1, 2, 3, 4, 5, 7, 8, 64, 100, 127, 128, 129, 1000};
   std::vector<double> lens;
@@ -415,135 +537,19 @@ TEST(GridCursorTest, T5GridMatchesLocateOnNondecreasingWalks) {
                          40'000}) {
     lens.push_back(v);
   }
-  ExpectCursorMatchesLocate(pcm.stage(0).fwd_table(), sizes, lens, lens);
+  ExpectCursorMatchesLocate(FullProfileAxes(true), sizes, lens, lens);
 }
 
 TEST(GridCursorTest, GptSinglePointTargetAxisMatchesLocate) {
-  const PipelineCostModel pcm = PipelineCostModel::Profile(
-      model::ModelConfig::Gpt3_35B(), model::HardwareSpec{}, {3, 1, 4}, FullProfile());
-  ExpectCursorMatchesLocate(pcm.stage(0).fwd_table(), {1, 2, 3, 64, 128, 129, 1000},
+  ExpectCursorMatchesLocate(FullProfileAxes(false), {1, 2, 3, 64, 128, 129, 1000},
                             {1, 31, 32, 100, 16'384, 16'385, 40'000}, {0, 5, 7});
 }
 
 TEST(GridCursorDeathTest, MovingBackwardsAborts) {
-  const GridInterp3D grid({1.0, 2.0, 4.0}, {32.0, 64.0}, {0.0}, std::vector<double>(6));
+  const GridInterp3D grid({1.0, 2.0, 4.0}, {32.0, 64.0}, {0.0});
   GridInterp3D::Cursor cursor(grid);
   cursor.Advance(2.0, 64.0, 0.0);
   EXPECT_DEATH(cursor.Advance(2.0, 32.0, 0.0), "backwards");
-}
-
-}  // namespace
-}  // namespace dynapipe::cost
-
-// ---------- Serialization ----------
-
-namespace dynapipe::cost {
-namespace {
-
-TEST(SerializationTest, GridRoundTripsExactly) {
-  std::vector<double> values;
-  for (int ij = 0; ij < 3 * 2; ++ij) {
-    values.insert(values.end(), {1.5, 2.25, 3.125});
-  }
-  GridInterp3D g({1.0, 2.0, 4.0}, {10.0, 20.0}, {0.0, 5.0, 9.0}, values);
-  std::stringstream ss;
-  g.Save(ss);
-  const GridInterp3D loaded = GridInterp3D::Load(ss);
-  for (double x : {1.0, 1.7, 3.9, 8.0}) {
-    for (double y : {10.0, 13.0, 25.0}) {
-      for (double z : {0.0, 4.4, 9.0}) {
-        EXPECT_DOUBLE_EQ(loaded(x, y, z), g(x, y, z));
-      }
-    }
-  }
-}
-
-TEST(SerializationTest, PipelineProfileRoundTrips) {
-  const model::ModelConfig config = model::ModelConfig::Gpt3_35B();
-  const model::HardwareSpec hw;
-  const model::ParallelConfig parallel{1, 1, 2};
-  ProfileOptions opts;
-  opts.max_microbatch_size = 8;
-  opts.max_seq_len = 1024;
-  const PipelineCostModel original =
-      PipelineCostModel::Profile(config, hw, parallel, opts);
-  std::stringstream ss;
-  original.SaveProfile(ss);
-  const PipelineCostModel loaded =
-      PipelineCostModel::LoadProfile(config, hw, parallel, ss);
-  for (int32_t b : {1, 3, 8}) {
-    for (int32_t s : {64, 300, 1024}) {
-      model::MicroBatchShape shape{b, s, 0};
-      EXPECT_DOUBLE_EQ(loaded.MicroBatchTimeMs(shape, model::RecomputeMode::kNone),
-                       original.MicroBatchTimeMs(shape, model::RecomputeMode::kNone));
-      EXPECT_DOUBLE_EQ(
-          loaded.MaxActivationMb(shape, model::RecomputeMode::kSelective),
-          original.MaxActivationMb(shape, model::RecomputeMode::kSelective));
-    }
-  }
-  // Exact-math parts are rebuilt, not serialized.
-  EXPECT_DOUBLE_EQ(loaded.StaticMemoryMb(0), original.StaticMemoryMb(0));
-  EXPECT_EQ(loaded.BoundaryBytes(0, {2, 512, 0}),
-            original.BoundaryBytes(0, {2, 512, 0}));
-}
-
-// Profiles are outside input, and WindowCosts reads every table of every
-// stage through one cell located on stage 0's first table: a file whose
-// tables or stages disagree on the grid axes must be rejected on load.
-std::vector<std::string> ProfileLines(int32_t max_microbatch_size) {
-  ProfileOptions opts;
-  opts.max_microbatch_size = max_microbatch_size;
-  opts.max_seq_len = 1024;
-  const PipelineCostModel pcm = PipelineCostModel::Profile(
-      model::ModelConfig::Gpt3_35B(), model::HardwareSpec{}, {1, 1, 2}, opts);
-  std::stringstream ss;
-  pcm.SaveProfile(ss);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(ss, line);) {
-    lines.push_back(line);
-  }
-  // Header, then 2 stages x 7 tables x (3 axis lines + 1 value line).
-  EXPECT_EQ(lines.size(), 1u + 2 * 7 * 4);
-  return lines;
-}
-
-void ExpectLoadRejects(const std::vector<std::string>& lines) {
-  std::string text;
-  for (const auto& line : lines) {
-    text += line + "\n";
-  }
-  EXPECT_DEATH(
-      {
-        std::stringstream ss(text);
-        PipelineCostModel::LoadProfile(model::ModelConfig::Gpt3_35B(),
-                                       model::HardwareSpec{}, {1, 1, 2}, ss);
-      },
-      "disagree on grid axes");
-}
-
-TEST(SerializationDeathTest, LoadRejectsTablesWithDifferentAxes) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const std::vector<std::string> a = ProfileLines(8);
-  const std::vector<std::string> b = ProfileLines(4);
-  // Stage 1's third table (a backward table) comes from a coarser profile.
-  std::vector<std::string> spliced = a;
-  const size_t table = 1 + 7 * 4 + 2 * 4;
-  for (size_t l = table; l < table + 4; ++l) {
-    spliced[l] = b[l];
-  }
-  ExpectLoadRejects(spliced);
-}
-
-TEST(SerializationDeathTest, LoadRejectsStagesWithDifferentAxes) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const std::vector<std::string> a = ProfileLines(8);
-  const std::vector<std::string> b = ProfileLines(4);
-  // Stage 1 is internally consistent but profiled on a coarser grid.
-  std::vector<std::string> spliced = a;
-  for (size_t l = 1 + 7 * 4; l < spliced.size(); ++l) {
-    spliced[l] = b[l];
-  }
-  ExpectLoadRejects(spliced);
 }
 
 }  // namespace

@@ -596,14 +596,13 @@ std::vector<double> LowerBoundsOracle(const cost::PipelineCostModel& cm,
     model::MicroBatchShape shape;
     for (size_t w = 1; w <= max_width && i + w <= n; ++w) {
       mb::ExtendWindow(shape, ordered[i + w - 1]);
-      const cost::GridInterp3D::Cell cell = cm.stage(0).Locate(shape);
       for (size_t s = 0; s < c; ++s) {
-        const cost::StageCostModel& stage = cm.stage(static_cast<int32_t>(s));
-        const double fwd = stage.FwdMsAt(cell);
+        const int32_t stage = static_cast<int32_t>(s);
+        const double fwd = cm.StageFwdMs(stage, shape);
         for (size_t m = 0; m < modes.size(); ++m) {
           double& to = least[(i + w) * cols + m * c + s];
           to = std::min(to, least[i * cols + m * c + s] + fwd +
-                                stage.BwdMsAt(cell, modes[m]));
+                                cm.StageBwdMs(stage, shape, modes[m]));
         }
       }
     }

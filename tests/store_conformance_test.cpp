@@ -11,8 +11,10 @@
 // plans itself (runtime::RecoverableStore), so each also runs the recovery
 // contract.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <signal.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -143,22 +146,33 @@ std::string UniqueShmName() {
          std::to_string(counter.fetch_add(1));
 }
 
-// The shm death tests abort a forked child mid-test, so its segment's owner
-// destructor (which shm_unlinks) never runs and the segment leaks in
-// /dev/shm. Sweep this suite's prefix at startup — names embed the pid, so
-// anything matching is a stale leftover from a previous run, never a live
-// segment of this one.
-const bool g_stale_shm_swept = [] {
-  if (DIR* dir = ::opendir("/dev/shm")) {
-    while (const dirent* entry = ::readdir(dir)) {
-      if (std::string_view(entry->d_name).substr(0, 14) == "dynapipe-conf-") {
-        ::shm_unlink((std::string("/") + entry->d_name).c_str());
-      }
-    }
-    ::closedir(dir);
+// The shm death tests abort a child mid-test, so its segment's owner
+// destructor (which shm_unlinks) never runs and the segment would leak in
+// /dev/shm. Names embed the creating pid: sweep only names whose pid is gone,
+// so a live segment of another instance of this suite running beside this
+// one (a sanitizer build next to the plain one) is left alone. Runs at
+// startup, for leftovers of an earlier run, and after each death test.
+void SweepStaleShm() {
+  constexpr std::string_view kPrefix = "dynapipe-conf-";
+  DIR* dir = ::opendir("/dev/shm");
+  if (dir == nullptr) {
+    return;
   }
-  return true;
-}();
+  while (const dirent* entry = ::readdir(dir)) {
+    const std::string_view name(entry->d_name);
+    if (name.substr(0, kPrefix.size()) != kPrefix) {
+      continue;
+    }
+    const pid_t pid = static_cast<pid_t>(
+        std::strtol(std::string(name.substr(kPrefix.size())).c_str(), nullptr, 10));
+    if (pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH) {
+      ::shm_unlink((std::string("/") + entry->d_name).c_str());
+    }
+  }
+  ::closedir(dir);
+}
+
+const bool g_stale_shm_swept = (SweepStaleShm(), true);
 
 struct BackendParam {
   const char* name;
@@ -349,6 +363,9 @@ INSTANTIATE_TEST_SUITE_P(RecoverableBackends, RecoverableStoreConformanceTest,
 
 #if DYNAPIPE_DEATH_TESTS
 class StoreConformanceDeathTest : public ::testing::TestWithParam<BackendParam> {
+ protected:
+  // The dead child's segment: its pid is reaped by the time the test ends.
+  void TearDown() override { SweepStaleShm(); }
 };
 
 TEST_P(StoreConformanceDeathTest, DoublePublishDies) {
