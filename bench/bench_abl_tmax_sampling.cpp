@@ -1,7 +1,8 @@
 // Ablation (DESIGN.md): t_max candidate sampling interval in the micro-batch DP.
 // The paper samples candidates 5us apart as a speedup over the O(N^4) exact DP
 // (§4); this bench quantifies the quality/planning-time trade-off of coarser
-// intervals, plus the candidate-count cap.
+// intervals, plus the candidate-count cap, and how many candidates the
+// sweep solves before its stop rule fires.
 #include <chrono>
 #include <cstdio>
 
@@ -55,7 +56,7 @@ int main() {
   std::printf("mini-batch: %zu samples, %lld tokens\n", ordered.size(),
               static_cast<long long>(tokens));
 
-  TextTable table({"interval_ms", "cand_cap", "candidates", "objective_ms",
+  TextTable table({"interval_ms", "cand_cap", "candidates", "solved", "objective_ms",
                    "vs_finest", "plan_ms"});
   double finest = 0.0;
   for (const auto& [interval, cap] :
@@ -81,13 +82,15 @@ int main() {
     }
     table.AddRow({TextTable::Fmt(interval, 3), std::to_string(cap),
                   std::to_string(res.candidates_tried),
+                  std::to_string(res.stats.candidates_solved),
                   TextTable::Fmt(res.objective_ms, 2),
                   TextTable::Fmt(res.objective_ms / finest, 4),
                   TextTable::Fmt(elapsed, 1)});
   }
   std::printf("%s", table.ToString().c_str());
-  std::printf("takeaway: coarse intervals / small candidate caps cut planning time "
-              "by orders of magnitude at sub-percent objective loss — the paper's "
-              "5us interval is conservative.\n");
+  std::printf("takeaway: the sweep stops after solving a small share of the "
+              "candidates (\"solved\"), so even the paper's 5us interval plans "
+              "within a few times the coarsest row's time, and every row here "
+              "reaches the finest row's objective.\n");
   return 0;
 }

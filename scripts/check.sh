@@ -128,12 +128,13 @@ fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-# Smoke the planner microbenchmarks over the DP's row pricing and the
-# recompute bound sweep, so a bench that no longer runs fails here. Only when
-# the binary was built: google-benchmark is optional.
+# Smoke the planner microbenchmarks over the DP's row pricing, the
+# recompute bound sweep and the whole partition (serial and on a 4-thread
+# pool), so a bench that no longer runs fails here. Only when the binary was
+# built: google-benchmark is optional.
 if [ -x "$BUILD_DIR"/bench_micro_planner ]; then
   "$BUILD_DIR"/bench_micro_planner \
-    --benchmark_filter='^BM_(WindowCosts|PriceRows|RecomputeLowerBounds)$' \
+    --benchmark_filter='^BM_(WindowCosts|PriceRows|RecomputeLowerBounds|DpPartition/65536|DpPartitionPool/65536/4)$' \
     --benchmark_min_time=0.01
 fi
 

@@ -239,17 +239,17 @@ PartitionResult DpPartitioner::Partition(
 
   // --- DP per candidate. f[k] = min total time over partitions of the first k
   // samples with every micro-batch time <= tmax. Returns the candidate's Eq. 1
-  // objective (kInf if infeasible) and, when `widths` is non-null, the widths
-  // of its micro-batches back-to-front. Deterministic, so the sweep scores
-  // every candidate without keeping widths and the winner is re-solved once
-  // for them.
+  // objective (kInf if infeasible), stores f[n] into `total` when non-null and,
+  // when `widths` is non-null, the widths of its micro-batches back-to-front.
+  // Deterministic, so the sweep scores candidates without keeping widths and
+  // the winner is re-solved once for them.
   //
   // Each start's usable-window cutoff under a candidate (times <= candidate +
   // eps) is one binary search per (start, candidate) — an O(n log W) sliver
   // next to the O(n*W) DP — on the start's row, which is sorted (monotone in
   // w). That keeps all per-candidate work inside the fan-out (pinned
   // bit-identical to serial by tests/planning_parallel_test.cpp).
-  auto solve = [&](size_t c_idx, std::vector<int32_t>* widths) {
+  auto solve = [&](size_t c_idx, std::vector<int32_t>* widths, double* total) {
     const double tmax = candidates[c_idx] + 1e-12;
     // Forward DP, start-major: windows starting at i extend f[i] to f[i+w].
     // No parent array — the relax loop is then a pure contiguous min that the
@@ -285,9 +285,13 @@ PartitionResult DpPartitioner::Partition(
     if (f[n] == kInf) {
       return kInf;
     }
+    if (total != nullptr) {
+      *total = f[n];
+    }
     // Reconstruct and score with the *realized* max (<= tmax), which is the exact
     // Eq. 1 objective rather than the candidate upper bound. The smallest width
-    // whose add reproduces f[k] bitwise is a deterministic optimal choice.
+    // whose add reproduces f[k] bitwise is a deterministic optimal choice, and
+    // the sweep's stop rule below depends on exactly this choice.
     double realized_max = 0.0;
     for (size_t k = n; k > 0;) {
       const size_t wmax = std::min(k, max_width);
@@ -315,17 +319,60 @@ PartitionResult DpPartitioner::Partition(
     }
     return (options_.num_stages - 1) * realized_max + f[n] / options_.num_replicas;
   };
-  // Candidates are independent given the shared window table, so they fan
-  // out over the pool, each scoring into its own slot.
-  std::vector<double> objectives(candidates.size());
-  ParallelFor(options_.pool, candidates.size(),
-              [&](size_t c_idx) { objectives[c_idx] = solve(c_idx, nullptr); });
 
-  // Deterministic merge in ascending-t_max order: strict improvement only, so
-  // ties keep the earliest (lowest) candidate — exactly the serial loop's pick.
+  // --- The sweep: ascending, stopping at the first candidate that cannot win.
+  // The stop is exact: the winner is the one a sweep over every candidate
+  // would pick. With K the last (widest) candidate:
+  //  1. K is a floor. K admits every window a lower candidate does, and
+  //     floating-point addition is monotone, so f_k[j] >= f_K[j] bit for bit
+  //     for every candidate k and prefix j.
+  //  2. Ties go to the lower candidate. If every window on candidate k's
+  //     reconstructed path fits candidate k-1, then k-1's DP reaches the same
+  //     f at every path position (it cannot go lower: its windows are a subset
+  //     of k's). A width shorter than k's choice that fits k-1 fits k too and
+  //     missed f_k there, so it misses f_{k-1} as well; k-1's smallest-width
+  //     reconstruction therefore walks k's path and scores k's objective bit
+  //     for bit, and the strict merge keeps k-1 (or a lower candidate).
+  //  3. Otherwise k's path holds a window above candidates[k-1], so its
+  //     realized max is at least that, and by 1, evaluated with the
+  //     objective's own expression,
+  //         objective_k >= (c-1) * candidates[k-1] + f_K[n] / D.
+  // That bound never falls as k grows. Once it reaches the best objective of
+  // the candidates below k, no candidate from k up can strictly improve on
+  // it: by 3 directly, or by 2 through its lower neighbour, inductively. So
+  // K is solved first and the rest in ascending waves as wide as the pool's
+  // workers plus the caller (the first wave carries K), the rule checked
+  // before each candidate is merged, in the strict ascending merge.
+  const size_t last = candidates.size() - 1;
+  const size_t wave =
+      options_.pool != nullptr ? static_cast<size_t>(options_.pool->num_threads()) + 1 : 1;
+  std::vector<double> objectives(candidates.size(), kInf);
+  double widest_total = kInf;  // f_K[n]
+  // Ascending candidates [0, solved_below) are solved, plus K.
+  size_t solved_below = std::min(wave - 1, last);
+  ParallelFor(options_.pool, solved_below + 1, [&](size_t j) {
+    const size_t c_idx = j < solved_below ? j : last;
+    objectives[c_idx] = solve(c_idx, nullptr, c_idx == last ? &widest_total : nullptr);
+  });
   double best_objective = kInf;
   size_t best = candidates.size();
-  for (size_t c_idx = 0; c_idx < candidates.size(); ++c_idx) {
+  for (size_t c_idx = 0; c_idx <= last; ++c_idx) {
+    if (c_idx > 0) {
+      // Step 3's bound on every candidate from c_idx up.
+      const double bound = (options_.num_stages - 1) * candidates[c_idx - 1] +
+                           widest_total / options_.num_replicas;
+      if (bound >= best_objective) {
+        break;
+      }
+    }
+    if (c_idx >= solved_below && c_idx < last) {
+      const size_t end = std::min(c_idx + wave, last);
+      ParallelFor(options_.pool, end - c_idx, [&](size_t j) {
+        objectives[c_idx + j] = solve(c_idx + j, nullptr, nullptr);
+      });
+      solved_below = end;
+    }
+    // Strict improvement only, so ties keep the lowest candidate.
     if (objectives[c_idx] < best_objective) {
       best_objective = objectives[c_idx];
       best = c_idx;
@@ -333,9 +380,10 @@ PartitionResult DpPartitioner::Partition(
   }
   std::vector<int32_t> best_widths;
   if (best < candidates.size()) {
-    solve(best, &best_widths);
+    solve(best, &best_widths, nullptr);
   }
   result.candidates_tried = static_cast<int32_t>(candidates.size());
+  result.stats.candidates_solved = static_cast<int32_t>(solved_below) + 1;
   result.stats.candidate_search_ms = ElapsedMs(search_start);
   result.stats.parallel_workers =
       options_.pool != nullptr ? std::max(1, options_.pool->num_threads()) : 1;

@@ -14,8 +14,15 @@
 // t_max candidates are the O(N^2) distinct window times, quantized to a fixed
 // interval (the paper uses 5 microseconds) and deduplicated; for each candidate the
 // DP runs in O(N * max window width) because window time is monotone in window
-// extension. Micro-batches whose activation memory exceeds the per-micro-batch
-// limit are excluded inside the recurrence, which is how the paper folds the memory
+// extension. The sweep solves the widest candidate first, then the rest in
+// ascending order, and stops at the first candidate whose lower bound,
+// (c - 1) * (the candidate below it) + f(N; widest) / D, reaches the best
+// objective found below it: no candidate from there up can strictly win, so
+// the pick is the full sweep's (the proof sits beside the loop). On GPT most
+// candidates are never solved.
+//
+// Micro-batches whose activation memory exceeds the per-micro-batch limit are
+// excluded inside the recurrence, which is how the paper folds the memory
 // constraint into the DP after the sliding-window coupling breaks optimal
 // substructure.
 //
@@ -89,10 +96,14 @@ struct DpPartitionerOptions {
   // Upper bound on candidates actually tried (evenly subsampled if exceeded).
   int32_t max_tmax_candidates = 512;
   // Fan the per-t_max DPs (independent by construction) over this pool; null
-  // runs them serially. Output is bit-identical either way: candidate outcomes
-  // land in per-candidate slots and are merged in ascending-t_max order with
-  // the same strict-improvement rule the serial loop applies, so ties go to
-  // the lowest t_max regardless of which worker finished first.
+  // runs them serially. The pooled sweep solves ascending waves as wide as the
+  // pool's workers plus the caller (the first wave also carries the widest
+  // candidate) and checks the stop rule between them, so it may solve a few
+  // candidates past the stop that the serial sweep skips. Output is
+  // bit-identical either way: candidate outcomes land in per-candidate slots
+  // and are merged in ascending-t_max order with the same strict-improvement
+  // rule, so ties go to the lowest t_max regardless of which worker finished
+  // first.
   ThreadPool* pool = nullptr;
 };
 
@@ -104,6 +115,10 @@ struct PartitionStats {
   double window_precompute_ms = 0.0;
   // Phase 2: per-t_max DPs + reconstruction + merge.
   double candidate_search_ms = 0.0;
+  // Per-t_max DPs the sweep ran before its stop rule fired (the winner's
+  // re-solve for its widths not counted). Depends on the pool's width;
+  // PartitionResult::candidates_tried does not.
+  int32_t candidates_solved = 0;
   // Worker threads the candidate sweep could draw on (1 = serial).
   int32_t parallel_workers = 1;
 };
@@ -116,6 +131,7 @@ struct PartitionResult {
   double total_time_ms = 0.0;
   // Realized Eq. 1 objective.
   double objective_ms = 0.0;
+  // Size of the t_max candidate list the sweep walks.
   int32_t candidates_tried = 0;
   PartitionStats stats;
 };

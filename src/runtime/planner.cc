@@ -288,6 +288,7 @@ IterationPlan IterationPlanner::PlanWithRecompute(
   const auto partition_start = SteadyClock::now();
   mb::PartitionResult part = partitioner.Partition(ordered);
   plan.stats.partition_ms = ElapsedMs(partition_start);
+  plan.stats.candidates_solved = part.stats.candidates_solved;
   if (!part.feasible) {
     plan.infeasible_reason = "no micro-batch partition fits the memory limit";
     return plan;
@@ -347,6 +348,7 @@ IterationPlan IterationPlanner::PlanIteration(
     stats.partition_ms += candidate.stats.partition_ms;
     stats.schedule_ms += candidate.stats.schedule_ms;
     stats.recompute_modes_tried += candidate.stats.recompute_modes_tried;
+    stats.candidates_solved += candidate.stats.candidates_solved;
     if (candidate.feasible &&
         candidate.predicted_iteration_ms < best.predicted_iteration_ms) {
       best = std::move(candidate);

@@ -80,6 +80,10 @@ struct PlanningStats {
   // Modes fully planned: with dynamic recompute, all 3 on a pool, and
   // serially only those whose lower bound could still win.
   int32_t recompute_modes_tried = 0;
+  // t_max DPs the partitioner solved, summed over the modes planned
+  // (mb::PartitionStats::candidates_solved): a pure function of the
+  // mini-batch, the options and the pool's width.
+  int32_t candidates_solved = 0;
   // Always zero: the planner keeps no cost cache and no cross-iteration
   // prefix cache. Kept because bench/e2e reads them for its
   // cost.cache_hit_rate and mb.prefix_hit_rate columns.

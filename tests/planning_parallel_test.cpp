@@ -2,7 +2,8 @@
 // fan-outs), parallel-vs-serial determinism of the DP partitioner and the full
 // planner, golden plan digests that pin planner output bit for bit, row
 // pricing (the DP rows and the recompute bound sweep) against per-window
-// oracles, and ThreadPool-backed grid search equivalence.
+// oracles, the t_max sweep's early stop against a full sweep, and
+// ThreadPool-backed grid search equivalence.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -639,6 +640,372 @@ TEST(RowPricingTest, LowerBoundsBitEqualPerWindowOracle) {
       }
     }
   }
+}
+
+// ---------- The t_max sweep's stop rule against the full sweep ----------
+
+// The sweep the partitioner ran before its stop rule: every t_max candidate
+// solved, then the ascending strict-improvement merge. Same candidate list,
+// same DP arithmetic, same smallest-width reconstruction.
+struct FullSweep {
+  mb::PartitionResult result;
+  std::vector<double> candidates;
+  // Per candidate: Eq. 1 objective (infinite if infeasible) and realized max.
+  std::vector<double> objectives;
+  std::vector<double> realized_max;
+  size_t winner = 0;  // candidates.size() if none is feasible
+};
+
+FullSweep FullSweepPartition(const mb::MicroBatchCostFn& cost,
+                             const mb::DpPartitionerOptions& opts,
+                             const std::vector<data::Sample>& ordered) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  FullSweep out;
+  const size_t n = ordered.size();
+  if (n == 0) {
+    out.result.feasible = true;
+    return out;
+  }
+  const size_t width = std::min(n, static_cast<size_t>(opts.max_microbatch_size));
+  std::vector<std::vector<double>> times(n);
+  std::vector<std::vector<double>> acts(n);
+  for (size_t i = 0; i < n; ++i) {
+    times[i].resize(std::min(width, n - i));
+    acts[i].resize(times[i].size());
+    const size_t len = cost.PriceRow(ordered, i, times[i].size(), opts.activation_limit_mb,
+                                     times[i].data(), acts[i].data());
+    if (len == 0) {
+      return out;
+    }
+    times[i].resize(len);
+    acts[i].resize(len);
+  }
+
+  // Candidates: quantized distinct window times at or above the largest
+  // single-sample time, evenly subsampled with both extremes kept.
+  double max_single = 0.0;
+  for (const auto& row : times) {
+    max_single = std::max(max_single, row[0]);
+  }
+  const double interval = opts.tmax_interval_ms;
+  std::vector<double> quantized;
+  for (const auto& row : times) {
+    for (const double t : row) {
+      if (t + 1e-12 >= max_single) {
+        quantized.push_back(std::ceil(t / interval) * interval);
+      }
+    }
+  }
+  std::sort(quantized.begin(), quantized.end());
+  quantized.erase(std::unique(quantized.begin(), quantized.end()), quantized.end());
+  const size_t cap = static_cast<size_t>(opts.max_tmax_candidates);
+  if (quantized.size() <= cap) {
+    out.candidates = quantized;
+  } else {
+    out.candidates.push_back(quantized.front());
+    for (size_t k = 1; k + 1 < cap; ++k) {
+      const size_t idx = k * (quantized.size() - 1) / (cap - 1);
+      if (quantized[idx] > out.candidates.back()) {
+        out.candidates.push_back(quantized[idx]);
+      }
+    }
+    if (quantized.back() > out.candidates.back()) {
+      out.candidates.push_back(quantized.back());
+    }
+  }
+
+  // One DP per candidate; widths back-to-front.
+  auto solve = [&](double candidate, std::vector<size_t>* widths, double* realized) {
+    const double tmax = candidate + 1e-12;
+    std::vector<double> f(n + 1, kInf);
+    f[0] = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t w = 0; w < times[i].size() && times[i][w] <= tmax; ++w) {
+        f[i + w + 1] = std::min(f[i + w + 1], f[i] + times[i][w]);
+      }
+    }
+    if (f[n] == kInf) {
+      return kInf;
+    }
+    double realized_max = 0.0;
+    for (size_t k = n; k > 0;) {
+      size_t found = 0;
+      for (size_t w = 1; w <= std::min(k, width); ++w) {
+        const std::vector<double>& row = times[k - w];
+        if (w <= row.size() && row[w - 1] <= tmax && f[k - w] + row[w - 1] == f[k]) {
+          found = w;
+          realized_max = std::max(realized_max, row[w - 1]);
+          break;
+        }
+      }
+      EXPECT_GE(found, 1u);
+      if (found == 0) {
+        return kInf;
+      }
+      if (widths != nullptr) {
+        widths->push_back(found);
+      }
+      k -= found;
+    }
+    *realized = realized_max;
+    return (opts.num_stages - 1) * realized_max + f[n] / opts.num_replicas;
+  };
+  out.winner = out.candidates.size();
+  double best = kInf;
+  for (size_t k = 0; k < out.candidates.size(); ++k) {
+    double realized = kInf;
+    out.objectives.push_back(solve(out.candidates[k], nullptr, &realized));
+    out.realized_max.push_back(realized);
+    if (out.objectives[k] < best) {
+      best = out.objectives[k];
+      out.winner = k;
+    }
+  }
+  out.result.candidates_tried = static_cast<int32_t>(out.candidates.size());
+  if (out.winner == out.candidates.size()) {
+    return out;
+  }
+  std::vector<size_t> widths;
+  double realized = 0.0;
+  solve(out.candidates[out.winner], &widths, &realized);
+  std::reverse(widths.begin(), widths.end());
+  size_t pos = 0;
+  for (const size_t w : widths) {
+    mb::MicroBatch m;
+    m.samples.assign(ordered.begin() + static_cast<ptrdiff_t>(pos),
+                     ordered.begin() + static_cast<ptrdiff_t>(pos + w));
+    m.predicted_time_ms = times[pos][w - 1];
+    m.predicted_activation_mb = acts[pos][w - 1];
+    out.result.max_time_ms = std::max(out.result.max_time_ms, m.predicted_time_ms);
+    out.result.total_time_ms += m.predicted_time_ms;
+    out.result.micro_batches.push_back(std::move(m));
+    pos += w;
+  }
+  out.result.objective_ms = (opts.num_stages - 1) * out.result.max_time_ms +
+                            out.result.total_time_ms / opts.num_replicas;
+  out.result.feasible = true;
+  return out;
+}
+
+// Partition's result equals the full sweep's bit for bit.
+void ExpectSameAsFullSweep(const mb::PartitionResult& got, const FullSweep& want) {
+  ASSERT_EQ(got.feasible, want.result.feasible);
+  EXPECT_EQ(got.candidates_tried, want.result.candidates_tried);
+  EXPECT_GE(got.stats.candidates_solved, got.feasible ? 1 : 0);
+  EXPECT_LE(got.stats.candidates_solved, got.candidates_tried);
+  if (!got.feasible) {
+    return;
+  }
+  ASSERT_EQ(got.micro_batches.size(), want.result.micro_batches.size());
+  for (size_t k = 0; k < got.micro_batches.size(); ++k) {
+    const mb::MicroBatch& a = got.micro_batches[k];
+    const mb::MicroBatch& b = want.result.micro_batches[k];
+    ASSERT_EQ(a.samples.size(), b.samples.size()) << "micro-batch " << k;
+    EXPECT_EQ(a.predicted_time_ms, b.predicted_time_ms) << "micro-batch " << k;
+    EXPECT_EQ(a.predicted_activation_mb, b.predicted_activation_mb) << "micro-batch " << k;
+  }
+  EXPECT_EQ(got.objective_ms, want.result.objective_ms);
+  EXPECT_EQ(got.max_time_ms, want.result.max_time_ms);
+  EXPECT_EQ(got.total_time_ms, want.result.total_time_ms);
+}
+
+// Synthetic costs built to tie: times rounded up to a coarse unit, so many
+// windows and many candidates share one time, or a flat time for every
+// window. Unrounded times (unit < 0) under fine intervals put candidates
+// close together, where the stop bound is nearly tight. Activation grows
+// with padded tokens.
+class TieCost : public mb::MicroBatchCostFn {
+ public:
+  explicit TieCost(double unit) : unit_(unit) {}
+  double TimeMs(const model::MicroBatchShape& shape) const override {
+    if (unit_ == 0.0) {
+      return 1.5;
+    }
+    const double raw = 0.3 + 0.004 * static_cast<double>(shape.padded_tokens());
+    return unit_ < 0.0 ? raw : std::ceil(raw / unit_) * unit_;
+  }
+  double ActivationMb(const model::MicroBatchShape& shape) const override {
+    return 0.05 * static_cast<double>(shape.padded_tokens());
+  }
+
+ private:
+  double unit_;  // 0: flat
+};
+
+TEST(TmaxSweepStopTest, MatchesFullSweepOnSeededTieInstances) {
+  const double units[] = {-1.0, 0.0, 0.25, 0.5, 1.0, 2.0};
+  const int32_t stages[] = {1, 2, 4, 8};
+  const int32_t replicas[] = {1, 3};
+  const double intervals[] = {0.001, 0.01, 0.05, 0.25, 0.5, 1.0};
+  const int32_t lengths[] = {8, 16, 24, 32, 64};
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  ThreadPool* const pools[] = {&pool1, &pool2, &pool8};
+  int64_t solved = 0;
+  int64_t tried = 0;
+  for (uint64_t seed = 1; seed <= 10'000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const TieCost cost(units[rng.NextBelow(std::size(units))]);
+    std::vector<data::Sample> samples(static_cast<size_t>(rng.NextInt(1, 40)));
+    for (size_t i = 0; i < samples.size(); ++i) {
+      samples[i].id = i;
+      samples[i].input_len = lengths[rng.NextBelow(std::size(lengths))];
+      samples[i].target_len = lengths[rng.NextBelow(std::size(lengths))] / 8;
+    }
+    const auto ordered = mb::OrderSamples(samples, mb::OrderingMethod::kSortByLength);
+    mb::DpPartitionerOptions opts;
+    opts.num_stages = stages[rng.NextBelow(std::size(stages))];
+    opts.num_replicas = replicas[rng.NextBelow(std::size(replicas))];
+    opts.max_microbatch_size = static_cast<int32_t>(rng.NextInt(1, 24));
+    opts.tmax_interval_ms = intervals[rng.NextBelow(std::size(intervals))];
+    opts.max_tmax_candidates = static_cast<int32_t>(rng.NextInt(2, 100));
+    if (rng.NextBelow(2) == 1) {
+      // Every single sample fits; wider windows may not.
+      double widest_single = 0.0;
+      for (const data::Sample& s : ordered) {
+        model::MicroBatchShape shape;
+        mb::ExtendWindow(shape, s);
+        widest_single = std::max(widest_single, cost.ActivationMb(shape));
+      }
+      opts.activation_limit_mb = widest_single * rng.NextDouble(1.0, 6.0);
+    }
+    const FullSweep want = FullSweepPartition(cost, opts, ordered);
+
+    const mb::PartitionResult serial = mb::DpPartitioner(cost, opts).Partition(ordered);
+    ExpectSameAsFullSweep(serial, want);
+    solved += serial.stats.candidates_solved;
+    tried += serial.candidates_tried;
+    mb::DpPartitionerOptions popts = opts;
+    popts.pool = pools[seed % std::size(pools)];
+    ExpectSameAsFullSweep(mb::DpPartitioner(cost, popts).Partition(ordered), want);
+    if (HasFailure()) {
+      break;
+    }
+  }
+  // The instances exercise the stop, not only the full walk.
+  EXPECT_LT(solved, tried);
+}
+
+// Widths-only cost: t(1) = 1, t(2) = 1.25, t(3) = 3 ms.
+class WidthCost : public mb::MicroBatchCostFn {
+ public:
+  double TimeMs(const model::MicroBatchShape& shape) const override {
+    return shape.num_samples == 1 ? 1.0 : shape.num_samples == 2 ? 1.25 : 3.0;
+  }
+  double ActivationMb(const model::MicroBatchShape& shape) const override {
+    return static_cast<double>(shape.num_samples);
+  }
+};
+
+// Three samples, c = 2, candidates {1, 1.25, 3}. Candidate 2's optimal path
+// is a pair then a single, which fits candidate 1, so the two score the same
+// objective bit for bit and the merge keeps candidate 1: the case the stop
+// rule leans on when it skips a candidate whose path fits its lower
+// neighbour.
+TEST(TmaxSweepStopTest, TieKeepsTheLowerCandidate) {
+  const WidthCost cost;
+  const std::vector<data::Sample> ordered(3);
+  mb::DpPartitionerOptions opts;
+  opts.num_stages = 2;
+  opts.max_microbatch_size = 3;
+  opts.tmax_interval_ms = 0.25;
+  const FullSweep want = FullSweepPartition(cost, opts, ordered);
+  ASSERT_EQ(want.candidates, (std::vector<double>{1.0, 1.25, 3.0}));
+  EXPECT_EQ(want.objectives, (std::vector<double>{4.0, 3.5, 3.5}));
+  EXPECT_LE(want.realized_max[2], want.candidates[1]);
+  EXPECT_EQ(want.winner, 1u);
+
+  const mb::PartitionResult got = mb::DpPartitioner(cost, opts).Partition(ordered);
+  ExpectSameAsFullSweep(got, want);
+  ASSERT_EQ(got.micro_batches.size(), 2u);
+  EXPECT_EQ(got.micro_batches[0].samples.size(), 2u);
+  EXPECT_EQ(got.max_time_ms, 1.25);
+}
+
+// The DP options PlanWithRecompute builds for `cm` with BenchPlanner().
+mb::DpPartitionerOptions BenchPartitionOptions(const cost::PipelineCostModel& cm,
+                                               ThreadPool* pool) {
+  const runtime::PlannerOptions popts = BenchPlanner();
+  mb::DpPartitionerOptions opts;
+  opts.num_stages = cm.num_stages();
+  opts.num_replicas = cm.parallel().dp;
+  opts.activation_limit_mb = cm.ActivationBudgetMb();  // adaptive schedule
+  opts.max_microbatch_size = popts.max_microbatch_size;
+  opts.tmax_interval_ms = popts.tmax_interval_ms;
+  opts.max_tmax_candidates = popts.max_tmax_candidates;
+  opts.pool = pool;
+  return opts;
+}
+
+// The bench batches in every recompute mode, serial and pooled, match the
+// full sweep. Serially on GPT dp3/pp4 the stop fires early: a sweep that
+// silently went back to solving every candidate fails here.
+TEST(TmaxSweepStopTest, BenchBatchesMatchFullSweepAndGptStopsEarly) {
+  ThreadPool pool(3);
+  for (const RowCase& rc : kRowCases) {
+    SCOPED_TRACE(rc.name);
+    const bool gpt = rc.config.arch == model::ModelArch::kGpt;
+    const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+        rc.config, model::HardwareSpec{}, rc.parallel, BenchProfile());
+    int64_t solved = 0;
+    int64_t tried = 0;
+    for (const auto& ordered : OrderedBenchBatches(rc.config)) {
+      for (const auto mode : {model::RecomputeMode::kNone, model::RecomputeMode::kSelective,
+                              model::RecomputeMode::kFull}) {
+        SCOPED_TRACE(model::RecomputeModeName(mode));
+        const runtime::CostModelAdapter adapter(cm, mode);
+        const FullSweep want =
+            FullSweepPartition(adapter, BenchPartitionOptions(cm, nullptr), ordered);
+        const mb::PartitionResult serial =
+            mb::DpPartitioner(adapter, BenchPartitionOptions(cm, nullptr)).Partition(ordered);
+        ExpectSameAsFullSweep(serial, want);
+        ExpectSameAsFullSweep(
+            mb::DpPartitioner(adapter, BenchPartitionOptions(cm, &pool)).Partition(ordered),
+            want);
+        solved += serial.stats.candidates_solved;
+        tried += serial.candidates_tried;
+      }
+    }
+    if (gpt) {
+      EXPECT_LE(solved * 10, tried) << solved << " of " << tried << " solved";
+    }
+  }
+}
+
+// PlanningStats::candidates_solved sums the partitioner's count over the
+// modes planned: all three on a pool.
+TEST(TmaxSweepStopTest, PlanningStatsSumSolvedOverModes) {
+  const RowCase& rc = kRowCases[1];
+  const cost::PipelineCostModel cm = cost::PipelineCostModel::Profile(
+      rc.config, model::HardwareSpec{}, rc.parallel, BenchProfile());
+  ThreadPool pool(3);
+  runtime::PlannerOptions popts = BenchPlanner();
+  popts.pool = &pool;
+  data::FlanGeneratorOptions gen;
+  gen.num_samples = 4000;
+  gen.seed = 42;
+  const data::Dataset dataset = data::GenerateFlanLikeDataset(gen);
+  data::MiniBatchSamplerOptions sopts;
+  sopts.global_batch_tokens = 65'536;
+  sopts.max_input_len = 2048;
+  sopts.seed = 5;
+  const std::vector<data::Sample> minibatch = data::MiniBatchSampler(dataset, sopts).Next();
+  const runtime::IterationPlan plan =
+      runtime::IterationPlanner(cm, popts).PlanIteration(minibatch);
+  ASSERT_TRUE(plan.feasible);
+  ASSERT_EQ(plan.stats.recompute_modes_tried, 3);
+  const auto ordered = runtime::PlanningOrder(rc.config, minibatch, popts.ordering);
+  int32_t want = 0;
+  for (const auto mode : {model::RecomputeMode::kNone, model::RecomputeMode::kSelective,
+                          model::RecomputeMode::kFull}) {
+    const runtime::CostModelAdapter adapter(cm, mode);
+    want += mb::DpPartitioner(adapter, BenchPartitionOptions(cm, &pool))
+                .Partition(ordered)
+                .stats.candidates_solved;
+  }
+  EXPECT_EQ(plan.stats.candidates_solved, want);
 }
 
 // ---------- Grid search equivalence ----------
